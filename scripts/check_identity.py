@@ -1,0 +1,162 @@
+"""Check that two checkouts of symnodes produce bit-identical results.
+
+Usage, from the repository root::
+
+    git archive <commit> | tar -x -C /tmp/other
+    python3 scripts/check_identity.py /tmp/other [--seeds 1 2]
+
+Compares this checkout against the one at the given path (each with its own
+``src`` on ``PYTHONPATH``, one BLAS thread):
+
+* ``basis_eval_many`` / ``basis_grad_many`` for all seven kinds at p = 1..9,
+  at the uniform nodes, at perturbed nodes, at random interior points and at
+  the vertices, plus ``jacobi``, ``jacobi_derivative`` and ``gll_1d``
+  (``np.array_equal``);
+* every file written by ``tabulate --element line,tri,quad --degree-range
+  7:9`` and ``tabulate --element tet,hex,prism,pyramid --degree-range 4:4``
+  at each seed (node files and manifest, byte for byte);
+* the ``compare`` CSVs of the benchmark's eval-files workload at each seed.
+
+Prints one line per comparison and exits 1 if anything differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DUMP = r"""
+import sys
+import numpy as np
+from symnodes.baselines import BaselineKind, baseline_distribution, gll_1d
+from symnodes.basis import (
+    FunctionSpace, basis_eval_many, basis_grad_many, jacobi, jacobi_derivative,
+)
+from symnodes.geometry import ElementKind, contains, reference_element
+
+out = {}
+rng = np.random.default_rng(123)
+for kind in ElementKind:
+    elem = reference_element(kind)
+    for p in range(1, 10):
+        sp = FunctionSpace(kind, p)
+        nodes = baseline_distribution(kind, p, BaselineKind.UNIFORM).nodes
+        inside = []
+        while len(inside) < 200:
+            x = rng.uniform(-1.0, 1.0, size=elem.dim)
+            if contains(elem, x, 0.0):
+                inside.append(x)
+        sets = {
+            "nodes": nodes,
+            "perturbed": nodes + 1e-3 * rng.standard_normal(nodes.shape),
+            "interior": np.array(inside),
+            "vertices": elem.vertices,
+        }
+        for name, pts in sets.items():
+            key = f"{kind.value}_p{p}_{name}"
+            with np.errstate(all="ignore"):
+                out[key + "_V"] = basis_eval_many(sp, pts)
+                out[key + "_G"] = basis_grad_many(sp, pts)
+x = np.linspace(-1.0, 1.0, 101)
+for n in range(12):
+    for a, b in [(0.0, 0.0), (1.0, 1.0), (3.0, 0.0), (2.0, 2.0), (1.3, 0.2)]:
+        out[f"jacobi_{n}_{a}_{b}"] = jacobi(n, a, b, x)
+        out[f"jacobi_derivative_{n}_{a}_{b}"] = jacobi_derivative(n, a, b, x)
+for p in range(1, 31):
+    out[f"gll_{p}"] = gll_1d(p)
+np.savez(sys.argv[1], **out)
+"""
+
+CLI = "import sys; from symnodes.cli import main; sys.exit(main(sys.argv[1:]))"
+
+EVAL = r"""
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from run import write_eval_inputs
+from worker import EVAL, cli_calls
+from symnodes.cli import main
+out, seed = sys.argv[2], int(sys.argv[3])
+write_eval_inputs(Path(out) / "in", EVAL["eval-files"], seed)
+for args in cli_calls("eval-files", seed, out, str(Path(out) / "in")):
+    assert main(args) == 0
+"""
+
+
+def _run(checkout, argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    subprocess.run([sys.executable, *argv], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def _same_tree(a, b):
+    names = sorted(os.listdir(a))
+    if names != sorted(os.listdir(b)):
+        return False
+    return all(filecmp.cmp(a / n, b / n, shallow=False) for n in names)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("other", help="root of the checkout to compare against")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    args = ap.parse_args(argv)
+    sides = {"this": ROOT, "other": Path(args.other).resolve()}
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for side, checkout in sides.items():
+            _run(checkout, ["-c", DUMP, str(tmp / f"{side}.npz")])
+        a, b = np.load(tmp / "this.npz"), np.load(tmp / "other.npz")
+        diff = sorted(set(a.files) ^ set(b.files)) + [
+            k for k in sorted(set(a.files) & set(b.files))
+            if not np.array_equal(a[k], b[k], equal_nan=True)
+        ]
+        print(f"basis arrays: {len(a.files) - len(diff)}/{len(a.files)} "
+              f"identical {diff[:5]}")
+        ok &= not diff
+
+        jobs = {
+            "2d": ["tabulate", "--element", "line,tri,quad",
+                   "--degree-range", "7:9"],
+            "3d": ["tabulate", "--element", "tet,hex,prism,pyramid",
+                   "--degree-range", "4:4"],
+        }
+        for seed in args.seeds:
+            for name, cmd in jobs.items():
+                for side, checkout in sides.items():
+                    out = tmp / f"{side}-{name}-{seed}"
+                    _run(checkout, ["-c", CLI, *cmd, "--seed", str(seed),
+                                    "--out", str(out)])
+                same = _same_tree(tmp / f"this-{name}-{seed}",
+                                  tmp / f"other-{name}-{seed}")
+                print(f"tabulate {name} seed {seed}: "
+                      f"{'identical' if same else 'DIFFERENT'}")
+                ok &= same
+            for side, checkout in sides.items():
+                out = tmp / f"{side}-eval-{seed}"
+                _run(checkout, ["-c", EVAL, str(ROOT / "perfbench"),
+                                str(out), str(seed)])
+            this, other = tmp / f"this-eval-{seed}", tmp / f"other-eval-{seed}"
+            csvs = sorted(p.name for p in this.glob("*.csv"))
+            same = csvs == sorted(p.name for p in other.glob("*.csv")) and all(
+                filecmp.cmp(this / n, other / n, shallow=False) for n in csvs
+            )
+            print(f"eval-files CSVs seed {seed}: "
+                  f"{'identical' if same else 'DIFFERENT'}")
+            ok &= same
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,10 @@ polynomial-trace space on the pyramid.  A "monomial" mode exists for
 debugging; it spans the same spaces but conditions badly with degree.
 
 Basis gradients are implemented analytically for every kind, which is what
-makes the analytic objective gradient of the optimizer possible.
+makes the analytic objective gradient of the optimizer possible.  Every
+orthogonal mode is a product of 1D Jacobi factors; a call builds the tables
+P_0..P_n^{(a,b)} once, one recurrence sweep per family of ``a``, with the
+coefficients and norms cached per (n, family, b).
 """
 
 from __future__ import annotations
@@ -66,35 +69,52 @@ class FunctionSpace:
         return space_dimension(self.kind, self.degree)
 
 
-def jacobi(n, a, b, x):
-    """Jacobi polynomial P_n^{(a,b)} by the three-term recurrence.
+# ---------------------------------------------------------------------------
+# One-dimensional Jacobi tables
+# ---------------------------------------------------------------------------
 
-    Standard normalization (P_n(1) = binom(n+a, n)); vectorized in ``x``.
-    """
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x)
-    p_prev = np.ones_like(x)
-    p = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for m in range(2, n + 1):
-        c1 = 2.0 * m * (m + a + b) * (2.0 * m + a + b - 2.0)
-        c2 = (2.0 * m + a + b - 1.0) * (a * a - b * b)
-        c3 = (
-            (2.0 * m + a + b - 2.0)
-            * (2.0 * m + a + b - 1.0)
-            * (2.0 * m + a + b)
+
+@lru_cache(maxsize=None)
+def _jacobi_constants(n, alphas, b):
+    """Recurrence coefficients (c1, c2, c3, c4) of degrees 2..n for every
+    ``a`` in ``alphas``, as (len(alphas), 1) columns, and the norms of
+    P_0..P_n^{(a,b)}, shaped (n + 1, len(alphas), 1)."""
+    a = np.array(alphas)[:, None]
+    coeffs = tuple(
+        (
+            2.0 * m * (m + a + b) * (2.0 * m + a + b - 2.0),
+            (2.0 * m + a + b - 1.0) * (a * a - b * b),
+            (2.0 * m + a + b - 2.0) * (2.0 * m + a + b - 1.0) * (2.0 * m + a + b),
+            2.0 * (m + a - 1.0) * (m + b - 1.0) * (2.0 * m + a + b),
         )
-        c4 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * (2.0 * m + a + b)
-        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
-    return p
+        for m in range(2, n + 1)
+    )
+    norms = [[_jacobi_norm(m, v, b) for v in alphas] for m in range(n + 1)]
+    return coeffs, np.array(norms)[:, :, None]
 
 
-def jacobi_derivative(n, a, b, x):
-    """First derivative of P_n^{(a,b)}."""
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.zeros_like(x)
-    return 0.5 * (n + a + b + 1.0) * jacobi(n - 1, a + 1.0, b + 1.0, x)
+def _jacobi_table(n, alphas, b, x):
+    """P_0..P_n^{(a,b)} at the 1D points ``x`` for every ``a`` in the tuple
+    ``alphas``: (n + 1, len(alphas), len(x)), in one recurrence sweep."""
+    a = np.array(alphas)[:, None]
+    t = np.empty((n + 1, len(alphas), x.size))
+    t[0] = 1.0
+    if n > 0:
+        t[1] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    for m, (c1, c2, c3, c4) in enumerate(_jacobi_constants(n, alphas, b)[0], 2):
+        t[m] = ((c2 + c3 * x) * t[m - 1] - c4 * t[m - 2]) / c1
+    return t
+
+
+def _jacobi_derivative_table(n, alphas, b, x):
+    """d/dx of :func:`_jacobi_table`: 0.5 (m + a + b + 1) P_{m-1}^{(a+1,b+1)}."""
+    t = np.zeros((n + 1, len(alphas), x.size))
+    if n > 0:
+        a = np.array(alphas)[:, None]
+        m = np.arange(1, n + 1)[:, None, None]
+        lower = _jacobi_table(n - 1, tuple(v + 1.0 for v in alphas), b + 1.0, x)
+        np.multiply(0.5 * (m + a + b + 1.0), lower, out=t[1:])
+    return t
 
 
 def _jacobi_norm(n, a, b):
@@ -109,12 +129,37 @@ def _jacobi_norm(n, a, b):
     return math.sqrt(math.exp(num) / (2.0 * n + a + b + 1.0))
 
 
-def _njacobi(n, a, b, x):
-    return jacobi(n, a, b, x) / _jacobi_norm(n, a, b)
+def jacobi(n, a, b, x):
+    """Jacobi polynomial P_n^{(a,b)}, the last row of the recurrence table.
+
+    Standard normalization (P_n(1) = binom(n+a, n)); vectorized in ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    t = _jacobi_table(n, (float(a),), float(b), x.ravel())
+    return t[n, 0].reshape(x.shape)
 
 
-def _njacobi_derivative(n, a, b, x):
-    return jacobi_derivative(n, a, b, x) / _jacobi_norm(n, a, b)
+def jacobi_derivative(n, a, b, x):
+    """First derivative of P_n^{(a,b)}."""
+    x = np.asarray(x, dtype=float)
+    t = _jacobi_derivative_table(n, (float(a),), float(b), x.ravel())
+    return t[n, 0].reshape(x.shape)
+
+
+def _cols(n, alphas, x, deriv=False, normalized=True):
+    """P_m^{(a,0)}(x), m = 0..n, for every ``a`` in ``alphas`` (or their
+    derivatives; ``normalized`` divides by the norms), degree last:
+    (points, len(alphas), n + 1)."""
+    table = _jacobi_derivative_table if deriv else _jacobi_table
+    t = table(n, alphas, 0.0, x)
+    if normalized:
+        t /= _jacobi_constants(n, alphas, 0.0)[1]
+    return t.T
+
+
+def _legendre(n, x, deriv=False, normalized=True):
+    """Legendre P_0..P_n (or derivatives) at ``x`` as (points, n + 1)."""
+    return _cols(n, (0.0,), x, deriv, normalized)[:, 0]
 
 
 def _pow_or_zero(base, e):
@@ -198,76 +243,147 @@ def _tet_collapse(x, y, z):
 
 
 # ---------------------------------------------------------------------------
-# Orthogonal-mode evaluation
+# Orthogonal modes
+#
+# Each function builds its 1D factor tables once, then writes the modes in
+# index-set order, a block of consecutive modes at a time: per-point factors
+# are (points, 1) columns and the innermost index runs along a table.  Every
+# mode keeps the floating-point expression of its closed form (the same
+# operands, multiplied in the same order), so V and its gradient depend
+# neither on the batching of the modes nor on the other points of the call.
+# With ``grads`` each function returns the gradients, (points, modes, d).
 # ---------------------------------------------------------------------------
 
 
-def _eval_line(p, pts):
-    x = pts[:, 0]
-    return np.column_stack([_njacobi(i, 0.0, 0.0, x) for i in range(p + 1)])
-
-
-def _eval_tensor(kind, p, pts):
-    cols = [
-        np.column_stack([_njacobi(i, 0.0, 0.0, pts[:, d]) for i in range(p + 1)])
-        for d in range(pts.shape[1])
-    ]
-    idx = _index_set(kind, p)
-    out = np.empty((pts.shape[0], len(idx)))
-    for col, ids in enumerate(idx):
-        v = cols[0][:, ids[0]]
-        for d in range(1, len(ids)):
-            v = v * cols[d][:, ids[d]]
-        out[:, col] = v
+def _tensor_product(factors, out):
+    """``out[:, (i, j, ...)] = (f0[:, i] * f1[:, j]) * ...`` for a list of
+    (points, m_k) factors, last index fastest, without a temporary of
+    ``out``'s size."""
+    n = out.shape[0]
+    acc = factors[0]
+    for f in factors[1:-1]:
+        acc = acc[:, :, None] * f[:, None, :]
+        acc = acc.reshape(n, acc.shape[1] * acc.shape[2])
+    if len(factors) == 1:
+        out[...] = acc
+        return out
+    last = factors[-1][:, None, :]
+    view = out.reshape((n, acc.shape[1], last.shape[2]), copy=False)
+    np.multiply(acc[:, :, None], last, out=view)
     return out
 
 
-def _tri_modes(p, a, b):
-    """Values of the orthonormal triangle modes at collapsed coords (a, b)."""
-    idx = _index_set(ElementKind.TRIANGLE, p)
-    fa = {i: _njacobi(i, 0.0, 0.0, a) for i in range(p + 1)}
-    out = np.empty((a.size, len(idx)))
-    one_m_b = 1.0 - b
-    for col, (i, j) in enumerate(idx):
-        gb = _njacobi(j, 2.0 * i + 1.0, 0.0, b)
-        out[:, col] = math.sqrt(2.0) * fa[i] * gb * _pow_or_zero(one_m_b, i)
-    return out
+def _tensor(p, pts, grads):
+    """Line, quadrilateral, hexahedron: tensor Legendre products."""
+    n, dim = pts.shape
+    vals = [_legendre(p, pts[:, d]) for d in range(dim)]
+    if not grads:
+        return _tensor_product(vals, np.empty((n, (p + 1) ** dim)))
+    ders = [_legendre(p, pts[:, d], deriv=True) for d in range(dim)]
+    g = np.empty((n, (p + 1) ** dim, dim))
+    for dd in range(dim):
+        factors = [ders[d] if d == dd else vals[d] for d in range(dim)]
+        _tensor_product(factors, g[:, :, dd])
+    return g
 
 
-def _eval_triangle(p, pts):
+def _triangle(p, pts, grads, with_values=False):
+    """Orthonormal triangle modes; with ``grads`` their gradients, and with
+    ``with_values`` too the pair (values, gradients)."""
+    values = with_values or not grads
     a, b = _tri_collapse(pts[:, 0], pts[:, 1])
-    return _tri_modes(p, a, b)
+    nmodes = (p + 1) * (p + 2) // 2
+    val = np.empty((a.size, nmodes)) if values else None
+    g = np.empty((a.size, nmodes, 2)) if grads else None
+    one_m_b = 1.0 - b
+    s2 = math.sqrt(2.0)
+    alphas = tuple(2.0 * i + 1.0 for i in range(p + 1))
+    fa_all, gb_all = _legendre(p, a), _cols(p, alphas, b)
+    if grads:
+        dfa_all = _legendre(p, a, deriv=True)
+        dgb_all = _cols(p, alphas, b, deriv=True)
+        a = a[:, None]
+    start = 0
+    for i in range(p + 1):
+        blk = slice(start, start + p + 1 - i)
+        start = blk.stop
+        fa, gb = fa_all[:, i : i + 1], gb_all[:, i, : p + 1 - i]
+        pw_i = _pow_or_zero(one_m_b, i)[:, None]
+        if values:
+            val[:, blk] = s2 * fa * gb * pw_i
+        if not grads:
+            continue
+        dfa, dgb = dfa_all[:, i : i + 1], dgb_all[:, i, : p + 1 - i]
+        pw_im1 = _pow_or_zero(one_m_b, i - 1)[:, None]
+        g[:, blk, 0] = s2 * 2.0 * dfa * gb * pw_im1
+        g[:, blk, 1] = s2 * (
+            dfa * (1.0 + a) * gb * pw_im1 + fa * dgb * pw_i - i * fa * gb * pw_im1
+        )
+    if with_values:
+        return val, g
+    return g if grads else val
 
 
-def _eval_tetrahedron(p, pts):
+def _tetrahedron(p, pts, grads):
     a, b, c = _tet_collapse(pts[:, 0], pts[:, 1], pts[:, 2])
-    idx = _index_set(ElementKind.TETRAHEDRON, p)
-    out = np.empty((pts.shape[0], len(idx)))
+    nmodes = (p + 1) * (p + 2) * (p + 3) // 6
+    out = np.empty((a.size, nmodes, 3) if grads else (a.size, nmodes))
     pb = 0.5 * (1.0 - b)
     pc = 0.5 * (1.0 - c)
-    for col, (i, j, k) in enumerate(idx):
-        fa = _njacobi(i, 0.0, 0.0, a)
-        gb = _njacobi(j, 2.0 * i + 1.0, 0.0, b)
-        hc = _njacobi(k, 2.0 * (i + j) + 2.0, 0.0, c)
-        amp = 2.0 * math.sqrt(2.0) * 2.0 ** (2 * i + j)
-        out[:, col] = (
-            amp * fa * gb * hc * _pow_or_zero(pb, i) * _pow_or_zero(pc, i + j)
-        )
-    return out
-
-
-def _eval_prism(p, pts):
-    tri = _eval_triangle(p, pts[:, :2])
-    tri_idx = _index_set(ElementKind.TRIANGLE, p)
-    tri_col = {ij: n for n, ij in enumerate(tri_idx)}
-    leg = np.column_stack(
-        [_njacobi(k, 0.0, 0.0, pts[:, 2]) for k in range(p + 1)]
+    pb_pow = [_pow_or_zero(pb, e)[:, None] for e in range(-1, p + 1)]
+    pc_pow = [_pow_or_zero(pc, e)[:, None] for e in range(-1, p + 1)]
+    # Factor tables: in b one per i, in c one per s = i + j.
+    b_alphas = tuple(2.0 * i + 1.0 for i in range(p + 1))
+    c_alphas = tuple(2.0 * s + 2.0 for s in range(p + 1))
+    fa_all, gb_all, hc_all = (
+        _legendre(p, a), _cols(p, b_alphas, b), _cols(p, c_alphas, c)
     )
-    idx = _index_set(ElementKind.PRISM, p)
-    out = np.empty((pts.shape[0], len(idx)))
-    for col, (i, j, k) in enumerate(idx):
-        out[:, col] = tri[:, tri_col[(i, j)]] * leg[:, k]
+    if grads:
+        dfa_all = _legendre(p, a, deriv=True)
+        dgb_all = _cols(p, b_alphas, b, deriv=True)
+        dhc_all = _cols(p, c_alphas, c, deriv=True)
+        a, b = a[:, None], b[:, None]
+    start = 0
+    for i in range(p + 1):
+        for j in range(p + 1 - i):
+            blk = slice(start, start + p + 1 - i - j)
+            start = blk.stop
+            amp = 2.0 * math.sqrt(2.0) * 2.0 ** (2 * i + j)
+            fa, gb = fa_all[:, i : i + 1], gb_all[:, i, j : j + 1]
+            hc = hc_all[:, i + j, : p + 1 - i - j]
+            pb_i, pc_ij = pb_pow[i + 1], pc_pow[i + j + 1]
+            if not grads:
+                out[:, blk] = amp * fa * gb * hc * pb_i * pc_ij
+                continue
+            dfa, dgb = dfa_all[:, i : i + 1], dgb_all[:, i, j : j + 1]
+            dhc = dhc_all[:, i + j, : p + 1 - i - j]
+            pb_im1, pc_ijm1 = pb_pow[i], pc_pow[i + j]
+            dx_core = dfa * gb * hc * pb_im1 * pc_ijm1
+            tmp_b = dgb * pb_i - 0.5 * i * gb * pb_im1  # d/db of gb * pb^i
+            out[:, blk, 0] = amp * dx_core
+            out[:, blk, 1] = amp * (
+                0.5 * (1.0 + a) * dx_core + fa * hc * pc_ijm1 * tmp_b
+            )
+            out[:, blk, 2] = amp * (
+                0.5 * (1.0 + a) * dx_core
+                + 0.5 * (1.0 + b) * fa * hc * pc_ijm1 * tmp_b
+                + fa * gb * pb_i * (dhc * pc_ij - 0.5 * (i + j) * hc * pc_ijm1)
+            )
     return out
+
+
+def _prism(p, pts, grads):
+    """Triangle modes times Legendre in z, z fastest."""
+    tri, tri_g = _triangle(p, pts[:, :2], grads, with_values=True)
+    leg = _legendre(p, pts[:, 2])
+    n, nmodes = tri.shape[0], tri.shape[1] * (p + 1)
+    if not grads:
+        return _tensor_product([tri, leg], np.empty((n, nmodes)))
+    g = np.empty((n, nmodes, 3))
+    _tensor_product([tri_g[:, :, 0], leg], g[:, :, 0])
+    _tensor_product([tri_g[:, :, 1], leg], g[:, :, 1])
+    _tensor_product([tri, _legendre(p, pts[:, 2], deriv=True)], g[:, :, 2])
+    return g
 
 
 def _pyramid_uvw(pts):
@@ -279,23 +395,52 @@ def _pyramid_uvw(pts):
     return u, v, w, z
 
 
-def _pyramid_norm(i, j, k):
+@lru_cache(maxsize=None)
+def _pyramid_norms(i, j, p):
+    """Norms of the pyramid modes (i, j, k), k = 0..p - max(i, j)."""
     c = max(i, j)
-    return math.sqrt(8.0 / ((2 * i + 1) * (2 * j + 1) * (2 * k + 2 * c + 3)))
+    den = [(2 * i + 1) * (2 * j + 1) * (2 * k + 2 * c + 3) for k in range(p + 1 - c)]
+    return np.array([math.sqrt(8.0 / d) for d in den])
 
 
-def _eval_pyramid(p, pts):
+def _pyramid(p, pts, grads):
+    """Rational pyramid modes; unnormalized Jacobi factors, one z table per
+    c = max(i, j)."""
     u, v, w, z = _pyramid_uvw(pts)
-    idx = _index_set(ElementKind.PYRAMID, p)
-    out = np.empty((pts.shape[0], len(idx)))
-    fu = {i: jacobi(i, 0.0, 0.0, u) for i in range(p + 1)}
-    fv = {j: jacobi(j, 0.0, 0.0, v) for j in range(p + 1)}
-    for col, (i, j, k) in enumerate(idx):
-        c = max(i, j)
-        hk = jacobi(k, 2.0 * (c + 1.0), 0.0, z)
-        out[:, col] = (
-            fu[i] * fv[j] * _pow_or_zero(w, c) * hk / _pyramid_norm(i, j, k)
-        )
+    nmodes = (p + 1) * (p + 2) * (2 * p + 3) // 6
+    out = np.empty((u.size, nmodes, 3) if grads else (u.size, nmodes))
+    w_pow = [_pow_or_zero(w, e)[:, None] for e in range(-1, p + 1)]
+    h_alphas = tuple(2.0 * (c + 1.0) for c in range(p + 1))
+    f_u = _legendre(p, u, normalized=False)
+    f_v = _legendre(p, v, normalized=False)
+    h_all = _cols(p, h_alphas, z, normalized=False)
+    if grads:
+        df_u = _legendre(p, u, deriv=True, normalized=False)
+        df_v = _legendre(p, v, deriv=True, normalized=False)
+        dh_all = _cols(p, h_alphas, z, deriv=True, normalized=False)
+        u, v = u[:, None], v[:, None]
+    start = 0
+    for i in range(p + 1):
+        for j in range(p + 1):
+            c = max(i, j)
+            blk = slice(start, start + p + 1 - c)
+            start = blk.stop
+            fi, fj = f_u[:, i : i + 1], f_v[:, j : j + 1]
+            hk = h_all[:, c, : p + 1 - c]
+            w_c, nrm = w_pow[c + 1], _pyramid_norms(i, j, p)
+            if not grads:
+                out[:, blk] = fi * fj * w_c * hk / nrm
+                continue
+            dfi, dfj = df_u[:, i : i + 1], df_v[:, j : j + 1]
+            dhk, w_cm1 = dh_all[:, c, : p + 1 - c], w_pow[c]
+            out[:, blk, 0] = dfi * fj * hk * w_cm1 / nrm
+            out[:, blk, 1] = fi * dfj * hk * w_cm1 / nrm
+            out[:, blk, 2] = (
+                0.5 * dfi * u * fj * hk * w_cm1
+                + 0.5 * fi * dfj * v * hk * w_cm1
+                - 0.5 * c * fi * fj * hk * w_cm1
+                + fi * fj * dhk * w_c
+            ) / nrm
     return out
 
 
@@ -320,140 +465,6 @@ def _eval_monomial(kind, p, pts):
             v = v * pts[:, d] ** e
         out[:, col] = v
     return out
-
-
-# ---------------------------------------------------------------------------
-# Gradients (orthogonal mode)
-# ---------------------------------------------------------------------------
-
-
-def _grad_line(p, pts):
-    x = pts[:, 0]
-    g = np.empty((pts.shape[0], p + 1, 1))
-    for i in range(p + 1):
-        g[:, i, 0] = _njacobi_derivative(i, 0.0, 0.0, x)
-    return g
-
-
-def _grad_tensor(kind, p, pts):
-    d = pts.shape[1]
-    vals = [
-        np.column_stack([_njacobi(i, 0.0, 0.0, pts[:, dd]) for i in range(p + 1)])
-        for dd in range(d)
-    ]
-    ders = [
-        np.column_stack(
-            [_njacobi_derivative(i, 0.0, 0.0, pts[:, dd]) for i in range(p + 1)]
-        )
-        for dd in range(d)
-    ]
-    idx = _index_set(kind, p)
-    g = np.empty((pts.shape[0], len(idx), d))
-    for col, ids in enumerate(idx):
-        for dd in range(d):
-            v = np.ones(pts.shape[0])
-            for d2, e in enumerate(ids):
-                v = v * (ders[d2][:, e] if d2 == dd else vals[d2][:, e])
-            g[:, col, dd] = v
-    return g
-
-
-def _grad_triangle(p, pts):
-    a, b = _tri_collapse(pts[:, 0], pts[:, 1])
-    idx = _index_set(ElementKind.TRIANGLE, p)
-    g = np.empty((pts.shape[0], len(idx), 2))
-    one_m_b = 1.0 - b
-    s2 = math.sqrt(2.0)
-    for col, (i, j) in enumerate(idx):
-        fa = _njacobi(i, 0.0, 0.0, a)
-        dfa = _njacobi_derivative(i, 0.0, 0.0, a)
-        gb = _njacobi(j, 2.0 * i + 1.0, 0.0, b)
-        dgb = _njacobi_derivative(j, 2.0 * i + 1.0, 0.0, b)
-        pw_i = _pow_or_zero(one_m_b, i)
-        pw_im1 = _pow_or_zero(one_m_b, i - 1)
-        g[:, col, 0] = s2 * 2.0 * dfa * gb * pw_im1
-        g[:, col, 1] = s2 * (
-            dfa * (1.0 + a) * gb * pw_im1 + fa * dgb * pw_i - i * fa * gb * pw_im1
-        )
-    return g
-
-
-def _grad_tetrahedron(p, pts):
-    a, b, c = _tet_collapse(pts[:, 0], pts[:, 1], pts[:, 2])
-    idx = _index_set(ElementKind.TETRAHEDRON, p)
-    g = np.empty((pts.shape[0], len(idx), 3))
-    pb = 0.5 * (1.0 - b)
-    pc = 0.5 * (1.0 - c)
-    for col, (i, j, k) in enumerate(idx):
-        amp = 2.0 * math.sqrt(2.0) * 2.0 ** (2 * i + j)
-        fa = _njacobi(i, 0.0, 0.0, a)
-        dfa = _njacobi_derivative(i, 0.0, 0.0, a)
-        gb = _njacobi(j, 2.0 * i + 1.0, 0.0, b)
-        dgb = _njacobi_derivative(j, 2.0 * i + 1.0, 0.0, b)
-        hc = _njacobi(k, 2.0 * (i + j) + 2.0, 0.0, c)
-        dhc = _njacobi_derivative(k, 2.0 * (i + j) + 2.0, 0.0, c)
-        pb_i = _pow_or_zero(pb, i)
-        pb_im1 = _pow_or_zero(pb, i - 1)
-        pc_ij = _pow_or_zero(pc, i + j)
-        pc_ijm1 = _pow_or_zero(pc, i + j - 1)
-        dx_core = dfa * gb * hc * pb_im1 * pc_ijm1
-        tmp_b = dgb * pb_i - 0.5 * i * gb * pb_im1  # d/db of gb * pb^i
-        g[:, col, 0] = amp * dx_core
-        g[:, col, 1] = amp * (
-            0.5 * (1.0 + a) * dx_core + fa * hc * pc_ijm1 * tmp_b
-        )
-        g[:, col, 2] = amp * (
-            0.5 * (1.0 + a) * dx_core
-            + 0.5 * (1.0 + b) * fa * hc * pc_ijm1 * tmp_b
-            + fa * gb * pb_i * (dhc * pc_ij - 0.5 * (i + j) * hc * pc_ijm1)
-        )
-    return g
-
-
-def _grad_prism(p, pts):
-    tri_v = _eval_triangle(p, pts[:, :2])
-    tri_g = _grad_triangle(p, pts[:, :2])
-    tri_idx = _index_set(ElementKind.TRIANGLE, p)
-    tri_col = {ij: n for n, ij in enumerate(tri_idx)}
-    z = pts[:, 2]
-    leg = np.column_stack([_njacobi(k, 0.0, 0.0, z) for k in range(p + 1)])
-    dleg = np.column_stack(
-        [_njacobi_derivative(k, 0.0, 0.0, z) for k in range(p + 1)]
-    )
-    idx = _index_set(ElementKind.PRISM, p)
-    g = np.empty((pts.shape[0], len(idx), 3))
-    for col, (i, j, k) in enumerate(idx):
-        t = tri_col[(i, j)]
-        g[:, col, 0] = tri_g[:, t, 0] * leg[:, k]
-        g[:, col, 1] = tri_g[:, t, 1] * leg[:, k]
-        g[:, col, 2] = tri_v[:, t] * dleg[:, k]
-    return g
-
-
-def _grad_pyramid(p, pts):
-    u, v, w, z = _pyramid_uvw(pts)
-    idx = _index_set(ElementKind.PYRAMID, p)
-    g = np.empty((pts.shape[0], len(idx), 3))
-    for col, (i, j, k) in enumerate(idx):
-        c = max(i, j)
-        fi = jacobi(i, 0.0, 0.0, u)
-        dfi = jacobi_derivative(i, 0.0, 0.0, u)
-        fj = jacobi(j, 0.0, 0.0, v)
-        dfj = jacobi_derivative(j, 0.0, 0.0, v)
-        hk = jacobi(k, 2.0 * (c + 1.0), 0.0, z)
-        dhk = jacobi_derivative(k, 2.0 * (c + 1.0), 0.0, z)
-        w_c = _pow_or_zero(w, c)
-        w_cm1 = _pow_or_zero(w, c - 1)
-        nrm = _pyramid_norm(i, j, k)
-        g[:, col, 0] = dfi * fj * hk * w_cm1 / nrm
-        g[:, col, 1] = fi * dfj * hk * w_cm1 / nrm
-        g[:, col, 2] = (
-            0.5 * dfi * u * fj * hk * w_cm1
-            + 0.5 * fi * dfj * v * hk * w_cm1
-            - 0.5 * c * fi * fj * hk * w_cm1
-            + fi * fj * dhk * w_c
-        ) / nrm
-    return g
 
 
 def _grad_monomial(kind, p, pts):
@@ -496,47 +507,33 @@ def _grad_monomial(kind, p, pts):
 # Public evaluation API
 # ---------------------------------------------------------------------------
 
+_ORTHOGONAL = {
+    ElementKind.LINE: _tensor,
+    ElementKind.QUADRILATERAL: _tensor,
+    ElementKind.HEXAHEDRON: _tensor,
+    ElementKind.TRIANGLE: _triangle,
+    ElementKind.TETRAHEDRON: _tetrahedron,
+    ElementKind.PRISM: _prism,
+    ElementKind.PYRAMID: _pyramid,
+}
+
 
 def basis_eval_many(space: FunctionSpace, pts):
     """Evaluate all basis functions at an (n, d) array of points."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    kind, p = space.kind, space.degree
     if space.mode == "monomial":
-        return _eval_monomial(kind, p, pts)
-    if kind is ElementKind.LINE:
-        return _eval_line(p, pts)
-    if kind in (ElementKind.QUADRILATERAL, ElementKind.HEXAHEDRON):
-        return _eval_tensor(kind, p, pts)
-    if kind is ElementKind.TRIANGLE:
-        return _eval_triangle(p, pts)
-    if kind is ElementKind.TETRAHEDRON:
-        return _eval_tetrahedron(p, pts)
-    if kind is ElementKind.PRISM:
-        return _eval_prism(p, pts)
-    if kind is ElementKind.PYRAMID:
-        return _eval_pyramid(p, pts)
-    raise ValueError(kind)
+        return _eval_monomial(space.kind, space.degree, pts)
+    return _ORTHOGONAL[space.kind](space.degree, pts, False)
 
 
 def basis_grad_many(space: FunctionSpace, pts):
     """Gradients of all basis functions: (n_points, dim, d)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    kind, p = space.kind, space.degree
     if space.mode == "monomial":
-        return _grad_monomial(kind, p, pts)
-    if kind is ElementKind.LINE:
-        return _grad_line(p, pts)
-    if kind in (ElementKind.QUADRILATERAL, ElementKind.HEXAHEDRON):
-        return _grad_tensor(kind, p, pts)
-    if kind is ElementKind.TRIANGLE:
-        return _grad_triangle(p, pts)
-    if kind is ElementKind.TETRAHEDRON:
-        return _grad_tetrahedron(p, pts)
-    if kind is ElementKind.PRISM:
-        return _grad_prism(p, pts)
-    if kind is ElementKind.PYRAMID:
-        return _grad_pyramid(p, pts)
-    raise ValueError(kind)
+        return _grad_monomial(space.kind, space.degree, pts)
+    return _ORTHOGONAL[space.kind](space.degree, pts, True)
+
+
 
 
 def basis_eval(space: FunctionSpace, x):

@@ -171,8 +171,13 @@ def _prescriptions_for(kind, degree, args, ensure):
     return out
 
 
-def _make_ensure(args, cache_dir):
-    """Recursive generate-or-load over the cache directory."""
+def _make_ensure(args, cache_dir, fresh_metrics=None):
+    """Recursive generate-or-load over the cache directory.
+
+    With a ``fresh_metrics`` dict, the metric report of every distribution
+    optimized here (at ``args.resolution``) is stored under
+    ``(kind, degree)``.
+    """
 
     def ensure(kind, degree):
         cfg_hash = config_hash(_config_payload(kind, degree, args, "auto"))
@@ -186,6 +191,8 @@ def _make_ensure(args, cache_dir):
         )
         os.makedirs(cache_dir, exist_ok=True)
         write_node_file(path, result.distribution, config=cfg_hash)
+        if fresh_metrics is not None:
+            fresh_metrics[(kind, degree)] = result.metrics
         return result.distribution
 
     return ensure
@@ -200,7 +207,7 @@ def _metrics_row(kind, degree, name, dist, resolution):
         f"{format_float(report.lebesgue_objective)},"
         f"{format_float(report.mass_condition)},"
         f"{report.resolution}"
-    ), report
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +262,11 @@ def cmd_evaluate(args):
         dist, header = read_node_file(args.nodefile)
     except OSError as exc:
         raise InputError(f"cannot read {args.nodefile}: {exc}") from exc
-    row, _ = _metrics_row(
-        dist.kind, dist.degree, header.source, dist, args.resolution
+    print(
+        _metrics_row(
+            dist.kind, dist.degree, header.source, dist, args.resolution
+        )
     )
-    print(row)
     return 0
 
 
@@ -300,8 +308,9 @@ def cmd_compare(args):
                     )
                     continue
                 dist = builder()
-                row, _ = _metrics_row(kind, degree, name, dist, args.resolution)
-                rows.append(row)
+                rows.append(
+                    _metrics_row(kind, degree, name, dist, args.resolution)
+                )
                 n_ok += 1
             except (SymnodesError, OSError) as exc:
                 print(
@@ -325,7 +334,8 @@ def cmd_tabulate(args):
     os.makedirs(out_dir, exist_ok=True)
     tab_args = argparse.Namespace(**vars(args))
     tab_args.cache_dir = out_dir
-    ensure = _make_ensure(tab_args, out_dir)
+    fresh_metrics = {}
+    ensure = _make_ensure(tab_args, out_dir, fresh_metrics)
 
     records = []
     for kind in kinds:
@@ -343,9 +353,15 @@ def cmd_tabulate(args):
             }
             try:
                 dist = ensure(kind, degree)
-                row, report = _metrics_row(
-                    kind, degree, "optimized", dist, args.resolution
-                )
+                # A distribution optimized just now already carries its
+                # report; one loaded from the directory is evaluated.
+                report = fresh_metrics.pop((kind, degree), None)
+                if report is None:
+                    report = evaluate_metrics(
+                        FunctionSpace(kind, degree),
+                        dist,
+                        resolution=args.resolution,
+                    )
                 record.update(
                     status="ok",
                     count=dist.count,

@@ -29,7 +29,6 @@ from .basis import (
     FunctionSpace,
     LagrangeInterpolator,
     UNISOLVENCY_CONDITION_LIMIT,
-    vandermonde,
 )
 from .errors import NumericalError, UnisolvencyError
 from .geometry import ElementKind, contains, reference_element
@@ -86,22 +85,17 @@ def _sample_points(space: FunctionSpace, resolution: int):
     )
 
 
-def _canonical(dist):
+def _interpolator(space, dist):
     """Permutation sorting the nodes lexicographically by coordinate, and
-    ``dist`` with its nodes in that order."""
+    the interpolator on the nodes in that order."""
     order = np.lexsort(dist.nodes.T[::-1])
-    return order, NodalDistribution(
+    dist = NodalDistribution(
         dist.kind, dist.degree, dist.nodes[order], dist.source
     )
+    return order, LagrangeInterpolator(space, dist)
 
 
-def lebesgue_constant(space, dist, resolution=None):
-    """Max over the sample set of the cardinal-function absolute sum."""
-    _, dist = _canonical(dist)
-    if resolution is None:
-        resolution = default_resolution(reference_element(space.kind).dim)
-    interp = LagrangeInterpolator(space, dist)
-    pts = _sample_points(space, resolution)
+def _lebesgue_max(interp, pts):
     best = 0.0
     for start in range(0, pts.shape[0], _CHUNK):
         L = interp.eval_many(pts[start : start + _CHUNK])
@@ -109,73 +103,90 @@ def lebesgue_constant(space, dist, resolution=None):
     return best
 
 
-def lebesgue_objective(space, dist, rule):
-    """Sum of integrals of squared cardinal functions, by quadrature."""
+def _check_rule(space, rule):
     if rule.exactness < 2 * space.degree:
         raise ValueError(
             f"rule exactness {rule.exactness} insufficient for degree "
             f"{space.degree} (need {2 * space.degree})"
         )
-    _, dist = _canonical(dist)
-    interp = LagrangeInterpolator(space, dist)
-    L = interp.eval_many(rule.points)
-    return float(np.einsum("q,qi,qi->", rule.weights, L, L))
 
 
-def mass_matrix(space, dist, rule):
-    """Cardinal Gram matrix, in the caller's node order, and its spectral
-    condition number."""
-    if rule.exactness < 2 * space.degree:
-        raise ValueError(
-            f"rule exactness {rule.exactness} insufficient for degree "
-            f"{space.degree} (need {2 * space.degree})"
-        )
-    order, dist = _canonical(dist)
-    interp = LagrangeInterpolator(space, dist)
-    L = interp.eval_many(rule.points)
-    M = L.T @ (rule.weights[:, None] * L)
+def _mass(L, weights):
+    M = L.T @ (weights[:, None] * L)
     M = 0.5 * (M + M.T)
     eigs = np.linalg.eigvalsh(M)
     if eigs[0] <= 1e-14 * max(eigs[-1], 1.0):
         raise NumericalError(
             f"mass matrix is not positive definite (min eig {eigs[0]:.3e})"
         )
+    return M, float(eigs[-1] / eigs[0])
+
+
+def _screen(space, interp):
+    """The unisolvency screen on an interpolator that was built."""
+    if interp.vmatrix.condition >= UNISOLVENCY_CONDITION_LIMIT:
+        return False
+    try:
+        coarse = _lebesgue_max(
+            interp, _sample_points(space, _SCREEN_RESOLUTION)
+        )
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(coarse) and coarse < _SCREEN_LIMIT)
+
+
+def lebesgue_constant(space, dist, resolution=None):
+    """Max over the sample set of the cardinal-function absolute sum."""
+    _, interp = _interpolator(space, dist)
+    if resolution is None:
+        resolution = default_resolution(reference_element(space.kind).dim)
+    return _lebesgue_max(interp, _sample_points(space, resolution))
+
+
+def lebesgue_objective(space, dist, rule):
+    """Sum of integrals of squared cardinal functions, by quadrature."""
+    _check_rule(space, rule)
+    L = _interpolator(space, dist)[1].eval_many(rule.points)
+    return float(np.einsum("q,qi,qi->", rule.weights, L, L))
+
+
+def mass_matrix(space, dist, rule):
+    """Cardinal Gram matrix, in the caller's node order, and its spectral
+    condition number."""
+    _check_rule(space, rule)
+    order, interp = _interpolator(space, dist)
+    M, cond = _mass(interp.eval_many(rule.points), rule.weights)
     back = np.argsort(order)
-    return M[np.ix_(back, back)], float(eigs[-1] / eigs[0])
+    return M[np.ix_(back, back)], cond
 
 
 def is_unisolvent(space, dist):
     """Fast screen: finite, moderate Vandermonde condition and a bounded
     coarse Lebesgue estimate."""
-    _, dist = _canonical(dist)
     try:
-        V = vandermonde(space, dist)
-    except ValueError:
+        _, interp = _interpolator(space, dist)
+    except (ValueError, UnisolvencyError):
         return False
-    if not np.all(np.isfinite(V.matrix)):
-        return False
-    cond = V.condition
-    if not np.isfinite(cond) or cond >= UNISOLVENCY_CONDITION_LIMIT:
-        return False
-    try:
-        coarse = lebesgue_constant(space, dist, resolution=_SCREEN_RESOLUTION)
-    except (UnisolvencyError, np.linalg.LinAlgError):
-        return False
-    return bool(np.isfinite(coarse) and coarse < _SCREEN_LIMIT)
+    return _screen(space, interp)
 
 
 def evaluate_metrics(space, dist, resolution=None):
-    """Full metric report for a distribution."""
+    """Full metric report for a distribution.
+
+    One interpolator, on the nodes in canonical order, serves every metric;
+    the values equal those of the per-metric functions.
+    """
     if resolution is None:
         resolution = default_resolution(reference_element(space.kind).dim)
     rule = quadrature_rule(space.kind, 2 * space.degree)
-    uni = is_unisolvent(space, dist)
-    leb = lebesgue_constant(space, dist, resolution)
-    obj = lebesgue_objective(space, dist, rule)
-    _, cond = mass_matrix(space, dist, rule)
+    _, interp = _interpolator(space, dist)
+    uni = _screen(space, interp)
+    leb = _lebesgue_max(interp, _sample_points(space, resolution))
+    L = interp.eval_many(rule.points)
+    _, cond = _mass(L, rule.weights)
     return MetricReport(
         lebesgue_constant=leb,
-        lebesgue_objective=obj,
+        lebesgue_objective=float(np.einsum("q,qi,qi->", rule.weights, L, L)),
         mass_condition=cond,
         unisolvent=uni,
         resolution=resolution,

@@ -54,6 +54,7 @@ from .symmetry import (
     MIN_NODE_SEPARATION,
     NodalDistribution,
     OrbitCollection,
+    enumerate_admissible_collections,
     evaluate_collection,
     natural_symmetry_group,
     orbits,
@@ -254,18 +255,24 @@ def objective_and_gradient(problem, xi_bar, mode="analytic", fd_step=1e-6):
         raise InfeasibleParameterError(
             f"stacked parameters infeasible (violation {v:.3e})"
         )
-    Z = problem.null_basis
     if mode == "analytic":
         f, grad = _objective_value(problem, xi_bar, want_grad=True)
-        return f, Z.T @ grad
+        return f, problem.null_basis.T @ grad
     f, _ = _objective_value(problem, xi_bar, want_grad=False)
+    return f, _fd_gradient(problem, xi_bar, fd_step)
+
+
+def _fd_gradient(problem, xi_bar, h):
+    """Central differences along the equality null-space basis directions:
+    the gradient in the free-parameter coordinates."""
+    Z = problem.null_basis
     g = np.empty(Z.shape[1])
     for k in range(Z.shape[1]):
-        step = fd_step * Z[:, k]
+        step = h * Z[:, k]
         fp, _ = _objective_value(problem, xi_bar + step, want_grad=False)
         fm, _ = _objective_value(problem, xi_bar - step, want_grad=False)
-        g[k] = (fp - fm) / (2.0 * fd_step)
-    return f, g
+        g[k] = (fp - fm) / (2.0 * h)
+    return g
 
 
 def minimize(problem, config, xi0) -> MinimizeOutcome:
@@ -285,7 +292,9 @@ def minimize(problem, config, xi0) -> MinimizeOutcome:
         try:
             if use_fd:
                 f, _ = _objective_value(problem, xi, want_grad=False)
-                g = _fd_full_gradient(problem, xi, config.fd_step)
+                g = problem.null_basis @ _fd_gradient(
+                    problem, xi, config.fd_step
+                )
             else:
                 f, g = _objective_value(problem, xi, want_grad=True)
             if not np.isfinite(f):
@@ -310,18 +319,6 @@ def minimize(problem, config, xi0) -> MinimizeOutcome:
         iterations=res.iterations,
         kkt_residual=res.kkt_residual,
     )
-
-
-def _fd_full_gradient(problem, xi_bar, h):
-    """Central differences along the equality null space, mapped back."""
-    Z = problem.null_basis
-    g = np.empty(Z.shape[1])
-    for k in range(Z.shape[1]):
-        step = h * Z[:, k]
-        fp, _ = _objective_value(problem, xi_bar + step, want_grad=False)
-        fm, _ = _objective_value(problem, xi_bar - step, want_grad=False)
-        g[k] = (fp - fm) / (2.0 * h)
-    return Z @ g
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +495,9 @@ def _candidate_multisets(kind, p, prescriptions, config):
     """Ordered, deduplicated candidate orbit multisets for the pipeline."""
     enumerated = [
         c.indices
-        for c in _safe_enumerate(kind, p, config.collection_cap)
+        for c in enumerate_admissible_collections(
+            kind, p, config.collection_cap
+        )
     ]
     extras = []
     baseline = _baseline_for(kind, p)
@@ -539,12 +538,6 @@ def _candidate_multisets(kind, p, prescriptions, config):
     # Fewest distinct orbit indices first, then lexicographic.
     ordered.sort(key=lambda ms: (len(set(ms)), ms))
     return ordered, base_entries
-
-
-def _safe_enumerate(kind, p, cap):
-    from .symmetry import enumerate_admissible_collections
-
-    return enumerate_admissible_collections(kind, p, cap)
 
 
 def _collection_from_multiset(kind, p, multiset):

@@ -29,6 +29,7 @@ from .errors import (
     NumericalError,
 )
 from .geometry import (
+    NATURAL_DIM,
     ElementKind,
     ReferenceElement,
     natural_to_cartesian,
@@ -532,22 +533,6 @@ def attach_constraints(orbit: SymmetryOrbit, A, b_lower, b_upper):
     return combined
 
 
-def _reachable_sums(mults, repeatable, target):
-    """Bitset DP of achievable multiplicity sums."""
-    dp = np.zeros(target + 1, dtype=bool)
-    dp[0] = True
-    for m, rep in zip(mults, repeatable):
-        if rep:
-            for s in range(m, target + 1):
-                if dp[s - m]:
-                    dp[s] = True
-        else:
-            for s in range(target, m - 1, -1):
-                if dp[s - m]:
-                    dp[s] = True
-    return dp
-
-
 def enumerate_admissible_collections(kind, p, cap=64):
     """Orbit multisets whose total multiplicity matches the space dimension.
 
@@ -675,7 +660,7 @@ def natural_symmetry_group(kind):
     signed permutations to (x, y).
     """
     kind = ElementKind(kind)
-    dprime = NATURAL_DIM_LOOKUP[kind]
+    dprime = NATURAL_DIM[kind]
     mats = []
     for perm, signs in _patterns(kind, dprime):
         P = np.zeros((dprime, dprime))
@@ -684,17 +669,6 @@ def natural_symmetry_group(kind):
         P.setflags(write=False)
         mats.append(P)
     return tuple(mats)
-
-
-NATURAL_DIM_LOOKUP = {
-    ElementKind.LINE: 1,
-    ElementKind.TRIANGLE: 3,
-    ElementKind.QUADRILATERAL: 2,
-    ElementKind.TETRAHEDRON: 4,
-    ElementKind.HEXAHEDRON: 3,
-    ElementKind.PRISM: 4,
-    ElementKind.PYRAMID: 3,
-}
 
 
 @lru_cache(maxsize=None)

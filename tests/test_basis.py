@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symnodes.basis import (
+    _jacobi_derivative_table,
+    _jacobi_table,
     FunctionSpace,
     LagrangeInterpolator,
     basis_eval,
     basis_eval_many,
     basis_grad_many,
     jacobi,
+    jacobi_derivative,
     lagrange_eval,
     space_dimension,
     vandermonde,
@@ -177,3 +183,69 @@ def test_gradients_match_finite_differences(kind):
             2 * h
         )
         np.testing.assert_allclose(g[:, :, dd], fd, atol=5e-7)
+
+
+# Every (a, b) family the shapes build tables for: Legendre (line, quad, hex,
+# triangle/tet a-factor, pyramid u/v), (2i+1, 0) (triangle and tet in b),
+# (2(i+j)+2, 0) (tet in c), (2c+2, 0) (pyramid in z), and (1, 1) (the
+# Legendre derivatives and the Gauss-Lobatto baseline).
+JACOBI_FAMILIES = [
+    ((0.0,), 0.0),
+    (tuple(2.0 * i + 1.0 for i in range(11)), 0.0),
+    (tuple(2.0 * s + 2.0 for s in range(11)), 0.0),
+    (tuple(2.0 * (c + 1.0) for c in range(11)), 0.0),
+    ((1.0,), 1.0),
+]
+
+
+@pytest.mark.parametrize("alphas,b", JACOBI_FAMILIES)
+def test_jacobi_tables_match_scipy(alphas, b):
+    n = 10
+    x = np.linspace(-1.0, 1.0, 41)
+    table = _jacobi_table(n, alphas, b, x)
+    dtable = _jacobi_derivative_table(n, alphas, b, x)
+    assert table.shape == dtable.shape == (n + 1, len(alphas), x.size)
+    for col, a in enumerate(alphas):
+        for m in range(n + 1):
+            ref = scipy.special.eval_jacobi(m, a, b, x)
+            np.testing.assert_allclose(
+                table[m, col], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()
+            )
+            dref = scipy.special.jacobi(m, a, b).deriv()(x)
+            scale = max(np.abs(dref).max(), 1.0)
+            np.testing.assert_allclose(
+                dtable[m, col], dref, rtol=0, atol=1e-9 * scale
+            )
+            # The public functions are single rows of the tables.
+            assert np.array_equal(jacobi(m, a, b, x), table[m, col])
+            assert np.array_equal(
+                jacobi_derivative(m, a, b, x), dtable[m, col]
+            )
+
+
+def _points_in(kind, weights):
+    """Convex combinations of the element vertices (inside every shape)."""
+    verts = reference_element(kind).vertices
+    w = np.asarray(weights, dtype=float).reshape(-1, verts.shape[0]) + 1e-3
+    return (w / w.sum(axis=1, keepdims=True)) @ verts
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("p", range(1, 7))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_batched_rows_equal_single_point_rows(kind, p, data):
+    nverts = reference_element(kind).vertices.shape[0]
+    npts = data.draw(st.integers(2, 6))
+    weights = data.draw(
+        st.lists(
+            st.floats(0.0, 1.0), min_size=npts * nverts, max_size=npts * nverts
+        )
+    )
+    pts = _points_in(kind, weights)
+    sp = FunctionSpace(kind, p)
+    V = basis_eval_many(sp, pts)
+    G = basis_grad_many(sp, pts)
+    for r in range(npts):
+        assert np.array_equal(V[r], basis_eval_many(sp, pts[r : r + 1])[0])
+        assert np.array_equal(G[r], basis_grad_many(sp, pts[r : r + 1])[0])

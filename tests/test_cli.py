@@ -172,3 +172,35 @@ def test_tabulate_deterministic_and_idempotent(tmp_path, capsys):
     ]
     assert all(r["status"] == "ok" for r in records)
     assert len(records) == 6
+
+
+def test_tabulate_evaluates_each_element_once(tmp_path, capsys, monkeypatch):
+    import symnodes.cli as cli
+    import symnodes.optimizer as optimizer
+
+    calls = []
+
+    def counting(real):
+        def wrapper(space, dist, resolution=None):
+            calls.append((space.kind, space.degree))
+            return real(space, dist, resolution=resolution)
+
+        return wrapper
+
+    for module in (cli, optimizer):
+        monkeypatch.setattr(
+            module, "evaluate_metrics", counting(module.evaluate_metrics)
+        )
+    args = [
+        "tabulate", "--element", "line,tri", "--degree-range", "2:3",
+        "--out", str(tmp_path),
+    ]
+    assert _run(capsys, *args)[0] == 0
+    # Optimized just now: the optimizer's report is reused.
+    assert len(calls) == len(set(calls)) == 4
+    fresh = (tmp_path / "manifest.jsonl").read_bytes()
+    # A rerun loads every element from the directory and evaluates it.
+    calls.clear()
+    assert _run(capsys, *args)[0] == 0
+    assert len(calls) == len(set(calls)) == 4
+    assert (tmp_path / "manifest.jsonl").read_bytes() == fresh

@@ -239,3 +239,29 @@ def test_evaluate_metrics_bundle():
     assert report.mass_condition >= 1.0
     assert report.lebesgue_objective > 0.0
     assert report.resolution == 1000
+
+
+@pytest.mark.parametrize(
+    "kind,p", [(ElementKind.TRIANGLE, 4), (ElementKind.PYRAMID, 3)]
+)
+def test_evaluate_metrics_builds_one_interpolator(kind, p, monkeypatch):
+    import symnodes.metrics as metrics
+
+    spp = FunctionSpace(kind, p)
+    rule = quadrature_rule(kind, 2 * p)
+    dist = baseline_distribution(kind, p, "uniform")
+    built = []
+    real = metrics.LagrangeInterpolator
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "LagrangeInterpolator", counting)
+    report = evaluate_metrics(spp, dist, resolution=20)
+    assert len(built) == 1
+    # The shared interpolator gives the per-metric functions' floats.
+    assert report.lebesgue_constant == lebesgue_constant(spp, dist, 20)
+    assert report.lebesgue_objective == lebesgue_objective(spp, dist, rule)
+    assert report.mass_condition == mass_matrix(spp, dist, rule)[1]
+    assert report.unisolvent == is_unisolvent(spp, dist)
