@@ -17,13 +17,19 @@ Compares this checkout against the one at the given path (each with its own
   at each seed (node files and manifest, byte for byte);
 * the ``compare`` CSVs of the benchmark's eval-files workload at each seed.
 
-Prints one line per comparison and exits 1 if anything differs.
+Prints one line per comparison and exits 1 if anything differs.  Where a
+file differs it also prints how far apart the two are: the node-set
+distance of a node file (nearest-neighbour matching, so independent of the
+row order) and the largest relative difference of each metric of a
+manifest or CSV, with any rows whose status or node count differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -99,11 +105,89 @@ def _run(checkout, argv):
                    stdout=subprocess.DEVNULL)
 
 
-def _same_tree(a, b):
-    names = sorted(os.listdir(a))
-    if names != sorted(os.listdir(b)):
-        return False
-    return all(filecmp.cmp(a / n, b / n, shallow=False) for n in names)
+METRICS = ("lebesgue_constant", "lebesgue_objective", "mass_condition")
+
+
+def _differing(a, b, names):
+    return [n for n in names if not filecmp.cmp(a / n, b / n, shallow=False)]
+
+
+def _node_set_distance(a, b):
+    """Largest distance from a node of either file to its nearest node in
+    the other; infinite when the counts differ."""
+    x = np.loadtxt(a, comments="#", ndmin=2)
+    y = np.loadtxt(b, comments="#", ndmin=2)
+    if x.shape != y.shape:
+        return np.inf
+    d = np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2))
+    return float(max(d.min(axis=0).max(), d.min(axis=1).max()))
+
+
+def _manifest_rows(path):
+    with open(path) as fh:
+        rows = [json.loads(line) for line in fh]
+    return {(r["element"], r["degree"]): r for r in rows}
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {(r["element"], r["degree"], r["distribution"]): r for r in rows}
+
+
+def _rel(u, v):
+    if u == v:
+        return 0.0
+    if u in ("", None) or v in ("", None):
+        return np.inf
+    u, v = float(u), float(v)
+    return abs(u - v) / max(abs(u), abs(v))
+
+
+def _metric_report(rows_a, rows_b, fields=()):
+    """Largest relative difference of each metric, and the rows that are
+    missing on one side or differ in one of ``fields``."""
+    worst = dict.fromkeys(METRICS, 0.0)
+    changed = sorted(set(rows_a) ^ set(rows_b), key=str)
+    for key in sorted(set(rows_a) & set(rows_b), key=str):
+        ra, rb = rows_a[key], rows_b[key]
+        if any(ra.get(f) != rb.get(f) for f in fields):
+            changed.append(key)
+        for m in METRICS:
+            worst[m] = max(worst[m], _rel(ra.get(m), rb.get(m)))
+    text = ", ".join(f"{m} {worst[m]:.1e}" for m in METRICS)
+    if changed:
+        text += f"; rows missing or differing in {fields}: {changed}"
+    return text
+
+
+def _explain(a, b, names):
+    """One indented line per differing file: how far apart the two are."""
+    lines = []
+    for name in _differing(a, b, names):
+        if name.endswith(".nodes"):
+            dist = _node_set_distance(a / name, b / name)
+            text = f"node-set distance {dist:.1e}"
+        elif name.endswith(".jsonl"):
+            text = _metric_report(
+                _manifest_rows(a / name), _manifest_rows(b / name),
+                ("status", "count"),
+            )
+        elif name.endswith(".csv"):
+            text = _metric_report(_csv_rows(a / name), _csv_rows(b / name))
+        else:
+            text = "differs"
+        lines.append(f"    {name}: {text}")
+    return lines
+
+
+def _compare_files(a, b, names_a, names_b):
+    """Whether the two directories hold the same files byte for byte, and
+    the lines explaining any difference."""
+    if names_a != names_b:
+        return False, [f"    file lists differ: {set(names_a) ^ set(names_b)}"]
+    lines = _explain(a, b, names_a)
+    return not lines, lines
 
 
 def main(argv=None):
@@ -124,6 +208,10 @@ def main(argv=None):
         ]
         print(f"basis arrays: {len(a.files) - len(diff)}/{len(a.files)} "
               f"identical {diff[:5]}")
+        for k in diff:
+            if k in a.files and k in b.files and a[k].shape == b[k].shape:
+                print(f"    {k}: max abs difference "
+                      f"{np.max(np.abs(a[k] - b[k])):.1e}")
         ok &= not diff
 
         jobs = {
@@ -138,22 +226,27 @@ def main(argv=None):
                     out = tmp / f"{side}-{name}-{seed}"
                     _run(checkout, ["-c", CLI, *cmd, "--seed", str(seed),
                                     "--out", str(out)])
-                same = _same_tree(tmp / f"this-{name}-{seed}",
-                                  tmp / f"other-{name}-{seed}")
+                this = tmp / f"this-{name}-{seed}"
+                other = tmp / f"other-{name}-{seed}"
+                same, lines = _compare_files(
+                    this, other, sorted(os.listdir(this)),
+                    sorted(os.listdir(other)),
+                )
                 print(f"tabulate {name} seed {seed}: "
-                      f"{'identical' if same else 'DIFFERENT'}")
+                      f"{'identical' if same else 'DIFFERENT'}", *lines,
+                      sep="\n")
                 ok &= same
             for side, checkout in sides.items():
                 out = tmp / f"{side}-eval-{seed}"
                 _run(checkout, ["-c", EVAL, str(ROOT / "perfbench"),
                                 str(out), str(seed)])
             this, other = tmp / f"this-eval-{seed}", tmp / f"other-eval-{seed}"
-            csvs = sorted(p.name for p in this.glob("*.csv"))
-            same = csvs == sorted(p.name for p in other.glob("*.csv")) and all(
-                filecmp.cmp(this / n, other / n, shallow=False) for n in csvs
+            same, lines = _compare_files(
+                this, other, sorted(p.name for p in this.glob("*.csv")),
+                sorted(p.name for p in other.glob("*.csv")),
             )
             print(f"eval-files CSVs seed {seed}: "
-                  f"{'identical' if same else 'DIFFERENT'}")
+                  f"{'identical' if same else 'DIFFERENT'}", *lines, sep="\n")
             ok &= same
     return 0 if ok else 1
 

@@ -19,6 +19,7 @@ from .basis import (
 from .compatibility import (
     FacePrescription,
     build_compatibility_constraints,
+    face_prescriptions,
     point_prescription,
     verify_face_match,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from .errors import UnsupportedBaselineError
 from .geometry import ElementKind, node_count
@@ -24,39 +25,15 @@ class BaselineKind(str, Enum):
     UNIFORM = "uniform"
 
 
-def _legendre_derivs(p, x):
-    """P_p'(x) and P_p''(x) via the Gegenbauer shift of the recurrence."""
-    # P_p' = (p+1)/2 * P_{p-1}^{(1,1)},  P_p'' = (p+1)(p+2)/4 * P_{p-2}^{(2,2)}
-    from .basis import jacobi
-
-    d1 = 0.5 * (p + 1.0) * jacobi(p - 1, 1.0, 1.0, x)
-    if p >= 2:
-        d2 = 0.25 * (p + 1.0) * (p + 2.0) * jacobi(p - 2, 2.0, 2.0, x)
-    else:
-        d2 = np.zeros_like(np.asarray(x, dtype=float))
-    return d1, d2
-
-
 def gll_1d(p):
     """The p+1 closed Gauss-Lobatto nodes on [-1, 1], sorted ascending.
 
-    Interior nodes are roots of P_p' found by Newton iteration from
-    Chebyshev-Lobatto starting values.
+    The interior nodes are the roots of P_p', i.e. of P_{p-1}^{(1,1)}.
     """
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
-    if p == 1:
-        return np.array([-1.0, 1.0])
-    # Chebyshev-Lobatto interior points as starting guesses.
-    x = np.cos(np.pi * np.arange(1, p) / p)
-    for _ in range(100):
-        d1, d2 = _legendre_derivs(p, x)
-        dx = d1 / d2
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    nodes = np.concatenate([[-1.0], np.sort(x), [1.0]])
-    return nodes
+    interior = roots_jacobi(p - 1, 1.0, 1.0)[0] if p > 1 else []
+    return np.concatenate([[-1.0], interior, [1.0]])
 
 
 def _simplex_lattice(p, nbary):

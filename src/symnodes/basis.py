@@ -548,16 +548,25 @@ class VandermondeMatrix:
     matrix: np.ndarray
     space: FunctionSpace
     nodes: np.ndarray
-    _cond: float | None = field(default=None, repr=False)
+    _sv: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def singular_values(self):
+        """Singular values, largest first; all NaN when the SVD fails."""
+        if self._sv is None:
+            try:
+                self._sv = np.linalg.svd(self.matrix, compute_uv=False)
+            except np.linalg.LinAlgError:
+                self._sv = np.full(min(self.matrix.shape), np.nan)
+        return self._sv
 
     @property
     def condition(self):
-        if self._cond is None:
-            try:
-                self._cond = float(np.linalg.cond(self.matrix))
-            except np.linalg.LinAlgError:
-                self._cond = np.inf
-        return self._cond
+        """Spectral condition number; infinite when ``V`` is singular."""
+        s = self.singular_values
+        with np.errstate(all="ignore"):
+            cond = float(s[0] / s[-1])
+        return np.inf if np.isnan(cond) else cond
 
     @property
     def determinant(self):
@@ -578,8 +587,7 @@ class LagrangeInterpolator:
     """Factorized Lagrange evaluation for one (space, distribution) pair.
 
     The transposed Vandermonde matrix is factorized once and reused for all
-    evaluation points; this is the workhorse behind the metric and objective
-    computations.
+    evaluation points; this is the workhorse behind the metrics.
     """
 
     def __init__(self, space, dist, condition_limit=UNISOLVENCY_CONDITION_LIMIT):
@@ -596,6 +604,11 @@ class LagrangeInterpolator:
                 f"{condition_limit:.1e}"
             )
         self._lu = scipy.linalg.lu_factor(V)
+
+    def inverse(self):
+        """``V^-1``: column ``i`` holds the modal coefficients of ``l_i``."""
+        n = self.vmatrix.matrix.shape[0]
+        return scipy.linalg.lu_solve(self._lu, np.eye(n))
 
     def eval_many(self, pts):
         """Cardinal function values: (n_points, n_nodes)."""

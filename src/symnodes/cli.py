@@ -21,14 +21,16 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .baselines import BaselineKind, baseline_distribution
 from .basis import FunctionSpace
-from .compatibility import FacePrescription, point_prescription
+from .compatibility import (
+    FacePrescription,
+    face_prescriptions,
+    point_prescription,
+)
 from .errors import NodeFileError, SymnodesError
-from .geometry import ElementKind, reference_element
-from .metrics import default_resolution, evaluate_metrics
+from .geometry import ElementKind
+from .metrics import evaluate_metrics
 from .nodefile import (
     FORMAT_VERSION,
     config_hash,
@@ -69,18 +71,6 @@ _DEGREE_CAPS = {
     ElementKind.PRISM: 9,
     ElementKind.PYRAMID: 9,
 }
-
-# Face kinds whose optimized distributions feed each element's prescription.
-_FACE_DEPS = {
-    ElementKind.LINE: (),
-    ElementKind.TRIANGLE: (ElementKind.LINE,),
-    ElementKind.QUADRILATERAL: (ElementKind.LINE,),
-    ElementKind.TETRAHEDRON: (ElementKind.TRIANGLE,),
-    ElementKind.HEXAHEDRON: (ElementKind.QUADRILATERAL,),
-    ElementKind.PRISM: (ElementKind.TRIANGLE, ElementKind.QUADRILATERAL),
-    ElementKind.PYRAMID: (ElementKind.TRIANGLE, ElementKind.QUADRILATERAL),
-}
-
 
 class InputError(Exception):
     """User-facing errors mapped to exit code 2."""
@@ -158,19 +148,6 @@ def _load_cached(path, expect_hash):
     return dist
 
 
-def _prescriptions_for(kind, degree, args, ensure):
-    """Bottom-up prescriptions for ``kind``: line endpoints are intrinsic,
-    2D elements inherit the optimized line, 3D elements the optimized
-    2D distributions."""
-    if kind is ElementKind.LINE:
-        return [point_prescription(degree)]
-    out = []
-    for face_kind in _FACE_DEPS[kind]:
-        dist = ensure(face_kind, degree)
-        out.append(FacePrescription(face_kind, dist))
-    return out
-
-
 def _make_ensure(args, cache_dir, fresh_metrics=None):
     """Recursive generate-or-load over the cache directory.
 
@@ -185,7 +162,7 @@ def _make_ensure(args, cache_dir, fresh_metrics=None):
         cached = _load_cached(path, cfg_hash)
         if cached is not None:
             return cached
-        prescriptions = _prescriptions_for(kind, degree, args, ensure)
+        prescriptions = face_prescriptions(kind, degree, ensure)
         result = optimize_nodes(
             kind, degree, prescriptions, _optimizer_config(args)
         )
@@ -198,9 +175,17 @@ def _make_ensure(args, cache_dir, fresh_metrics=None):
     return ensure
 
 
-def _metrics_row(kind, degree, name, dist, resolution):
-    space = FunctionSpace(kind, degree)
-    report = evaluate_metrics(space, dist, resolution=resolution)
+def _metric_report(kind, degree, dist, resolution, fresh_metrics):
+    """The report ``ensure`` stored in ``fresh_metrics`` for a distribution
+    it optimized just now, else a newly evaluated one."""
+    report = fresh_metrics.pop((kind, degree), None)
+    if report is None:
+        space = FunctionSpace(kind, degree)
+        report = evaluate_metrics(space, dist, resolution=resolution)
+    return report
+
+
+def _metrics_row(kind, degree, name, report):
     return (
         f"{kind.value},{degree},{name},"
         f"{format_float(report.lebesgue_constant)},"
@@ -223,7 +208,7 @@ def cmd_generate(args):
 
     if compat == "auto":
         ensure = _make_ensure(args, cache_dir)
-        prescriptions = _prescriptions_for(kind, args.degree, args, ensure)
+        prescriptions = face_prescriptions(kind, args.degree, ensure)
     elif compat == "off":
         prescriptions = []
     else:
@@ -262,11 +247,10 @@ def cmd_evaluate(args):
         dist, header = read_node_file(args.nodefile)
     except OSError as exc:
         raise InputError(f"cannot read {args.nodefile}: {exc}") from exc
-    print(
-        _metrics_row(
-            dist.kind, dist.degree, header.source, dist, args.resolution
-        )
+    report = _metric_report(
+        dist.kind, dist.degree, dist, args.resolution, {}
     )
+    print(_metrics_row(dist.kind, dist.degree, header.source, report))
     return 0
 
 
@@ -282,7 +266,8 @@ def cmd_compare(args):
     for d in degrees:
         _check_degree(kind, d, args.force_degree)
     dists = args.dist or ["optimized", "gll", "uniform"]
-    ensure = _make_ensure(args, args.cache_dir)
+    fresh_metrics = {}
+    ensure = _make_ensure(args, args.cache_dir, fresh_metrics)
 
     rows = [CSV_HEADER]
     n_ok = 0
@@ -308,9 +293,10 @@ def cmd_compare(args):
                     )
                     continue
                 dist = builder()
-                rows.append(
-                    _metrics_row(kind, degree, name, dist, args.resolution)
+                report = _metric_report(
+                    kind, degree, dist, args.resolution, fresh_metrics
                 )
+                rows.append(_metrics_row(kind, degree, name, report))
                 n_ok += 1
             except (SymnodesError, OSError) as exc:
                 print(
@@ -353,15 +339,9 @@ def cmd_tabulate(args):
             }
             try:
                 dist = ensure(kind, degree)
-                # A distribution optimized just now already carries its
-                # report; one loaded from the directory is evaluated.
-                report = fresh_metrics.pop((kind, degree), None)
-                if report is None:
-                    report = evaluate_metrics(
-                        FunctionSpace(kind, degree),
-                        dist,
-                        resolution=args.resolution,
-                    )
+                report = _metric_report(
+                    kind, degree, dist, args.resolution, fresh_metrics
+                )
                 record.update(
                     status="ok",
                     count=dist.count,

@@ -21,7 +21,6 @@ from .geometry import (
     ElementKind,
     cartesian_to_natural,
     face_node_count,
-    natural_to_cartesian,
     reference_element,
 )
 from .symmetry import (
@@ -36,6 +35,7 @@ from .symmetry import (
 __all__ = [
     "FacePrescription",
     "point_prescription",
+    "face_prescriptions",
     "build_compatibility_constraints",
     "snap_face_nodes",
     "verify_face_match",
@@ -78,6 +78,22 @@ def point_prescription(degree=1):
         kind=None, degree=degree, nodes=np.zeros((1, 0)), source="point"
     )
     return FacePrescription(None, dist)
+
+
+def face_prescriptions(kind, degree, dist_for):
+    """Bottom-up prescriptions for ``kind``: one per face kind of the
+    element, in ``_FACE_KIND_PRIORITY`` order.
+
+    The line's endpoints take :func:`point_prescription`; every other face
+    kind takes the distribution ``dist_for(face_kind, degree)``.
+    """
+    face_kinds = {f.face_kind for f in reference_element(kind).faces}
+    return [
+        point_prescription(degree)
+        if fk is None
+        else FacePrescription(fk, dist_for(fk, degree))
+        for fk in sorted(face_kinds, key=_FACE_KIND_PRIORITY.__getitem__)
+    ]
 
 
 def _is_symmetric(kind, nodes, tol=1e-10):
@@ -175,67 +191,90 @@ def build_compatibility_constraints(
         )
 
     entries = list(collection.entries)
-    pinned_points = []  # natural coordinates covered by pinned entries
-    for e in entries:
-        if e.extra.nrows and e.is_pinned:
-            pinned_points.append(evaluate_orbit(e, e.pinned_parameters()))
+    pinned_points = [  # natural coordinates covered by pinned entries
+        evaluate_orbit(e, e.pinned_parameters())
+        for e in entries
+        if e.extra.nrows and e.is_pinned
+    ]
 
-    ordered_kinds = sorted(by_kind, key=lambda k: _FACE_KIND_PRIORITY[k])
-    for fk in ordered_kinds:
-        pres = by_kind[fk]
-        if fixed_faces and fk in fixed_faces:
-            face = elem.faces[fixed_faces[fk]]
-            if face.face_kind != fk:
-                raise ValueError(
-                    f"face {fixed_faces[fk]} of {elem.kind.value} is not a "
-                    f"{fk} face"
-                )
-        else:
-            face = next(f for f in elem.faces if f.face_kind == fk)
-        parent_pts = face.embed(pres.dist.nodes)
+    def face_of(fk):
+        if not (fixed_faces and fk in fixed_faces):
+            return _first_face(elem, fk)
+        face = elem.faces[fixed_faces[fk]]
+        if face.face_kind != fk:
+            raise ValueError(
+                f"face {fixed_faces[fk]} of {elem.kind.value} is not a "
+                f"{fk} face"
+            )
+        return face
+
+    def first_free_entry(lam_hat):
+        for j, entry in enumerate(entries):
+            if entry.extra.nrows:
+                continue  # already assigned a constraint
+            xi = _orbit_reach(entry, lam_hat)
+            if xi is not None:
+                entries[j] = _pin_entry(entry, xi)
+                return entries[j], xi
+        return None
+
+    _pin_face_worklist(
+        elem, by_kind.values(), first_free_entry, pinned_points,
+        f"collection {collection.indices}", face_of,
+    )
+    return OrbitCollection(collection.kind, collection.degree, tuple(entries))
+
+
+def _first_face(elem, face_kind):
+    return next(f for f in elem.faces if f.face_kind == face_kind)
+
+
+def _pin_face_worklist(
+    elem, prescriptions, find, pinned_points, label, face_of=None
+):
+    """Pin one orbit to every prescribed face node that is not yet covered.
+
+    Face kinds are visited in ``_FACE_KIND_PRIORITY`` order, each on one
+    face: ``face_of(face_kind)``, by default the first face of that kind.
+    A node within ``_MATCH_TOL`` of ``pinned_points`` (natural coordinates,
+    extended in place) is covered.  Any other node goes to
+    ``find(lam_hat)``, which returns a pinned entry reaching it and its
+    parameters, or ``None``; then :class:`IncompatibleCollectionError`
+    names ``label``.
+    """
+    by_kind = {pres.face_kind: pres for pres in prescriptions}
+    for fk in sorted(by_kind, key=_FACE_KIND_PRIORITY.__getitem__):
+        face = face_of(fk) if face_of else _first_face(elem, fk)
         worklist = []
-        for x in parent_pts:
+        for x in face.embed(by_kind[fk].dist.nodes):
             try:
                 worklist.append(cartesian_to_natural(elem, x, tol=1e-9))
             except OutsideDomainError as exc:
                 raise ValueError(
                     f"prescribed face node {x} falls outside the element"
                 ) from exc
-
         while worklist:
             lam_hat = worklist.pop(0)
-            covered = any(
+            if any(
                 np.min(np.linalg.norm(pp - lam_hat, axis=1)) <= _MATCH_TOL
                 for pp in pinned_points
-            )
-            if covered:
+            ):
                 continue
-            placed = False
-            for j, entry in enumerate(entries):
-                if entry.extra.nrows:
-                    continue  # already assigned a constraint
-                xi = _orbit_reach(entry, lam_hat)
-                if xi is None:
-                    continue
-                pinned = _pin_entry(entry, xi)
-                entries[j] = pinned
-                pts = evaluate_orbit(pinned, xi)
-                pinned_points.append(pts)
-                worklist = [
-                    lh
-                    for lh in worklist
-                    if np.min(np.linalg.norm(pts - lh, axis=1)) > _MATCH_TOL
-                ]
-                placed = True
-                break
-            if not placed:
+            found = find(lam_hat)
+            if found is None:
                 raise IncompatibleCollectionError(
-                    f"collection {collection.indices} cannot place a "
-                    f"prescribed {fk.value if fk else 'point'} node at "
-                    f"natural coordinates {lam_hat}"
+                    f"{label} cannot place a prescribed "
+                    f"{fk.value if fk else 'point'} node at natural "
+                    f"coordinates {lam_hat}"
                 )
-
-    return OrbitCollection(collection.kind, collection.degree, tuple(entries))
+            orbit, xi = found[0].orbit, found[1]
+            pts = orbit.point_matrix() @ xi + orbit.point_offsets()
+            pinned_points.append(pts)
+            worklist = [
+                lh
+                for lh in worklist
+                if np.min(np.linalg.norm(pts - lh, axis=1)) > _MATCH_TOL
+            ]
 
 
 def snap_face_nodes(elem, nodes, prescriptions, tol=_MATCH_TOL):

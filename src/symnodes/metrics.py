@@ -6,10 +6,12 @@
   augmented with the element vertices and the degree-2p quadrature points,
   so the reported value is a certified lower bound that is monotone in the
   lattice refinement.
-* Lebesgue objective: the smooth surrogate sum_i integral(l_i^2), evaluated
-  exactly by quadrature.
-* Mass matrix condition number: extreme-eigenvalue ratio of the cardinal
-  Gram matrix.
+* Lebesgue objective: the smooth surrogate sum_i integral(l_i^2).  The
+  modal basis is orthonormal, so it equals ``||V^-1||_F^2`` for the
+  Vandermonde matrix ``V`` at the nodes.
+* Mass matrix: the cardinal Gram matrix ``M = V^-T V^-1``.  Its eigenvalues
+  are ``1 / sigma_i^2`` for the singular values ``sigma_i`` of ``V``, so its
+  condition number is ``cond(V)^2``.
 * Unisolvency screen: cheap rejection of node sets whose Vandermonde or
   coarse Lebesgue estimate blows up.
 
@@ -103,23 +105,21 @@ def _lebesgue_max(interp, pts):
     return best
 
 
-def _check_rule(space, rule):
-    if rule.exactness < 2 * space.degree:
-        raise ValueError(
-            f"rule exactness {rule.exactness} insufficient for degree "
-            f"{space.degree} (need {2 * space.degree})"
-        )
+def _objective(interp):
+    A = interp.inverse()
+    return float(np.einsum("ij,ij->", A, A))
 
 
-def _mass(L, weights):
-    M = L.T @ (weights[:, None] * L)
-    M = 0.5 * (M + M.T)
-    eigs = np.linalg.eigvalsh(M)
-    if eigs[0] <= 1e-14 * max(eigs[-1], 1.0):
+def _mass_condition(vmatrix):
+    """Condition number of ``M = V^-T V^-1``, whose eigenvalues are
+    ``1 / sigma_i^2``."""
+    s = vmatrix.singular_values
+    eig_min, eig_max = 1.0 / s[0] ** 2, 1.0 / s[-1] ** 2
+    if eig_min <= 1e-14 * max(eig_max, 1.0):
         raise NumericalError(
-            f"mass matrix is not positive definite (min eig {eigs[0]:.3e})"
+            f"mass matrix is not positive definite (min eig {eig_min:.3e})"
         )
-    return M, float(eigs[-1] / eigs[0])
+    return vmatrix.condition**2
 
 
 def _screen(space, interp):
@@ -143,19 +143,19 @@ def lebesgue_constant(space, dist, resolution=None):
     return _lebesgue_max(interp, _sample_points(space, resolution))
 
 
-def lebesgue_objective(space, dist, rule):
-    """Sum of integrals of squared cardinal functions, by quadrature."""
-    _check_rule(space, rule)
-    L = _interpolator(space, dist)[1].eval_many(rule.points)
-    return float(np.einsum("q,qi,qi->", rule.weights, L, L))
+def lebesgue_objective(space, dist):
+    """Sum of integrals of squared cardinal functions, ``||V^-1||_F^2``."""
+    return _objective(_interpolator(space, dist)[1])
 
 
-def mass_matrix(space, dist, rule):
-    """Cardinal Gram matrix, in the caller's node order, and its spectral
-    condition number."""
-    _check_rule(space, rule)
+def mass_matrix(space, dist):
+    """Cardinal Gram matrix ``V^-T V^-1``, in the caller's node order, and
+    its spectral condition number."""
     order, interp = _interpolator(space, dist)
-    M, cond = _mass(interp.eval_many(rule.points), rule.weights)
+    cond = _mass_condition(interp.vmatrix)
+    A = interp.inverse()
+    M = A.T @ A
+    M = 0.5 * (M + M.T)
     back = np.argsort(order)
     return M[np.ix_(back, back)], cond
 
@@ -178,16 +178,13 @@ def evaluate_metrics(space, dist, resolution=None):
     """
     if resolution is None:
         resolution = default_resolution(reference_element(space.kind).dim)
-    rule = quadrature_rule(space.kind, 2 * space.degree)
     _, interp = _interpolator(space, dist)
     uni = _screen(space, interp)
     leb = _lebesgue_max(interp, _sample_points(space, resolution))
-    L = interp.eval_many(rule.points)
-    _, cond = _mass(L, rule.weights)
     return MetricReport(
         lebesgue_constant=leb,
-        lebesgue_objective=float(np.einsum("q,qi,qi->", rule.weights, L, L)),
-        mass_condition=cond,
+        lebesgue_objective=_objective(interp),
+        mass_condition=_mass_condition(interp.vmatrix),
         unisolvent=uni,
         resolution=resolution,
     )

@@ -1,10 +1,12 @@
 """Optimization of orbit-collection parameters against the Lebesgue objective.
 
-The objective is the quadrature-exact sum of squared cardinal-function
-integrals; its gradient is obtained analytically by differentiating through
-the Vandermonde solve (d objective / d node positions) and chaining through
-the affine orbit maps.  Minimization runs on the equality-eliminated
-(reduced) parameter space with an active-set quasi-Newton method.
+The objective is the sum of squared cardinal-function integrals.  The modal
+basis is orthonormal, so it equals ``tr((V V^T)^-1) = ||V^-1||_F^2`` for the
+Vandermonde matrix ``V`` at the nodes, and no quadrature is needed.  Its
+gradient is ``d f / d V = -2 (A A^T A)^T`` with ``A = V^-1``, chained
+through the basis gradients at the nodes and the affine orbit maps.
+Minimization runs on the equality-eliminated (reduced) parameter space with
+an active-set quasi-Newton method.
 
 ``optimize_nodes`` drives the full per-element pipeline: enumerate candidate
 collections (augmented with a baseline-derived multiset and, when face
@@ -24,12 +26,12 @@ import scipy.linalg
 from . import lincon
 from .basis import FunctionSpace, basis_eval_many, basis_grad_many
 from .compatibility import (
-    FacePrescription,
     build_compatibility_constraints,
     snap_face_nodes,
     verify_face_match,
     _orbit_reach,
     _pin_entry,
+    _pin_face_worklist,
 )
 from .errors import (
     ConstraintConflictError,
@@ -42,12 +44,10 @@ from .errors import (
 from .geometry import ElementKind, node_count, reference_element
 from .metrics import (
     MetricReport,
-    default_resolution,
     evaluate_metrics,
     is_unisolvent,
     lebesgue_constant,
 )
-from .quadrature import quadrature_rule
 from .symmetry import (
     ConstrainedOrbit,
     LinearConstraintSet,
@@ -100,14 +100,12 @@ class OptimizationProblem:
     element: object
     collection: OrbitCollection
     space: FunctionSpace
-    rule: object
     constraints: LinearConstraintSet
     # Equality-eliminated parametrization xi = xi_p + Z @ y.
     xi_particular: np.ndarray = field(repr=False, default=None)
     null_basis: np.ndarray = field(repr=False, default=None)
     _node_jacobian: np.ndarray = field(repr=False, default=None)
     _node_offset: np.ndarray = field(repr=False, default=None)
-    _phi: np.ndarray = field(repr=False, default=None)
 
     @property
     def free_dimension(self):
@@ -144,13 +142,8 @@ class OptimizedResult:
     status: str
 
 
-def assemble_problem(elem, collection, space, rule) -> OptimizationProblem:
-    """Stack constraints and precompute the node map and basis samples."""
-    if rule.exactness < 2 * space.degree:
-        raise ValueError(
-            f"rule exactness {rule.exactness} insufficient for degree "
-            f"{space.degree}"
-        )
+def assemble_problem(elem, collection, space) -> OptimizationProblem:
+    """Stack constraints and precompute the affine node map."""
     cons = collection.stacked_constraints()
     if lincon.feasible_point(cons.matrix, cons.lower, cons.upper) is None:
         raise ConstraintConflictError(
@@ -178,25 +171,24 @@ def assemble_problem(elem, collection, space, rule) -> OptimizationProblem:
     xi_p, Z = lincon.null_space_parametrization(
         cons.matrix[eq], cons.lower[eq]
     )
-    phi = basis_eval_many(space, rule.points)
     return OptimizationProblem(
         element=elem,
         collection=collection,
         space=space,
-        rule=rule,
         constraints=cons,
         xi_particular=xi_p,
         null_basis=Z,
         _node_jacobian=J,
         _node_offset=x0,
-        _phi=phi,
     )
 
 
 def _objective_value(problem, xi_bar, want_grad):
-    """Exact objective (and full-space gradient) at stacked parameters.
+    """Objective ``||V^-1||_F^2`` (and full-space gradient) at stacked
+    parameters.
 
-    Raises :class:`DegenerateDistributionError` on node collisions.
+    Raises :class:`DegenerateDistributionError` on node collisions, on a
+    singular ``V`` and on a non-finite objective or gradient.
     """
     X = problem.nodes_at(xi_bar)
     n = X.shape[0]
@@ -218,19 +210,15 @@ def _objective_value(problem, xi_bar, want_grad):
         raise DegenerateDistributionError(
             f"singular Vandermonde matrix: {exc}"
         ) from exc
-    w = problem.rule.weights
-    # Cardinal values at quadrature points: solve V^T L^T = Phi^T.
-    Lmat = scipy.linalg.lu_solve(lu, problem._phi.T, trans=1, check_finite=False).T
-    f = float(np.einsum("q,qi,qi->", w, Lmat, Lmat))
+    A = scipy.linalg.lu_solve(lu, np.eye(n), check_finite=False)
+    f = float(np.einsum("ij,ij->", A, A))
     if not np.isfinite(f):
         raise DegenerateDistributionError(
             "objective overflow (nearly singular Vandermonde matrix)"
         )
     if not want_grad:
         return f, None
-    M = Lmat.T @ (w[:, None] * Lmat)
-    # d f / d V = -2 M V^{-T} = -2 (V^{-1} M)^T  (M symmetric).
-    GV = -2.0 * scipy.linalg.lu_solve(lu, M, trans=0, check_finite=False).T
+    GV = -2.0 * (A @ (A.T @ A)).T
     Bgrad = basis_grad_many(problem.space, X)  # (n, n_basis, d)
     dfdX = np.einsum("rjd,rj->rd", Bgrad, GV)
     grad = problem._node_jacobian.T @ dfdX.ravel()
@@ -401,53 +389,26 @@ def _baseline_for(kind, p):
     return baseline_distribution(kind, p, BaselineKind.UNIFORM)
 
 
-def _pinned_face_entries(elem, p, prescriptions):
+def _pinned_face_entries(elem, prescriptions):
     """Greedy orbit pinning for every prescribed face node (smallest orbit
     index wins), independent of any fixed candidate collection."""
-    from .compatibility import _FACE_KIND_PRIORITY
-    from .geometry import cartesian_to_natural
-
     orbs = orbits(elem.kind)
-    by_kind = {pr.face_kind: pr for pr in prescriptions}
     pinned = []
-    pinned_points = []
-    for fk in sorted(by_kind, key=lambda k: _FACE_KIND_PRIORITY[k]):
-        pres = by_kind[fk]
-        face = next(f for f in elem.faces if f.face_kind == fk)
-        worklist = [
-            cartesian_to_natural(elem, x, tol=1e-9)
-            for x in face.embed(pres.dist.nodes)
-        ]
-        while worklist:
-            lam_hat = worklist.pop(0)
-            if any(
-                np.min(np.linalg.norm(pp - lam_hat, axis=1)) <= 1e-10
-                for pp in pinned_points
-            ):
-                continue
-            for orb in orbs:
-                entry = ConstrainedOrbit(
-                    orb, LinearConstraintSet.empty(orb.param_count)
-                )
-                xi = _orbit_reach(entry, lam_hat)
-                if xi is None:
-                    continue
-                pinned_entry = _pin_entry(entry, xi)
-                pts = pinned_entry.orbit.point_matrix() @ xi
-                pts = pts + pinned_entry.orbit.point_offsets()
-                pinned.append(pinned_entry)
-                pinned_points.append(pts)
-                worklist = [
-                    lh
-                    for lh in worklist
-                    if np.min(np.linalg.norm(pts - lh, axis=1)) > 1e-10
-                ]
-                break
-            else:
-                raise IncompatibleCollectionError(
-                    f"no orbit of {elem.kind.value} reaches prescribed "
-                    f"face node {lam_hat}"
-                )
+
+    def first_orbit(lam_hat):
+        for orb in orbs:
+            entry = ConstrainedOrbit(
+                orb, LinearConstraintSet.empty(orb.param_count)
+            )
+            xi = _orbit_reach(entry, lam_hat)
+            if xi is not None:
+                pinned.append(_pin_entry(entry, xi))
+                return pinned[-1], xi
+        return None
+
+    _pin_face_worklist(
+        elem, prescriptions, first_orbit, [], f"{elem.kind.value} orbit table"
+    )
     return pinned
 
 
@@ -507,7 +468,7 @@ def _candidate_multisets(kind, p, prescriptions, config):
     if prescriptions:
         elem = reference_element(kind)
         try:
-            pinned = _pinned_face_entries(elem, p, prescriptions)
+            pinned = _pinned_face_entries(elem, prescriptions)
         except IncompatibleCollectionError:
             pinned = None
         if pinned is not None:
@@ -627,7 +588,6 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     config = config or OptimizerConfig()
     elem = reference_element(kind)
     space = FunctionSpace(kind, p)
-    rule = quadrature_rule(kind, 2 * p)
     prescriptions = tuple(prescriptions)
 
     multisets, base_entries = _candidate_multisets(
@@ -650,7 +610,7 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
         else:
             coll = cand
         try:
-            problem = assemble_problem(elem, coll, space, rule)
+            problem = assemble_problem(elem, coll, space)
             xi0 = _initial_parameters(problem, base_entries, prescriptions)
         except (ConstraintConflictError, NumericalError):
             continue

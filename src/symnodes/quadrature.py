@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import roots_jacobi, roots_legendre
 
 from .geometry import ElementKind, MEASURE
 
@@ -36,36 +36,10 @@ class QuadratureRule:
 
 
 def gauss_legendre_1d(n):
-    """n-point Gauss-Legendre rule on [-1, 1], exact to degree 2n - 1.
-
-    Nodes are Legendre roots refined by Newton iteration from the Chebyshev
-    initial guesses; converges to ~1e-15 in a handful of sweeps.
-    """
+    """n-point Gauss-Legendre rule on [-1, 1], exact to degree 2n - 1."""
     if n < 1:
         raise ValueError(f"point count must be >= 1, got {n}")
-    if n == 1:
-        return np.array([0.0]), np.array([2.0])
-    k = np.arange(1, n + 1)
-    x = np.cos(np.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
-    for _ in range(100):
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for m in range(2, n + 1):
-            p, p_prev = ((2.0 * m - 1.0) * x * p - (m - 1.0) * p_prev) / m, p
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    # Recompute the derivative at the converged nodes for the weights.
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for m in range(2, n + 1):
-        p, p_prev = ((2.0 * m - 1.0) * x * p - (m - 1.0) * p_prev) / m, p
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    return x[order], w[order]
+    return roots_legendre(n)
 
 
 def _points_for_exactness(degree):

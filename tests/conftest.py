@@ -8,19 +8,8 @@ lazily and shared across the whole session.
 import numpy as np
 import pytest
 
-from symnodes.compatibility import FacePrescription, point_prescription
-from symnodes.geometry import ElementKind
+from symnodes.compatibility import face_prescriptions
 from symnodes.optimizer import OptimizerConfig, optimize_nodes
-
-FACE_DEPS = {
-    ElementKind.LINE: (),
-    ElementKind.TRIANGLE: (ElementKind.LINE,),
-    ElementKind.QUADRILATERAL: (ElementKind.LINE,),
-    ElementKind.TETRAHEDRON: (ElementKind.TRIANGLE,),
-    ElementKind.HEXAHEDRON: (ElementKind.QUADRILATERAL,),
-    ElementKind.PRISM: (ElementKind.TRIANGLE, ElementKind.QUADRILATERAL),
-    ElementKind.PYRAMID: (ElementKind.TRIANGLE, ElementKind.QUADRILATERAL),
-}
 
 
 class OptimizedCache:
@@ -31,12 +20,7 @@ class OptimizedCache:
         self._results = {}
 
     def prescriptions(self, kind, p):
-        if kind is ElementKind.LINE:
-            return [point_prescription(p)]
-        return [
-            FacePrescription(face_kind, self.result(face_kind, p).distribution)
-            for face_kind in FACE_DEPS[kind]
-        ]
+        return face_prescriptions(kind, p, self.dist)
 
     def result(self, kind, p):
         key = (kind, p)

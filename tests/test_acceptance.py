@@ -23,7 +23,6 @@ from symnodes.metrics import (
 )
 from symnodes.nodefile import read_node_file, write_node_file
 from symnodes.optimizer import objective_and_gradient, assemble_problem
-from symnodes.quadrature import quadrature_rule
 from symnodes.symmetry import (
     ConstrainedOrbit,
     LinearConstraintSet,
@@ -114,12 +113,11 @@ def test_criterion_3_line_vs_gll(opt_cache):
         res = opt_cache.result(ElementKind.LINE, p)
         sp = FunctionSpace(ElementKind.LINE, p)
         gll = baseline_distribution(ElementKind.LINE, p, "gll")
-        rule = quadrature_rule(ElementKind.LINE, 2 * p)
         leb_opt = lebesgue_constant(sp, res.distribution, resolution=1000)
         leb_gll = lebesgue_constant(sp, gll, resolution=1000)
         assert leb_opt <= leb_gll * (1.0 + 1e-3), f"p={p} Lebesgue"
-        obj_opt = lebesgue_objective(sp, res.distribution, rule)
-        obj_gll = lebesgue_objective(sp, gll, rule)
+        obj_opt = lebesgue_objective(sp, res.distribution)
+        obj_gll = lebesgue_objective(sp, gll)
         assert obj_opt <= obj_gll + 1e-10, f"p={p} objective"
     _report(3, "optimized line never loses to closed Gauss-Lobatto, p=1..10")
 
@@ -133,14 +131,13 @@ def test_criterion_4_uniform_dominance(opt_cache):
     ]
     for kind, p in cases:
         sp = FunctionSpace(kind, p)
-        rule = quadrature_rule(kind, 2 * p)
         opt = opt_cache.dist(kind, p)
         uni = baseline_distribution(kind, p, "uniform")
         assert lebesgue_constant(sp, opt) < lebesgue_constant(sp, uni), (
             f"{kind.value} p={p} Lebesgue not better than uniform"
         )
-        _, cond_opt = mass_matrix(sp, opt, rule)
-        _, cond_uni = mass_matrix(sp, uni, rule)
+        _, cond_opt = mass_matrix(sp, opt)
+        _, cond_uni = mass_matrix(sp, uni)
         assert cond_opt < cond_uni, f"{kind.value} p={p} mass condition"
     _report(4, f"uniform dominated on {len(cases)} (element, degree) pairs")
 
@@ -151,7 +148,7 @@ def test_criterion_5_exact_small_cases(opt_cache):
     assert lebesgue_constant(sp1, d1, resolution=1000) == pytest.approx(
         1.0, abs=1e-12
     )
-    _, cond = mass_matrix(sp1, d1, quadrature_rule(ElementKind.LINE, 2))
+    _, cond = mass_matrix(sp1, d1)
     assert cond == pytest.approx(3.0, abs=1e-10)
 
     res2 = opt_cache.result(ElementKind.LINE, 2)
@@ -170,9 +167,7 @@ def test_criterion_5_exact_small_cases(opt_cache):
         )
         oracle += sympy.integrate(sympy.expand(l**2), (x, -1, 1))
     assert oracle == sympy.Rational(8, 5)
-    obj = lebesgue_objective(
-        sp2, res2.distribution, quadrature_rule(ElementKind.LINE, 4)
-    )
+    obj = lebesgue_objective(sp2, res2.distribution)
     assert obj == pytest.approx(float(oracle), abs=1e-10)
     _report(
         5,
@@ -215,10 +210,7 @@ def test_criterion_7_gradient_correctness():
                 ),
             )
             problem = assemble_problem(
-                reference_element(kind),
-                coll,
-                FunctionSpace(kind, p),
-                quadrature_rule(kind, 2 * p),
+                reference_element(kind), coll, FunctionSpace(kind, p)
             )
             xi_base = np.concatenate(
                 [np.asarray(xi, float) for _, xi in entries]
@@ -368,19 +360,18 @@ def test_property_mass_condition_never_worse_than_uniform(opt_cache):
     for kind in ElementKind:
         for p in range(2, 7):
             sp = FunctionSpace(kind, p)
-            rule = quadrature_rule(kind, 2 * p)
             if (kind, p) in MASS_CONDITION_EXCLUDED:
                 res = opt_cache.result(kind, p)
                 problem = assemble_problem(
-                    reference_element(kind), res.collection, sp, rule
+                    reference_element(kind), res.collection, sp
                 )
                 assert (
                     problem.free_dimension == MASS_CONDITION_EXCLUDED[kind, p]
                 ), f"{kind.value} p={p}: free dimension changed"
                 continue
-            _, cond_opt = mass_matrix(sp, opt_cache.dist(kind, p), rule)
+            _, cond_opt = mass_matrix(sp, opt_cache.dist(kind, p))
             _, cond_uni = mass_matrix(
-                sp, baseline_distribution(kind, p, "uniform"), rule
+                sp, baseline_distribution(kind, p, "uniform")
             )
             assert cond_opt <= cond_uni, f"{kind.value} p={p}"
     print("\nPROPERTY: PASS - optimized mass condition <= uniform, p=2..6")

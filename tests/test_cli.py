@@ -204,3 +204,39 @@ def test_tabulate_evaluates_each_element_once(tmp_path, capsys, monkeypatch):
     assert _run(capsys, *args)[0] == 0
     assert len(calls) == len(set(calls)) == 4
     assert (tmp_path / "manifest.jsonl").read_bytes() == fresh
+
+
+def test_compare_evaluates_each_optimized_row_once(
+    tmp_path, capsys, monkeypatch
+):
+    import symnodes.cli as cli
+    import symnodes.optimizer as optimizer
+
+    calls = []
+
+    def counting(real):
+        def wrapper(space, dist, resolution=None):
+            calls.append((space.kind.value, space.degree))
+            return real(space, dist, resolution=resolution)
+
+        return wrapper
+
+    for module in (cli, optimizer):
+        monkeypatch.setattr(
+            module, "evaluate_metrics", counting(module.evaluate_metrics)
+        )
+    out = tmp_path / "compare.csv"
+    args = [
+        "compare", "--element", "line", "--degree-range", "2:2",
+        "--dist", "optimized", "--cache-dir", str(tmp_path / "cache"),
+        "--out", str(out),
+    ]
+    assert _run(capsys, *args)[0] == 0
+    # Optimized just now: the optimizer's report is reused.
+    assert calls == [("line", 2)]
+    fresh = out.read_bytes()
+    # A rerun loads the element from the cache and evaluates it.
+    calls.clear()
+    assert _run(capsys, *args)[0] == 0
+    assert calls == [("line", 2)]
+    assert out.read_bytes() == fresh

@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symnodes.baselines import baseline_distribution
-from symnodes.basis import FunctionSpace
+from symnodes.basis import FunctionSpace, LagrangeInterpolator
 from symnodes.geometry import ElementKind, reference_element
 from symnodes.metrics import (
     evaluate_metrics,
@@ -118,27 +120,21 @@ def test_lebesgue_monotone_in_resolution():
 
 def test_lebesgue_objective_examples():
     sp1 = FunctionSpace(ElementKind.LINE, 1)
-    rule = quadrature_rule(ElementKind.LINE, 2)
-    got = lebesgue_objective(sp1, _line_dist([-1, 1], 1), rule)
+    got = lebesgue_objective(sp1, _line_dist([-1, 1], 1))
     oracle = float(symbolic_line_objective([-1, 1]))
     assert oracle == pytest.approx(4.0 / 3.0, abs=1e-15)
     assert got == pytest.approx(oracle, abs=1e-13)
 
     sp2 = FunctionSpace(ElementKind.LINE, 2)
-    rule2 = quadrature_rule(ElementKind.LINE, 4)
-    got2 = lebesgue_objective(sp2, _line_dist([-1, 0, 1], 2), rule2)
+    got2 = lebesgue_objective(sp2, _line_dist([-1, 0, 1], 2))
     oracle2 = float(symbolic_line_objective([-1, 0, 1]))
     assert oracle2 == pytest.approx(8.0 / 5.0, abs=1e-15)
     assert got2 == pytest.approx(oracle2, abs=1e-13)
 
-    with pytest.raises(ValueError):
-        lebesgue_objective(sp2, _line_dist([-1, 0, 1], 2), rule)  # exactness 2 < 4
-
 
 def test_mass_matrix_examples():
     sp1 = FunctionSpace(ElementKind.LINE, 1)
-    rule = quadrature_rule(ElementKind.LINE, 2)
-    M, cond = mass_matrix(sp1, _line_dist([-1, 1], 1), rule)
+    M, cond = mass_matrix(sp1, _line_dist([-1, 1], 1))
     oracle = np.array(symbolic_line_mass([-1, 1]), dtype=float)
     np.testing.assert_allclose(M, oracle, atol=1e-14)
     np.testing.assert_allclose(oracle, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
@@ -152,9 +148,8 @@ def test_mass_matrix_examples():
 def test_mass_trace_and_sum_identities(kind, p, opt_cache):
     spp = FunctionSpace(kind, p)
     dist = opt_cache.dist(kind, p)
-    rule = quadrature_rule(kind, 2 * p)
-    M, _ = mass_matrix(spp, dist, rule)
-    obj = lebesgue_objective(spp, dist, rule)
+    M, _ = mass_matrix(spp, dist)
+    obj = lebesgue_objective(spp, dist)
     assert np.trace(M) == pytest.approx(obj, abs=1e-10)
     measure = reference_element(kind).measure
     assert float(np.sum(M)) == pytest.approx(measure, abs=1e-10)
@@ -164,17 +159,16 @@ def test_objective_invariant_under_symmetry_maps(opt_cache):
     kind, p = ElementKind.TRIANGLE, 4
     spp = FunctionSpace(kind, p)
     dist = opt_cache.dist(kind, p)
-    rule = quadrature_rule(kind, 2 * p)
-    base = lebesgue_objective(spp, dist, rule)
+    base = lebesgue_objective(spp, dist)
     rng = np.random.default_rng(0)
     perm = rng.permutation(dist.count)
     shuffled = NodalDistribution(kind, p, dist.nodes[perm], "shuffled")
-    assert lebesgue_objective(spp, shuffled, rule) == pytest.approx(
+    assert lebesgue_objective(spp, shuffled) == pytest.approx(
         base, abs=1e-10
     )
     for A, b in cartesian_symmetry_group(kind)[:3]:
         mapped = NodalDistribution(kind, p, dist.nodes @ A.T + b, "mapped")
-        assert lebesgue_objective(spp, mapped, rule) == pytest.approx(
+        assert lebesgue_objective(spp, mapped) == pytest.approx(
             base, abs=1e-10
         )
 
@@ -187,22 +181,21 @@ def test_scalar_metrics_identical_under_node_permutation(
     kind, p, optimized, opt_cache
 ):
     spp = FunctionSpace(kind, p)
-    rule = quadrature_rule(kind, 2 * p)
     if optimized:
         dist = opt_cache.dist(kind, p)
     else:
         dist = baseline_distribution(kind, p, "uniform")
 
     def scalars(d):
-        _, cond = mass_matrix(spp, d, rule)
+        _, cond = mass_matrix(spp, d)
         return (
             lebesgue_constant(spp, d, resolution=20),
-            lebesgue_objective(spp, d, rule),
+            lebesgue_objective(spp, d),
             cond,
             is_unisolvent(spp, d),
         )
 
-    M, _ = mass_matrix(spp, dist, rule)
+    M, _ = mass_matrix(spp, dist)
     base = scalars(dist)
     rng = np.random.default_rng(7)
     perms = [np.arange(dist.count)[::-1]]
@@ -210,7 +203,7 @@ def test_scalar_metrics_identical_under_node_permutation(
     for perm in perms:
         shuffled = NodalDistribution(kind, p, dist.nodes[perm], "shuffled")
         assert scalars(shuffled) == base
-        M_perm, _ = mass_matrix(spp, shuffled, rule)
+        M_perm, _ = mass_matrix(spp, shuffled)
         assert np.array_equal(M_perm, M[np.ix_(perm, perm)])
 
 
@@ -248,7 +241,6 @@ def test_evaluate_metrics_builds_one_interpolator(kind, p, monkeypatch):
     import symnodes.metrics as metrics
 
     spp = FunctionSpace(kind, p)
-    rule = quadrature_rule(kind, 2 * p)
     dist = baseline_distribution(kind, p, "uniform")
     built = []
     real = metrics.LagrangeInterpolator
@@ -262,6 +254,39 @@ def test_evaluate_metrics_builds_one_interpolator(kind, p, monkeypatch):
     assert len(built) == 1
     # The shared interpolator gives the per-metric functions' floats.
     assert report.lebesgue_constant == lebesgue_constant(spp, dist, 20)
-    assert report.lebesgue_objective == lebesgue_objective(spp, dist, rule)
-    assert report.mass_condition == mass_matrix(spp, dist, rule)[1]
+    assert report.lebesgue_objective == lebesgue_objective(spp, dist)
+    assert report.mass_condition == mass_matrix(spp, dist)[1]
     assert report.unisolvent == is_unisolvent(spp, dist)
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+@pytest.mark.parametrize("p", range(1, 7))
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.0, 0.25))
+def test_vandermonde_identities_match_quadrature(kind, p, seed, amplitude):
+    # Quadrature is the independent oracle: with L the cardinal values at
+    # the points of an exact degree-2p rule, sum_i integral(l_i^2) is
+    # sum_q w_q L_q.L_q and the mass matrix is L^T W L.
+    uni = baseline_distribution(kind, p, "uniform")
+    shift = np.random.default_rng(seed).uniform(-1.0, 1.0, uni.nodes.shape)
+    nodes = uni.nodes + amplitude / p * shift
+    dist = NodalDistribution(kind, p, nodes, "perturbed")
+    spp = FunctionSpace(kind, p)
+    assume(is_unisolvent(spp, dist))
+    rule = quadrature_rule(kind, 2 * p)
+    L = LagrangeInterpolator(spp, dist).eval_many(rule.points)
+    oracle_obj = float(np.einsum("q,qi,qi->", rule.weights, L, L))
+    oracle_M = L.T @ (rule.weights[:, None] * L)
+    eigs = np.linalg.eigvalsh(0.5 * (oracle_M + oracle_M.T))
+
+    assert lebesgue_objective(spp, dist) == pytest.approx(
+        oracle_obj, rel=1e-12
+    )
+    M, cond = mass_matrix(spp, dist)
+    assert np.linalg.norm(M - oracle_M) <= 1e-12 * np.linalg.norm(oracle_M)
+    # eigvalsh finds the smallest eigenvalue only to about eps * eigs[-1],
+    # so the oracle's ratio is no finer than eps * cond (near-singular
+    # pyramid draws reach cond ~ 1e12).
+    oracle_cond = eigs[-1] / eigs[0]
+    rel = max(1e-10, np.finfo(float).eps * oracle_cond)
+    assert cond == pytest.approx(oracle_cond, rel=rel)

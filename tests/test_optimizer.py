@@ -19,7 +19,6 @@ from symnodes.optimizer import (
     objective_and_gradient,
     optimize_nodes,
 )
-from symnodes.quadrature import quadrature_rule
 from symnodes.symmetry import (
     ConstrainedOrbit,
     LinearConstraintSet,
@@ -50,8 +49,7 @@ def _problem(kind, p, indices, prescriptions=None):
     if prescriptions:
         coll = build_compatibility_constraints(elem, coll, prescriptions)
     space = FunctionSpace(kind, p)
-    rule = quadrature_rule(kind, 2 * p)
-    return assemble_problem(elem, coll, space, rule), coll
+    return assemble_problem(elem, coll, space), coll
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +102,7 @@ def test_assemble_worked_triangle_system():
     pinned = attach_constraints(table[3], [[0.0, 1.0]], [0.0], [0.0])
     coll = OrbitCollection(kind, None, (e(1), e(2), e(2), e(3), pinned))
     elem = reference_element(kind)
-    problem = assemble_problem(
-        elem, coll, FunctionSpace(kind, 3), quadrature_rule(kind, 6)
-    )
+    problem = assemble_problem(elem, coll, FunctionSpace(kind, 3))
     cons = problem.constraints
     lo, hi = lincon.coordinate_intervals(cons.matrix, cons.lower, cons.upper)
     np.testing.assert_allclose(lo, [0, 0, 0, 0, 0, 0], atol=1e-12)
@@ -153,10 +149,7 @@ def test_assemble_conflict():
     )
     with pytest.raises(ConstraintConflictError):
         assemble_problem(
-            reference_element(kind),
-            coll,
-            FunctionSpace(kind, 1),
-            quadrature_rule(kind, 2),
+            reference_element(kind), coll, FunctionSpace(kind, 1)
         )
 
 
@@ -279,9 +272,8 @@ def test_optimize_monotone_improvement_and_feasibility():
     r = optimize_nodes(ElementKind.LINE, 5, [point_prescription(5)])
     gll = baseline_distribution(ElementKind.LINE, 5, "gll")
     sp = FunctionSpace(ElementKind.LINE, 5)
-    rule = quadrature_rule(ElementKind.LINE, 10)
     # Initialized from the tensor baseline, so it can only improve on it.
-    assert r.objective <= lebesgue_objective(sp, gll, rule) + 1e-12
+    assert r.objective <= lebesgue_objective(sp, gll) + 1e-12
     cons = r.collection.stacked_constraints()
     assert cons.violation(r.parameters) <= 1e-10
 
