@@ -1,16 +1,15 @@
 """Local function spaces, modal bases, and Lagrange interpolation.
 
 Each element kind carries a function space of degree ``p`` whose dimension
-equals the node count of the element.  The default "orthogonal" mode uses
-orthonormal modal bases: tensor Legendre products on line/quad/hex, the
-collapsed-coordinate simplex bases on triangle and tetrahedron, a
-triangle-times-Legendre product on the prism, and the rational
-polynomial-trace space on the pyramid.  A "monomial" mode exists for
-debugging; it spans the same spaces but conditions badly with degree.
+equals the node count of the element, spanned by an orthonormal modal
+basis: tensor Legendre products on line/quad/hex, the collapsed-coordinate
+simplex bases on triangle and tetrahedron, a triangle-times-Legendre
+product on the prism, and the rational polynomial-trace space on the
+pyramid.
 
 Basis gradients are implemented analytically for every kind, which is what
 makes the analytic objective gradient of the optimizer possible.  Every
-orthogonal mode is a product of 1D Jacobi factors; a call builds the tables
+mode is a product of 1D Jacobi factors; a call builds the tables
 P_0..P_n^{(a,b)} once, one recurrence sweep per family of ``a``, with the
 coefficients and norms cached per (n, family, b).
 """
@@ -56,11 +55,8 @@ def space_dimension(kind: ElementKind, p: int) -> int:
 class FunctionSpace:
     kind: ElementKind
     degree: int
-    mode: str = "orthogonal"  # "orthogonal" | "monomial"
 
     def __post_init__(self):
-        if self.mode not in ("orthogonal", "monomial"):
-            raise ValueError(f"unknown basis mode {self.mode!r}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
 
@@ -173,51 +169,6 @@ def _pow_or_zero(base, e):
     if e == 0:
         return np.ones_like(base)
     return base**e
-
-
-# ---------------------------------------------------------------------------
-# Index sets
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _index_set(kind, p):
-    kind = ElementKind(kind)
-    if kind is ElementKind.LINE:
-        return tuple((i,) for i in range(p + 1))
-    if kind is ElementKind.QUADRILATERAL:
-        return tuple((i, j) for i in range(p + 1) for j in range(p + 1))
-    if kind is ElementKind.HEXAHEDRON:
-        return tuple(
-            (i, j, k)
-            for i in range(p + 1)
-            for j in range(p + 1)
-            for k in range(p + 1)
-        )
-    if kind is ElementKind.TRIANGLE:
-        return tuple((i, j) for i in range(p + 1) for j in range(p + 1 - i))
-    if kind is ElementKind.TETRAHEDRON:
-        return tuple(
-            (i, j, k)
-            for i in range(p + 1)
-            for j in range(p + 1 - i)
-            for k in range(p + 1 - i - j)
-        )
-    if kind is ElementKind.PRISM:
-        return tuple(
-            (i, j, k)
-            for i in range(p + 1)
-            for j in range(p + 1 - i)
-            for k in range(p + 1)
-        )
-    if kind is ElementKind.PYRAMID:
-        return tuple(
-            (i, j, k)
-            for i in range(p + 1)
-            for j in range(p + 1)
-            for k in range(p + 1 - max(i, j))
-        )
-    raise ValueError(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -445,65 +396,6 @@ def _pyramid(p, pts, grads):
 
 
 # ---------------------------------------------------------------------------
-# Monomial (debug) mode
-# ---------------------------------------------------------------------------
-
-
-def _eval_monomial(kind, p, pts):
-    idx = _index_set(kind, p)
-    if kind is ElementKind.PYRAMID:
-        u, v, w, z = _pyramid_uvw(pts)
-        out = np.empty((pts.shape[0], len(idx)))
-        for col, (i, j, k) in enumerate(idx):
-            c = max(i, j)
-            out[:, col] = (u**i) * (v**j) * _pow_or_zero(w, c) * (z**k)
-        return out
-    out = np.empty((pts.shape[0], len(idx)))
-    for col, ids in enumerate(idx):
-        v = np.ones(pts.shape[0])
-        for d, e in enumerate(ids):
-            v = v * pts[:, d] ** e
-        out[:, col] = v
-    return out
-
-
-def _grad_monomial(kind, p, pts):
-    idx = _index_set(kind, p)
-    d = pts.shape[1]
-    if kind is ElementKind.PYRAMID:
-        u, v, w, z = _pyramid_uvw(pts)
-        g = np.empty((pts.shape[0], len(idx), 3))
-        for col, (i, j, k) in enumerate(idx):
-            c = max(i, j)
-            ui, vj, zk = u**i, v**j, z**k
-            dui = i * _pow_or_zero(u, i - 1)
-            dvj = j * _pow_or_zero(v, j - 1)
-            dzk = k * _pow_or_zero(z, k - 1)
-            w_c = _pow_or_zero(w, c)
-            w_cm1 = _pow_or_zero(w, c - 1)
-            g[:, col, 0] = dui * vj * zk * w_cm1
-            g[:, col, 1] = ui * dvj * zk * w_cm1
-            g[:, col, 2] = (
-                0.5 * dui * u * vj * zk * w_cm1
-                + 0.5 * ui * dvj * v * zk * w_cm1
-                - 0.5 * c * ui * vj * zk * w_cm1
-                + ui * vj * dzk * w_c
-            )
-        return g
-    g = np.empty((pts.shape[0], len(idx), d))
-    for col, ids in enumerate(idx):
-        for dd in range(d):
-            vals = np.ones(pts.shape[0])
-            for d2, e in enumerate(ids):
-                if d2 == dd:
-                    vals = vals * e * _pow_or_zero(pts[:, d2], e - 1)
-                else:
-                    vals = vals * pts[:, d2] ** e
-            g[:, col, dd] = vals
-    return g
-
-
-# ---------------------------------------------------------------------------
 # Public evaluation API
 # ---------------------------------------------------------------------------
 
@@ -521,19 +413,13 @@ _ORTHOGONAL = {
 def basis_eval_many(space: FunctionSpace, pts):
     """Evaluate all basis functions at an (n, d) array of points."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if space.mode == "monomial":
-        return _eval_monomial(space.kind, space.degree, pts)
     return _ORTHOGONAL[space.kind](space.degree, pts, False)
 
 
 def basis_grad_many(space: FunctionSpace, pts):
     """Gradients of all basis functions: (n_points, dim, d)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if space.mode == "monomial":
-        return _grad_monomial(space.kind, space.degree, pts)
     return _ORTHOGONAL[space.kind](space.degree, pts, True)
-
-
 
 
 def basis_eval(space: FunctionSpace, x):

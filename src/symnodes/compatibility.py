@@ -196,55 +196,8 @@ def build_compatibility_constraints(
         for e in entries
         if e.extra.nrows and e.is_pinned
     ]
-
-    def face_of(fk):
-        if not (fixed_faces and fk in fixed_faces):
-            return _first_face(elem, fk)
-        face = elem.faces[fixed_faces[fk]]
-        if face.face_kind != fk:
-            raise ValueError(
-                f"face {fixed_faces[fk]} of {elem.kind.value} is not a "
-                f"{fk} face"
-            )
-        return face
-
-    def first_free_entry(lam_hat):
-        for j, entry in enumerate(entries):
-            if entry.extra.nrows:
-                continue  # already assigned a constraint
-            xi = _orbit_reach(entry, lam_hat)
-            if xi is not None:
-                entries[j] = _pin_entry(entry, xi)
-                return entries[j], xi
-        return None
-
-    _pin_face_worklist(
-        elem, by_kind.values(), first_free_entry, pinned_points,
-        f"collection {collection.indices}", face_of,
-    )
-    return OrbitCollection(collection.kind, collection.degree, tuple(entries))
-
-
-def _first_face(elem, face_kind):
-    return next(f for f in elem.faces if f.face_kind == face_kind)
-
-
-def _pin_face_worklist(
-    elem, prescriptions, find, pinned_points, label, face_of=None
-):
-    """Pin one orbit to every prescribed face node that is not yet covered.
-
-    Face kinds are visited in ``_FACE_KIND_PRIORITY`` order, each on one
-    face: ``face_of(face_kind)``, by default the first face of that kind.
-    A node within ``_MATCH_TOL`` of ``pinned_points`` (natural coordinates,
-    extended in place) is covered.  Any other node goes to
-    ``find(lam_hat)``, which returns a pinned entry reaching it and its
-    parameters, or ``None``; then :class:`IncompatibleCollectionError`
-    names ``label``.
-    """
-    by_kind = {pres.face_kind: pres for pres in prescriptions}
     for fk in sorted(by_kind, key=_FACE_KIND_PRIORITY.__getitem__):
-        face = face_of(fk) if face_of else _first_face(elem, fk)
+        face = _face_of(elem, fk, fixed_faces)
         worklist = []
         for x in face.embed(by_kind[fk].dist.nodes):
             try:
@@ -260,14 +213,21 @@ def _pin_face_worklist(
                 for pp in pinned_points
             ):
                 continue
-            found = find(lam_hat)
-            if found is None:
+            # Pin the first entry without constraints that reaches the node.
+            for j, entry in enumerate(entries):
+                if entry.extra.nrows:
+                    continue
+                xi = _orbit_reach(entry, lam_hat)
+                if xi is not None:
+                    entries[j] = _pin_entry(entry, xi)
+                    break
+            else:
                 raise IncompatibleCollectionError(
-                    f"{label} cannot place a prescribed "
-                    f"{fk.value if fk else 'point'} node at natural "
-                    f"coordinates {lam_hat}"
+                    f"collection {collection.indices} cannot place a "
+                    f"prescribed {fk.value if fk else 'point'} node at "
+                    f"natural coordinates {lam_hat}"
                 )
-            orbit, xi = found[0].orbit, found[1]
+            orbit = entry.orbit
             pts = orbit.point_matrix() @ xi + orbit.point_offsets()
             pinned_points.append(pts)
             worklist = [
@@ -275,6 +235,21 @@ def _pin_face_worklist(
                 for lh in worklist
                 if np.min(np.linalg.norm(pts - lh, axis=1)) > _MATCH_TOL
             ]
+    return OrbitCollection(collection.kind, collection.degree, tuple(entries))
+
+
+def _face_of(elem, face_kind, fixed_faces):
+    """The face of ``face_kind`` that receives the prescribed nodes:
+    ``fixed_faces[face_kind]`` when given, else the first such face."""
+    if not (fixed_faces and face_kind in fixed_faces):
+        return next(f for f in elem.faces if f.face_kind == face_kind)
+    face = elem.faces[fixed_faces[face_kind]]
+    if face.face_kind != face_kind:
+        raise ValueError(
+            f"face {fixed_faces[face_kind]} of {elem.kind.value} is not a "
+            f"{face_kind} face"
+        )
+    return face
 
 
 def snap_face_nodes(elem, nodes, prescriptions, tol=_MATCH_TOL):

@@ -34,7 +34,8 @@ class UnisolvencyError(SymnodesError):
 
 
 class NoViableCollectionError(SymnodesError):
-    """Every candidate orbit collection was rejected."""
+    """The element's orbit collection could not be pinned, started or
+    optimized; the message names the failing stage."""
 
 
 class UnsupportedBaselineError(SymnodesError, ValueError):

@@ -38,9 +38,14 @@ def violation(B, lo, hi, x):
     return float(np.max(v))
 
 
+def equality_rows(lo, hi):
+    """Mask of the rows whose two finite bounds agree to ``EQ_TOL``."""
+    return np.isfinite(lo) & np.isfinite(hi) & (hi - lo <= EQ_TOL)
+
+
 def _lp_parts(B, lo, hi):
     """Split a two-sided system into linprog-ready equality/inequality parts."""
-    eq = np.isfinite(lo) & np.isfinite(hi) & (hi - lo <= EQ_TOL)
+    eq = equality_rows(lo, hi)
     A_eq, b_eq = B[eq], lo[eq]
     rows_ub, rhs_ub = [], []
     ineq = ~eq
@@ -195,6 +200,18 @@ def null_space_parametrization(E, e, tol=1e-11):
     return x_p, Z
 
 
+def _reduce(B, lo, hi):
+    """Eliminate the equality rows: ``x = x_p + Z @ y`` and the remaining
+    rows as ``gl <= G @ y <= gu``.  Returns ``(x_p, Z, G, gl, gu)``."""
+    B, lo, hi = _as_system(B, lo, hi)
+    eq = equality_rows(lo, hi)
+    x_p, Z = null_space_parametrization(B[eq], lo[eq])
+    G = B[~eq] @ Z
+    gl = lo[~eq] - B[~eq] @ x_p
+    gu = hi[~eq] - B[~eq] @ x_p
+    return x_p, Z, G, gl, gu
+
+
 @dataclass
 class SolveResult:
     x: np.ndarray
@@ -215,13 +232,8 @@ def minimize_linearly_constrained(
     by an active-set strategy on the reduced variables.  The method is
     deterministic.
     """
-    B, lo, hi = _as_system(B, lo, hi)
     x0 = np.asarray(x0, dtype=float).ravel()
-    eq = np.isfinite(lo) & np.isfinite(hi) & (hi - lo <= EQ_TOL)
-    x_p, Z = null_space_parametrization(B[eq], lo[eq])
-    G = B[~eq] @ Z
-    gl = lo[~eq] - B[~eq] @ x_p
-    gu = hi[~eq] - B[~eq] @ x_p
+    x_p, Z, G, gl, gu = _reduce(B, lo, hi)
 
     # Rows with no dependence on the free variables are constants: verify.
     row_scale = np.linalg.norm(G, axis=1) if G.size else np.zeros(G.shape[0])
@@ -263,13 +275,8 @@ def project_reduced(G, gl, gu, target, tol=1e-10):
 
 def project_onto(B, lo, hi, target):
     """Least-distance projection of ``target`` onto the full system."""
-    B, lo, hi = _as_system(B, lo, hi)
     target = np.asarray(target, dtype=float).ravel()
-    eq = np.isfinite(lo) & np.isfinite(hi) & (hi - lo <= EQ_TOL)
-    x_p, Z = null_space_parametrization(B[eq], lo[eq])
-    G = B[~eq] @ Z
-    gl = lo[~eq] - B[~eq] @ x_p
-    gu = hi[~eq] - B[~eq] @ x_p
+    x_p, Z, G, gl, gu = _reduce(B, lo, hi)
     y = project_reduced(G, gl, gu, Z.T @ (target - x_p))
     return x_p + Z @ y
 

@@ -8,16 +8,17 @@ through the basis gradients at the nodes and the affine orbit maps.
 Minimization runs on the equality-eliminated (reduced) parameter space with
 an active-set quasi-Newton method.
 
-``optimize_nodes`` drives the full per-element pipeline: enumerate candidate
-collections (augmented with a baseline-derived multiset and, when face
-prescriptions are given, prescription-driven constructions), pin face
-constraints, screen non-unisolvent initializations, minimize with a few
-jittered restarts, and select the best converged run.
+``optimize_nodes`` drives the per-element pipeline on one orbit collection,
+the orbit decomposition of the element's baseline nodes: pin its entries to
+the face prescriptions, start from the baseline parameters, screen the
+start for unisolvency, minimize from it and from a few jittered restarts,
+and select the best converged run.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,6 @@ from .compatibility import (
     snap_face_nodes,
     verify_face_match,
     _orbit_reach,
-    _pin_entry,
-    _pin_face_worklist,
 )
 from .errors import (
     ConstraintConflictError,
@@ -41,7 +40,12 @@ from .errors import (
     NoViableCollectionError,
     NumericalError,
 )
-from .geometry import ElementKind, node_count, reference_element
+from .geometry import (
+    ElementKind,
+    natural_solve,
+    natural_to_cartesian,
+    reference_element,
+)
 from .metrics import (
     MetricReport,
     evaluate_metrics,
@@ -54,7 +58,6 @@ from .symmetry import (
     MIN_NODE_SEPARATION,
     NodalDistribution,
     OrbitCollection,
-    enumerate_admissible_collections,
     evaluate_collection,
     natural_symmetry_group,
     orbits,
@@ -80,8 +83,6 @@ class OptimizerConfig:
     fd_step: float = 1e-6
     multistart_count: int = 3
     seed: int = 0
-    collection_cap: int = 64
-    fill_cap: int = 4
     resolution: int | None = None
 
     def __post_init__(self):
@@ -163,11 +164,7 @@ def assemble_problem(elem, collection, space) -> OptimizationProblem:
             J[row : row + d, off : off + l] = NS
             x0[row : row + d] = elem.n_matrix @ sigma + elem.nu
             row += d
-    eq = (
-        np.isfinite(cons.lower)
-        & np.isfinite(cons.upper)
-        & (cons.upper - cons.lower <= lincon.EQ_TOL)
-    )
+    eq = lincon.equality_rows(cons.lower, cons.upper)
     xi_p, Z = lincon.null_space_parametrization(
         cons.matrix[eq], cons.lower[eq]
     )
@@ -310,7 +307,7 @@ def minimize(problem, config, xi0) -> MinimizeOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Baseline decomposition and candidate construction
+# Baseline decomposition and the start
 # ---------------------------------------------------------------------------
 
 
@@ -329,8 +326,6 @@ def _decompose_into_orbits(kind, nodes, tol=1e-8):
     is then not realizable by this package's orbit tables, e.g. it is not
     actually symmetric).
     """
-    from .geometry import natural_solve
-
     elem = reference_element(kind)
     lam = np.atleast_2d(natural_solve(elem, nodes))
     group = natural_symmetry_group(kind)
@@ -389,172 +384,59 @@ def _baseline_for(kind, p):
     return baseline_distribution(kind, p, BaselineKind.UNIFORM)
 
 
-def _pinned_face_entries(elem, prescriptions):
-    """Greedy orbit pinning for every prescribed face node (smallest orbit
-    index wins), independent of any fixed candidate collection."""
-    orbs = orbits(elem.kind)
-    pinned = []
+def _baseline_collection(kind, p):
+    """The orbit decomposition of ``_baseline_for(kind, p)``.
 
-    def first_orbit(lam_hat):
-        for orb in orbs:
-            entry = ConstrainedOrbit(
-                orb, LinearConstraintSet.empty(orb.param_count)
-            )
-            xi = _orbit_reach(entry, lam_hat)
-            if xi is not None:
-                pinned.append(_pin_entry(entry, xi))
-                return pinned[-1], xi
-        return None
-
-    _pin_face_worklist(
-        elem, prescriptions, first_orbit, [], f"{elem.kind.value} orbit table"
-    )
-    return pinned
-
-
-def _fill_multisets(kind, remaining, cap, exclude_l0=frozenset()):
-    """Lexicographic multisets of orbit indices with total multiplicity
-    ``remaining``; parameter-free orbits appear at most once overall."""
-    if remaining == 0:
-        return [()]
-    orbs = orbits(kind)
-    avail = [
-        o
-        for o in orbs
-        if o.param_count > 0 or o.index not in exclude_l0
-    ]
-    out = []
-
-    def dfs(start, rem, prefix, used_l0):
-        if len(out) >= cap:
-            return
-        if rem == 0:
-            out.append(tuple(prefix))
-            return
-        for idx in range(start, len(avail)):
-            o = avail[idx]
-            if o.multiplicity > rem:
-                continue
-            if o.param_count == 0 and o.index in used_l0:
-                continue
-            prefix.append(o.index)
-            dfs(
-                idx,
-                rem - o.multiplicity,
-                prefix,
-                used_l0 | {o.index} if o.param_count == 0 else used_l0,
-            )
-            prefix.pop()
-            if len(out) >= cap:
-                return
-
-    dfs(0, remaining, [], frozenset())
-    return out
-
-
-def _candidate_multisets(kind, p, prescriptions, config):
-    """Ordered, deduplicated candidate orbit multisets for the pipeline."""
-    enumerated = [
-        c.indices
-        for c in enumerate_admissible_collections(
-            kind, p, config.collection_cap
+    Returns the collection (orbit indices ascending, nothing pinned) and the
+    ``(orbit index, parameters)`` entries that seed the start.
+    """
+    base_entries = _decompose_into_orbits(kind, _baseline_for(kind, p).nodes)
+    if base_entries is None:
+        raise NoViableCollectionError(
+            f"{kind.value} degree {p}: the baseline nodes do not decompose "
+            f"into orbits"
         )
-    ]
-    extras = []
-    baseline = _baseline_for(kind, p)
-    base_entries = _decompose_into_orbits(kind, baseline.nodes)
-    if base_entries is not None:
-        extras.append(tuple(sorted(idx for idx, _ in base_entries)))
-    if prescriptions:
-        elem = reference_element(kind)
-        try:
-            pinned = _pinned_face_entries(elem, prescriptions)
-        except IncompatibleCollectionError:
-            pinned = None
-        if pinned is not None:
-            used = sum(e.multiplicity for e in pinned)
-            remaining = node_count(kind, p) - used
-            if remaining >= 0:
-                pin_idx = [e.orbit.index for e in pinned]
-                fills = []
-                interior = baseline.nodes[
-                    ~_boundary_mask(elem, baseline.nodes)
-                ]
-                if interior.shape[0] == remaining and remaining > 0:
-                    dec = _decompose_into_orbits(kind, interior)
-                    if dec is not None:
-                        fills.append(tuple(sorted(i for i, _ in dec)))
-                fills.extend(
-                    _fill_multisets(kind, remaining, config.fill_cap)
-                )
-                for f in fills:
-                    extras.append(tuple(sorted(pin_idx + list(f))))
-    seen = set()
-    ordered = []
-    for ms in enumerated + extras:
-        key = tuple(sorted(ms))
-        if key not in seen:
-            seen.add(key)
-            ordered.append(key)
-    # Fewest distinct orbit indices first, then lexicographic.
-    ordered.sort(key=lambda ms: (len(set(ms)), ms))
-    return ordered, base_entries
-
-
-def _collection_from_multiset(kind, p, multiset):
-    orbs = {o.index: o for o in orbits(kind)}
+    table = {o.index: o for o in orbits(kind)}
     entries = tuple(
         ConstrainedOrbit(
-            orbs[i], LinearConstraintSet.empty(orbs[i].param_count)
+            table[i], LinearConstraintSet.empty(table[i].param_count)
         )
-        for i in multiset
+        for i, _ in base_entries
     )
-    return OrbitCollection(kind, p, entries)
+    return OrbitCollection(kind, p, entries), base_entries
 
 
 def _initial_parameters(problem, base_entries, prescriptions):
-    """Baseline-derived starting parameters, projected onto the constraints.
+    """Baseline parameters, projected onto the constraints.
 
-    Pinned entries take their pinned values; free entries consume matching
-    baseline orbit parameters (interior-node decomposition when face
-    prescriptions pin the boundary), falling back to the most interior point
-    of their own bounds.
+    Pinned entries take their pinned values; every other entry takes the
+    next baseline parameters of its orbit, drawn only from orbits off the
+    boundary when face prescriptions pin the boundary.  Raises
+    :class:`ValueError` when the baseline has none left for some entry.
     """
     coll = problem.collection
+    elem = problem.element
+    table = {o.index: o for o in orbits(coll.kind)}
     pool: dict[int, list] = {}
-    if base_entries:
+    for idx, xi in base_entries:
         if prescriptions:
-            elem = problem.element
-            from .geometry import natural_to_cartesian
-
-            interior = []
-            for idx, xi in base_entries:
-                orb = next(o for o in orbits(coll.kind) if o.index == idx)
-                lam = orb.point_matrix() @ xi + orb.point_offsets()
-                pts = natural_to_cartesian(elem, lam, tol=1e-6)
-                if not np.any(_boundary_mask(elem, np.atleast_2d(pts))):
-                    interior.append((idx, xi))
-            source = interior
-        else:
-            source = base_entries
-        for idx, xi in source:
-            pool.setdefault(idx, []).append(np.asarray(xi, dtype=float))
+            orb = table[idx]
+            lam = orb.point_matrix() @ xi + orb.point_offsets()
+            pts = natural_to_cartesian(elem, lam, tol=1e-6)
+            if np.any(_boundary_mask(elem, np.atleast_2d(pts))):
+                continue
+        pool.setdefault(idx, []).append(np.asarray(xi, dtype=float))
     xi0 = np.zeros(coll.total_params)
     for entry, sl in zip(coll.entries, coll.slices()):
         if entry.extra.nrows and entry.is_pinned:
             xi0[sl] = entry.pinned_parameters()
-            continue
-        candidates = pool.get(entry.orbit.index)
-        if candidates:
-            xi0[sl] = candidates.pop(0)
-            continue
-        cons = entry.stacked_constraints()
-        pt = lincon.interior_point(cons.matrix, cons.lower, cons.upper)
-        if pt is None:
-            raise ConstraintConflictError(
-                f"entry for orbit {entry.orbit.index} has no feasible point"
+        elif pool.get(entry.orbit.index):
+            xi0[sl] = pool[entry.orbit.index].pop(0)
+        else:
+            raise ValueError(
+                f"the baseline has no parameters left for orbit "
+                f"{entry.orbit.index}"
             )
-        xi0[sl] = pt
     cons = problem.constraints
     if cons.violation(xi0) > 1e-12:
         xi0 = lincon.project_onto(cons.matrix, cons.lower, cons.upper, xi0)
@@ -572,8 +454,41 @@ def _jittered_start(problem, xi0, intervals, seed_key):
     return lincon.project_onto(cons.matrix, cons.lower, cons.upper, xi0 + delta)
 
 
+@contextmanager
+def _stage(where, stage, *errors):
+    """Re-raise ``errors`` as :class:`NoViableCollectionError` naming the
+    element and the pipeline stage, with the cause chained."""
+    try:
+        yield
+    except errors as exc:
+        raise NoViableCollectionError(
+            f"{where}: {stage} failed: {exc}"
+        ) from exc
+
+
 def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
-    """Full pipeline: enumerate, constrain, screen, optimize, select best.
+    """Optimize the orbit decomposition of the element's baseline nodes.
+
+    The collection is the orbit decomposition of the baseline (GLL tensor
+    nodes on line/quad/hex, uniform nodes elsewhere).  With
+    ``prescriptions`` its entries are pinned to the face nodes
+    (:func:`~symnodes.compatibility.build_compatibility_constraints`).  The
+    minimization starts from the baseline parameters and from
+    ``config.multistart_count`` jittered copies, each seeded by
+    ``(config.seed, restart)``; the lowest objective among the best-ranked
+    runs wins (KKT-converged before iteration-limited), and distinct node
+    sets within round-off of it are told apart by their Lebesgue constants.
+    Every failure before the restarts, and a failure of all restarts, raises
+    :class:`NoViableCollectionError` naming the stage, with the cause
+    chained.
+
+    The baseline's orbits host every unisolvent symmetric face set of
+    degree ``p``: each face symmetry fixes as many nodes of such a set as
+    the trace of its action on the face polynomial space, and these counts
+    fix how many face orbits of each kind the set has, as they do for the
+    baseline's faces.  A face set with other orbits (say six interior tri
+    p=5 nodes in one orbit, which lie on a circle) is not unisolvent, so no
+    element carrying it is; it fails at face pinning.
 
     With ``prescriptions``, every node on a face is finally set to its exact
     ``face.embed(prescription)`` coordinate, taken from the first face in
@@ -589,75 +504,51 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     elem = reference_element(kind)
     space = FunctionSpace(kind, p)
     prescriptions = tuple(prescriptions)
+    where = f"{kind.value} degree {p}"
 
-    multisets, base_entries = _candidate_multisets(
-        kind, p, prescriptions, config
-    )
+    coll, base_entries = _baseline_collection(kind, p)
+    if prescriptions:
+        with _stage(
+            where, "face pinning", IncompatibleCollectionError, ValueError
+        ):
+            coll = build_compatibility_constraints(elem, coll, prescriptions)
+    with _stage(where, "assembly", ConstraintConflictError):
+        problem = assemble_problem(elem, coll, space)
+    with _stage(where, "start", ValueError, DegenerateDistributionError):
+        xi0 = _initial_parameters(problem, base_entries, prescriptions)
+        dist0 = evaluate_collection(coll, xi0)
+    if not is_unisolvent(space, dist0):
+        raise NoViableCollectionError(f"{where}: the start is not unisolvent")
+    cons = problem.constraints
+    with _stage(where, "jitter intervals", ConstraintConflictError):
+        intervals = lincon.coordinate_intervals(
+            cons.matrix, cons.lower, cons.upper
+        )
 
-    runs = []  # (status_rank, objective, cand_pos, restart, outcome, coll)
-    for cand_pos, multiset in enumerate(multisets):
-        try:
-            cand = _collection_from_multiset(kind, p, multiset)
-        except ValueError:
+    starts = [xi0] + [
+        _jittered_start(problem, xi0, intervals, (config.seed, restart))
+        for restart in range(1, config.multistart_count + 1)
+    ]
+    runs = []  # (status rank, objective, restart, outcome, distribution)
+    for restart, start in enumerate(starts):
+        outcome = minimize(problem, config, start)
+        if outcome.status == "error":
             continue
-        if prescriptions:
-            try:
-                coll = build_compatibility_constraints(
-                    elem, cand, prescriptions
-                )
-            except (IncompatibleCollectionError, ValueError):
-                continue
-        else:
-            coll = cand
-        try:
-            problem = assemble_problem(elem, coll, space)
-            xi0 = _initial_parameters(problem, base_entries, prescriptions)
-        except (ConstraintConflictError, NumericalError):
+        if cons.violation(outcome.parameters) > 1e-10:
             continue
-
-        # Reject collections whose initial node set is already hopeless.
         try:
-            dist0 = evaluate_collection(coll, xi0)
+            dist = evaluate_collection(coll, outcome.parameters)
         except DegenerateDistributionError:
             continue
-        if not is_unisolvent(space, dist0):
-            continue
-
-        cons = problem.constraints
-        try:
-            intervals = lincon.coordinate_intervals(
-                cons.matrix, cons.lower, cons.upper
-            )
-        except ConstraintConflictError:
-            continue
-        starts = [xi0]
-        for r in range(config.multistart_count):
-            starts.append(
-                _jittered_start(
-                    problem, xi0, intervals, (config.seed, cand_pos, r)
-                )
-            )
-        for restart, start in enumerate(starts):
-            outcome = minimize(problem, config, start)
-            if outcome.status == "error":
-                continue
-            if cons.violation(outcome.parameters) > 1e-10:
-                continue
-            try:
-                dist = evaluate_collection(coll, outcome.parameters)
-            except DegenerateDistributionError:
-                continue
-            rank = 0 if outcome.status == "kkt-converged" else 1
-            runs.append(
-                (rank, outcome.objective, cand_pos, restart, outcome, coll, dist)
-            )
+        rank = 0 if outcome.status == "kkt-converged" else 1
+        runs.append((rank, outcome.objective, restart, outcome, dist))
 
     if not runs:
         raise NoViableCollectionError(
-            f"no viable orbit collection for {kind.value} degree {p}"
+            f"{where}: all {len(starts)} restarts failed"
         )
 
-    runs.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
+    runs.sort(key=lambda t: t[:3])
     top_rank, top_f = runs[0][0], runs[0][1]
     ties = [
         r
@@ -669,22 +560,18 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     distinct = []
     for r in ties:
         if not any(
-            r[6].nodes.shape == d[6].nodes.shape
-            and np.allclose(r[6].nodes, d[6].nodes, atol=1e-11)
-            for d in distinct
+            np.allclose(r[4].nodes, d[4].nodes, atol=1e-11) for d in distinct
         ):
             distinct.append(r)
     if len(distinct) > 1:
-        scored = []
-        for r in distinct:
-            leb = lebesgue_constant(space, r[6], resolution=50)
-            scored.append((leb, tuple(sorted(r[5].indices)), r[2], r[3], r))
-        scored.sort(key=lambda t: t[:4])
-        best = scored[0][4]
+        best = min(
+            distinct,
+            key=lambda r: (lebesgue_constant(space, r[4], resolution=50), r[2]),
+        )
     else:
         best = distinct[0]
 
-    _, f_best, _, _, outcome, coll, dist = best
+    _, f_best, _, outcome, dist = best
     dist.source = "optimized"
     if prescriptions:
         if not verify_face_match(elem, dist, prescriptions, tol=1e-10):

@@ -137,17 +137,18 @@ class ConstrainedOrbit:
     @property
     def is_pinned(self):
         """True when the extra equalities determine the parameters uniquely."""
-        eq = (self.extra.upper - self.extra.lower) <= lincon.EQ_TOL
         if self.param_count == 0:
             return True
-        rows = self.extra.matrix[eq]
+        rows = self.extra.matrix[
+            lincon.equality_rows(self.extra.lower, self.extra.upper)
+        ]
         return (
             rows.shape[0] > 0
             and np.linalg.matrix_rank(rows, tol=1e-12) == self.param_count
         )
 
     def pinned_parameters(self):
-        eq = (self.extra.upper - self.extra.lower) <= lincon.EQ_TOL
+        eq = lincon.equality_rows(self.extra.lower, self.extra.upper)
         rows = self.extra.matrix[eq]
         rhs = self.extra.lower[eq]
         xi, *_ = np.linalg.lstsq(rows, rhs, rcond=None)

@@ -189,26 +189,13 @@ def test_criterion_6_quadrature_exactness():
 
 def test_criterion_7_gradient_correctness():
     from symnodes import lincon
-    from symnodes.optimizer import _baseline_for, _decompose_into_orbits
+    from symnodes.optimizer import _baseline_collection
 
     rng = np.random.default_rng(2024)
     worst = 0.0
     for kind in ElementKind:
         for p in range(1, 5):
-            base = _baseline_for(kind, p)
-            entries = _decompose_into_orbits(kind, base.nodes)
-            assert entries is not None
-            table = {o.index: o for o in orbits(kind)}
-            coll = OrbitCollection(
-                kind,
-                p,
-                tuple(
-                    ConstrainedOrbit(
-                        table[i], LinearConstraintSet.empty(table[i].param_count)
-                    )
-                    for i, _ in entries
-                ),
-            )
+            coll, entries = _baseline_collection(kind, p)
             problem = assemble_problem(
                 reference_element(kind), coll, FunctionSpace(kind, p)
             )

@@ -61,9 +61,15 @@ def test_dimension_matches_node_count(kind, p):
     assert FunctionSpace(kind, p).dim == node_count(kind, p)
 
 
-def test_basis_eval_monomial_line():
-    sp = FunctionSpace(ElementKind.LINE, 2, mode="monomial")
-    np.testing.assert_allclose(basis_eval(sp, [0.0]), [1.0, 0.0, 0.0])
+def test_basis_eval_legendre_line():
+    # Orthonormal Legendre at 0: 1/sqrt(2), sqrt(3/2) * 0, sqrt(5/2) * -1/2.
+    sp = FunctionSpace(ElementKind.LINE, 2)
+    np.testing.assert_allclose(
+        basis_eval(sp, [0.0]),
+        [1 / np.sqrt(2), 0.0, -np.sqrt(2.5) / 2],
+        rtol=1e-15,
+        atol=1e-15,
+    )
 
 
 def test_pyramid_constant_mode_is_constant_on_axis():
@@ -83,10 +89,12 @@ def test_pyramid_space_size():
 
 
 def test_vandermonde_examples():
-    sp = FunctionSpace(ElementKind.LINE, 1, mode="monomial")
+    # Orthonormal Legendre P_0 = 1/sqrt(2), P_1 = sqrt(3/2) x at -1 and 1.
+    sp = FunctionSpace(ElementKind.LINE, 1)
     v = vandermonde(sp, _line_dist([-1, 1], 1))
-    np.testing.assert_allclose(v.matrix, [[1, -1], [1, 1]])
-    assert v.determinant == pytest.approx(2.0)
+    a, b = 1 / np.sqrt(2), np.sqrt(1.5)
+    np.testing.assert_allclose(v.matrix, [[a, -b], [a, b]], rtol=1e-15)
+    assert v.determinant == pytest.approx(np.sqrt(3.0), rel=1e-14)
 
     sp2 = FunctionSpace(ElementKind.LINE, 2)
     v2 = vandermonde(sp2, _line_dist([-1, 0, 1], 2))

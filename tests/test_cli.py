@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from symnodes.cli import main
-from symnodes.nodefile import read_node_file
+from symnodes.compatibility import FacePrescription, verify_face_match
+from symnodes.geometry import ElementKind, reference_element
+from symnodes.nodefile import read_node_file, write_node_file
+from symnodes.symmetry import NodalDistribution
 
 
 def _run(capsys, *argv):
@@ -43,6 +46,37 @@ def test_generate_tri_p1_auto_compat(tmp_path, capsys):
     dist, _ = read_node_file(cache / "tri_p1.nodes")
     got = sorted(map(tuple, np.round(dist.nodes, 12).tolist()))
     assert got == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0)]
+
+
+def _tri3_off_baseline():
+    """A symmetric tri p=3 set whose edge nodes sit at +-0.4, neither the
+    uniform (+-1/3) nor the GLL (+-0.447) position."""
+    tri = reference_element(ElementKind.TRIANGLE)
+    line = np.array([[-1.0], [-0.4], [0.4], [1.0]])
+    edges = np.vstack([face.embed(line) for face in tri.faces])
+    edges = np.unique(np.round(edges, 14), axis=0)
+    nodes = np.vstack([edges, tri.vertices.mean(axis=0)])
+    return NodalDistribution(ElementKind.TRIANGLE, 3, nodes, "file")
+
+
+def test_generate_compat_from_file(tmp_path, capsys):
+    face = tmp_path / "tri3.nodes"
+    write_node_file(face, _tri3_off_baseline())
+    out = tmp_path / "tet3.nodes"
+    code, stdout, _ = _run(
+        capsys,
+        "generate", "--element", "tet", "--degree", "3",
+        "--compat", str(face), "--out", str(out),
+        "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert code == 0
+    assert "20 nodes" in stdout
+    dist, _ = read_node_file(out)
+    tri, _ = read_node_file(face)
+    elem = reference_element(ElementKind.TETRAHEDRON)
+    assert verify_face_match(
+        elem, dist, [FacePrescription(ElementKind.TRIANGLE, tri)]
+    )
 
 
 def test_generate_rejects_bad_element(tmp_path, capsys):

@@ -1,17 +1,32 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from symnodes import lincon
+from symnodes import lincon, optimizer
 from symnodes.baselines import baseline_distribution, gll_1d
 from symnodes.basis import FunctionSpace
 from symnodes.compatibility import (
     FacePrescription,
     build_compatibility_constraints,
+    face_prescriptions,
     point_prescription,
 )
-from symnodes.errors import ConstraintConflictError
-from symnodes.geometry import ElementKind, reference_element
-from symnodes.metrics import lebesgue_constant, lebesgue_objective
+from symnodes.errors import (
+    ConstraintConflictError,
+    IncompatibleCollectionError,
+    NoViableCollectionError,
+)
+from symnodes.geometry import (
+    ElementKind,
+    natural_to_cartesian,
+    reference_element,
+)
+from symnodes.metrics import (
+    is_unisolvent,
+    lebesgue_constant,
+    lebesgue_objective,
+)
 from symnodes.optimizer import (
     OptimizerConfig,
     assemble_problem,
@@ -22,6 +37,7 @@ from symnodes.optimizer import (
 from symnodes.symmetry import (
     ConstrainedOrbit,
     LinearConstraintSet,
+    NodalDistribution,
     OrbitCollection,
     attach_constraints,
     enumerate_admissible_collections,
@@ -284,3 +300,67 @@ def test_optimize_determinism():
     b = optimize_nodes(ElementKind.TRIANGLE, 2, (), cfg)
     np.testing.assert_array_equal(a.distribution.nodes, b.distribution.nodes)
     assert a.objective == b.objective
+
+
+def _gll(kind, p):
+    return baseline_distribution(kind, p, "gll")
+
+
+def test_optimize_builds_one_collection(monkeypatch):
+    calls = {"build": 0, "assemble": 0, "minimize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, attr in (
+        ("build", "build_compatibility_constraints"),
+        ("assemble", "assemble_problem"),
+        ("minimize", "minimize"),
+    ):
+        monkeypatch.setattr(
+            optimizer, attr, counted(name, getattr(optimizer, attr))
+        )
+    config = OptimizerConfig()
+    pres = face_prescriptions(ElementKind.QUADRILATERAL, 4, _gll)
+    optimize_nodes(ElementKind.QUADRILATERAL, 4, pres, config)
+    assert calls == {
+        "build": 1,
+        "assemble": 1,
+        "minimize": 1 + config.multistart_count,
+    }
+
+
+def test_unhostable_prescription_names_stage_and_node():
+    # Five line nodes per edge do not fit the ten nodes of a p=3 triangle.
+    pres = [FacePrescription(ElementKind.LINE, _gll(ElementKind.LINE, 4))]
+    with pytest.raises(NoViableCollectionError) as info:
+        optimize_nodes(ElementKind.TRIANGLE, 3, pres)
+    message = str(info.value)
+    assert message.startswith("tri degree 3: face pinning failed:")
+    assert "prescribed line node at natural coordinates" in message
+    assert isinstance(info.value.__cause__, IncompatibleCollectionError)
+
+
+def test_face_set_off_the_baseline_orbits_is_not_unisolvent():
+    # A tri p=5 set whose six interior nodes form one 6-point orbit.  On a
+    # tet its faces need a 24-point orbit, which uniform tet p=5 lacks.  No
+    # collection can do better: the six nodes lie on a circle about the
+    # centroid, so the set is not unisolvent, and neither is any element
+    # with it on a face (see ``optimize_nodes``).
+    tri = reference_element(ElementKind.TRIANGLE)
+    line = gll_1d(5)[:, None]
+    edges = np.vstack([face.embed(line) for face in tri.faces])
+    edges = np.unique(np.round(edges, 14), axis=0)
+    lam = np.array(list(itertools.permutations((0.2, 0.3, 0.5))))
+    nodes = np.vstack([edges, natural_to_cartesian(tri, lam)])
+    face_set = NodalDistribution(ElementKind.TRIANGLE, 5, nodes, "test")
+    assert face_set.count == 21
+    assert not is_unisolvent(FunctionSpace(ElementKind.TRIANGLE, 5), face_set)
+    pres = [FacePrescription(ElementKind.TRIANGLE, face_set)]
+    with pytest.raises(NoViableCollectionError) as info:
+        optimize_nodes(ElementKind.TETRAHEDRON, 5, pres)
+    assert str(info.value).startswith("tet degree 5: face pinning failed:")

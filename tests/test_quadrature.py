@@ -2,8 +2,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from symnodes.basis import FunctionSpace, basis_eval_many
 from symnodes.geometry import ElementKind, contains, reference_element
@@ -156,6 +158,23 @@ def test_gauss_legendre_examples():
     np.testing.assert_allclose(w, [1.0, 1.0], atol=1e-15)
     x, w = gauss_legendre_1d(3)
     assert float(w @ x**4) == pytest.approx(0.4, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [10, 20, 30, 39])
+def test_gauss_legendre_weights_match_40_digit_reference(n):
+    # Points are scipy's unchanged; weights agree with the 40-digit weights
+    # at the exact roots to a few ulps of the largest weight.
+    x, w = gauss_legendre_1d(n)
+    assert np.array_equal(x, roots_legendre(n)[0])
+    with mpmath.workdps(40):
+        ref = []
+        for x0 in x:
+            r = mpmath.findroot(lambda t: mpmath.legendre(n, t), x0)
+            dp = n * (r * mpmath.legendre(n, r) - mpmath.legendre(n - 1, r))
+            dp /= r * r - 1
+            ref.append(2 / ((1 - r * r) * dp * dp))
+        err = max(abs(mpmath.mpf(float(wi)) - ri) for wi, ri in zip(w, ref))
+        assert float(err / max(ref)) <= 5e-15
 
 
 def test_gauss_legendre_high_order_exactness():
