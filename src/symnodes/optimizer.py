@@ -12,7 +12,7 @@ an active-set quasi-Newton method.
 the orbit decomposition of the element's baseline nodes: pin its entries to
 the face prescriptions, start from the baseline parameters, screen the
 start for unisolvency, minimize from it and from a few jittered restarts,
-and select the best converged run.
+and keep the run with the lowest objective.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -46,12 +47,7 @@ from .geometry import (
     natural_to_cartesian,
     reference_element,
 )
-from .metrics import (
-    MetricReport,
-    evaluate_metrics,
-    is_unisolvent,
-    lebesgue_constant,
-)
+from .metrics import MetricReport, evaluate_metrics, is_unisolvent
 from .symmetry import (
     ConstrainedOrbit,
     LinearConstraintSet,
@@ -79,8 +75,6 @@ __all__ = [
 class OptimizerConfig:
     kkt_tol: float = 1e-10
     max_major_iterations: int = 50
-    gradient_mode: str = "analytic"  # "analytic" | "fd"
-    fd_step: float = 1e-6
     multistart_count: int = 3
     seed: int = 0
     resolution: int | None = None
@@ -90,8 +84,6 @@ class OptimizerConfig:
             raise ValueError("kkt_tol must be positive")
         if self.max_major_iterations < 1:
             raise ValueError("max_major_iterations must be >= 1")
-        if self.gradient_mode not in ("analytic", "fd"):
-            raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
 
 
 @dataclass(eq=False)
@@ -263,28 +255,15 @@ def _fd_gradient(problem, xi_bar, h):
 def minimize(problem, config, xi0) -> MinimizeOutcome:
     """Minimize the objective over the stacked constraint set from ``xi0``.
 
-    The starting point is projected onto the constraints when necessary.
+    The starting point is projected onto the constraints when necessary
+    (by :func:`~symnodes.lincon.minimize_linearly_constrained`).
     Deterministic for fixed inputs.
     """
     cons = problem.constraints
-    xi0 = np.asarray(xi0, dtype=float).ravel()
-    if cons.violation(xi0) > 1e-12:
-        xi0 = lincon.project_onto(cons.matrix, cons.lower, cons.upper, xi0)
-
-    use_fd = config.gradient_mode == "fd"
 
     def guarded(xi):
         try:
-            if use_fd:
-                f, _ = _objective_value(problem, xi, want_grad=False)
-                g = problem.null_basis @ _fd_gradient(
-                    problem, xi, config.fd_step
-                )
-            else:
-                f, g = _objective_value(problem, xi, want_grad=True)
-            if not np.isfinite(f):
-                return np.inf, np.zeros(cons.nvars)
-            return f, g
+            return _objective_value(problem, xi, want_grad=True)
         except DegenerateDistributionError:
             return np.inf, np.zeros(cons.nvars)
 
@@ -443,12 +422,34 @@ def _initial_parameters(problem, base_entries, prescriptions):
     return xi0
 
 
-def _jittered_start(problem, xi0, intervals, seed_key):
+@lru_cache(maxsize=None)
+def _orbit_intervals(orbit):
+    """Per-parameter ``(min, max)`` over the orbit's own bounds.
+
+    The stacked constraints are block diagonal, so for an entry without
+    extra constraints these are its intervals in the stacked system.  They
+    are finite: the element is bounded and the first point map injective.
+    """
+    b = orbit.bounds
+    lo, hi = lincon.coordinate_intervals(b.matrix, b.lower, b.upper)
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
+
+
+def _jitter_spans(collection):
+    """Width of each stacked parameter's feasible interval: the orbit's own
+    interval for free entries, zero for entries pinned to face nodes."""
+    span = np.zeros(collection.total_params)
+    for entry, sl in zip(collection.entries, collection.slices()):
+        if entry.extra.nrows == 0:
+            lo, hi = _orbit_intervals(entry.orbit)
+            span[sl] = hi - lo
+    return span
+
+
+def _jittered_start(problem, xi0, span, seed_key):
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    lo, hi = intervals
-    span = np.where(
-        np.isfinite(hi - lo), hi - lo, 1.0
-    )
     delta = 0.05 * span * rng.uniform(-1.0, 1.0, size=xi0.size)
     cons = problem.constraints
     return lincon.project_onto(cons.matrix, cons.lower, cons.upper, xi0 + delta)
@@ -475,10 +476,13 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     (:func:`~symnodes.compatibility.build_compatibility_constraints`).  The
     minimization starts from the baseline parameters and from
     ``config.multistart_count`` jittered copies, each seeded by
-    ``(config.seed, restart)``; the lowest objective among the best-ranked
-    runs wins (KKT-converged before iteration-limited), and distinct node
-    sets within round-off of it are told apart by their Lebesgue constants.
-    Every failure before the restarts, and a failure of all restarts, raises
+    ``(config.seed, restart)``; the jitter is up to 5 % of each free
+    parameter's range over its orbit's bounds, and parameters pinned to
+    face nodes are not jittered.  A fully pinned problem (free dimension 0) runs the
+    baseline start only.  Among the runs that end feasible with a valid
+    node set, the lowest objective wins whatever the run's status; the
+    lower restart number breaks exact ties.  Every failure before the
+    restarts, and a failure of all restarts, raises
     :class:`NoViableCollectionError` naming the stage, with the cause
     chained.
 
@@ -519,17 +523,15 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
         dist0 = evaluate_collection(coll, xi0)
     if not is_unisolvent(space, dist0):
         raise NoViableCollectionError(f"{where}: the start is not unisolvent")
+    starts = [xi0]
+    if problem.free_dimension > 0:
+        span = _jitter_spans(coll)
+        starts += [
+            _jittered_start(problem, xi0, span, (config.seed, restart))
+            for restart in range(1, config.multistart_count + 1)
+        ]
     cons = problem.constraints
-    with _stage(where, "jitter intervals", ConstraintConflictError):
-        intervals = lincon.coordinate_intervals(
-            cons.matrix, cons.lower, cons.upper
-        )
-
-    starts = [xi0] + [
-        _jittered_start(problem, xi0, intervals, (config.seed, restart))
-        for restart in range(1, config.multistart_count + 1)
-    ]
-    runs = []  # (status rank, objective, restart, outcome, distribution)
+    runs = []  # (objective, restart, outcome, distribution)
     for restart, start in enumerate(starts):
         outcome = minimize(problem, config, start)
         if outcome.status == "error":
@@ -540,38 +542,14 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
             dist = evaluate_collection(coll, outcome.parameters)
         except DegenerateDistributionError:
             continue
-        rank = 0 if outcome.status == "kkt-converged" else 1
-        runs.append((rank, outcome.objective, restart, outcome, dist))
+        runs.append((outcome.objective, restart, outcome, dist))
 
     if not runs:
         raise NoViableCollectionError(
             f"{where}: all {len(starts)} restarts failed"
         )
 
-    runs.sort(key=lambda t: t[:3])
-    top_rank, top_f = runs[0][0], runs[0][1]
-    ties = [
-        r
-        for r in runs
-        if r[0] == top_rank and r[1] <= top_f + 1e-12 * max(1.0, abs(top_f))
-    ]
-    # Restarts usually coincide at the same minimizer; only genuinely
-    # different node sets need the Lebesgue-constant tie-break.
-    distinct = []
-    for r in ties:
-        if not any(
-            np.allclose(r[4].nodes, d[4].nodes, atol=1e-11) for d in distinct
-        ):
-            distinct.append(r)
-    if len(distinct) > 1:
-        best = min(
-            distinct,
-            key=lambda r: (lebesgue_constant(space, r[4], resolution=50), r[2]),
-        )
-    else:
-        best = distinct[0]
-
-    _, f_best, _, outcome, dist = best
+    f_best, _, outcome, dist = min(runs, key=lambda r: r[:2])
     dist.source = "optimized"
     if prescriptions:
         if not verify_face_match(elem, dist, prescriptions, tol=1e-10):

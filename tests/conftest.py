@@ -3,9 +3,17 @@
 The acceptance suite and several unit tests need the same optimized node
 sets; generating them is the dominant cost, so one bottom-up cache is built
 lazily and shared across the whole session.
+
+BLAS runs on one thread unless the environment says otherwise: the suite's
+matrices are small, and threaded BLAS only adds overhead on them.  The
+variables must be set before numpy is first imported.
 """
 
-import numpy as np
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import pytest
 
 from symnodes.compatibility import face_prescriptions

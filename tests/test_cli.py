@@ -274,3 +274,15 @@ def test_compare_evaluates_each_optimized_row_once(
     assert _run(capsys, *args)[0] == 0
     assert calls == [("line", 2)]
     assert out.read_bytes() == fresh
+
+
+def test_generate_quad_p14_passes_face_check(tmp_path, capsys):
+    # Restart 0 ends iteration-limited at the lowest objective; jittered
+    # restarts converge far higher with nodes on the edges.  Ranking by
+    # objective keeps restart 0, whose nodes match the face prescriptions.
+    code, _, err = _run(
+        capsys,
+        "generate", "--element", "quad", "--degree", "14", "--seed", "0",
+        "--compat", "auto", "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert code == 0, err

@@ -364,3 +364,73 @@ def test_face_set_off_the_baseline_orbits_is_not_unisolvent():
     with pytest.raises(NoViableCollectionError) as info:
         optimize_nodes(ElementKind.TETRAHEDRON, 5, pres)
     assert str(info.value).startswith("tet degree 5: face pinning failed:")
+
+
+# ---------------------------------------------------------------------------
+# Restarts: jitter and selection
+# ---------------------------------------------------------------------------
+
+
+def _uniform(kind, p):
+    return baseline_distribution(kind, p, "uniform")
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+@pytest.mark.parametrize("p", range(1, 6))
+def test_jitter_intervals_match_stacked_system(kind, p):
+    # The stacked constraints are block diagonal, so each free entry's
+    # intervals over its orbit's bounds are its stacked-system intervals.
+    elem = reference_element(kind)
+    coll, _ = optimizer._baseline_collection(kind, p)
+    pres = face_prescriptions(kind, p, _uniform)
+    coll = build_compatibility_constraints(elem, coll, pres)
+    cons = coll.stacked_constraints()
+    lo, hi = lincon.coordinate_intervals(cons.matrix, cons.lower, cons.upper)
+    span = optimizer._jitter_spans(coll)
+    for entry, sl in zip(coll.entries, coll.slices()):
+        if entry.extra.nrows:
+            assert entry.is_pinned
+            assert np.array_equal(span[sl], np.zeros(entry.param_count))
+            continue
+        olo, ohi = optimizer._orbit_intervals(entry.orbit)
+        assert np.array_equal(olo, lo[sl])
+        assert np.array_equal(ohi, hi[sl])
+        assert np.array_equal(span[sl], hi[sl] - lo[sl])
+
+
+def test_fully_pinned_problem_runs_one_minimization(monkeypatch):
+    calls = []
+    real = optimizer.minimize
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimizer, "minimize", counted)
+    kind = ElementKind.TETRAHEDRON
+    optimize_nodes(kind, 4, face_prescriptions(kind, 4, _uniform))
+    assert len(calls) == 1
+
+
+def test_lowest_objective_wins_whatever_the_status(monkeypatch):
+    # Restart 0 reports "iteration-limited" at the lowest objective; the
+    # jittered restarts report "kkt-converged" higher.  Restart 0 wins.
+    real = optimizer.minimize
+    outcomes = []
+
+    def fake(problem, config, xi0):
+        out = real(problem, config, xi0)
+        if not outcomes:
+            out.status = "iteration-limited"
+            out.objective -= 1.0
+        else:
+            out.status = "kkt-converged"
+        outcomes.append(out)
+        return out
+
+    monkeypatch.setattr(optimizer, "minimize", fake)
+    r = optimize_nodes(ElementKind.LINE, 5, [point_prescription(5)])
+    assert len(outcomes) == 4
+    assert r.status == "iteration-limited"
+    assert r.objective == outcomes[0].objective
+    assert np.array_equal(r.parameters, outcomes[0].parameters)
