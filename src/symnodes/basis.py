@@ -470,10 +470,11 @@ def vandermonde(space: FunctionSpace, dist: NodalDistribution) -> VandermondeMat
 
 
 class LagrangeInterpolator:
-    """Factorized Lagrange evaluation for one (space, distribution) pair.
+    """Lagrange evaluation for one (space, distribution) pair.
 
-    The transposed Vandermonde matrix is factorized once and reused for all
-    evaluation points; this is the workhorse behind the metrics.
+    ``V^-1`` is formed once and kept read-only; the cardinal functions at
+    any batch of points are then one matrix product with the modal basis
+    values there.  This is the workhorse behind the metrics.
     """
 
     def __init__(self, space, dist, condition_limit=UNISOLVENCY_CONDITION_LIMIT):
@@ -489,26 +490,25 @@ class LagrangeInterpolator:
                 f"Vandermonde condition {cond:.3e} exceeds limit "
                 f"{condition_limit:.1e}"
             )
-        self._lu = scipy.linalg.lu_factor(V)
+        lu = scipy.linalg.lu_factor(V)
+        self._inverse = scipy.linalg.lu_solve(lu, np.eye(V.shape[0]))
+        self._inverse.setflags(write=False)
 
     def inverse(self):
         """``V^-1``: column ``i`` holds the modal coefficients of ``l_i``."""
-        n = self.vmatrix.matrix.shape[0]
-        return scipy.linalg.lu_solve(self._lu, np.eye(n))
+        return self._inverse
 
     def eval_many(self, pts):
         """Cardinal function values: (n_points, n_nodes)."""
-        phi = basis_eval_many(self.space, pts)
-        # V^T ell(x) = phi(x)  =>  solve with the transposed factorization.
-        return scipy.linalg.lu_solve(self._lu, phi.T, trans=1).T
+        # V^T ell(x) = phi(x)  =>  ell(x)^T = phi(x)^T V^-1.
+        return basis_eval_many(self.space, pts) @ self._inverse
 
     def eval_gradients(self, pts):
         """Cardinal function gradients: (n_points, n_nodes, d)."""
         g = basis_grad_many(self.space, pts)
         npts, nb, d = g.shape
         flat = g.transpose(0, 2, 1).reshape(npts * d, nb)
-        sol = scipy.linalg.lu_solve(self._lu, flat.T, trans=1).T
-        return sol.reshape(npts, d, nb).transpose(0, 2, 1)
+        return (flat @ self._inverse).reshape(npts, d, nb).transpose(0, 2, 1)
 
 
 def lagrange_eval(space, dist, x):

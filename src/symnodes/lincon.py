@@ -259,11 +259,11 @@ def minimize_linearly_constrained(
 
 def project_reduced(G, gl, gu, target, tol=1e-10):
     """Least-distance projection of ``target`` onto ``gl <= G y <= gu``."""
+    if violation(G, gl, gu, target) <= 1e-14:
+        return np.asarray(target, dtype=float)
     y_feas = feasible_point(G, gl, gu)
     if y_feas is None:
         raise ConstraintConflictError("infeasible constraint system")
-    if violation(G, gl, gu, target) <= 1e-14:
-        return np.asarray(target, dtype=float)
 
     def qp(y):
         d = y - target

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symnodes.baselines import baseline_distribution
 from symnodes.basis import (
     _jacobi_derivative_table,
     _jacobi_table,
@@ -20,6 +22,7 @@ from symnodes.basis import (
 )
 from symnodes.errors import UnisolvencyError
 from symnodes.geometry import ElementKind, contains, node_count, reference_element
+from symnodes.metrics import _objective
 from symnodes.quadrature import quadrature_rule
 from symnodes.symmetry import NodalDistribution
 
@@ -152,6 +155,52 @@ def test_partition_of_unity_and_reproduction(kind, opt_cache):
     q_nodes = basis_eval_many(sp, dist.nodes) @ coeffs
     q_pts = basis_eval_many(sp, pts) @ coeffs
     np.testing.assert_allclose(L @ q_nodes, q_pts, atol=1e-9)
+
+
+def _perturbed_uniform(kind, p, seed=0, amplitude=0.1):
+    uni = baseline_distribution(kind, p, "uniform")
+    shift = np.random.default_rng(seed).uniform(-1.0, 1.0, uni.nodes.shape)
+    return NodalDistribution(
+        kind, p, uni.nodes + amplitude / p * shift, "perturbed"
+    )
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("p", range(1, 6))
+def test_cardinal_gradients_match_finite_differences(kind, p):
+    sp = FunctionSpace(kind, p)
+    interp = LagrangeInterpolator(sp, _perturbed_uniform(kind, p))
+    pts = _random_interior(kind, 12, seed=6)
+    if kind is ElementKind.PYRAMID:
+        pts = pts[pts[:, 2] < 0.85]
+    grads = interp.eval_gradients(pts)
+    assert grads.shape == (len(pts), sp.dim, pts.shape[1])
+    scale = max(1.0, float(np.abs(grads).max()))
+    # Partition of unity: the cardinal functions sum to 1, so their
+    # gradients sum to 0.
+    np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-12 * scale)
+    h = 1e-6
+    for dd in range(pts.shape[1]):
+        e = np.zeros(pts.shape[1])
+        e[dd] = h
+        fd = (interp.eval_many(pts + e) - interp.eval_many(pts - e)) / (2 * h)
+        np.testing.assert_allclose(grads[:, :, dd], fd, atol=1e-8 * scale)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("p", range(1, 7))
+def test_inverse_product_matches_transposed_lu_solve(kind, p):
+    sp = FunctionSpace(kind, p)
+    interp = LagrangeInterpolator(sp, _perturbed_uniform(kind, p, seed=p))
+    lu = scipy.linalg.lu_factor(interp.vmatrix.matrix)
+    pts = _random_interior(kind, 200, seed=3)
+    ref = scipy.linalg.lu_solve(lu, basis_eval_many(sp, pts).T, trans=1).T
+    tol = interp.vmatrix.condition * 1e-14 * max(1.0, np.abs(ref).max())
+    np.testing.assert_allclose(interp.eval_many(pts), ref, rtol=0, atol=tol)
+    # The objective is the same expression on the same factorization.
+    A = scipy.linalg.lu_solve(lu, np.eye(sp.dim))
+    assert _objective(interp) == float(np.einsum("ij,ij->", A, A))
+    assert not interp.inverse().flags.writeable
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -102,20 +102,43 @@ def test_lebesgue_runge_growth():
     assert got == pytest.approx(dense_lebesgue_1d(nodes), rel=1e-4)
 
 
-def test_lebesgue_monotone_in_resolution():
+def test_lebesgue_does_not_fall_on_nested_lattices():
+    # linspace(-1, 1, 2r - 1) holds every point of linspace(-1, 1, r), up
+    # to the last bits of linspace, so the lattice maximum cannot fall.  As
+    # the constant is >= 1, the absolute 1e-12 is also a relative bound.
     spp = FunctionSpace(ElementKind.TRIANGLE, 3)
     tri = orbits(ElementKind.TRIANGLE)
     ent = lambda o: ConstrainedOrbit(o, LinearConstraintSet.empty(o.param_count))
     coll = OrbitCollection(
         ElementKind.TRIANGLE, 3, (ent(tri[0]), ent(tri[1]), ent(tri[2]))
     )
-    dist = evaluate_collection(coll, [0.3, 0.35, 0.12])
-    # linspace lattices nest when the interval counts divide.
-    l1 = lebesgue_constant(spp, dist, resolution=26)
-    l2 = lebesgue_constant(spp, dist, resolution=51)
-    l3 = lebesgue_constant(spp, dist, resolution=101)
-    assert l2 >= l1 - 1e-12
-    assert l3 >= l2 - 1e-12
+    cases = [(spp, evaluate_collection(coll, [0.3, 0.35, 0.12]), 26)]
+    for kind in ElementKind:
+        p, r = (5, 11) if reference_element(kind).dim < 3 else (3, 7)
+        dist = baseline_distribution(kind, p, "uniform")
+        cases.append((FunctionSpace(kind, p), dist, r))
+    for spp, dist, r in cases:
+        lo = lebesgue_constant(spp, dist, resolution=r)
+        for _ in range(2):
+            r = 2 * r - 1
+            hi = lebesgue_constant(spp, dist, resolution=r)
+            assert hi >= lo - 1e-12
+            lo = hi
+
+
+def test_lebesgue_not_monotone_in_resolution():
+    # Lattices that do not nest can lower the maximum: the value is only a
+    # lower bound.
+    cases = [
+        (ElementKind.QUADRILATERAL, 6, 20, 23),
+        (ElementKind.TRIANGLE, 5, 40, 41),
+    ]
+    for kind, p, r1, r2 in cases:
+        spp = FunctionSpace(kind, p)
+        dist = baseline_distribution(kind, p, "uniform")
+        lo = lebesgue_constant(spp, dist, resolution=r1)
+        hi = lebesgue_constant(spp, dist, resolution=r2)
+        assert hi < lo * (1.0 - 1e-4)
 
 
 def test_lebesgue_objective_examples():
@@ -232,6 +255,22 @@ def test_evaluate_metrics_bundle():
     assert report.mass_condition >= 1.0
     assert report.lebesgue_objective > 0.0
     assert report.resolution == 1000
+
+
+def test_screen_rejects_non_finite_cardinal_values(monkeypatch):
+    spp = FunctionSpace(ElementKind.TRIANGLE, 3)
+    dist = baseline_distribution(ElementKind.TRIANGLE, 3, "uniform")
+    assert is_unisolvent(spp, dist)
+    real = LagrangeInterpolator.eval_many
+
+    def poisoned(self, pts):
+        L = real(self, pts)
+        L[-1, 0] = np.nan
+        return L
+
+    monkeypatch.setattr(LagrangeInterpolator, "eval_many", poisoned)
+    assert not is_unisolvent(spp, dist)
+    assert np.isnan(lebesgue_constant(spp, dist, resolution=20))
 
 
 @pytest.mark.parametrize(

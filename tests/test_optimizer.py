@@ -102,6 +102,27 @@ def test_projection_and_feasibility():
     assert lincon.feasible_point(np.array([[1.0]]), [2.0], [1.0]) is None
 
 
+def test_project_reduced_returns_feasible_target_without_lp(monkeypatch):
+    calls = []
+    real = lincon.feasible_point
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lincon, "feasible_point", counting)
+    G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    gl, gu = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])
+    target = np.array([0.25, 0.5])
+    out = lincon.project_reduced(G, gl, gu, target)
+    assert np.array_equal(out, target)
+    assert calls == []
+    # An infeasible target still goes through the phase-1 LP.
+    out = lincon.project_reduced(G, gl, gu, np.array([2.0, 0.0]))
+    assert len(calls) == 1
+    np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Problem assembly
 # ---------------------------------------------------------------------------
