@@ -148,12 +148,12 @@ def _load_cached(path, expect_hash):
     return dist
 
 
-def _make_ensure(args, cache_dir, fresh_metrics=None):
+def _make_ensure(args, cache_dir, fresh=None):
     """Recursive generate-or-load over the cache directory.
 
-    With a ``fresh_metrics`` dict, the metric report of every distribution
-    optimized here (at ``args.resolution``) is stored under
-    ``(kind, degree)``.
+    With a ``fresh`` dict, the :class:`OptimizedResult` of every
+    distribution optimized here (metrics at ``args.resolution``) is stored
+    under ``(kind, degree)``.
     """
 
     def ensure(kind, degree):
@@ -168,21 +168,21 @@ def _make_ensure(args, cache_dir, fresh_metrics=None):
         )
         os.makedirs(cache_dir, exist_ok=True)
         write_node_file(path, result.distribution, config=cfg_hash)
-        if fresh_metrics is not None:
-            fresh_metrics[(kind, degree)] = result.metrics
+        if fresh is not None:
+            fresh[(kind, degree)] = result
         return result.distribution
 
     return ensure
 
 
-def _metric_report(kind, degree, dist, resolution, fresh_metrics):
-    """The report ``ensure`` stored in ``fresh_metrics`` for a distribution
-    it optimized just now, else a newly evaluated one."""
-    report = fresh_metrics.pop((kind, degree), None)
-    if report is None:
+def _metric_report(kind, degree, dist, resolution, fresh):
+    """The report of the result ``ensure`` stored in ``fresh`` for a
+    distribution it optimized just now, else a newly evaluated one."""
+    result = fresh.pop((kind, degree), None)
+    if result is None:
         space = FunctionSpace(kind, degree)
-        report = evaluate_metrics(space, dist, resolution=resolution)
-    return report
+        return evaluate_metrics(space, dist, resolution=resolution)
+    return result.metrics
 
 
 def _metrics_row(kind, degree, name, report):
@@ -266,8 +266,8 @@ def cmd_compare(args):
     for d in degrees:
         _check_degree(kind, d, args.force_degree)
     dists = args.dist or ["optimized", "gll", "uniform"]
-    fresh_metrics = {}
-    ensure = _make_ensure(args, args.cache_dir, fresh_metrics)
+    fresh = {}
+    ensure = _make_ensure(args, args.cache_dir, fresh)
 
     rows = [CSV_HEADER]
     n_ok = 0
@@ -294,7 +294,7 @@ def cmd_compare(args):
                     continue
                 dist = builder()
                 report = _metric_report(
-                    kind, degree, dist, args.resolution, fresh_metrics
+                    kind, degree, dist, args.resolution, fresh
                 )
                 rows.append(_metrics_row(kind, degree, name, report))
                 n_ok += 1
@@ -320,8 +320,8 @@ def cmd_tabulate(args):
     os.makedirs(out_dir, exist_ok=True)
     tab_args = argparse.Namespace(**vars(args))
     tab_args.cache_dir = out_dir
-    fresh_metrics = {}
-    ensure = _make_ensure(tab_args, out_dir, fresh_metrics)
+    fresh = {}
+    ensure = _make_ensure(tab_args, out_dir, fresh)
 
     records = []
     for kind in kinds:
@@ -339,11 +339,14 @@ def cmd_tabulate(args):
             }
             try:
                 dist = ensure(kind, degree)
+                # The winning restart's status; None when loaded from disk.
+                result = fresh.get((kind, degree))
                 report = _metric_report(
-                    kind, degree, dist, args.resolution, fresh_metrics
+                    kind, degree, dist, args.resolution, fresh
                 )
                 record.update(
                     status="ok",
+                    optimizer_status=result.status if result else None,
                     count=dist.count,
                     lebesgue_constant=format_float(report.lebesgue_constant),
                     lebesgue_objective=format_float(report.lebesgue_objective),

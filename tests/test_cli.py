@@ -208,6 +208,35 @@ def test_tabulate_deterministic_and_idempotent(tmp_path, capsys):
     assert len(records) == 6
 
 
+def test_tabulate_records_optimizer_status(tmp_path, capsys):
+    # One major iteration is too few at p=3: the row stays "ok" and says
+    # how the winning restart ended.  The line elements are optimized as
+    # faces of the quads first, and their rows still carry the status.
+    args = [
+        "tabulate", "--element", "quad,line", "--degree-range", "2:3",
+        "--max-iters", "1", "--out", str(tmp_path),
+    ]
+
+    def statuses():
+        lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        assert all(r["status"] == "ok" for r in rows)
+        return {
+            (r["element"], r["degree"]): r["optimizer_status"] for r in rows
+        }
+
+    assert _run(capsys, *args)[0] == 0
+    assert statuses() == {
+        ("quad", 2): "kkt-converged",
+        ("quad", 3): "iteration-limited",
+        ("line", 2): "kkt-converged",
+        ("line", 3): "iteration-limited",
+    }
+    # A rerun loads every element from the directory: no optimizer ran.
+    assert _run(capsys, *args)[0] == 0
+    assert set(statuses().values()) == {None}
+
+
 def test_tabulate_evaluates_each_element_once(tmp_path, capsys, monkeypatch):
     import symnodes.cli as cli
     import symnodes.optimizer as optimizer
@@ -232,12 +261,24 @@ def test_tabulate_evaluates_each_element_once(tmp_path, capsys, monkeypatch):
     assert _run(capsys, *args)[0] == 0
     # Optimized just now: the optimizer's report is reused.
     assert len(calls) == len(set(calls)) == 4
-    fresh = (tmp_path / "manifest.jsonl").read_bytes()
+
+    def rows():
+        # Every field but the optimizer status, which a rerun sets to null.
+        lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
+        return [
+            {
+                k: v for k, v in json.loads(line).items()
+                if k != "optimizer_status"
+            }
+            for line in lines
+        ]
+
+    fresh = rows()
     # A rerun loads every element from the directory and evaluates it.
     calls.clear()
     assert _run(capsys, *args)[0] == 0
     assert len(calls) == len(set(calls)) == 4
-    assert (tmp_path / "manifest.jsonl").read_bytes() == fresh
+    assert rows() == fresh
 
 
 def test_compare_evaluates_each_optimized_row_once(

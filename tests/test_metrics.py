@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symnodes.baselines import baseline_distribution
-from symnodes.basis import FunctionSpace, LagrangeInterpolator
+from symnodes.basis import FunctionSpace, LagrangeInterpolator, basis_eval_many
 from symnodes.geometry import ElementKind, reference_element
 from symnodes.metrics import (
+    _lattice,
     evaluate_metrics,
     is_unisolvent,
     lebesgue_constant,
@@ -255,6 +256,126 @@ def test_evaluate_metrics_bundle():
     assert report.mass_condition >= 1.0
     assert report.lebesgue_objective > 0.0
     assert report.resolution == 1000
+
+
+_EXTRUDED = [
+    (ElementKind.QUADRILATERAL, ElementKind.LINE),
+    (ElementKind.HEXAHEDRON, ElementKind.QUADRILATERAL),
+    (ElementKind.PRISM, ElementKind.TRIANGLE),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,base,r",
+    [(k, b, r) for k, b in _EXTRUDED for r in (2, 3, 7, 20, 60)]
+    + [(ElementKind.QUADRILATERAL, ElementKind.LINE, 300)],
+)
+def test_extruded_lattice_is_base_times_axis(kind, base, r):
+    # The factorized scan walks the base lattice times the axis, the axis
+    # fastest; it must be the same lattice, row for row.
+    base_pts = _lattice(base, r)
+    axis = np.linspace(-1.0, 1.0, r)
+    product = np.column_stack(
+        [np.repeat(base_pts, r, axis=0), np.tile(axis, len(base_pts))]
+    )
+    assert np.array_equal(_lattice(kind, r), product)
+
+
+@pytest.mark.parametrize(
+    "kind,base,p",
+    [(k, b, p) for k, b in _EXTRUDED
+     for p in range(1, 10 if k is ElementKind.QUADRILATERAL else 6)],
+)
+def test_extruded_basis_is_rowwise_kronecker(kind, base, p):
+    # Mode (m, k) of the extruded kind is base mode m times the k-th
+    # normalized Legendre polynomial in the last coordinate, k fastest.
+    elem = reference_element(kind)
+    rng = np.random.default_rng(p)
+    pts = np.vstack([
+        elem.vertices,
+        quadrature_rule(kind, 2 * p).points,
+        rng.uniform(-1.0, 1.0, (50, elem.dim)),
+    ])
+    base_table = basis_eval_many(FunctionSpace(base, p), pts[:, :-1])
+    line = basis_eval_many(FunctionSpace(ElementKind.LINE, p), pts[:, -1:])
+    kron = (base_table[:, :, None] * line[:, None, :]).reshape(len(pts), -1)
+    assert np.array_equal(basis_eval_many(FunctionSpace(kind, p), pts), kron)
+
+
+def _flat_lebesgue(spp, dist, r):
+    """max(sum(|phi(lattice + extra) @ V^-1|)) with the nodes as given."""
+    elem = reference_element(spp.kind)
+    pts = np.vstack([
+        _lattice(spp.kind, r),
+        elem.vertices,
+        quadrature_rule(spp.kind, 2 * spp.degree).points,
+    ])
+    L = LagrangeInterpolator(spp, dist).eval_many(pts)
+    return float(np.max(np.sum(np.abs(L), axis=1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from([k for k, _ in _EXTRUDED]),
+    p=st.integers(1, 9),
+    r=st.integers(2, 25),
+    seed=st.integers(0, 2**32 - 1),
+    amplitude=st.floats(0.01, 0.25),
+)
+def test_factorized_scan_matches_flat_product(kind, p, r, seed, amplitude):
+    # Perturbed nodes break every symmetry; the factorized scan reorders
+    # the sums, so it agrees with the flat product only to rounding.
+    if reference_element(kind).dim == 3:
+        p = 1 + p % 4
+    rng = np.random.default_rng(seed)
+    uni = baseline_distribution(kind, p, "uniform")
+    shift = rng.uniform(-1.0, 1.0, uni.nodes.shape)
+    dist = NodalDistribution(kind, p, uni.nodes + amplitude / p * shift, "x")
+    spp = FunctionSpace(kind, p)
+    assume(is_unisolvent(spp, dist))
+    got = lebesgue_constant(spp, dist, resolution=r)
+    assert got == pytest.approx(_flat_lebesgue(spp, dist, r), rel=1e-13)
+    perm = rng.permutation(dist.count)
+    shuffled = NodalDistribution(kind, p, dist.nodes[perm], "shuffled")
+    assert lebesgue_constant(spp, shuffled, resolution=r) == got
+
+
+@pytest.mark.parametrize(
+    "kind,poison",
+    [
+        (ElementKind.QUADRILATERAL, "inverse"),
+        (ElementKind.HEXAHEDRON, "table"),
+    ],
+)
+def test_factorized_scan_carries_nan(kind, poison, monkeypatch):
+    # One NaN in V^-1 or in the base table reaches only the lattice part
+    # of the scan; the extra points stay finite.
+    import symnodes.metrics as metrics
+
+    spp = FunctionSpace(kind, 2)
+    dist = baseline_distribution(kind, 2, "uniform")
+    assert is_unisolvent(spp, dist)
+    if poison == "inverse":
+        real_inverse = LagrangeInterpolator.inverse
+
+        def poisoned(self):
+            A = real_inverse(self).copy()
+            A[3, 5] = np.nan
+            return A
+
+        monkeypatch.setattr(LagrangeInterpolator, "inverse", poisoned)
+    else:
+        real_eval = metrics.basis_eval_many
+
+        def poisoned(space, pts):
+            table = real_eval(space, pts)
+            if space.kind is ElementKind.QUADRILATERAL:
+                table[-1, 0] = np.nan
+            return table
+
+        monkeypatch.setattr(metrics, "basis_eval_many", poisoned)
+    assert not is_unisolvent(spp, dist)
+    assert np.isnan(lebesgue_constant(spp, dist, resolution=20))
 
 
 def test_screen_rejects_non_finite_cardinal_values(monkeypatch):
