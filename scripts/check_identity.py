@@ -20,8 +20,10 @@ Compares this checkout against the one at the given path (each with its own
 Prints one line per comparison and exits 1 if anything differs.  Where a
 file differs it also prints how far apart the two are: the node-set
 distance of a node file (nearest-neighbour matching, so independent of the
-row order) and the largest relative difference of each metric of a
-manifest or CSV, with any rows whose status or node count differ.
+row order), or, for a manifest or CSV compared row by row and key by key,
+the largest relative difference of each metric, the rows on one side only,
+the keys added or removed (each on its own line) and every other key whose
+values differ.
 """
 
 from __future__ import annotations
@@ -144,40 +146,53 @@ def _rel(u, v):
     return abs(u - v) / max(abs(u), abs(v))
 
 
-def _metric_report(rows_a, rows_b, fields=()):
-    """Largest relative difference of each metric, and the rows that are
-    missing on one side or differ in one of ``fields``."""
+def _row_report(rows_a, rows_b):
+    """How two sets of rows keyed alike differ, key by key: the largest
+    relative difference of each metric, then one line each for the rows
+    found on one side only, the keys found only in this checkout's rows
+    (added) or only in the other's (removed), and every other key whose
+    values differ, with the rows where they do."""
     worst = dict.fromkeys(METRICS, 0.0)
-    changed = sorted(set(rows_a) ^ set(rows_b), key=str)
-    for key in sorted(set(rows_a) & set(rows_b), key=str):
-        ra, rb = rows_a[key], rows_b[key]
-        if any(ra.get(f) != rb.get(f) for f in fields):
-            changed.append(key)
-        for m in METRICS:
-            worst[m] = max(worst[m], _rel(ra.get(m), rb.get(m)))
-    text = ", ".join(f"{m} {worst[m]:.1e}" for m in METRICS)
-    if changed:
-        text += f"; rows missing or differing in {fields}: {changed}"
-    return text
+    added, removed, differing = set(), set(), {}
+    for row in sorted(set(rows_a) & set(rows_b), key=str):
+        ra, rb = rows_a[row], rows_b[row]
+        added |= ra.keys() - rb.keys()
+        removed |= rb.keys() - ra.keys()
+        for key in sorted(ra.keys() & rb.keys()):
+            if key in METRICS:
+                worst[key] = max(worst[key], _rel(ra[key], rb[key]))
+            elif ra[key] != rb[key]:
+                differing.setdefault(key, []).append(row)
+    lines = [", ".join(f"{m} {worst[m]:.1e}" for m in METRICS)]
+    only = sorted(set(rows_a) ^ set(rows_b), key=str)
+    if only:
+        lines.append(f"rows on one side only: {only}")
+    if added:
+        lines.append(f"keys added: {sorted(added)}")
+    if removed:
+        lines.append(f"keys removed: {sorted(removed)}")
+    lines += [f"{key} differs in rows {rows}"
+              for key, rows in sorted(differing.items())]
+    return lines
 
 
 def _explain(a, b, names):
-    """One indented line per differing file: how far apart the two are."""
+    """Indented lines for each differing file: how far apart the two are."""
     lines = []
     for name in _differing(a, b, names):
         if name.endswith(".nodes"):
             dist = _node_set_distance(a / name, b / name)
-            text = f"node-set distance {dist:.1e}"
+            report = [f"node-set distance {dist:.1e}"]
         elif name.endswith(".jsonl"):
-            text = _metric_report(
-                _manifest_rows(a / name), _manifest_rows(b / name),
-                ("status", "count"),
+            report = _row_report(
+                _manifest_rows(a / name), _manifest_rows(b / name)
             )
         elif name.endswith(".csv"):
-            text = _metric_report(_csv_rows(a / name), _csv_rows(b / name))
+            report = _row_report(_csv_rows(a / name), _csv_rows(b / name))
         else:
-            text = "differs"
-        lines.append(f"    {name}: {text}")
+            report = ["differs"]
+        lines.append(f"    {name}: {report[0]}")
+        lines += [f"        {text}" for text in report[1:]]
     return lines
 
 

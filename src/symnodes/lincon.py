@@ -227,9 +227,14 @@ def minimize_linearly_constrained(
 ):
     """Minimize a smooth function subject to ``lo <= B @ x <= hi``.
 
-    ``fun(x) -> (f, grad)``; evaluations may return ``inf`` to reject a
-    point.  Equality rows are eliminated up front; inequalities are handled
-    by an active-set strategy on the reduced variables.  The method is
+    ``fun(x) -> (f, grad_fn)``, where the zero-argument ``grad_fn()``
+    returns the gradient at ``x``, or ``None`` where it is undefined.  The
+    solver calls ``grad_fn`` once at the start and once per accepted step,
+    never at a line-search trial it rejects on ``f``, and never when ``f``
+    is not finite.  ``f = inf`` rejects a point; so does a gradient that is
+    ``None`` or not finite, and then the step is halved as for ``inf``.
+    Equality rows are eliminated up front; inequalities are handled by an
+    active-set strategy on the reduced variables.  The method is
     deterministic.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -249,8 +254,13 @@ def minimize_linearly_constrained(
         y0 = project_reduced(G, gl, gu, y0)
 
     def red_fun(y):
-        f, g = fun(x_p + Z @ y)
-        return f, Z.T @ g
+        f, grad_fn = fun(x_p + Z @ y)
+
+        def red_grad():
+            g = grad_fn()
+            return None if g is None else Z.T @ g
+
+        return f, red_grad
 
     res = _active_set(red_fun, y0, G, gl, gu, tol, max_iter)
     res.x = x_p + Z @ res.x
@@ -267,7 +277,7 @@ def project_reduced(G, gl, gu, target, tol=1e-10):
 
     def qp(y):
         d = y - target
-        return 0.5 * float(d @ d), d
+        return 0.5 * float(d @ d), lambda: d
 
     res = _active_set(qp, y_feas, G, gl, gu, tol, max_iter=200)
     return res.x
@@ -295,13 +305,25 @@ def _reduced_hessian_dir(H, Zw, g):
     return Zw @ p, gz
 
 
+def _gradient(grad_fn):
+    """``grad_fn()``, or ``None`` when that is ``None`` or not finite."""
+    g = grad_fn()
+    return g if g is not None and np.all(np.isfinite(g)) else None
+
+
 def _active_set(fun, y0, G, gl, gu, tol, max_iter):
-    """Core active-set loop on pure inequality rows (no equalities)."""
+    """Core active-set loop on pure inequality rows (no equalities).
+
+    ``fun(y) -> (f, grad_fn)`` as in :func:`minimize_linearly_constrained`.
+    """
     n = y0.size
     y = np.asarray(y0, dtype=float).copy()
-    f, g = fun(y)
-    if not np.isfinite(f):
-        return SolveResult(y, f, "error", 0, np.inf, "objective undefined at start")
+    f, grad_fn = fun(y)
+    g = _gradient(grad_fn) if np.isfinite(f) else None
+    if g is None:
+        return SolveResult(
+            y, np.inf, "error", 0, np.inf, "objective undefined at start"
+        )
     if n == 0:
         return SolveResult(y, f, "kkt-converged", 0, 0.0)
     H = np.eye(n)
@@ -321,7 +343,6 @@ def _active_set(fun, y0, G, gl, gu, tol, max_iter):
 
     work = active_rows(y)
     best = SolveResult(y.copy(), f, "iteration-limited", 0, np.inf)
-    n_evals = 0
 
     for major in range(1, max_iter + 1):
         A_w = (
@@ -376,7 +397,8 @@ def _active_set(fun, y0, G, gl, gu, tol, max_iter):
 
         # Backtracking Armijo search from the full (possibly clipped) step.
         # The acceptance test tolerates floating-point noise in f so that
-        # progress continues on gradient information near the minimum.
+        # progress continues on gradient information near the minimum.  The
+        # gradient is evaluated only at a point that passes the test on f.
         alpha = min(1.0, alpha_max)
         hit_boundary = alpha == alpha_max
         slope = float(g @ d)
@@ -384,11 +406,12 @@ def _active_set(fun, y0, G, gl, gu, tol, max_iter):
         accepted = False
         for _ in range(40):
             y_new = y + alpha * d
-            f_new, g_new = fun(y_new)
-            n_evals += 1
+            f_new, grad_fn = fun(y_new)
             if np.isfinite(f_new) and f_new <= f + 1e-4 * alpha * slope + noise:
-                accepted = True
-                break
+                g_new = _gradient(grad_fn)
+                if g_new is not None:
+                    accepted = True
+                    break
             alpha *= 0.5
             hit_boundary = False
         if not accepted:

@@ -51,9 +51,9 @@ from .metrics import MetricReport, evaluate_metrics, is_unisolvent
 from .symmetry import (
     ConstrainedOrbit,
     LinearConstraintSet,
-    MIN_NODE_SEPARATION,
     NodalDistribution,
     OrbitCollection,
+    _require_separated,
     evaluate_collection,
     natural_symmetry_group,
     orbits,
@@ -172,24 +172,20 @@ def assemble_problem(elem, collection, space) -> OptimizationProblem:
     )
 
 
-def _objective_value(problem, xi_bar, want_grad):
-    """Objective ``||V^-1||_F^2`` (and full-space gradient) at stacked
-    parameters.
+def _objective_value(problem, xi_bar):
+    """Objective ``||V^-1||_F^2`` at stacked parameters, and a zero-argument
+    callable returning its full-space gradient there (``None`` when the
+    gradient is not finite).
 
-    Raises :class:`DegenerateDistributionError` on node collisions, on a
-    singular ``V`` and on a non-finite objective or gradient.
+    The callable reuses the nodes and ``A = V^-1`` of this evaluation, so
+    the line search of :func:`~symnodes.lincon.minimize_linearly_constrained`
+    pays for the basis gradients only at the points it keeps.  Raises
+    :class:`DegenerateDistributionError` on node collisions, on a singular
+    ``V`` and on a non-finite objective.
     """
     X = problem.nodes_at(xi_bar)
+    _require_separated(X)
     n = X.shape[0]
-    if n > 1:
-        d2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
-        np.fill_diagonal(d2, np.inf)
-        i, j = np.unravel_index(np.argmin(d2), d2.shape)
-        if d2[i, j] <= MIN_NODE_SEPARATION**2:
-            raise DegenerateDistributionError(
-                f"nodes {i} and {j} are {np.sqrt(d2[i, j]):.3e} apart",
-                pair=(int(i), int(j)),
-            )
     V = basis_eval_many(problem.space, X)
     try:
         with warnings.catch_warnings():
@@ -205,17 +201,15 @@ def _objective_value(problem, xi_bar, want_grad):
         raise DegenerateDistributionError(
             "objective overflow (nearly singular Vandermonde matrix)"
         )
-    if not want_grad:
-        return f, None
-    GV = -2.0 * (A @ (A.T @ A)).T
-    Bgrad = basis_grad_many(problem.space, X)  # (n, n_basis, d)
-    dfdX = np.einsum("rjd,rj->rd", Bgrad, GV)
-    grad = problem._node_jacobian.T @ dfdX.ravel()
-    if not np.all(np.isfinite(grad)):
-        raise DegenerateDistributionError(
-            "gradient overflow (nearly singular Vandermonde matrix)"
-        )
-    return f, grad
+
+    def gradient():
+        GV = -2.0 * (A @ (A.T @ A)).T
+        Bgrad = basis_grad_many(problem.space, X)  # (n, n_basis, d)
+        dfdX = np.einsum("rjd,rj->rd", Bgrad, GV)
+        grad = problem._node_jacobian.T @ dfdX.ravel()
+        return grad if np.all(np.isfinite(grad)) else None
+
+    return f, gradient
 
 
 def objective_and_gradient(problem, xi_bar, mode="analytic", fd_step=1e-6):
@@ -232,11 +226,15 @@ def objective_and_gradient(problem, xi_bar, mode="analytic", fd_step=1e-6):
         raise InfeasibleParameterError(
             f"stacked parameters infeasible (violation {v:.3e})"
         )
-    if mode == "analytic":
-        f, grad = _objective_value(problem, xi_bar, want_grad=True)
-        return f, problem.null_basis.T @ grad
-    f, _ = _objective_value(problem, xi_bar, want_grad=False)
-    return f, _fd_gradient(problem, xi_bar, fd_step)
+    f, gradient = _objective_value(problem, xi_bar)
+    if mode != "analytic":
+        return f, _fd_gradient(problem, xi_bar, fd_step)
+    grad = gradient()
+    if grad is None:
+        raise DegenerateDistributionError(
+            "gradient overflow (nearly singular Vandermonde matrix)"
+        )
+    return f, problem.null_basis.T @ grad
 
 
 def _fd_gradient(problem, xi_bar, h):
@@ -246,8 +244,8 @@ def _fd_gradient(problem, xi_bar, h):
     g = np.empty(Z.shape[1])
     for k in range(Z.shape[1]):
         step = h * Z[:, k]
-        fp, _ = _objective_value(problem, xi_bar + step, want_grad=False)
-        fm, _ = _objective_value(problem, xi_bar - step, want_grad=False)
+        fp, _ = _objective_value(problem, xi_bar + step)
+        fm, _ = _objective_value(problem, xi_bar - step)
         g[k] = (fp - fm) / (2.0 * h)
     return g
 
@@ -263,9 +261,9 @@ def minimize(problem, config, xi0) -> MinimizeOutcome:
 
     def guarded(xi):
         try:
-            return _objective_value(problem, xi, want_grad=True)
+            return _objective_value(problem, xi)
         except DegenerateDistributionError:
-            return np.inf, np.zeros(cons.nvars)
+            return np.inf, None
 
     res = lincon.minimize_linearly_constrained(
         guarded,

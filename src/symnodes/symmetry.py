@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from . import lincon
 from .errors import (
@@ -51,10 +52,48 @@ __all__ = [
     "evaluate_collection",
     "natural_symmetry_group",
     "cartesian_symmetry_group",
+    "closest_pair",
     "MIN_NODE_SEPARATION",
 ]
 
 MIN_NODE_SEPARATION = 1e-8
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(n):
+    """Row and column of each entry of a condensed ``pdist`` vector."""
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def closest_pair(x):
+    """Smallest distance between two rows of ``x``, and the pair ``(i, j)``
+    with ``i < j`` attaining it; ``(inf, None)`` for fewer than two rows.
+
+    Ties go to the first pair in row-major order.  The distance is the
+    square root of the sum of squared coordinate differences, summed in
+    axis order, so it has the bits of the ``n x n x d`` broadcast form.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if n < 2:
+        return np.inf, None
+    d2 = pdist(x, "sqeuclidean")
+    k = int(np.argmin(d2))
+    i, j = _upper_pairs(n)
+    return float(np.sqrt(d2[k])), (int(i[k]), int(j[k]))
+
+
+def _require_separated(x):
+    """Raise :class:`DegenerateDistributionError` when two rows of ``x`` are
+    at most ``MIN_NODE_SEPARATION`` apart."""
+    sep, pair = closest_pair(x)
+    if sep <= MIN_NODE_SEPARATION:
+        raise DegenerateDistributionError(
+            f"nodes {pair[0]} and {pair[1]} are {sep:.3e} apart", pair=pair
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,16 +285,6 @@ class NodalDistribution:
     def dim(self):
         return self.nodes.shape[1]
 
-    def min_separation(self):
-        """Smallest pairwise node distance, with the closest pair."""
-        x = self.nodes
-        if x.shape[0] < 2:
-            return np.inf, None
-        d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
-        np.fill_diagonal(d2, np.inf)
-        i, j = np.unravel_index(np.argmin(d2), d2.shape)
-        return float(np.sqrt(d2[i, j])), (int(i), int(j))
-
     def validate(self, tol=1e-10):
         """Enforce the distribution invariants; raises on violation."""
         if self.kind is not None:
@@ -275,11 +304,7 @@ class NodalDistribution:
                     f"node {bad} at {self.nodes[bad]} lies outside the "
                     f"{self.kind.value} domain"
                 )
-        sep, pair = self.min_separation()
-        if sep <= MIN_NODE_SEPARATION:
-            raise DegenerateDistributionError(
-                f"nodes {pair[0]} and {pair[1]} are {sep:.3e} apart", pair=pair
-            )
+        _require_separated(self.nodes)
         return self
 
 
@@ -638,11 +663,7 @@ def evaluate_collection(collection: OrbitCollection, xi_bar, tol=1e-9):
     if collection.degree is not None:
         dist.validate()
     else:
-        sep, pair = dist.min_separation()
-        if sep <= MIN_NODE_SEPARATION:
-            raise DegenerateDistributionError(
-                f"nodes {pair[0]} and {pair[1]} are {sep:.3e} apart", pair=pair
-            )
+        _require_separated(dist.nodes)
     return dist
 
 

@@ -76,7 +76,7 @@ def _problem(kind, p, indices, prescriptions=None):
 def test_active_set_box_quadratic():
     fun = lambda x: (
         float((x[0] - 2) ** 2 + (x[1] - 2) ** 2),
-        np.array([2 * (x[0] - 2), 2 * (x[1] - 2)]),
+        lambda: np.array([2 * (x[0] - 2), 2 * (x[1] - 2)]),
     )
     res = lincon.minimize_linearly_constrained(
         fun, np.zeros(2), np.eye(2), [0, 0], [1, 1]
@@ -86,13 +86,74 @@ def test_active_set_box_quadratic():
 
 
 def test_active_set_equality_quadratic():
-    fun = lambda x: (float(x @ x), 2 * x)
+    fun = lambda x: (float(x @ x), lambda: 2 * x)
     B = np.vstack([np.eye(2), np.ones((1, 2))])
     res = lincon.minimize_linearly_constrained(
         fun, np.array([1.0, 0.0]), B, [-10, -10, 1], [10, 10, 1]
     )
     assert res.status == "kkt-converged"
     np.testing.assert_allclose(res.x, [0.5, 0.5], atol=1e-10)
+
+
+def test_gradient_only_at_start_and_accepted_steps():
+    # Rosenbrock with no inequality rows: every major iteration but the
+    # last takes one step, so the accepted steps are iterations - 1.
+    evals, grads = [], []
+
+    def fun(x):
+        x = x.copy()
+        evals.append(x)
+
+        def grad_fn():
+            assert x is evals[-1]  # only the latest point's gradient
+            grads.append(x)
+            return np.array([
+                -400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+                200.0 * (x[1] - x[0] ** 2),
+            ])
+
+        f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+        return float(f), grad_fn
+
+    res = lincon.minimize_linearly_constrained(
+        fun, np.array([-1.2, 1.0]), np.zeros((0, 2)), [], [], max_iter=200
+    )
+    assert res.status == "kkt-converged"
+    np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
+    assert len(grads) == res.iterations  # the start plus each accepted step
+    assert len({id(x) for x in grads}) == len(grads)
+    assert len(evals) > len(grads)  # some trials were rejected
+    assert np.array_equal(grads[-1], res.x)
+
+
+def test_non_finite_gradient_rejects_the_trial():
+    # f = (x - 2)^2 from 0: the trials at 4, 2, 1 and 0.5 follow; 2 and 1
+    # pass the Armijo test on f, but their gradients are NaN, so the step
+    # halves until 0.5.
+    grads = []
+
+    def fun(x):
+        def grad_fn():
+            grads.append(float(x[0]))
+            return 2.0 * (x - 2.0) if x[0] < 0.9 else np.full(1, np.nan)
+
+        return float((x[0] - 2.0) ** 2), grad_fn
+
+    res = lincon.minimize_linearly_constrained(
+        fun, np.zeros(1), np.eye(1), [-10.0], [10.0], max_iter=1
+    )
+    assert grads == [0.0, 2.0, 1.0, 0.5]
+    assert res.x.tolist() == [0.5]
+    assert res.fun == 2.25
+
+
+@pytest.mark.parametrize("grad", [None, np.array([np.inf])])
+def test_degenerate_gradient_at_start_is_an_error(grad):
+    res = lincon.minimize_linearly_constrained(
+        lambda x: (1.0, lambda: grad), np.zeros(1), np.eye(1), [-1.0], [1.0]
+    )
+    assert res.status == "error"
+    assert res.fun == np.inf
 
 
 def test_projection_and_feasibility():

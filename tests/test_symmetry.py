@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symnodes.errors import (
     ConstraintConflictError,
@@ -16,6 +18,7 @@ from symnodes.symmetry import (
     OrbitCollection,
     attach_constraints,
     cartesian_symmetry_group,
+    closest_pair,
     enumerate_admissible_collections,
     evaluate_collection,
     evaluate_orbit,
@@ -295,6 +298,63 @@ def test_evaluate_collection_degenerate():
     coll = _collection(ElementKind.LINE, 2, (1, 2))
     with pytest.raises(DegenerateDistributionError):
         evaluate_collection(coll, [1e-12])  # pair collapses onto the center
+
+
+def _broadcast_closest_pair(x):
+    """The n x n x d broadcast form that ``closest_pair`` replaces."""
+    if x.shape[0] < 2:
+        return np.inf, None
+    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, np.inf)
+    i, j = np.unravel_index(np.argmin(d2), d2.shape)
+    return float(np.sqrt(d2[i, j])), (int(i), int(j))
+
+
+@st.composite
+def _point_sets(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(0, 24))
+    coords = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    x = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d)))
+    x = x.reshape(n, d)
+    grid = draw(st.sampled_from([None, 1, 2, 4]))
+    if grid is not None:  # many exact ties
+        x = np.round(x * grid) / grid
+    for _ in range(draw(st.integers(0, 3)) if n >= 2 else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        x[j] = x[i]  # duplicate rows
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets())
+def test_closest_pair_matches_broadcast_form(x):
+    sep, pair = closest_pair(x)
+    want_sep, want_pair = _broadcast_closest_pair(x)
+    assert sep == want_sep
+    assert pair == want_pair
+    if pair is not None:
+        i, j = pair
+        assert i < j
+        assert sep == np.sqrt(np.sum((x[i] - x[j]) ** 2))
+
+
+def test_closest_pair_small_sets():
+    assert closest_pair(np.zeros((0, 2))) == (np.inf, None)
+    assert closest_pair(np.zeros((1, 3))) == (np.inf, None)
+    assert closest_pair(np.array([[0.0], [0.5]])) == (0.5, (0, 1))
+    # Ties go to the first pair in row-major order.
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    assert closest_pair(x) == (0.0, (1, 3))
+    x = np.array([[0.0], [2.0], [1.0], [3.0]])
+    assert closest_pair(x) == (1.0, (0, 2))
+
+
+def test_validate_names_the_colliding_pair():
+    x = np.array([[0.0, 0.0], [0.5, 0.5], [0.0, 1e-9], [1.0, 0.0]])
+    with pytest.raises(DegenerateDistributionError) as exc:
+        NodalDistribution(None, 1, x).validate()
+    assert exc.value.pair == (0, 2)
 
 
 def test_attach_constraints_examples():
