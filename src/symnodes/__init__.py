@@ -2,8 +2,9 @@
 
 The package builds interpolation node sets for the seven standard finite
 element shapes by minimizing a smooth surrogate of the Lebesgue constant
-over symmetry-orbit parameters subject to linear constraints, including
-cross-element face compatibility.
+over symmetry-orbit parameters within their bounds; orbits that carry face
+nodes are pinned to the face prescriptions, which makes the node sets of
+adjacent elements agree on shared faces.
 """
 
 from .baselines import BaselineKind, baseline_distribution, gll_1d
@@ -71,7 +72,6 @@ from .symmetry import (
     NodalDistribution,
     OrbitCollection,
     SymmetryOrbit,
-    attach_constraints,
     enumerate_admissible_collections,
     evaluate_collection,
     evaluate_orbit,

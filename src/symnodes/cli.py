@@ -254,7 +254,7 @@ def cmd_evaluate(args):
     return 0
 
 
-def _external_distribution(name, directory, kind, degree):
+def _external_distribution(directory, kind, degree):
     path = _cache_path(directory, kind, degree)
     dist, _ = read_node_file(path)
     return dist
@@ -284,7 +284,7 @@ def cmd_compare(args):
                 elif "=" in spec:
                     name, directory = spec.split("=", 1)
                     builder = lambda: _external_distribution(
-                        name, directory, kind, degree
+                        directory, kind, degree
                     )
                 else:
                     print(

@@ -2,11 +2,12 @@
 
 Given a symmetric node distribution for each face geometry of an element,
 the construction below walks the prescribed face nodes (mapped onto one
-fixed face per face kind), finds for each node the first collection entry
-whose orbit can reach it, and pins that entry with an equality constraint on
-its parameters.  Because orbits are symmetric, pinning one face's worth of
-nodes fixes matching nodes on every face, so adjacent elements sharing the
-same prescriptions have coincident face nodes.
+fixed face per face kind), finds for each node the first free collection
+entry whose orbit can reach it, and pins that entry to the parameter values
+that place one of its points there.  Every orbit point map has full column
+rank, so these values are unique.  Because orbits are symmetric, pinning one
+face's worth of nodes fixes matching nodes on every face, so adjacent
+elements sharing the same prescriptions have coincident face nodes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lincon
 from .errors import IncompatibleCollectionError, OutsideDomainError
 from .geometry import (
     ElementKind,
@@ -25,7 +25,6 @@ from .geometry import (
 )
 from .symmetry import (
     ConstrainedOrbit,
-    LinearConstraintSet,
     NodalDistribution,
     OrbitCollection,
     cartesian_symmetry_group,
@@ -119,46 +118,23 @@ def _same_point_set(a, b, tol):
     return True
 
 
-def _orbit_reach(entry, lam_hat):
-    """Parameters placing some orbit point at ``lam_hat``, else ``None``.
+def _orbit_reach(orbit, lam_hat):
+    """Parameters within the bounds of ``orbit`` that place one of its
+    points at ``lam_hat``, else ``None``.
 
-    Solves the per-point linear system by least squares; when the minimizer
-    is infeasible for the orbit bounds, falls back to an LP over the
-    equality-constrained feasible set (covers rank-deficient point maps).
+    Every point map has full column rank, so the least-squares solution of
+    a map is the only parameter vector that map can reach ``lam_hat`` with;
+    the maps are tried in orbit point order.
     """
-    orbit = entry.orbit
-    bounds = orbit.bounds
     for S, sigma in orbit.maps:
         rhs = lam_hat - sigma
-        if orbit.param_count == 0:
-            if np.linalg.norm(rhs) <= _RESIDUAL_TOL:
-                return np.zeros(0)
-            continue
         xi, *_ = np.linalg.lstsq(S, rhs, rcond=None)
-        if np.linalg.norm(S @ xi - rhs) > _RESIDUAL_TOL:
-            continue
-        if bounds.violation(xi) <= _FEAS_MARGIN:
+        if (
+            np.linalg.norm(S @ xi - rhs) <= _RESIDUAL_TOL
+            and orbit.bounds.violation(xi) <= _FEAS_MARGIN
+        ):
             return xi
-        # Exact solutions form an affine set; probe it against the bounds.
-        stacked = LinearConstraintSet(
-            np.vstack([S, bounds.matrix]),
-            np.concatenate([rhs, bounds.lower]),
-            np.concatenate([rhs, bounds.upper]),
-        )
-        xi2 = lincon.feasible_point(
-            stacked.matrix, stacked.lower, stacked.upper, tol=_FEAS_MARGIN
-        )
-        if xi2 is not None and np.linalg.norm(S @ xi2 - rhs) <= _RESIDUAL_TOL:
-            return xi2
     return None
-
-
-def _pin_entry(entry, xi):
-    """Equality constraints locking the whole orbit via its first point map."""
-    S1, _ = entry.orbit.maps[0]
-    target = S1 @ xi
-    extra = LinearConstraintSet(S1.copy(), target.copy(), target.copy())
-    return ConstrainedOrbit(entry.orbit, extra)
 
 
 def build_compatibility_constraints(
@@ -192,9 +168,7 @@ def build_compatibility_constraints(
 
     entries = list(collection.entries)
     pinned_points = [  # natural coordinates covered by pinned entries
-        evaluate_orbit(e, e.pinned_parameters())
-        for e in entries
-        if e.extra.nrows and e.is_pinned
+        evaluate_orbit(e, e.pinned) for e in entries if e.pinned is not None
     ]
     for fk in sorted(by_kind, key=_FACE_KIND_PRIORITY.__getitem__):
         face = _face_of(elem, fk, fixed_faces)
@@ -213,13 +187,13 @@ def build_compatibility_constraints(
                 for pp in pinned_points
             ):
                 continue
-            # Pin the first entry without constraints that reaches the node.
+            # Pin the first free entry that reaches the node.
             for j, entry in enumerate(entries):
-                if entry.extra.nrows:
+                if entry.pinned is not None:
                     continue
-                xi = _orbit_reach(entry, lam_hat)
+                xi = _orbit_reach(entry.orbit, lam_hat)
                 if xi is not None:
-                    entries[j] = _pin_entry(entry, xi)
+                    entries[j] = ConstrainedOrbit(entry.orbit, xi)
                     break
             else:
                 raise IncompatibleCollectionError(

@@ -1,10 +1,11 @@
 """Utilities for two-sided linear constraint systems ``lo <= B @ x <= hi``.
 
 Feasibility questions are answered with linear programs (HiGHS via scipy);
-smooth minimization over such systems uses the active-set quasi-Newton
-method implemented here: equality rows are eliminated by a null-space
-parametrization, inequality rows enter and leave a working set, and the
-Hessian is approximated by BFGS updates.
+smooth minimization over inequality systems uses the active-set quasi-Newton
+method implemented here: rows enter and leave a working set, and the
+Hessian is approximated by BFGS updates.  A fixed value is the caller's to
+substitute: the minimizer and the projection reject a row with ``lo == hi``,
+and the linear programs treat it as two inequalities.
 """
 
 from __future__ import annotations
@@ -44,13 +45,11 @@ def equality_rows(lo, hi):
 
 
 def _lp_parts(B, lo, hi):
-    """Split a two-sided system into linprog-ready equality/inequality parts."""
-    eq = equality_rows(lo, hi)
-    A_eq, b_eq = B[eq], lo[eq]
+    """The system as linprog's ``A_ub @ x <= b_ub``: one row per finite
+    bound."""
     rows_ub, rhs_ub = [], []
-    ineq = ~eq
-    fin_hi = ineq & np.isfinite(hi)
-    fin_lo = ineq & np.isfinite(lo)
+    fin_hi = np.isfinite(hi)
+    fin_lo = np.isfinite(lo)
     if np.any(fin_hi):
         rows_ub.append(B[fin_hi])
         rhs_ub.append(hi[fin_hi])
@@ -59,7 +58,7 @@ def _lp_parts(B, lo, hi):
         rhs_ub.append(-lo[fin_lo])
     A_ub = np.vstack(rows_ub) if rows_ub else np.zeros((0, B.shape[1]))
     b_ub = np.concatenate(rhs_ub) if rhs_ub else np.zeros(0)
-    return A_eq, b_eq, A_ub, b_ub
+    return A_ub, b_ub
 
 
 def feasible_point(B, lo, hi, tol=1e-9):
@@ -73,25 +72,15 @@ def feasible_point(B, lo, hi, tol=1e-9):
         return np.zeros(0) if violation(B, lo, hi, np.zeros(0)) <= tol else None
     if B.shape[0] == 0:
         return np.zeros(n)
-    A_eq, b_eq, A_ub, b_ub = _lp_parts(B, lo, hi)
+    A_ub, b_ub = _lp_parts(B, lo, hi)
     m_ub = A_ub.shape[0]
-    # Variables [x, s]; inequalities relaxed by s, equalities kept exact.
+    # Variables [x, s]; every inequality relaxed by s.
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    A_ub_s = (
-        np.hstack([A_ub, -np.ones((m_ub, 1))]) if m_ub else np.zeros((0, n + 1))
-    )
-    A_eq_s = (
-        np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
-        if A_eq.shape[0]
-        else None
-    )
     res = linprog(
         c,
-        A_ub=A_ub_s if m_ub else None,
+        A_ub=np.hstack([A_ub, -np.ones((m_ub, 1))]) if m_ub else None,
         b_ub=b_ub if m_ub else None,
-        A_eq=A_eq_s,
-        b_eq=b_eq if A_eq.shape[0] else None,
         bounds=[(None, None)] * n + [(0.0, None)],
         method="highs",
     )
@@ -111,25 +100,16 @@ def interior_point(B, lo, hi, tol=1e-9):
     n = B.shape[1]
     if n == 0 or B.shape[0] == 0:
         return feasible_point(B, lo, hi, tol)
-    A_eq, b_eq, A_ub, b_ub = _lp_parts(B, lo, hi)
-    m_ub = A_ub.shape[0]
-    if m_ub == 0:
+    A_ub, b_ub = _lp_parts(B, lo, hi)
+    if A_ub.shape[0] == 0:
         return feasible_point(B, lo, hi, tol)
     scale = np.maximum(np.linalg.norm(A_ub, axis=1), 1e-30)
     c = np.zeros(n + 1)
     c[-1] = -1.0  # maximize margin t
-    A_ub_t = np.hstack([A_ub, scale[:, None]])
-    A_eq_t = (
-        np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
-        if A_eq.shape[0]
-        else None
-    )
     res = linprog(
         c,
-        A_ub=A_ub_t,
+        A_ub=np.hstack([A_ub, scale[:, None]]),
         b_ub=b_ub,
-        A_eq=A_eq_t,
-        b_eq=b_eq if A_eq.shape[0] else None,
         bounds=[(None, None)] * n + [(0.0, 10.0)],
         method="highs",
     )
@@ -147,7 +127,7 @@ def coordinate_intervals(B, lo, hi):
     """
     B, lo, hi = _as_system(B, lo, hi)
     n = B.shape[1]
-    A_eq, b_eq, A_ub, b_ub = _lp_parts(B, lo, hi)
+    A_ub, b_ub = _lp_parts(B, lo, hi)
     mins = np.empty(n)
     maxs = np.empty(n)
 
@@ -156,8 +136,6 @@ def coordinate_intervals(B, lo, hi):
             c,
             A_ub=A_ub if A_ub.shape[0] else None,
             b_ub=b_ub if A_ub.shape[0] else None,
-            A_eq=A_eq if A_eq.shape[0] else None,
-            b_eq=b_eq if A_eq.shape[0] else None,
             bounds=[(None, None)] * n,
             method="highs",
         )
@@ -182,34 +160,15 @@ def coordinate_intervals(B, lo, hi):
     return mins, maxs
 
 
-def null_space_parametrization(E, e, tol=1e-11):
-    """Particular solution and orthonormal kernel basis for ``E @ x = e``.
-
-    Returns ``(x_p, Z)`` with ``x = x_p + Z @ y`` spanning the solution set.
-    Raises :class:`ConstraintConflictError` when the system is inconsistent.
-    """
-    n = E.shape[1]
-    if E.shape[0] == 0:
-        return np.zeros(n), np.eye(n)
-    x_p, *_ = np.linalg.lstsq(E, e, rcond=None)
-    if np.linalg.norm(E @ x_p - e) > tol * (1.0 + np.linalg.norm(e)):
-        raise ConstraintConflictError("inconsistent equality constraints")
-    Z = scipy.linalg.null_space(E)
-    if Z.size == 0:
-        Z = np.zeros((n, 0))
-    return x_p, Z
-
-
-def _reduce(B, lo, hi):
-    """Eliminate the equality rows: ``x = x_p + Z @ y`` and the remaining
-    rows as ``gl <= G @ y <= gu``.  Returns ``(x_p, Z, G, gl, gu)``."""
+def _inequalities(B, lo, hi):
+    """The system as arrays; raises :class:`ValueError` on an equality row
+    (a value that is fixed is a known value, not a variable)."""
     B, lo, hi = _as_system(B, lo, hi)
-    eq = equality_rows(lo, hi)
-    x_p, Z = null_space_parametrization(B[eq], lo[eq])
-    G = B[~eq] @ Z
-    gl = lo[~eq] - B[~eq] @ x_p
-    gu = hi[~eq] - B[~eq] @ x_p
-    return x_p, Z, G, gl, gu
+    if np.any(equality_rows(lo, hi)):
+        raise ValueError(
+            "equality rows are not supported: substitute the fixed values"
+        )
+    return B, lo, hi
 
 
 @dataclass
@@ -233,62 +192,34 @@ def minimize_linearly_constrained(
     never at a line-search trial it rejects on ``f``, and never when ``f``
     is not finite.  ``f = inf`` rejects a point; so does a gradient that is
     ``None`` or not finite, and then the step is halved as for ``inf``.
-    Equality rows are eliminated up front; inequalities are handled by an
-    active-set strategy on the reduced variables.  The method is
-    deterministic.
+    Raises :class:`ValueError` on an equality row; the inequalities are
+    handled by an active-set strategy.  The method is deterministic.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
-    x_p, Z, G, gl, gu = _reduce(B, lo, hi)
-
-    # Rows with no dependence on the free variables are constants: verify.
-    row_scale = np.linalg.norm(G, axis=1) if G.size else np.zeros(G.shape[0])
-    fixed = row_scale <= 1e-14
-    if np.any((gl[fixed] > 1e-9) | (gu[fixed] < -1e-9)):
-        raise ConstraintConflictError(
-            "equality constraints contradict an inequality row"
-        )
-    G, gl, gu = G[~fixed], gl[~fixed], gu[~fixed]
-
-    y0 = Z.T @ (x0 - x_p)
-    if project_start and violation(G, gl, gu, y0) > 1e-12:
-        y0 = project_reduced(G, gl, gu, y0)
-
-    def red_fun(y):
-        f, grad_fn = fun(x_p + Z @ y)
-
-        def red_grad():
-            g = grad_fn()
-            return None if g is None else Z.T @ g
-
-        return f, red_grad
-
-    res = _active_set(red_fun, y0, G, gl, gu, tol, max_iter)
-    res.x = x_p + Z @ res.x
-    return res
-
-
-def project_reduced(G, gl, gu, target, tol=1e-10):
-    """Least-distance projection of ``target`` onto ``gl <= G y <= gu``."""
-    if violation(G, gl, gu, target) <= 1e-14:
-        return np.asarray(target, dtype=float)
-    y_feas = feasible_point(G, gl, gu)
-    if y_feas is None:
-        raise ConstraintConflictError("infeasible constraint system")
-
-    def qp(y):
-        d = y - target
-        return 0.5 * float(d @ d), lambda: d
-
-    res = _active_set(qp, y_feas, G, gl, gu, tol, max_iter=200)
-    return res.x
+    B, lo, hi = _inequalities(B, lo, hi)
+    if project_start and violation(B, lo, hi, x0) > 1e-12:
+        x0 = project_onto(B, lo, hi, x0)
+    return _active_set(fun, x0, B, lo, hi, tol, max_iter)
 
 
 def project_onto(B, lo, hi, target):
-    """Least-distance projection of ``target`` onto the full system."""
+    """Least-distance projection of ``target`` onto ``lo <= B x <= hi``.
+
+    Raises :class:`ValueError` on an equality row.
+    """
+    B, lo, hi = _inequalities(B, lo, hi)
     target = np.asarray(target, dtype=float).ravel()
-    x_p, Z, G, gl, gu = _reduce(B, lo, hi)
-    y = project_reduced(G, gl, gu, Z.T @ (target - x_p))
-    return x_p + Z @ y
+    if violation(B, lo, hi, target) <= 1e-14:
+        return target
+    x_feas = feasible_point(B, lo, hi)
+    if x_feas is None:
+        raise ConstraintConflictError("infeasible constraint system")
+
+    def qp(x):
+        d = x - target
+        return 0.5 * float(d @ d), lambda: d
+
+    return _active_set(qp, x_feas, B, lo, hi, 1e-10, max_iter=200).x
 
 
 def _reduced_hessian_dir(H, Zw, g):

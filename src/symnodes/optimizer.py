@@ -5,8 +5,9 @@ basis is orthonormal, so it equals ``tr((V V^T)^-1) = ||V^-1||_F^2`` for the
 Vandermonde matrix ``V`` at the nodes, and no quadrature is needed.  Its
 gradient is ``d f / d V = -2 (A A^T A)^T`` with ``A = V^-1``, chained
 through the basis gradients at the nodes and the affine orbit maps.
-Minimization runs on the equality-eliminated (reduced) parameter space with
-an active-set quasi-Newton method.
+Entries pinned to face nodes keep their parameter values; minimization runs
+over the parameters of the free entries with an active-set quasi-Newton
+method.
 
 ``optimize_nodes`` drives the per-element pipeline on one orbit collection,
 the orbit decomposition of the element's baseline nodes: pin its entries to
@@ -34,7 +35,6 @@ from .compatibility import (
     _orbit_reach,
 )
 from .errors import (
-    ConstraintConflictError,
     DegenerateDistributionError,
     IncompatibleCollectionError,
     InfeasibleParameterError,
@@ -88,24 +88,35 @@ class OptimizerConfig:
 
 @dataclass(eq=False)
 class OptimizationProblem:
-    """A concrete instance of the node-placement minimization."""
+    """A concrete instance of the node-placement minimization.
+
+    The variables ``y`` are the parameters of the collection's free entries,
+    in collection order; ``constraints`` are their bounds.  Pinned entries
+    keep their values, which ``_node_offset`` already holds.
+    """
 
     element: object
     collection: OrbitCollection
     space: FunctionSpace
     constraints: LinearConstraintSet
-    # Equality-eliminated parametrization xi = xi_p + Z @ y.
-    xi_particular: np.ndarray = field(repr=False, default=None)
-    null_basis: np.ndarray = field(repr=False, default=None)
+    free_mask: np.ndarray = field(repr=False, default=None)  # stacked params
+    pinned_values: np.ndarray = field(repr=False, default=None)  # 0 if free
     _node_jacobian: np.ndarray = field(repr=False, default=None)
     _node_offset: np.ndarray = field(repr=False, default=None)
 
     @property
     def free_dimension(self):
-        return self.null_basis.shape[1]
+        return self.constraints.nvars
 
-    def nodes_at(self, xi_bar):
-        x = self._node_jacobian @ xi_bar + self._node_offset
+    def stacked(self, y):
+        """Stacked parameters: the pinned values, with ``y`` at the free
+        entries."""
+        xi = self.pinned_values.copy()
+        xi[self.free_mask] = y
+        return xi
+
+    def nodes_at(self, y):
+        x = self._node_jacobian @ y + self._node_offset
         return x.reshape(-1, self.element.dim)
 
 
@@ -136,45 +147,39 @@ class OptimizedResult:
 
 
 def assemble_problem(elem, collection, space) -> OptimizationProblem:
-    """Stack constraints and precompute the affine node map."""
-    cons = collection.stacked_constraints()
-    if lincon.feasible_point(cons.matrix, cons.lower, cons.upper) is None:
-        raise ConstraintConflictError(
-            f"stacked constraints of collection {collection.indices} are "
-            f"infeasible"
-        )
+    """Split the stacked parameters into pinned values and free variables,
+    and precompute the affine node map of the free variables."""
     L = collection.total_params
     d = elem.dim
     n = collection.total_points
     J = np.zeros((n * d, L))
     x0 = np.zeros(n * d)
+    free = np.ones(L, dtype=bool)
+    pinned = np.zeros(L)
     row = 0
-    for entry, off in zip(collection.entries, collection.offsets):
-        l = entry.param_count
+    for entry, sl in zip(collection.entries, collection.slices()):
+        if entry.pinned is not None:
+            free[sl] = False
+            pinned[sl] = entry.pinned
         for S, sigma in entry.orbit.maps:
-            NS = elem.n_matrix @ S
-            J[row : row + d, off : off + l] = NS
+            J[row : row + d, sl] = elem.n_matrix @ S
             x0[row : row + d] = elem.n_matrix @ sigma + elem.nu
             row += d
-    eq = lincon.equality_rows(cons.lower, cons.upper)
-    xi_p, Z = lincon.null_space_parametrization(
-        cons.matrix[eq], cons.lower[eq]
-    )
     return OptimizationProblem(
         element=elem,
         collection=collection,
         space=space,
-        constraints=cons,
-        xi_particular=xi_p,
-        null_basis=Z,
-        _node_jacobian=J,
-        _node_offset=x0,
+        constraints=collection.stacked_constraints(),
+        free_mask=free,
+        pinned_values=pinned,
+        _node_jacobian=J[:, free],
+        _node_offset=J @ pinned + x0,
     )
 
 
-def _objective_value(problem, xi_bar):
-    """Objective ``||V^-1||_F^2`` at stacked parameters, and a zero-argument
-    callable returning its full-space gradient there (``None`` when the
+def _objective_value(problem, y):
+    """Objective ``||V^-1||_F^2`` at free parameters ``y``, and a
+    zero-argument callable returning its gradient there (``None`` when the
     gradient is not finite).
 
     The callable reuses the nodes and ``A = V^-1`` of this evaluation, so
@@ -183,7 +188,7 @@ def _objective_value(problem, xi_bar):
     :class:`DegenerateDistributionError` on node collisions, on a singular
     ``V`` and on a non-finite objective.
     """
-    X = problem.nodes_at(xi_bar)
+    X = problem.nodes_at(y)
     _require_separated(X)
     n = X.shape[0]
     V = basis_eval_many(problem.space, X)
@@ -212,62 +217,61 @@ def _objective_value(problem, xi_bar):
     return f, gradient
 
 
-def objective_and_gradient(problem, xi_bar, mode="analytic", fd_step=1e-6):
-    """Objective value and gradient in the free-parameter coordinates.
+def objective_and_gradient(problem, y, mode="analytic", fd_step=1e-6):
+    """Objective value and gradient at the free parameters ``y``.
 
-    Equality constraints are eliminated up front, so the returned gradient
-    lives on the feasible manifold: its length is ``problem.free_dimension``
-    (an empty vector for fully pinned problems).  The finite-difference mode
-    steps along the equality null-space basis directions.
+    The gradient has length ``problem.free_dimension`` (it is empty for
+    fully pinned problems).  The finite-difference mode takes central
+    differences along the free coordinates.
     """
-    xi_bar = np.asarray(xi_bar, dtype=float).ravel()
-    v = problem.constraints.violation(xi_bar)
+    y = np.asarray(y, dtype=float).ravel()
+    v = problem.constraints.violation(y)
     if v > 1e-9:
         raise InfeasibleParameterError(
-            f"stacked parameters infeasible (violation {v:.3e})"
+            f"free parameters infeasible (violation {v:.3e})"
         )
-    f, gradient = _objective_value(problem, xi_bar)
+    f, gradient = _objective_value(problem, y)
     if mode != "analytic":
-        return f, _fd_gradient(problem, xi_bar, fd_step)
+        return f, _fd_gradient(problem, y, fd_step)
     grad = gradient()
     if grad is None:
         raise DegenerateDistributionError(
             "gradient overflow (nearly singular Vandermonde matrix)"
         )
-    return f, problem.null_basis.T @ grad
+    return f, grad
 
 
-def _fd_gradient(problem, xi_bar, h):
-    """Central differences along the equality null-space basis directions:
-    the gradient in the free-parameter coordinates."""
-    Z = problem.null_basis
-    g = np.empty(Z.shape[1])
-    for k in range(Z.shape[1]):
-        step = h * Z[:, k]
-        fp, _ = _objective_value(problem, xi_bar + step)
-        fm, _ = _objective_value(problem, xi_bar - step)
+def _fd_gradient(problem, y, h):
+    """Central differences along the free coordinates."""
+    g = np.empty(y.size)
+    for k in range(y.size):
+        step = np.zeros(y.size)
+        step[k] = h
+        fp, _ = _objective_value(problem, y + step)
+        fm, _ = _objective_value(problem, y - step)
         g[k] = (fp - fm) / (2.0 * h)
     return g
 
 
-def minimize(problem, config, xi0) -> MinimizeOutcome:
-    """Minimize the objective over the stacked constraint set from ``xi0``.
+def minimize(problem, config, y0) -> MinimizeOutcome:
+    """Minimize the objective over the free parameters from ``y0``.
 
     The starting point is projected onto the constraints when necessary
-    (by :func:`~symnodes.lincon.minimize_linearly_constrained`).
+    (by :func:`~symnodes.lincon.minimize_linearly_constrained`).  The
+    outcome's ``parameters`` are the stacked vector, pinned values included.
     Deterministic for fixed inputs.
     """
     cons = problem.constraints
 
-    def guarded(xi):
+    def guarded(y):
         try:
-            return _objective_value(problem, xi)
+            return _objective_value(problem, y)
         except DegenerateDistributionError:
             return np.inf, None
 
     res = lincon.minimize_linearly_constrained(
         guarded,
-        xi0,
+        y0,
         cons.matrix,
         cons.lower,
         cons.upper,
@@ -275,7 +279,7 @@ def minimize(problem, config, xi0) -> MinimizeOutcome:
         max_iter=config.max_major_iterations,
     )
     return MinimizeOutcome(
-        parameters=res.x,
+        parameters=problem.stacked(res.x),
         objective=res.fun,
         status=res.status,
         iterations=res.iterations,
@@ -335,10 +339,7 @@ def _decompose_into_orbits(kind, nodes, tol=1e-8):
         for orb in orbs:
             if orb.multiplicity != m:
                 continue
-            entry = ConstrainedOrbit(
-                orb, LinearConstraintSet.empty(orb.param_count)
-            )
-            xi = _orbit_reach(entry, rep)
+            xi = _orbit_reach(orb, rep)
             if xi is not None:
                 result.append((orb.index, xi))
                 placed = True
@@ -374,22 +375,17 @@ def _baseline_collection(kind, p):
             f"into orbits"
         )
     table = {o.index: o for o in orbits(kind)}
-    entries = tuple(
-        ConstrainedOrbit(
-            table[i], LinearConstraintSet.empty(table[i].param_count)
-        )
-        for i, _ in base_entries
-    )
+    entries = tuple(ConstrainedOrbit(table[i]) for i, _ in base_entries)
     return OrbitCollection(kind, p, entries), base_entries
 
 
 def _initial_parameters(problem, base_entries, prescriptions):
-    """Baseline parameters, projected onto the constraints.
+    """Baseline parameters of the free entries, projected onto their bounds.
 
-    Pinned entries take their pinned values; every other entry takes the
-    next baseline parameters of its orbit, drawn only from orbits off the
-    boundary when face prescriptions pin the boundary.  Raises
-    :class:`ValueError` when the baseline has none left for some entry.
+    Each free entry takes the next baseline parameters of its orbit, drawn
+    only from orbits off the boundary when face prescriptions pin the
+    boundary.  Raises :class:`ValueError` when the baseline has none left
+    for some entry.
     """
     coll = problem.collection
     elem = problem.element
@@ -403,30 +399,30 @@ def _initial_parameters(problem, base_entries, prescriptions):
             if np.any(_boundary_mask(elem, np.atleast_2d(pts))):
                 continue
         pool.setdefault(idx, []).append(np.asarray(xi, dtype=float))
-    xi0 = np.zeros(coll.total_params)
-    for entry, sl in zip(coll.entries, coll.slices()):
-        if entry.extra.nrows and entry.is_pinned:
-            xi0[sl] = entry.pinned_parameters()
-        elif pool.get(entry.orbit.index):
-            xi0[sl] = pool[entry.orbit.index].pop(0)
-        else:
+    parts = [np.zeros(0)]
+    for entry in coll.entries:
+        if entry.pinned is not None:
+            continue
+        if not pool.get(entry.orbit.index):
             raise ValueError(
                 f"the baseline has no parameters left for orbit "
                 f"{entry.orbit.index}"
             )
+        parts.append(pool[entry.orbit.index].pop(0))
+    y0 = np.concatenate(parts)
     cons = problem.constraints
-    if cons.violation(xi0) > 1e-12:
-        xi0 = lincon.project_onto(cons.matrix, cons.lower, cons.upper, xi0)
-    return xi0
+    if cons.violation(y0) > 1e-12:
+        y0 = lincon.project_onto(cons.matrix, cons.lower, cons.upper, y0)
+    return y0
 
 
 @lru_cache(maxsize=None)
 def _orbit_intervals(orbit):
     """Per-parameter ``(min, max)`` over the orbit's own bounds.
 
-    The stacked constraints are block diagonal, so for an entry without
-    extra constraints these are its intervals in the stacked system.  They
-    are finite: the element is bounded and the first point map injective.
+    The stacked constraints are block diagonal, so for a free entry these
+    are its intervals in the stacked system.  They are finite: the element
+    is bounded and the first point map injective.
     """
     b = orbit.bounds
     lo, hi = lincon.coordinate_intervals(b.matrix, b.lower, b.upper)
@@ -436,21 +432,24 @@ def _orbit_intervals(orbit):
 
 
 def _jitter_spans(collection):
-    """Width of each stacked parameter's feasible interval: the orbit's own
-    interval for free entries, zero for entries pinned to face nodes."""
-    span = np.zeros(collection.total_params)
-    for entry, sl in zip(collection.entries, collection.slices()):
-        if entry.extra.nrows == 0:
+    """Width of each free parameter's interval over its orbit's bounds."""
+    spans = [np.zeros(0)]
+    for entry in collection.entries:
+        if entry.pinned is None:
             lo, hi = _orbit_intervals(entry.orbit)
-            span[sl] = hi - lo
-    return span
+            spans.append(hi - lo)
+    return np.concatenate(spans)
 
 
-def _jittered_start(problem, xi0, span, seed_key):
+def _jittered_start(problem, y0, span, seed_key):
+    """``y0`` moved by up to 5 % of ``span`` per parameter, projected onto
+    the bounds.  The draw covers every stacked parameter, pinned ones
+    included, so a free parameter's jitter does not depend on the pins."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    delta = 0.05 * span * rng.uniform(-1.0, 1.0, size=xi0.size)
+    u = rng.uniform(-1.0, 1.0, size=problem.free_mask.size)
+    delta = 0.05 * span * u[problem.free_mask]
     cons = problem.constraints
-    return lincon.project_onto(cons.matrix, cons.lower, cons.upper, xi0 + delta)
+    return lincon.project_onto(cons.matrix, cons.lower, cons.upper, y0 + delta)
 
 
 @contextmanager
@@ -475,14 +474,15 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     minimization starts from the baseline parameters and from
     ``config.multistart_count`` jittered copies, each seeded by
     ``(config.seed, restart)``; the jitter is up to 5 % of each free
-    parameter's range over its orbit's bounds, and parameters pinned to
-    face nodes are not jittered.  A fully pinned problem (free dimension 0) runs the
-    baseline start only.  Among the runs that end feasible with a valid
-    node set, the lowest objective wins whatever the run's status; the
-    lower restart number breaks exact ties.  Every failure before the
-    restarts, and a failure of all restarts, raises
-    :class:`NoViableCollectionError` naming the stage, with the cause
-    chained.
+    parameter's range over its orbit's bounds.  Entries pinned to face
+    nodes keep their values, and only the free parameters are optimized; a
+    fully pinned problem (free dimension 0) runs the baseline start only.
+    Among the runs that end feasible with a valid node set, the lowest
+    objective wins whatever the run's status; the lower restart number
+    breaks exact ties.  Every failure before the
+    restarts (at the stages "face pinning" and "start"), and a failure of
+    all restarts, raises :class:`NoViableCollectionError` naming the stage,
+    with the cause chained.
 
     The baseline's orbits host every unisolvent symmetric face set of
     degree ``p``: each face symmetry fixes as many nodes of such a set as
@@ -514,18 +514,17 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
             where, "face pinning", IncompatibleCollectionError, ValueError
         ):
             coll = build_compatibility_constraints(elem, coll, prescriptions)
-    with _stage(where, "assembly", ConstraintConflictError):
-        problem = assemble_problem(elem, coll, space)
+    problem = assemble_problem(elem, coll, space)
     with _stage(where, "start", ValueError, DegenerateDistributionError):
-        xi0 = _initial_parameters(problem, base_entries, prescriptions)
-        dist0 = evaluate_collection(coll, xi0)
+        y0 = _initial_parameters(problem, base_entries, prescriptions)
+        dist0 = evaluate_collection(coll, problem.stacked(y0))
     if not is_unisolvent(space, dist0):
         raise NoViableCollectionError(f"{where}: the start is not unisolvent")
-    starts = [xi0]
+    starts = [y0]
     if problem.free_dimension > 0:
         span = _jitter_spans(coll)
         starts += [
-            _jittered_start(problem, xi0, span, (config.seed, restart))
+            _jittered_start(problem, y0, span, (config.seed, restart))
             for restart in range(1, config.multistart_count + 1)
         ]
     cons = problem.constraints
@@ -534,7 +533,7 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
         outcome = minimize(problem, config, start)
         if outcome.status == "error":
             continue
-        if cons.violation(outcome.parameters) > 1e-10:
+        if cons.violation(outcome.parameters[problem.free_mask]) > 1e-10:
             continue
         try:
             dist = evaluate_collection(coll, outcome.parameters)

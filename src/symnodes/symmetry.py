@@ -10,7 +10,7 @@ Orbit-internal point order is fixed: permutation patterns are enumerated in
 lexicographic order of the index tuple, sign patterns with ``+1`` before
 ``-1``, permutations varying slower than signs.  The first point of every
 orbit is therefore the generator tuple itself, which is the map used to
-derive parameter bounds and to anchor equality constraints.
+derive parameter bounds.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "orbits",
     "evaluate_orbit",
     "orbit_parameter_bounds",
-    "attach_constraints",
     "enumerate_admissible_collections",
     "evaluate_collection",
     "natural_symmetry_group",
@@ -57,6 +56,7 @@ __all__ = [
 ]
 
 MIN_NODE_SEPARATION = 1e-8
+_PIN_TOL = 1e-9  # bound violation allowed of pinned parameters
 
 
 @lru_cache(maxsize=None)
@@ -152,10 +152,28 @@ class SymmetryOrbit:
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedOrbit:
-    """An orbit together with extra linear constraints on its parameters."""
+    """An orbit whose parameters are free, or pinned to the values
+    ``pinned`` (which must meet the orbit bounds)."""
 
     orbit: SymmetryOrbit
-    extra: LinearConstraintSet
+    pinned: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.pinned is None:
+            return
+        xi = np.array(self.pinned, dtype=float).ravel()
+        if xi.size != self.param_count:
+            raise ValueError(
+                f"expected {self.param_count} pinned parameters, got {xi.size}"
+            )
+        v = self.orbit.bounds.violation(xi)
+        if v > _PIN_TOL:
+            raise ConstraintConflictError(
+                f"pinned parameters violate orbit {self.orbit.index} bounds "
+                f"(violation {v:.3e})"
+            )
+        xi.setflags(write=False)
+        object.__setattr__(self, "pinned", xi)
 
     @property
     def param_count(self):
@@ -164,34 +182,6 @@ class ConstrainedOrbit:
     @property
     def multiplicity(self):
         return self.orbit.multiplicity
-
-    def stacked_constraints(self):
-        b = self.orbit.bounds
-        return LinearConstraintSet(
-            np.vstack([b.matrix, self.extra.matrix]),
-            np.concatenate([b.lower, self.extra.lower]),
-            np.concatenate([b.upper, self.extra.upper]),
-        )
-
-    @property
-    def is_pinned(self):
-        """True when the extra equalities determine the parameters uniquely."""
-        if self.param_count == 0:
-            return True
-        rows = self.extra.matrix[
-            lincon.equality_rows(self.extra.lower, self.extra.upper)
-        ]
-        return (
-            rows.shape[0] > 0
-            and np.linalg.matrix_rank(rows, tol=1e-12) == self.param_count
-        )
-
-    def pinned_parameters(self):
-        eq = lincon.equality_rows(self.extra.lower, self.extra.upper)
-        rows = self.extra.matrix[eq]
-        rhs = self.extra.lower[eq]
-        xi, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-        return xi
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,16 +232,20 @@ class OrbitCollection:
         ]
 
     def stacked_constraints(self):
-        """Block-diagonal assembly of every entry's bounds and extras."""
-        L = self.total_params
+        """Block-diagonal assembly of the free entries' bounds, over the
+        free parameters in collection order."""
+        free = [e for e in self.entries if e.pinned is None]
+        L = sum(e.param_count for e in free)
         rows, lo, hi = [], [], []
-        for off, e in zip(self.offsets, self.entries):
-            c = e.stacked_constraints()
-            block = np.zeros((c.nrows, L))
-            block[:, off : off + e.param_count] = c.matrix
+        off = 0
+        for e in free:
+            b = e.orbit.bounds
+            block = np.zeros((b.nrows, L))
+            block[:, off : off + e.param_count] = b.matrix
             rows.append(block)
-            lo.append(c.lower)
-            hi.append(c.upper)
+            lo.append(b.lower)
+            hi.append(b.upper)
+            off += e.param_count
         if rows:
             return LinearConstraintSet(
                 np.vstack(rows), np.concatenate(lo), np.concatenate(hi)
@@ -515,48 +509,25 @@ def evaluate_orbit(orbit, xi, tol=1e-9):
     """Natural coordinates of every orbit point at parameters ``xi``.
 
     Accepts a :class:`SymmetryOrbit` or :class:`ConstrainedOrbit`; the
-    parameters must satisfy the orbit bounds (and extra constraints) within
-    ``tol``.
+    parameters must satisfy the orbit bounds, and equal the pinned values
+    of a pinned entry, within ``tol``.
     """
-    if isinstance(orbit, ConstrainedOrbit):
-        cons = orbit.stacked_constraints()
-        base = orbit.orbit
-    else:
-        cons = orbit.bounds
-        base = orbit
     xi = np.asarray(xi, dtype=float).ravel()
-    if xi.size != base.param_count:
+    pinned = None
+    if isinstance(orbit, ConstrainedOrbit):
+        orbit, pinned = orbit.orbit, orbit.pinned
+    if xi.size != orbit.param_count:
         raise InfeasibleParameterError(
-            f"expected {base.param_count} parameters, got {xi.size}"
+            f"expected {orbit.param_count} parameters, got {xi.size}"
         )
-    v = cons.violation(xi)
+    v = orbit.bounds.violation(xi)
+    if pinned is not None:
+        v = max(v, float(np.max(np.abs(xi - pinned), initial=0.0)))
     if v > tol:
         raise InfeasibleParameterError(
-            f"orbit {base.index} parameters infeasible (violation {v:.3e})"
+            f"orbit {orbit.index} parameters infeasible (violation {v:.3e})"
         )
-    return base.point_matrix() @ xi + base.point_offsets()
-
-
-def attach_constraints(orbit: SymmetryOrbit, A, b_lower, b_upper):
-    """Attach extra linear parameter constraints, verifying joint feasibility."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.size == 0:
-        A = A.reshape(0, orbit.param_count)
-    b_lower = np.asarray(b_lower, dtype=float).ravel()
-    b_upper = np.asarray(b_upper, dtype=float).ravel()
-    if A.shape[1] != orbit.param_count:
-        raise ValueError(
-            f"constraint matrix has {A.shape[1]} columns, orbit has "
-            f"{orbit.param_count} parameters"
-        )
-    extra = LinearConstraintSet(A, b_lower, b_upper)
-    combined = ConstrainedOrbit(orbit, extra)
-    cons = combined.stacked_constraints()
-    if lincon.feasible_point(cons.matrix, cons.lower, cons.upper) is None:
-        raise ConstraintConflictError(
-            f"extra constraints conflict with orbit {orbit.index} bounds"
-        )
-    return combined
+    return orbit.point_matrix() @ xi + orbit.point_offsets()
 
 
 def enumerate_admissible_collections(kind, p, cap=64):
@@ -625,10 +596,7 @@ def enumerate_admissible_collections(kind, p, cap=64):
 
     collections = []
     for combo in results:
-        entries = tuple(
-            ConstrainedOrbit(orbs[j], LinearConstraintSet.empty(orbs[j].param_count))
-            for j in combo
-        )
+        entries = tuple(ConstrainedOrbit(orbs[j]) for j in combo)
         collections.append(OrbitCollection(kind, p, entries))
     return collections
 

@@ -25,7 +25,6 @@ from symnodes.nodefile import read_node_file, write_node_file
 from symnodes.optimizer import objective_and_gradient, assemble_problem
 from symnodes.symmetry import (
     ConstrainedOrbit,
-    LinearConstraintSet,
     OrbitCollection,
     cartesian_symmetry_group,
     enumerate_admissible_collections,
@@ -245,7 +244,7 @@ def test_criterion_8_unisolvency_screen(opt_cache):
     coll = OrbitCollection(
         ElementKind.TRIANGLE,
         2,
-        (ConstrainedOrbit(tri[2], LinearConstraintSet.empty(2)),),
+        (ConstrainedOrbit(tri[2]),),
     )
     dist = evaluate_collection(coll, [0.22, 0.31])
     assert not is_unisolvent(FunctionSpace(ElementKind.TRIANGLE, 2), dist)

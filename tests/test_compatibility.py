@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from symnodes import lincon
 from symnodes.baselines import baseline_distribution, gll_1d
 from symnodes.compatibility import (
     FacePrescription,
+    _orbit_reach,
     build_compatibility_constraints,
     point_prescription,
     verify_face_match,
@@ -12,10 +16,10 @@ from symnodes.errors import IncompatibleCollectionError
 from symnodes.geometry import ElementKind, reference_element
 from symnodes.symmetry import (
     ConstrainedOrbit,
-    LinearConstraintSet,
     NodalDistribution,
     OrbitCollection,
     evaluate_collection,
+    evaluate_orbit,
     orbits,
 )
 
@@ -23,14 +27,7 @@ from symnodes.symmetry import (
 def _collection(kind, degree, indices):
     table = {o.index: o for o in orbits(kind)}
     return OrbitCollection(
-        kind,
-        degree,
-        tuple(
-            ConstrainedOrbit(
-                table[i], LinearConstraintSet.empty(table[i].param_count)
-            )
-            for i in indices
-        ),
+        kind, degree, tuple(ConstrainedOrbit(table[i]) for i in indices)
     )
 
 
@@ -39,8 +36,8 @@ def _realize(coll):
 
     parts = []
     for e in coll.entries:
-        if e.extra.nrows:
-            parts.append(e.pinned_parameters())
+        if e.pinned is not None:
+            parts.append(e.pinned)
         elif e.param_count == 0:
             parts.append(np.zeros(0))
         else:
@@ -65,9 +62,8 @@ def test_triangle_p3_worked_case():
     )
     # Vertices pin the 3-point orbit at alpha = 0; the 6-point orbit carries
     # the interior edge pair; the centroid entry stays free (no parameters).
-    assert coll.entries[1].is_pinned
-    np.testing.assert_allclose(coll.entries[1].pinned_parameters(), [0.0], atol=1e-14)
-    assert coll.entries[2].is_pinned
+    assert coll.entries[1].pinned.tolist() == [0.0]
+    assert coll.entries[2].pinned is not None
     dist, _ = _realize(coll)
     assert dist.count == 10
     assert verify_face_match(elem, dist, pres)
@@ -167,7 +163,7 @@ def test_constraint_count_conservation():
     # Each of the 3 vertices lies on two edges.
     assert boundary == 3 * (p + 1)
     pinned_pts = sum(
-        e.multiplicity for e in coll.entries if e.extra.nrows
+        e.multiplicity for e in coll.entries if e.pinned is not None
     )
     assert pinned_pts == 3 * (p + 1) - 3  # vertices counted once per orbit
 
@@ -230,3 +226,25 @@ def test_face_nodes_equal_embedded_prescription_exactly(opt_cache):
                     )
                     fixed[i] = True
             assert fixed.any(), f"{kind.value} p={p}: no face nodes"
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_orbit_reach_recovers_parameters(kind, data):
+    # Every point map has full column rank, so the parameters that put an
+    # orbit point at a location are unique, and _orbit_reach finds them.
+    orbit = data.draw(st.sampled_from(orbits(kind)))
+    for S, _ in orbit.maps:
+        assert np.linalg.matrix_rank(S) == orbit.param_count
+    b = orbit.bounds
+    lo, hi = lincon.coordinate_intervals(b.matrix, b.lower, b.upper)
+    u = np.array(
+        data.draw(st.lists(st.floats(0.0, 1.0), min_size=lo.size,
+                           max_size=lo.size))
+    )
+    xi = lo + u * (hi - lo)
+    assume(b.violation(xi) <= 0.0)
+    got = _orbit_reach(orbit, evaluate_orbit(orbit, xi)[0])
+    assert got is not None
+    assert np.max(np.abs(got - xi), initial=0.0) <= 1e-12

@@ -20,7 +20,6 @@ from symnodes.metrics import (
 from symnodes.quadrature import quadrature_rule
 from symnodes.symmetry import (
     ConstrainedOrbit,
-    LinearConstraintSet,
     NodalDistribution,
     OrbitCollection,
     cartesian_symmetry_group,
@@ -109,7 +108,7 @@ def test_lebesgue_does_not_fall_on_nested_lattices():
     # the constant is >= 1, the absolute 1e-12 is also a relative bound.
     spp = FunctionSpace(ElementKind.TRIANGLE, 3)
     tri = orbits(ElementKind.TRIANGLE)
-    ent = lambda o: ConstrainedOrbit(o, LinearConstraintSet.empty(o.param_count))
+    ent = lambda o: ConstrainedOrbit(o)
     coll = OrbitCollection(
         ElementKind.TRIANGLE, 3, (ent(tri[0]), ent(tri[1]), ent(tri[2]))
     )
@@ -241,7 +240,7 @@ def test_is_unisolvent_rejects_conic_sextet():
     # Six nodes from a single full triangle orbit lie on a conic, so the
     # quadratic space is never unisolvent on them.
     tri = orbits(ElementKind.TRIANGLE)
-    ent = ConstrainedOrbit(tri[2], LinearConstraintSet.empty(2))
+    ent = ConstrainedOrbit(tri[2])
     coll = OrbitCollection(ElementKind.TRIANGLE, 2, (ent,))
     dist = evaluate_collection(coll, [0.22, 0.31])
     sp2 = FunctionSpace(ElementKind.TRIANGLE, 2)

@@ -13,7 +13,6 @@ from symnodes.compatibility import (
     point_prescription,
 )
 from symnodes.errors import (
-    ConstraintConflictError,
     IncompatibleCollectionError,
     NoViableCollectionError,
 )
@@ -36,11 +35,10 @@ from symnodes.optimizer import (
 )
 from symnodes.symmetry import (
     ConstrainedOrbit,
-    LinearConstraintSet,
     NodalDistribution,
     OrbitCollection,
-    attach_constraints,
     enumerate_admissible_collections,
+    evaluate_collection,
     orbits,
 )
 
@@ -50,12 +48,7 @@ def _collection(kind, degree, indices):
     return OrbitCollection(
         kind,
         degree,
-        tuple(
-            ConstrainedOrbit(
-                table[i], LinearConstraintSet.empty(table[i].param_count)
-            )
-            for i in indices
-        ),
+        tuple(ConstrainedOrbit(table[i]) for i in indices),
     )
 
 
@@ -85,14 +78,17 @@ def test_active_set_box_quadratic():
     np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-10)
 
 
-def test_active_set_equality_quadratic():
+def test_equality_rows_raise():
+    # A fixed value is substituted, never carried as a row lo == hi.
     fun = lambda x: (float(x @ x), lambda: 2 * x)
     B = np.vstack([np.eye(2), np.ones((1, 2))])
-    res = lincon.minimize_linearly_constrained(
-        fun, np.array([1.0, 0.0]), B, [-10, -10, 1], [10, 10, 1]
-    )
-    assert res.status == "kkt-converged"
-    np.testing.assert_allclose(res.x, [0.5, 0.5], atol=1e-10)
+    lo, hi = [-10, -10, 1], [10, 10, 1]
+    with pytest.raises(ValueError, match="equality rows"):
+        lincon.minimize_linearly_constrained(
+            fun, np.array([1.0, 0.0]), B, lo, hi
+        )
+    with pytest.raises(ValueError, match="equality rows"):
+        lincon.project_onto(B, lo, hi, np.array([1.0, 0.0]))
 
 
 def test_gradient_only_at_start_and_accepted_steps():
@@ -163,7 +159,7 @@ def test_projection_and_feasibility():
     assert lincon.feasible_point(np.array([[1.0]]), [2.0], [1.0]) is None
 
 
-def test_project_reduced_returns_feasible_target_without_lp(monkeypatch):
+def test_project_onto_returns_feasible_target_without_lp(monkeypatch):
     calls = []
     real = lincon.feasible_point
 
@@ -175,11 +171,11 @@ def test_project_reduced_returns_feasible_target_without_lp(monkeypatch):
     G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     gl, gu = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])
     target = np.array([0.25, 0.5])
-    out = lincon.project_reduced(G, gl, gu, target)
+    out = lincon.project_onto(G, gl, gu, target)
     assert np.array_equal(out, target)
     assert calls == []
     # An infeasible target still goes through the phase-1 LP.
-    out = lincon.project_reduced(G, gl, gu, np.array([2.0, 0.0]))
+    out = lincon.project_onto(G, gl, gu, np.array([2.0, 0.0]))
     assert len(calls) == 1
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-9)
 
@@ -190,39 +186,39 @@ def test_project_reduced_returns_feasible_target_without_lp(monkeypatch):
 
 
 def test_assemble_worked_triangle_system():
-    # Collection (1, 2, 2, 3, 3) with the second 6-point orbit restricted to
-    # an edge: the stacked set must reduce to the textbook intervals.
+    # Collection (1, 2, 2, 3, 3) with the second 6-point orbit pinned to an
+    # edge point: the free system must reduce to the textbook intervals.
     kind = ElementKind.TRIANGLE
     table = {o.index: o for o in orbits(kind)}
-    e = lambda i: ConstrainedOrbit(
-        table[i], LinearConstraintSet.empty(table[i].param_count)
-    )
-    pinned = attach_constraints(table[3], [[0.0, 1.0]], [0.0], [0.0])
+    e = lambda i: ConstrainedOrbit(table[i])
+    pinned = ConstrainedOrbit(table[3], [0.4, 0.0])
     coll = OrbitCollection(kind, None, (e(1), e(2), e(2), e(3), pinned))
     elem = reference_element(kind)
     problem = assemble_problem(elem, coll, FunctionSpace(kind, 3))
+    assert problem.free_dimension == 4
+    assert problem.free_mask.tolist() == [True] * 4 + [False] * 2
+    assert problem.pinned_values.tolist() == [0, 0, 0, 0, 0.4, 0.0]
     cons = problem.constraints
     lo, hi = lincon.coordinate_intervals(cons.matrix, cons.lower, cons.upper)
-    np.testing.assert_allclose(lo, [0, 0, 0, 0, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(hi, [0.5, 0.5, 1, 1, 1, 0], atol=1e-12)
-    # alpha3 + alpha4 <= 1 via an LP probe on the same stacked system.
+    np.testing.assert_allclose(lo, [0, 0, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(hi, [0.5, 0.5, 1, 1], atol=1e-12)
+    # alpha3 + alpha4 <= 1 via an LP probe on the same free system.
     from scipy.optimize import linprog
 
     from symnodes.lincon import _lp_parts
 
-    A_eq, b_eq, A_ub, b_ub = _lp_parts(cons.matrix, cons.lower, cons.upper)
-    c = np.zeros(6)
+    A_ub, b_ub = _lp_parts(cons.matrix, cons.lower, cons.upper)
+    c = np.zeros(4)
     c[2] = c[3] = -1.0
     res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq if A_eq.shape[0] else None,
-        b_eq=b_eq if A_eq.shape[0] else None,
-        bounds=[(None, None)] * 6,
-        method="highs",
+        c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * 4, method="highs"
     )
     assert abs(-res.fun - 1.0) < 1e-12
+    # The pinned orbit's nodes sit at its pinned values whatever ``y``.
+    y = np.array([0.1, 0.2, 0.15, 0.25])
+    X = problem.nodes_at(y)
+    want = evaluate_collection(coll, problem.stacked(y)).nodes
+    np.testing.assert_allclose(X, want, atol=1e-15)
 
 
 def test_assemble_fully_pinned_line():
@@ -230,25 +226,8 @@ def test_assemble_fully_pinned_line():
         ElementKind.LINE, 2, (1, 2), [point_prescription(2)]
     )
     assert problem.free_dimension == 0
-    assert coll.entries[1].is_pinned
-
-
-def test_assemble_conflict():
-    kind = ElementKind.LINE
-    table = {o.index: o for o in orbits(kind)}
-    bad = ConstrainedOrbit(
-        table[2],
-        LinearConstraintSet(
-            np.array([[1.0], [1.0]]), np.array([0.2, 0.8]), np.array([0.2, 0.8])
-        ),
-    )
-    coll = OrbitCollection(
-        kind, None, (bad,)
-    )
-    with pytest.raises(ConstraintConflictError):
-        assemble_problem(
-            reference_element(kind), coll, FunctionSpace(kind, 1)
-        )
+    assert coll.entries[1].pinned.tolist() == [-1.0]
+    assert problem.stacked(np.zeros(0)).tolist() == [-1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +239,7 @@ def test_objective_fully_pinned_line():
     problem, coll = _problem(
         ElementKind.LINE, 2, (1, 2), [point_prescription(2)]
     )
-    xi = np.array([e.pinned_parameters() for e in coll.entries if e.extra.nrows])
-    f, g = objective_and_gradient(problem, xi.ravel())
+    f, g = objective_and_gradient(problem, np.zeros(0))
     assert f == pytest.approx(8.0 / 5.0, abs=1e-12)
     assert g.size == 0
 
@@ -311,13 +289,12 @@ def test_line_p4_objective_shape():
     problem, coll = _problem(
         ElementKind.LINE, 4, (1, 2, 2), [point_prescription(4)]
     )
-    res = minimize(problem, OptimizerConfig(), np.array([1.0, 0.5]))
-    xi_star = res.parameters
-    f_star, g_star = objective_and_gradient(problem, xi_star)
+    res = minimize(problem, OptimizerConfig(), np.array([0.5]))
+    y_star = res.parameters[problem.free_mask]
+    f_star, g_star = objective_and_gradient(problem, y_star)
     assert np.max(np.abs(g_star)) < 1e-8
-    Z = problem.null_basis
     for t in (1e-3, -1e-3):
-        f_t, _ = objective_and_gradient(problem, xi_star + Z[:, 0] * t)
+        f_t, _ = objective_and_gradient(problem, y_star + t)
         assert f_t > f_star
 
 
@@ -331,19 +308,15 @@ def test_minimize_line_p4_near_gll():
         ElementKind.LINE, 4, (1, 2, 2), [point_prescription(4)]
     )
     # Initialize the free symmetric pair at the uniform interior node.
-    xi0 = np.zeros(coll.total_params)
-    for entry, sl in zip(coll.entries, problem.collection.slices()):
-        if entry.extra.nrows:
-            xi0[sl] = entry.pinned_parameters()
-    free_slice = [
-        sl
-        for entry, sl in zip(coll.entries, problem.collection.slices())
-        if not entry.extra.nrows and entry.param_count
-    ][0]
-    xi0[free_slice] = 0.5
-    res = minimize(problem, OptimizerConfig(), xi0)
+    assert problem.free_dimension == 1
+    res = minimize(problem, OptimizerConfig(), np.array([0.5]))
     assert res.status == "kkt-converged"
-    alpha = abs(res.parameters[free_slice][0])
+    # The pinned endpoint pair keeps its value bit for bit.
+    pinned = ~problem.free_mask
+    assert np.array_equal(
+        res.parameters[pinned], problem.pinned_values[pinned]
+    )
+    alpha = abs(res.parameters[problem.free_mask][0])
     assert abs(alpha - 0.65) <= 0.05
 
 
@@ -372,8 +345,11 @@ def test_optimize_monotone_improvement_and_feasibility():
     sp = FunctionSpace(ElementKind.LINE, 5)
     # Initialized from the tensor baseline, so it can only improve on it.
     assert r.objective <= lebesgue_objective(sp, gll) + 1e-12
-    cons = r.collection.stacked_constraints()
-    assert cons.violation(r.parameters) <= 1e-10
+    coll = r.collection
+    free = np.array([e.pinned is None for e in coll.entries])
+    assert free.tolist() == [False, True, True]  # one parameter each
+    assert coll.stacked_constraints().violation(r.parameters[free]) <= 1e-10
+    assert evaluate_collection(coll, r.parameters).count == 6
 
 
 def test_optimize_determinism():
@@ -460,8 +436,9 @@ def _uniform(kind, p):
 @pytest.mark.parametrize("kind", list(ElementKind))
 @pytest.mark.parametrize("p", range(1, 6))
 def test_jitter_intervals_match_stacked_system(kind, p):
-    # The stacked constraints are block diagonal, so each free entry's
-    # intervals over its orbit's bounds are its stacked-system intervals.
+    # The stacked constraints are block diagonal over the free entries, so
+    # each free entry's intervals over its orbit's bounds are its
+    # stacked-system intervals.
     elem = reference_element(kind)
     coll, _ = optimizer._baseline_collection(kind, p)
     pres = face_prescriptions(kind, p, _uniform)
@@ -469,15 +446,18 @@ def test_jitter_intervals_match_stacked_system(kind, p):
     cons = coll.stacked_constraints()
     lo, hi = lincon.coordinate_intervals(cons.matrix, cons.lower, cons.upper)
     span = optimizer._jitter_spans(coll)
-    for entry, sl in zip(coll.entries, coll.slices()):
-        if entry.extra.nrows:
-            assert entry.is_pinned
-            assert np.array_equal(span[sl], np.zeros(entry.param_count))
+    assert span.size == cons.nvars
+    off = 0
+    for entry in coll.entries:
+        if entry.pinned is not None:
             continue
+        sl = slice(off, off + entry.param_count)
+        off = sl.stop
         olo, ohi = optimizer._orbit_intervals(entry.orbit)
         assert np.array_equal(olo, lo[sl])
         assert np.array_equal(ohi, hi[sl])
         assert np.array_equal(span[sl], hi[sl] - lo[sl])
+    assert off == cons.nvars
 
 
 def test_fully_pinned_problem_runs_one_minimization(monkeypatch):

@@ -13,10 +13,8 @@ from symnodes.errors import (
 from symnodes.geometry import ElementKind, contains, node_count, reference_element
 from symnodes.symmetry import (
     ConstrainedOrbit,
-    LinearConstraintSet,
     NodalDistribution,
     OrbitCollection,
-    attach_constraints,
     cartesian_symmetry_group,
     closest_pair,
     enumerate_admissible_collections,
@@ -51,14 +49,10 @@ EXPECTED_PARAM_COUNTS = {
 }
 
 
-def _unconstrained(orbit):
-    return ConstrainedOrbit(orbit, LinearConstraintSet.empty(orbit.param_count))
-
-
 def _collection(kind, degree, indices):
     table = {o.index: o for o in orbits(kind)}
     return OrbitCollection(
-        kind, degree, tuple(_unconstrained(table[i]) for i in indices)
+        kind, degree, tuple(ConstrainedOrbit(table[i]) for i in indices)
     )
 
 
@@ -132,7 +126,7 @@ def test_orbit_parameter_bounds_examples():
 
     from symnodes.lincon import _lp_parts
 
-    A_eq, b_eq, A_ub, b_ub = _lp_parts(b3.matrix, b3.lower, b3.upper)
+    A_ub, b_ub = _lp_parts(b3.matrix, b3.lower, b3.upper)
     res = linprog(
         [-1.0, -1.0], A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * 2,
         method="highs",
@@ -357,18 +351,47 @@ def test_validate_names_the_colliding_pair():
     assert exc.value.pair == (0, 2)
 
 
-def test_attach_constraints_examples():
+def test_pinned_orbit_examples():
     tri = orbits(ElementKind.TRIANGLE)
-    pinned = attach_constraints(tri[2], [[0.0, 1.0]], [0.0], [0.0])
+    pinned = ConstrainedOrbit(tri[2], [0.4, 0.0])
+    assert pinned.pinned.tolist() == [0.4, 0.0]
+    assert not pinned.pinned.flags.writeable
     pts = evaluate_orbit(pinned, [0.4, 0.0])
     assert pts.shape == (6, 3)
+    # Parameters away from the pinned values do not realize the entry.
+    with pytest.raises(InfeasibleParameterError):
+        evaluate_orbit(pinned, [0.3, 0.0])
 
-    # Empty constraints leave the orbit unchanged.
-    free = attach_constraints(tri[2], np.zeros((0, 2)), [], [])
-    assert free.extra.nrows == 0
+    # A free entry takes any parameters within the orbit bounds.
+    free = ConstrainedOrbit(tri[2])
+    assert free.pinned is None
+    assert evaluate_orbit(free, [0.3, 0.1]).shape == (6, 3)
 
-    with pytest.raises(ConstraintConflictError):
-        attach_constraints(tri[1], [[1.0]], [0.6], [0.6])  # alpha <= 1/2
+    with pytest.raises(ValueError):
+        ConstrainedOrbit(tri[2], [0.4])  # two parameters
+
+
+def test_pin_outside_bounds_raises():
+    cases = [
+        (ElementKind.LINE, 2, [1.2]),  # alpha <= 1
+        (ElementKind.TRIANGLE, 2, [0.6]),  # alpha <= 1/2
+        (ElementKind.TRIANGLE, 3, [0.7, 0.7]),  # alpha + beta <= 1
+        (ElementKind.PYRAMID, 1, [-1.5]),  # z >= -1
+    ]
+    for kind, index, xi in cases:
+        with pytest.raises(ConstraintConflictError, match="violate"):
+            ConstrainedOrbit(orbits(kind)[index - 1], xi)
+    # Within the pin tolerance of a bound is on the bound.
+    ConstrainedOrbit(orbits(ElementKind.LINE)[1], [1.0 + 1e-12])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_orbit_bounds_have_no_equality_rows(kind):
+    # A pin is a value, so no orbit carries a row with lower == upper.
+    for orbit in orbits(kind):
+        b = orbit.bounds
+        assert not np.any(lincon.equality_rows(b.lower, b.upper))
+        assert not np.any(b.lower == b.upper)
 
 
 def test_collection_admissibility_enforced():
