@@ -14,7 +14,10 @@ Compares this checkout against the one at the given path (each with its own
   (``np.array_equal``);
 * every file written by ``tabulate --element line,tri,quad --degree-range
   7:9`` and ``tabulate --element tet,hex,prism,pyramid --degree-range 4:4``
-  at each seed (node files and manifest, byte for byte);
+  at each seed (node files and manifest, byte for byte), and the
+  ``evaluate`` row of each of those node files;
+* the stdout line of ``generate --element tet --degree 3 --compat auto`` at
+  each seed, without its ``wrote PATH`` tail;
 * the ``compare`` CSVs of the benchmark's eval-files workload at each seed.
 
 Prints one line per comparison and exits 1 if anything differs.  Where a
@@ -86,6 +89,19 @@ np.savez(sys.argv[1], **out)
 
 CLI = "import sys; from symnodes.cli import main; sys.exit(main(sys.argv[1:]))"
 
+# The ``evaluate`` rows of the node files given as arguments, as one CSV.
+EVALUATE = r"""
+import sys
+from symnodes.cli import CSV_HEADER, main
+print(CSV_HEADER, flush=True)
+for path in sys.argv[1:]:
+    assert main(["evaluate", path]) == 0
+"""
+
+GENERATE = [
+    "generate", "--element", "tet", "--degree", "3", "--compat", "auto",
+]
+
 EVAL = r"""
 import sys
 from pathlib import Path
@@ -101,10 +117,11 @@ for args in cli_calls("eval-files", seed, out, str(Path(out) / "in")):
 
 
 def _run(checkout, argv):
+    """Run Python on ``checkout``'s ``src`` with ``argv``; return stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    subprocess.run([sys.executable, *argv], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, *argv], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 METRICS = ("lebesgue_constant", "lebesgue_objective", "mass_condition")
@@ -241,16 +258,38 @@ def main(argv=None):
                     out = tmp / f"{side}-{name}-{seed}"
                     _run(checkout, ["-c", CLI, *cmd, "--seed", str(seed),
                                     "--out", str(out)])
-                this = tmp / f"this-{name}-{seed}"
-                other = tmp / f"other-{name}-{seed}"
-                same, lines = _compare_files(
-                    this, other, sorted(os.listdir(this)),
-                    sorted(os.listdir(other)),
-                )
-                print(f"tabulate {name} seed {seed}: "
-                      f"{'identical' if same else 'DIFFERENT'}", *lines,
-                      sep="\n")
-                ok &= same
+                    files = sorted(str(f) for f in out.glob("*.nodes"))
+                    rows = tmp / f"{side}-evaluate-{name}-{seed}"
+                    rows.mkdir()
+                    (rows / "evaluate.csv").write_text(
+                        _run(checkout, ["-c", EVALUATE, *files])
+                    )
+                for what in ("", "evaluate-"):
+                    this = tmp / f"this-{what}{name}-{seed}"
+                    other = tmp / f"other-{what}{name}-{seed}"
+                    same, lines = _compare_files(
+                        this, other, sorted(os.listdir(this)),
+                        sorted(os.listdir(other)),
+                    )
+                    label = "evaluate rows" if what else "tabulate"
+                    print(f"{label} {name} seed {seed}: "
+                          f"{'identical' if same else 'DIFFERENT'}", *lines,
+                          sep="\n")
+                    ok &= same
+            generated = {}
+            for side, checkout in sides.items():
+                stdout = _run(checkout, [
+                    "-c", CLI, *GENERATE, "--seed", str(seed),
+                    "--cache-dir", str(tmp / f"{side}-generate-{seed}"),
+                ])
+                generated[side] = stdout.rpartition(", wrote ")[0]
+            same = generated["this"] == generated["other"]
+            lines = [] if same else [
+                f"    {side}: {line}" for side, line in generated.items()
+            ]
+            print(f"generate tet p=3 seed {seed}: "
+                  f"{'identical' if same else 'DIFFERENT'}", *lines, sep="\n")
+            ok &= same
             for side, checkout in sides.items():
                 out = tmp / f"{side}-eval-{seed}"
                 _run(checkout, ["-c", EVAL, str(ROOT / "perfbench"),

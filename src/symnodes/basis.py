@@ -477,7 +477,7 @@ class LagrangeInterpolator:
     values there.  This is the workhorse behind the metrics.
     """
 
-    def __init__(self, space, dist, condition_limit=UNISOLVENCY_CONDITION_LIMIT):
+    def __init__(self, space, dist):
         self.space = space
         self.dist = dist
         self.vmatrix = vandermonde(space, dist)
@@ -485,10 +485,10 @@ class LagrangeInterpolator:
         if not np.all(np.isfinite(V)):
             raise UnisolvencyError("non-finite basis values at nodes")
         cond = self.vmatrix.condition
-        if not np.isfinite(cond) or cond > condition_limit:
+        if not np.isfinite(cond) or cond > UNISOLVENCY_CONDITION_LIMIT:
             raise UnisolvencyError(
                 f"Vandermonde condition {cond:.3e} exceeds limit "
-                f"{condition_limit:.1e}"
+                f"{UNISOLVENCY_CONDITION_LIMIT:.1e}"
             )
         lu = scipy.linalg.lu_factor(V)
         self._inverse = scipy.linalg.lu_solve(lu, np.eye(V.shape[0]))

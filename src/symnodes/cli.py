@@ -116,7 +116,6 @@ def _optimizer_config(args):
         kkt_tol=args.kkt_tol,
         max_major_iterations=args.max_iters,
         seed=args.seed,
-        resolution=args.resolution,
     )
 
 
@@ -148,12 +147,11 @@ def _load_cached(path, expect_hash):
     return dist
 
 
-def _make_ensure(args, cache_dir, fresh=None):
+def _make_ensure(args, cache_dir, statuses=None):
     """Recursive generate-or-load over the cache directory.
 
-    With a ``fresh`` dict, the :class:`OptimizedResult` of every
-    distribution optimized here (metrics at ``args.resolution``) is stored
-    under ``(kind, degree)``.
+    With a ``statuses`` dict, the optimizer status of every distribution
+    optimized here is stored under ``(kind, degree)``.
     """
 
     def ensure(kind, degree):
@@ -168,31 +166,29 @@ def _make_ensure(args, cache_dir, fresh=None):
         )
         os.makedirs(cache_dir, exist_ok=True)
         write_node_file(path, result.distribution, config=cfg_hash)
-        if fresh is not None:
-            fresh[(kind, degree)] = result
+        if statuses is not None:
+            statuses[(kind, degree)] = result.status
         return result.distribution
 
     return ensure
 
 
-def _metric_report(kind, degree, dist, resolution, fresh):
-    """The report of the result ``ensure`` stored in ``fresh`` for a
-    distribution it optimized just now, else a newly evaluated one."""
-    result = fresh.pop((kind, degree), None)
-    if result is None:
-        space = FunctionSpace(kind, degree)
-        return evaluate_metrics(space, dist, resolution=resolution)
-    return result.metrics
-
-
-def _metrics_row(kind, degree, name, report):
-    return (
-        f"{kind.value},{degree},{name},"
-        f"{format_float(report.lebesgue_constant)},"
-        f"{format_float(report.lebesgue_objective)},"
-        f"{format_float(report.mass_condition)},"
-        f"{report.resolution}"
+def _metric_fields(kind, degree, dist, resolution):
+    """The metrics of one printed row, formatted, in CSV column order."""
+    report = evaluate_metrics(
+        FunctionSpace(kind, degree), dist, resolution=resolution
     )
+    return {
+        "lebesgue_constant": format_float(report.lebesgue_constant),
+        "lebesgue_objective": format_float(report.lebesgue_objective),
+        "mass_condition": format_float(report.mass_condition),
+        "resolution": report.resolution,
+    }
+
+
+def _metrics_row(kind, degree, name, fields):
+    values = ",".join(str(v) for v in fields.values())
+    return f"{kind.value},{degree},{name},{values}"
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +214,18 @@ def cmd_generate(args):
                 dist, _ = read_node_file(path.strip())
             except OSError as exc:
                 raise InputError(f"cannot read {path}: {exc}") from exc
-            prescriptions.append(FacePrescription(dist.kind, dist))
+            try:
+                prescriptions.append(FacePrescription(dist.kind, dist))
+            except ValueError as exc:
+                raise InputError(f"bad prescription {path}: {exc}") from exc
         if kind is ElementKind.LINE and not prescriptions:
             prescriptions = [point_prescription(args.degree)]
 
     result = optimize_nodes(
         kind, args.degree, prescriptions, _optimizer_config(args)
+    )
+    m = _metric_fields(
+        kind, args.degree, result.distribution, args.resolution
     )
     cfg_hash = config_hash(
         _config_payload(kind, args.degree, args, compat)
@@ -231,12 +233,11 @@ def cmd_generate(args):
     out = args.out or _cache_path(cache_dir, kind, args.degree)
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     write_node_file(out, result.distribution, config=cfg_hash)
-    m = result.metrics
     print(
         f"{kind.value} p={args.degree}: {result.distribution.count} nodes, "
-        f"lebesgue {format_float(m.lebesgue_constant)}, "
-        f"objective {format_float(m.lebesgue_objective)}, "
-        f"mass condition {format_float(m.mass_condition)}, "
+        f"lebesgue {m['lebesgue_constant']}, "
+        f"objective {m['lebesgue_objective']}, "
+        f"mass condition {m['mass_condition']}, "
         f"{result.status}, wrote {out}"
     )
     return 0
@@ -247,10 +248,8 @@ def cmd_evaluate(args):
         dist, header = read_node_file(args.nodefile)
     except OSError as exc:
         raise InputError(f"cannot read {args.nodefile}: {exc}") from exc
-    report = _metric_report(
-        dist.kind, dist.degree, dist, args.resolution, {}
-    )
-    print(_metrics_row(dist.kind, dist.degree, header.source, report))
+    fields = _metric_fields(dist.kind, dist.degree, dist, args.resolution)
+    print(_metrics_row(dist.kind, dist.degree, header.source, fields))
     return 0
 
 
@@ -266,8 +265,7 @@ def cmd_compare(args):
     for d in degrees:
         _check_degree(kind, d, args.force_degree)
     dists = args.dist or ["optimized", "gll", "uniform"]
-    fresh = {}
-    ensure = _make_ensure(args, args.cache_dir, fresh)
+    ensure = _make_ensure(args, args.cache_dir)
 
     rows = [CSV_HEADER]
     n_ok = 0
@@ -292,11 +290,10 @@ def cmd_compare(args):
                         file=sys.stderr,
                     )
                     continue
-                dist = builder()
-                report = _metric_report(
-                    kind, degree, dist, args.resolution, fresh
+                fields = _metric_fields(
+                    kind, degree, builder(), args.resolution
                 )
-                rows.append(_metrics_row(kind, degree, name, report))
+                rows.append(_metrics_row(kind, degree, name, fields))
                 n_ok += 1
             except (SymnodesError, OSError) as exc:
                 print(
@@ -316,17 +313,19 @@ def cmd_compare(args):
 def cmd_tabulate(args):
     kinds = [_parse_element(e) for e in args.element.split(",")]
     degrees = _parse_degree_range(args.degree_range)
+    for kind in kinds:
+        for degree in degrees:
+            _check_degree(kind, degree, args.force_degree)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     tab_args = argparse.Namespace(**vars(args))
     tab_args.cache_dir = out_dir
-    fresh = {}
-    ensure = _make_ensure(tab_args, out_dir, fresh)
+    statuses = {}
+    ensure = _make_ensure(tab_args, out_dir, statuses)
 
     records = []
     for kind in kinds:
         for degree in degrees:
-            _check_degree(kind, degree, args.force_degree)
             cfg_hash = config_hash(
                 _config_payload(kind, degree, tab_args, "auto")
             )
@@ -339,19 +338,12 @@ def cmd_tabulate(args):
             }
             try:
                 dist = ensure(kind, degree)
-                # The winning restart's status; None when loaded from disk.
-                result = fresh.get((kind, degree))
-                report = _metric_report(
-                    kind, degree, dist, args.resolution, fresh
-                )
                 record.update(
                     status="ok",
-                    optimizer_status=result.status if result else None,
+                    # The winning restart's status; None when loaded from disk.
+                    optimizer_status=statuses.get((kind, degree)),
                     count=dist.count,
-                    lebesgue_constant=format_float(report.lebesgue_constant),
-                    lebesgue_objective=format_float(report.lebesgue_objective),
-                    mass_condition=format_float(report.mass_condition),
-                    resolution=report.resolution,
+                    **_metric_fields(kind, degree, dist, args.resolution),
                 )
             except SymnodesError as exc:
                 record.update(status="failed", error=str(exc))

@@ -138,14 +138,13 @@ def _orbit_reach(orbit, lam_hat):
 
 
 def build_compatibility_constraints(
-    elem, collection: OrbitCollection, prescriptions, fixed_faces=None
+    elem, collection: OrbitCollection, prescriptions
 ) -> OrbitCollection:
     """Pin collection entries so every face carries its prescribed nodes.
 
     ``prescriptions`` holds one :class:`FacePrescription` per face kind of
-    the element.  ``fixed_faces`` optionally selects which face of each kind
-    receives the node mapping (any choice yields the same node set, by
-    symmetry); by default the first face of each kind is used.
+    the element.  The first face of each kind in ``elem.faces`` receives
+    the node mapping (any choice yields the same node set, by symmetry).
 
     Raises :class:`IncompatibleCollectionError` when some prescribed node
     cannot be hosted by any remaining entry.
@@ -171,7 +170,7 @@ def build_compatibility_constraints(
         evaluate_orbit(e, e.pinned) for e in entries if e.pinned is not None
     ]
     for fk in sorted(by_kind, key=_FACE_KIND_PRIORITY.__getitem__):
-        face = _face_of(elem, fk, fixed_faces)
+        face = next(f for f in elem.faces if f.face_kind == fk)
         worklist = []
         for x in face.embed(by_kind[fk].dist.nodes):
             try:
@@ -210,20 +209,6 @@ def build_compatibility_constraints(
                 if np.min(np.linalg.norm(pts - lh, axis=1)) > _MATCH_TOL
             ]
     return OrbitCollection(collection.kind, collection.degree, tuple(entries))
-
-
-def _face_of(elem, face_kind, fixed_faces):
-    """The face of ``face_kind`` that receives the prescribed nodes:
-    ``fixed_faces[face_kind]`` when given, else the first such face."""
-    if not (fixed_faces and face_kind in fixed_faces):
-        return next(f for f in elem.faces if f.face_kind == face_kind)
-    face = elem.faces[fixed_faces[face_kind]]
-    if face.face_kind != face_kind:
-        raise ValueError(
-            f"face {fixed_faces[face_kind]} of {elem.kind.value} is not a "
-            f"{face_kind} face"
-        )
-    return face
 
 
 def snap_face_nodes(elem, nodes, prescriptions, tol=_MATCH_TOL):

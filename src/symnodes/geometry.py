@@ -145,7 +145,6 @@ class ReferenceElement:
     # Precomputed solve for natural coordinates: lam = solve_matrix @ [x; e]
     # where e stacks the equality rows of the bound table (barycentric sums).
     _solve_matrix: np.ndarray = field(repr=False, default=None)
-    _solve_rhs_rows: np.ndarray = field(repr=False, default=None)
     _solve_rhs_vals: np.ndarray = field(repr=False, default=None)
 
     def natural_violation(self, lam):
@@ -175,7 +174,7 @@ def _solve_setup(n_matrix, b_lambda, v_lower, v_upper):
             f"natural-coordinate system is not square: {full.shape}"
         )
     inv = np.linalg.inv(full)
-    return _ro(inv), _ro(rows), _ro(vals)
+    return _ro(inv), _ro(vals)
 
 
 def _element(kind, n_matrix, b_lambda, v_lower, v_upper, vertices, faces):
@@ -186,7 +185,7 @@ def _element(kind, n_matrix, b_lambda, v_lower, v_upper, vertices, faces):
     if np.any(v_lower > v_upper):
         raise NumericalError(f"{kind}: lower bound exceeds upper bound")
     d = CARTESIAN_DIM[kind]
-    solve_matrix, rhs_rows, rhs_vals = _solve_setup(
+    solve_matrix, rhs_vals = _solve_setup(
         n_matrix, b_lambda, v_lower, v_upper
     )
     return ReferenceElement(
@@ -202,7 +201,6 @@ def _element(kind, n_matrix, b_lambda, v_lower, v_upper, vertices, faces):
         faces=tuple(faces),
         measure=MEASURE[kind],
         _solve_matrix=solve_matrix,
-        _solve_rhs_rows=rhs_rows,
         _solve_rhs_vals=rhs_vals,
     )
 

@@ -181,9 +181,7 @@ class SolveResult:
     message: str = ""
 
 
-def minimize_linearly_constrained(
-    fun, x0, B, lo, hi, tol=1e-10, max_iter=50, project_start=True
-):
+def minimize_linearly_constrained(fun, x0, B, lo, hi, tol=1e-10, max_iter=50):
     """Minimize a smooth function subject to ``lo <= B @ x <= hi``.
 
     ``fun(x) -> (f, grad_fn)``, where the zero-argument ``grad_fn()``
@@ -197,7 +195,7 @@ def minimize_linearly_constrained(
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     B, lo, hi = _inequalities(B, lo, hi)
-    if project_start and violation(B, lo, hi, x0) > 1e-12:
+    if violation(B, lo, hi, x0) > 1e-12:
         x0 = project_onto(B, lo, hi, x0)
     return _active_set(fun, x0, B, lo, hi, tol, max_iter)
 

@@ -21,8 +21,9 @@
 * Mass matrix: the cardinal Gram matrix ``M = V^-T V^-1``.  Its eigenvalues
   are ``1 / sigma_i^2`` for the singular values ``sigma_i`` of ``V``, so its
   condition number is ``cond(V)^2``.
-* Unisolvency screen: cheap rejection of node sets whose Vandermonde or
-  coarse Lebesgue estimate blows up.
+* Unisolvency screen (``is_unisolvent``): cheap rejection of node sets
+  whose Vandermonde or coarse Lebesgue estimate blows up.  The optimizer
+  runs it on its start; ``evaluate_metrics`` does not.
 
 Every metric is computed on the nodes in lexicographic coordinate order, so
 the scalar results are identical floats whatever order the caller's nodes
@@ -74,7 +75,6 @@ class MetricReport:
     lebesgue_constant: float
     lebesgue_objective: float
     mass_condition: float
-    unisolvent: bool
     resolution: int
 
 
@@ -175,14 +175,6 @@ def _mass_condition(vmatrix):
     return vmatrix.condition**2
 
 
-def _screen(interp):
-    """The unisolvency screen on an interpolator that was built."""
-    if interp.vmatrix.condition >= UNISOLVENCY_CONDITION_LIMIT:
-        return False
-    coarse = _lebesgue_max(interp, _SCREEN_RESOLUTION)
-    return bool(np.isfinite(coarse) and coarse < _SCREEN_LIMIT)
-
-
 def lebesgue_constant(space, dist, resolution=None):
     """Max over the sample set of the cardinal-function absolute sum."""
     _, interp = _interpolator(space, dist)
@@ -215,7 +207,10 @@ def is_unisolvent(space, dist):
         _, interp = _interpolator(space, dist)
     except (ValueError, UnisolvencyError):
         return False
-    return _screen(interp)
+    if interp.vmatrix.condition >= UNISOLVENCY_CONDITION_LIMIT:
+        return False
+    coarse = _lebesgue_max(interp, _SCREEN_RESOLUTION)
+    return bool(np.isfinite(coarse) and coarse < _SCREEN_LIMIT)
 
 
 def evaluate_metrics(space, dist, resolution=None):
@@ -227,12 +222,9 @@ def evaluate_metrics(space, dist, resolution=None):
     if resolution is None:
         resolution = default_resolution(reference_element(space.kind).dim)
     _, interp = _interpolator(space, dist)
-    uni = _screen(interp)
-    leb = _lebesgue_max(interp, resolution)
     return MetricReport(
-        lebesgue_constant=leb,
+        lebesgue_constant=_lebesgue_max(interp, resolution),
         lebesgue_objective=_objective(interp),
         mass_condition=_mass_condition(interp.vmatrix),
-        unisolvent=uni,
         resolution=resolution,
     )

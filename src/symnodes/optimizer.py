@@ -13,7 +13,8 @@ method.
 the orbit decomposition of the element's baseline nodes: pin its entries to
 the face prescriptions, start from the baseline parameters, screen the
 start for unisolvency, minimize from it and from a few jittered restarts,
-and keep the run with the lowest objective.
+and keep the run with the lowest objective.  It returns the node set; its
+metrics are left to :func:`~symnodes.metrics.evaluate_metrics`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .geometry import (
     natural_to_cartesian,
     reference_element,
 )
-from .metrics import MetricReport, evaluate_metrics, is_unisolvent
+from .metrics import is_unisolvent
 from .symmetry import (
     ConstrainedOrbit,
     LinearConstraintSet,
@@ -71,13 +72,15 @@ __all__ = [
 ]
 
 
+# Jittered restarts after the baseline start.
+MULTISTART_COUNT = 3
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     kkt_tol: float = 1e-10
     max_major_iterations: int = 50
-    multistart_count: int = 3
     seed: int = 0
-    resolution: int | None = None
 
     def __post_init__(self):
         if self.kkt_tol <= 0:
@@ -141,7 +144,6 @@ class OptimizedResult:
     distribution: NodalDistribution
     parameters: np.ndarray
     objective: float
-    metrics: MetricReport
     collection: OrbitCollection
     status: str
 
@@ -472,7 +474,7 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     ``prescriptions`` its entries are pinned to the face nodes
     (:func:`~symnodes.compatibility.build_compatibility_constraints`).  The
     minimization starts from the baseline parameters and from
-    ``config.multistart_count`` jittered copies, each seeded by
+    ``MULTISTART_COUNT`` jittered copies, each seeded by
     ``(config.seed, restart)``; the jitter is up to 5 % of each free
     parameter's range over its orbit's bounds.  Entries pinned to face
     nodes keep their values, and only the free parameters are optimized; a
@@ -525,7 +527,7 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
         span = _jitter_spans(coll)
         starts += [
             _jittered_start(problem, y0, span, (config.seed, restart))
-            for restart in range(1, config.multistart_count + 1)
+            for restart in range(1, MULTISTART_COUNT + 1)
         ]
     cons = problem.constraints
     runs = []  # (objective, restart, outcome, distribution)
@@ -554,12 +556,10 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
                 "optimized distribution violates the face prescriptions"
             )
         dist.nodes = snap_face_nodes(elem, dist.nodes, prescriptions)
-    report = evaluate_metrics(space, dist, resolution=config.resolution)
     return OptimizedResult(
         distribution=dist,
         parameters=outcome.parameters,
         objective=f_best,
-        metrics=report,
         collection=coll,
         status=outcome.status,
     )

@@ -265,8 +265,6 @@ class NodalDistribution:
     degree: int
     nodes: np.ndarray  # (n, d)
     source: str = "unspecified"
-    parameters: np.ndarray | None = None
-    collection: OrbitCollection | None = None
 
     def __post_init__(self):
         self.nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
@@ -625,8 +623,6 @@ def evaluate_collection(collection: OrbitCollection, xi_bar, tol=1e-9):
         degree=collection.degree,
         nodes=nodes,
         source="collection",
-        parameters=xi_bar.copy(),
-        collection=collection,
     )
     if collection.degree is not None:
         dist.validate()

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +78,20 @@ def test_generate_compat_from_file(tmp_path, capsys):
     assert verify_face_match(
         elem, dist, [FacePrescription(ElementKind.TRIANGLE, tri)]
     )
+
+
+def test_generate_rejects_asymmetric_compat_file(tmp_path, capsys):
+    face = tmp_path / "line3.nodes"
+    nodes = np.array([[-1.0], [-0.5], [0.3], [1.0]])
+    asymmetric = NodalDistribution(ElementKind.LINE, 3, nodes, "file")
+    write_node_file(face, asymmetric)
+    code, _, err = _run(
+        capsys,
+        "generate", "--element", "tri", "--degree", "3",
+        "--compat", str(face), "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "not symmetric" in err
 
 
 def test_generate_rejects_bad_element(tmp_path, capsys):
@@ -237,29 +252,33 @@ def test_tabulate_records_optimizer_status(tmp_path, capsys):
     assert set(statuses().values()) == {None}
 
 
-def test_tabulate_evaluates_each_element_once(tmp_path, capsys, monkeypatch):
-    import symnodes.cli as cli
-    import symnodes.optimizer as optimizer
+def _count_metric_calls(monkeypatch):
+    """Record ``(kind, degree)`` of every ``evaluate_metrics`` call, from
+    whichever ``symnodes`` module makes it."""
+    import symnodes.metrics as metrics
 
+    real = metrics.evaluate_metrics
     calls = []
 
-    def counting(real):
-        def wrapper(space, dist, resolution=None):
-            calls.append((space.kind, space.degree))
-            return real(space, dist, resolution=resolution)
+    def wrapper(space, dist, resolution=None):
+        calls.append((space.kind.value, space.degree))
+        return real(space, dist, resolution=resolution)
 
-        return wrapper
+    for name, module in list(sys.modules.items()):
+        if name.startswith("symnodes") and (
+            getattr(module, "evaluate_metrics", None) is real
+        ):
+            monkeypatch.setattr(module, "evaluate_metrics", wrapper)
+    return calls
 
-    for module in (cli, optimizer):
-        monkeypatch.setattr(
-            module, "evaluate_metrics", counting(module.evaluate_metrics)
-        )
+
+def test_tabulate_evaluates_each_element_once(tmp_path, capsys, monkeypatch):
+    calls = _count_metric_calls(monkeypatch)
     args = [
         "tabulate", "--element", "line,tri", "--degree-range", "2:3",
         "--out", str(tmp_path),
     ]
     assert _run(capsys, *args)[0] == 0
-    # Optimized just now: the optimizer's report is reused.
     assert len(calls) == len(set(calls)) == 4
 
     def rows():
@@ -281,25 +300,22 @@ def test_tabulate_evaluates_each_element_once(tmp_path, capsys, monkeypatch):
     assert rows() == fresh
 
 
+def test_tabulate_evaluates_only_reported_rows(tmp_path, capsys, monkeypatch):
+    # The line face of the triangle is optimized too, but has no row.
+    calls = _count_metric_calls(monkeypatch)
+    args = [
+        "tabulate", "--element", "tri", "--degree-range", "2:2",
+        "--out", str(tmp_path),
+    ]
+    assert _run(capsys, *args)[0] == 0
+    assert (tmp_path / "line_p2.nodes").exists()
+    assert calls == [("tri", 2)]
+
+
 def test_compare_evaluates_each_optimized_row_once(
     tmp_path, capsys, monkeypatch
 ):
-    import symnodes.cli as cli
-    import symnodes.optimizer as optimizer
-
-    calls = []
-
-    def counting(real):
-        def wrapper(space, dist, resolution=None):
-            calls.append((space.kind.value, space.degree))
-            return real(space, dist, resolution=resolution)
-
-        return wrapper
-
-    for module in (cli, optimizer):
-        monkeypatch.setattr(
-            module, "evaluate_metrics", counting(module.evaluate_metrics)
-        )
+    calls = _count_metric_calls(monkeypatch)
     out = tmp_path / "compare.csv"
     args = [
         "compare", "--element", "line", "--degree-range", "2:2",
@@ -307,7 +323,6 @@ def test_compare_evaluates_each_optimized_row_once(
         "--out", str(out),
     ]
     assert _run(capsys, *args)[0] == 0
-    # Optimized just now: the optimizer's report is reused.
     assert calls == [("line", 2)]
     fresh = out.read_bytes()
     # A rerun loads the element from the cache and evaluates it.
@@ -315,6 +330,17 @@ def test_compare_evaluates_each_optimized_row_once(
     assert _run(capsys, *args)[0] == 0
     assert calls == [("line", 2)]
     assert out.read_bytes() == fresh
+
+
+def test_tabulate_checks_every_cap_before_work(tmp_path, capsys):
+    code, _, err = _run(
+        capsys,
+        "tabulate", "--element", "line,tet", "--degree-range", "10:10",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "force-degree" in err
+    assert not any(name.endswith(".nodes") for name in os.listdir(tmp_path))
 
 
 def test_generate_quad_p14_passes_face_check(tmp_path, capsys):

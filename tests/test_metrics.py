@@ -250,7 +250,6 @@ def test_is_unisolvent_rejects_conic_sextet():
 def test_evaluate_metrics_bundle():
     spp = FunctionSpace(ElementKind.LINE, 2)
     report = evaluate_metrics(spp, _line_dist([-1, 0, 1], 2))
-    assert report.unisolvent
     assert report.lebesgue_constant >= 1.0
     assert report.mass_condition >= 1.0
     assert report.lebesgue_objective > 0.0
@@ -408,14 +407,23 @@ def test_evaluate_metrics_builds_one_interpolator(kind, p, monkeypatch):
         built.append(args)
         return real(*args, **kwargs)
 
+    scans = []
+    real_max = metrics._lebesgue_max
+
+    def counting_scan(interp, resolution):
+        scans.append(resolution)
+        return real_max(interp, resolution)
+
     monkeypatch.setattr(metrics, "LagrangeInterpolator", counting)
+    monkeypatch.setattr(metrics, "_lebesgue_max", counting_scan)
     report = evaluate_metrics(spp, dist, resolution=20)
     assert len(built) == 1
+    # One lattice scan: no unisolvency screen rides along.
+    assert scans == [20]
     # The shared interpolator gives the per-metric functions' floats.
     assert report.lebesgue_constant == lebesgue_constant(spp, dist, 20)
     assert report.lebesgue_objective == lebesgue_objective(spp, dist)
     assert report.mass_condition == mass_matrix(spp, dist)[1]
-    assert report.unisolvent == is_unisolvent(spp, dist)
 
 
 @pytest.mark.parametrize("kind", list(ElementKind))

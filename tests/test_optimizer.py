@@ -388,7 +388,7 @@ def test_optimize_builds_one_collection(monkeypatch):
     assert calls == {
         "build": 1,
         "assemble": 1,
-        "minimize": 1 + config.multistart_count,
+        "minimize": 1 + optimizer.MULTISTART_COUNT,
     }
 
 
