@@ -10,7 +10,9 @@ Compares this checkout against the one at the given path (each with its own
 
 * ``basis_eval_many`` / ``basis_grad_many`` for all seven kinds at p = 1..9,
   at the uniform nodes, at perturbed nodes, at random interior points and at
-  the vertices, plus ``jacobi``, ``jacobi_derivative`` and ``gll_1d``
+  the vertices; for tri p=9 at the default Lebesgue lattice and for pyramid
+  p=5 at the screening lattice, sets that span many of the basis's point
+  blocks; plus ``jacobi``, ``jacobi_derivative`` and ``gll_1d``
   (``np.array_equal``);
 * every file written by ``tabulate --element line,tri,quad --degree-range
   7:9`` and ``tabulate --element tet,hex,prism,pyramid --degree-range 4:4``
@@ -53,6 +55,7 @@ from symnodes.basis import (
     FunctionSpace, basis_eval_many, basis_grad_many, jacobi, jacobi_derivative,
 )
 from symnodes.geometry import ElementKind, contains, reference_element
+from symnodes.metrics import _lattice
 
 out = {}
 rng = np.random.default_rng(123)
@@ -77,6 +80,11 @@ for kind in ElementKind:
             with np.errstate(all="ignore"):
                 out[key + "_V"] = basis_eval_many(sp, pts)
                 out[key + "_G"] = basis_grad_many(sp, pts)
+for kind, p, res in [("tri", 9, 300), ("pyramid", 5, 20)]:
+    pts = _lattice(ElementKind(kind), res)
+    sp = FunctionSpace(ElementKind(kind), p)
+    out[f"{kind}_p{p}_lattice{res}_V"] = basis_eval_many(sp, pts)
+    out[f"{kind}_p{p}_lattice{res}_G"] = basis_grad_many(sp, pts)
 x = np.linspace(-1.0, 1.0, 101)
 for n in range(12):
     for a, b in [(0.0, 0.0), (1.0, 1.0), (3.0, 0.0), (2.0, 2.0), (1.3, 0.2)]:

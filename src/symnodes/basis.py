@@ -9,9 +9,13 @@ pyramid.
 
 Basis gradients are implemented analytically for every kind, which is what
 makes the analytic objective gradient of the optimizer possible.  Every
-mode is a product of 1D Jacobi factors; a call builds the tables
-P_0..P_n^{(a,b)} once, one recurrence sweep per family of ``a``, with the
-coefficients and norms cached per (n, family, b).
+mode is a product of 1D Jacobi factors.  A call works on blocks of points,
+at most ``_BLOCK`` (points x modes) entries each.  For each block it runs
+one three-term-recurrence sweep (:func:`_sweep`) over every (a, b) row it
+needs: all families, all coordinates and, for gradients, the (a + 1, b + 1)
+derivative rows, each stopped at the highest degree its modes use.  Its
+coefficients and norms are cached per row set.  Each kind then gathers its
+modes from that one table with index plans cached per degree.
 """
 
 from __future__ import annotations
@@ -66,51 +70,8 @@ class FunctionSpace:
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional Jacobi tables
+# The Jacobi table
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _jacobi_constants(n, alphas, b):
-    """Recurrence coefficients (c1, c2, c3, c4) of degrees 2..n for every
-    ``a`` in ``alphas``, as (len(alphas), 1) columns, and the norms of
-    P_0..P_n^{(a,b)}, shaped (n + 1, len(alphas), 1)."""
-    a = np.array(alphas)[:, None]
-    coeffs = tuple(
-        (
-            2.0 * m * (m + a + b) * (2.0 * m + a + b - 2.0),
-            (2.0 * m + a + b - 1.0) * (a * a - b * b),
-            (2.0 * m + a + b - 2.0) * (2.0 * m + a + b - 1.0) * (2.0 * m + a + b),
-            2.0 * (m + a - 1.0) * (m + b - 1.0) * (2.0 * m + a + b),
-        )
-        for m in range(2, n + 1)
-    )
-    norms = [[_jacobi_norm(m, v, b) for v in alphas] for m in range(n + 1)]
-    return coeffs, np.array(norms)[:, :, None]
-
-
-def _jacobi_table(n, alphas, b, x):
-    """P_0..P_n^{(a,b)} at the 1D points ``x`` for every ``a`` in the tuple
-    ``alphas``: (n + 1, len(alphas), len(x)), in one recurrence sweep."""
-    a = np.array(alphas)[:, None]
-    t = np.empty((n + 1, len(alphas), x.size))
-    t[0] = 1.0
-    if n > 0:
-        t[1] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for m, (c1, c2, c3, c4) in enumerate(_jacobi_constants(n, alphas, b)[0], 2):
-        t[m] = ((c2 + c3 * x) * t[m - 1] - c4 * t[m - 2]) / c1
-    return t
-
-
-def _jacobi_derivative_table(n, alphas, b, x):
-    """d/dx of :func:`_jacobi_table`: 0.5 (m + a + b + 1) P_{m-1}^{(a+1,b+1)}."""
-    t = np.zeros((n + 1, len(alphas), x.size))
-    if n > 0:
-        a = np.array(alphas)[:, None]
-        m = np.arange(1, n + 1)[:, None, None]
-        lower = _jacobi_table(n - 1, tuple(v + 1.0 for v in alphas), b + 1.0, x)
-        np.multiply(0.5 * (m + a + b + 1.0), lower, out=t[1:])
-    return t
 
 
 def _jacobi_norm(n, a, b):
@@ -125,50 +86,148 @@ def _jacobi_norm(n, a, b):
     return math.sqrt(math.exp(num) / (2.0 * n + a + b + 1.0))
 
 
+@lru_cache(maxsize=None)
+def _recurrence(n, rows, normalized):
+    """What :func:`_sweep` needs for ``rows``, (a, b, deriv, depth) sorted
+    by depth, deepest first, cached per row set.
+
+    For each degree m = 0..n: the number of rows whose sweep reaches m
+    and, as columns, their coefficients (e0, e1) of degree 1 or (c1, c2,
+    c3, c4) of P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1, on the
+    (a + 1, b + 1) pair for derivative rows.  Then the factors 0.5 (m + a +
+    b + 1), m = 1..n + 1, that turn them into derivatives (1 on value
+    rows, None without derivative rows), and with ``normalized`` the norm
+    of each entry.
+    """
+    a0, b0, d, depth = np.array(rows, dtype=float).T[:, :, None]
+    a, b = a0 + d, b0 + d
+    steps = [(int(np.count_nonzero(depth >= 0)), None)]
+    for m in range(1, n + 1):
+        r = int(np.count_nonzero(depth >= m))
+        a, b = a[:r], b[:r]
+        steps.append((r, (0.5 * (a - b), 0.5 * (a + b + 2.0)) if m == 1 else (
+            2.0 * m * (m + a + b) * (2.0 * m + a + b - 2.0),
+            (2.0 * m + a + b - 1.0) * (a * a - b * b),
+            (2.0 * m + a + b - 2.0) * (2.0 * m + a + b - 1.0) * (2.0 * m + a + b),
+            2.0 * (m + a - 1.0) * (m + b - 1.0) * (2.0 * m + a + b),
+        )))
+    m = np.arange(1, n + 2)[:, None, None]
+    factor = np.where(d == 1.0, 0.5 * (m + a0 + b0 + 1.0), 1.0) if d.any() else None
+    norms = None
+    if normalized:
+        norms = np.array(
+            [[_jacobi_norm(m + d, a, b) for a, b, d, _ in rows] for m in range(n + 1)]
+        )[:, :, None]
+    return steps, factor, norms
+
+
+def _sweep(n, rows, normalized, X):
+    """The Jacobi table of ``rows``, (a, b, deriv, depth) sorted by depth,
+    deepest first, each at its own points ``X[r]``: (n + 1, R, P), from one
+    three-term-recurrence sweep, in place, that stops each row at its depth.
+
+    Entry m <= depth of a value row is P_m^{(a,b)}.  Entry m - 1 <= depth
+    of a derivative row is d/dx P_m^{(a,b)} = 0.5 (m + a + b + 1)
+    P_{m-1}^{(a+1,b+1)}.  Entries past the depth are 0; the last one of a
+    derivative row is the derivative of P_0.  With ``normalized`` every
+    entry is divided by the norm of its P_m^{(a,b)}.
+    """
+    steps, factor, norms = _recurrence(n, rows, normalized)
+    t = np.zeros((n + 1,) + X.shape)
+    t[0, : steps[0][0]] = 1.0
+    if n > 0:
+        r, (e0, e1) = steps[1]
+        np.multiply(e1, X[:r], out=t[1, :r])
+        t[1, :r] += e0
+    tmp = np.empty_like(X)
+    for m, (r, (c1, c2, c3, c4)) in enumerate(steps[2:], 2):
+        row, buf = t[m, :r], tmp[:r]
+        np.multiply(c3, X[:r], out=row)
+        row += c2
+        row *= t[m - 1, :r]
+        np.multiply(c4, t[m - 2, :r], out=buf)
+        row -= buf
+        row /= c1
+    if factor is not None:
+        t *= factor
+    if normalized:
+        t /= norms
+    return t
+
+
 def jacobi(n, a, b, x):
-    """Jacobi polynomial P_n^{(a,b)}, the last row of the recurrence table.
+    """Jacobi polynomial P_n^{(a,b)}, the last entry of its table row.
 
     Standard normalization (P_n(1) = binom(n+a, n)); vectorized in ``x``.
     """
     x = np.asarray(x, dtype=float)
-    t = _jacobi_table(n, (float(a),), float(b), x.ravel())
+    t = _sweep(n, ((float(a), float(b), False, n),), False, x.reshape(1, -1))
     return t[n, 0].reshape(x.shape)
 
 
 def jacobi_derivative(n, a, b, x):
-    """First derivative of P_n^{(a,b)}."""
+    """First derivative of P_n^{(a,b)}, entry n - 1 of its derivative row."""
     x = np.asarray(x, dtype=float)
-    t = _jacobi_derivative_table(n, (float(a),), float(b), x.ravel())
-    return t[n, 0].reshape(x.shape)
+    t = _sweep(n, ((float(a), float(b), True, n - 1),), False, x.reshape(1, -1))
+    return t[n - 1, 0].reshape(x.shape)
 
 
-def _cols(n, alphas, x, deriv=False, normalized=True):
-    """P_m^{(a,0)}(x), m = 0..n, for every ``a`` in ``alphas`` (or their
-    derivatives; ``normalized`` divides by the norms), degree last:
-    (points, len(alphas), n + 1)."""
-    table = _jacobi_derivative_table if deriv else _jacobi_table
-    t = table(n, alphas, 0.0, x)
-    if normalized:
-        t /= _jacobi_constants(n, alphas, 0.0)[1]
-    return t.T
+@lru_cache(maxsize=None)
+def _layout(p, families, grads):
+    """The degree-``p`` table rows of a kind whose 1D factors are the
+    ``families`` ((coordinate, alphas), ...) with b = 0, where the ``q``-th
+    alpha of a family is needed up to degree p - q: every value row and
+    with ``grads`` every derivative row, sorted by depth.
 
-
-def _legendre(n, x, deriv=False, normalized=True):
-    """Legendre P_0..P_n (or derivatives) at ``x`` as (points, n + 1)."""
-    return _cols(n, (0.0,), x, deriv, normalized)[:, 0]
-
-
-def _pow_or_zero(base, e):
-    """base**e, with negative exponents mapped to 0.
-
-    Negative exponents only appear multiplied by vanishing coefficients in
-    the gradient formulas below; mapping them to zero avoids inf*0.
+    Returns the rows, the coordinate of each row, and ``val(f, q, m)`` and
+    ``der(f, q, m)``: the row of the flattened (degree x row, P) table
+    holding P_m^{(a_q, 0)} of family ``f``, or its derivative.
     """
-    if e < 0:
-        return np.zeros_like(base)
-    if e == 0:
-        return np.ones_like(base)
-    return base**e
+    keys = [
+        (p - q - deriv, deriv, f, q)
+        for deriv in range(1 + grads)
+        for f, (_, alphas) in enumerate(families)
+        for q in range(len(alphas))
+    ]
+    keys.sort(key=lambda k: -k[0])
+    rows = tuple((families[f][1][q], 0.0, d, depth) for depth, d, f, q in keys)
+    coord = np.array([families[f][0] for _, _, f, _ in keys])
+    where = {(d, f, q): r for r, (_, d, f, q) in enumerate(keys)}
+    nrows = len(rows)
+
+    def row(d, f, q):
+        return np.vectorize(lambda q: where[d, f, q])(q)
+
+    def val(f, q, m):
+        return m * nrows + row(0, f, q)
+
+    def der(f, q, m):
+        return (m - 1) % (p + 1) * nrows + row(1, f, q)
+
+    return rows, coord, val, der
+
+
+def _factors(p, families, grads, coords, normalized=True):
+    """The table of :func:`_layout` at ``coords`` ((coordinates, P)),
+    flattened to (degree x row, P)."""
+    rows, coord = _layout(p, families, grads)[:2]
+    t = _sweep(p, rows, normalized, coords.take(coord, axis=0))
+    return t.reshape(-1, coords.shape[1])
+
+
+def _powers(base, p):
+    """base**e for e = -1..p in row e + 1, with the negative exponent mapped
+    to 0.
+
+    It only appears multiplied by vanishing coefficients in the gradient
+    formulas below; mapping it to zero avoids inf*0.
+    """
+    out = np.empty((p + 2, base.size))
+    out[0] = 0.0
+    out[1] = 1.0
+    for e in range(1, p + 1):
+        out[e + 1] = base**e
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +255,33 @@ def _tet_collapse(x, y, z):
 # ---------------------------------------------------------------------------
 # Orthogonal modes
 #
-# Each function builds its 1D factor tables once, then writes the modes in
-# index-set order, a block of consecutive modes at a time: per-point factors
-# are (points, 1) columns and the innermost index runs along a table.  Every
-# mode keeps the floating-point expression of its closed form (the same
-# operands, multiplied in the same order), so V and its gradient depend
-# neither on the batching of the modes nor on the other points of the call.
-# With ``grads`` each function returns the gradients, (points, modes, d).
+# Each function fills ``out``, (points, modes), or with ``grads`` the
+# gradients, (points, modes, d), for one block of points, from one table of
+# every 1D factor it needs (:func:`_factors`).  The triangle, tetrahedron
+# and pyramid gather each factor of their modes from the table with index
+# plans cached per degree, as a (modes, points) array, and multiply these
+# in place; the last product goes into the transposed output.  The tensor
+# kinds and the prism, whose modes are outer products, multiply (points,
+# m_k) factor columns instead.  Every mode keeps the floating-point
+# expression of its closed form: the same operands, multiplied in the same
+# order, with per-mode constants as (modes, 1) columns.  So V and its
+# gradient depend neither on how the modes are gathered nor on the other
+# points of the call.
 # ---------------------------------------------------------------------------
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _chain(factors, out=None):
+    """``((f0 * f1) * f2) * ...``, left to right: one new array, then in
+    place, the last product into ``out`` when given."""
+    f0, f1, *rest = factors
+    if not rest:
+        return np.multiply(f0, f1, out=out)
+    acc = f0 * f1
+    for f in rest[:-1]:
+        acc *= f
+    return np.multiply(acc, rest[-1], out=acc if out is None else out)
 
 
 def _tensor_product(factors, out):
@@ -217,124 +295,157 @@ def _tensor_product(factors, out):
         acc = acc.reshape(n, acc.shape[1] * acc.shape[2])
     if len(factors) == 1:
         out[...] = acc
-        return out
+        return
     last = factors[-1][:, None, :]
     view = out.reshape((n, acc.shape[1], last.shape[2]), copy=False)
     np.multiply(acc[:, :, None], last, out=view)
-    return out
 
 
-def _tensor(p, pts, grads):
-    """Line, quadrilateral, hexahedron: tensor Legendre products."""
-    n, dim = pts.shape
-    vals = [_legendre(p, pts[:, d]) for d in range(dim)]
+@lru_cache(maxsize=None)
+def _legendre_plan(p, families, c, grads):
+    """Where the Legendre values (and derivatives) of degrees 0..p in
+    family ``c`` sit in the table of ``families``."""
+    _, _, val, der = _layout(p, families, grads)
+    m = np.arange(p + 1)
+    return val(c, 0, m), der(c, 0, m) if grads else None
+
+
+def _tensor(p, pts, grads, out):
+    """Line, quadrilateral, hexahedron: tensor Legendre products, last
+    coordinate fastest."""
+    dim = pts.shape[1]
+    families = tuple((c, (0.0,)) for c in range(dim))  # Legendre in each
+    T = _factors(p, families, grads, pts.T)
+    plans = [_legendre_plan(p, families, c, grads) for c in range(dim)]
+    vals = [T.take(vi, axis=0).T for vi, _ in plans]
     if not grads:
-        return _tensor_product(vals, np.empty((n, (p + 1) ** dim)))
-    ders = [_legendre(p, pts[:, d], deriv=True) for d in range(dim)]
-    g = np.empty((n, (p + 1) ** dim, dim))
-    for dd in range(dim):
-        factors = [ders[d] if d == dd else vals[d] for d in range(dim)]
-        _tensor_product(factors, g[:, :, dd])
-    return g
+        _tensor_product(vals, out)
+        return
+    ders = [T.take(di, axis=0).T for _, di in plans]
+    for c in range(dim):
+        factors = [ders[k] if k == c else vals[k] for k in range(dim)]
+        _tensor_product(factors, out[:, :, c])
 
 
-def _triangle(p, pts, grads, with_values=False):
-    """Orthonormal triangle modes; with ``grads`` their gradients, and with
-    ``with_values`` too the pair (values, gradients)."""
-    values = with_values or not grads
+def _triangle_families(p):
+    """Legendre in a, (2i + 1, 0) in b."""
+    return ((0, (0.0,)), (1, tuple(2.0 * i + 1.0 for i in range(p + 1))))
+
+
+@lru_cache(maxsize=None)
+def _triangle_plan(p, families, grads):
+    _, _, val, der = _layout(p, families, grads)
+    i, j = np.array([(i, j) for i in range(p + 1) for j in range(p + 1 - i)]).T
+    di = (der(0, 0, i), der(1, i, j), i) if grads else None
+    return (val(0, 0, i), val(1, i, j), i + 1), di, i.astype(float)[:, None]
+
+
+def _triangle_modes(p, families, T, pw, a, val, grad):
+    """The orthonormal triangle modes (i, j) from the table ``T`` of
+    ``families`` (Legendre in ``a`` first, then (2i + 1, 0) in b) and the
+    powers ``pw`` of 1 - b: their values into ``val`` (modes, points) and
+    their gradients into ``grad`` (2, modes, points), either one optional."""
+    vi, di, i = _triangle_plan(p, families, grad is not None)
+    tables = (T, T, pw)
+    fa, gb, pw_i = (t.take(x, axis=0) for t, x in zip(tables, vi))
+    if val is not None:
+        _chain([_SQRT2, fa, gb, pw_i], out=val)
+    if grad is None:
+        return
+    dfa, dgb, pw_im1 = (t.take(x, axis=0) for t, x in zip(tables, di))
+    _chain([_SQRT2 * 2.0, dfa, gb, pw_im1], out=grad[0])
+    g = _chain([dfa, 1.0 + a, gb, pw_im1])
+    g += _chain([fa, dgb, pw_i])
+    g -= _chain([i, fa, gb, pw_im1])
+    np.multiply(_SQRT2, g, out=grad[1])
+
+
+def _triangle(p, pts, grads, out):
     a, b = _tri_collapse(pts[:, 0], pts[:, 1])
-    nmodes = (p + 1) * (p + 2) // 2
-    val = np.empty((a.size, nmodes)) if values else None
-    g = np.empty((a.size, nmodes, 2)) if grads else None
-    one_m_b = 1.0 - b
-    s2 = math.sqrt(2.0)
-    alphas = tuple(2.0 * i + 1.0 for i in range(p + 1))
-    fa_all, gb_all = _legendre(p, a), _cols(p, alphas, b)
+    families = _triangle_families(p)
+    T = _factors(p, families, grads, np.stack((a, b)))
+    pw = _powers(1.0 - b, p)
     if grads:
-        dfa_all = _legendre(p, a, deriv=True)
-        dgb_all = _cols(p, alphas, b, deriv=True)
-        a = a[:, None]
-    start = 0
-    for i in range(p + 1):
-        blk = slice(start, start + p + 1 - i)
-        start = blk.stop
-        fa, gb = fa_all[:, i : i + 1], gb_all[:, i, : p + 1 - i]
-        pw_i = _pow_or_zero(one_m_b, i)[:, None]
-        if values:
-            val[:, blk] = s2 * fa * gb * pw_i
-        if not grads:
-            continue
-        dfa, dgb = dfa_all[:, i : i + 1], dgb_all[:, i, : p + 1 - i]
-        pw_im1 = _pow_or_zero(one_m_b, i - 1)[:, None]
-        g[:, blk, 0] = s2 * 2.0 * dfa * gb * pw_im1
-        g[:, blk, 1] = s2 * (
-            dfa * (1.0 + a) * gb * pw_im1 + fa * dgb * pw_i - i * fa * gb * pw_im1
-        )
-    if with_values:
-        return val, g
-    return g if grads else val
+        _triangle_modes(p, families, T, pw, a, None, out.T)
+    else:
+        _triangle_modes(p, families, T, pw, a, out.T, None)
 
 
-def _tetrahedron(p, pts, grads):
-    a, b, c = _tet_collapse(pts[:, 0], pts[:, 1], pts[:, 2])
-    nmodes = (p + 1) * (p + 2) * (p + 3) // 6
-    out = np.empty((a.size, nmodes, 3) if grads else (a.size, nmodes))
-    pb = 0.5 * (1.0 - b)
-    pc = 0.5 * (1.0 - c)
-    pb_pow = [_pow_or_zero(pb, e)[:, None] for e in range(-1, p + 1)]
-    pc_pow = [_pow_or_zero(pc, e)[:, None] for e in range(-1, p + 1)]
-    # Factor tables: in b one per i, in c one per s = i + j.
-    b_alphas = tuple(2.0 * i + 1.0 for i in range(p + 1))
-    c_alphas = tuple(2.0 * s + 2.0 for s in range(p + 1))
-    fa_all, gb_all, hc_all = (
-        _legendre(p, a), _cols(p, b_alphas, b), _cols(p, c_alphas, c)
+@lru_cache(maxsize=None)
+def _tetrahedron_plan(p, grads):
+    """Legendre in a, (2i + 1, 0) in b, (2(i + j) + 2, 0) in c."""
+    families = (
+        (0, (0.0,)),
+        (1, tuple(2.0 * i + 1.0 for i in range(p + 1))),
+        (2, tuple(2.0 * s + 2.0 for s in range(p + 1))),
     )
-    if grads:
-        dfa_all = _legendre(p, a, deriv=True)
-        dgb_all = _cols(p, b_alphas, b, deriv=True)
-        dhc_all = _cols(p, c_alphas, c, deriv=True)
-        a, b = a[:, None], b[:, None]
-    start = 0
-    for i in range(p + 1):
-        for j in range(p + 1 - i):
-            blk = slice(start, start + p + 1 - i - j)
-            start = blk.stop
-            amp = 2.0 * math.sqrt(2.0) * 2.0 ** (2 * i + j)
-            fa, gb = fa_all[:, i : i + 1], gb_all[:, i, j : j + 1]
-            hc = hc_all[:, i + j, : p + 1 - i - j]
-            pb_i, pc_ij = pb_pow[i + 1], pc_pow[i + j + 1]
-            if not grads:
-                out[:, blk] = amp * fa * gb * hc * pb_i * pc_ij
-                continue
-            dfa, dgb = dfa_all[:, i : i + 1], dgb_all[:, i, j : j + 1]
-            dhc = dhc_all[:, i + j, : p + 1 - i - j]
-            pb_im1, pc_ijm1 = pb_pow[i], pc_pow[i + j]
-            dx_core = dfa * gb * hc * pb_im1 * pc_ijm1
-            tmp_b = dgb * pb_i - 0.5 * i * gb * pb_im1  # d/db of gb * pb^i
-            out[:, blk, 0] = amp * dx_core
-            out[:, blk, 1] = amp * (
-                0.5 * (1.0 + a) * dx_core + fa * hc * pc_ijm1 * tmp_b
-            )
-            out[:, blk, 2] = amp * (
-                0.5 * (1.0 + a) * dx_core
-                + 0.5 * (1.0 + b) * fa * hc * pc_ijm1 * tmp_b
-                + fa * gb * pb_i * (dhc * pc_ij - 0.5 * (i + j) * hc * pc_ijm1)
-            )
-    return out
+    _, _, val, der = _layout(p, families, grads)
+    modes = [
+        (i, j, k)
+        for i in range(p + 1)
+        for j in range(p + 1 - i)
+        for k in range(p + 1 - i - j)
+    ]
+    amp = [2.0 * math.sqrt(2.0) * 2.0 ** (2 * i + j) for i, j, _ in modes]
+    i, j, k = np.array(modes).T
+    return (
+        families,
+        np.array(amp)[:, None],
+        (val(0, 0, i), val(1, i, j), val(2, i + j, k), i + 1, i + j + 1),
+        (der(0, 0, i), der(1, i, j), der(2, i + j, k), i, i + j) if grads else None,
+        (0.5 * i)[:, None],
+        (0.5 * (i + j))[:, None],
+    )
 
 
-def _prism(p, pts, grads):
-    """Triangle modes times Legendre in z, z fastest."""
-    tri, tri_g = _triangle(p, pts[:, :2], grads, with_values=True)
-    leg = _legendre(p, pts[:, 2])
-    n, nmodes = tri.shape[0], tri.shape[1] * (p + 1)
+def _tetrahedron(p, pts, grads, out):
+    a, b, c = _tet_collapse(pts[:, 0], pts[:, 1], pts[:, 2])
+    families, amp, vi, di, half_i, half_ij = _tetrahedron_plan(p, grads)
+    T = _factors(p, families, grads, np.stack((a, b, c)))
+    pb = _powers(0.5 * (1.0 - b), p)
+    pc = _powers(0.5 * (1.0 - c), p)
+    tables = (T, T, T, pb, pc)
+    fa, gb, hc, pb_i, pc_ij = (t.take(x, axis=0) for t, x in zip(tables, vi))
     if not grads:
-        return _tensor_product([tri, leg], np.empty((n, nmodes)))
-    g = np.empty((n, nmodes, 3))
-    _tensor_product([tri_g[:, :, 0], leg], g[:, :, 0])
-    _tensor_product([tri_g[:, :, 1], leg], g[:, :, 1])
-    _tensor_product([tri, _legendre(p, pts[:, 2], deriv=True)], g[:, :, 2])
-    return g
+        _chain([amp, fa, gb, hc, pb_i, pc_ij], out=out.T)
+        return
+    dfa, dgb, dhc, pb_im1, pc_ijm1 = (
+        t.take(x, axis=0) for t, x in zip(tables, di)
+    )
+    g = out.T
+    dx_core = _chain([dfa, gb, hc, pb_im1, pc_ijm1])
+    tmp_b = dgb * pb_i  # d/db of gb * pb^i
+    tmp_b -= _chain([half_i, gb, pb_im1])
+    np.multiply(amp, dx_core, out=g[0])
+    ha_dx = 0.5 * (1.0 + a) * dx_core
+    s = _chain([fa, hc, pc_ijm1, tmp_b])
+    s += ha_dx
+    np.multiply(amp, s, out=g[1])
+    s = _chain([0.5 * (1.0 + b), fa, hc, pc_ijm1, tmp_b])
+    s += ha_dx
+    inner = dhc * pc_ij
+    inner -= _chain([half_ij, hc, pc_ijm1])
+    s += _chain([fa, gb, pb_i, inner])
+    np.multiply(amp, s, out=g[2])
+
+
+def _prism(p, pts, grads, out):
+    """Triangle modes times Legendre in z, z fastest."""
+    families = _triangle_families(p) + ((2, (0.0,)),)
+    a, b = _tri_collapse(pts[:, 0], pts[:, 1])
+    T = _factors(p, families, grads, np.stack((a, b, pts[:, 2])))
+    tri = np.empty((pts.shape[0], (p + 1) * (p + 2) // 2))
+    tri_g = np.empty(tri.shape + (2,)) if grads else None
+    pw = _powers(1.0 - b, p)
+    _triangle_modes(p, families, T, pw, a, tri.T, tri_g.T if grads else None)
+    vi, di = _legendre_plan(p, families, 2, grads)
+    leg = T.take(vi, axis=0).T
+    if not grads:
+        _tensor_product([tri, leg], out)
+        return
+    _tensor_product([tri_g[:, :, 0], leg], out[:, :, 0])
+    _tensor_product([tri_g[:, :, 1], leg], out[:, :, 1])
+    _tensor_product([tri, T.take(di, axis=0).T], out[:, :, 2])
 
 
 def _pyramid_uvw(pts):
@@ -347,52 +458,55 @@ def _pyramid_uvw(pts):
 
 
 @lru_cache(maxsize=None)
-def _pyramid_norms(i, j, p):
-    """Norms of the pyramid modes (i, j, k), k = 0..p - max(i, j)."""
-    c = max(i, j)
-    den = [(2 * i + 1) * (2 * j + 1) * (2 * k + 2 * c + 3) for k in range(p + 1 - c)]
-    return np.array([math.sqrt(8.0 / d) for d in den])
+def _pyramid_plan(p, grads):
+    """Legendre in u and in v, (2c + 2, 0) in z for c = max(i, j); the
+    modes' norms."""
+    families = (
+        (0, (0.0,)),
+        (1, (0.0,)),
+        (2, tuple(2.0 * (c + 1.0) for c in range(p + 1))),
+    )
+    _, _, val, der = _layout(p, families, grads)
+    modes = [
+        (i, j, max(i, j), k)
+        for i in range(p + 1)
+        for j in range(p + 1)
+        for k in range(p + 1 - max(i, j))
+    ]
+    norms = [
+        math.sqrt(8.0 / ((2 * i + 1) * (2 * j + 1) * (2 * k + 2 * c + 3)))
+        for i, j, c, k in modes
+    ]
+    i, j, c, k = np.array(modes).T
+    return (
+        families,
+        np.array(norms)[:, None],
+        (val(0, 0, i), val(1, 0, j), val(2, c, k), c + 1),
+        (der(0, 0, i), der(1, 0, j), der(2, c, k), c) if grads else None,
+        (0.5 * c)[:, None],
+    )
 
 
-def _pyramid(p, pts, grads):
-    """Rational pyramid modes; unnormalized Jacobi factors, one z table per
-    c = max(i, j)."""
+def _pyramid(p, pts, grads, out):
+    """Rational pyramid modes from unnormalized Jacobi factors."""
     u, v, w, z = _pyramid_uvw(pts)
-    nmodes = (p + 1) * (p + 2) * (2 * p + 3) // 6
-    out = np.empty((u.size, nmodes, 3) if grads else (u.size, nmodes))
-    w_pow = [_pow_or_zero(w, e)[:, None] for e in range(-1, p + 1)]
-    h_alphas = tuple(2.0 * (c + 1.0) for c in range(p + 1))
-    f_u = _legendre(p, u, normalized=False)
-    f_v = _legendre(p, v, normalized=False)
-    h_all = _cols(p, h_alphas, z, normalized=False)
-    if grads:
-        df_u = _legendre(p, u, deriv=True, normalized=False)
-        df_v = _legendre(p, v, deriv=True, normalized=False)
-        dh_all = _cols(p, h_alphas, z, deriv=True, normalized=False)
-        u, v = u[:, None], v[:, None]
-    start = 0
-    for i in range(p + 1):
-        for j in range(p + 1):
-            c = max(i, j)
-            blk = slice(start, start + p + 1 - c)
-            start = blk.stop
-            fi, fj = f_u[:, i : i + 1], f_v[:, j : j + 1]
-            hk = h_all[:, c, : p + 1 - c]
-            w_c, nrm = w_pow[c + 1], _pyramid_norms(i, j, p)
-            if not grads:
-                out[:, blk] = fi * fj * w_c * hk / nrm
-                continue
-            dfi, dfj = df_u[:, i : i + 1], df_v[:, j : j + 1]
-            dhk, w_cm1 = dh_all[:, c, : p + 1 - c], w_pow[c]
-            out[:, blk, 0] = dfi * fj * hk * w_cm1 / nrm
-            out[:, blk, 1] = fi * dfj * hk * w_cm1 / nrm
-            out[:, blk, 2] = (
-                0.5 * dfi * u * fj * hk * w_cm1
-                + 0.5 * fi * dfj * v * hk * w_cm1
-                - 0.5 * c * fi * fj * hk * w_cm1
-                + fi * fj * dhk * w_c
-            ) / nrm
-    return out
+    families, nrm, vi, di, half_c = _pyramid_plan(p, grads)
+    T = _factors(p, families, grads, np.stack((u, v, z)), normalized=False)
+    wp = _powers(w, p)
+    tables = (T, T, T, wp)
+    fi, fj, hk, w_c = (t.take(x, axis=0) for t, x in zip(tables, vi))
+    if not grads:
+        np.divide(_chain([fi, fj, w_c, hk]), nrm, out=out.T)
+        return
+    dfi, dfj, dhk, w_cm1 = (t.take(x, axis=0) for t, x in zip(tables, di))
+    g = out.T
+    np.divide(_chain([dfi, fj, hk, w_cm1]), nrm, out=g[0])
+    np.divide(_chain([fi, dfj, hk, w_cm1]), nrm, out=g[1])
+    s = _chain([0.5, dfi, u, fj, hk, w_cm1])
+    s += _chain([0.5, fi, dfj, v, hk, w_cm1])
+    s -= _chain([half_c, fi, fj, hk, w_cm1])
+    s += _chain([fi, fj, dhk, w_c])
+    np.divide(s, nrm, out=g[2])
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +522,32 @@ _ORTHOGONAL = {
     ElementKind.PRISM: _prism,
     ElementKind.PYRAMID: _pyramid,
 }
+# Entries (points x modes) per block: no temporary of a call grows with its
+# point count, and a block's temporaries stay in cache.
+_BLOCK = 1 << 15
+
+
+def _basis(space, pts, grads):
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    n, dim = pts.shape
+    modes = space.dim
+    out = np.empty((n, modes, dim) if grads else (n, modes))
+    fill = _ORTHOGONAL[space.kind]
+    step = max(1, _BLOCK // modes)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        fill(space.degree, pts[block], grads, out[block])
+    return out
 
 
 def basis_eval_many(space: FunctionSpace, pts):
     """Evaluate all basis functions at an (n, d) array of points."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return _ORTHOGONAL[space.kind](space.degree, pts, False)
+    return _basis(space, pts, False)
 
 
 def basis_grad_many(space: FunctionSpace, pts):
     """Gradients of all basis functions: (n_points, dim, d)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return _ORTHOGONAL[space.kind](space.degree, pts, True)
+    return _basis(space, pts, True)
 
 
 def basis_eval(space: FunctionSpace, x):
@@ -485,9 +613,9 @@ class LagrangeInterpolator:
         if not np.all(np.isfinite(V)):
             raise UnisolvencyError("non-finite basis values at nodes")
         cond = self.vmatrix.condition
-        if not np.isfinite(cond) or cond > UNISOLVENCY_CONDITION_LIMIT:
+        if not np.isfinite(cond) or cond >= UNISOLVENCY_CONDITION_LIMIT:
             raise UnisolvencyError(
-                f"Vandermonde condition {cond:.3e} exceeds limit "
+                f"Vandermonde condition {cond:.3e} is at or above limit "
                 f"{UNISOLVENCY_CONDITION_LIMIT:.1e}"
             )
         lu = scipy.linalg.lu_factor(V)

@@ -29,7 +29,7 @@ from .compatibility import (
     point_prescription,
 )
 from .errors import NodeFileError, SymnodesError
-from .geometry import ElementKind
+from .geometry import ElementKind, reference_element
 from .metrics import evaluate_metrics
 from .nodefile import (
     FORMAT_VERSION,
@@ -196,6 +196,21 @@ def _metrics_row(kind, degree, name, fields):
 # ---------------------------------------------------------------------------
 
 
+def _check_face_kinds(kind, prescriptions):
+    """``--compat`` files must prescribe each face kind of ``kind`` once."""
+
+    def names(kinds):
+        return sorted(k.value if k else "point" for k in kinds)
+
+    need = names({face.face_kind for face in reference_element(kind).faces})
+    got = names(pres.face_kind for pres in prescriptions)
+    if got != need:
+        raise InputError(
+            f"--compat files prescribe face kinds {got}, {kind.value} "
+            f"needs {need}"
+        )
+
+
 def cmd_generate(args):
     kind = _parse_element(args.element)
     _check_degree(kind, args.degree, args.force_degree)
@@ -220,6 +235,7 @@ def cmd_generate(args):
                 raise InputError(f"bad prescription {path}: {exc}") from exc
         if kind is ElementKind.LINE and not prescriptions:
             prescriptions = [point_prescription(args.degree)]
+        _check_face_kinds(kind, prescriptions)
 
     result = optimize_nodes(
         kind, args.degree, prescriptions, _optimizer_config(args)

@@ -37,12 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import (
-    FunctionSpace,
-    LagrangeInterpolator,
-    UNISOLVENCY_CONDITION_LIMIT,
-    basis_eval_many,
-)
+from .basis import FunctionSpace, LagrangeInterpolator, basis_eval_many
 from .errors import NumericalError, UnisolvencyError
 from .geometry import ElementKind, contains, reference_element
 from .quadrature import quadrature_rule
@@ -206,8 +201,6 @@ def is_unisolvent(space, dist):
     try:
         _, interp = _interpolator(space, dist)
     except (ValueError, UnisolvencyError):
-        return False
-    if interp.vmatrix.condition >= UNISOLVENCY_CONDITION_LIMIT:
         return False
     coarse = _lebesgue_max(interp, _SCREEN_RESOLUTION)
     return bool(np.isfinite(coarse) and coarse < _SCREEN_LIMIT)

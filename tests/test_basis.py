@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 from symnodes.baselines import baseline_distribution
 from symnodes.basis import (
-    _jacobi_derivative_table,
-    _jacobi_table,
+    _BLOCK,
+    _jacobi_norm,
+    _pyramid_uvw,
+    _sweep,
+    _tet_collapse,
+    _tri_collapse,
     FunctionSpace,
     LagrangeInterpolator,
     basis_eval,
@@ -242,9 +246,9 @@ def test_gradients_match_finite_differences(kind):
         np.testing.assert_allclose(g[:, :, dd], fd, atol=5e-7)
 
 
-# Every (a, b) family the shapes build tables for: Legendre (line, quad, hex,
-# triangle/tet a-factor, pyramid u/v), (2i+1, 0) (triangle and tet in b),
-# (2(i+j)+2, 0) (tet in c), (2c+2, 0) (pyramid in z), and (1, 1) (the
+# Every (a, b) family the shapes build table rows for: Legendre (line, quad,
+# hex, triangle/tet a-factor, pyramid u/v), (2i+1, 0) (triangle and tet in
+# b), (2(i+j)+2, 0) (tet in c), (2c+2, 0) (pyramid in z), and (1, 1) (the
 # Legendre derivatives and the Gauss-Lobatto baseline).
 JACOBI_FAMILIES = [
     ((0.0,), 0.0),
@@ -259,25 +263,40 @@ JACOBI_FAMILIES = [
 def test_jacobi_tables_match_scipy(alphas, b):
     n = 10
     x = np.linspace(-1.0, 1.0, 41)
-    table = _jacobi_table(n, alphas, b, x)
-    dtable = _jacobi_derivative_table(n, alphas, b, x)
-    assert table.shape == dtable.shape == (n + 1, len(alphas), x.size)
+    # One sweep: every value row, then every derivative row.
+    rows = tuple((a, b, False, n) for a in alphas)
+    rows += tuple((a, b, True, n - 1) for a in alphas)
+    X = np.tile(x, (len(rows), 1))
+    table = _sweep(n, rows, False, X)
+    assert table.shape == (n + 1, 2 * len(alphas), x.size)
     for col, a in enumerate(alphas):
+        dcol = len(alphas) + col
         for m in range(n + 1):
             ref = scipy.special.eval_jacobi(m, a, b, x)
             np.testing.assert_allclose(
                 table[m, col], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()
             )
+            # The derivative of degree m sits at entry m - 1; P_0's, zero,
+            # at the last entry.
             dref = scipy.special.jacobi(m, a, b).deriv()(x)
             scale = max(np.abs(dref).max(), 1.0)
             np.testing.assert_allclose(
-                dtable[m, col], dref, rtol=0, atol=1e-9 * scale
+                table[m - 1, dcol], dref, rtol=0, atol=1e-9 * scale
             )
-            # The public functions are single rows of the tables.
+            # The public functions are single entries of the table.
             assert np.array_equal(jacobi(m, a, b, x), table[m, col])
             assert np.array_equal(
-                jacobi_derivative(m, a, b, x), dtable[m, col]
+                jacobi_derivative(m, a, b, x), table[m - 1, dcol]
             )
+    # A row stopped at a lower depth keeps the same entries up to it.
+    short = tuple((a, b, False, n - q) for q, a in enumerate(alphas))
+    staggered = _sweep(n, short, False, X[: len(alphas)])
+    for col in range(len(alphas)):
+        depth = n - col
+        assert np.array_equal(
+            staggered[: depth + 1, col], table[: depth + 1, col]
+        )
+        assert not staggered[depth + 1 :, col].any()
 
 
 def _points_in(kind, weights):
@@ -306,3 +325,72 @@ def test_batched_rows_equal_single_point_rows(kind, p, data):
     for r in range(npts):
         assert np.array_equal(V[r], basis_eval_many(sp, pts[r : r + 1])[0])
         assert np.array_equal(G[r], basis_grad_many(sp, pts[r : r + 1])[0])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=5, deadline=None)
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_blocked_call_equals_concatenated_parts(kind, p, seed, data):
+    # A set longer than one block (_BLOCK entries, points x modes), cut
+    # anywhere: every part evaluated on its own gives the rows of the whole
+    # call, bit for bit.
+    sp = FunctionSpace(kind, p)
+    step = max(1, _BLOCK // sp.dim)
+    n = step + data.draw(st.integers(1, step))
+    cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=3))
+    nverts = reference_element(kind).vertices.shape[0]
+    weights = np.random.default_rng(seed).uniform(size=(n, nverts))
+    pts = _points_in(kind, weights)
+    parts = np.split(pts, sorted(cuts))
+    for fn in (basis_eval_many, basis_grad_many):
+        whole = fn(sp, pts)
+        assert np.array_equal(whole, np.concatenate([fn(sp, q) for q in parts]))
+
+
+def _closed_form_modes(kind, p, pts):
+    """The triangle, tetrahedron and pyramid modes one at a time, each from
+    its closed form, with the operands in the order the basis uses."""
+
+    def ortho(n, a, x):
+        return jacobi(n, a, 0.0, x) / _jacobi_norm(n, a, 0.0)
+
+    cols = []
+    if kind is ElementKind.TRIANGLE:
+        a, b = _tri_collapse(pts[:, 0], pts[:, 1])
+        for i in range(p + 1):
+            for j in range(p + 1 - i):
+                fa, gb = ortho(i, 0.0, a), ortho(j, 2.0 * i + 1.0, b)
+                cols.append(np.sqrt(2.0) * fa * gb * (1.0 - b) ** i)
+    elif kind is ElementKind.TETRAHEDRON:
+        a, b, c = _tet_collapse(pts[:, 0], pts[:, 1], pts[:, 2])
+        pb, pc = 0.5 * (1.0 - b), 0.5 * (1.0 - c)
+        for i in range(p + 1):
+            for j in range(p + 1 - i):
+                amp = 2.0 * np.sqrt(2.0) * 2.0 ** (2 * i + j)
+                fa, gb = ortho(i, 0.0, a), ortho(j, 2.0 * i + 1.0, b)
+                for k in range(p + 1 - i - j):
+                    hc = ortho(k, 2.0 * (i + j) + 2.0, c)
+                    cols.append(amp * fa * gb * hc * pb**i * pc ** (i + j))
+    else:
+        u, v, w, z = _pyramid_uvw(pts)
+        for i in range(p + 1):
+            for j in range(p + 1):
+                c = max(i, j)
+                fij = jacobi(i, 0.0, 0.0, u) * jacobi(j, 0.0, 0.0, v) * w**c
+                for k in range(p + 1 - c):
+                    den = (2 * i + 1) * (2 * j + 1) * (2 * k + 2 * c + 3)
+                    hk = jacobi(k, 2.0 * (c + 1.0), 0.0, z)
+                    cols.append(fij * hk / np.sqrt(8.0 / den))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [ElementKind.TRIANGLE, ElementKind.TETRAHEDRON, ElementKind.PYRAMID],
+)
+@pytest.mark.parametrize("p", range(1, 7))
+def test_gathered_modes_equal_closed_forms(kind, p):
+    pts = _random_interior(kind, 50, seed=p)
+    sp = FunctionSpace(kind, p)
+    ref = _closed_form_modes(kind, p, pts)
+    assert np.array_equal(basis_eval_many(sp, pts), ref)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from symnodes.baselines import baseline_distribution
 from symnodes.cli import main
 from symnodes.compatibility import FacePrescription, verify_face_match
 from symnodes.geometry import ElementKind, reference_element
@@ -92,6 +93,25 @@ def test_generate_rejects_asymmetric_compat_file(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("error: ") and "not symmetric" in err
+
+
+def test_generate_rejects_compat_file_of_wrong_face_kind(tmp_path, capsys):
+    face = tmp_path / "q2.nodes"
+    write_node_file(
+        face, baseline_distribution(ElementKind.QUADRILATERAL, 2, "uniform")
+    )
+    code, stdout, err = _run(
+        capsys,
+        "generate", "--element", "tri", "--degree", "2",
+        "--compat", str(face), "--cache-dir", str(tmp_path / "cache"),
+    )
+    # A user input error, caught before any optimization, with the kinds
+    # printed by value.
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ")
+    assert "['quad']" in err and "['line']" in err
+    assert "ElementKind" not in err
 
 
 def test_generate_rejects_bad_element(tmp_path, capsys):
