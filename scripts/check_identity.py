@@ -14,6 +14,10 @@ Compares this checkout against the one at the given path (each with its own
   p=5 at the screening lattice, sets that span many of the basis's point
   blocks; plus ``jacobi``, ``jacobi_derivative`` and ``gll_1d``
   (``np.array_equal``);
+* ``lebesgue_constant`` at the default resolution on uniform p=4 of each
+  kind with the node nearest the centroid moved by 1e-3, a set no symmetry
+  maps onto itself, so its scan covers the whole lattice
+  (``np.array_equal``);
 * every file written by ``tabulate --element line,tri,quad --degree-range
   7:9`` and ``tabulate --element tet,hex,prism,pyramid --degree-range 4:4``
   at each seed (node files and manifest, byte for byte), and the
@@ -55,7 +59,8 @@ from symnodes.basis import (
     FunctionSpace, basis_eval_many, basis_grad_many, jacobi, jacobi_derivative,
 )
 from symnodes.geometry import ElementKind, contains, reference_element
-from symnodes.metrics import _lattice
+from symnodes.metrics import _lattice, lebesgue_constant
+from symnodes.symmetry import NodalDistribution
 
 out = {}
 rng = np.random.default_rng(123)
@@ -85,6 +90,17 @@ for kind, p, res in [("tri", 9, 300), ("pyramid", 5, 20)]:
     sp = FunctionSpace(ElementKind(kind), p)
     out[f"{kind}_p{p}_lattice{res}_V"] = basis_eval_many(sp, pts)
     out[f"{kind}_p{p}_lattice{res}_G"] = basis_grad_many(sp, pts)
+for kind in ElementKind:
+    # Uniform p=4 with the node nearest the centroid moved off every mirror:
+    # no symmetry, so the Lebesgue scan covers the whole lattice.
+    uni = baseline_distribution(kind, 4, BaselineKind.UNIFORM)
+    centre = reference_element(kind).vertices.mean(axis=0)
+    nodes = uni.nodes.copy()
+    nodes[np.argmin(np.linalg.norm(nodes - centre, axis=1)), 0] += 1e-3
+    dist = NodalDistribution(kind, 4, nodes, "moved")
+    out[f"{kind.value}_p4_asymmetric_lebesgue"] = np.array(
+        lebesgue_constant(FunctionSpace(kind, 4), dist)
+    )
 x = np.linspace(-1.0, 1.0, 101)
 for n in range(12):
     for a, b in [(0.0, 0.0), (1.0, 1.0), (3.0, 0.0), (2.0, 2.0), (1.3, 0.2)]:
@@ -246,7 +262,7 @@ def main(argv=None):
             k for k in sorted(set(a.files) & set(b.files))
             if not np.array_equal(a[k], b[k], equal_nan=True)
         ]
-        print(f"basis arrays: {len(a.files) - len(diff)}/{len(a.files)} "
+        print(f"arrays: {len(a.files) - len(diff)}/{len(a.files)} "
               f"identical {diff[:5]}")
         for k in diff:
             if k in a.files and k in b.files and a[k].shape == b[k].shape:

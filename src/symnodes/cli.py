@@ -196,8 +196,16 @@ def _metrics_row(kind, degree, name, fields):
 # ---------------------------------------------------------------------------
 
 
-def _check_face_kinds(kind, prescriptions):
-    """``--compat`` files must prescribe each face kind of ``kind`` once."""
+def _check_compat(kind, degree, files, prescriptions):
+    """``--compat`` files must be of degree ``degree`` and prescribe each
+    face kind of ``kind`` once; ``files`` pairs each path with its
+    distribution."""
+    for path, dist in files:
+        if dist.degree != degree:
+            raise InputError(
+                f"--compat file {path} has degree {dist.degree}, "
+                f"--degree is {degree}"
+            )
 
     def names(kinds):
         return sorted(k.value if k else "point" for k in kinds)
@@ -223,19 +231,21 @@ def cmd_generate(args):
     elif compat == "off":
         prescriptions = []
     else:
-        prescriptions = []
+        prescriptions, files = [], []
         for path in compat.split(","):
+            path = path.strip()
             try:
-                dist, _ = read_node_file(path.strip())
+                dist, _ = read_node_file(path)
             except OSError as exc:
                 raise InputError(f"cannot read {path}: {exc}") from exc
             try:
                 prescriptions.append(FacePrescription(dist.kind, dist))
             except ValueError as exc:
                 raise InputError(f"bad prescription {path}: {exc}") from exc
+            files.append((path, dist))
         if kind is ElementKind.LINE and not prescriptions:
             prescriptions = [point_prescription(args.degree)]
-        _check_face_kinds(kind, prescriptions)
+        _check_compat(kind, args.degree, files, prescriptions)
 
     result = optimize_nodes(
         kind, args.degree, prescriptions, _optimizer_config(args)

@@ -27,8 +27,9 @@ from .symmetry import (
     ConstrainedOrbit,
     NodalDistribution,
     OrbitCollection,
-    cartesian_symmetry_group,
     evaluate_orbit,
+    is_symmetric,
+    same_point_set,
 )
 
 __all__ = [
@@ -64,7 +65,7 @@ class FacePrescription:
                 f"prescription distribution is for {self.dist.kind}, "
                 f"expected {self.face_kind}"
             )
-        if not _is_symmetric(self.face_kind, self.dist.nodes):
+        if not is_symmetric(self.face_kind, self.dist.nodes, _MATCH_TOL):
             raise ValueError(
                 "prescribed face distribution is not symmetric under the "
                 "face geometry's symmetry group"
@@ -93,29 +94,6 @@ def face_prescriptions(kind, degree, dist_for):
         else FacePrescription(fk, dist_for(fk, degree))
         for fk in sorted(face_kinds, key=_FACE_KIND_PRIORITY.__getitem__)
     ]
-
-
-def _is_symmetric(kind, nodes, tol=1e-10):
-    nodes = np.atleast_2d(nodes)
-    for A, b in cartesian_symmetry_group(kind):
-        mapped = nodes @ A.T + b
-        if not _same_point_set(mapped, nodes, tol):
-            return False
-    return True
-
-
-def _same_point_set(a, b, tol):
-    if a.shape != b.shape:
-        return False
-    used = np.zeros(b.shape[0], dtype=bool)
-    for x in a:
-        d = np.linalg.norm(b - x, axis=1)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        if d[j] > tol:
-            return False
-        used[j] = True
-    return True
 
 
 def _orbit_reach(orbit, lam_hat):
@@ -250,6 +228,6 @@ def verify_face_match(elem, dist: NodalDistribution, prescriptions, tol=_MATCH_T
         expected = face.embed(pres.dist.nodes)
         if on_face.shape[0] != face_node_count(face.face_kind, dist.degree):
             return False
-        if not _same_point_set(on_face, expected, tol):
+        if not same_point_set(on_face, expected, tol):
             return False
     return True

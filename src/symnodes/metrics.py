@@ -15,6 +15,15 @@
   factorization, one axis at a time, and only the extra points take the
   flat product.  Sum factorization adds in another order than the flat
   product, with which it agrees only to rounding.
+  When the element group maps the node set onto itself within
+  ``_SYMMETRY_TOL`` (the optimized and uniform sets are symmetric to
+  rounding), the Lebesgue function is symmetric too, and the lattice
+  part of the sample is reduced to the points in one closed fundamental
+  domain of the group (``_chamber``); an extruded kind reduces its base
+  lattice by the base kind's domain and its axis to ``z >= 0``.  The
+  group maps the lattice onto itself only up to rounding, so the reduced
+  scan agrees with the full one to the last bits.  Other node sets are
+  scanned over the whole lattice.
 * Lebesgue objective: the smooth surrogate sum_i integral(l_i^2).  The
   modal basis is orthonormal, so it equals ``||V^-1||_F^2`` for the
   Vandermonde matrix ``V`` at the nodes.
@@ -39,9 +48,9 @@ import numpy as np
 
 from .basis import FunctionSpace, LagrangeInterpolator, basis_eval_many
 from .errors import NumericalError, UnisolvencyError
-from .geometry import ElementKind, contains, reference_element
+from .geometry import ElementKind, contains, natural_solve, reference_element
 from .quadrature import quadrature_rule
-from .symmetry import NodalDistribution
+from .symmetry import NodalDistribution, is_symmetric, natural_symmetry_group
 
 __all__ = [
     "MetricReport",
@@ -57,6 +66,14 @@ _DEFAULT_RESOLUTION = {1: 1000, 2: 300, 3: 60}
 _SCREEN_RESOLUTION = 20
 _SCREEN_LIMIT = 1e12
 _CHUNK = 16384
+# Node sets symmetric to this Cartesian distance scan one fundamental
+# domain of the lattice; the optimized and uniform sets are symmetric to
+# rounding (at most 4.5e-16).
+_SYMMETRY_TOL = 1e-14
+# Lattice points this close to a wall of the domain belong to it.
+_CHAMBER_TOL = 1e-12
+# Offset from the vertex centroid to a point no group map fixes.
+_GENERIC = np.array([0.1, 0.03, 0.007])
 # Each extruded kind is its base times [-1, 1].
 _EXTRUDED = {
     ElementKind.QUADRILATERAL: ElementKind.LINE,
@@ -77,14 +94,39 @@ def default_resolution(dim):
     return _DEFAULT_RESOLUTION[dim]
 
 
-@lru_cache(maxsize=32)
-def _lattice(kind: ElementKind, resolution: int):
+def _domain_points(kind, resolution):
     """Uniform lattice over the bounding box restricted to the domain."""
     elem = reference_element(kind)
     axis = np.linspace(-1.0, 1.0, resolution)
     grids = np.meshgrid(*[axis] * elem.dim, indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
-    keep = contains(elem, pts, 1e-12)
+    pts = pts[contains(elem, pts, 1e-12)]
+    pts.setflags(write=False)
+    return pts
+
+
+# The whole lattice, which the scan of a node set that is not symmetric
+# covers; the fundamental domain is cut from an uncached copy.
+_lattice = lru_cache(maxsize=32)(_domain_points)
+
+
+@lru_cache(maxsize=32)
+def _chamber(kind, resolution):
+    """The points of ``_lattice(kind, resolution)`` in one closed
+    fundamental domain of the element group, in lattice order.
+
+    The domain is the Dirichlet chamber ``<lam(x), c - P c> >= -tol`` of the
+    generic point ``c`` in natural coordinates, for every ``P`` in
+    ``natural_symmetry_group(kind)``.  Those ``P`` are orthogonal, so the
+    image of ``lam`` with the largest ``<., c>`` lies in the chamber, and
+    the group maps the lattice onto itself up to rounding: every group
+    orbit of lattice points has a point here.
+    """
+    elem = reference_element(kind)
+    c = natural_solve(elem, elem.vertices.mean(axis=0) + _GENERIC[: elem.dim])
+    walls = np.stack([c - P @ c for P in natural_symmetry_group(kind)])
+    pts = _domain_points(kind, resolution)
+    keep = np.all(natural_solve(elem, pts) @ walls.T >= -_CHAMBER_TOL, axis=1)
     pts = pts[keep]
     pts.setflags(write=False)
     return pts
@@ -109,46 +151,60 @@ def _flat_max(interp, pts):
     return best
 
 
-def _extruded_max(interp, base, resolution):
-    """The lattice maximum on an extruded kind by sum factorization.
+def _extruded_max(interp, base_pts, axis):
+    """The maximum over ``base_pts`` times ``axis`` on an extruded kind, by
+    sum factorization.
 
-    The lattice is the base lattice times ``axis``, and mode ``(m, k)`` is
-    base mode ``m`` times the ``k``-th Legendre polynomial in the last
-    coordinate, the last index fastest in both.  So the cardinal values on
-    a chunk of base points times ``axis`` are the base table times ``V^-1``
-    with its rows grouped by ``m``, then a contraction over ``k``.
+    Mode ``(m, k)`` is base mode ``m`` times the ``k``-th Legendre
+    polynomial in the last coordinate, ``k`` fastest.  So the cardinal
+    values on a chunk of base points times ``axis`` are the base table
+    times ``V^-1`` with its rows grouped by ``m``, then a contraction over
+    ``k``.
     """
     p = interp.space.degree
-    base_space = FunctionSpace(base, p)
-    axis = np.linspace(-1.0, 1.0, resolution)
+    base_space = FunctionSpace(_EXTRUDED[interp.space.kind], p)
     line = basis_eval_many(FunctionSpace(ElementKind.LINE, p), axis[:, None])
     A = interp.inverse()
     n = A.shape[1]
     coeffs = A.reshape(base_space.dim, (p + 1) * n)
-    pts = _lattice(base, resolution)
     # Neither T nor L exceeds _CHUNK x n doubles.
-    step = _CHUNK // max(resolution, p + 1)
+    step = _CHUNK // max(axis.size, p + 1)
     best = 0.0
-    for start in range(0, pts.shape[0], step):
-        T = basis_eval_many(base_space, pts[start : start + step]) @ coeffs
+    for start in range(0, base_pts.shape[0], step):
+        T = basis_eval_many(base_space, base_pts[start : start + step]) @ coeffs
         L = np.matmul(line, T.reshape(-1, p + 1, n))
         best = np.maximum(best, np.max(np.sum(np.abs(L, out=L), axis=2)))
     return best
 
 
+def _axis(resolution, symmetric):
+    """The last axis of an extruded kind's lattice, or its half ``z >= 0``
+    for a symmetric node set."""
+    axis = np.linspace(-1.0, 1.0, resolution)
+    return axis[resolution // 2 :] if symmetric else axis
+
+
 def _lebesgue_max(interp, resolution):
     """Max of sum_i |l_i| over the lattice at ``resolution`` and the extra
-    points: the element vertices and the degree-2p quadrature points."""
+    points: the element vertices and the degree-2p quadrature points.
+
+    On a node set that the element group maps onto itself, so is the
+    Lebesgue function, and the lattice part covers one fundamental domain:
+    ``_chamber`` of the kind, or on an extruded kind that of the base kind
+    times the half axis ``z >= 0``.
+    """
     kind, p = interp.space.kind, interp.space.degree
     elem = reference_element(kind)
     extra = np.vstack([elem.vertices, quadrature_rule(kind, 2 * p).points])
+    symmetric = is_symmetric(kind, interp.dist.nodes, _SYMMETRY_TOL)
     base = _EXTRUDED.get(kind)
+    pts = (_chamber if symmetric else _lattice)(base or kind, resolution)
     if base is None:
-        pts = np.vstack([_lattice(kind, resolution), extra])
-        best = _flat_max(interp, pts)
+        best = _flat_max(interp, np.vstack([pts, extra]))
     else:
+        axis = _axis(resolution, symmetric)
         best = np.maximum(
-            _extruded_max(interp, base, resolution), _flat_max(interp, extra)
+            _extruded_max(interp, pts, axis), _flat_max(interp, extra)
         )
     return float(best)
 

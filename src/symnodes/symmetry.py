@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial import KDTree
 from scipy.spatial.distance import pdist
 
 from . import lincon
@@ -51,6 +52,8 @@ __all__ = [
     "evaluate_collection",
     "natural_symmetry_group",
     "cartesian_symmetry_group",
+    "is_symmetric",
+    "same_point_set",
     "closest_pair",
     "MIN_NODE_SEPARATION",
 ]
@@ -676,3 +679,78 @@ def cartesian_symmetry_group(kind):
         b.setflags(write=False)
         out.append((A, b))
     return tuple(out)
+
+
+def _closure(mats):
+    """Byte keys of the group that the ``{0, +-1}`` matrices ``mats``
+    generate; their products are exact."""
+    one = np.eye(mats[0].shape[0])
+    span, frontier = {one.tobytes()}, [one]
+    while frontier:
+        new = []
+        for Q in frontier:
+            for P in mats:
+                R = P @ Q + 0.0  # normalize -0.0 so keys compare bytewise
+                if R.tobytes() not in span:
+                    span.add(R.tobytes())
+                    new.append(R)
+        frontier = new
+    return span
+
+
+@lru_cache(maxsize=None)
+def _generator_maps(kind):
+    """Cartesian maps ``(A, b)`` of a generating set of the element group,
+    stacked as (g, d, d) and (g, d).
+
+    Each step adds the group element whose closure with the ones chosen so
+    far is largest, until that closure is the whole group: two elements
+    for every kind but the line.
+    """
+    group = natural_symmetry_group(kind)
+    chosen, size = [], 1
+    while size < len(group):
+        sizes = [len(_closure([group[i] for i in chosen + [j]]))
+                 for j in range(len(group))]
+        best = int(np.argmax(sizes))
+        chosen.append(best)
+        size = sizes[best]
+    maps = cartesian_symmetry_group(kind)
+    A, b = (np.stack(m) for m in zip(*(maps[i] for i in chosen)))
+    A.setflags(write=False)
+    b.setflags(write=False)
+    return A, b
+
+
+def _one_to_one(points, images, tol):
+    """Whether each (n, d) slice of ``images`` matches the n rows of
+    ``points`` one to one within ``tol``.
+
+    Each image is paired with its nearest point, so a match is found when
+    the points are more than ``2 tol`` apart, as separated node sets are.
+    """
+    n, d = points.shape
+    dist, nearest = KDTree(points).query(images.reshape(-1, d))
+    return bool(
+        np.all(dist <= tol)
+        and np.all(np.sort(nearest.reshape(-1, n), axis=1) == np.arange(n))
+    )
+
+
+def same_point_set(a, b, tol):
+    """Whether the rows of ``a`` and ``b`` match one to one within
+    ``tol``."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    return a.shape == b.shape and _one_to_one(b, a, tol)
+
+
+def is_symmetric(kind, nodes, tol):
+    """Whether the symmetry group of ``kind`` maps ``nodes`` onto themselves.
+
+    Each map of a generating set of the group must match the nodes to their
+    images one to one within ``tol``; the other maps, products of these,
+    then match them within a small multiple of ``tol``.
+    """
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    A, b = _generator_maps(ElementKind(kind))
+    return _one_to_one(nodes, nodes @ A.transpose(0, 2, 1) + b[:, None], tol)

@@ -114,6 +114,30 @@ def test_generate_rejects_compat_file_of_wrong_face_kind(tmp_path, capsys):
     assert "ElementKind" not in err
 
 
+@pytest.mark.parametrize(
+    "kind,degree,face_kind,face_degree",
+    [("tet", 4, ElementKind.TRIANGLE, 3), ("tri", 5, ElementKind.LINE, 3)],
+)
+def test_generate_rejects_compat_file_of_wrong_degree(
+    tmp_path, capsys, kind, degree, face_kind, face_degree
+):
+    face = tmp_path / f"{face_kind.value}{face_degree}.nodes"
+    write_node_file(
+        face, baseline_distribution(face_kind, face_degree, "uniform")
+    )
+    code, stdout, err = _run(
+        capsys,
+        "generate", "--element", kind, "--degree", str(degree),
+        "--compat", str(face), "--cache-dir", str(tmp_path / "cache"),
+    )
+    # A user input error that names the file and both degrees.
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ")
+    assert str(face) in err
+    assert f"degree {face_degree}" in err and f"--degree is {degree}" in err
+
+
 def test_generate_rejects_bad_element(tmp_path, capsys):
     code, _, err = _run(
         capsys,

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.spatial import KDTree
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,13 @@ from symnodes.baselines import baseline_distribution
 from symnodes.basis import FunctionSpace, LagrangeInterpolator, basis_eval_many
 from symnodes.geometry import ElementKind, reference_element
 from symnodes.metrics import (
+    _EXTRUDED as EXTRUDED_BASE,
+    _SYMMETRY_TOL,
+    _axis,
+    _chamber,
+    _extruded_max,
+    _flat_max,
+    _interpolator,
     _lattice,
     evaluate_metrics,
     is_unisolvent,
@@ -24,6 +32,8 @@ from symnodes.symmetry import (
     OrbitCollection,
     cartesian_symmetry_group,
     evaluate_collection,
+    is_symmetric,
+    natural_symmetry_group,
     orbits,
 )
 
@@ -457,3 +467,88 @@ def test_vandermonde_identities_match_quadrature(kind, p, seed, amplitude):
     oracle_cond = eigs[-1] / eigs[0]
     rel = max(1e-10, np.finfo(float).eps * oracle_cond)
     assert cond == pytest.approx(oracle_cond, rel=rel)
+
+
+def _reduced_lattice(kind, r):
+    """The lattice points the scan of a symmetric set covers: the kind's
+    chamber, or on an extruded kind the base chamber times ``z >= 0``."""
+    base = EXTRUDED_BASE.get(kind)
+    if base is None:
+        return _chamber(kind, r), len(natural_symmetry_group(kind))
+    base_pts = _chamber(base, r)
+    axis = _axis(r, symmetric=True)
+    pts = np.column_stack(
+        [np.repeat(base_pts, axis.size, axis=0), np.tile(axis, len(base_pts))]
+    )
+    return pts, 2 * len(natural_symmetry_group(base))
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+@pytest.mark.parametrize("parity", [0, 1])
+def test_reduced_lattice_covers_every_orbit(kind, parity):
+    # Every lattice point has a group image on a point the reduced scan
+    # covers, so the Lebesgue function of a symmetric set takes its
+    # lattice maximum there.
+    r = {1: 100, 2: 30, 3: 14}[reference_element(kind).dim] + parity
+    full = _lattice(kind, r)
+    reduced, order = _reduced_lattice(kind, r)
+    tree = KDTree(reduced)
+    nearest = np.full(len(full), np.inf)
+    for A, b in cartesian_symmetry_group(kind):
+        nearest = np.minimum(nearest, tree.query(full @ A.T + b)[0])
+    assert np.max(nearest) <= 1e-12
+    # The reduced set is about 1/order of the lattice, walls included.
+    assert len(reduced) * order < 2 * len(full)
+
+
+def _interior_moved(dist, step=1e-3):
+    """``dist`` with the node nearest the vertex centroid moved by ``step``
+    along the first axis."""
+    centre = reference_element(dist.kind).vertices.mean(axis=0)
+    i = int(np.argmin(np.linalg.norm(dist.nodes - centre, axis=1)))
+    nodes = dist.nodes.copy()
+    nodes[i, 0] += step
+    return NodalDistribution(dist.kind, dist.degree, nodes, "moved")
+
+
+_SCAN_RESOLUTION = {1: 201, 2: 41, 3: 20}
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+@pytest.mark.parametrize("optimized", [False, True])
+def test_reduced_scan_matches_full_scan(kind, optimized, opt_cache):
+    p = 4
+    spp = FunctionSpace(kind, p)
+    if optimized:
+        dist = opt_cache.dist(kind, p)
+    else:
+        dist = baseline_distribution(kind, p, "uniform")
+    assert is_symmetric(kind, dist.nodes, _SYMMETRY_TOL)
+    r = _SCAN_RESOLUTION[reference_element(kind).dim]
+    got = lebesgue_constant(spp, dist, resolution=r)
+    assert got == pytest.approx(_flat_lebesgue(spp, dist, r), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_asymmetric_set_scans_full_lattice(kind):
+    # One interior node moved by 1e-3 breaks the symmetry, and the scan
+    # covers the whole lattice exactly as the full-lattice path does.
+    p = 4
+    spp = FunctionSpace(kind, p)
+    dist = _interior_moved(baseline_distribution(kind, p, "uniform"))
+    assert not is_symmetric(kind, dist.nodes, _SYMMETRY_TOL)
+    r = _SCAN_RESOLUTION[reference_element(kind).dim]
+    interp = _interpolator(spp, dist)[1]
+    elem = reference_element(kind)
+    extra = np.vstack([elem.vertices, quadrature_rule(kind, 2 * p).points])
+    base = EXTRUDED_BASE.get(kind)
+    if base is None:
+        oracle = _flat_max(interp, np.vstack([_lattice(kind, r), extra]))
+    else:
+        oracle = np.maximum(
+            _extruded_max(interp, _lattice(base, r), np.linspace(-1, 1, r)),
+            _flat_max(interp, extra),
+        )
+    got = lebesgue_constant(spp, dist, resolution=r)
+    assert got == float(oracle)
+    assert got == pytest.approx(_flat_lebesgue(spp, dist, r), rel=1e-13)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symnodes.baselines import baseline_distribution
 from symnodes.errors import (
     ConstraintConflictError,
     DegenerateDistributionError,
@@ -20,10 +21,13 @@ from symnodes.symmetry import (
     enumerate_admissible_collections,
     evaluate_collection,
     evaluate_orbit,
+    is_symmetric,
     natural_symmetry_group,
     orbit_parameter_bounds,
     orbits,
+    same_point_set,
 )
+from symnodes.symmetry import _generator_maps
 from symnodes import lincon
 
 ALL_KINDS = list(ElementKind)
@@ -429,3 +433,69 @@ def test_natural_group_orders():
         assert len(mats) == n
         keys = {m.tobytes() for m in mats}
         assert len(keys) == n
+
+
+def _homogeneous(A, b):
+    d = A.shape[0]
+    H = np.eye(d + 1)
+    H[:d, :d], H[:d, d] = A, b
+    return H
+
+
+def _key(H):
+    return (np.round(H, 12) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_generator_maps_generate_the_group(kind):
+    A, b = _generator_maps(kind)
+    gens = [_homogeneous(a, t) for a, t in zip(A, b)]
+    group = {_key(_homogeneous(a, t)) for a, t in cartesian_symmetry_group(kind)}
+    one = np.eye(A.shape[1] + 1)
+    reached, frontier = {_key(one)}, [one]
+    while frontier:
+        products = [G @ H for H in frontier for G in gens]
+        frontier = [H for H in products if _key(H) not in reached]
+        reached |= {_key(H) for H in frontier}
+    assert reached == group
+
+
+def _loop_set_match(a, b, tol):
+    """Reference: greedy one-to-one matching, one point at a time."""
+    used = np.zeros(len(b), dtype=bool)
+    for x in a:
+        d = np.linalg.norm(b - x, axis=1)
+        d[used] = np.inf
+        j = int(np.argmin(d))
+        if d[j] > tol:
+            return False
+        used[j] = True
+    return True
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_is_symmetric_matches_check_over_every_map(kind, p):
+    uni = baseline_distribution(kind, p, "uniform").nodes
+    moved = uni.copy()
+    moved[len(uni) // 2, 0] += 1e-3
+    for nodes in (uni, moved, uni[::-1]):
+        want = all(
+            _loop_set_match(nodes @ A.T + b, nodes, 1e-10)
+            for A, b in cartesian_symmetry_group(kind)
+        )
+        assert is_symmetric(kind, nodes, 1e-10) == want
+    assert is_symmetric(kind, uni, 1e-14)
+    assert not is_symmetric(kind, moved, 1e-10)
+
+
+def test_point_set_match_is_one_to_one():
+    # 0.5 + 1e-12 and 0.5 are both within tol of the image of -0.5 once
+    # mirrored, but only one of them may take it.
+    nodes = np.array([[-0.5], [0.5], [0.5 + 1e-12]])
+    assert not is_symmetric(ElementKind.LINE, nodes, 1e-10)
+    assert not _loop_set_match(-nodes, nodes, 1e-10)
+    a = np.array([[0.0], [0.0]])
+    assert not same_point_set(a, np.array([[0.0], [1.0]]), 1e-10)
+    assert same_point_set(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]), 0.0)
+    assert not same_point_set(a, np.zeros((3, 1)), 1e-10)
