@@ -22,8 +22,11 @@ Compares this checkout against the one at the given path (each with its own
   7:9`` and ``tabulate --element tet,hex,prism,pyramid --degree-range 4:4``
   at each seed (node files and manifest, byte for byte), and the
   ``evaluate`` row of each of those node files;
-* the stdout line of ``generate --element tet --degree 3 --compat auto`` at
-  each seed, without its ``wrote PATH`` tail;
+* at each seed, the stdout line (without its ``wrote PATH`` tail) and the
+  node file of ``generate`` for tet p=3 with ``--compat auto``, for tri
+  p=6 and prism p=3 with ``--compat off`` (the start with free boundary
+  orbits), and for tet p=4 with ``--compat`` naming the ``tri_p4.nodes``
+  that the 3d ``tabulate`` wrote on the same side (a user face file);
 * the ``compare`` CSVs of the benchmark's eval-files workload at each seed.
 
 Prints one line per comparison and exits 1 if anything differs.  Where a
@@ -42,6 +45,7 @@ import csv
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -122,9 +126,16 @@ for path in sys.argv[1:]:
     assert main(["evaluate", path]) == 0
 """
 
-GENERATE = [
-    "generate", "--element", "tet", "--degree", "3", "--compat", "auto",
-]
+# ``generate`` runs by output file name.  ``{face}`` is one path on both
+# sides (it enters the node file's config hash), holding the ``tri_p4.nodes``
+# of the same side's 3d ``tabulate`` at the same seed.
+GENERATE = {
+    "tet_p3_auto": ["--element", "tet", "--degree", "3", "--compat", "auto"],
+    "tri_p6_off": ["--element", "tri", "--degree", "6", "--compat", "off"],
+    "prism_p3_off": ["--element", "prism", "--degree", "3", "--compat", "off"],
+    "tet_p4_file": ["--element", "tet", "--degree", "4",
+                    "--compat", "{face}"],
+}
 
 EVAL = r"""
 import sys
@@ -300,20 +311,33 @@ def main(argv=None):
                           f"{'identical' if same else 'DIFFERENT'}", *lines,
                           sep="\n")
                     ok &= same
-            generated = {}
-            for side, checkout in sides.items():
-                stdout = _run(checkout, [
-                    "-c", CLI, *GENERATE, "--seed", str(seed),
-                    "--cache-dir", str(tmp / f"{side}-generate-{seed}"),
-                ])
-                generated[side] = stdout.rpartition(", wrote ")[0]
-            same = generated["this"] == generated["other"]
-            lines = [] if same else [
-                f"    {side}: {line}" for side, line in generated.items()
-            ]
-            print(f"generate tet p=3 seed {seed}: "
-                  f"{'identical' if same else 'DIFFERENT'}", *lines, sep="\n")
-            ok &= same
+            for job, cmd in GENERATE.items():
+                generated = {}
+                for side, checkout in sides.items():
+                    face = tmp / "tri_p4.nodes"
+                    shutil.copyfile(tmp / f"{side}-3d-{seed}" / face.name,
+                                    face)
+                    out = tmp / f"{side}-generate-{seed}"
+                    stdout = _run(checkout, [
+                        "-c", CLI, "generate",
+                        *(arg.format(face=face) for arg in cmd),
+                        "--seed", str(seed), "--cache-dir", str(out / "cache"),
+                        "--out", str(out / f"{job}.nodes"),
+                    ])
+                    generated[side] = stdout.rpartition(", wrote ")[0]
+                same, lines = _compare_files(
+                    tmp / f"this-generate-{seed}",
+                    tmp / f"other-generate-{seed}",
+                    [f"{job}.nodes"], [f"{job}.nodes"],
+                )
+                if generated["this"] != generated["other"]:
+                    same = False
+                    lines += [f"    {side}: {line}"
+                              for side, line in generated.items()]
+                print(f"generate {job} seed {seed}: "
+                      f"{'identical' if same else 'DIFFERENT'}", *lines,
+                      sep="\n")
+                ok &= same
             for side, checkout in sides.items():
                 out = tmp / f"{side}-eval-{seed}"
                 _run(checkout, ["-c", EVAL, str(ROOT / "perfbench"),

@@ -11,7 +11,9 @@ Cross-element compatibility is handled bottom-up: with ``--compat auto``
 (the default) the lower-dimensional optimized distributions are generated
 first (or loaded from the cache directory) and used as face prescriptions.
 
-Exit codes: 0 success, 1 internal failure, 2 input error.
+Exit codes: 0 success, 1 internal failure, 2 input error (including a
+numeric option out of range: ``--seed < 0``, ``--max-iters < 1``,
+``--kkt-tol <= 0`` or ``--resolution < 2``).
 """
 
 from __future__ import annotations
@@ -454,15 +456,28 @@ def build_parser():
     return parser
 
 
+def _check_options(args):
+    """Numeric options out of range are input errors."""
+    for attr, ok, rule in (
+        ("seed", lambda v: v >= 0, ">= 0"),
+        ("max_iters", lambda v: v >= 1, ">= 1"),
+        ("kkt_tol", lambda v: v > 0, "> 0"),
+        ("resolution", lambda v: v >= 2, ">= 2"),
+    ):
+        value = getattr(args, attr, None)
+        if value is not None and not ok(value):
+            raise InputError(
+                f"--{attr.replace('_', '-')} must be {rule}, got {value}"
+            )
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NodeFileError as exc:
+    except (InputError, NodeFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SymnodesError as exc:

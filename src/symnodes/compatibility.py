@@ -1,13 +1,16 @@
 """Cross-element compatibility: pinning orbits to prescribed face nodes.
 
-Given a symmetric node distribution for each face geometry of an element,
-the construction below walks the prescribed face nodes (mapped onto one
-fixed face per face kind), finds for each node the first free collection
-entry whose orbit can reach it, and pins that entry to the parameter values
-that place one of its points there.  Every orbit point map has full column
-rank, so these values are unique.  Because orbits are symmetric, pinning one
-face's worth of nodes fixes matching nodes on every face, so adjacent
-elements sharing the same prescriptions have coincident face nodes.
+One matcher, :func:`_orbit_entries`, answers which orbit, at which
+parameters, holds a point given in natural coordinates: the first orbit of
+the element's table that :func:`_orbit_reach` places there.  Every orbit
+point map has full column rank, so those parameters are unique.  The
+optimizer decomposes baseline node sets with it, and face pinning below
+runs it over the prescribed face nodes (mapped onto one fixed face per
+face kind): each orbit through them that no pinned entry holds pins the
+first free collection entry on that orbit.  Because orbits are symmetric,
+pinning one face's worth of nodes fixes matching nodes on every face, so
+adjacent elements sharing the same prescriptions have coincident face
+nodes.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .symmetry import (
     OrbitCollection,
     evaluate_orbit,
     is_symmetric,
+    orbits,
     same_point_set,
 )
 
@@ -115,6 +119,35 @@ def _orbit_reach(orbit, lam_hat):
     return None
 
 
+def _held(lam, pts):
+    """Rows of ``lam`` within ``_MATCH_TOL`` of a row of ``pts``."""
+    d = np.linalg.norm(lam[:, None, :] - pts[None, :, :], axis=2)
+    return np.min(d, axis=1, initial=np.inf) <= _MATCH_TOL
+
+
+def _orbit_entries(kind, lam):
+    """Orbits through the natural-coordinate points ``lam``.
+
+    Yields ``(orbit, xi, i)`` for each point ``lam[i]`` that no orbit
+    yielded before holds: the first orbit of ``orbits(kind)`` that
+    :func:`_orbit_reach` places there and its parameters, or ``(None, None,
+    i)`` when none does.  Multiplicities do not decrease along the table,
+    so no orbit with fewer points reaches ``lam[i]``.
+    """
+    held = np.zeros(lam.shape[0], dtype=bool)
+    for i in range(lam.shape[0]):
+        if held[i]:
+            continue
+        for orbit in orbits(kind):
+            xi = _orbit_reach(orbit, lam[i])
+            if xi is not None:
+                held |= _held(lam, evaluate_orbit(orbit, xi))
+                yield orbit, xi, i
+                break
+        else:
+            yield None, None, i
+
+
 def build_compatibility_constraints(
     elem, collection: OrbitCollection, prescriptions
 ) -> OrbitCollection:
@@ -123,6 +156,8 @@ def build_compatibility_constraints(
     ``prescriptions`` holds one :class:`FacePrescription` per face kind of
     the element.  The first face of each kind in ``elem.faces`` receives
     the node mapping (any choice yields the same node set, by symmetry).
+    Each orbit through its nodes that no pinned entry holds pins the first
+    free entry on that orbit.
 
     Raises :class:`IncompatibleCollectionError` when some prescribed node
     cannot be hosted by any remaining entry.
@@ -144,48 +179,30 @@ def build_compatibility_constraints(
         )
 
     entries = list(collection.entries)
-    pinned_points = [  # natural coordinates covered by pinned entries
-        evaluate_orbit(e, e.pinned) for e in entries if e.pinned is not None
-    ]
     for fk in sorted(by_kind, key=_FACE_KIND_PRIORITY.__getitem__):
         face = next(f for f in elem.faces if f.face_kind == fk)
-        worklist = []
+        lam = []
         for x in face.embed(by_kind[fk].dist.nodes):
             try:
-                worklist.append(cartesian_to_natural(elem, x, tol=1e-9))
+                lam.append(cartesian_to_natural(elem, x, tol=1e-9))
             except OutsideDomainError as exc:
                 raise ValueError(
                     f"prescribed face node {x} falls outside the element"
                 ) from exc
-        while worklist:
-            lam_hat = worklist.pop(0)
-            if any(
-                np.min(np.linalg.norm(pp - lam_hat, axis=1)) <= _MATCH_TOL
-                for pp in pinned_points
-            ):
-                continue
-            # Pin the first free entry that reaches the node.
-            for j, entry in enumerate(entries):
-                if entry.pinned is not None:
-                    continue
-                xi = _orbit_reach(entry.orbit, lam_hat)
-                if xi is not None:
-                    entries[j] = ConstrainedOrbit(entry.orbit, xi)
-                    break
-            else:
+        lam = np.array(lam)
+        for e in entries:
+            if e.pinned is not None:
+                lam = lam[~_held(lam, evaluate_orbit(e, e.pinned))]
+        for orbit, xi, i in _orbit_entries(elem.kind, lam):
+            free = [j for j, e in enumerate(entries) if e.pinned is None
+                    and orbit is not None and e.orbit.index == orbit.index]
+            if not free:
                 raise IncompatibleCollectionError(
                     f"collection {collection.indices} cannot place a "
                     f"prescribed {fk.value if fk else 'point'} node at "
-                    f"natural coordinates {lam_hat}"
+                    f"natural coordinates {lam[i]}"
                 )
-            orbit = entry.orbit
-            pts = orbit.point_matrix() @ xi + orbit.point_offsets()
-            pinned_points.append(pts)
-            worklist = [
-                lh
-                for lh in worklist
-                if np.min(np.linalg.norm(pts - lh, axis=1)) > _MATCH_TOL
-            ]
+            entries[free[0]] = ConstrainedOrbit(orbit, xi)
     return OrbitCollection(collection.kind, collection.degree, tuple(entries))
 
 

@@ -30,10 +30,11 @@ import scipy.linalg
 from . import lincon
 from .basis import FunctionSpace, basis_eval_many, basis_grad_many
 from .compatibility import (
+    _MATCH_TOL,
     build_compatibility_constraints,
     snap_face_nodes,
     verify_face_match,
-    _orbit_reach,
+    _orbit_entries,
 )
 from .errors import (
     DegenerateDistributionError,
@@ -42,12 +43,7 @@ from .errors import (
     NoViableCollectionError,
     NumericalError,
 )
-from .geometry import (
-    ElementKind,
-    natural_solve,
-    natural_to_cartesian,
-    reference_element,
-)
+from .geometry import ElementKind, natural_solve, reference_element
 from .metrics import is_unisolvent
 from .symmetry import (
     ConstrainedOrbit,
@@ -56,8 +52,7 @@ from .symmetry import (
     OrbitCollection,
     _require_separated,
     evaluate_collection,
-    natural_symmetry_group,
-    orbits,
+    is_symmetric,
 )
 
 __all__ = [
@@ -294,62 +289,28 @@ def minimize(problem, config, y0) -> MinimizeOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_mask(elem, nodes, tol=1e-9):
-    mask = np.zeros(nodes.shape[0], dtype=bool)
-    for face in elem.faces:
-        _, resid = face.pullback(nodes)
-        mask |= resid <= tol
-    return mask
+def _decompose_into_orbits(kind, nodes):
+    """Group a symmetric node set into (orbit, parameters) entries.
 
-
-def _decompose_into_orbits(kind, nodes, tol=1e-8):
-    """Group a symmetric node set into (orbit index, parameters) entries.
-
-    Returns ``None`` when some group cannot be matched to an orbit (the set
-    is then not realizable by this package's orbit tables, e.g. it is not
-    actually symmetric).
+    The nodes are matched in lexicographic order of their natural
+    coordinates, so each orbit is found at its smallest point.  Returns
+    ``None`` when the set is not symmetric or is not a union of distinct
+    orbit points (it is then not realizable by this package's orbit
+    tables).
     """
-    elem = reference_element(kind)
-    lam = np.atleast_2d(natural_solve(elem, nodes))
-    group = natural_symmetry_group(kind)
-    n = lam.shape[0]
-    assigned = np.zeros(n, dtype=bool)
-    orbs = orbits(kind)
-    result = []
-    for i in range(n):
-        if assigned[i]:
-            continue
-        members = set()
-        for P in group:
-            img = P @ lam[i]
-            dist = np.linalg.norm(lam - img, axis=1)
-            j = int(np.argmin(dist))
-            if dist[j] > tol:
-                return None
-            members.add(j)
-        members = sorted(members)
-        if any(assigned[j] for j in members):
+    if not is_symmetric(kind, nodes, _MATCH_TOL):
+        return None
+    lam = np.atleast_2d(natural_solve(reference_element(kind), nodes))
+    lam = lam[np.lexsort(lam.T[::-1])]
+    found = []
+    for orbit, xi, _ in _orbit_entries(kind, lam):
+        if orbit is None:
             return None
-        for j in members:
-            assigned[j] = True
-        m = len(members)
-        rep = min(
-            (tuple(lam[j]) for j in members), key=lambda t: t
-        )
-        rep = np.asarray(rep)
-        placed = False
-        for orb in orbs:
-            if orb.multiplicity != m:
-                continue
-            xi = _orbit_reach(orb, rep)
-            if xi is not None:
-                result.append((orb.index, xi))
-                placed = True
-                break
-        if not placed:
-            return None
-    result.sort(key=lambda t: (t[0], tuple(np.round(t[1], 12))))
-    return result
+        found.append((orbit, xi))
+    if sum(orbit.multiplicity for orbit, _ in found) != len(lam):
+        return None
+    found.sort(key=lambda t: (t[0].index, tuple(np.round(t[1], 12))))
+    return found
 
 
 def _baseline_for(kind, p):
@@ -368,7 +329,7 @@ def _baseline_collection(kind, p):
     """The orbit decomposition of ``_baseline_for(kind, p)``.
 
     Returns the collection (orbit indices ascending, nothing pinned) and the
-    ``(orbit index, parameters)`` entries that seed the start.
+    ``(orbit, parameters)`` entries that seed the start.
     """
     base_entries = _decompose_into_orbits(kind, _baseline_for(kind, p).nodes)
     if base_entries is None:
@@ -376,33 +337,30 @@ def _baseline_collection(kind, p):
             f"{kind.value} degree {p}: the baseline nodes do not decompose "
             f"into orbits"
         )
-    table = {o.index: o for o in orbits(kind)}
-    entries = tuple(ConstrainedOrbit(table[i]) for i, _ in base_entries)
+    entries = tuple(ConstrainedOrbit(orbit) for orbit, _ in base_entries)
     return OrbitCollection(kind, p, entries), base_entries
 
 
 def _initial_parameters(problem, base_entries, prescriptions):
-    """Baseline parameters of the free entries, projected onto their bounds.
+    """Baseline parameters of the free entries.
 
     Each free entry takes the next baseline parameters of its orbit, drawn
     only from orbits off the boundary when face prescriptions pin the
-    boundary.  Raises :class:`ValueError` when the baseline has none left
-    for some entry.
+    boundary.  An orbit lies on the boundary when one of its own bound rows
+    is active.  The baseline parameters meet their orbit bounds (see
+    :func:`~symnodes.compatibility._orbit_reach`).  Raises
+    :class:`ValueError` when the baseline has none left for some entry.
     """
-    coll = problem.collection
-    elem = problem.element
-    table = {o.index: o for o in orbits(coll.kind)}
     pool: dict[int, list] = {}
-    for idx, xi in base_entries:
-        if prescriptions:
-            orb = table[idx]
-            lam = orb.point_matrix() @ xi + orb.point_offsets()
-            pts = natural_to_cartesian(elem, lam, tol=1e-6)
-            if np.any(_boundary_mask(elem, np.atleast_2d(pts))):
-                continue
-        pool.setdefault(idx, []).append(np.asarray(xi, dtype=float))
+    for orbit, xi in base_entries:
+        b = orbit.bounds
+        r = b.matrix @ xi
+        active = np.minimum(r - b.lower, b.upper - r) <= 1e-9
+        if prescriptions and np.any(active):
+            continue
+        pool.setdefault(orbit.index, []).append(xi)
     parts = [np.zeros(0)]
-    for entry in coll.entries:
+    for entry in problem.collection.entries:
         if entry.pinned is not None:
             continue
         if not pool.get(entry.orbit.index):
@@ -411,11 +369,7 @@ def _initial_parameters(problem, base_entries, prescriptions):
                 f"{entry.orbit.index}"
             )
         parts.append(pool[entry.orbit.index].pop(0))
-    y0 = np.concatenate(parts)
-    cons = problem.constraints
-    if cons.violation(y0) > 1e-12:
-        y0 = lincon.project_onto(cons.matrix, cons.lower, cons.upper, y0)
-    return y0
+    return np.concatenate(parts)
 
 
 @lru_cache(maxsize=None)

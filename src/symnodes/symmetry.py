@@ -6,11 +6,14 @@ point set closed under the element's symmetry group.  Distributions are
 unions of orbits gathered in an :class:`OrbitCollection`, whose stacked
 parameter vector is the optimization variable elsewhere in the package.
 
-Orbit-internal point order is fixed: permutation patterns are enumerated in
-lexicographic order of the index tuple, sign patterns with ``+1`` before
-``-1``, permutations varying slower than signs.  The first point of every
-orbit is therefore the generator tuple itself, which is the map used to
-derive parameter bounds.
+An orbit's maps are the distinct images ``(P S_1, P sigma_1)`` of its
+generator map under :func:`natural_symmetry_group`, in group order:
+permutations in lexicographic order of the index tuple, varying slower than
+sign patterns, which put ``+1`` before ``-1``.  The group's identity comes
+first, so the first point of every orbit is the generator itself, the map
+the parameter bounds are derived from.  In each orbit table the
+multiplicity does not decrease with the index, so no orbit with fewer
+points reaches a point than the first orbit that does.
 """
 
 from __future__ import annotations
@@ -307,25 +310,24 @@ class NodalDistribution:
 # Orbit tables
 # ---------------------------------------------------------------------------
 
-# A generator is a tuple of natural-coordinate components, each an affine
-# function (coefficients over xi, constant).  Patterns below rearrange the
-# generator's components and flip signs; duplicate affine maps collapse, so
-# the tabulated multiplicities emerge from the structure alone.
+# A generator is the affine map ``(S, sigma)`` of one orbit point: one row per
+# natural-coordinate component, built from terms ``(j, c)`` (``c * xi_j``) and
+# constants.  The orbit's maps are its images under the element group;
+# duplicate affine maps collapse, so the tabulated multiplicities emerge from
+# the structure alone.
 
 
 def _gen(l, *components):
-    out = []
-    for comp in components:
-        coeffs = np.zeros(l)
-        const = 0.0
+    S = np.zeros((len(components), l))
+    sigma = np.zeros(len(components))
+    for row, comp in enumerate(components):
         for term in comp:
             if isinstance(term, tuple):
                 j, c = term
-                coeffs[j] += c
+                S[row, j] += c
             else:
-                const += term
-        out.append((coeffs, const))
-    return out
+                sigma[row] += term
+    return S, sigma
 
 
 def _orbit_table(kind):
@@ -392,64 +394,19 @@ def _orbit_table(kind):
     raise ValueError(f"unknown element kind {kind!r}")
 
 
-def _patterns(kind, dprime):
-    """(permutation, signs) patterns realizing the element symmetry group.
-
-    Returns tuples ``(perm, signs)`` where ``perm`` permutes the generator
-    components and ``signs`` (same length) flips individual components.
-    Permutations vary slower than signs; all-plus identity comes first.
-    """
-    k = ElementKind(kind)
-    idx = tuple(range(dprime))
-
-    def full_perm_signed(nperm, nsign_positions):
-        pats = []
-        for perm in itertools.permutations(range(nperm)):
-            full = tuple(perm) + idx[nperm:]
-            for signs in itertools.product([1.0, -1.0], repeat=len(nsign_positions)):
-                s = np.ones(dprime)
-                for pos, sg in zip(nsign_positions, signs):
-                    s[pos] = sg
-                pats.append((full, s))
-        return pats
-
-    if k in (ElementKind.LINE,):
-        return full_perm_signed(1, (0,))
-    if k in (
-        ElementKind.QUADRILATERAL,
-        ElementKind.HEXAHEDRON,
-    ):
-        return full_perm_signed(dprime, idx)
-    if k in (ElementKind.TRIANGLE, ElementKind.TETRAHEDRON):
-        return full_perm_signed(dprime, ())
-    if k is ElementKind.PRISM:
-        # Permutations of the barycentric triple, sign flip on the axis.
-        return full_perm_signed(3, (3,))
-    if k is ElementKind.PYRAMID:
-        # Signed permutations of (x, y); the vertical coordinate is fixed.
-        return full_perm_signed(2, (0, 1))
-    raise ValueError(f"unknown element kind {kind!r}")
-
-
-def _orbit_maps(generator, patterns, l, dprime):
-    seen = set()
-    maps = []
-    for perm, signs in patterns:
-        S = np.zeros((dprime, l))
-        sigma = np.zeros(dprime)
-        for row, src in enumerate(perm):
-            coeffs, const = generator[src]
-            S[row] = signs[row] * coeffs
-            sigma[row] = signs[row] * const
-        S += 0.0  # normalize -0.0 so duplicate maps collapse bytewise
-        sigma += 0.0
-        key = (S.tobytes(), sigma.tobytes())
-        if key not in seen:
-            seen.add(key)
-            S.setflags(write=False)
-            sigma.setflags(write=False)
-            maps.append((S, sigma))
-    return maps
+def _orbit_maps(generator, group):
+    """The distinct images ``(P S, P sigma)`` of the generator map
+    ``(S, sigma)`` under ``group``, in group order."""
+    S0, s0 = generator
+    maps = {}
+    for P in group:
+        # Adding 0.0 turns -0.0 into 0.0, so duplicate maps match bytewise.
+        S = P @ S0 + 0.0
+        sigma = P @ s0 + 0.0
+        S.setflags(write=False)
+        sigma.setflags(write=False)
+        maps.setdefault((S.tobytes(), sigma.tobytes()), (S, sigma))
+    return list(maps.values())
 
 
 def orbit_parameter_bounds(elem: ReferenceElement, orbit) -> LinearConstraintSet:
@@ -485,11 +442,10 @@ def orbits(kind: ElementKind) -> tuple[SymmetryOrbit, ...]:
     """All symmetry orbits of ``kind``, with derived parameter bounds."""
     kind = ElementKind(kind)
     elem = reference_element(kind)
-    dprime = elem.natural_dim
-    patterns = _patterns(kind, dprime)
+    group = natural_symmetry_group(kind)
     out = []
     for i, (l, m, generator) in enumerate(_orbit_table(kind), start=1):
-        maps = _orbit_maps(generator, patterns, l, dprime)
+        maps = _orbit_maps(generator, group)
         if len(maps) != m:
             raise NumericalError(
                 f"{kind.value} orbit {i}: built {len(maps)} maps, expected {m}"
@@ -639,6 +595,19 @@ def evaluate_collection(collection: OrbitCollection, xi_bar, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
+# Per kind: how many leading natural components the group permutes, and
+# which components it flips in sign.
+_GROUP_ACTION = {
+    ElementKind.LINE: (1, (0,)),
+    ElementKind.TRIANGLE: (3, ()),
+    ElementKind.QUADRILATERAL: (2, (0, 1)),
+    ElementKind.TETRAHEDRON: (4, ()),
+    ElementKind.HEXAHEDRON: (3, (0, 1, 2)),
+    ElementKind.PRISM: (3, (3,)),
+    ElementKind.PYRAMID: (2, (0, 1)),
+}
+
+
 @lru_cache(maxsize=None)
 def natural_symmetry_group(kind):
     """Orthogonal natural-coordinate transformations of the element group.
@@ -646,17 +615,24 @@ def natural_symmetry_group(kind):
     Simplex-like shapes permute barycentric components; tensor shapes apply
     signed coordinate permutations; the prism combines a barycentric
     permutation with an axis flip; the pyramid applies the base square's
-    signed permutations to (x, y).
+    signed permutations to (x, y).  Permutations are enumerated in
+    lexicographic order and vary slower than signs, ``+1`` before ``-1``,
+    so the identity comes first.
     """
     kind = ElementKind(kind)
     dprime = NATURAL_DIM[kind]
+    nperm, flips = _GROUP_ACTION[kind]
+    rows = np.arange(dprime)
     mats = []
-    for perm, signs in _patterns(kind, dprime):
-        P = np.zeros((dprime, dprime))
-        for row, src in enumerate(perm):
-            P[row, src] = signs[row]
-        P.setflags(write=False)
-        mats.append(P)
+    for perm in itertools.permutations(range(nperm)):
+        cols = list(perm) + list(range(nperm, dprime))
+        for signs in itertools.product([1.0, -1.0], repeat=len(flips)):
+            diag = np.ones(dprime)
+            diag[list(flips)] = signs
+            P = np.zeros((dprime, dprime))
+            P[rows, cols] = diag
+            P.setflags(write=False)
+            mats.append(P)
     return tuple(mats)
 
 

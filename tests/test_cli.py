@@ -397,3 +397,48 @@ def test_generate_quad_p14_passes_face_check(tmp_path, capsys):
         "--compat", "auto", "--cache-dir", str(tmp_path / "cache"),
     )
     assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("generate", "--element", "line", "--degree", "2", "--seed", "-1"),
+         "--seed"),
+        (("generate", "--element", "line", "--degree", "2",
+          "--max-iters", "0"), "--max-iters"),
+        (("generate", "--element", "line", "--degree", "2",
+          "--kkt-tol", "0"), "--kkt-tol"),
+        (("generate", "--element", "line", "--degree", "2",
+          "--resolution", "-1"), "--resolution"),
+        (("generate", "--element", "line", "--degree", "2",
+          "--resolution", "1"), "--resolution"),
+        (("compare", "--element", "line", "--degree-range", "2",
+          "--seed", "-1"), "--seed"),
+        (("tabulate", "--element", "line", "--degree-range", "2",
+          "--kkt-tol=-1e-10"), "--kkt-tol"),
+        (("tabulate", "--element", "line", "--degree-range", "2",
+          "--max-iters", "-3"), "--max-iters"),
+    ],
+)
+def test_numeric_option_out_of_range_exits_2(tmp_path, capsys, argv, option):
+    out = tmp_path / "out"
+    target = ["--out", str(out)] if argv[0] == "tabulate" else [
+        "--cache-dir", str(out)
+    ]
+    code, _, err = _run(capsys, *argv, *target)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: {option} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resolution", ["0", "1"])
+def test_evaluate_resolution_below_2_exits_2(tmp_path, capsys, resolution):
+    path = tmp_path / "l1.nodes"
+    write_node_file(
+        path, baseline_distribution(ElementKind.LINE, 1, "uniform")
+    )
+    code, stdout, err = _run(
+        capsys, "evaluate", str(path), "--resolution", resolution
+    )
+    assert code == 2 and stdout == ""
+    assert err == f"error: --resolution must be >= 2, got {resolution}\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symnodes import lincon
+from symnodes import lincon, optimizer
 from symnodes.baselines import baseline_distribution, gll_1d
 from symnodes.compatibility import (
     FacePrescription,
@@ -14,7 +14,10 @@ from symnodes.compatibility import (
     point_prescription,
     verify_face_match,
 )
-from symnodes.errors import IncompatibleCollectionError
+from symnodes.errors import (
+    DegenerateDistributionError,
+    IncompatibleCollectionError,
+)
 from symnodes.geometry import ElementKind, reference_element
 from symnodes.symmetry import (
     ConstrainedOrbit,
@@ -23,6 +26,7 @@ from symnodes.symmetry import (
     evaluate_collection,
     evaluate_orbit,
     orbits,
+    same_point_set,
 )
 
 
@@ -251,3 +255,76 @@ def test_orbit_reach_recovers_parameters(kind, data):
     got = _orbit_reach(orbit, evaluate_orbit(orbit, xi)[0])
     assert got is not None
     assert np.max(np.abs(got - xi), initial=0.0) <= 1e-12
+
+
+def test_prepinned_entry_holds_its_face_nodes():
+    # The vertices are pinned beforehand on the second of three 3-point
+    # entries.  They pin nothing more: the edge midpoints take the first
+    # free 3-point entry and the third stays free.
+    elem = reference_element(ElementKind.TRIANGLE)
+    table = {o.index: o for o in orbits(ElementKind.TRIANGLE)}
+    vertices = ConstrainedOrbit(table[2], [0.0])
+    coll = OrbitCollection(ElementKind.TRIANGLE, 4, (
+        ConstrainedOrbit(table[2]), vertices, ConstrainedOrbit(table[2]),
+        ConstrainedOrbit(table[3]),
+    ))
+    pres = [_line_pres(gll_1d(4), 4)]
+    pinned = build_compatibility_constraints(elem, coll, pres)
+    assert pinned.entries[0].pinned == pytest.approx([0.5], abs=1e-15)
+    assert pinned.entries[1] is vertices
+    assert pinned.entries[2].pinned is None
+    assert pinned.entries[3].pinned is not None
+    dist, _ = _realize(pinned)
+    assert verify_face_match(elem, dist, pres)
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_orbit_multiplicity_does_not_decrease(kind):
+    # The first orbit that reaches a point is one of least multiplicity.
+    mults = [o.multiplicity for o in orbits(kind)]
+    assert mults == sorted(mults)
+
+
+def _feasible(bounds, u):
+    """A point of the orbit bounds: from their interior point toward the
+    point ``u`` of the unit box over the parameter intervals, stopped short
+    of the boundary."""
+    B, lo, hi = bounds.matrix, bounds.lower, bounds.upper
+    c = lincon.interior_point(B, lo, hi)
+    a, b = lincon.coordinate_intervals(B, lo, hi)
+    step = a + u * (b - a) - c
+    rc, rd = B @ c, B @ step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = np.where(rd > 0, (hi - rc) / rd, (lo - rc) / rd)
+    return c + 0.99 * min(1.0, np.min(room[rd != 0], initial=1.0)) * step
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_decomposition_recovers_realized_collection(kind, data):
+    p = data.draw(st.integers(1, 4))
+    coll, _ = optimizer._baseline_collection(kind, p)
+    xi = np.concatenate([np.zeros(0)] + [
+        _feasible(e.orbit.bounds, np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=e.param_count,
+            max_size=e.param_count))))
+        for e in coll.entries
+    ])
+    try:
+        nodes = evaluate_collection(coll, xi).nodes
+    except DegenerateDistributionError:
+        assume(False)
+    entries = optimizer._decompose_into_orbits(kind, nodes)
+    assert entries is not None
+    assert sorted(o.index for o, _ in entries) == sorted(coll.indices)
+    found = OrbitCollection(
+        kind, p, tuple(ConstrainedOrbit(o) for o, _ in entries)
+    )
+    xi_found = np.concatenate([np.zeros(0)] + [x for _, x in entries])
+    assert same_point_set(
+        evaluate_collection(found, xi_found).nodes, nodes, 1e-12
+    )
+    moved = nodes.copy()
+    moved[data.draw(st.integers(0, len(nodes) - 1)), 0] += 1e-3
+    assert optimizer._decompose_into_orbits(kind, moved) is None
