@@ -20,8 +20,11 @@ Compares this checkout against the one at the given path (each with its own
   (``np.array_equal``);
 * every file written by ``tabulate --element line,tri,quad --degree-range
   7:9`` and ``tabulate --element tet,hex,prism,pyramid --degree-range 4:4``
-  at each seed (node files and manifest, byte for byte), and the
-  ``evaluate`` row of each of those node files;
+  at each seed (node files and manifest, byte for byte), the ``evaluate``
+  row of each of those node files, and the jittered restart starts of
+  every element those runs optimize (``optimizer._jittered_start``, byte
+  for byte), so that a last-bit change of a start shows even when the
+  winning node file is unchanged;
 * at each seed, the stdout line (without its ``wrote PATH`` tail) and the
   node file of ``generate`` for tet p=3 with ``--compat auto``, for tri
   p=6 and prism p=3 with ``--compat off`` (the start with free boundary
@@ -116,6 +119,27 @@ np.savez(sys.argv[1], **out)
 """
 
 CLI = "import sys; from symnodes.cli import main; sys.exit(main(sys.argv[1:]))"
+
+# ``main(argv[2:])`` with each jittered restart start recorded by element,
+# degree and restart, saved to the .npz file ``argv[1]``.
+STARTS = r"""
+import sys
+import numpy as np
+from symnodes import optimizer
+from symnodes.cli import main
+starts, jitter = {}, optimizer._jittered_start
+
+def recording(problem, y0, span, seed_key):
+    start = jitter(problem, y0, span, seed_key)
+    coll = problem.collection
+    starts[f"{coll.kind.value}_p{coll.degree}_restart{seed_key[1]}"] = start
+    return start
+
+optimizer._jittered_start = recording
+code = main(sys.argv[2:])
+np.savez(sys.argv[1], **starts)
+sys.exit(code)
+"""
 
 # The ``evaluate`` rows of the node files given as arguments, as one CSV.
 EVALUATE = r"""
@@ -248,6 +272,21 @@ def _explain(a, b, names):
     return lines
 
 
+def _compare_starts(a, b):
+    """Whether two .npz files of restart starts hold the same arrays byte
+    for byte, and one line per start that differs or is on one side only."""
+    a, b = np.load(a), np.load(b)
+    lines = [f"    on one side only: {key}"
+             for key in sorted(set(a.files) ^ set(b.files))]
+    for key in sorted(set(a.files) & set(b.files)):
+        if a[key].tobytes() != b[key].tobytes():
+            size = (np.max(np.abs(a[key] - b[key]))
+                    if a[key].shape == b[key].shape else np.inf)
+            lines.append(f"    {key}: max abs difference {size:.1e}")
+    lines.insert(0, f"    {len(a.files)} starts")
+    return len(lines) == 1, lines
+
+
 def _compare_files(a, b, names_a, names_b):
     """Whether the two directories hold the same files byte for byte, and
     the lines explaining any difference."""
@@ -291,7 +330,9 @@ def main(argv=None):
             for name, cmd in jobs.items():
                 for side, checkout in sides.items():
                     out = tmp / f"{side}-{name}-{seed}"
-                    _run(checkout, ["-c", CLI, *cmd, "--seed", str(seed),
+                    _run(checkout, ["-c", STARTS,
+                                    str(tmp / f"{side}-starts-{name}.npz"),
+                                    *cmd, "--seed", str(seed),
                                     "--out", str(out)])
                     files = sorted(str(f) for f in out.glob("*.nodes"))
                     rows = tmp / f"{side}-evaluate-{name}-{seed}"
@@ -299,6 +340,14 @@ def main(argv=None):
                     (rows / "evaluate.csv").write_text(
                         _run(checkout, ["-c", EVALUATE, *files])
                     )
+                same, lines = _compare_starts(
+                    tmp / f"this-starts-{name}.npz",
+                    tmp / f"other-starts-{name}.npz",
+                )
+                print(f"starts {name} seed {seed}: "
+                      f"{'identical' if same else 'DIFFERENT'}", *lines,
+                      sep="\n")
+                ok &= same
                 for what in ("", "evaluate-"):
                     this = tmp / f"this-{what}{name}-{seed}"
                     other = tmp / f"other-{what}{name}-{seed}"

@@ -11,10 +11,10 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import UnsupportedBaselineError
 from .geometry import ElementKind, node_count
+from .quadrature import _gauss_jacobi
 from .symmetry import NodalDistribution
 
 __all__ = ["BaselineKind", "gll_1d", "baseline_distribution"]
@@ -28,11 +28,12 @@ class BaselineKind(str, Enum):
 def gll_1d(p):
     """The p+1 closed Gauss-Lobatto nodes on [-1, 1], sorted ascending.
 
-    The interior nodes are the roots of P_p', i.e. of P_{p-1}^{(1,1)}.
+    The interior nodes are the roots of P_p', i.e. of P_{p-1}^{(1,1)}, as
+    ``scipy.special.roots_jacobi(p - 1, 1, 1)`` computes them.
     """
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
-    interior = roots_jacobi(p - 1, 1.0, 1.0)[0] if p > 1 else []
+    interior = _gauss_jacobi(p - 1, 1, 1)[0] if p > 1 else []
     return np.concatenate([[-1.0], interior, [1.0]])
 
 

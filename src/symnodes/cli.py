@@ -224,6 +224,8 @@ def _check_compat(kind, degree, files, prescriptions):
 def cmd_generate(args):
     kind = _parse_element(args.element)
     _check_degree(kind, args.degree, args.force_degree)
+    if args.out and os.path.isdir(args.out):
+        raise InputError(f"--out {args.out} is a directory")
     cache_dir = args.cache_dir
     compat = args.compat
 

@@ -1,11 +1,19 @@
 """Utilities for two-sided linear constraint systems ``lo <= B @ x <= hi``.
 
-Feasibility questions are answered with linear programs (HiGHS via scipy);
-smooth minimization over inequality systems uses the active-set quasi-Newton
+Smooth minimization over inequality systems uses the active-set quasi-Newton
 method implemented here: rows enter and leave a working set, and the
-Hessian is approximated by BFGS updates.  A fixed value is the caller's to
-substitute: the minimizer and the projection reject a row with ``lo == hi``,
-and the linear programs treat it as two inequalities.
+Hessian is approximated by BFGS updates.  It starts from a feasible point
+the caller provides, and so does the least-distance projection; neither
+solves a linear program.  A fixed value is the caller's to substitute: the
+minimizer and the projection reject a row with ``lo == hi``, and the linear
+programs treat it as two inequalities.
+
+The linear-program helpers (:func:`feasible_point`, :func:`interior_point`
+and :func:`coordinate_intervals`, HiGHS via scipy) are not on the path of
+a run: the orbit intervals that size the restart jitter come from vertex
+enumeration, and the jittered starts are projected from the feasible
+baseline start.  They remain as references the tests check against, and
+:func:`linprog` imports ``scipy.optimize`` only when one of them is called.
 """
 
 from __future__ import annotations
@@ -14,11 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
 
 from .errors import ConstraintConflictError
 
 EQ_TOL = 1e-13
+FEAS_TOL = 1e-12  # violation a start may have
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 def _as_system(B, lo, hi):
@@ -190,34 +205,45 @@ def minimize_linearly_constrained(fun, x0, B, lo, hi, tol=1e-10, max_iter=50):
     never at a line-search trial it rejects on ``f``, and never when ``f``
     is not finite.  ``f = inf`` rejects a point; so does a gradient that is
     ``None`` or not finite, and then the step is halved as for ``inf``.
-    Raises :class:`ValueError` on an equality row; the inequalities are
-    handled by an active-set strategy.  The method is deterministic.
+    ``x0`` must meet the system to ``FEAS_TOL``.  Raises
+    :class:`ValueError` on an equality row or an infeasible ``x0``; the
+    inequalities are handled by an active-set strategy.  The method is
+    deterministic.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
     B, lo, hi = _inequalities(B, lo, hi)
-    if violation(B, lo, hi, x0) > 1e-12:
-        x0 = project_onto(B, lo, hi, x0)
+    x0 = _feasible_start(B, lo, hi, x0)
     return _active_set(fun, x0, B, lo, hi, tol, max_iter)
 
 
-def project_onto(B, lo, hi, target):
+def project_onto(B, lo, hi, target, start):
     """Least-distance projection of ``target`` onto ``lo <= B x <= hi``.
 
-    Raises :class:`ValueError` on an equality row.
+    The projection's quadratic program starts from ``start``, which must
+    meet the system to ``FEAS_TOL``; a feasible ``target`` is returned as
+    it is.  Raises :class:`ValueError` on an equality row or an infeasible
+    ``start``.
     """
     B, lo, hi = _inequalities(B, lo, hi)
     target = np.asarray(target, dtype=float).ravel()
     if violation(B, lo, hi, target) <= 1e-14:
         return target
-    x_feas = feasible_point(B, lo, hi)
-    if x_feas is None:
-        raise ConstraintConflictError("infeasible constraint system")
+    start = _feasible_start(B, lo, hi, start)
 
     def qp(x):
         d = x - target
         return 0.5 * float(d @ d), lambda: d
 
-    return _active_set(qp, x_feas, B, lo, hi, 1e-10, max_iter=200).x
+    return _active_set(qp, start, B, lo, hi, 1e-10, max_iter=200).x
+
+
+def _feasible_start(B, lo, hi, x0):
+    """``x0`` as a float vector; raises :class:`ValueError` when it violates
+    the system by more than ``FEAS_TOL``."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    v = violation(B, lo, hi, x0)
+    if v > FEAS_TOL:
+        raise ValueError(f"the start violates the constraints by {v:.3e}")
+    return x0
 
 
 def _reduced_hessian_dir(H, Zw, g):

@@ -4,11 +4,13 @@ Header lines are ``# key: value`` pairs (format version, element, degree,
 count, source, config hash) followed by one node per line with
 whitespace-separated coordinates printed to 17 significant digits, which
 round-trips IEEE doubles exactly.  Files are written atomically
-(temp-then-rename) so interrupted runs never leave partial files behind.
+(temp-then-rename) so interrupted runs never leave partial files behind; a
+write that fails removes its temporary file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -69,9 +71,14 @@ def write_node_file(path, dist: NodalDistribution, config="", source=None):
         lines.append(" ".join(format_float(v) for v in row))
     payload = "\n".join(lines) + "\n"
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return path
 
 

@@ -19,6 +19,7 @@ metrics are left to :func:`~symnodes.metrics.evaluate_metrics`.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -253,8 +254,8 @@ def _fd_gradient(problem, y, h):
 def minimize(problem, config, y0) -> MinimizeOutcome:
     """Minimize the objective over the free parameters from ``y0``.
 
-    The starting point is projected onto the constraints when necessary
-    (by :func:`~symnodes.lincon.minimize_linearly_constrained`).  The
+    ``y0`` must meet the constraints (see
+    :func:`~symnodes.lincon.minimize_linearly_constrained`).  The
     outcome's ``parameters`` are the stacked vector, pinned values included.
     Deterministic for fixed inputs.
     """
@@ -377,11 +378,25 @@ def _orbit_intervals(orbit):
     """Per-parameter ``(min, max)`` over the orbit's own bounds.
 
     The stacked constraints are block diagonal, so for a free entry these
-    are its intervals in the stacked system.  They are finite: the element
-    is bounded and the first point map injective.
+    are its intervals in the stacked system.  The bounds of an orbit hold at
+    most 3 parameters and 5 rows, and they bound a polytope (the element is
+    bounded and the first point map injective), so the extremes lie at its
+    vertices: the solutions of each ``param_count`` independent rows taken
+    at a finite bound that meet every row.
     """
     b = orbit.bounds
-    lo, hi = lincon.coordinate_intervals(b.matrix, b.lower, b.upper)
+    A = np.vstack([b.matrix, -b.matrix])
+    c = np.concatenate([b.upper, -b.lower])
+    A, c = A[np.isfinite(c)], c[np.isfinite(c)]
+    vertices = []
+    for rows in itertools.combinations(range(c.size), orbit.param_count):
+        M = A[list(rows)]
+        if abs(np.linalg.det(M)) > 1e-12:
+            x = np.linalg.solve(M, c[list(rows)])
+            if b.violation(x) <= 1e-12:
+                vertices.append(x)
+    V = np.array(vertices)
+    lo, hi = V.min(axis=0) + 0.0, V.max(axis=0) + 0.0
     lo.setflags(write=False)
     hi.setflags(write=False)
     return lo, hi
@@ -399,13 +414,16 @@ def _jitter_spans(collection):
 
 def _jittered_start(problem, y0, span, seed_key):
     """``y0`` moved by up to 5 % of ``span`` per parameter, projected onto
-    the bounds.  The draw covers every stacked parameter, pinned ones
-    included, so a free parameter's jitter does not depend on the pins."""
+    the bounds from the feasible ``y0``.  The draw covers every stacked
+    parameter, pinned ones included, so a free parameter's jitter does not
+    depend on the pins."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     u = rng.uniform(-1.0, 1.0, size=problem.free_mask.size)
     delta = 0.05 * span * u[problem.free_mask]
     cons = problem.constraints
-    return lincon.project_onto(cons.matrix, cons.lower, cons.upper, y0 + delta)
+    return lincon.project_onto(
+        cons.matrix, cons.lower, cons.upper, y0 + delta, y0
+    )
 
 
 @contextmanager

@@ -12,11 +12,13 @@ also integrated exactly.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+import scipy.linalg
 
 from .geometry import ElementKind, MEASURE
 
@@ -35,17 +37,109 @@ class QuadratureRule:
         return self.points.shape[0]
 
 
+def _orthopoly_pair(n, a, b, x):
+    """``P_{n-1}(x)`` and ``P_n(x)`` for ``n >= 1`` and integers ``a, b >= 0``,
+    as scipy.special's integer-degree evaluators compute them for ``|x| >=
+    1e-5``: ``eval_gegenbauer`` with ``alpha = a + 1/2`` for ``a = b`` (whose
+    operations for ``alpha = 1/2`` are those of ``eval_legendre``), else
+    ``eval_jacobi``.  One sweep of their operations, in their order, so with
+    their bits."""
+    if a == b:
+        al, c = a + 0.5, 2 * a
+        first, d, u = 2 * al * x, x - 1, x
+    else:
+        c = a
+        first = 0.5 * (2 * (a + 1) + (a + b + 2) * (x - 1))
+        d = (a + b + 2) * (x - 1) / (2 * (a + 1))
+        u = d + 1
+    pair = (np.ones_like(x), first)
+    for k in range(1, n):
+        if a == b:
+            d = (2 * (k + al) / (k + 2 * al)) * (x - 1) * u + (
+                k / (k + 2 * al)
+            ) * d
+        else:
+            t = 2 * k + a + b
+            d = (
+                (t * (t + 1) * (t + 2)) * (x - 1) * u
+                + 2 * k * (k + b) * (t + 2) * d
+            ) / (2 * (k + a + 1) * (k + a + b + 1) * t)
+        u = d + u
+        pair = (pair[1], math.comb(k + 1 + c, k + 1) * u)
+    return pair
+
+
+@lru_cache(maxsize=None)
+def _gauss_jacobi(m, a, b):
+    """Points and weights of the ``m``-point Gauss-Jacobi rule for the
+    weight ``(1 - x)^a (1 + x)^b``, integers ``a, b >= 0``, bit for bit as
+    ``scipy.special.roots_jacobi`` computes them.
+
+    The points are the eigenvalues of the Jacobi matrix (Golub & Welsch,
+    Math. Comp. 23, 1969), improved by one Newton step on the recurrence of
+    :func:`_orthopoly_pair`.  For ``a = b`` they are symmetrized and no
+    weights are computed (``None``); otherwise the weights are scipy's
+    Christoffel numbers scaled to the weight's integral.  Read-only arrays.
+    """
+    k = np.arange(1.0, m)
+    band = np.zeros((2, m))
+    if a == b == 0:
+        band[0, 1:] = k * np.sqrt(1.0 / (4 * k * k - 1))
+    elif a == b:
+        al = a + 0.5
+        band[0, 1:] = np.sqrt(
+            k * (k + 2 * al - 1) / (4 * (k + al) * (k + al - 1))
+        )
+    else:
+        tail = np.sqrt(k * (k + a + b) / (2.0 * k + a + b - 1))
+        band[0, 1:] = (
+            2.0 / (2.0 * k + a + b)
+            * np.sqrt((k + a) * (k + b) / (2 * k + a + b + 1))
+            * np.where(k == 1, 1.0, tail)
+        )
+        j = np.arange(m, dtype=float)
+        band[1] = np.where(
+            j == 0,
+            (b - a) / (2 + a + b),
+            (b * b - a * a) / ((2.0 * j + a + b) * (2.0 * j + a + b + 2)),
+        )
+    x = scipy.linalg.eigvals_banded(band, overwrite_a_band=True)
+    w = None
+    if a == b:
+        prev, p = _orthopoly_pair(m, a, b, x)
+        dy = (-m * x * p + (m + 2 * a) * prev) / (1 - x**2)
+        x -= p / dy
+        x = (x - x[::-1]) / 2
+    else:
+        y = _orthopoly_pair(m, a, b, x)[1]
+        dy = 0.5 * (m + a + b + 1) * _orthopoly_pair(m, a + 1, b + 1, x)[0]
+        x -= y / dy
+        fm = _orthopoly_pair(m, a, b, x)[0]
+        log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+        fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+        dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+        w = 1.0 / (fm * dy)
+        beta = (
+            math.factorial(a) * math.factorial(b) / math.factorial(a + b + 1)
+        )
+        w *= 2.0 ** (a + b + 1) * beta / w.sum()
+        w.setflags(write=False)
+    x.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre_1d(n):
     """n-point Gauss-Legendre rule on [-1, 1], exact to degree 2n - 1.
 
-    The points are scipy's; the weights are ``2 / ((1 - x^2) P_n'(x)^2)`` at
-    those points, with ``P_n'`` from the three-term recurrence, which keeps
-    them within a few ulps of the largest weight (scipy's own weights drift
-    to ~4e-14 relative by n = 30).
+    The points are scipy's (``scipy.special.roots_legendre``, bit for bit,
+    from :func:`_gauss_jacobi`); the weights are ``2 / ((1 - x^2)
+    P_n'(x)^2)`` at those points, with ``P_n'`` from the three-term
+    recurrence, which keeps them within a few ulps of the largest weight
+    (scipy's own weights drift to ~4e-14 relative by n = 30).
     """
     if n < 1:
         raise ValueError(f"point count must be >= 1, got {n}")
-    x, _ = roots_legendre(n)
+    x = _gauss_jacobi(n, 0, 0)[0].copy()
     p_prev, p = np.ones_like(x), x
     for k in range(2, n + 1):
         p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
@@ -84,7 +178,7 @@ def _build_rule(kind, degree):
         return pts, w
 
     if kind is ElementKind.TRIANGLE:
-        xb, wb = roots_jacobi(n, 1.0, 0.0)
+        xb, wb = _gauss_jacobi(n, 1, 0)
         A, B = np.meshgrid(xg, xb, indexing="ij")
         WA, WB = np.meshgrid(wg, wb, indexing="ij")
         x = (1.0 + A) * (1.0 - B) / 2.0 - 1.0
@@ -94,8 +188,8 @@ def _build_rule(kind, degree):
         return pts, w
 
     if kind is ElementKind.TETRAHEDRON:
-        xb, wb = roots_jacobi(n, 1.0, 0.0)
-        xc, wc = roots_jacobi(n, 2.0, 0.0)
+        xb, wb = _gauss_jacobi(n, 1, 0)
+        xc, wc = _gauss_jacobi(n, 2, 0)
         A, B, C = np.meshgrid(xg, xb, xc, indexing="ij")
         WA, WB, WC = np.meshgrid(wg, wb, wc, indexing="ij")
         x = (1.0 + A) * (1.0 - B) * (1.0 - C) / 4.0 - 1.0
@@ -119,7 +213,7 @@ def _build_rule(kind, degree):
     if kind is ElementKind.PYRAMID:
         # One extra point vertically: products of the rational basis become
         # polynomials of one degree higher in the collapsed direction.
-        xc, wc = roots_jacobi(n + 1, 2.0, 0.0)
+        xc, wc = _gauss_jacobi(n + 1, 2, 0)
         A, B, C = np.meshgrid(xg, xg, xc, indexing="ij")
         WA, WB, WC = np.meshgrid(wg, wg, wc, indexing="ij")
         half = (1.0 - C) / 2.0

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import KDTree
-from scipy.spatial.distance import pdist
 
 from . import lincon
 from .errors import (
@@ -66,12 +64,38 @@ _PIN_TOL = 1e-9  # bound violation allowed of pinned parameters
 
 
 @lru_cache(maxsize=None)
+def _probe(d):
+    """A unit direction in ``d`` dimensions that no symmetry plane of an
+    element contains, so that distinct nodes project apart."""
+    v = np.sqrt(np.arange(1.0, d + 1.0))
+    v /= np.linalg.norm(v)
+    v.setflags(write=False)
+    return v
+
+
+def _slack(*arrays):
+    """A bound on the rounding error of projecting rows of ``arrays``."""
+    scale = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
+    return 1e-12 * (1.0 + scale)
+
+
+@lru_cache(maxsize=None)
 def _upper_pairs(n):
-    """Row and column of each entry of a condensed ``pdist`` vector."""
+    """Row and column of each pair ``i < j`` of ``n`` rows, in row-major
+    order."""
     i, j = np.triu_indices(n, 1)
     i.setflags(write=False)
     j.setflags(write=False)
     return i, j
+
+
+def _distances(x, i, y, j):
+    """Distances between the rows ``x[i]`` and ``y[j]``: the square root of
+    the sum of squared coordinate differences, summed in axis order."""
+    d2 = (x[i, 0] - y[j, 0]) ** 2
+    for c in range(1, x.shape[1]):
+        d2 += (x[i, c] - y[j, c]) ** 2
+    return np.sqrt(d2)
 
 
 def closest_pair(x):
@@ -86,15 +110,25 @@ def closest_pair(x):
     n = x.shape[0]
     if n < 2:
         return np.inf, None
-    d2 = pdist(x, "sqeuclidean")
-    k = int(np.argmin(d2))
     i, j = _upper_pairs(n)
-    return float(np.sqrt(d2[k])), (int(i[k]), int(j[k]))
+    d = _distances(x, i, x, j)
+    k = int(np.argmin(d))
+    return float(d[k]), (int(i[k]), int(j[k]))
 
 
 def _require_separated(x):
     """Raise :class:`DegenerateDistributionError` when two rows of ``x`` are
-    at most ``MIN_NODE_SEPARATION`` apart."""
+    at most ``MIN_NODE_SEPARATION`` apart.
+
+    Two rows that close project closer than ``2 MIN_NODE_SEPARATION``, so
+    :func:`closest_pair` only runs when two sorted projections are.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[0] < 2:
+        return
+    proj = np.sort(x @ _probe(x.shape[1]))
+    if (proj[1:] - proj[:-1]).min() > 2 * MIN_NODE_SEPARATION + _slack(x):
+        return
     sep, pair = closest_pair(x)
     if sep <= MIN_NODE_SEPARATION:
         raise DegenerateDistributionError(
@@ -704,11 +738,27 @@ def _one_to_one(points, images, tol):
 
     Each image is paired with its nearest point, so a match is found when
     the points are more than ``2 tol`` apart, as separated node sets are.
+    Only the points whose projections lie within ``tol`` of the image's
+    can be within ``tol`` of it; they are found by bisecting the sorted
+    projections, and distances are taken as :func:`closest_pair` takes them.
     """
     n, d = points.shape
-    dist, nearest = KDTree(points).query(images.reshape(-1, d))
+    queries = images.reshape(-1, d)
+    proj, qproj = points @ _probe(d), queries @ _probe(d)
+    reach = tol + _slack(points, queries)
+    order = np.argsort(proj, kind="stable")
+    first = np.searchsorted(proj[order], qproj - reach, "left")
+    stop = np.searchsorted(proj[order], qproj + reach, "right")
+    nearest = np.full(queries.shape[0], -1)
+    best = np.full(queries.shape[0], np.inf)
+    for k in range(int(np.max(stop - first, initial=0))):
+        cand = order[np.minimum(first + k, n - 1)]
+        dist = _distances(queries, slice(None), points, cand)
+        closer = (first + k < stop) & (dist <= tol) & (dist < best)
+        nearest[closer] = cand[closer]
+        best[closer] = dist[closer]
     return bool(
-        np.all(dist <= tol)
+        np.all(nearest >= 0)
         and np.all(np.sort(nearest.reshape(-1, n), axis=1) == np.arange(n))
     )
 

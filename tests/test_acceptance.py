@@ -216,7 +216,7 @@ def test_criterion_7_gradient_correctness():
                 xi = center + rng.normal(scale=0.03, size=coll.total_params)
                 if cons.violation(xi) > 0.0:
                     xi = lincon.project_onto(
-                        cons.matrix, cons.lower, cons.upper, xi
+                        cons.matrix, cons.lower, cons.upper, xi, interior
                     )
                 xi = 0.97 * xi + 0.03 * interior
                 try:

@@ -138,6 +138,27 @@ def test_generate_rejects_compat_file_of_wrong_degree(
     assert f"degree {face_degree}" in err and f"--degree is {degree}" in err
 
 
+def test_generate_out_directory_is_an_input_error(
+    tmp_path, capsys, monkeypatch
+):
+    # Checked before any optimization, and nothing is left behind.
+    import symnodes.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("optimized before checking --out")
+
+    monkeypatch.setattr(cli, "optimize_nodes", never)
+    code, stdout, stderr = _run(
+        capsys,
+        "generate", "--element", "line", "--degree", "2",
+        "--out", str(tmp_path), "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.splitlines() == [f"error: --out {tmp_path} is a directory"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_rejects_bad_element(tmp_path, capsys):
     code, _, err = _run(
         capsys,

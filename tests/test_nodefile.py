@@ -84,3 +84,13 @@ def test_config_hash_stable():
     assert a == b
     assert len(a) == 16
     assert a != config_hash({"x": 2, "y": [1, 2]})
+
+
+def test_failed_write_removes_its_temporary_file(tmp_path):
+    # Renaming onto a directory fails; the temporary file must not stay.
+    dist = baseline_distribution(ElementKind.LINE, 2, "uniform")
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(OSError):
+        write_node_file(taken, dist)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]

@@ -88,7 +88,7 @@ def test_equality_rows_raise():
             fun, np.array([1.0, 0.0]), B, lo, hi
         )
     with pytest.raises(ValueError, match="equality rows"):
-        lincon.project_onto(B, lo, hi, np.array([1.0, 0.0]))
+        lincon.project_onto(B, lo, hi, np.array([1.0, 0.0]), np.zeros(2))
 
 
 def test_gradient_only_at_start_and_accepted_steps():
@@ -154,30 +154,41 @@ def test_degenerate_gradient_at_start_is_an_error(grad):
 
 def test_projection_and_feasibility():
     B = np.array([[1.0, 1.0]])
-    x = lincon.project_onto(B, [-np.inf], [1.0], np.array([2.0, 2.0]))
+    x = lincon.project_onto(
+        B, [-np.inf], [1.0], np.array([2.0, 2.0]), np.zeros(2)
+    )
     np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-10)
     assert lincon.feasible_point(np.array([[1.0]]), [2.0], [1.0]) is None
 
 
 def test_project_onto_returns_feasible_target_without_lp(monkeypatch):
+    # The projection starts from the caller's feasible point: neither a
+    # feasible nor an infeasible target calls a linear program.
     calls = []
-    real = lincon.feasible_point
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(lincon, "feasible_point", counting)
+    monkeypatch.setattr(lincon, "linprog", lambda *a, **k: calls.append(a))
     G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     gl, gu = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])
     target = np.array([0.25, 0.5])
-    out = lincon.project_onto(G, gl, gu, target)
+    out = lincon.project_onto(G, gl, gu, target, np.zeros(2))
     assert np.array_equal(out, target)
-    assert calls == []
-    # An infeasible target still goes through the phase-1 LP.
-    out = lincon.project_onto(G, gl, gu, np.array([2.0, 0.0]))
-    assert len(calls) == 1
+    out = lincon.project_onto(G, gl, gu, np.array([2.0, 0.0]), np.zeros(2))
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-9)
+    assert calls == []
+
+
+def test_infeasible_start_raises():
+    G = np.eye(2)
+    gl, gu = -np.ones(2), np.ones(2)
+    with pytest.raises(ValueError, match="start violates"):
+        lincon.project_onto(G, gl, gu, np.array([2.0, 0.0]), [1.5, 0.0])
+    fun = lambda x: (float(x @ x), lambda: 2 * x)
+    with pytest.raises(ValueError, match="start violates"):
+        lincon.minimize_linearly_constrained(fun, [1.0 + 1e-9, 0.0], G, gl, gu)
+    # A start within FEAS_TOL of a bound is accepted as it is.
+    res = lincon.minimize_linearly_constrained(
+        fun, [1.0 + 1e-13, 0.0], G, gl, gu
+    )
+    assert res.status == "kkt-converged"
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +442,19 @@ def test_face_set_off_the_baseline_orbits_is_not_unisolvent():
 
 def _uniform(kind, p):
     return baseline_distribution(kind, p, "uniform")
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_orbit_intervals_equal_lp_intervals(kind):
+    # Vertex enumeration gives the bits of the HiGHS probes it replaced.
+    for orbit in orbits(kind):
+        lo, hi = optimizer._orbit_intervals(orbit)
+        b = orbit.bounds
+        want_lo, want_hi = lincon.coordinate_intervals(
+            b.matrix, b.lower, b.upper
+        )
+        assert lo.tobytes() == want_lo.tobytes()
+        assert hi.tobytes() == want_hi.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(ElementKind))

@@ -177,6 +177,30 @@ def test_gauss_legendre_weights_match_40_digit_reference(n):
         assert float(err / max(ref)) <= 5e-15
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_roots_equal_scipy_special(m):
+    # The points (and the Jacobi weights) are computed without
+    # scipy.special, with its operations in its order: the same bits.
+    from scipy.special import roots_jacobi
+
+    from symnodes.baselines import gll_1d
+    from symnodes.quadrature import _gauss_jacobi
+
+    assert _same_bits(gauss_legendre_1d(m)[0], roots_legendre(m)[0])
+    assert _same_bits(gll_1d(m + 1)[1:-1], roots_jacobi(m, 1.0, 1.0)[0])
+    for a in (1, 2):
+        x, w = _gauss_jacobi(m, a, 0)
+        want_x, want_w = roots_jacobi(m, float(a), 0.0)
+        assert _same_bits(x, want_x)
+        assert _same_bits(w, want_w)
+
+
 def test_gauss_legendre_high_order_exactness():
     for n in (10, 25, 40):
         x, w = gauss_legendre_1d(n)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symnodes.baselines import baseline_distribution
@@ -27,7 +27,12 @@ from symnodes.symmetry import (
     orbits,
     same_point_set,
 )
-from symnodes.symmetry import _generator_maps
+from symnodes.symmetry import (
+    MIN_NODE_SEPARATION,
+    _generator_maps,
+    _probe,
+    _require_separated,
+)
 from symnodes import lincon
 
 ALL_KINDS = list(ElementKind)
@@ -337,6 +342,27 @@ def test_closest_pair_matches_broadcast_form(x):
         assert sep == np.sqrt(np.sum((x[i] - x[j]) ** 2))
 
 
+def _pdist_closest_pair(x):
+    """The ``scipy.spatial.distance.pdist`` form ``closest_pair`` had."""
+    from scipy.spatial.distance import pdist
+
+    if x.shape[0] < 2:
+        return np.inf, None
+    d2 = pdist(x, "sqeuclidean")
+    k = int(np.argmin(d2))
+    i, j = np.triu_indices(x.shape[0], 1)
+    return float(np.sqrt(d2[k])), (int(i[k]), int(j[k]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets())
+def test_closest_pair_matches_pdist(x):
+    sep, pair = closest_pair(x)
+    want_sep, want_pair = _pdist_closest_pair(x)
+    assert np.float64(sep).tobytes() == np.float64(want_sep).tobytes()
+    assert pair == want_pair
+
+
 def test_closest_pair_small_sets():
     assert closest_pair(np.zeros((0, 2))) == (np.inf, None)
     assert closest_pair(np.zeros((1, 3))) == (np.inf, None)
@@ -346,6 +372,30 @@ def test_closest_pair_small_sets():
     assert closest_pair(x) == (0.0, (1, 3))
     x = np.array([[0.0], [2.0], [1.0], [3.0]])
     assert closest_pair(x) == (1.0, (0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets(), st.sampled_from([0.5, 0.9, 1.0, 1.1, 1.9, 2.1, 4.0]),
+       st.booleans(), st.data())
+def test_require_separated_raises_exactly_when_closest_pair_is_close(
+    x, r, along_probe, data
+):
+    # The sorted-projection screen must not change the outcome: a pair at
+    # about r * MIN_NODE_SEPARATION decides it either way, also when it
+    # lies along the projection direction.
+    if x.shape[0] >= 2:
+        i, j = data.draw(st.lists(st.integers(0, x.shape[0] - 1),
+                                  min_size=2, max_size=2, unique=True))
+        d = x.shape[1]
+        u = _probe(d) if along_probe else _direction(data.draw, d)
+        x[j] = x[i] + r * MIN_NODE_SEPARATION * u
+    sep, pair = closest_pair(x)
+    if sep <= MIN_NODE_SEPARATION:
+        with pytest.raises(DegenerateDistributionError) as exc:
+            _require_separated(x)
+        assert exc.value.pair == pair
+    else:
+        _require_separated(x)
 
 
 def test_validate_names_the_colliding_pair():
@@ -499,3 +549,91 @@ def test_point_set_match_is_one_to_one():
     assert not same_point_set(a, np.array([[0.0], [1.0]]), 1e-10)
     assert same_point_set(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]), 0.0)
     assert not same_point_set(a, np.zeros((3, 1)), 1e-10)
+
+
+def _kdtree_one_to_one(points, images, tol):
+    """The ``scipy.spatial.KDTree`` matcher that ``same_point_set`` and
+    ``is_symmetric`` used: each image takes its nearest point."""
+    from scipy.spatial import KDTree
+
+    n, d = points.shape
+    dist, nearest = KDTree(points).query(images.reshape(-1, d))
+    return bool(
+        np.all(dist <= tol)
+        and np.all(np.sort(nearest.reshape(-1, n), axis=1) == np.arange(n))
+    )
+
+
+def _direction(draw, d):
+    v = np.array(draw(st.lists(
+        st.floats(-1.0, 1.0, allow_nan=False), min_size=d, max_size=d
+    )))
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 1e-3 else np.eye(d)[0]
+
+
+# Multiples of tol by which an image is moved: within, at and just beyond.
+_MOVES = [0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5]
+
+
+@st.composite
+def _matching_cases(draw):
+    """Points, ``tol`` and one or two slices of images of the points: each
+    slice a permutation of them with every image moved by a multiple of
+    ``tol``.  Some pairs of points lie about ``2 tol`` apart, so that an
+    image can be nearly as far from two points (a near tie)."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 16))
+    tol = draw(st.sampled_from([1e-14, 1e-10, 1e-6, 1e-3]))
+    coords = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    x = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d)))
+    x = x.reshape(n, d)
+    for _ in range(draw(st.integers(0, 2)) if n >= 2 else 0):
+        i, j = draw(st.lists(
+            st.integers(0, n - 1), min_size=2, max_size=2, unique=True
+        ))
+        gap = 2 * tol * draw(st.sampled_from([1 - 1e-6, 1.0, 1 + 1e-6]))
+        x[j] = x[i] + gap * _direction(draw, d)
+    slices = []
+    for _ in range(draw(st.integers(1, 2))):
+        perm = draw(st.permutations(range(n)))
+        moves = [tol * draw(st.sampled_from(_MOVES)) * _direction(draw, d)
+                 for _ in range(n)]
+        slices.append(x[list(perm)] + np.array(moves))
+    return x, np.stack(slices), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matching_cases())
+def test_matching_agrees_with_kdtree(case):
+    x, images, tol = case
+    # With two points exactly as near, either may take the image.
+    d = np.sort(np.linalg.norm(images[..., None, :] - x, axis=-1), axis=-1)
+    if x.shape[0] > 1:
+        assume(not np.any((d[..., 0] <= tol) & (d[..., 0] == d[..., 1])))
+    for image in images:
+        assert same_point_set(image, x, tol) == _kdtree_one_to_one(
+            x, image, tol
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ALL_KINDS),
+    st.integers(1, 4),
+    st.sampled_from([1e-14, 1e-10]),
+    st.data(),
+)
+def test_is_symmetric_agrees_with_kdtree(kind, p, tol, data):
+    nodes = baseline_distribution(kind, p, "uniform").nodes.copy()
+    n, dim = nodes.shape
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, n - 1))
+        r = data.draw(st.sampled_from(_MOVES + [2.0]))
+        nodes[i] += r * tol * _direction(data.draw, dim)
+    nodes = nodes[data.draw(st.permutations(range(n)))]
+    A, b = _generator_maps(kind)
+    want = _kdtree_one_to_one(
+        nodes, nodes @ A.transpose(0, 2, 1) + b[:, None], tol
+    )
+    assert is_symmetric(kind, nodes, tol) == want
