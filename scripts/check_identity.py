@@ -14,6 +14,10 @@ Compares this checkout against the one at the given path (each with its own
   p=5 at the screening lattice, sets that span many of the basis's point
   blocks; plus ``jacobi``, ``jacobi_derivative`` and ``gll_1d``
   (``np.array_equal``);
+* the Lebesgue lattice ``metrics._lattice`` and its fundamental domain
+  ``metrics._chamber`` of each kind at the default resolution, at the
+  screening resolution and at r = 7 and 61 (``np.array_equal``, so the
+  points and their order);
 * ``lebesgue_constant`` at the default resolution on uniform p=4 of each
   kind with the node nearest the centroid moved by 1e-3, a set no symmetry
   maps onto itself, so its scan covers the whole lattice
@@ -66,7 +70,10 @@ from symnodes.basis import (
     FunctionSpace, basis_eval_many, basis_grad_many, jacobi, jacobi_derivative,
 )
 from symnodes.geometry import ElementKind, contains, reference_element
-from symnodes.metrics import _lattice, lebesgue_constant
+from symnodes.metrics import (
+    _SCREEN_RESOLUTION, _chamber, _lattice, default_resolution,
+    lebesgue_constant,
+)
 from symnodes.symmetry import NodalDistribution
 
 out = {}
@@ -97,6 +104,11 @@ for kind, p, res in [("tri", 9, 300), ("pyramid", 5, 20)]:
     sp = FunctionSpace(ElementKind(kind), p)
     out[f"{kind}_p{p}_lattice{res}_V"] = basis_eval_many(sp, pts)
     out[f"{kind}_p{p}_lattice{res}_G"] = basis_grad_many(sp, pts)
+for kind in ElementKind:
+    dim = reference_element(kind).dim
+    for res in sorted({default_resolution(dim), _SCREEN_RESOLUTION, 7, 61}):
+        out[f"{kind.value}_lattice{res}"] = _lattice(kind, res)
+        out[f"{kind.value}_chamber{res}"] = _chamber(kind, res)
 for kind in ElementKind:
     # Uniform p=4 with the node nearest the centroid moved off every mirror:
     # no symmetry, so the Lebesgue scan covers the whole lattice.

@@ -13,7 +13,9 @@ first (or loaded from the cache directory) and used as face prescriptions.
 
 Exit codes: 0 success, 1 internal failure, 2 input error (including a
 numeric option out of range: ``--seed < 0``, ``--max-iters < 1``,
-``--kkt-tol <= 0`` or ``--resolution < 2``).
+``--kkt-tol <= 0`` or ``--resolution < 2``, and an ``--out`` that names a
+directory for ``generate`` and ``compare`` or a file for ``tabulate``;
+these are checked before any work).
 """
 
 from __future__ import annotations
@@ -221,11 +223,16 @@ def _check_compat(kind, degree, files, prescriptions):
         )
 
 
+def _check_out_file(path):
+    """``--out`` of ``generate`` and ``compare`` names a file to write."""
+    if path and os.path.isdir(path):
+        raise InputError(f"--out {path} is a directory")
+
+
 def cmd_generate(args):
     kind = _parse_element(args.element)
     _check_degree(kind, args.degree, args.force_degree)
-    if args.out and os.path.isdir(args.out):
-        raise InputError(f"--out {args.out} is a directory")
+    _check_out_file(args.out)
     cache_dir = args.cache_dir
     compat = args.compat
 
@@ -294,6 +301,7 @@ def cmd_compare(args):
     degrees = _parse_degree_range(args.degree_range)
     for d in degrees:
         _check_degree(kind, d, args.force_degree)
+    _check_out_file(args.out)
     dists = args.dist or ["optimized", "gll", "uniform"]
     ensure = _make_ensure(args, args.cache_dir)
 
@@ -347,6 +355,8 @@ def cmd_tabulate(args):
         for degree in degrees:
             _check_degree(kind, degree, args.force_degree)
     out_dir = args.out
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise InputError(f"--out {out_dir} is not a directory")
     os.makedirs(out_dir, exist_ok=True)
     tab_args = argparse.Namespace(**vars(args))
     tab_args.cache_dir = out_dir

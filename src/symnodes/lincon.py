@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConstraintConflictError
+from .errors import ConstraintConflictError, NumericalError
 
 EQ_TOL = 1e-13
 FEAS_TOL = 1e-12  # violation a start may have
@@ -221,7 +221,8 @@ def project_onto(B, lo, hi, target, start):
     The projection's quadratic program starts from ``start``, which must
     meet the system to ``FEAS_TOL``; a feasible ``target`` is returned as
     it is.  Raises :class:`ValueError` on an equality row or an infeasible
-    ``start``.
+    ``start``, and :class:`NumericalError` when the program does not end
+    KKT-converged.
     """
     B, lo, hi = _inequalities(B, lo, hi)
     target = np.asarray(target, dtype=float).ravel()
@@ -233,7 +234,13 @@ def project_onto(B, lo, hi, target, start):
         d = x - target
         return 0.5 * float(d @ d), lambda: d
 
-    return _active_set(qp, start, B, lo, hi, 1e-10, max_iter=200).x
+    res = _active_set(qp, start, B, lo, hi, 1e-10, max_iter=200)
+    if res.status != "kkt-converged":
+        raise NumericalError(
+            f"the projection ended {res.status} after {res.iterations} "
+            "iterations"
+        )
+    return res.x
 
 
 def _feasible_start(B, lo, hi, x0):

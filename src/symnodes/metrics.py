@@ -24,6 +24,11 @@
   group maps the lattice onto itself only up to rounding, so the reduced
   scan agrees with the full one to the last bits.  Other node sets are
   scanned over the whole lattice.
+  Neither lattice is cut from the whole bounding box: each row along the
+  last axis takes only the indices that the element's bounds and the
+  domain's walls leave it, plus one on each side, and the exact tests
+  then run on these (``_sample``).  So the sample is the box lattice
+  restricted to the domain, bit for bit and in lattice order.
 * Lebesgue objective: the smooth surrogate sum_i integral(l_i^2).  The
   modal basis is orthonormal, so it equals ``||V^-1||_F^2`` for the
   Vandermonde matrix ``V`` at the nodes.
@@ -72,6 +77,9 @@ _CHUNK = 16384
 _SYMMETRY_TOL = 1e-14
 # Lattice points this close to a wall of the domain belong to it.
 _CHAMBER_TOL = 1e-12
+# Slack of the bounds that pick lattice candidates: above the tolerances of
+# the exact tests and their rounding, far below a lattice step.
+_LOOSE = 1e-9
 # Offset from the vertex centroid to a point no group map fixes.
 _GENERIC = np.array([0.1, 0.03, 0.007])
 # Each extruded kind is its base times [-1, 1].
@@ -94,20 +102,57 @@ def default_resolution(dim):
     return _DEFAULT_RESOLUTION[dim]
 
 
-def _domain_points(kind, resolution):
-    """Uniform lattice over the bounding box restricted to the domain."""
+def _sample(kind, resolution, walls=()):
+    """The points of the lattice ``np.linspace(-1, 1, resolution)`` per
+    axis in the domain, and on the inner side of every chamber wall in
+    ``walls``, in lattice order (last axis fastest).
+
+    ``lam(x)`` is affine, so the natural bounds and the walls are rows
+    ``A x >= beta``.  Each row of the lattice along the last axis takes the
+    indices between the bounds they put on its last coordinate (loosened by
+    ``_LOOSE``), widened by one index on each side; a row ``A`` without a
+    last coefficient keeps or drops whole rows.  The exact tests of
+    ``contains`` and of the walls then pick the points from these
+    candidates.
+    """
     elem = reference_element(kind)
-    axis = np.linspace(-1.0, 1.0, resolution)
-    grids = np.meshgrid(*[axis] * elem.dim, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
+    d, r = elem.dim, resolution
+    axis = np.linspace(-1.0, 1.0, r)
+    m0 = natural_solve(elem, np.zeros(d))
+    M = natural_solve(elem, np.eye(d)) - m0
+    R = np.vstack([elem.b_lambda, -elem.b_lambda, *walls])
+    t = np.concatenate([elem.v_lower, -elem.v_upper, np.zeros(len(walls))])
+    R, t = R[np.isfinite(t)], t[np.isfinite(t)]
+    A, beta = M @ R.T, t - R @ m0 - _LOOSE
+    outer = np.indices((r,) * (d - 1)).reshape(d - 1, r ** (d - 1)).T
+    slack = axis[outer] @ A[:-1] - beta
+    a, flat = A[-1], A[-1] == 0
+    bound = -slack[:, ~flat] / a[~flat]
+    up = a[~flat] > 0
+    lo = np.max(bound[:, up], axis=1, initial=-1.0)
+    hi = np.min(bound[:, ~up], axis=1, initial=1.0)
+    scale = 0.5 * (r - 1)
+    first = np.maximum(np.ceil((lo + 1.0) * scale).astype(int) - 1, 0)
+    last = np.minimum(np.floor((hi + 1.0) * scale).astype(int) + 1, r - 1)
+    counts = np.maximum(last - first + 1, 0)
+    counts[~np.all(slack[:, flat] >= 0.0, axis=1)] = 0
+    starts = np.cumsum(counts) - counts
+    idx = np.repeat(np.column_stack([outer, first]), counts, axis=0)
+    idx[:, -1] += np.arange(len(idx)) - np.repeat(starts, counts)
+    pts = axis[idx]
     pts = pts[contains(elem, pts, 1e-12)]
+    if len(walls):
+        keep = natural_solve(elem, pts) @ walls.T >= -_CHAMBER_TOL
+        pts = pts[np.all(keep, axis=1)]
     pts.setflags(write=False)
     return pts
 
 
-# The whole lattice, which the scan of a node set that is not symmetric
-# covers; the fundamental domain is cut from an uncached copy.
-_lattice = lru_cache(maxsize=32)(_domain_points)
+@lru_cache(maxsize=32)
+def _lattice(kind, resolution):
+    """The lattice points in the domain, which the scan of a node set that
+    is not symmetric covers."""
+    return _sample(kind, resolution)
 
 
 @lru_cache(maxsize=32)
@@ -125,11 +170,7 @@ def _chamber(kind, resolution):
     elem = reference_element(kind)
     c = natural_solve(elem, elem.vertices.mean(axis=0) + _GENERIC[: elem.dim])
     walls = np.stack([c - P @ c for P in natural_symmetry_group(kind)])
-    pts = _domain_points(kind, resolution)
-    keep = np.all(natural_solve(elem, pts) @ walls.T >= -_CHAMBER_TOL, axis=1)
-    pts = pts[keep]
-    pts.setflags(write=False)
-    return pts
+    return _sample(kind, resolution, walls)
 
 
 def _interpolator(space, dist):

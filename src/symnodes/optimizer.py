@@ -416,7 +416,8 @@ def _jittered_start(problem, y0, span, seed_key):
     """``y0`` moved by up to 5 % of ``span`` per parameter, projected onto
     the bounds from the feasible ``y0``.  The draw covers every stacked
     parameter, pinned ones included, so a free parameter's jitter does not
-    depend on the pins."""
+    depend on the pins.  Raises :class:`NumericalError` when the projection
+    does not converge."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     u = rng.uniform(-1.0, 1.0, size=problem.free_mask.size)
     delta = 0.05 * span * u[problem.free_mask]
@@ -451,6 +452,8 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     parameter's range over its orbit's bounds.  Entries pinned to face
     nodes keep their values, and only the free parameters are optimized; a
     fully pinned problem (free dimension 0) runs the baseline start only.
+    A jittered start whose projection onto the bounds does not converge
+    drops its restart, as a run that ends in ``"error"`` does.
     Among the runs that end feasible with a valid node set, the lowest
     objective wins whatever the run's status; the lower restart number
     breaks exact ties.  Every failure before the
@@ -497,13 +500,18 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     starts = [y0]
     if problem.free_dimension > 0:
         span = _jitter_spans(coll)
-        starts += [
-            _jittered_start(problem, y0, span, (config.seed, restart))
-            for restart in range(1, MULTISTART_COUNT + 1)
-        ]
+        for restart in range(1, MULTISTART_COUNT + 1):
+            try:
+                starts.append(
+                    _jittered_start(problem, y0, span, (config.seed, restart))
+                )
+            except NumericalError:
+                starts.append(None)  # an unconverged projection
     cons = problem.constraints
     runs = []  # (objective, restart, outcome, distribution)
     for restart, start in enumerate(starts):
+        if start is None:
+            continue
         outcome = minimize(problem, config, start)
         if outcome.status == "error":
             continue

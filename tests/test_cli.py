@@ -159,6 +159,50 @@ def test_generate_out_directory_is_an_input_error(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_compare_out_directory_is_an_input_error(
+    tmp_path, capsys, monkeypatch
+):
+    # Checked before any row is computed.
+    import symnodes.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed a row before checking --out")
+
+    monkeypatch.setattr(cli, "_metric_fields", never)
+    code, stdout, stderr = _run(
+        capsys,
+        "compare", "--element", "line", "--degree-range", "1:1",
+        "--dist", "uniform", "--out", str(tmp_path),
+        "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.splitlines() == [f"error: --out {tmp_path} is a directory"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tabulate_out_file_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # Checked before any element is built, and the file is left as it is.
+    import symnodes.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("optimized before checking --out")
+
+    monkeypatch.setattr(cli, "optimize_nodes", never)
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    code, stdout, stderr = _run(
+        capsys,
+        "tabulate", "--element", "line", "--degree-range", "1:2",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.splitlines() == [f"error: --out {out} is not a directory"]
+    assert out.read_text() == "keep\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_generate_rejects_bad_element(tmp_path, capsys):
     code, _, err = _run(
         capsys,

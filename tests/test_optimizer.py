@@ -15,6 +15,7 @@ from symnodes.compatibility import (
 from symnodes.errors import (
     IncompatibleCollectionError,
     NoViableCollectionError,
+    NumericalError,
 )
 from symnodes.geometry import (
     ElementKind,
@@ -174,6 +175,25 @@ def test_project_onto_returns_feasible_target_without_lp(monkeypatch):
     out = lincon.project_onto(G, gl, gu, np.array([2.0, 0.0]), np.zeros(2))
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-9)
     assert calls == []
+
+
+def test_unconverged_projection_raises(monkeypatch):
+    # The quadratic program stops at its iteration limit: the projection
+    # reports it instead of returning the last iterate.
+    def limited(fun, y0, G, gl, gu, tol, max_iter):
+        return lincon.SolveResult(y0, fun(y0)[0], "iteration-limited",
+                                  max_iter, 1.0)
+
+    monkeypatch.setattr(lincon, "_active_set", limited)
+    G = np.eye(2)
+    gl, gu = -np.ones(2), np.ones(2)
+    with pytest.raises(NumericalError, match="iteration-limited"):
+        lincon.project_onto(G, gl, gu, np.array([2.0, 0.0]), np.zeros(2))
+    # A feasible target needs no program.
+    target = np.array([0.5, 0.0])
+    assert np.array_equal(
+        lincon.project_onto(G, gl, gu, target, np.zeros(2)), target
+    )
 
 
 def test_infeasible_start_raises():
@@ -520,3 +540,45 @@ def test_lowest_objective_wins_whatever_the_status(monkeypatch):
     assert r.status == "iteration-limited"
     assert r.objective == outcomes[0].objective
     assert np.array_equal(r.parameters, outcomes[0].parameters)
+
+
+def test_unconverged_projection_drops_only_its_restart(monkeypatch):
+    # Restart 2's projection stops at the iteration limit of the
+    # projection's quadratic program; restarts 0, 1 and 3 still run.
+    real_active_set, real_jitter = lincon._active_set, optimizer._jittered_start
+    started = []
+
+    def jitter(problem, y0, span, seed_key):
+        restart = seed_key[1]
+        started.append(restart)
+        if restart != 2:
+            return real_jitter(problem, y0, span, seed_key)
+
+        def limited(fun, y, G, gl, gu, tol, max_iter):
+            return lincon.SolveResult(y, fun(y)[0], "iteration-limited",
+                                      max_iter, 1.0)
+
+        monkeypatch.setattr(lincon, "_active_set", limited)
+        try:
+            # A target outside the bounds, so the program must run.
+            far = np.full(problem.free_dimension, 1e3)
+            cons = problem.constraints
+            return lincon.project_onto(
+                cons.matrix, cons.lower, cons.upper, far, y0
+            )
+        finally:
+            monkeypatch.setattr(lincon, "_active_set", real_active_set)
+
+    calls = []
+    real_minimize = optimizer.minimize
+
+    def counted(problem, config, xi0):
+        calls.append(xi0)
+        return real_minimize(problem, config, xi0)
+
+    monkeypatch.setattr(optimizer, "_jittered_start", jitter)
+    monkeypatch.setattr(optimizer, "minimize", counted)
+    r = optimize_nodes(ElementKind.LINE, 5, [point_prescription(5)])
+    assert started == [1, 2, 3]
+    assert len(calls) == 3
+    assert r.status in ("kkt-converged", "iteration-limited")
