@@ -18,6 +18,13 @@ Compares this checkout against the one at the given path (each with its own
   ``metrics._chamber`` of each kind at the default resolution, at the
   screening resolution and at r = 7 and 61 (``np.array_equal``, so the
   points and their order);
+* the output of ``compatibility._orbit_reach`` for every orbit of each
+  kind at every uniform baseline node of p = 1..6 (``np.array_equal``,
+  ``None`` as a row of NaN);
+* for each kind at p = 1..6, pinned to the faces of its own baseline (GLL
+  on line, quad and hex, uniform elsewhere): the pinned values, the
+  baseline start and the jittered restart starts at seed 1
+  (``np.array_equal``), which do not depend on any optimized node file;
 * ``lebesgue_constant`` at the default resolution on uniform p=4 of each
   kind with the node nearest the centroid moved by 1e-3, a set no symmetry
   maps onto itself, so its scan covers the whole lattice
@@ -25,10 +32,11 @@ Compares this checkout against the one at the given path (each with its own
 * every file written by ``tabulate --element line,tri,quad --degree-range
   7:9`` and ``tabulate --element tet,hex,prism,pyramid --degree-range 4:4``
   at each seed (node files and manifest, byte for byte), the ``evaluate``
-  row of each of those node files, and the jittered restart starts of
-  every element those runs optimize (``optimizer._jittered_start``, byte
-  for byte), so that a last-bit change of a start shows even when the
-  winning node file is unchanged;
+  row of each of those node files, and the jittered restart starts and
+  pinned parameter values of every element those runs optimize
+  (``optimizer._jittered_start`` and ``OptimizationProblem.pinned_values``,
+  byte for byte), so that a last-bit change of a start or a pin shows even
+  when the winning node file is unchanged;
 * at each seed, the stdout line (without its ``wrote PATH`` tail) and the
   node file of ``generate`` for tet p=3 with ``--compat auto``, for tri
   p=6 and prism p=3 with ``--compat off`` (the start with free boundary
@@ -69,12 +77,18 @@ from symnodes.baselines import BaselineKind, baseline_distribution, gll_1d
 from symnodes.basis import (
     FunctionSpace, basis_eval_many, basis_grad_many, jacobi, jacobi_derivative,
 )
-from symnodes.geometry import ElementKind, contains, reference_element
+from symnodes import optimizer
+from symnodes.compatibility import (
+    _orbit_reach, build_compatibility_constraints, face_prescriptions,
+)
+from symnodes.geometry import (
+    ElementKind, contains, natural_solve, reference_element,
+)
 from symnodes.metrics import (
     _SCREEN_RESOLUTION, _chamber, _lattice, default_resolution,
     lebesgue_constant,
 )
-from symnodes.symmetry import NodalDistribution
+from symnodes.symmetry import NodalDistribution, orbits
 
 out = {}
 rng = np.random.default_rng(123)
@@ -110,6 +124,38 @@ for kind in ElementKind:
         out[f"{kind.value}_lattice{res}"] = _lattice(kind, res)
         out[f"{kind.value}_chamber{res}"] = _chamber(kind, res)
 for kind in ElementKind:
+    elem = reference_element(kind)
+    for p in range(1, 7):
+        nodes = baseline_distribution(kind, p, BaselineKind.UNIFORM).nodes
+        lam = np.atleast_2d(natural_solve(elem, nodes))
+        for orbit in orbits(kind):
+            none = np.full(orbit.param_count, np.nan)
+            reach = [_orbit_reach(orbit, point) for point in lam]
+            out[f"{kind.value}_p{p}_orbit{orbit.index}_reach"] = np.array(
+                [none if xi is None else xi for xi in reach]
+            )
+tensor = (ElementKind.LINE, ElementKind.QUADRILATERAL, ElementKind.HEXAHEDRON)
+for kind in ElementKind:
+    elem = reference_element(kind)
+    base = BaselineKind.GLL if kind in tensor else BaselineKind.UNIFORM
+    for p in range(1, 7):
+        key = f"{kind.value}_p{p}_baseline_faces"
+        faces = face_prescriptions(
+            kind, p, lambda fk, q: baseline_distribution(fk, q, base)
+        )
+        coll, entries = optimizer._baseline_collection(kind, p)
+        coll = build_compatibility_constraints(elem, coll, faces)
+        problem = optimizer.assemble_problem(elem, coll, FunctionSpace(kind, p))
+        y0 = optimizer._initial_parameters(problem, entries, faces)
+        out[key + "_pinned"] = problem.pinned_values
+        out[key + "_start"] = y0
+        if problem.free_dimension:
+            span = optimizer._jitter_spans(coll)
+            for restart in range(1, optimizer.MULTISTART_COUNT + 1):
+                out[f"{key}_restart{restart}"] = optimizer._jittered_start(
+                    problem, y0, span, (1, restart)
+                )
+for kind in ElementKind:
     # Uniform p=4 with the node nearest the centroid moved off every mirror:
     # no symmetry, so the Lebesgue scan covers the whole lattice.
     uni = baseline_distribution(kind, 4, BaselineKind.UNIFORM)
@@ -133,13 +179,15 @@ np.savez(sys.argv[1], **out)
 CLI = "import sys; from symnodes.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # ``main(argv[2:])`` with each jittered restart start recorded by element,
-# degree and restart, saved to the .npz file ``argv[1]``.
+# degree and restart, and the pinned values of each problem by element and
+# degree, saved to the .npz file ``argv[1]``.
 STARTS = r"""
 import sys
 import numpy as np
 from symnodes import optimizer
 from symnodes.cli import main
 starts, jitter = {}, optimizer._jittered_start
+assemble = optimizer.assemble_problem
 
 def recording(problem, y0, span, seed_key):
     start = jitter(problem, y0, span, seed_key)
@@ -147,7 +195,13 @@ def recording(problem, y0, span, seed_key):
     starts[f"{coll.kind.value}_p{coll.degree}_restart{seed_key[1]}"] = start
     return start
 
+def pins(elem, coll, space):
+    problem = assemble(elem, coll, space)
+    starts[f"{coll.kind.value}_p{coll.degree}_pinned"] = problem.pinned_values
+    return problem
+
 optimizer._jittered_start = recording
+optimizer.assemble_problem = pins
 code = main(sys.argv[2:])
 np.savez(sys.argv[1], **starts)
 sys.exit(code)
@@ -285,8 +339,9 @@ def _explain(a, b, names):
 
 
 def _compare_starts(a, b):
-    """Whether two .npz files of restart starts hold the same arrays byte
-    for byte, and one line per start that differs or is on one side only."""
+    """Whether two .npz files of restart starts and pins hold the same
+    arrays byte for byte, and one line per array that differs or is on one
+    side only."""
     a, b = np.load(a), np.load(b)
     lines = [f"    on one side only: {key}"
              for key in sorted(set(a.files) ^ set(b.files))]
@@ -295,7 +350,7 @@ def _compare_starts(a, b):
             size = (np.max(np.abs(a[key] - b[key]))
                     if a[key].shape == b[key].shape else np.inf)
             lines.append(f"    {key}: max abs difference {size:.1e}")
-    lines.insert(0, f"    {len(a.files)} starts")
+    lines.insert(0, f"    {len(a.files)} starts and pins")
     return len(lines) == 1, lines
 
 

@@ -349,7 +349,8 @@ def cmd_compare(args):
 
 
 def cmd_tabulate(args):
-    kinds = [_parse_element(e) for e in args.element.split(",")]
+    # One row per kind, however often (or under whichever alias) it is named.
+    kinds = list(dict.fromkeys(map(_parse_element, args.element.split(","))))
     degrees = _parse_degree_range(args.degree_range)
     for kind in kinds:
         for degree in degrees:

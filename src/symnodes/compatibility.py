@@ -16,6 +16,7 @@ nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,19 +101,36 @@ def face_prescriptions(kind, degree, dist_for):
     ]
 
 
+@lru_cache(maxsize=None)
+def _complements(orbit):
+    """Per point map, the projector onto the orthogonal complement of the
+    column space of ``S``, stacked: (multiplicity, natural_dim,
+    natural_dim), with the offsets ``sigma`` stacked alongside."""
+    S = orbit.point_matrix()
+    P = np.eye(S.shape[1]) - S @ np.linalg.pinv(S)
+    return P, orbit.point_offsets()
+
+
 def _orbit_reach(orbit, lam_hat):
     """Parameters within the bounds of ``orbit`` that place one of its
     points at ``lam_hat``, else ``None``.
 
     Every point map has full column rank, so the least-squares solution of
     a map is the only parameter vector that map can reach ``lam_hat`` with;
-    the maps are tried in orbit point order.
+    the maps are tried in orbit point order.  A map whose least-squares
+    residual, projected through :func:`_complements`, exceeds
+    ``2 * _RESIDUAL_TOL`` is skipped without a solve: round-off moves that
+    residual far less than ``_RESIDUAL_TOL``, so the screen never skips a
+    map whose solve would pass.
     """
-    for S, sigma in orbit.maps:
-        rhs = lam_hat - sigma
-        xi, *_ = np.linalg.lstsq(S, rhs, rcond=None)
+    P, sigma = _complements(orbit)
+    rhs = lam_hat - sigma
+    res = np.linalg.norm(np.einsum("mij,mj->mi", P, rhs), axis=1)
+    for i in np.flatnonzero(res <= 2 * _RESIDUAL_TOL):
+        S = orbit.maps[i][0]
+        xi, *_ = np.linalg.lstsq(S, rhs[i], rcond=None)
         if (
-            np.linalg.norm(S @ xi - rhs) <= _RESIDUAL_TOL
+            np.linalg.norm(S @ xi - rhs[i]) <= _RESIDUAL_TOL
             and orbit.bounds.violation(xi) <= _FEAS_MARGIN
         ):
             return xi

@@ -2,12 +2,24 @@
 
 The objective is the sum of squared cardinal-function integrals.  The modal
 basis is orthonormal, so it equals ``tr((V V^T)^-1) = ||V^-1||_F^2`` for the
-Vandermonde matrix ``V`` at the nodes, and no quadrature is needed.  Its
-gradient is ``d f / d V = -2 (A A^T A)^T`` with ``A = V^-1``, chained
-through the basis gradients at the nodes and the affine orbit maps.
-Entries pinned to face nodes keep their parameter values; minimization runs
-over the parameters of the free entries with an active-set quasi-Newton
-method.
+Vandermonde matrix ``V`` at the nodes (one row per node), and no quadrature
+is needed.  Entries pinned to face nodes keep their parameter values;
+minimization runs over the parameters of the free entries with an
+active-set quasi-Newton method.
+
+Nodes split into fixed ones, which no free parameter moves (the nodes of
+pinned entries and fixed points such as the vertices), and moving ones.
+With ``B`` the basis at the fixed nodes, the complete QR
+``B^T = [Q1 Q2] [R; 0]`` makes ``V [Q1 Q2]`` block lower triangular, so
+with ``C`` the basis at the moving nodes, ``[W M] = C [K Q2]``,
+``K = Q1 R^-T`` and ``G = M^-1``,
+
+    ``||V^-1||_F^2 = ||R^-1||_F^2 + ||G||_F^2 + ||G W||_F^2``,
+    ``d f / d C = 2 G^T G (W K^T - S G^T Q2^T)``,  ``S = I + W W^T``.
+
+The QR is computed once per problem; each evaluation needs the basis, its
+gradients and an LU only at the moving nodes, chained through the affine
+orbit maps.
 
 ``optimize_nodes`` drives the per-element pipeline on one orbit collection,
 the orbit decomposition of the element's baseline nodes: pin its entries to
@@ -91,7 +103,10 @@ class OptimizationProblem:
 
     The variables ``y`` are the parameters of the collection's free entries,
     in collection order; ``constraints`` are their bounds.  Pinned entries
-    keep their values, which ``_node_offset`` already holds.
+    keep their values, which ``_node_offset`` already holds.  Nodes whose
+    rows of ``_node_jacobian`` are all zero are fixed; construction splits
+    them from the moving nodes and factors the basis at them once (see the
+    module docstring).
     """
 
     element: object
@@ -102,6 +117,26 @@ class OptimizationProblem:
     pinned_values: np.ndarray = field(repr=False, default=None)  # 0 if free
     _node_jacobian: np.ndarray = field(repr=False, default=None)
     _node_offset: np.ndarray = field(repr=False, default=None)
+    _moving: np.ndarray = field(init=False, repr=False)  # node mask
+    _moving_jacobian: np.ndarray = field(init=False, repr=False)
+    _fixed_map: np.ndarray = field(init=False, repr=False)  # [K Q2]
+    _fixed_objective: float = field(init=False, repr=False)  # ||R^-1||_F^2
+    _fixed_error: str | None = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        d = self.element.dim
+        J = self._node_jacobian
+        n = J.shape[0] // d
+        moving = np.any(J.reshape(n, d * J.shape[1]) != 0, axis=1)
+        self._moving = moving
+        self._moving_jacobian = J[np.repeat(moving, d)]
+        fixed_nodes = self._node_offset.reshape(n, d)[~moving]
+        try:
+            self._fixed_map, self._fixed_objective = _fixed_block(
+                self.space, fixed_nodes
+            )
+        except DegenerateDistributionError as exc:
+            self._fixed_error = str(exc)
 
     @property
     def free_dimension(self):
@@ -117,6 +152,32 @@ class OptimizationProblem:
     def nodes_at(self, y):
         x = self._node_jacobian @ y + self._node_offset
         return x.reshape(-1, self.element.dim)
+
+
+def _fixed_block(space, fixed_nodes):
+    """``[K Q2]`` and ``||R^-1||_F^2`` for the basis ``B`` at the fixed nodes,
+    from the complete QR ``B^T = [Q1 Q2] [R; 0]`` with ``K = Q1 R^-T``
+    (``Q1`` has orthonormal columns, so ``||K||_F = ||R^-1||_F``).
+
+    Raises :class:`DegenerateDistributionError` when ``B`` is not finite or
+    its rows are linearly dependent (numerical rank below the node count,
+    at ``numpy.linalg.matrix_rank``'s default tolerance).
+    """
+    B = basis_eval_many(space, fixed_nodes)
+    if not np.all(np.isfinite(B)):
+        raise DegenerateDistributionError(
+            "the basis is not finite at the fixed nodes"
+        )
+    k = B.shape[0]
+    Q, R = scipy.linalg.qr(B.T, check_finite=False)
+    R = R[:k]
+    if np.linalg.matrix_rank(R) < k:
+        raise DegenerateDistributionError(
+            "the Vandermonde rows of the fixed nodes are linearly dependent"
+        )
+    K = scipy.linalg.solve_triangular(R, Q[:, :k].T, check_finite=False).T
+    Q[:, :k] = K
+    return Q, float(np.einsum("ij,ij->", K, K))
 
 
 @dataclass
@@ -146,7 +207,8 @@ class OptimizedResult:
 
 def assemble_problem(elem, collection, space) -> OptimizationProblem:
     """Split the stacked parameters into pinned values and free variables,
-    and precompute the affine node map of the free variables."""
+    precompute the affine node map of the free variables, and split the
+    nodes into fixed and moving ones (see :class:`OptimizationProblem`)."""
     L = collection.total_params
     d = elem.dim
     n = collection.total_points
@@ -180,36 +242,53 @@ def _objective_value(problem, y):
     zero-argument callable returning its gradient there (``None`` when the
     gradient is not finite).
 
-    The callable reuses the nodes and ``A = V^-1`` of this evaluation, so
-    the line search of :func:`~symnodes.lincon.minimize_linearly_constrained`
-    pays for the basis gradients only at the points it keeps.  Raises
-    :class:`DegenerateDistributionError` on node collisions, on a singular
-    ``V`` and on a non-finite objective.
+    Only the moving nodes enter the work: with ``C`` the basis there,
+    ``[W M] = C [K Q2]`` and ``G = M^-1``, the objective is
+    ``||R^-1||_F^2 + ||G||_F^2 + ||G W||_F^2``, where ``R``, ``K`` and
+    ``Q2`` come from the QR of the basis at the fixed nodes (see the module
+    docstring); a fully pinned problem has no moving node and returns
+    ``||R^-1||_F^2``.  The callable reuses ``C``'s nodes, ``W`` and ``G`` of
+    this evaluation, so the line search of
+    :func:`~symnodes.lincon.minimize_linearly_constrained` pays for the
+    basis gradients only at the points it keeps.  Raises
+    :class:`DegenerateDistributionError` on node collisions (among all
+    nodes), on a non-finite basis or linearly dependent rows at the fixed
+    nodes, on a singular ``M`` and on a non-finite objective.
     """
     X = problem.nodes_at(y)
     _require_separated(X)
-    n = X.shape[0]
-    V = basis_eval_many(problem.space, X)
+    if problem._fixed_error is not None:
+        raise DegenerateDistributionError(problem._fixed_error)
+    X = X[problem._moving]
+    m = X.shape[0]
+    KQ = problem._fixed_map
+    k = KQ.shape[1] - m  # fixed nodes
+    WM = basis_eval_many(problem.space, X) @ KQ
+    W, M = WM[:, :k], WM[:, k:]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(V)
+            lu = scipy.linalg.lu_factor(M)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise DegenerateDistributionError(
             f"singular Vandermonde matrix: {exc}"
         ) from exc
-    A = scipy.linalg.lu_solve(lu, np.eye(n), check_finite=False)
-    f = float(np.einsum("ij,ij->", A, A))
+    G = scipy.linalg.lu_solve(lu, np.eye(m), check_finite=False)
+    GW = G @ W
+    f = problem._fixed_objective + float(
+        np.einsum("ij,ij->", G, G) + np.einsum("ij,ij->", GW, GW)
+    )
     if not np.isfinite(f):
         raise DegenerateDistributionError(
             "objective overflow (nearly singular Vandermonde matrix)"
         )
 
     def gradient():
-        GV = -2.0 * (A @ (A.T @ A)).T
-        Bgrad = basis_grad_many(problem.space, X)  # (n, n_basis, d)
-        dfdX = np.einsum("rjd,rj->rd", Bgrad, GV)
-        grad = problem._node_jacobian.T @ dfdX.ravel()
+        T = np.hstack([W, -(G.T + W @ GW.T)])  # [W, -S G^T]
+        dfdC = 2.0 * (G.T @ G @ T) @ KQ.T
+        Bgrad = basis_grad_many(problem.space, X)  # (m, n_basis, d)
+        dfdX = np.einsum("rjd,rj->rd", Bgrad, dfdC)
+        grad = problem._moving_jacobian.T @ dfdX.ravel()
         return grad if np.all(np.isfinite(grad)) else None
 
     return f, gradient

@@ -409,6 +409,20 @@ def test_tabulate_evaluates_each_element_once(tmp_path, capsys, monkeypatch):
     assert rows() == fresh
 
 
+def test_tabulate_names_each_kind_once(tmp_path, capsys, monkeypatch):
+    # A kind named twice, directly or through an alias, is optimized,
+    # evaluated and written to the manifest once, in first-seen order.
+    calls = _count_metric_calls(monkeypatch)
+    args = [
+        "tabulate", "--element", "tri,line,triangle,tri", "--degree-range",
+        "2:2", "--out", str(tmp_path),
+    ]
+    assert _run(capsys, *args)[0] == 0
+    assert calls == [("tri", 2), ("line", 2)]
+    lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    assert [json.loads(line)["element"] for line in lines] == ["tri", "line"]
+
+
 def test_tabulate_evaluates_only_reported_rows(tmp_path, capsys, monkeypatch):
     # The line face of the triangle is optimized too, but has no row.
     calls = _count_metric_calls(monkeypatch)

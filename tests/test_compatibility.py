@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from symnodes import lincon, optimizer
 from symnodes.baselines import baseline_distribution, gll_1d
+from symnodes import compatibility
+from symnodes.baselines import BaselineKind
 from symnodes.compatibility import (
     FacePrescription,
     _orbit_reach,
@@ -18,7 +20,12 @@ from symnodes.errors import (
     DegenerateDistributionError,
     IncompatibleCollectionError,
 )
-from symnodes.geometry import ElementKind, reference_element
+from symnodes.geometry import (
+    ElementKind,
+    contains,
+    natural_solve,
+    reference_element,
+)
 from symnodes.symmetry import (
     ConstrainedOrbit,
     NodalDistribution,
@@ -255,6 +262,49 @@ def test_orbit_reach_recovers_parameters(kind, data):
     got = _orbit_reach(orbit, evaluate_orbit(orbit, xi)[0])
     assert got is not None
     assert np.max(np.abs(got - xi), initial=0.0) <= 1e-12
+
+
+def _orbit_reach_lstsq(orbit, lam_hat):
+    """The unscreened matcher: one least-squares solve per point map, in
+    orbit point order.  The oracle for :func:`_orbit_reach`."""
+    for S, sigma in orbit.maps:
+        rhs = lam_hat - sigma
+        xi, *_ = np.linalg.lstsq(S, rhs, rcond=None)
+        if (
+            np.linalg.norm(S @ xi - rhs) <= compatibility._RESIDUAL_TOL
+            and orbit.bounds.violation(xi) <= compatibility._FEAS_MARGIN
+        ):
+            return xi
+    return None
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_screened_orbit_reach_equals_the_lstsq_loop(kind):
+    # At the uniform and GLL baseline nodes (p <= 6) and at random points
+    # of the element, every orbit returns the same bytes, or None on both.
+    elem = reference_element(kind)
+    sets = [
+        baseline_distribution(kind, p, base).nodes
+        for p in range(1, 7)
+        for base in (BaselineKind.UNIFORM, BaselineKind.GLL)
+        if base == BaselineKind.UNIFORM
+        or kind in (ElementKind.LINE, ElementKind.QUADRILATERAL,
+                    ElementKind.HEXAHEDRON)
+    ]
+    box = np.random.default_rng(7).uniform(-1.0, 1.0, (300, elem.dim))
+    sets.append(box[contains(elem, box, 0.0)])
+    lam = np.atleast_2d(natural_solve(elem, np.vstack(sets)))
+    reached = 0
+    for orbit in orbits(kind):
+        for point in lam:
+            got = _orbit_reach(orbit, point)
+            want = _orbit_reach_lstsq(orbit, point)
+            if want is None:
+                assert got is None
+            else:
+                assert got.tobytes() == want.tobytes()
+                reached += 1
+    assert reached > lam.shape[0]
 
 
 def test_prepinned_entry_holds_its_face_nodes():

@@ -1,11 +1,15 @@
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symnodes import lincon, optimizer
-from symnodes.baselines import baseline_distribution, gll_1d
-from symnodes.basis import FunctionSpace
+from symnodes.baselines import BaselineKind, baseline_distribution, gll_1d
+from symnodes.basis import FunctionSpace, basis_eval_many, basis_grad_many
 from symnodes.compatibility import (
     FacePrescription,
     build_compatibility_constraints,
@@ -13,6 +17,7 @@ from symnodes.compatibility import (
     point_prescription,
 )
 from symnodes.errors import (
+    DegenerateDistributionError,
     IncompatibleCollectionError,
     NoViableCollectionError,
     NumericalError,
@@ -36,6 +41,7 @@ from symnodes.optimizer import (
 )
 from symnodes.symmetry import (
     ConstrainedOrbit,
+    LinearConstraintSet,
     NodalDistribution,
     OrbitCollection,
     enumerate_admissible_collections,
@@ -273,6 +279,169 @@ def test_objective_fully_pinned_line():
     f, g = objective_and_gradient(problem, np.zeros(0))
     assert f == pytest.approx(8.0 / 5.0, abs=1e-12)
     assert g.size == 0
+
+
+def _dense_objective(problem, y):
+    """Objective and gradient through the whole Vandermonde matrix ``V``:
+    ``f = ||A||_F^2`` and ``d f / d V = -2 (A A^T A)^T`` with ``A = V^-1``,
+    chained through the basis gradients at every node.  The oracle for the
+    block form of :func:`optimizer._objective_value`."""
+    X = problem.nodes_at(y)
+    n = X.shape[0]
+    V = basis_eval_many(problem.space, X)
+    A = scipy.linalg.lu_solve(scipy.linalg.lu_factor(V), np.eye(n))
+    GV = -2.0 * (A @ (A.T @ A)).T
+    dfdX = np.einsum("rjd,rj->rd", basis_grad_many(problem.space, X), GV)
+    return float(np.einsum("ij,ij->", A, A)), (
+        problem._node_jacobian.T @ dfdX.ravel()
+    )
+
+
+_TENSOR = (ElementKind.LINE, ElementKind.QUADRILATERAL, ElementKind.HEXAHEDRON)
+
+
+@lru_cache(maxsize=None)
+def _baseline_problem(kind, p, pinned):
+    """The baseline collection of ``kind`` at degree ``p``, pinned to the
+    faces of its own baseline when ``pinned``; with the baseline start and
+    the jitter spans."""
+    base = BaselineKind.GLL if kind in _TENSOR else BaselineKind.UNIFORM
+    prescriptions = (
+        face_prescriptions(
+            kind, p, lambda fk, q: baseline_distribution(fk, q, base)
+        )
+        if pinned
+        else ()
+    )
+    elem = reference_element(kind)
+    coll, base_entries = optimizer._baseline_collection(kind, p)
+    if prescriptions:
+        coll = build_compatibility_constraints(elem, coll, prescriptions)
+    problem = assemble_problem(elem, coll, FunctionSpace(kind, p))
+    y0 = optimizer._initial_parameters(problem, base_entries, prescriptions)
+    return problem, y0, optimizer._jitter_spans(coll)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("kind", list(ElementKind))
+@settings(max_examples=8, deadline=None)
+@given(p=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_block_objective_matches_dense(kind, pinned, p, seed):
+    # At random feasible parameters (a jittered start), the objective and
+    # gradient from the moving block equal the dense ones.
+    problem, y0, span = _baseline_problem(kind, p, pinned)
+    y = y0
+    if problem.free_dimension:
+        try:
+            y = optimizer._jittered_start(problem, y0, span, (seed, 1))
+        except NumericalError:
+            assume(False)
+    f, gradient = optimizer._objective_value(problem, y)
+    f_dense, g_dense = _dense_objective(problem, y)
+    assert f == pytest.approx(f_dense, rel=1e-12)
+    g = gradient()
+    assert g.shape == g_dense.shape
+    assert np.linalg.norm(g - g_dense) <= 1e-10 * np.linalg.norm(g_dense)
+
+
+@pytest.mark.parametrize(
+    "kind,p", [(ElementKind.TETRAHEDRON, 4), (ElementKind.QUADRILATERAL, 3)]
+)
+def test_fully_pinned_objective_is_the_dense_one(kind, p):
+    base = BaselineKind.GLL if kind in _TENSOR else BaselineKind.UNIFORM
+    problem, y0, _ = _baseline_problem(kind, p, True)
+    if problem.free_dimension:  # pin the free entries where they start
+        coll = problem.collection
+        entries = tuple(
+            ConstrainedOrbit(e.orbit, problem.stacked(y0)[sl])
+            for e, sl in zip(coll.entries, coll.slices())
+        )
+        coll = OrbitCollection(kind, p, entries)
+        problem = assemble_problem(
+            reference_element(kind), coll, FunctionSpace(kind, p)
+        )
+        y0 = np.zeros(0)
+    assert not problem._moving.any()
+    f, gradient = optimizer._objective_value(problem, y0)
+    V = basis_eval_many(
+        problem.space, baseline_distribution(kind, p, base).nodes
+    )
+    assert f == pytest.approx(np.sum(np.linalg.inv(V) ** 2), rel=1e-12)
+    assert gradient().size == 0
+
+
+def _edge_problem(edge_x, moving):
+    """A hand-built tri p=2 problem: fixed nodes at ``(x, -1)`` for each
+    ``x`` of ``edge_x``, and one moving node per row of ``moving``, whose
+    first coordinate is a free variable added to the row's."""
+    kind = ElementKind.TRIANGLE
+    fixed = np.column_stack([edge_x, -np.ones(len(edge_x))])
+    offset = np.vstack([fixed, moving]).ravel()
+    m = len(moving)
+    J = np.zeros((offset.size, m))
+    for i in range(m):
+        J[2 * (len(edge_x) + i), i] = 1.0
+    cons = LinearConstraintSet(np.eye(m), -np.ones(m), np.ones(m))
+    return optimizer.OptimizationProblem(
+        element=reference_element(kind),
+        collection=None,
+        space=FunctionSpace(kind, 2),
+        constraints=cons,
+        _node_jacobian=J,
+        _node_offset=offset,
+    )
+
+
+def test_dependent_fixed_rows_raise_on_every_call():
+    # Four fixed nodes on one edge: P2 restricted to the edge has dimension
+    # three, so their Vandermonde rows are linearly dependent.
+    problem = _edge_problem([-1.0, -0.5, 0.5, 1.0], [[-0.5, -0.2], [0.0, 0.2]])
+    for y in (np.zeros(2), np.array([0.1, -0.2])):
+        with pytest.raises(DegenerateDistributionError, match="dependent"):
+            optimizer._objective_value(problem, y)
+    # Three edge nodes are independent, and the objective is the dense one.
+    problem = _edge_problem(
+        [-1.0, 0.0, 1.0], [[-0.5, -0.2], [0.0, 0.2], [-0.4, 0.4]]
+    )
+    y = np.array([0.1, -0.2, 0.05])
+    f, _ = optimizer._objective_value(problem, y)
+    assert f == pytest.approx(_dense_objective(problem, y)[0], rel=1e-12)
+
+
+def test_moving_node_on_a_fixed_node_raises():
+    problem = _edge_problem(
+        [-1.0, 0.0, 1.0], [[-0.5, -0.2], [0.0, 0.2], [-0.5, -1.0]]
+    )
+    optimizer._objective_value(problem, np.array([0.1, 0.1, 0.1]))
+    # The third moving node reaches the fixed node at (0, -1).
+    with pytest.raises(DegenerateDistributionError, match="apart"):
+        optimizer._objective_value(problem, np.array([0.1, 0.1, 0.5]))
+
+
+def test_objective_evaluates_the_basis_only_at_moving_nodes(monkeypatch):
+    problem, y0, _ = _baseline_problem(ElementKind.HEXAHEDRON, 4, True)
+    moving = int(problem._moving.sum())
+    assert (moving, problem._moving.size) == (26, 125)
+    points = []
+
+    def counted(real):
+        def wrapper(space, X):
+            points.append((real.__name__, X.shape[0]))
+            return real(space, X)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        optimizer, "basis_eval_many", counted(basis_eval_many)
+    )
+    monkeypatch.setattr(
+        optimizer, "basis_grad_many", counted(basis_grad_many)
+    )
+    _, gradient = optimizer._objective_value(problem, y0)
+    gradient()
+    assert points == [
+        ("basis_eval_many", moving), ("basis_grad_many", moving)
+    ]
 
 
 def _random_feasible_points(problem, count, seed):
