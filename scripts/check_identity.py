@@ -23,8 +23,11 @@ Compares this checkout against the one at the given path (each with its own
   ``None`` as a row of NaN);
 * for each kind at p = 1..6, pinned to the faces of its own baseline (GLL
   on line, quad and hex, uniform elsewhere): the pinned values, the
-  baseline start and the jittered restart starts at seed 1
+  baseline start and the jittered restart starts at seed 1, and the value
+  and gradient of ``optimizer._objective_value`` at each of these starts
   (``np.array_equal``), which do not depend on any optimized node file;
+* ``LagrangeInterpolator.inverse()`` of the uniform nodes of each kind at
+  p = 1..6 (``np.array_equal``);
 * ``lebesgue_constant`` at the default resolution on uniform p=4 of each
   kind with the node nearest the centroid moved by 1e-3, a set no symmetry
   maps onto itself, so its scan covers the whole lattice
@@ -75,7 +78,8 @@ import sys
 import numpy as np
 from symnodes.baselines import BaselineKind, baseline_distribution, gll_1d
 from symnodes.basis import (
-    FunctionSpace, basis_eval_many, basis_grad_many, jacobi, jacobi_derivative,
+    FunctionSpace, LagrangeInterpolator, basis_eval_many, basis_grad_many,
+    jacobi, jacobi_derivative,
 )
 from symnodes import optimizer
 from symnodes.compatibility import (
@@ -148,13 +152,24 @@ for kind in ElementKind:
         problem = optimizer.assemble_problem(elem, coll, FunctionSpace(kind, p))
         y0 = optimizer._initial_parameters(problem, entries, faces)
         out[key + "_pinned"] = problem.pinned_values
-        out[key + "_start"] = y0
+        starts = {"start": y0}
         if problem.free_dimension:
             span = optimizer._jitter_spans(coll)
             for restart in range(1, optimizer.MULTISTART_COUNT + 1):
-                out[f"{key}_restart{restart}"] = optimizer._jittered_start(
+                starts[f"restart{restart}"] = optimizer._jittered_start(
                     problem, y0, span, (1, restart)
                 )
+        for name, y in starts.items():
+            out[f"{key}_{name}"] = y
+            f, gradient = optimizer._objective_value(problem, y)
+            g = gradient()
+            out[f"{key}_{name}_objective"] = np.array(f)
+            out[f"{key}_{name}_gradient"] = g if g is not None else np.nan
+    for p in range(1, 7):
+        dist = baseline_distribution(kind, p, BaselineKind.UNIFORM)
+        out[f"{kind.value}_p{p}_uniform_inverse"] = LagrangeInterpolator(
+            FunctionSpace(kind, p), dist
+        ).inverse()
 for kind in ElementKind:
     # Uniform p=4 with the node nearest the centroid moved off every mirror:
     # no symmetry, so the Lebesgue scan covers the whole lattice.

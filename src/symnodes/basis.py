@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .errors import UnisolvencyError
+from .errors import DegenerateDistributionError, UnisolvencyError
 from .geometry import ElementKind, node_count
 from .symmetry import NodalDistribution
 
@@ -40,6 +40,8 @@ __all__ = [
     "basis_eval",
     "basis_eval_many",
     "basis_grad_many",
+    "basis_eval_with_grad",
+    "lu_inverse",
     "vandermonde",
     "lagrange_eval",
     "LagrangeInterpolator",
@@ -255,9 +257,10 @@ def _tet_collapse(x, y, z):
 # ---------------------------------------------------------------------------
 # Orthogonal modes
 #
-# Each function fills ``out``, (points, modes), or with ``grads`` the
-# gradients, (points, modes, d), for one block of points, from one table of
-# every 1D factor it needs (:func:`_factors`).  The triangle, tetrahedron
+# Each function builds one table of every 1D factor it needs for one block
+# of points (:func:`_factors`), with the derivative rows when ``derivs``.  Its
+# ``modes(out, grads)`` fills ``out`` with the values, (points, modes), or
+# with ``grads`` the gradients, (points, modes, d).  The triangle, tetrahedron
 # and pyramid gather each factor of their modes from the table with index
 # plans cached per degree, as a (modes, points) array, and multiply these
 # in place; the last product goes into the transposed output.  The tensor
@@ -310,21 +313,24 @@ def _legendre_plan(p, families, c, grads):
     return val(c, 0, m), der(c, 0, m) if grads else None
 
 
-def _tensor(p, pts, grads, out):
+def _tensor(p, pts, derivs):
     """Line, quadrilateral, hexahedron: tensor Legendre products, last
     coordinate fastest."""
     dim = pts.shape[1]
     families = tuple((c, (0.0,)) for c in range(dim))  # Legendre in each
-    T = _factors(p, families, grads, pts.T)
-    plans = [_legendre_plan(p, families, c, grads) for c in range(dim)]
+    T = _factors(p, families, derivs, pts.T)
+    plans = [_legendre_plan(p, families, c, derivs) for c in range(dim)]
     vals = [T.take(vi, axis=0).T for vi, _ in plans]
-    if not grads:
-        _tensor_product(vals, out)
-        return
-    ders = [T.take(di, axis=0).T for _, di in plans]
-    for c in range(dim):
-        factors = [ders[k] if k == c else vals[k] for k in range(dim)]
-        _tensor_product(factors, out[:, :, c])
+
+    def modes(out, grads):
+        if not grads:
+            _tensor_product(vals, out)
+            return
+        ders = [T.take(di, axis=0).T for _, di in plans]
+        for c in range(dim):
+            factors = [ders[k] if k == c else vals[k] for k in range(dim)]
+            _tensor_product(factors, out[:, :, c])
+    return modes
 
 
 def _triangle_families(p):
@@ -340,12 +346,13 @@ def _triangle_plan(p, families, grads):
     return (val(0, 0, i), val(1, i, j), i + 1), di, i.astype(float)[:, None]
 
 
-def _triangle_modes(p, families, T, pw, a, val, grad):
-    """The orthonormal triangle modes (i, j) from the table ``T`` of
-    ``families`` (Legendre in ``a`` first, then (2i + 1, 0) in b) and the
-    powers ``pw`` of 1 - b: their values into ``val`` (modes, points) and
-    their gradients into ``grad`` (2, modes, points), either one optional."""
-    vi, di, i = _triangle_plan(p, families, grad is not None)
+def _triangle_modes(p, families, derivs, T, pw, a, val, grad):
+    """The orthonormal triangle modes (i, j) from the table ``T`` (with
+    ``derivs``) of ``families`` (Legendre in ``a``, then (2i + 1, 0) in b)
+    and the powers ``pw`` of 1 - b: their values into ``val`` (modes,
+    points), their gradients into ``grad`` (2, modes, points), either one
+    optional."""
+    vi, di, i = _triangle_plan(p, families, derivs)
     tables = (T, T, pw)
     fa, gb, pw_i = (t.take(x, axis=0) for t, x in zip(tables, vi))
     if val is not None:
@@ -360,15 +367,16 @@ def _triangle_modes(p, families, T, pw, a, val, grad):
     np.multiply(_SQRT2, g, out=grad[1])
 
 
-def _triangle(p, pts, grads, out):
+def _triangle(p, pts, derivs):
     a, b = _tri_collapse(pts[:, 0], pts[:, 1])
     families = _triangle_families(p)
-    T = _factors(p, families, grads, np.stack((a, b)))
+    T = _factors(p, families, derivs, np.stack((a, b)))
     pw = _powers(1.0 - b, p)
-    if grads:
-        _triangle_modes(p, families, T, pw, a, None, out.T)
-    else:
-        _triangle_modes(p, families, T, pw, a, out.T, None)
+
+    def modes(out, grads):
+        val, grad = (None, out.T) if grads else (out.T, None)
+        _triangle_modes(p, families, derivs, T, pw, a, val, grad)
+    return modes
 
 
 @lru_cache(maxsize=None)
@@ -398,54 +406,61 @@ def _tetrahedron_plan(p, grads):
     )
 
 
-def _tetrahedron(p, pts, grads, out):
+def _tetrahedron(p, pts, derivs):
     a, b, c = _tet_collapse(pts[:, 0], pts[:, 1], pts[:, 2])
-    families, amp, vi, di, half_i, half_ij = _tetrahedron_plan(p, grads)
-    T = _factors(p, families, grads, np.stack((a, b, c)))
+    families, amp, vi, di, half_i, half_ij = _tetrahedron_plan(p, derivs)
+    T = _factors(p, families, derivs, np.stack((a, b, c)))
     pb = _powers(0.5 * (1.0 - b), p)
     pc = _powers(0.5 * (1.0 - c), p)
     tables = (T, T, T, pb, pc)
     fa, gb, hc, pb_i, pc_ij = (t.take(x, axis=0) for t, x in zip(tables, vi))
-    if not grads:
-        _chain([amp, fa, gb, hc, pb_i, pc_ij], out=out.T)
-        return
-    dfa, dgb, dhc, pb_im1, pc_ijm1 = (
-        t.take(x, axis=0) for t, x in zip(tables, di)
-    )
-    g = out.T
-    dx_core = _chain([dfa, gb, hc, pb_im1, pc_ijm1])
-    tmp_b = dgb * pb_i  # d/db of gb * pb^i
-    tmp_b -= _chain([half_i, gb, pb_im1])
-    np.multiply(amp, dx_core, out=g[0])
-    ha_dx = 0.5 * (1.0 + a) * dx_core
-    s = _chain([fa, hc, pc_ijm1, tmp_b])
-    s += ha_dx
-    np.multiply(amp, s, out=g[1])
-    s = _chain([0.5 * (1.0 + b), fa, hc, pc_ijm1, tmp_b])
-    s += ha_dx
-    inner = dhc * pc_ij
-    inner -= _chain([half_ij, hc, pc_ijm1])
-    s += _chain([fa, gb, pb_i, inner])
-    np.multiply(amp, s, out=g[2])
+
+    def modes(out, grads):
+        if not grads:
+            _chain([amp, fa, gb, hc, pb_i, pc_ij], out=out.T)
+            return
+        dfa, dgb, dhc, pb_im1, pc_ijm1 = (
+            t.take(x, axis=0) for t, x in zip(tables, di)
+        )
+        g = out.T
+        dx_core = _chain([dfa, gb, hc, pb_im1, pc_ijm1])
+        tmp_b = dgb * pb_i  # d/db of gb * pb^i
+        tmp_b -= _chain([half_i, gb, pb_im1])
+        np.multiply(amp, dx_core, out=g[0])
+        ha_dx = 0.5 * (1.0 + a) * dx_core
+        s = _chain([fa, hc, pc_ijm1, tmp_b])
+        s += ha_dx
+        np.multiply(amp, s, out=g[1])
+        s = _chain([0.5 * (1.0 + b), fa, hc, pc_ijm1, tmp_b])
+        s += ha_dx
+        inner = dhc * pc_ij
+        inner -= _chain([half_ij, hc, pc_ijm1])
+        s += _chain([fa, gb, pb_i, inner])
+        np.multiply(amp, s, out=g[2])
+    return modes
 
 
-def _prism(p, pts, grads, out):
+def _prism(p, pts, derivs):
     """Triangle modes times Legendre in z, z fastest."""
     families = _triangle_families(p) + ((2, (0.0,)),)
     a, b = _tri_collapse(pts[:, 0], pts[:, 1])
-    T = _factors(p, families, grads, np.stack((a, b, pts[:, 2])))
-    tri = np.empty((pts.shape[0], (p + 1) * (p + 2) // 2))
-    tri_g = np.empty(tri.shape + (2,)) if grads else None
+    T = _factors(p, families, derivs, np.stack((a, b, pts[:, 2])))
     pw = _powers(1.0 - b, p)
-    _triangle_modes(p, families, T, pw, a, tri.T, tri_g.T if grads else None)
-    vi, di = _legendre_plan(p, families, 2, grads)
+    vi, di = _legendre_plan(p, families, 2, derivs)
     leg = T.take(vi, axis=0).T
-    if not grads:
-        _tensor_product([tri, leg], out)
-        return
-    _tensor_product([tri_g[:, :, 0], leg], out[:, :, 0])
-    _tensor_product([tri_g[:, :, 1], leg], out[:, :, 1])
-    _tensor_product([tri, T.take(di, axis=0).T], out[:, :, 2])
+
+    def modes(out, grads):
+        tri = np.empty((pts.shape[0], (p + 1) * (p + 2) // 2))
+        tri_g = np.empty(tri.shape + (2,)) if grads else None
+        grad = tri_g.T if grads else None
+        _triangle_modes(p, families, derivs, T, pw, a, tri.T, grad)
+        if not grads:
+            _tensor_product([tri, leg], out)
+            return
+        _tensor_product([tri_g[:, :, 0], leg], out[:, :, 0])
+        _tensor_product([tri_g[:, :, 1], leg], out[:, :, 1])
+        _tensor_product([tri, T.take(di, axis=0).T], out[:, :, 2])
+    return modes
 
 
 def _pyramid_uvw(pts):
@@ -487,26 +502,29 @@ def _pyramid_plan(p, grads):
     )
 
 
-def _pyramid(p, pts, grads, out):
+def _pyramid(p, pts, derivs):
     """Rational pyramid modes from unnormalized Jacobi factors."""
     u, v, w, z = _pyramid_uvw(pts)
-    families, nrm, vi, di, half_c = _pyramid_plan(p, grads)
-    T = _factors(p, families, grads, np.stack((u, v, z)), normalized=False)
+    families, nrm, vi, di, half_c = _pyramid_plan(p, derivs)
+    T = _factors(p, families, derivs, np.stack((u, v, z)), normalized=False)
     wp = _powers(w, p)
     tables = (T, T, T, wp)
     fi, fj, hk, w_c = (t.take(x, axis=0) for t, x in zip(tables, vi))
-    if not grads:
-        np.divide(_chain([fi, fj, w_c, hk]), nrm, out=out.T)
-        return
-    dfi, dfj, dhk, w_cm1 = (t.take(x, axis=0) for t, x in zip(tables, di))
-    g = out.T
-    np.divide(_chain([dfi, fj, hk, w_cm1]), nrm, out=g[0])
-    np.divide(_chain([fi, dfj, hk, w_cm1]), nrm, out=g[1])
-    s = _chain([0.5, dfi, u, fj, hk, w_cm1])
-    s += _chain([0.5, fi, dfj, v, hk, w_cm1])
-    s -= _chain([half_c, fi, fj, hk, w_cm1])
-    s += _chain([fi, fj, dhk, w_c])
-    np.divide(s, nrm, out=g[2])
+
+    def modes(out, grads):
+        if not grads:
+            np.divide(_chain([fi, fj, w_c, hk]), nrm, out=out.T)
+            return
+        dfi, dfj, dhk, w_cm1 = (t.take(x, axis=0) for t, x in zip(tables, di))
+        g = out.T
+        np.divide(_chain([dfi, fj, hk, w_cm1]), nrm, out=g[0])
+        np.divide(_chain([fi, dfj, hk, w_cm1]), nrm, out=g[1])
+        s = _chain([0.5, dfi, u, fj, hk, w_cm1])
+        s += _chain([0.5, fi, dfj, v, hk, w_cm1])
+        s -= _chain([half_c, fi, fj, hk, w_cm1])
+        s += _chain([fi, fj, dhk, w_c])
+        np.divide(s, nrm, out=g[2])
+    return modes
 
 
 # ---------------------------------------------------------------------------
@@ -527,16 +545,22 @@ _ORTHOGONAL = {
 _BLOCK = 1 << 15
 
 
-def _basis(space, pts, grads):
+def _tables(space, pts, derivs):
+    """Each block of ``pts`` and the ``modes`` of its table, lazily."""
+    step = max(1, _BLOCK // space.dim)
+    for start in range(0, pts.shape[0], step):
+        block = slice(start, start + step)
+        yield block, _ORTHOGONAL[space.kind](space.degree, pts[block], derivs)
+
+
+def _basis(space, pts, grads, tables=None):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n, dim = pts.shape
-    modes = space.dim
-    out = np.empty((n, modes, dim) if grads else (n, modes))
-    fill = _ORTHOGONAL[space.kind]
-    step = max(1, _BLOCK // modes)
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        fill(space.degree, pts[block], grads, out[block])
+    out = np.empty((n, space.dim, dim) if grads else (n, space.dim))
+    if tables is None:
+        tables = _tables(space, pts, grads)
+    for block, modes in tables:
+        modes(out[block], grads)
     return out
 
 
@@ -548,6 +572,16 @@ def basis_eval_many(space: FunctionSpace, pts):
 def basis_grad_many(space: FunctionSpace, pts):
     """Gradients of all basis functions: (n_points, dim, d)."""
     return _basis(space, pts, True)
+
+
+def basis_eval_with_grad(space: FunctionSpace, pts):
+    """:func:`basis_eval_many` at an (n, d) array of points, and a callable
+    that returns :func:`basis_grad_many` there, bit for bit, from the same
+    tables (with derivative rows), computed only when called."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    tables = list(_tables(space, pts, True))
+    values = _basis(space, pts, False, tables)
+    return values, lambda: _basis(space, pts, True, tables)
 
 
 def basis_eval(space: FunctionSpace, x):
@@ -587,6 +621,31 @@ class VandermondeMatrix:
         return float(np.linalg.det(self.matrix))
 
 
+_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=float)
+
+
+@lru_cache(maxsize=8)
+def _identity(m):
+    eye = np.eye(m)
+    eye.setflags(write=False)
+    return eye
+
+
+def lu_inverse(M):
+    """``M^-1`` from ``dgetrf`` and ``dgetrs``: the bits of ``lu_solve(
+    lu_factor(M), I)`` of ``scipy.linalg``, without their wrappers.  Raises
+    :class:`DegenerateDistributionError` when ``M`` is not finite; an
+    exactly singular ``M`` gives a non-finite inverse, without a warning.
+    A 0x0 ``M`` never reaches LAPACK, which prints an error for it."""
+    m = M.shape[0]
+    if m == 0:
+        return np.empty((0, 0))
+    if not np.isfinite(M).all():
+        raise DegenerateDistributionError("the matrix is not finite")
+    lu, piv, _ = _GETRF(M)
+    return _GETRS(lu, piv, _identity(m))[0]
+
+
 def vandermonde(space: FunctionSpace, dist: NodalDistribution) -> VandermondeMatrix:
     if dist.count != space.dim:
         raise ValueError(
@@ -618,8 +677,7 @@ class LagrangeInterpolator:
                 f"Vandermonde condition {cond:.3e} is at or above limit "
                 f"{UNISOLVENCY_CONDITION_LIMIT:.1e}"
             )
-        lu = scipy.linalg.lu_factor(V)
-        self._inverse = scipy.linalg.lu_solve(lu, np.eye(V.shape[0]))
+        self._inverse = lu_inverse(V)
         self._inverse.setflags(write=False)
 
     def inverse(self):

@@ -17,9 +17,10 @@ with ``C`` the basis at the moving nodes, ``[W M] = C [K Q2]``,
     ``||V^-1||_F^2 = ||R^-1||_F^2 + ||G||_F^2 + ||G W||_F^2``,
     ``d f / d C = 2 G^T G (W K^T - S G^T Q2^T)``,  ``S = I + W W^T``.
 
-The QR is computed once per problem; each evaluation needs the basis, its
-gradients and an LU only at the moving nodes, chained through the affine
-orbit maps.
+The QR is computed once per problem; each evaluation builds one Jacobi
+table, only at the moving nodes, for ``C`` and for the basis gradients where
+the gradient is asked for, chained through the affine orbit maps.  ``G``, as
+every Vandermonde inverse, comes from :func:`~symnodes.basis.lu_inverse`.
 
 ``optimize_nodes`` drives the per-element pipeline on one orbit collection,
 the orbit decomposition of the element's baseline nodes: pin its entries to
@@ -32,7 +33,6 @@ metrics are left to :func:`~symnodes.metrics.evaluate_metrics`.
 from __future__ import annotations
 
 import itertools
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -41,7 +41,9 @@ import numpy as np
 import scipy.linalg
 
 from . import lincon
-from .basis import FunctionSpace, basis_eval_many, basis_grad_many
+from .basis import (
+    FunctionSpace, basis_eval_many, basis_eval_with_grad, lu_inverse,
+)
 from .compatibility import (
     _MATCH_TOL,
     build_compatibility_constraints,
@@ -247,13 +249,15 @@ def _objective_value(problem, y):
     ``||R^-1||_F^2 + ||G||_F^2 + ||G W||_F^2``, where ``R``, ``K`` and
     ``Q2`` come from the QR of the basis at the fixed nodes (see the module
     docstring); a fully pinned problem has no moving node and returns
-    ``||R^-1||_F^2``.  The callable reuses ``C``'s nodes, ``W`` and ``G`` of
-    this evaluation, so the line search of
+    ``||R^-1||_F^2``.  The callable reuses the Jacobi table of ``C``,
+    ``W`` and ``G`` (:func:`~symnodes.basis.lu_inverse`) of this evaluation,
+    so the line search of
     :func:`~symnodes.lincon.minimize_linearly_constrained` pays for the
     basis gradients only at the points it keeps.  Raises
     :class:`DegenerateDistributionError` on node collisions (among all
-    nodes), on a non-finite basis or linearly dependent rows at the fixed
-    nodes, on a singular ``M`` and on a non-finite objective.
+    nodes), on a non-finite basis at the moving nodes, on a non-finite
+    basis or linearly dependent rows at the fixed nodes, and on a
+    non-finite objective, which an exactly singular ``M`` gives.
     """
     X = problem.nodes_at(y)
     _require_separated(X)
@@ -263,17 +267,10 @@ def _objective_value(problem, y):
     m = X.shape[0]
     KQ = problem._fixed_map
     k = KQ.shape[1] - m  # fixed nodes
-    WM = basis_eval_many(problem.space, X) @ KQ
+    C, basis_gradients = basis_eval_with_grad(problem.space, X)
+    WM = C @ KQ
     W, M = WM[:, :k], WM[:, k:]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(M)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise DegenerateDistributionError(
-            f"singular Vandermonde matrix: {exc}"
-        ) from exc
-    G = scipy.linalg.lu_solve(lu, np.eye(m), check_finite=False)
+    G = lu_inverse(M)
     GW = G @ W
     f = problem._fixed_objective + float(
         np.einsum("ij,ij->", G, G) + np.einsum("ij,ij->", GW, GW)
@@ -286,7 +283,7 @@ def _objective_value(problem, y):
     def gradient():
         T = np.hstack([W, -(G.T + W @ GW.T)])  # [W, -S G^T]
         dfdC = 2.0 * (G.T @ G @ T) @ KQ.T
-        Bgrad = basis_grad_many(problem.space, X)  # (m, n_basis, d)
+        Bgrad = basis_gradients()  # (m, n_basis, d)
         dfdX = np.einsum("rjd,rj->rd", Bgrad, dfdC)
         grad = problem._moving_jacobian.T @ dfdX.ravel()
         return grad if np.all(np.isfinite(grad)) else None
@@ -294,12 +291,11 @@ def _objective_value(problem, y):
     return f, gradient
 
 
-def objective_and_gradient(problem, y, mode="analytic", fd_step=1e-6):
-    """Objective value and gradient at the free parameters ``y``.
+def objective_and_gradient(problem, y):
+    """Objective value and analytic gradient at the free parameters ``y``.
 
     The gradient has length ``problem.free_dimension`` (it is empty for
-    fully pinned problems).  The finite-difference mode takes central
-    differences along the free coordinates.
+    fully pinned problems).
     """
     y = np.asarray(y, dtype=float).ravel()
     v = problem.constraints.violation(y)
@@ -308,26 +304,12 @@ def objective_and_gradient(problem, y, mode="analytic", fd_step=1e-6):
             f"free parameters infeasible (violation {v:.3e})"
         )
     f, gradient = _objective_value(problem, y)
-    if mode != "analytic":
-        return f, _fd_gradient(problem, y, fd_step)
     grad = gradient()
     if grad is None:
         raise DegenerateDistributionError(
             "gradient overflow (nearly singular Vandermonde matrix)"
         )
     return f, grad
-
-
-def _fd_gradient(problem, y, h):
-    """Central differences along the free coordinates."""
-    g = np.empty(y.size)
-    for k in range(y.size):
-        step = np.zeros(y.size)
-        step[k] = h
-        fp, _ = _objective_value(problem, y + step)
-        fm, _ = _objective_value(problem, y - step)
-        g[k] = (fp - fm) / (2.0 * h)
-    return g
 
 
 def minimize(problem, config, y0) -> MinimizeOutcome:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,14 +19,16 @@ from symnodes.basis import (
     LagrangeInterpolator,
     basis_eval,
     basis_eval_many,
+    basis_eval_with_grad,
     basis_grad_many,
     jacobi,
     jacobi_derivative,
     lagrange_eval,
+    lu_inverse,
     space_dimension,
     vandermonde,
 )
-from symnodes.errors import UnisolvencyError
+from symnodes.errors import DegenerateDistributionError, UnisolvencyError
 from symnodes.geometry import ElementKind, contains, node_count, reference_element
 from symnodes.metrics import _objective
 from symnodes.quadrature import quadrature_rule
@@ -394,3 +398,97 @@ def test_gathered_modes_equal_closed_forms(kind, p):
     sp = FunctionSpace(kind, p)
     ref = _closed_form_modes(kind, p, pts)
     assert np.array_equal(basis_eval_many(sp, pts), ref)
+
+
+# ---------------------------------------------------------------------------
+# One table for values and deferred gradients; the inverse helper
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_as_separate_calls(sp, pts):
+    values, gradients = basis_eval_with_grad(sp, pts)
+    ref_v, ref_g = basis_eval_many(sp, pts), basis_grad_many(sp, pts)
+    assert values.shape == ref_v.shape and np.array_equal(values, ref_v)
+    g = gradients()
+    assert g.shape == ref_g.shape and np.array_equal(g, ref_g)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("p", range(1, 10))
+def test_one_table_equals_separate_value_and_gradient_calls(kind, p):
+    # The value rows of a table with derivative rows hold the same bits as
+    # those of a value-only table, at the collapse singularities too.
+    sp = FunctionSpace(kind, p)
+    nodes = baseline_distribution(kind, p, "uniform").nodes
+    shift = np.random.default_rng(p).uniform(-1.0, 1.0, nodes.shape)
+    elem = reference_element(kind)
+    for pts in (nodes, nodes + 0.1 / p * shift, elem.vertices):
+        _assert_same_as_separate_calls(sp, pts)
+    values, gradients = basis_eval_with_grad(sp, np.zeros((0, elem.dim)))
+    assert values.shape == (0, sp.dim)
+    assert gradients().shape == (0, sp.dim, elem.dim)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(p=st.integers(1, 9), data=st.data())
+def test_one_table_equals_separate_calls_at_random_points(kind, p, data):
+    nverts = reference_element(kind).vertices.shape[0]
+    npts = data.draw(st.integers(1, 40))
+    weights = data.draw(
+        st.lists(
+            st.floats(0.0, 1.0), min_size=npts * nverts, max_size=npts * nverts
+        )
+    )
+    pts = _points_in(kind, weights)
+    _assert_same_as_separate_calls(FunctionSpace(kind, p), pts)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_deferred_gradients_keep_their_own_points(kind):
+    # A callable called after later evaluations, and after its caller reused
+    # the point array, still returns the gradients at its own points.
+    sp = FunctionSpace(kind, 5)
+    first = _random_interior(kind, 30, seed=1)
+    expected = basis_grad_many(sp, first)
+    _, gradients = basis_eval_with_grad(sp, first)
+    first[...] = _random_interior(kind, 30, seed=2)
+    for seed in (3, 4):
+        _, later = basis_eval_with_grad(sp, _random_interior(kind, 30, seed))
+        later()
+    assert np.array_equal(gradients(), expected)
+    assert np.array_equal(gradients(), expected)
+
+
+def _lu_reference(M):
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(M), np.eye(len(M)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("p", range(1, 7))
+def test_lu_inverse_equals_scipy_lu_solve(kind, p):
+    sp = FunctionSpace(kind, p)
+    V = basis_eval_many(sp, _perturbed_uniform(kind, p, seed=p).nodes)
+    inv = lu_inverse(V)
+    assert np.array_equal(inv, _lu_reference(V))
+    # A non-contiguous column block, as the optimizer's ``WM[:, k:]``.
+    n = V.shape[0]
+    k = max(1, n // 3)
+    Q, _ = np.linalg.qr(np.random.default_rng(p).standard_normal((n, n)))
+    WM = V[k:] @ Q
+    M = WM[:, k:]
+    assert n - k == 1 or not (M.flags.c_contiguous or M.flags.f_contiguous)
+    assert np.array_equal(lu_inverse(M), _lu_reference(M))
+
+
+def test_lu_inverse_edge_cases():
+    with pytest.raises(DegenerateDistributionError, match="not finite"):
+        lu_inverse(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(DegenerateDistributionError, match="not finite"):
+        lu_inverse(np.array([[np.inf]]))
+    # An exactly singular matrix gives a non-finite inverse, silently.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv = lu_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    assert not np.all(np.isfinite(inv))
+    assert lu_inverse(np.zeros((0, 0))).shape == (0, 0)

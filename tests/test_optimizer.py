@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symnodes import lincon, optimizer
+from symnodes import basis, lincon, optimizer
 from symnodes.baselines import BaselineKind, baseline_distribution, gll_1d
 from symnodes.basis import FunctionSpace, basis_eval_many, basis_grad_many
 from symnodes.compatibility import (
@@ -419,29 +419,64 @@ def test_moving_node_on_a_fixed_node_raises():
 
 
 def test_objective_evaluates_the_basis_only_at_moving_nodes(monkeypatch):
+    # One Jacobi table per objective call, at exactly the moving nodes; the
+    # gradient reuses it and evaluates nothing more.
     problem, y0, _ = _baseline_problem(ElementKind.HEXAHEDRON, 4, True)
-    moving = int(problem._moving.sum())
-    assert (moving, problem._moving.size) == (26, 125)
-    points = []
+    moving = problem._moving
+    assert (int(moving.sum()), moving.size) == (26, 125)
+    calls, tables = [], []
 
-    def counted(real):
-        def wrapper(space, X):
-            points.append((real.__name__, X.shape[0]))
-            return real(space, X)
+    def entry(space, X):
+        calls.append(X.copy())
+        return real_entry(space, X)
 
-        return wrapper
+    def factors(p, families, derivs, coords, normalized=True):
+        tables.append(coords.shape[1])
+        return real_factors(p, families, derivs, coords, normalized)
 
-    monkeypatch.setattr(
-        optimizer, "basis_eval_many", counted(basis_eval_many)
-    )
-    monkeypatch.setattr(
-        optimizer, "basis_grad_many", counted(basis_grad_many)
-    )
+    real_entry, real_factors = basis.basis_eval_with_grad, basis._factors
+    monkeypatch.setattr(optimizer, "basis_eval_with_grad", entry)
+    monkeypatch.setattr(basis, "_factors", factors)
     _, gradient = optimizer._objective_value(problem, y0)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], problem.nodes_at(y0)[moving])
+    assert tables == [26]
     gradient()
-    assert points == [
-        ("basis_eval_many", moving), ("basis_grad_many", moving)
-    ]
+    assert len(calls) == 1 and tables == [26]
+
+
+def fd_gradient(problem, y, h=1e-6):
+    """Central differences of the objective along the free coordinates:
+    the oracle for the analytic gradient."""
+    g = np.empty(y.size)
+    for k in range(y.size):
+        step = np.zeros(y.size)
+        step[k] = h
+        fp, _ = optimizer._objective_value(problem, y + step)
+        fm, _ = optimizer._objective_value(problem, y - step)
+        g[k] = (fp - fm) / (2.0 * h)
+    return g
+
+
+def test_objective_at_nan_parameters_raises():
+    problem, y0, _ = _baseline_problem(ElementKind.TRIANGLE, 4, True)
+    assert problem.free_dimension
+    y = y0.copy()
+    y[0] = np.nan
+    with pytest.raises(DegenerateDistributionError, match="not finite"):
+        optimizer._objective_value(problem, y)
+
+
+def test_fully_pinned_tet_p4_objective_is_silent(capfd):
+    # No moving node: the 0x0 block never reaches LAPACK, whose dgetrf
+    # prints an error on stderr for it.
+    problem, y0, _ = _baseline_problem(ElementKind.TETRAHEDRON, 4, True)
+    assert problem.free_dimension == 0 and not problem._moving.any()
+    f, gradient = optimizer._objective_value(problem, y0)
+    assert f == problem._fixed_objective
+    assert gradient().size == 0
+    out, err = capfd.readouterr()
+    assert (out, err) == ("", "")
 
 
 def _random_feasible_points(problem, count, seed):
@@ -476,9 +511,8 @@ def _random_feasible_points(problem, count, seed):
 def test_gradient_matches_fd(kind, p, indices):
     problem, _ = _problem(kind, p, indices)
     for xi in _random_feasible_points(problem, 5, seed=1):
-        f_a, g_a = objective_and_gradient(problem, xi, mode="analytic")
-        f_f, g_f = objective_and_gradient(problem, xi, mode="fd")
-        assert f_a == pytest.approx(f_f, rel=1e-12)
+        _, g_a = objective_and_gradient(problem, xi)
+        g_f = fd_gradient(problem, xi)
         denom = max(np.linalg.norm(g_a), 1e-8)
         assert np.linalg.norm(g_a - g_f) / denom < 1e-5
 
