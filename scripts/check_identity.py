@@ -12,8 +12,14 @@ Compares this checkout against the one at the given path (each with its own
   at the uniform nodes, at perturbed nodes, at random interior points and at
   the vertices; for tri p=9 at the default Lebesgue lattice and for pyramid
   p=5 at the screening lattice, sets that span many of the basis's point
-  blocks; plus ``jacobi``, ``jacobi_derivative`` and ``gll_1d``
-  (``np.array_equal``);
+  blocks; plus the unnormalized and normalized Jacobi tables of
+  ``basis._sweep`` (value and derivative rows of five (a, b) families)
+  and ``gll_1d`` (``np.array_equal``);
+* ``baseline_distribution`` of both families on every kind they cover at
+  p = 1..12 and ``quadrature_rule`` points and weights of every kind at
+  q = 0..29 (``np.array_equal``, so the rows and their order);
+* ``is_symmetric`` at tol 1e-14 and 1e-10 on each of those baselines up
+  to p = 6, perturbed by 1e-15 .. 1e-9 and with one node moved by 1e-3;
 * the Lebesgue lattice ``metrics._lattice`` and its fundamental domain
   ``metrics._chamber`` of each kind at the default resolution, at the
   screening resolution and at r = 7 and 61 (``np.array_equal``, so the
@@ -79,7 +85,7 @@ import numpy as np
 from symnodes.baselines import BaselineKind, baseline_distribution, gll_1d
 from symnodes.basis import (
     FunctionSpace, LagrangeInterpolator, basis_eval_many, basis_grad_many,
-    jacobi, jacobi_derivative,
+    _sweep,
 )
 from symnodes import optimizer
 from symnodes.compatibility import (
@@ -92,7 +98,8 @@ from symnodes.metrics import (
     _SCREEN_RESOLUTION, _chamber, _lattice, default_resolution,
     lebesgue_constant,
 )
-from symnodes.symmetry import NodalDistribution, orbits
+from symnodes.quadrature import quadrature_rule
+from symnodes.symmetry import NodalDistribution, is_symmetric, orbits
 
 out = {}
 rng = np.random.default_rng(123)
@@ -181,11 +188,34 @@ for kind in ElementKind:
     out[f"{kind.value}_p4_asymmetric_lebesgue"] = np.array(
         lebesgue_constant(FunctionSpace(kind, 4), dist)
     )
-x = np.linspace(-1.0, 1.0, 101)
-for n in range(12):
-    for a, b in [(0.0, 0.0), (1.0, 1.0), (3.0, 0.0), (2.0, 2.0), (1.3, 0.2)]:
-        out[f"jacobi_{n}_{a}_{b}"] = jacobi(n, a, b, x)
-        out[f"jacobi_derivative_{n}_{a}_{b}"] = jacobi_derivative(n, a, b, x)
+x = np.tile(np.linspace(-1.0, 1.0, 101), (2, 1))
+for a, b in [(0.0, 0.0), (1.0, 1.0), (3.0, 0.0), (2.0, 2.0), (1.3, 0.2)]:
+    for normalized in (False, True):
+        rows = ((a, b, False, 11), (a, b, True, 10))
+        out[f"sweep_{a}_{b}_{normalized}"] = _sweep(11, rows, normalized, x)
+sym = np.random.default_rng(7)
+for kind in ElementKind:
+    families = ["uniform", "gll"] if kind in tensor else ["uniform"]
+    for which in families:
+        for p in range(1, 13):
+            nodes = baseline_distribution(kind, p, which).nodes
+            out[f"{kind.value}_p{p}_{which}_baseline"] = nodes
+            if p > 6:
+                continue
+            # is_symmetric on the set perturbed by 1e-15..1e-9 and with one
+            # node moved by 1e-3, at tol 1e-14 and 1e-10.
+            sets = [nodes + 10.0**e * sym.uniform(-1, 1, nodes.shape)
+                    for e in range(-15, -8)]
+            moved = nodes.copy()
+            moved[sym.integers(len(nodes))] += 1e-3
+            out[f"{kind.value}_p{p}_{which}_symmetric"] = np.array(
+                [[is_symmetric(kind, pts, tol) for tol in (1e-14, 1e-10)]
+                 for pts in sets + [moved]]
+            )
+    for q in range(30):
+        rule = quadrature_rule(kind, q)
+        out[f"{kind.value}_q{q}_points"] = rule.points
+        out[f"{kind.value}_q{q}_weights"] = rule.weights
 for p in range(1, 31):
     out[f"gll_{p}"] = gll_1d(p)
 np.savez(sys.argv[1], **out)
@@ -399,7 +429,7 @@ def main(argv=None):
         for k in diff:
             if k in a.files and k in b.files and a[k].shape == b[k].shape:
                 print(f"    {k}: max abs difference "
-                      f"{np.max(np.abs(a[k] - b[k])):.1e}")
+                      f"{np.max(np.abs(a[k] - b[k].astype(float))):.1e}")
         ok &= not diff
 
         jobs = {

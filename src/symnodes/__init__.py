@@ -11,10 +11,6 @@ from .baselines import BaselineKind, baseline_distribution, gll_1d
 from .basis import (
     FunctionSpace,
     VandermondeMatrix,
-    basis_eval,
-    jacobi,
-    lagrange_eval,
-    space_dimension,
     vandermonde,
 )
 from .compatibility import (
@@ -62,7 +58,6 @@ from .optimizer import (
     OptimizerConfig,
     assemble_problem,
     minimize,
-    objective_and_gradient,
     optimize_nodes,
 )
 from .quadrature import QuadratureRule, gauss_legendre_1d, quadrature_rule

@@ -8,13 +8,21 @@ lower-dimensional counterparts on faces.
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 
 import numpy as np
 
 from .errors import UnsupportedBaselineError
-from .geometry import ElementKind, node_count
-from .quadrature import _gauss_jacobi
+from .geometry import (
+    CARTESIAN_DIM,
+    NATURAL_DIM,
+    ElementKind,
+    natural_to_cartesian,
+    node_count,
+    reference_element,
+)
+from .quadrature import _gauss_jacobi, _tensor_grid
 from .symmetry import NodalDistribution
 
 __all__ = ["BaselineKind", "gll_1d", "baseline_distribution"]
@@ -38,50 +46,27 @@ def gll_1d(p):
 
 
 def _simplex_lattice(p, nbary):
-    """Equispaced barycentric lattice points (compositions of p)."""
-    if nbary == 3:
-        combos = [
-            (i, j, p - i - j)
-            for i in range(p + 1)
-            for j in range(p + 1 - i)
-        ]
-    else:
-        combos = [
-            (i, j, k, p - i - j - k)
-            for i in range(p + 1)
-            for j in range(p + 1 - i)
-            for k in range(p + 1 - i - j)
-        ]
+    """Equispaced barycentric lattice points (compositions of p), the
+    first component slowest."""
+    combos = [
+        c + (p - sum(c),)
+        for c in itertools.product(range(p + 1), repeat=nbary - 1)
+        if sum(c) <= p
+    ]
     return np.array(combos, dtype=float) / p
 
 
 def _uniform_nodes(kind, p):
-    axis = np.linspace(-1.0, 1.0, p + 1)
-    if kind is ElementKind.LINE:
-        return axis.reshape(-1, 1)
-    if kind is ElementKind.QUADRILATERAL:
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
-    if kind is ElementKind.HEXAHEDRON:
-        xx, yy, zz = np.meshgrid(axis, axis, axis, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-    if kind is ElementKind.TRIANGLE:
-        from .geometry import natural_to_cartesian, reference_element
-
-        lam = _simplex_lattice(p, 3)
-        return natural_to_cartesian(reference_element(kind), lam)
-    if kind is ElementKind.TETRAHEDRON:
-        from .geometry import natural_to_cartesian, reference_element
-
-        lam = _simplex_lattice(p, 4)
+    """Equispaced nodes of the simplices, the prism and the pyramid."""
+    if kind in (ElementKind.TRIANGLE, ElementKind.TETRAHEDRON):
+        lam = _simplex_lattice(p, NATURAL_DIM[kind])
         return natural_to_cartesian(reference_element(kind), lam)
     if kind is ElementKind.PRISM:
         tri = _uniform_nodes(ElementKind.TRIANGLE, p)
-        out = []
-        for z in axis:
-            layer = np.column_stack([tri, np.full(tri.shape[0], z)])
-            out.append(layer)
-        return np.vstack(out)
+        z = np.linspace(-1.0, 1.0, p + 1)
+        return np.column_stack(
+            [np.tile(tri, (p + 1, 1)), np.repeat(z, len(tri))]
+        )
     if kind is ElementKind.PYRAMID:
         # Level k (from the base) carries a (p - k + 1)^2 equispaced grid on
         # the cross-section square of half-width (1 - z) / 2.
@@ -95,11 +80,8 @@ def _uniform_nodes(kind, p):
                 if n_side > 1
                 else np.array([0.0])
             )
-            xx, yy = np.meshgrid(side, side, indexing="ij")
-            layer = np.column_stack(
-                [xx.ravel(), yy.ravel(), np.full(xx.size, z)]
-            )
-            out.append(layer)
+            layer = _tensor_grid([side, side])
+            out.append(np.column_stack([layer, np.full(len(layer), z)]))
         return np.vstack(out)
     raise ValueError(kind)
 
@@ -108,22 +90,16 @@ def baseline_distribution(kind, p, which) -> NodalDistribution:
     """Construct a baseline node set for (kind, p)."""
     kind = ElementKind(kind)
     which = BaselineKind(which)
-    if which is BaselineKind.GLL:
-        if kind is ElementKind.LINE:
-            nodes = gll_1d(p).reshape(-1, 1)
-        elif kind is ElementKind.QUADRILATERAL:
-            g = gll_1d(p)
-            xx, yy = np.meshgrid(g, g, indexing="ij")
-            nodes = np.column_stack([xx.ravel(), yy.ravel()])
-        elif kind is ElementKind.HEXAHEDRON:
-            g = gll_1d(p)
-            xx, yy, zz = np.meshgrid(g, g, g, indexing="ij")
-            nodes = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-        else:
-            raise UnsupportedBaselineError(
-                f"closed Gauss-Lobatto nodes are only defined for tensor "
-                f"shapes, not {kind.value}"
-            )
+    if kind in (ElementKind.LINE, ElementKind.QUADRILATERAL,
+                ElementKind.HEXAHEDRON):
+        gll = which is BaselineKind.GLL
+        axis = gll_1d(p) if gll else np.linspace(-1.0, 1.0, p + 1)
+        nodes = _tensor_grid([axis] * CARTESIAN_DIM[kind])
+    elif which is BaselineKind.GLL:
+        raise UnsupportedBaselineError(
+            f"closed Gauss-Lobatto nodes are only defined for tensor "
+            f"shapes, not {kind.value}"
+        )
     else:
         nodes = _uniform_nodes(kind, p)
     dist = NodalDistribution(

@@ -34,27 +34,17 @@ from .symmetry import NodalDistribution
 __all__ = [
     "FunctionSpace",
     "VandermondeMatrix",
-    "space_dimension",
-    "jacobi",
-    "jacobi_derivative",
-    "basis_eval",
     "basis_eval_many",
     "basis_grad_many",
     "basis_eval_with_grad",
     "lu_inverse",
     "vandermonde",
-    "lagrange_eval",
     "LagrangeInterpolator",
     "UNISOLVENCY_CONDITION_LIMIT",
 ]
 
 UNISOLVENCY_CONDITION_LIMIT = 1e12
 _COLLAPSE_EPS = 1e-13
-
-
-def space_dimension(kind: ElementKind, p: int) -> int:
-    """Dimension of the degree-``p`` space; equals the element node count."""
-    return node_count(kind, p)
 
 
 @dataclass(frozen=True)
@@ -68,7 +58,7 @@ class FunctionSpace:
 
     @property
     def dim(self):
-        return space_dimension(self.kind, self.degree)
+        return node_count(self.kind, self.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +145,6 @@ def _sweep(n, rows, normalized, X):
     if normalized:
         t /= norms
     return t
-
-
-def jacobi(n, a, b, x):
-    """Jacobi polynomial P_n^{(a,b)}, the last entry of its table row.
-
-    Standard normalization (P_n(1) = binom(n+a, n)); vectorized in ``x``.
-    """
-    x = np.asarray(x, dtype=float)
-    t = _sweep(n, ((float(a), float(b), False, n),), False, x.reshape(1, -1))
-    return t[n, 0].reshape(x.shape)
-
-
-def jacobi_derivative(n, a, b, x):
-    """First derivative of P_n^{(a,b)}, entry n - 1 of its derivative row."""
-    x = np.asarray(x, dtype=float)
-    t = _sweep(n, ((float(a), float(b), True, n - 1),), False, x.reshape(1, -1))
-    return t[n - 1, 0].reshape(x.shape)
 
 
 @lru_cache(maxsize=None)
@@ -584,11 +557,6 @@ def basis_eval_with_grad(space: FunctionSpace, pts):
     return values, lambda: _basis(space, pts, True, tables)
 
 
-def basis_eval(space: FunctionSpace, x):
-    """Evaluate all basis functions at a single point."""
-    return basis_eval_many(space, np.atleast_2d(x))[0]
-
-
 @dataclass(eq=False)
 class VandermondeMatrix:
     """Generalized Vandermonde matrix V[i, j] = phi_j(node_i)."""
@@ -615,10 +583,6 @@ class VandermondeMatrix:
         with np.errstate(all="ignore"):
             cond = float(s[0] / s[-1])
         return np.inf if np.isnan(cond) else cond
-
-    @property
-    def determinant(self):
-        return float(np.linalg.det(self.matrix))
 
 
 _GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=float)
@@ -695,13 +659,3 @@ class LagrangeInterpolator:
         npts, nb, d = g.shape
         flat = g.transpose(0, 2, 1).reshape(npts * d, nb)
         return (flat @ self._inverse).reshape(npts, d, nb).transpose(0, 2, 1)
-
-
-def lagrange_eval(space, dist, x):
-    """Values of all Lagrange cardinal functions of ``dist`` at ``x``.
-
-    Raises :class:`UnisolvencyError` when the node set is not unisolvent for
-    the space (Vandermonde condition above the screening limit).
-    """
-    interp = LagrangeInterpolator(space, dist)
-    return interp.eval_many(np.atleast_2d(x))[0]

@@ -40,6 +40,7 @@ from .nodefile import (
     config_hash,
     format_float,
     read_node_file,
+    write_atomic,
     write_node_file,
 )
 from .optimizer import OptimizerConfig, optimize_nodes
@@ -341,8 +342,7 @@ def cmd_compare(args):
                 rows.append(f"{kind.value},{degree},{name},,,,")
     payload = "\n".join(rows) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        write_atomic(args.out, payload)
     else:
         sys.stdout.write(payload)
     return 0 if n_ok > 0 else 1
@@ -359,16 +359,14 @@ def cmd_tabulate(args):
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise InputError(f"--out {out_dir} is not a directory")
     os.makedirs(out_dir, exist_ok=True)
-    tab_args = argparse.Namespace(**vars(args))
-    tab_args.cache_dir = out_dir
     statuses = {}
-    ensure = _make_ensure(tab_args, out_dir, statuses)
+    ensure = _make_ensure(args, out_dir, statuses)
 
     records = []
     for kind in kinds:
         for degree in degrees:
             cfg_hash = config_hash(
-                _config_payload(kind, degree, tab_args, "auto")
+                _config_payload(kind, degree, args, "auto")
             )
             path = _cache_path(out_dir, kind, degree)
             record = {
@@ -393,12 +391,10 @@ def cmd_tabulate(args):
                 f"{record['element']} p={record['degree']}: "
                 f"{record['status']}"
             )
-    manifest = os.path.join(out_dir, "manifest.jsonl")
-    tmp = manifest + ".tmp"
-    with open(tmp, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    os.replace(tmp, manifest)
+    write_atomic(
+        os.path.join(out_dir, "manifest.jsonl"),
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+    )
     return 0 if all(r["status"] == "ok" for r in records) else 1
 
 

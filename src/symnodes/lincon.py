@@ -303,16 +303,19 @@ def _active_set(fun, y0, G, gl, gu, tol, max_iter):
                     work.append((r, -1))
         return work
 
+    def working_set(work):
+        """The rows of ``work`` and a basis of their null space."""
+        if not work:
+            return np.zeros((0, n)), np.eye(n)
+        A_w = np.vstack([G[r] for r, _ in work])
+        Zw = scipy.linalg.null_space(A_w)
+        return A_w, Zw if Zw.size else np.zeros((n, 0))
+
     work = active_rows(y)
     best = SolveResult(y.copy(), f, "iteration-limited", 0, np.inf)
 
     for major in range(1, max_iter + 1):
-        A_w = (
-            np.vstack([G[r] for r, _ in work]) if work else np.zeros((0, n))
-        )
-        Zw = scipy.linalg.null_space(A_w) if work else np.eye(n)
-        if Zw.size == 0:
-            Zw = np.zeros((n, 0))
+        A_w, Zw = working_set(work)
         d, gz = _reduced_hessian_dir(H, Zw, g)
         gz_norm = float(np.max(np.abs(gz))) if gz.size else 0.0
 
@@ -398,16 +401,7 @@ def _active_set(fun, y0, G, gl, gu, tol, max_iter):
             work.append(blocker)
 
     resid = violation(G, gl, gu, y)
-    final_work = active_rows(y)
-    A_w = (
-        np.vstack([G[r] for r, _ in final_work])
-        if final_work
-        else np.zeros((0, n))
-    )
-    Zw = scipy.linalg.null_space(A_w) if final_work else np.eye(n)
-    if Zw.size == 0:
-        Zw = np.zeros((n, 0))
-    gz = Zw.T @ g
+    gz = working_set(active_rows(y))[1].T @ g
     gz_norm = float(np.max(np.abs(gz))) if gz.size else 0.0
     out = SolveResult(y, f, "iteration-limited", max_iter, max(gz_norm, resid))
     return best if best.fun < f else out

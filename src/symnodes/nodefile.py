@@ -4,8 +4,8 @@ Header lines are ``# key: value`` pairs (format version, element, degree,
 count, source, config hash) followed by one node per line with
 whitespace-separated coordinates printed to 17 significant digits, which
 round-trips IEEE doubles exactly.  Files are written atomically
-(temp-then-rename) so interrupted runs never leave partial files behind; a
-write that fails removes its temporary file.
+(:func:`write_atomic`, temp-then-rename) so interrupted runs never leave
+partial files behind; a write that fails removes its temporary file.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "config_hash",
     "format_float",
     "write_node_file",
+    "write_atomic",
     "read_node_file",
 ]
 
@@ -69,17 +70,23 @@ def write_node_file(path, dist: NodalDistribution, config="", source=None):
     ]
     for row in dist.nodes:
         lines.append(" ".join(format_float(v) for v in row))
-    payload = "\n".join(lines) + "\n"
+    write_atomic(path, "\n".join(lines) + "\n")
+    return path
+
+
+def write_atomic(path, text):
+    """Write ``text`` to ``path`` through a temporary file beside it and a
+    rename, so that ``path`` is never left partial; a write or rename that
+    fails removes the temporary file."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w") as fh:
-            fh.write(payload)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
-    return path
 
 
 def _parse_header_line(raw, lineno, key):

@@ -54,7 +54,6 @@ from .compatibility import (
 from .errors import (
     DegenerateDistributionError,
     IncompatibleCollectionError,
-    InfeasibleParameterError,
     NoViableCollectionError,
     NumericalError,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "OptimizedResult",
     "MinimizeOutcome",
     "assemble_problem",
-    "objective_and_gradient",
     "minimize",
     "optimize_nodes",
 ]
@@ -289,27 +287,6 @@ def _objective_value(problem, y):
         return grad if np.all(np.isfinite(grad)) else None
 
     return f, gradient
-
-
-def objective_and_gradient(problem, y):
-    """Objective value and analytic gradient at the free parameters ``y``.
-
-    The gradient has length ``problem.free_dimension`` (it is empty for
-    fully pinned problems).
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    v = problem.constraints.violation(y)
-    if v > 1e-9:
-        raise InfeasibleParameterError(
-            f"free parameters infeasible (violation {v:.3e})"
-        )
-    f, gradient = _objective_value(problem, y)
-    grad = gradient()
-    if grad is None:
-        raise DegenerateDistributionError(
-            "gradient overflow (nearly singular Vandermonde matrix)"
-        )
-    return f, grad
 
 
 def minimize(problem, config, y0) -> MinimizeOutcome:

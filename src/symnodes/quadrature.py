@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 import numpy as np
 import scipy.linalg
 
-from .geometry import ElementKind, MEASURE
+from .geometry import CARTESIAN_DIM, ElementKind, MEASURE
 
 __all__ = ["QuadratureRule", "gauss_legendre_1d", "quadrature_rule"]
 
@@ -151,78 +152,47 @@ def _points_for_exactness(degree):
     return max(1, degree // 2 + 1)
 
 
-def _tensor(rules):
-    """Cartesian product of 1D rules: list of (x, w) -> (points, weights)."""
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    w = np.ones(pts.shape[0])
-    wgrids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    for wg in wgrids:
-        w = w * wg.ravel()
-    return pts, w
+def _tensor_grid(axes):
+    """Cartesian product of 1D point sets as rows, last axis fastest."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([g.ravel() for g in grids])
 
 
 def _build_rule(kind, degree):
+    """Points and weights: products of 1D rules, the first axis slowest."""
     n = _points_for_exactness(degree)
     xg, wg = gauss_legendre_1d(n)
-
-    if kind is ElementKind.LINE:
-        return xg.reshape(-1, 1), wg
-
-    if kind is ElementKind.QUADRILATERAL:
-        pts, w = _tensor([(xg, wg)] * 2)
-        return pts, w
-
-    if kind is ElementKind.HEXAHEDRON:
-        pts, w = _tensor([(xg, wg)] * 3)
-        return pts, w
-
+    if kind in (ElementKind.LINE, ElementKind.QUADRILATERAL,
+                ElementKind.HEXAHEDRON):
+        d = CARTESIAN_DIM[kind]
+        return _tensor_grid([xg] * d), reduce(mul, _tensor_grid([wg] * d).T)
     if kind is ElementKind.TRIANGLE:
         xb, wb = _gauss_jacobi(n, 1, 0)
-        A, B = np.meshgrid(xg, xb, indexing="ij")
-        WA, WB = np.meshgrid(wg, wb, indexing="ij")
-        x = (1.0 + A) * (1.0 - B) / 2.0 - 1.0
-        y = B
-        pts = np.column_stack([x.ravel(), y.ravel()])
-        w = (WA * WB).ravel() / 2.0
-        return pts, w
-
+        A, B = _tensor_grid([xg, xb]).T
+        WA, WB = _tensor_grid([wg, wb]).T
+        pts = np.column_stack([(1.0 + A) * (1.0 - B) / 2.0 - 1.0, B])
+        return pts, WA * WB / 2.0
     if kind is ElementKind.TETRAHEDRON:
         xb, wb = _gauss_jacobi(n, 1, 0)
         xc, wc = _gauss_jacobi(n, 2, 0)
-        A, B, C = np.meshgrid(xg, xb, xc, indexing="ij")
-        WA, WB, WC = np.meshgrid(wg, wb, wc, indexing="ij")
+        A, B, C = _tensor_grid([xg, xb, xc]).T
+        WA, WB, WC = _tensor_grid([wg, wb, wc]).T
         x = (1.0 + A) * (1.0 - B) * (1.0 - C) / 4.0 - 1.0
         y = (1.0 + B) * (1.0 - C) / 2.0 - 1.0
-        z = C
-        pts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
-        w = (WA * WB * WC).ravel() / 8.0
-        return pts, w
-
+        return np.column_stack([x, y, C]), WA * WB * WC / 8.0
     if kind is ElementKind.PRISM:
         tri_pts, tri_w = _build_rule(ElementKind.TRIANGLE, degree)
         nq = tri_pts.shape[0]
-        pts = np.empty((nq * n, 3))
-        w = np.empty(nq * n)
-        for i in range(n):
-            pts[i * nq : (i + 1) * nq, :2] = tri_pts
-            pts[i * nq : (i + 1) * nq, 2] = xg[i]
-            w[i * nq : (i + 1) * nq] = tri_w * wg[i]
-        return pts, w
-
+        pts = np.column_stack([np.tile(tri_pts, (n, 1)), np.repeat(xg, nq)])
+        return pts, np.tile(tri_w, n) * np.repeat(wg, nq)
     if kind is ElementKind.PYRAMID:
         # One extra point vertically: products of the rational basis become
         # polynomials of one degree higher in the collapsed direction.
         xc, wc = _gauss_jacobi(n + 1, 2, 0)
-        A, B, C = np.meshgrid(xg, xg, xc, indexing="ij")
-        WA, WB, WC = np.meshgrid(wg, wg, wc, indexing="ij")
+        A, B, C = _tensor_grid([xg, xg, xc]).T
+        WA, WB, WC = _tensor_grid([wg, wg, wc]).T
         half = (1.0 - C) / 2.0
-        pts = np.column_stack(
-            [(A * half).ravel(), (B * half).ravel(), C.ravel()]
-        )
-        w = (WA * WB * WC).ravel() / 4.0
-        return pts, w
-
+        return np.column_stack([A * half, B * half, C]), WA * WB * WC / 4.0
     raise ValueError(f"unknown element kind {kind!r}")
 
 

@@ -691,40 +691,31 @@ def cartesian_symmetry_group(kind):
     return tuple(out)
 
 
-def _closure(mats):
-    """Byte keys of the group that the ``{0, +-1}`` matrices ``mats``
-    generate; their products are exact."""
-    one = np.eye(mats[0].shape[0])
-    span, frontier = {one.tobytes()}, [one]
-    while frontier:
-        new = []
-        for Q in frontier:
-            for P in mats:
-                R = P @ Q + 0.0  # normalize -0.0 so keys compare bytewise
-                if R.tobytes() not in span:
-                    span.add(R.tobytes())
-                    new.append(R)
-        frontier = new
-    return span
-
-
 @lru_cache(maxsize=None)
 def _generator_maps(kind):
     """Cartesian maps ``(A, b)`` of a generating set of the element group,
     stacked as (g, d, d) and (g, d).
 
-    Each step adds the group element whose closure with the ones chosen so
-    far is largest, until that closure is the whole group: two elements
-    for every kind but the line.
+    The generators follow from :data:`_GROUP_ACTION`: the cycle of the
+    permuted components with the sign flip of the last flipped component,
+    and the transposition of the last two permuted components, or the sign
+    flip alone where that transposition is the cycle (two or fewer
+    permuted components).  Each sits at the index that the enumeration
+    order of :func:`natural_symmetry_group` gives it; its map is the one at
+    that index of :func:`cartesian_symmetry_group`.  Two maps for every
+    kind but the line.  Near ``tol`` the answer of :func:`is_symmetric`
+    depends on which maps it checks, and the Lebesgue scan of the metrics
+    on that answer, so another generating set is an output change.
     """
-    group = natural_symmetry_group(kind)
-    chosen, size = [], 1
-    while size < len(group):
-        sizes = [len(_closure([group[i] for i in chosen + [j]]))
-                 for j in range(len(group))]
-        best = int(np.argmax(sizes))
-        chosen.append(best)
-        size = sizes[best]
+    nperm, flips = _GROUP_ACTION[kind]
+    perms = list(itertools.permutations(range(nperm)))
+    same, nsigns = perms[0], 2 ** len(flips)
+    flip = 1 if flips else 0  # -1 on the last flipped component only
+    cycle = perms.index(same[1:] + same[:1]) * nsigns + flip
+    swap = flip
+    if nperm > 2:
+        swap = perms.index(same[:-2] + same[:-3:-1]) * nsigns
+    chosen = sorted({cycle, swap} - {0})  # without the identity
     maps = cartesian_symmetry_group(kind)
     A, b = (np.stack(m) for m in zip(*(maps[i] for i in chosen)))
     A.setflags(write=False)
@@ -773,9 +764,11 @@ def same_point_set(a, b, tol):
 def is_symmetric(kind, nodes, tol):
     """Whether the symmetry group of ``kind`` maps ``nodes`` onto themselves.
 
-    Each map of a generating set of the group must match the nodes to their
-    images one to one within ``tol``; the other maps, products of these,
-    then match them within a small multiple of ``tol``.
+    Each map of the generating set of :func:`_generator_maps` (a cycle and
+    a transposition or sign flip that :data:`_GROUP_ACTION` names) must
+    match the nodes to their images one to one within ``tol``; the other
+    maps, products of these, then match them within a small multiple of
+    ``tol``.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     A, b = _generator_maps(ElementKind(kind))

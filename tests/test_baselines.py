@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+import scipy.special
 
 from symnodes.baselines import BaselineKind, baseline_distribution, gll_1d
-from symnodes.basis import jacobi, jacobi_derivative
 from symnodes.compatibility import FacePrescription, verify_face_match
 from symnodes.errors import UnsupportedBaselineError
-from symnodes.geometry import ElementKind, node_count, reference_element
+from symnodes.geometry import (
+    ElementKind,
+    natural_to_cartesian,
+    node_count,
+    reference_element,
+)
 from symnodes.symmetry import cartesian_symmetry_group
 
 ALL_KINDS = list(ElementKind)
@@ -24,7 +29,9 @@ def test_gll_residual_and_interlacing(p):
     assert nodes[0] == -1.0 and nodes[-1] == 1.0
     np.testing.assert_allclose(nodes, -nodes[::-1], atol=1e-15)
     interior = nodes[1:-1]
-    resid = (1.0 - interior**2) * jacobi_derivative(p, 0.0, 0.0, interior)
+    # (1 - x^2) P_p'(x) = p (P_{p-1}(x) - x P_p(x)).
+    legendre = scipy.special.eval_legendre
+    resid = p * (legendre(p - 1, interior) - interior * legendre(p, interior))
     assert np.max(np.abs(resid)) <= 1e-13
     # Interlacing with the Legendre roots of the same degree.
     from symnodes.quadrature import gauss_legendre_1d
@@ -120,3 +127,59 @@ def test_baseline_face_restriction():
             FacePrescription(ElementKind.QUADRILATERAL, qu2),
         ],
     )
+
+
+def _reference_rows(kind, p, which):
+    """The baseline rows written out with nested loops and meshgrids: the
+    order that node files and orbit entries depend on."""
+    axis = (
+        gll_1d(p) if which == "gll" else np.linspace(-1.0, 1.0, p + 1)
+    )
+    if kind is ElementKind.LINE:
+        return axis.reshape(-1, 1)
+    if kind is ElementKind.QUADRILATERAL:
+        xx, yy = np.meshgrid(axis, axis, indexing="ij")
+        return np.column_stack([xx.ravel(), yy.ravel()])
+    if kind is ElementKind.HEXAHEDRON:
+        return np.array([(x, y, z) for x in axis for y in axis for z in axis])
+    if kind is ElementKind.TRIANGLE:
+        lam = [
+            (i, j, p - i - j) for i in range(p + 1) for j in range(p + 1 - i)
+        ]
+    if kind is ElementKind.TETRAHEDRON:
+        lam = [
+            (i, j, k, p - i - j - k)
+            for i in range(p + 1)
+            for j in range(p + 1 - i)
+            for k in range(p + 1 - i - j)
+        ]
+    if kind in (ElementKind.TRIANGLE, ElementKind.TETRAHEDRON):
+        lam = np.array(lam, dtype=float) / p
+        return natural_to_cartesian(reference_element(kind), lam)
+    if kind is ElementKind.PRISM:
+        tri = _reference_rows(ElementKind.TRIANGLE, p, which)
+        return np.array([(x, y, z) for z in axis for x, y in tri])
+    layers = []
+    for k in range(p + 1):
+        z = -1.0 + 2.0 * k / p
+        half = 0.5 * (1.0 - z)
+        side = np.linspace(-half, half, p - k + 1) if k < p else [0.0]
+        layers += [(x, y, z) for x in side for y in side]
+    return np.array(layers)
+
+
+@pytest.mark.parametrize(
+    "kind,which",
+    [(kind, "uniform") for kind in ALL_KINDS]
+    + [
+        (kind, "gll")
+        for kind in (
+            ElementKind.LINE, ElementKind.QUADRILATERAL, ElementKind.HEXAHEDRON
+        )
+    ],
+)
+def test_baseline_row_order(kind, which):
+    top = 6 if reference_element(kind).dim < 3 else 4
+    for p in range(1, top + 1):
+        got = baseline_distribution(kind, p, which).nodes
+        assert np.array_equal(got, _reference_rows(kind, p, which)), p

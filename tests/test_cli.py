@@ -332,6 +332,30 @@ def test_tabulate_deterministic_and_idempotent(tmp_path, capsys):
     assert len(records) == 6
 
 
+def test_failed_renames_leave_no_temporary_file(tmp_path, capsys, monkeypatch):
+    # Every output file goes through a temporary file and a rename; when
+    # the rename fails, the temporary file is removed and no partial
+    # output file is left.
+    replace = os.replace
+
+    def refusing(src, dst):
+        if os.path.basename(dst) in ("manifest.jsonl", "cmp.csv"):
+            raise OSError("rename refused")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refusing)
+    out = tmp_path / "tab"
+    with pytest.raises(OSError, match="rename refused"):
+        main(["tabulate", "--element", "line", "--degree-range", "1:2",
+              "--out", str(out)])
+    assert sorted(os.listdir(out)) == ["line_p1.nodes", "line_p2.nodes"]
+    with pytest.raises(OSError, match="rename refused"):
+        main(["compare", "--element", "line", "--degree-range", "1:1",
+              "--dist", "uniform", "--out", str(out / "cmp.csv")])
+    assert sorted(os.listdir(out)) == ["line_p1.nodes", "line_p2.nodes"]
+    assert not list(out.glob("*.tmp*"))
+
+
 def test_tabulate_records_optimizer_status(tmp_path, capsys):
     # One major iteration is too few at p=3: the row stays "ok" and says
     # how the winning restart ended.  The line elements are optimized as

@@ -3,10 +3,12 @@
 HiGHS (``scipy.optimize``), the KD-tree (``scipy.spatial``),
 ``scipy.special`` and ``scipy.sparse`` cost more start-up time than a small
 run spends working.  The package keeps them off the run path; the tests
-use them only as references.
+use them only as references.  Every name a module exports resolves.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +48,17 @@ def test_cli_run_loads_no_optimize_spatial_special_or_sparse(tmp_path):
                   tuple(name + "." for name in OFF_THE_RUN_PATH))]
     assert loaded == []
     assert (tmp_path / "tet.csv").read_text().count("\n") == 2
+
+
+def test_every_export_resolves():
+    import symnodes
+
+    for info in pkgutil.iter_modules(symnodes.__path__):
+        name = f"symnodes.{info.name}"
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", [])
+        assert [n for n in exported if not hasattr(module, n)] == [], name
+        exec(f"from {name} import *", {})
+    namespace = {}
+    exec("from symnodes import *", namespace)
+    assert "optimize_nodes" in namespace
