@@ -36,7 +36,7 @@
   are ``1 / sigma_i^2`` for the singular values ``sigma_i`` of ``V``, so its
   condition number is ``cond(V)^2``.
 * Unisolvency screen (``is_unisolvent``): cheap rejection of node sets
-  whose Vandermonde or coarse Lebesgue estimate blows up.  The optimizer
+  whose Vandermonde, mass matrix or coarse Lebesgue estimate blows up.  The optimizer
   runs it on its start; ``evaluate_metrics`` does not.
 
 Every metric is computed on the nodes in lexicographic coordinate order, so
@@ -293,11 +293,13 @@ def mass_matrix(space, dist):
 
 
 def is_unisolvent(space, dist):
-    """Fast screen: finite, moderate Vandermonde condition and a bounded
-    coarse Lebesgue estimate."""
+    """Fast screen: finite, moderate Vandermonde condition, a positive
+    definite mass matrix and a bounded coarse Lebesgue estimate, so every
+    metric is defined on a set that passes."""
     try:
         _, interp = _interpolator(space, dist)
-    except (ValueError, UnisolvencyError):
+        _mass_condition(interp.vmatrix)
+    except (ValueError, UnisolvencyError, NumericalError):
         return False
     coarse = _lebesgue_max(interp, _SCREEN_RESOLUTION)
     return bool(np.isfinite(coarse) and coarse < _SCREEN_LIMIT)

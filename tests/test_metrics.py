@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from symnodes.baselines import baseline_distribution
 from symnodes.basis import FunctionSpace, LagrangeInterpolator, basis_eval_many
+from symnodes.errors import NumericalError
 from symnodes.geometry import ElementKind, reference_element
 from symnodes.metrics import (
     _EXTRUDED as EXTRUDED_BASE,
@@ -384,6 +385,21 @@ def test_factorized_scan_carries_nan(kind, poison, monkeypatch):
         monkeypatch.setattr(metrics, "basis_eval_many", poisoned)
     assert not is_unisolvent(spp, dist)
     assert np.isnan(lebesgue_constant(spp, dist, resolution=20))
+
+
+def test_screen_rejects_sets_without_a_mass_condition():
+    # A pyramid p=5 node pushed near the apex and out of the element gives
+    # cond(V) 2.5e9: below the interpolator's limit, but the mass matrix is
+    # not positive definite, so the screen must not pass the set.
+    kind, p = ElementKind.PYRAMID, 5
+    uni = baseline_distribution(kind, p, "uniform")
+    shift = np.random.default_rng(361231056).uniform(-1.0, 1.0, uni.nodes.shape)
+    dist = NodalDistribution(kind, p, uni.nodes + 0.25 / p * shift, "perturbed")
+    spp = FunctionSpace(kind, p)
+    assert 1e7 < LagrangeInterpolator(spp, dist).vmatrix.condition < 1e12
+    with pytest.raises(NumericalError, match="not positive definite"):
+        mass_matrix(spp, dist)
+    assert not is_unisolvent(spp, dist)
 
 
 def test_screen_rejects_non_finite_cardinal_values(monkeypatch):
