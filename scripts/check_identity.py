@@ -27,8 +27,13 @@ Compares this checkout against the one at the given path (each with its own
 * the output of ``compatibility._orbit_reach`` for every orbit of each
   kind at every uniform baseline node of p = 1..6 (``np.array_equal``,
   ``None`` as a row of NaN);
-* for each kind at p = 1..6, pinned to the faces of its own baseline (GLL
-  on line, quad and hex, uniform elsewhere): the pinned values, the
+* the orbit-index lists of ``enumerate_admissible_collections`` at
+  ``cap=64`` for each kind at every degree up to its ``generate`` cap, and
+  ``optimizer._orbit_intervals`` of every orbit (``np.array_equal``);
+* for each kind at p = 1..6, the matrix, lower and upper arrays of
+  ``stacked_constraints()`` of the baseline collection, unpinned and
+  pinned to the faces of its own baseline (GLL on line, quad and hex,
+  uniform elsewhere); with those pins, the pinned values, the
   baseline start and the jittered restart starts at seed 1, and the value
   and gradient of ``optimizer._objective_value`` at each of these starts
   (``np.array_equal``), which do not depend on any optimized node file;
@@ -88,6 +93,7 @@ from symnodes.basis import (
     _sweep,
 )
 from symnodes import optimizer
+from symnodes.cli import _DEGREE_CAPS
 from symnodes.compatibility import (
     _orbit_reach, build_compatibility_constraints, face_prescriptions,
 )
@@ -99,7 +105,9 @@ from symnodes.metrics import (
     lebesgue_constant,
 )
 from symnodes.quadrature import quadrature_rule
-from symnodes.symmetry import NodalDistribution, is_symmetric, orbits
+from symnodes.symmetry import (
+    NodalDistribution, enumerate_admissible_collections, is_symmetric, orbits,
+)
 
 out = {}
 rng = np.random.default_rng(123)
@@ -145,6 +153,16 @@ for kind in ElementKind:
             out[f"{kind.value}_p{p}_orbit{orbit.index}_reach"] = np.array(
                 [none if xi is None else xi for xi in reach]
             )
+for kind in ElementKind:
+    for p in range(1, _DEGREE_CAPS[kind] + 1):
+        # Each collection's orbit indices, closed by -1.
+        out[f"{kind.value}_p{p}_collections"] = np.array(
+            [j for c in enumerate_admissible_collections(kind, p, cap=64)
+             for j in (*c.indices, -1)]
+        )
+    for orbit in orbits(kind):
+        lo, hi = optimizer._orbit_intervals(orbit)
+        out[f"{kind.value}_orbit{orbit.index}_intervals"] = np.array([lo, hi])
 tensor = (ElementKind.LINE, ElementKind.QUADRILATERAL, ElementKind.HEXAHEDRON)
 for kind in ElementKind:
     elem = reference_element(kind)
@@ -155,7 +173,12 @@ for kind in ElementKind:
             kind, p, lambda fk, q: baseline_distribution(fk, q, base)
         )
         coll, entries = optimizer._baseline_collection(kind, p)
-        coll = build_compatibility_constraints(elem, coll, faces)
+        pinned = build_compatibility_constraints(elem, coll, faces)
+        for name, c in (("unpinned", coll), ("pinned", pinned)):
+            cons = c.stacked_constraints()
+            for part in ("matrix", "lower", "upper"):
+                out[f"{key}_{name}_{part}"] = getattr(cons, part)
+        coll = pinned
         problem = optimizer.assemble_problem(elem, coll, FunctionSpace(kind, p))
         y0 = optimizer._initial_parameters(problem, entries, faces)
         out[key + "_pinned"] = problem.pinned_values

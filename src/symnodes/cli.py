@@ -14,8 +14,9 @@ first (or loaded from the cache directory) and used as face prescriptions.
 Exit codes: 0 success, 1 internal failure, 2 input error (including a
 numeric option out of range: ``--seed < 0``, ``--max-iters < 1``,
 ``--kkt-tol <= 0`` or ``--resolution < 2``, and an ``--out`` that names a
-directory for ``generate`` and ``compare`` or a file for ``tabulate``;
-these are checked before any work).
+directory for ``generate`` and ``compare``, by ending in a path separator
+or by being one, or a file for ``tabulate``; these are checked before any
+work).  The directory of a file ``--out`` is made before any work too.
 """
 
 from __future__ import annotations
@@ -225,16 +226,26 @@ def _check_compat(kind, degree, files, prescriptions):
 
 
 def _check_out_file(path):
-    """``--out`` of ``generate`` and ``compare`` names a file to write."""
-    if path and os.path.isdir(path):
+    """``--out`` of ``generate`` and ``compare`` names a file to write, not
+    a directory; the directory it is written to is made here."""
+    if not path:
+        return
+    if os.path.isdir(path):
         raise InputError(f"--out {path} is a directory")
+    if path.endswith((os.sep, os.altsep or os.sep)):
+        raise InputError(f"--out {path} names a directory")
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make the directory of --out {path}: {exc}")
 
 
 def cmd_generate(args):
     kind = _parse_element(args.element)
     _check_degree(kind, args.degree, args.force_degree)
-    _check_out_file(args.out)
     cache_dir = args.cache_dir
+    out = args.out or _cache_path(cache_dir, kind, args.degree)
+    _check_out_file(out)
     compat = args.compat
 
     if compat == "auto":
@@ -268,8 +279,6 @@ def cmd_generate(args):
     cfg_hash = config_hash(
         _config_payload(kind, args.degree, args, compat)
     )
-    out = args.out or _cache_path(cache_dir, kind, args.degree)
-    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     write_node_file(out, result.distribution, config=cfg_hash)
     print(
         f"{kind.value} p={args.degree}: {result.distribution.count} nodes, "

@@ -14,6 +14,8 @@ a run: the orbit intervals that size the restart jitter come from vertex
 enumeration, and the jittered starts are projected from the feasible
 baseline start.  They remain as references the tests check against, and
 :func:`linprog` imports ``scipy.optimize`` only when one of them is called.
+Their one-sided rows, :func:`_lp_parts`, also give the vertex enumeration
+of ``optimizer._orbit_intervals`` its rows.
 """
 
 from __future__ import annotations
@@ -62,18 +64,9 @@ def equality_rows(lo, hi):
 def _lp_parts(B, lo, hi):
     """The system as linprog's ``A_ub @ x <= b_ub``: one row per finite
     bound."""
-    rows_ub, rhs_ub = [], []
-    fin_hi = np.isfinite(hi)
-    fin_lo = np.isfinite(lo)
-    if np.any(fin_hi):
-        rows_ub.append(B[fin_hi])
-        rhs_ub.append(hi[fin_hi])
-    if np.any(fin_lo):
-        rows_ub.append(-B[fin_lo])
-        rhs_ub.append(-lo[fin_lo])
-    A_ub = np.vstack(rows_ub) if rows_ub else np.zeros((0, B.shape[1]))
-    b_ub = np.concatenate(rhs_ub) if rhs_ub else np.zeros(0)
-    return A_ub, b_ub
+    fin_hi, fin_lo = np.isfinite(hi), np.isfinite(lo)
+    A_ub = np.vstack([B[fin_hi], -B[fin_lo]])
+    return A_ub, np.concatenate([hi[fin_hi], -lo[fin_lo]])
 
 
 def feasible_point(B, lo, hi, tol=1e-9):
@@ -293,24 +286,29 @@ def _active_set(fun, y0, G, gl, gu, tol, max_iter):
     act_tol = 1e-11
 
     def active_rows(y):
-        work = []
-        if m:
-            vals = G @ y
-            for r in range(m):
-                if np.isfinite(gu[r]) and vals[r] >= gu[r] - act_tol:
-                    work.append((r, +1))
-                elif np.isfinite(gl[r]) and vals[r] <= gl[r] + act_tol:
-                    work.append((r, -1))
-        return work
+        """Rows at a bound in row order, mapped to +1 (upper, tested first)
+        or -1 (lower)."""
+        vals = G @ y
+        upper = np.isfinite(gu) & (vals >= gu - act_tol)
+        lower = ~upper & np.isfinite(gl) & (vals <= gl + act_tol)
+        rows = np.flatnonzero(upper | lower)
+        return dict(zip(rows.tolist(), np.where(upper[rows], 1.0, -1.0)))
 
     def working_set(work):
         """The rows of ``work`` and a basis of their null space."""
         if not work:
             return np.zeros((0, n)), np.eye(n)
-        A_w = np.vstack([G[r] for r, _ in work])
+        A_w = G[list(work)]
         Zw = scipy.linalg.null_space(A_w)
         return A_w, Zw if Zw.size else np.zeros((n, 0))
 
+    def limited(major, gz_norm):
+        """The best iterate, or ``y`` reported iteration-limited."""
+        resid = max(gz_norm, violation(G, gl, gu, y))
+        out = SolveResult(y, f, "iteration-limited", major, resid)
+        return best if best.fun < f else out
+
+    # The working set: its rows in the order they entered, mapped to sides.
     work = active_rows(y)
     best = SolveResult(y.copy(), f, "iteration-limited", 0, np.inf)
 
@@ -324,40 +322,29 @@ def _active_set(fun, y0, G, gl, gu, tol, max_iter):
             if not work:
                 return SolveResult(y, f, "kkt-converged", major, gz_norm)
             lam, *_ = np.linalg.lstsq(A_w.T, g, rcond=None)
-            worst, worst_idx = 0.0, None
-            for idx, ((r, side), lam_r) in enumerate(zip(work, lam)):
-                bad = lam_r if side > 0 else -lam_r  # must be <= 0
-                if bad > worst:
-                    worst, worst_idx = bad, idx
+            bad = lam * np.fromiter(work.values(), float)  # must be <= 0
+            worst = int(np.argmax(bad))
             mult_tol = max(tol, 1e-12 * (1.0 + float(np.linalg.norm(g))))
-            if worst_idx is None or worst <= mult_tol:
+            if bad[worst] <= mult_tol:
                 resid = max(gz_norm, violation(G, gl, gu, y))
                 return SolveResult(y, f, "kkt-converged", major, resid)
-            del work[worst_idx]
+            del work[list(work)[worst]]
             continue
 
-        # Ratio test against constraints outside the working set.
-        alpha_max, blocker = np.inf, None
-        if m:
-            in_work = {r for r, _ in work}
-            Gd = G @ d
-            Gy = G @ y
-            for r in range(m):
-                if r in in_work:
-                    continue
-                s = Gd[r]
-                if s > 1e-14 and np.isfinite(gu[r]):
-                    a = (gu[r] - Gy[r]) / s
-                    if a < alpha_max:
-                        alpha_max, blocker = a, (r, +1)
-                elif s < -1e-14 and np.isfinite(gl[r]):
-                    a = (gl[r] - Gy[r]) / s
-                    if a < alpha_max:
-                        alpha_max, blocker = a, (r, -1)
-        alpha_max = max(alpha_max, 0.0)
+        # Ratio test against the rows outside the working set; on a tie the
+        # lowest row blocks.
+        Gd, Gy = G @ d, G @ y
+        up = (Gd > 1e-14) & np.isfinite(gu)
+        down = (Gd < -1e-14) & np.isfinite(gl)
+        up[list(work)] = down[list(work)] = False
+        ratio = np.full(m, np.inf)
+        ratio[up] = (gu[up] - Gy[up]) / Gd[up]
+        ratio[down] = (gl[down] - Gy[down]) / Gd[down]
+        blocker = int(np.argmin(ratio)) if np.any(ratio < np.inf) else None
+        alpha_max = np.inf if blocker is None else max(ratio[blocker], 0.0)
 
         if alpha_max <= 1e-14 and blocker is not None:
-            work.append(blocker)
+            work[blocker] = 1.0 if up[blocker] else -1.0
             continue
 
         # Backtracking Armijo search from the full (possibly clipped) step.
@@ -384,9 +371,7 @@ def _active_set(fun, y0, G, gl, gu, tol, max_iter):
             if not np.allclose(H, np.eye(n)):
                 H = np.eye(n)
                 continue
-            resid = max(gz_norm, violation(G, gl, gu, y))
-            out = SolveResult(y, f, "iteration-limited", major, resid)
-            return best if best.fun < f else out
+            return limited(major, gz_norm)
 
         s = y_new - y
         yv = g_new - g
@@ -398,10 +383,7 @@ def _active_set(fun, y0, G, gl, gu, tol, max_iter):
         if f < best.fun:
             best = SolveResult(y.copy(), f, "iteration-limited", major, gz_norm)
         if hit_boundary and blocker is not None:
-            work.append(blocker)
+            work[blocker] = 1.0 if up[blocker] else -1.0
 
-    resid = violation(G, gl, gu, y)
     gz = working_set(active_rows(y))[1].T @ g
-    gz_norm = float(np.max(np.abs(gz))) if gz.size else 0.0
-    out = SolveResult(y, f, "iteration-limited", max_iter, max(gz_norm, resid))
-    return best if best.fun < f else out
+    return limited(max_iter, float(np.max(np.abs(gz))) if gz.size else 0.0)

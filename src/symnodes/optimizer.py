@@ -423,9 +423,7 @@ def _orbit_intervals(orbit):
     at a finite bound that meet every row.
     """
     b = orbit.bounds
-    A = np.vstack([b.matrix, -b.matrix])
-    c = np.concatenate([b.upper, -b.lower])
-    A, c = A[np.isfinite(c)], c[np.isfinite(c)]
+    A, c = lincon._lp_parts(b.matrix, b.lower, b.upper)
     vertices = []
     for rows in itertools.combinations(range(c.size), orbit.param_count):
         M = A[list(rows)]

@@ -13,7 +13,6 @@ also integrated exactly.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import mul
@@ -196,20 +195,16 @@ def _build_rule(kind, degree):
     raise ValueError(f"unknown element kind {kind!r}")
 
 
-_CACHE: dict[tuple, QuadratureRule] = {}
-_CACHE_LOCK = threading.Lock()
-
-
 def quadrature_rule(kind, degree) -> QuadratureRule:
     """A rule on ``kind`` exact for polynomials of degree ``degree``."""
     kind = ElementKind(kind)
     if degree < 0:
         raise ValueError(f"exactness degree must be >= 0, got {degree}")
-    key = (kind, int(degree))
-    with _CACHE_LOCK:
-        rule = _CACHE.get(key)
-    if rule is not None:
-        return rule
+    return _rule(kind, int(degree))
+
+
+@lru_cache(maxsize=None)
+def _rule(kind, degree):
     pts, w = _build_rule(kind, degree)
     if np.any(w <= 0.0):
         raise ValueError("quadrature weights must be positive")
@@ -220,8 +215,4 @@ def quadrature_rule(kind, degree) -> QuadratureRule:
         )
     pts.setflags(write=False)
     w.setflags(write=False)
-    rule = QuadratureRule(kind, pts, w, int(degree))
-    with _CACHE_LOCK:
-        _CACHE.setdefault(key, rule)
-        rule = _CACHE[key]
-    return rule
+    return QuadratureRule(kind, pts, w, degree)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from . import lincon
 from .errors import (
@@ -274,23 +275,14 @@ class OrbitCollection:
     def stacked_constraints(self):
         """Block-diagonal assembly of the free entries' bounds, over the
         free parameters in collection order."""
-        free = [e for e in self.entries if e.pinned is None]
-        L = sum(e.param_count for e in free)
-        rows, lo, hi = [], [], []
-        off = 0
-        for e in free:
-            b = e.orbit.bounds
-            block = np.zeros((b.nrows, L))
-            block[:, off : off + e.param_count] = b.matrix
-            rows.append(block)
-            lo.append(b.lower)
-            hi.append(b.upper)
-            off += e.param_count
-        if rows:
-            return LinearConstraintSet(
-                np.vstack(rows), np.concatenate(lo), np.concatenate(hi)
-            )
-        return LinearConstraintSet.empty(L)
+        free = [e.orbit.bounds for e in self.entries if e.pinned is None]
+        if not free:  # block_diag() of no blocks has shape (1, 0)
+            return LinearConstraintSet.empty(0)
+        return LinearConstraintSet(
+            scipy.linalg.block_diag(*(b.matrix for b in free)),
+            np.concatenate([b.lower for b in free]),
+            np.concatenate([b.upper for b in free]),
+        )
 
 
 @dataclass(eq=False)
@@ -450,7 +442,7 @@ def orbit_parameter_bounds(elem: ReferenceElement, orbit) -> LinearConstraintSet
     ``B_lambda @ sigma_1``; identically-zero rows whose constant bounds hold
     are dropped, as are exact duplicate rows.
     """
-    S1, s1 = (orbit.maps[0] if isinstance(orbit, SymmetryOrbit) else orbit)
+    S1, s1 = orbit.maps[0]
     B = elem.b_lambda @ S1
     shift = elem.b_lambda @ s1
     lo = elem.v_lower - shift
@@ -533,63 +525,27 @@ def enumerate_admissible_collections(kind, p, cap=64):
         raise ValueError(f"degree must be >= 1, got {p}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    target = node_count(kind, p)
     orbs = orbits(kind)
-    mults = [o.multiplicity for o in orbs]
-    repeatable = [o.param_count > 0 for o in orbs]
-    # Reachability with unlimited use of repeatable orbits only.
-    dp_rep = np.zeros(target + 1, dtype=bool)
-    dp_rep[0] = True
-    for m, rep in zip(mults, repeatable):
-        if rep:
-            for s in range(m, target + 1):
-                if dp_rep[s - m]:
-                    dp_rep[s] = True
 
-    results = []
-
-    def reachable(remaining, start, used_unrepeatable):
-        if dp_rep[remaining]:
-            return True
-        for j in range(start, len(orbs)):
-            if not repeatable[j] and j not in used_unrepeatable:
-                m = mults[j]
-                if m <= remaining and dp_rep[remaining - m]:
-                    return True
-        return False
-
-    def dfs(start, remaining, prefix, used_unrepeatable):
-        if len(results) >= cap:
-            return
+    @lru_cache(maxsize=None)
+    def combos(start, remaining):
+        """The first ``cap`` index tuples over ``orbs[start:]`` whose
+        multiplicities sum to ``remaining``; a parameter-free orbit at most
+        once."""
         if remaining == 0:
-            results.append(tuple(prefix))
-            return
+            return [()]
+        out = []
         for j in range(start, len(orbs)):
-            m = mults[j]
-            if m > remaining:
-                continue
-            if not repeatable[j] and j in used_unrepeatable:
-                continue
-            new_used = (
-                used_unrepeatable | {j}
-                if not repeatable[j]
-                else used_unrepeatable
-            )
-            if not reachable(remaining - m, j, new_used):
-                continue
-            prefix.append(j)
-            dfs(j if repeatable[j] else j, remaining - m, prefix, new_used)
-            prefix.pop()
-            if len(results) >= cap:
-                return
+            m = orbs[j].multiplicity
+            if m <= remaining and len(out) < cap:
+                rest = combos(j if orbs[j].param_count else j + 1, remaining - m)
+                out += [(j,) + tail for tail in rest[: cap - len(out)]]
+        return out
 
-    dfs(0, target, [], frozenset())
-
-    collections = []
-    for combo in results:
-        entries = tuple(ConstrainedOrbit(orbs[j]) for j in combo)
-        collections.append(OrbitCollection(kind, p, entries))
-    return collections
+    return [
+        OrbitCollection(kind, p, tuple(ConstrainedOrbit(orbs[j]) for j in combo))
+        for combo in combos(0, node_count(kind, p))
+    ]
 
 
 def evaluate_collection(collection: OrbitCollection, xi_bar, tol=1e-9):

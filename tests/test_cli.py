@@ -181,6 +181,67 @@ def test_compare_out_directory_is_an_input_error(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, never",
+    [
+        (("generate", "--element", "line", "--degree", "2", "--compat", "off"),
+         "optimize_nodes"),
+        (("compare", "--element", "line", "--degree-range", "1:1",
+          "--dist", "uniform"), "_metric_fields"),
+    ],
+)
+def test_out_ending_in_a_separator_is_an_input_error(
+    tmp_path, capsys, monkeypatch, argv, never
+):
+    # A path ending in a separator names a directory, existing or not: it is
+    # rejected before any work, and nothing is made.
+    import symnodes.cli as cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("worked before checking --out")
+
+    monkeypatch.setattr(cli, never, fail)
+    out = str(tmp_path / "newdir") + os.sep
+    code, stdout, stderr = _run(
+        capsys, *argv, "--out", out, "--cache-dir", str(tmp_path / "cache")
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.splitlines() == [f"error: --out {out} names a directory"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_out_in_a_missing_directory(tmp_path, capsys):
+    # The directory of a file --out is made, as for generate.
+    out = tmp_path / "missing" / "x.csv"
+    code, stdout, stderr = _run(
+        capsys,
+        "compare", "--element", "line", "--degree-range", "1:1",
+        "--dist", "uniform", "--out", str(out),
+        "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert code == 0
+    assert stdout == "" and stderr == ""
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("line,1,uniform,")
+
+
+def test_out_under_a_file_is_an_input_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    code, stdout, stderr = _run(
+        capsys,
+        "compare", "--element", "line", "--degree-range", "1:1",
+        "--dist", "uniform", "--out", str(taken / "x.csv"),
+        "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(
+        f"error: cannot make the directory of --out {taken / 'x.csv'}: "
+    )
+    assert taken.read_text() == "keep\n"
+
+
 def test_tabulate_out_file_is_an_input_error(tmp_path, capsys, monkeypatch):
     # Checked before any element is built, and the file is left as it is.
     import symnodes.cli as cli

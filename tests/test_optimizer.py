@@ -216,6 +216,81 @@ def test_infeasible_start_raises():
     assert res.status == "kkt-converged"
 
 
+def _distance_to(c):
+    """``f = |x - c|^2`` in the ``fun(x) -> (f, grad_fn)`` form."""
+    c = np.array(c, dtype=float)
+    return lambda x: (float((x - c) @ (x - c)), lambda: 2.0 * (x - c))
+
+
+def _working_sets(monkeypatch):
+    """The working-set matrices the active-set loop factors, in order."""
+    seen, null_space = [], scipy.linalg.null_space
+
+    def spy(A):
+        seen.append(A.tolist())
+        return null_space(A)
+
+    monkeypatch.setattr(scipy.linalg, "null_space", spy)
+    return seen
+
+
+def test_rows_blocking_together_enter_lowest_first(monkeypatch):
+    # From 0 towards (-2, 2) the lower bound of row 0 and the upper bound of
+    # row 1 block at the same step: row 0 enters, row 1 at the next step.
+    seen = _working_sets(monkeypatch)
+    res = lincon.minimize_linearly_constrained(
+        _distance_to([-2.0, 2.0]), np.zeros(2), np.eye(2),
+        [-1.0, -10.0], [10.0, 1.0],
+    )
+    assert (res.status, res.iterations) == ("kkt-converged", 3)
+    assert res.x.tolist() == [-1.0, 1.0]
+    assert seen == [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]
+
+
+@pytest.mark.parametrize(
+    "target, lo, hi, iterations, x",
+    [
+        ([3.0, 0.0], [-np.inf, -0.5], [1.0, np.inf], 4,
+         [1.9999999999999998, -1.0]),
+        ([-3.0, 0.5], [-1.0, -np.inf], [np.inf, 0.5], 4, [-2.25, 1.25]),
+    ],
+)
+def test_rows_with_one_infinite_bound(monkeypatch, target, lo, hi,
+                                      iterations, x):
+    # Row 1 is crossed towards its infinite bound on every step, so it never
+    # blocks; row 0 blocks on its finite side, as on the pyramid.
+    seen = _working_sets(monkeypatch)
+    res = lincon.minimize_linearly_constrained(
+        _distance_to(target), np.zeros(2), np.array([[1.0, 1.0], [1.0, -1.0]]),
+        lo, hi,
+    )
+    assert (res.status, res.iterations) == ("kkt-converged", iterations)
+    assert res.x.tolist() == x
+    assert seen == [[[1.0, 1.0]]] * 3
+
+
+@pytest.mark.parametrize(
+    "fun, kept",
+    [
+        # Equal multipliers: the first row of the working set is dropped.
+        (_distance_to([0.0, 0.0]), [0.0, 1.0]),
+        # f = x0^2 + 2 x1^2: row 1 has the larger multiplier.
+        (lambda x: (float(x[0] ** 2 + 2.0 * x[1] ** 2),
+                    lambda: np.array([2.0 * x[0], 4.0 * x[1]])), [1.0, 0.0]),
+    ],
+)
+def test_working_row_dropped_on_its_multiplier(monkeypatch, fun, kept):
+    # Both upper bounds are active at the start (1, 1), and the gradient
+    # pulls off both: one row leaves the working set, then the other.
+    seen = _working_sets(monkeypatch)
+    res = lincon.minimize_linearly_constrained(
+        fun, np.ones(2), np.eye(2), [-1.0, -1.0], [1.0, 1.0]
+    )
+    assert (res.status, res.iterations) == ("kkt-converged", 5)
+    assert res.x.tolist() == [0.0, 0.0]
+    assert seen == [[[1.0, 0.0], [0.0, 1.0]], [kept], [kept]]
+
+
 # ---------------------------------------------------------------------------
 # Problem assembly
 # ---------------------------------------------------------------------------

@@ -265,6 +265,20 @@ def test_enumerate_matches_oracle(kind, p):
         assert c.total_points == node_count(kind, p)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_enumerate_cap_keeps_the_first_collections(kind, p):
+    full = [
+        c.indices
+        for c in enumerate_admissible_collections(kind, p, cap=100000)
+    ]
+    for k in range(1, len(full) + 2):
+        got = [
+            c.indices for c in enumerate_admissible_collections(kind, p, cap=k)
+        ]
+        assert got == full[:k]
+
+
 def test_evaluate_collection_examples():
     # Center plus a symmetric endpoint pair.
     coll = _collection(ElementKind.LINE, 2, (1, 2))
