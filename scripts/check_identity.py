@@ -41,8 +41,10 @@ Compares this checkout against the one at the given path (each with its own
   p = 1..6 (``np.array_equal``);
 * ``lebesgue_constant`` at the default resolution on uniform p=4 of each
   kind with the node nearest the centroid moved by 1e-3, a set no symmetry
-  maps onto itself, so its scan covers the whole lattice
-  (``np.array_equal``);
+  maps onto itself, so its scan covers the whole lattice; and on uniform
+  tri p=15, quad p=12, tet p=8, hex p=6, prism p=7 and pyramid p=7, both
+  as they are (the chamber scan) and so moved, scans that take several
+  chunks of the flat and the sum-factorized product (``np.array_equal``);
 * every file written by ``tabulate --element line,tri,quad --degree-range
   7:9`` and ``tabulate --element tet,hex,prism,pyramid --degree-range 4:4``
   at each seed (node files and manifest, byte for byte), the ``evaluate``
@@ -200,17 +202,31 @@ for kind in ElementKind:
         out[f"{kind.value}_p{p}_uniform_inverse"] = LagrangeInterpolator(
             FunctionSpace(kind, p), dist
         ).inverse()
-for kind in ElementKind:
-    # Uniform p=4 with the node nearest the centroid moved off every mirror:
-    # no symmetry, so the Lebesgue scan covers the whole lattice.
-    uni = baseline_distribution(kind, 4, BaselineKind.UNIFORM)
+def moved(kind, p):
+    # Uniform nodes with the node nearest the centroid moved off every
+    # mirror: no symmetry, so the Lebesgue scan covers the whole lattice.
+    uni = baseline_distribution(kind, p, BaselineKind.UNIFORM)
     centre = reference_element(kind).vertices.mean(axis=0)
     nodes = uni.nodes.copy()
     nodes[np.argmin(np.linalg.norm(nodes - centre, axis=1)), 0] += 1e-3
-    dist = NodalDistribution(kind, 4, nodes, "moved")
+    return NodalDistribution(kind, p, nodes, "moved")
+
+
+for kind in ElementKind:
     out[f"{kind.value}_p4_asymmetric_lebesgue"] = np.array(
-        lebesgue_constant(FunctionSpace(kind, 4), dist)
+        lebesgue_constant(FunctionSpace(kind, 4), moved(kind, 4))
     )
+# Scans over several chunks, flat and sum-factorized, of the chamber
+# (uniform) and of the whole lattice (moved).
+for kind, p in [("tri", 15), ("quad", 12), ("tet", 8), ("hex", 6),
+                ("prism", 7), ("pyramid", 7)]:
+    kind = ElementKind(kind)
+    sp = FunctionSpace(kind, p)
+    uni = baseline_distribution(kind, p, BaselineKind.UNIFORM)
+    for name, dist in (("uniform", uni), ("moved", moved(kind, p))):
+        out[f"{kind.value}_p{p}_{name}_lebesgue"] = np.array(
+            lebesgue_constant(sp, dist)
+        )
 x = np.tile(np.linspace(-1.0, 1.0, 101), (2, 1))
 for a, b in [(0.0, 0.0), (1.0, 1.0), (3.0, 0.0), (2.0, 2.0), (1.3, 0.2)]:
     for normalized in (False, True):

@@ -86,10 +86,12 @@ def _recurrence(n, rows, normalized):
     For each degree m = 0..n: the number of rows whose sweep reaches m
     and, as columns, their coefficients (e0, e1) of degree 1 or (c1, c2,
     c3, c4) of P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1, on the
-    (a + 1, b + 1) pair for derivative rows.  Then the factors 0.5 (m + a +
-    b + 1), m = 1..n + 1, that turn them into derivatives (1 on value
-    rows, None without derivative rows), and with ``normalized`` the norm
-    of each entry.
+    (a + 1, b + 1) pair for derivative rows.  Then c3 and c2 of degrees
+    m = 2..n over all rows, (n - 1, rows, 1), padded with 1 and 0 past each
+    row's depth (so an infinite coordinate there gives no 0 * inf); the
+    factors 0.5 (m + a + b + 1), m = 1..n + 1, that turn
+    the entries into derivatives (1 on value rows, None without derivative
+    rows); and with ``normalized`` the norm of each entry.
     """
     a0, b0, d, depth = np.array(rows, dtype=float).T[:, :, None]
     a, b = a0 + d, b0 + d
@@ -103,6 +105,10 @@ def _recurrence(n, rows, normalized):
             (2.0 * m + a + b - 2.0) * (2.0 * m + a + b - 1.0) * (2.0 * m + a + b),
             2.0 * (m + a - 1.0) * (m + b - 1.0) * (2.0 * m + a + b),
         )))
+    c3 = np.ones((max(n - 1, 0), len(rows), 1))
+    c2 = np.zeros_like(c3)
+    for k, (r, coeffs) in enumerate(steps[2:]):
+        c2[k, :r], c3[k, :r] = coeffs[1:3]
     m = np.arange(1, n + 2)[:, None, None]
     factor = np.where(d == 1.0, 0.5 * (m + a0 + b0 + 1.0), 1.0) if d.any() else None
     norms = None
@@ -110,7 +116,7 @@ def _recurrence(n, rows, normalized):
         norms = np.array(
             [[_jacobi_norm(m + d, a, b) for a, b, d, _ in rows] for m in range(n + 1)]
         )[:, :, None]
-    return steps, factor, norms
+    return steps, (c3, c2), factor, norms
 
 
 def _sweep(n, rows, normalized, X):
@@ -123,20 +129,24 @@ def _sweep(n, rows, normalized, X):
     P_{m-1}^{(a+1,b+1)}.  Entries past the depth are 0; the last one of a
     derivative row is the derivative of P_0.  With ``normalized`` every
     entry is divided by the norm of its P_m^{(a,b)}.
+
+    ``c2 + c3 x`` of every degree comes from one product and one sum before
+    the loop; each degree then takes four in-place operations, in the
+    order of the recurrence.
     """
-    steps, factor, norms = _recurrence(n, rows, normalized)
+    steps, (c3, c2), factor, norms = _recurrence(n, rows, normalized)
     t = np.zeros((n + 1,) + X.shape)
     t[0, : steps[0][0]] = 1.0
     if n > 0:
         r, (e0, e1) = steps[1]
         np.multiply(e1, X[:r], out=t[1, :r])
         t[1, :r] += e0
+    linear = c3 * X
+    linear += c2
     tmp = np.empty_like(X)
-    for m, (r, (c1, c2, c3, c4)) in enumerate(steps[2:], 2):
+    for m, (r, (c1, _, _, c4)) in enumerate(steps[2:], 2):
         row, buf = t[m, :r], tmp[:r]
-        np.multiply(c3, X[:r], out=row)
-        row += c2
-        row *= t[m - 1, :r]
+        np.multiply(linear[m - 2, :r], t[m - 1, :r], out=row)
         np.multiply(c4, t[m - 2, :r], out=buf)
         row -= buf
         row /= c1
@@ -526,10 +536,13 @@ def _tables(space, pts, derivs):
         yield block, _ORTHOGONAL[space.kind](space.degree, pts[block], derivs)
 
 
-def _basis(space, pts, grads, tables=None):
+def _basis(space, pts, grads, tables=None, out=None):
+    """The basis values (or with ``grads`` gradients) at ``pts``, written
+    into ``out`` when given, which must have the result's shape."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n, dim = pts.shape
-    out = np.empty((n, space.dim, dim) if grads else (n, space.dim))
+    if out is None:
+        out = np.empty((n, space.dim, dim) if grads else (n, space.dim))
     if tables is None:
         tables = _tables(space, pts, grads)
     for block, modes in tables:
@@ -625,7 +638,8 @@ class LagrangeInterpolator:
 
     ``V^-1`` is formed once and kept read-only; the cardinal functions at
     any batch of points are then one matrix product with the modal basis
-    values there.  This is the workhorse behind the metrics.
+    values there.  The metrics take ``inverse()`` and form that product
+    on chunks in buffers of their own.
     """
 
     def __init__(self, space, dist):

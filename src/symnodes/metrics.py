@@ -29,6 +29,22 @@
   domain's walls leave it, plus one on each side, and the exact tests
   then run on these (``_sample``).  So the sample is the box lattice
   restricted to the domain, bit for bit and in lattice order.
+  Both scans work on chunks of points sized so that no buffer holds more
+  than ``_BUDGET`` entries (points x modes): the basis table, ``T`` and
+  the cardinal values ``L``, at least one (base) point each.  The buffers
+  are allocated once per scan and filled in place on every chunk, the
+  basis table through ``basis._basis(..., out=...)``.  So a scan's memory
+  does not grow with the sample or the degree: its buffers take at most
+  3 MiB, and one base point of an extruded scan needs more only when the
+  axis times the modes exceeds the budget (on a quad set that is not
+  symmetric, p >= 20 at resolution 300).
+  The basis values at a point do not depend on the chunk, and the row
+  sums do not either.  The BLAS products can, in the last bits: BLAS
+  picks its kernel by the shape of the product (a matrix-vector product
+  for one row, others for a few rows or a chunk's last rows).  From
+  ``_BUDGET`` up to one chunk for the whole sample the constant keeps its
+  bits on every case of the tests and of ``scripts/check_identity.py``;
+  at one point per chunk it moves by up to 3e-16 relative.
 * Lebesgue objective: the smooth surrogate sum_i integral(l_i^2).  The
   modal basis is orthonormal, so it equals ``||V^-1||_F^2`` for the
   Vandermonde matrix ``V`` at the nodes.
@@ -46,12 +62,13 @@ come in; ``mass_matrix`` returns its matrix in the caller's node order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .basis import FunctionSpace, LagrangeInterpolator, basis_eval_many
+from .basis import FunctionSpace, LagrangeInterpolator, _basis
 from .errors import NumericalError, UnisolvencyError
 from .geometry import ElementKind, contains, natural_solve, reference_element
 from .quadrature import quadrature_rule
@@ -70,7 +87,14 @@ __all__ = [
 _DEFAULT_RESOLUTION = {1: 1000, 2: 300, 3: 60}
 _SCREEN_RESOLUTION = 20
 _SCREEN_LIMIT = 1e12
-_CHUNK = 16384
+# Entries (points x modes) of each buffer of a Lebesgue scan, 1 MiB.  Half
+# of it slowed eval-files' compare calls by 12-17 % and hex p=9 by 10-22 %
+# (its products then run on two base points at a time); twice it ran as
+# fast and raised the eval-files peak by 2 MB.
+_BUDGET = 1 << 17
+# Eigenvalue ratio of the mass matrix at or below which it is not positive
+# definite: cond(V) >= 1e7 when sigma_min <= 1.
+_MASS_RATIO = 1e-14
 # Node sets symmetric to this Cartesian distance scan one fundamental
 # domain of the lattice; the optimized and uniform sets are symmetric to
 # rounding (at most 4.5e-16).
@@ -183,12 +207,41 @@ def _interpolator(space, dist):
     return order, LagrangeInterpolator(space, dist)
 
 
+def _buffers(*shapes):
+    """Arrays of ``shapes`` in one allocation.
+
+    Freed as one block of a few MiB, a scan's buffers let glibc's malloc
+    keep its heap between scans; three separate 1 MiB buffers raised the
+    minor page faults of eval-files' ``compare`` calls on tri and pyramid
+    two- to fourfold and cost 4 % of its wall time.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.empty(sum(sizes))
+    ends = np.cumsum(sizes)
+    return [
+        flat[end - size : end].reshape(shape)
+        for shape, size, end in zip(shapes, sizes, ends)
+    ]
+
+
 def _flat_max(interp, pts):
+    """The maximum of sum_i |l_i| over ``pts``, on chunks of at most
+    ``_BUDGET`` entries: the basis table and ``L = table @ V^-1`` are
+    filled in place in two buffers."""
+    A = interp.inverse()
+    n = A.shape[0]
+    step = max(1, _BUDGET // n)
+    size = min(step, pts.shape[0])
+    table, L, sums = _buffers((size, n), (size, n), (size,))
     best = 0.0
-    for start in range(0, pts.shape[0], _CHUNK):
-        L = interp.eval_many(pts[start : start + _CHUNK])
+    for start in range(0, pts.shape[0], step):
+        chunk = pts[start : start + step]
+        k = len(chunk)
+        _basis(interp.space, chunk, False, out=table[:k])
+        Lk = np.matmul(table[:k], A, out=L[:k])
+        np.sum(np.abs(Lk, out=Lk), axis=1, out=sums[:k])
         # np.maximum, unlike max(), carries a NaN through to the caller.
-        best = np.maximum(best, np.max(np.sum(np.abs(L, out=L), axis=1)))
+        best = np.maximum(best, np.max(sums[:k]))
     return best
 
 
@@ -200,21 +253,29 @@ def _extruded_max(interp, base_pts, axis):
     polynomial in the last coordinate, ``k`` fastest.  So the cardinal
     values on a chunk of base points times ``axis`` are the base table
     times ``V^-1`` with its rows grouped by ``m``, then a contraction over
-    ``k``.
+    ``k``.  Per base point, ``T`` takes (p + 1) n entries and ``L`` na n,
+    the table fewer; a chunk keeps the larger within ``_BUDGET``.
     """
     p = interp.space.degree
     base_space = FunctionSpace(_EXTRUDED[interp.space.kind], p)
-    line = basis_eval_many(FunctionSpace(ElementKind.LINE, p), axis[:, None])
+    line = _basis(FunctionSpace(ElementKind.LINE, p), axis[:, None], False)
     A = interp.inverse()
-    n = A.shape[1]
+    n, na = A.shape[1], axis.size
     coeffs = A.reshape(base_space.dim, (p + 1) * n)
-    # Neither T nor L exceeds _CHUNK x n doubles.
-    step = _CHUNK // max(axis.size, p + 1)
+    step = max(1, _BUDGET // (n * max(na, p + 1)))
+    size = min(step, base_pts.shape[0])
+    table, T, L, sums = _buffers(
+        (size, base_space.dim), (size, (p + 1) * n), (size, na, n), (size, na)
+    )
     best = 0.0
     for start in range(0, base_pts.shape[0], step):
-        T = basis_eval_many(base_space, base_pts[start : start + step]) @ coeffs
-        L = np.matmul(line, T.reshape(-1, p + 1, n))
-        best = np.maximum(best, np.max(np.sum(np.abs(L, out=L), axis=2)))
+        chunk = base_pts[start : start + step]
+        k = len(chunk)
+        _basis(base_space, chunk, False, out=table[:k])
+        np.matmul(table[:k], coeffs, out=T[:k])
+        Lk = np.matmul(line, T[:k].reshape(k, p + 1, n), out=L[:k])
+        np.sum(np.abs(Lk, out=Lk), axis=2, out=sums[:k])
+        best = np.maximum(best, np.max(sums[:k]))
     return best
 
 
@@ -260,7 +321,7 @@ def _mass_condition(vmatrix):
     ``1 / sigma_i^2``."""
     s = vmatrix.singular_values
     eig_min, eig_max = 1.0 / s[0] ** 2, 1.0 / s[-1] ** 2
-    if eig_min <= 1e-14 * max(eig_max, 1.0):
+    if eig_min <= _MASS_RATIO * max(eig_max, 1.0):
         raise NumericalError(
             f"mass matrix is not positive definite (min eig {eig_min:.3e})"
         )

@@ -58,7 +58,7 @@ from .errors import (
     NumericalError,
 )
 from .geometry import ElementKind, natural_solve, reference_element
-from .metrics import is_unisolvent
+from .metrics import _MASS_RATIO, is_unisolvent
 from .symmetry import (
     ConstrainedOrbit,
     LinearConstraintSet,
@@ -187,6 +187,11 @@ class MinimizeOutcome:
     status: str  # "kkt-converged" | "iteration-limited" | "error"
     iterations: int
     kkt_residual: float
+    message: str = ""  # why a run ended "error"
+
+
+# A start objective at or above this is near singular (see ``minimize``).
+_SINGULAR_OBJECTIVE = 1.0 / _MASS_RATIO
 
 
 @dataclass
@@ -296,14 +301,30 @@ def minimize(problem, config, y0) -> MinimizeOutcome:
     :func:`~symnodes.lincon.minimize_linearly_constrained`).  The
     outcome's ``parameters`` are the stacked vector, pinned values included.
     Deterministic for fixed inputs.
+
+    A near-singular start ends ``"error"`` at once, with the reason in the
+    outcome's ``message``: one whose objective, the solver's first value,
+    is at or above ``1 / metrics._MASS_RATIO`` (1e14).  The objective lies
+    between ``1 / sigma_min^2`` and ``n / sigma_min^2``, and ``sigma_max
+    >= 1`` for these bases, so the mass matrix of such a start has an
+    eigenvalue ratio ``(sigma_min / sigma_max)^2`` within a factor ``n``
+    of the one at which the unisolvency screen refuses a set.  A run from
+    there stays near singular (quad p=9 at seed 1 ended "kkt-converged" at
+    5.2e31 after 16 iterations).
     """
     cons = problem.constraints
+    start = []  # the objective at y0, the first point evaluated
 
     def guarded(y):
         try:
-            return _objective_value(problem, y)
+            f, gradient = _objective_value(problem, y)
         except DegenerateDistributionError:
             return np.inf, None
+        if not start:
+            start.append(f)
+            if f >= _SINGULAR_OBJECTIVE:
+                return np.inf, None
+        return f, gradient
 
     res = lincon.minimize_linearly_constrained(
         guarded,
@@ -314,12 +335,20 @@ def minimize(problem, config, y0) -> MinimizeOutcome:
         tol=config.kkt_tol,
         max_iter=config.max_major_iterations,
     )
+    message = res.message
+    if start and start[0] >= _SINGULAR_OBJECTIVE:
+        message = (
+            f"start objective {start[0]:.3e} is at or above "
+            f"{_SINGULAR_OBJECTIVE:.0e}: the Vandermonde matrix is near "
+            "singular"
+        )
     return MinimizeOutcome(
         parameters=problem.stacked(res.x),
         objective=res.fun,
         status=res.status,
         iterations=res.iterations,
         kkt_residual=res.kkt_residual,
+        message=message,
     )
 
 
@@ -489,7 +518,8 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     nodes keep their values, and only the free parameters are optimized; a
     fully pinned problem (free dimension 0) runs the baseline start only.
     A jittered start whose projection onto the bounds does not converge
-    drops its restart, as a run that ends in ``"error"`` does.
+    drops its restart, as a run that ends in ``"error"`` does; so does a
+    near-singular start (see :func:`minimize`).
     Among the runs that end feasible with a valid node set, the lowest
     objective wins whatever the run's status; the lower restart number
     breaks exact ties.  Every failure before the

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -374,15 +375,15 @@ def test_factorized_scan_carries_nan(kind, poison, monkeypatch):
 
         monkeypatch.setattr(LagrangeInterpolator, "inverse", poisoned)
     else:
-        real_eval = metrics.basis_eval_many
+        real_basis = metrics._basis
 
-        def poisoned(space, pts):
-            table = real_eval(space, pts)
+        def poisoned(space, pts, grads, tables=None, out=None):
+            table = real_basis(space, pts, grads, tables, out)
             if space.kind is ElementKind.QUADRILATERAL:
                 table[-1, 0] = np.nan
             return table
 
-        monkeypatch.setattr(metrics, "basis_eval_many", poisoned)
+        monkeypatch.setattr(metrics, "_basis", poisoned)
     assert not is_unisolvent(spp, dist)
     assert np.isnan(lebesgue_constant(spp, dist, resolution=20))
 
@@ -403,17 +404,21 @@ def test_screen_rejects_sets_without_a_mass_condition():
 
 
 def test_screen_rejects_non_finite_cardinal_values(monkeypatch):
+    # A NaN in the scan's basis table makes the cardinal values at that
+    # point NaN; the interpolator's Vandermonde matrix stays finite.
+    import symnodes.metrics as metrics
+
     spp = FunctionSpace(ElementKind.TRIANGLE, 3)
     dist = baseline_distribution(ElementKind.TRIANGLE, 3, "uniform")
     assert is_unisolvent(spp, dist)
-    real = LagrangeInterpolator.eval_many
+    real_basis = metrics._basis
 
-    def poisoned(self, pts):
-        L = real(self, pts)
-        L[-1, 0] = np.nan
-        return L
+    def poisoned(space, pts, grads, tables=None, out=None):
+        table = real_basis(space, pts, grads, tables, out)
+        table[-1, 0] = np.nan
+        return table
 
-    monkeypatch.setattr(LagrangeInterpolator, "eval_many", poisoned)
+    monkeypatch.setattr(metrics, "_basis", poisoned)
     assert not is_unisolvent(spp, dist)
     assert np.isnan(lebesgue_constant(spp, dist, resolution=20))
 
@@ -568,3 +573,64 @@ def test_asymmetric_set_scans_full_lattice(kind):
     got = lebesgue_constant(spp, dist, resolution=r)
     assert got == float(oracle)
     assert got == pytest.approx(_flat_lebesgue(spp, dist, r), rel=1e-13)
+
+
+# (degree, resolution) per kind at which the default budget splits both the
+# chamber scan and the full-lattice scan into several chunks (the line
+# takes one), while one chunk for the whole sample stays within 34 MB.
+_SPLIT = {
+    ElementKind.LINE: (6, 1000),
+    ElementKind.TRIANGLE: (6, 300),
+    ElementKind.QUADRILATERAL: (6, 300),
+    ElementKind.TETRAHEDRON: (7, 40),
+    ElementKind.HEXAHEDRON: (6, 20),
+    ElementKind.PRISM: (6, 30),
+    ElementKind.PYRAMID: (6, 30),
+}
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+@pytest.mark.parametrize("moved", [False, True])
+def test_lebesgue_constant_does_not_depend_on_the_budget(
+    kind, moved, monkeypatch
+):
+    # The uniform set takes the chamber scan, the moved one the full
+    # lattice.
+    import symnodes.metrics as metrics
+
+    p, r = _SPLIT[kind]
+    spp = FunctionSpace(kind, p)
+    dist = baseline_distribution(kind, p, "uniform")
+    if moved:
+        dist = _interior_moved(dist)
+    assert is_symmetric(kind, dist.nodes, _SYMMETRY_TOL) != moved
+    got = lebesgue_constant(spp, dist, resolution=r)
+    monkeypatch.setattr(metrics, "_BUDGET", 2**62)  # one chunk
+    assert np.array_equal(lebesgue_constant(spp, dist, resolution=r), got)
+    # One point per chunk: BLAS takes a matrix-vector product for one row
+    # (and other kernels for few rows), which moves the cardinal values
+    # in the last bits.
+    r = _SCAN_RESOLUTION[reference_element(kind).dim]
+    whole = lebesgue_constant(spp, dist, resolution=r)
+    monkeypatch.setattr(metrics, "_BUDGET", 1)
+    assert lebesgue_constant(spp, dist, resolution=r) == pytest.approx(
+        whole, rel=1e-14
+    )
+
+
+@pytest.mark.parametrize("kind,p", [("hex", 6), ("pyramid", 7)])
+def test_scan_memory_does_not_grow_with_the_sample(kind, p):
+    # Chunks of 16384 points took a 47.9 MiB peak on hex p=6 and 32.1 MiB
+    # on pyramid p=7; with buffers of _BUDGET entries the peaks are about
+    # 4 and 5 MiB.
+    kind = ElementKind(kind)
+    spp = FunctionSpace(kind, p)
+    dist = baseline_distribution(kind, p, "uniform")
+    evaluate_metrics(spp, dist, resolution=5)  # tables and plans, once
+    tracemalloc.start()
+    try:
+        evaluate_metrics(spp, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

@@ -870,3 +870,31 @@ def test_unconverged_projection_drops_only_its_restart(monkeypatch):
     assert started == [1, 2, 3]
     assert len(calls) == 3
     assert r.status in ("kkt-converged", "iteration-limited")
+
+
+def test_near_singular_restart_is_dropped_with_its_reason(tmp_path, monkeypatch):
+    # tabulate quad p=9 at seed 1: restart 1 starts at objective 5.2e31
+    # and used to end "kkt-converged" there after 16 iterations.  It now
+    # ends "error" at its first evaluation, and another restart wins.
+    from symnodes.cli import main
+
+    real = optimizer.minimize
+    outcomes = []
+
+    def recorded(problem, config, y0):
+        out = real(problem, config, y0)
+        if problem.collection.kind is ElementKind.QUADRILATERAL:
+            outcomes.append(out)
+        return out
+
+    monkeypatch.setattr(optimizer, "minimize", recorded)
+    argv = ["tabulate", "--element", "quad", "--degree-range", "9:9",
+            "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert [o.status for o in outcomes] == [
+        "kkt-converged", "error", "kkt-converged", "kkt-converged"
+    ]
+    dropped = outcomes[1]
+    assert dropped.iterations == 0
+    assert "5.197e+31 is at or above 1e+14" in dropped.message
+    assert all(o.objective < 4.0 for o in outcomes if o.status != "error")
