@@ -51,8 +51,11 @@ Compares this checkout against the one at the given path (each with its own
   row of each of those node files, and the jittered restart starts and
   pinned parameter values of every element those runs optimize
   (``optimizer._jittered_start`` and ``OptimizationProblem.pinned_values``,
-  byte for byte), so that a last-bit change of a start or a pin shows even
-  when the winning node file is unchanged;
+  byte for byte), and the outcome of every restart those runs minimize
+  (the ``parameters``, ``objective``, ``status``, ``iterations``,
+  ``kkt_residual`` and ``message`` of each ``optimizer.MinimizeOutcome``,
+  byte for byte), so that a last-bit change of a start, a pin or a losing
+  restart shows even when the winning node file is unchanged;
 * at each seed, the stdout line (without its ``wrote PATH`` tail) and the
   node file of ``generate`` for tet p=3 with ``--compat auto``, for tri
   p=6 and prism p=3 with ``--compat off`` (the start with free boundary
@@ -263,15 +266,20 @@ np.savez(sys.argv[1], **out)
 CLI = "import sys; from symnodes.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # ``main(argv[2:])`` with each jittered restart start recorded by element,
-# degree and restart, and the pinned values of each problem by element and
-# degree, saved to the .npz file ``argv[1]``.
+# degree and restart, the pinned values of each problem by element and
+# degree, and each field of every restart's outcome by element, degree and
+# run (the restarts whose start exists, in restart order), saved to the .npz
+# file ``argv[1]``.  One problem is assembled per element, before its runs.
 STARTS = r"""
 import sys
 import numpy as np
 from symnodes import optimizer
 from symnodes.cli import main
 starts, jitter = {}, optimizer._jittered_start
-assemble = optimizer.assemble_problem
+assemble, outcome = optimizer.assemble_problem, optimizer.MinimizeOutcome
+runs = []  # [element key, runs recorded]
+FIELDS = ("parameters", "objective", "status", "iterations", "kkt_residual",
+          "message")
 
 def recording(problem, y0, span, seed_key):
     start = jitter(problem, y0, span, seed_key)
@@ -281,11 +289,22 @@ def recording(problem, y0, span, seed_key):
 
 def pins(elem, coll, space):
     problem = assemble(elem, coll, space)
-    starts[f"{coll.kind.value}_p{coll.degree}_pinned"] = problem.pinned_values
+    key = f"{coll.kind.value}_p{coll.degree}"
+    starts[key + "_pinned"] = problem.pinned_values
+    runs[:] = [key, 0]
     return problem
+
+def outcomes(*args, **fields):
+    fields.update(zip(FIELDS, args))  # the dataclass's field order
+    key, run = runs
+    runs[1] += 1
+    for name in FIELDS:
+        starts[f"{key}_run{run}_{name}"] = np.array(fields[name])
+    return outcome(**fields)
 
 optimizer._jittered_start = recording
 optimizer.assemble_problem = pins
+optimizer.MinimizeOutcome = outcomes
 code = main(sys.argv[2:])
 np.savez(sys.argv[1], **starts)
 sys.exit(code)
@@ -423,18 +442,21 @@ def _explain(a, b, names):
 
 
 def _compare_starts(a, b):
-    """Whether two .npz files of restart starts and pins hold the same
-    arrays byte for byte, and one line per array that differs or is on one
-    side only."""
+    """Whether two .npz files of restart starts, pins and outcomes hold the
+    same arrays byte for byte, and one line per array that differs or is on
+    one side only."""
     a, b = np.load(a), np.load(b)
     lines = [f"    on one side only: {key}"
              for key in sorted(set(a.files) ^ set(b.files))]
     for key in sorted(set(a.files) & set(b.files)):
         if a[key].tobytes() != b[key].tobytes():
+            if a[key].dtype.kind == "U" or b[key].dtype.kind == "U":
+                lines.append(f"    {key}: {a[key]} against {b[key]}")
+                continue
             size = (np.max(np.abs(a[key] - b[key]))
                     if a[key].shape == b[key].shape else np.inf)
             lines.append(f"    {key}: max abs difference {size:.1e}")
-    lines.insert(0, f"    {len(a.files)} starts and pins")
+    lines.insert(0, f"    {len(a.files)} starts, pins and outcome fields")
     return len(lines) == 1, lines
 
 

@@ -638,8 +638,9 @@ class LagrangeInterpolator:
 
     ``V^-1`` is formed once and kept read-only; the cardinal functions at
     any batch of points are then one matrix product with the modal basis
-    values there.  The metrics take ``inverse()`` and form that product
-    on chunks in buffers of their own.
+    values there, ``basis_eval_many(space, pts) @ inverse()`` (from
+    ``V^T l(x) = phi(x)``).  The metrics form that product on chunks in
+    buffers of their own.
     """
 
     def __init__(self, space, dist):
@@ -661,11 +662,6 @@ class LagrangeInterpolator:
     def inverse(self):
         """``V^-1``: column ``i`` holds the modal coefficients of ``l_i``."""
         return self._inverse
-
-    def eval_many(self, pts):
-        """Cardinal function values: (n_points, n_nodes)."""
-        # V^T ell(x) = phi(x)  =>  ell(x)^T = phi(x)^T V^-1.
-        return basis_eval_many(self.space, pts) @ self._inverse
 
     def eval_gradients(self, pts):
         """Cardinal function gradients: (n_points, n_nodes, d)."""

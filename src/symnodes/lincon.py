@@ -4,9 +4,11 @@ Smooth minimization over inequality systems uses the active-set quasi-Newton
 method implemented here: rows enter and leave a working set, and the
 Hessian is approximated by BFGS updates.  It starts from a feasible point
 the caller provides, and so does the least-distance projection; neither
-solves a linear program.  A fixed value is the caller's to substitute: the
-minimizer and the projection reject a row with ``lo == hi``, and the linear
-programs treat it as two inequalities.
+solves a linear program.  The solver is a generator (:func:`minimization`)
+that yields the points it needs evaluated, so a caller can run several in
+rounds and evaluate the points of a round together.  A fixed value is the
+caller's to substitute: the minimizer and the projection reject a row with
+``lo == hi``, and the linear programs treat it as two inequalities.
 
 The linear-program helpers (:func:`feasible_point`, :func:`interior_point`
 and :func:`coordinate_intervals`, HiGHS via scipy) are not on the path of
@@ -203,9 +205,26 @@ def minimize_linearly_constrained(fun, x0, B, lo, hi, tol=1e-10, max_iter=50):
     inequalities are handled by an active-set strategy.  The method is
     deterministic.
     """
+    return drive(minimization(x0, B, lo, hi, tol, max_iter), fun)
+
+
+def minimization(x0, B, lo, hi, tol=1e-10, max_iter=50):
+    """:func:`minimize_linearly_constrained` as a generator: it yields each
+    point, takes ``(f, grad_fn)`` there by ``send``, calls ``grad_fn`` (if
+    at all) before its next yield, and returns the :class:`SolveResult`."""
     B, lo, hi = _inequalities(B, lo, hi)
-    x0 = _feasible_start(B, lo, hi, x0)
-    return _active_set(fun, x0, B, lo, hi, tol, max_iter)
+    return _active_set(_feasible_start(B, lo, hi, x0), B, lo, hi, tol,
+                       max_iter)
+
+
+def drive(solver, fun):
+    """Run ``solver`` to its result, answering each point with ``fun``."""
+    try:
+        y = next(solver)
+        while True:
+            y = solver.send(fun(y))
+    except StopIteration as stop:
+        return stop.value
 
 
 def project_onto(B, lo, hi, target, start):
@@ -227,7 +246,7 @@ def project_onto(B, lo, hi, target, start):
         d = x - target
         return 0.5 * float(d @ d), lambda: d
 
-    res = _active_set(qp, start, B, lo, hi, 1e-10, max_iter=200)
+    res = drive(_active_set(start, B, lo, hi, 1e-10, max_iter=200), qp)
     if res.status != "kkt-converged":
         raise NumericalError(
             f"the projection ended {res.status} after {res.iterations} "
@@ -260,21 +279,23 @@ def _reduced_hessian_dir(H, Zw, g):
     return Zw @ p, gz
 
 
-def _gradient(grad_fn):
-    """``grad_fn()``, or ``None`` when that is ``None`` or not finite."""
+def _screened(value, bound):
+    """``f`` and ``grad_fn()`` of ``value = (f, grad_fn)``; the gradient is
+    ``None`` unless ``f`` is finite and at most ``bound`` and it is finite.
+    No ``grad_fn`` stays with the solver to keep its evaluation's arrays."""
+    f, grad_fn = value
+    if not (np.isfinite(f) and f <= bound):
+        return f, None
     g = grad_fn()
-    return g if g is not None and np.all(np.isfinite(g)) else None
+    return f, g if g is not None and np.all(np.isfinite(g)) else None
 
 
-def _active_set(fun, y0, G, gl, gu, tol, max_iter):
-    """Core active-set loop on pure inequality rows (no equalities).
-
-    ``fun(y) -> (f, grad_fn)`` as in :func:`minimize_linearly_constrained`.
-    """
+def _active_set(y0, G, gl, gu, tol, max_iter):
+    """Core active-set loop on pure inequality rows (no equalities): the
+    generator of :func:`minimization`."""
     n = y0.size
     y = np.asarray(y0, dtype=float).copy()
-    f, grad_fn = fun(y)
-    g = _gradient(grad_fn) if np.isfinite(f) else None
+    f, g = _screened((yield y), np.inf)
     if g is None:
         return SolveResult(
             y, np.inf, "error", 0, np.inf, "objective undefined at start"
@@ -358,12 +379,12 @@ def _active_set(fun, y0, G, gl, gu, tol, max_iter):
         accepted = False
         for _ in range(40):
             y_new = y + alpha * d
-            f_new, grad_fn = fun(y_new)
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * alpha * slope + noise:
-                g_new = _gradient(grad_fn)
-                if g_new is not None:
-                    accepted = True
-                    break
+            f_new, g_new = _screened(
+                (yield y_new), f + 1e-4 * alpha * slope + noise
+            )
+            if g_new is not None:
+                accepted = True
+                break
             alpha *= 0.5
             hit_boundary = False
         if not accepted:

@@ -28,6 +28,11 @@ the face prescriptions, start from the baseline parameters, screen the
 start for unisolvency, minimize from it and from a few jittered restarts,
 and keep the run with the lowest objective.  It returns the node set; its
 metrics are left to :func:`~symnodes.metrics.evaluate_metrics`.
+
+The runs of an element go in lockstep: each round evaluates the next point
+of every live run with one basis evaluation at the moving nodes of all of
+them, then the LU and the norms per run (:func:`_objective_values`).  Each
+run ends bit for bit as it does alone (:func:`minimize`).
 """
 
 from __future__ import annotations
@@ -243,59 +248,95 @@ def assemble_problem(elem, collection, space) -> OptimizationProblem:
 
 
 def _objective_value(problem, y):
-    """Objective ``||V^-1||_F^2`` at free parameters ``y``, and a
-    zero-argument callable returning its gradient there (``None`` when the
-    gradient is not finite).
+    """:func:`_objective_values` at the one point ``y``; raises where that
+    gives ``inf``."""
+    ((f, gradient),) = _objective_values(problem, np.asarray(y)[None])
+    if f == np.inf:
+        gradient()  # raises why
+    return f, gradient
+
+
+def _undefined(exc):
+    """``inf`` and a gradient callable that raises ``exc``, without its
+    traceback: its frames would keep the evaluation's arrays in a cycle."""
+    exc = exc.with_traceback(None)
+
+    def reason():
+        raise exc
+
+    return np.inf, reason
+
+
+def _objective_values(problem, ys):
+    """Objective ``||V^-1||_F^2`` at each row of free parameters ``ys``, and
+    a zero-argument callable returning its gradient there (``None`` when
+    the gradient is not finite).
 
     Only the moving nodes enter the work: with ``C`` the basis there,
     ``[W M] = C [K Q2]`` and ``G = M^-1``, the objective is
     ``||R^-1||_F^2 + ||G||_F^2 + ||G W||_F^2``, where ``R``, ``K`` and
     ``Q2`` come from the QR of the basis at the fixed nodes (see the module
-    docstring); a fully pinned problem has no moving node and returns
-    ``||R^-1||_F^2``.  The callable reuses the Jacobi table of ``C``,
-    ``W`` and ``G`` (:func:`~symnodes.basis.lu_inverse`) of this evaluation,
-    so the line search of
-    :func:`~symnodes.lincon.minimize_linearly_constrained` pays for the
-    basis gradients only at the points it keeps.  Raises
-    :class:`DegenerateDistributionError` on node collisions (among all
-    nodes), on a non-finite basis at the moving nodes, on a non-finite
-    basis or linearly dependent rows at the fixed nodes, and on a
-    non-finite objective, which an exactly singular ``M`` gives.
+    docstring); a fully pinned problem has no moving node and gives
+    ``||R^-1||_F^2``.  One Jacobi table at the moving nodes of all rows
+    gives ``C``; the basis is computed point by point, so each row's value
+    and gradient have the bits they have alone.  The callables reuse the
+    table, ``W`` and ``G`` (:func:`~symnodes.basis.lu_inverse`): the first
+    one called computes the basis gradients of all rows, so the line search
+    of :func:`~symnodes.lincon.minimization` pays for them only in rounds
+    where a point is kept.  A row gets ``inf``, and a callable that raises
+    :class:`DegenerateDistributionError` saying why, on node collisions
+    (among all nodes), on a non-finite basis at the moving nodes, on a
+    non-finite basis or linearly dependent rows at the fixed nodes, and on
+    a non-finite objective, which an exactly singular ``M`` gives.
     """
-    X = problem.nodes_at(y)
-    _require_separated(X)
-    if problem._fixed_error is not None:
-        raise DegenerateDistributionError(problem._fixed_error)
-    X = X[problem._moving]
-    m = X.shape[0]
-    KQ = problem._fixed_map
-    k = KQ.shape[1] - m  # fixed nodes
-    C, basis_gradients = basis_eval_with_grad(problem.space, X)
-    WM = C @ KQ
-    W, M = WM[:, :k], WM[:, k:]
-    G = lu_inverse(M)
-    GW = G @ W
-    f = problem._fixed_objective + float(
-        np.einsum("ij,ij->", G, G) + np.einsum("ij,ij->", GW, GW)
+    Xs = [problem.nodes_at(y) for y in ys]
+    m = int(problem._moving.sum())
+    C, basis_gradients = basis_eval_with_grad(
+        problem.space, np.concatenate([X[problem._moving] for X in Xs])
     )
-    if not np.isfinite(f):
-        raise DegenerateDistributionError(
-            "objective overflow (nearly singular Vandermonde matrix)"
+    gradients = []  # the basis gradients of all rows, once computed
+
+    def objective(X, block):
+        _require_separated(X)
+        if problem._fixed_error is not None:
+            raise DegenerateDistributionError(problem._fixed_error)
+        KQ = problem._fixed_map
+        k = KQ.shape[1] - m  # fixed nodes
+        WM = C[block] @ KQ
+        W, M = WM[:, :k], WM[:, k:]
+        G = lu_inverse(M)
+        GW = G @ W
+        f = problem._fixed_objective + float(
+            np.einsum("ij,ij->", G, G) + np.einsum("ij,ij->", GW, GW)
         )
+        if not np.isfinite(f):
+            raise DegenerateDistributionError(
+                "objective overflow (nearly singular Vandermonde matrix)"
+            )
 
-    def gradient():
-        T = np.hstack([W, -(G.T + W @ GW.T)])  # [W, -S G^T]
-        dfdC = 2.0 * (G.T @ G @ T) @ KQ.T
-        Bgrad = basis_gradients()  # (m, n_basis, d)
-        dfdX = np.einsum("rjd,rj->rd", Bgrad, dfdC)
-        grad = problem._moving_jacobian.T @ dfdX.ravel()
-        return grad if np.all(np.isfinite(grad)) else None
+        def gradient():
+            T = np.hstack([W, -(G.T + W @ GW.T)])  # [W, -S G^T]
+            dfdC = 2.0 * (G.T @ G @ T) @ KQ.T
+            if not gradients:
+                gradients.append(basis_gradients())  # (rows m, n_basis, d)
+            dfdX = np.einsum("rjd,rj->rd", gradients[0][block], dfdC)
+            grad = problem._moving_jacobian.T @ dfdX.ravel()
+            return grad if np.all(np.isfinite(grad)) else None
 
-    return f, gradient
+        return f, gradient
+
+    out = []
+    for j, X in enumerate(Xs):
+        try:
+            out.append(objective(X, slice(j * m, (j + 1) * m)))
+        except DegenerateDistributionError as exc:
+            out.append(_undefined(exc))
+    return out
 
 
 def minimize(problem, config, y0) -> MinimizeOutcome:
-    """Minimize the objective over the free parameters from ``y0``.
+    """Minimize the objective over the free parameters from ``y0``: the
+    one-start call of :func:`_minimize_lockstep`.
 
     ``y0`` must meet the constraints (see
     :func:`~symnodes.lincon.minimize_linearly_constrained`).  The
@@ -312,44 +353,45 @@ def minimize(problem, config, y0) -> MinimizeOutcome:
     there stays near singular (quad p=9 at seed 1 ended "kkt-converged" at
     5.2e31 after 16 iterations).
     """
+    return _minimize_lockstep(problem, config, [y0])[0]
+
+
+def _minimize_lockstep(problem, config, starts):
+    """:func:`minimize` from each of ``starts``, bit for bit, with the runs
+    in lockstep: each round evaluates the next point of every live run in
+    one :func:`_objective_values` call.  Returns the outcomes in start
+    order."""
     cons = problem.constraints
-    start = []  # the objective at y0, the first point evaluated
-
-    def guarded(y):
-        try:
-            f, gradient = _objective_value(problem, y)
-        except DegenerateDistributionError:
-            return np.inf, None
-        if not start:
-            start.append(f)
-            if f >= _SINGULAR_OBJECTIVE:
-                return np.inf, None
-        return f, gradient
-
-    res = lincon.minimize_linearly_constrained(
-        guarded,
-        y0,
-        cons.matrix,
-        cons.lower,
-        cons.upper,
-        tol=config.kkt_tol,
-        max_iter=config.max_major_iterations,
-    )
-    message = res.message
-    if start and start[0] >= _SINGULAR_OBJECTIVE:
-        message = (
-            f"start objective {start[0]:.3e} is at or above "
-            f"{_SINGULAR_OBJECTIVE:.0e}: the Vandermonde matrix is near "
-            "singular"
-        )
-    return MinimizeOutcome(
-        parameters=problem.stacked(res.x),
-        objective=res.fun,
-        status=res.status,
-        iterations=res.iterations,
-        kkt_residual=res.kkt_residual,
-        message=message,
-    )
+    limits = config.kkt_tol, config.max_major_iterations
+    runs = [
+        lincon.minimization(y0, cons.matrix, cons.lower, cons.upper, *limits)
+        for y0 in starts
+    ]
+    points = {r: next(run) for r, run in enumerate(runs)}
+    results, messages, first = {}, {}, True
+    while points:
+        ys = np.array(list(points.values()))
+        for r, value in zip(list(points), _objective_values(problem, ys)):
+            if first and _SINGULAR_OBJECTIVE <= value[0] < np.inf:
+                messages[r] = (
+                    f"start objective {value[0]:.3e} is at or above "
+                    f"{_SINGULAR_OBJECTIVE:.0e}: the Vandermonde matrix is "
+                    "near singular"
+                )
+                value = (np.inf, None)
+            try:
+                points[r] = runs[r].send(value)
+            except StopIteration as stop:
+                results[r] = stop.value
+                del points[r]
+        del value  # the round's arrays go before the next round's
+        first = False
+    return [
+        MinimizeOutcome(problem.stacked(res.x), res.fun, res.status,
+                        res.iterations, res.kkt_residual,
+                        messages.get(r, res.message))
+        for r, res in sorted(results.items())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +616,10 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
             except NumericalError:
                 starts.append(None)  # an unconverged projection
     cons = problem.constraints
+    live = [restart for restart, start in enumerate(starts) if start is not None]
+    outcomes = _minimize_lockstep(problem, config, [starts[r] for r in live])
     runs = []  # (objective, restart, outcome, distribution)
-    for restart, start in enumerate(starts):
-        if start is None:
-            continue
-        outcome = minimize(problem, config, start)
+    for restart, outcome in zip(live, outcomes):
         if outcome.status == "error":
             continue
         if cons.violation(outcome.parameters[problem.free_mask]) > 1e-10:

@@ -320,7 +320,7 @@ def _flat_lebesgue(spp, dist, r):
         elem.vertices,
         quadrature_rule(spp.kind, 2 * spp.degree).points,
     ])
-    L = LagrangeInterpolator(spp, dist).eval_many(pts)
+    L = basis_eval_many(spp, pts) @ LagrangeInterpolator(spp, dist).inverse()
     return float(np.max(np.sum(np.abs(L), axis=1)))
 
 
@@ -472,7 +472,9 @@ def test_vandermonde_identities_match_quadrature(kind, p, seed, amplitude):
     spp = FunctionSpace(kind, p)
     assume(is_unisolvent(spp, dist))
     rule = quadrature_rule(kind, 2 * p)
-    L = LagrangeInterpolator(spp, dist).eval_many(rule.points)
+    L = basis_eval_many(spp, rule.points) @ LagrangeInterpolator(
+        spp, dist
+    ).inverse()
     oracle_obj = float(np.einsum("q,qi,qi->", rule.weights, L, L))
     oracle_M = L.T @ (rule.weights[:, None] * L)
     eigs = np.linalg.eigvalsh(0.5 * (oracle_M + oracle_M.T))

@@ -185,9 +185,9 @@ def test_project_onto_returns_feasible_target_without_lp(monkeypatch):
 def test_unconverged_projection_raises(monkeypatch):
     # The quadratic program stops at its iteration limit: the projection
     # reports it instead of returning the last iterate.
-    def limited(fun, y0, G, gl, gu, tol, max_iter):
-        return lincon.SolveResult(y0, fun(y0)[0], "iteration-limited",
-                                  max_iter, 1.0)
+    def limited(y0, G, gl, gu, tol, max_iter):
+        f, _ = yield y0
+        return lincon.SolveResult(y0, f, "iteration-limited", max_iter, 1.0)
 
     monkeypatch.setattr(lincon, "_active_set", limited)
     G = np.eye(2)
@@ -696,11 +696,17 @@ def test_optimize_builds_one_collection(monkeypatch):
     for name, attr in (
         ("build", "build_compatibility_constraints"),
         ("assemble", "assemble_problem"),
-        ("minimize", "minimize"),
     ):
         monkeypatch.setattr(
             optimizer, attr, counted(name, getattr(optimizer, attr))
         )
+    real = optimizer._minimize_lockstep
+
+    def lockstep(problem, config, starts):
+        calls["minimize"] += len(starts)
+        return real(problem, config, starts)
+
+    monkeypatch.setattr(optimizer, "_minimize_lockstep", lockstep)
     config = OptimizerConfig()
     pres = face_prescriptions(ElementKind.QUADRILATERAL, 4, _gll)
     optimize_nodes(ElementKind.QUADRILATERAL, 4, pres, config)
@@ -792,38 +798,45 @@ def test_jitter_intervals_match_stacked_system(kind, p):
     assert off == cons.nvars
 
 
-def test_fully_pinned_problem_runs_one_minimization(monkeypatch):
+def _lockstep_runs(monkeypatch, edit=None):
+    """Record the outcomes of every start that ``optimize_nodes`` runs, as
+    the lockstep driver returns them (after ``edit(outcomes)`` when given),
+    one list per driver call."""
+    real = optimizer._minimize_lockstep
     calls = []
-    real = optimizer.minimize
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def recorded(problem, config, starts):
+        outcomes = real(problem, config, starts)
+        if edit is not None:
+            edit(outcomes)
+        calls.append(outcomes)
+        return outcomes
 
-    monkeypatch.setattr(optimizer, "minimize", counted)
+    monkeypatch.setattr(optimizer, "_minimize_lockstep", recorded)
+    return calls
+
+
+def test_fully_pinned_problem_runs_one_minimization(monkeypatch):
+    calls = _lockstep_runs(monkeypatch)
     kind = ElementKind.TETRAHEDRON
     optimize_nodes(kind, 4, face_prescriptions(kind, 4, _uniform))
-    assert len(calls) == 1
+    assert [len(outcomes) for outcomes in calls] == [1]
 
 
 def test_lowest_objective_wins_whatever_the_status(monkeypatch):
     # Restart 0 reports "iteration-limited" at the lowest objective; the
     # jittered restarts report "kkt-converged" higher.  Restart 0 wins.
-    real = optimizer.minimize
-    outcomes = []
+    def edit(outcomes):
+        for restart, out in enumerate(outcomes):
+            if restart == 0:
+                out.status = "iteration-limited"
+                out.objective -= 1.0
+            else:
+                out.status = "kkt-converged"
 
-    def fake(problem, config, xi0):
-        out = real(problem, config, xi0)
-        if not outcomes:
-            out.status = "iteration-limited"
-            out.objective -= 1.0
-        else:
-            out.status = "kkt-converged"
-        outcomes.append(out)
-        return out
-
-    monkeypatch.setattr(optimizer, "minimize", fake)
+    calls = _lockstep_runs(monkeypatch, edit)
     r = optimize_nodes(ElementKind.LINE, 5, [point_prescription(5)])
+    (outcomes,) = calls
     assert len(outcomes) == 4
     assert r.status == "iteration-limited"
     assert r.objective == outcomes[0].objective
@@ -842,9 +855,9 @@ def test_unconverged_projection_drops_only_its_restart(monkeypatch):
         if restart != 2:
             return real_jitter(problem, y0, span, seed_key)
 
-        def limited(fun, y, G, gl, gu, tol, max_iter):
-            return lincon.SolveResult(y, fun(y)[0], "iteration-limited",
-                                      max_iter, 1.0)
+        def limited(y, G, gl, gu, tol, max_iter):
+            f, _ = yield y
+            return lincon.SolveResult(y, f, "iteration-limited", max_iter, 1.0)
 
         monkeypatch.setattr(lincon, "_active_set", limited)
         try:
@@ -857,19 +870,79 @@ def test_unconverged_projection_drops_only_its_restart(monkeypatch):
         finally:
             monkeypatch.setattr(lincon, "_active_set", real_active_set)
 
-    calls = []
-    real_minimize = optimizer.minimize
-
-    def counted(problem, config, xi0):
-        calls.append(xi0)
-        return real_minimize(problem, config, xi0)
-
     monkeypatch.setattr(optimizer, "_jittered_start", jitter)
-    monkeypatch.setattr(optimizer, "minimize", counted)
+    calls = _lockstep_runs(monkeypatch)
     r = optimize_nodes(ElementKind.LINE, 5, [point_prescription(5)])
     assert started == [1, 2, 3]
-    assert len(calls) == 3
+    assert sum(len(outcomes) for outcomes in calls) == 3
     assert r.status in ("kkt-converged", "iteration-limited")
+
+
+def _same_outcome(a, b):
+    return (
+        np.array_equal(a.parameters, b.parameters)
+        and a.objective == b.objective
+        and (a.status, a.iterations, a.message)
+        == (b.status, b.iterations, b.message)
+        and a.kkt_residual == b.kkt_residual
+    )
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_lockstep_runs_equal_each_start_run_alone(kind, p, pinned):
+    # The baseline start and the jittered starts at seed 1, run together,
+    # end as each ends alone, bit for bit.  On line p=4 without pins a
+    # start with its free pair 2e-8 from the vertices is near singular.
+    problem, y0, span = _baseline_problem(kind, p, pinned)
+    starts = [y0]
+    if problem.free_dimension:
+        for restart in range(1, optimizer.MULTISTART_COUNT + 1):
+            try:
+                starts.append(
+                    optimizer._jittered_start(problem, y0, span, (1, restart))
+                )
+            except NumericalError:
+                pass
+    singular = (kind, p, pinned) == (ElementKind.LINE, 4, False)
+    if singular:
+        starts.insert(1, np.array([y0[0], y0[0] + 2e-8]))
+    config = OptimizerConfig()
+    together = optimizer._minimize_lockstep(problem, config, starts)
+    assert len(together) == len(starts)
+    for start, outcome in zip(starts, together):
+        assert _same_outcome(outcome, minimize(problem, config, start))
+    if singular:
+        assert together[1].status == "error"
+        assert together[1].iterations == 0
+        assert "1.270e+14 is at or above 1e+14" in together[1].message
+
+
+def test_batched_objective_gives_a_collision_inf_and_the_rest_its_bits():
+    # A batch of three jittered tri p=4 starts and, second, a point whose
+    # first free orbit lies on its second: that point gets inf and a
+    # callable that raises why, every other point the value and gradient of
+    # its own call.
+    problem, y0, span = _baseline_problem(ElementKind.TRIANGLE, 4, False)
+    ys = [optimizer._jittered_start(problem, y0, span, (1, r))
+          for r in (1, 2, 3)]
+    collided = y0.copy()
+    collided[:2] = y0[2:4]
+    with pytest.raises(DegenerateDistributionError, match="apart"):
+        optimizer._objective_value(problem, collided)
+    ys.insert(1, collided)
+    values = optimizer._objective_values(problem, np.array(ys))
+    assert len(values) == 4
+    f, gradient = values[1]
+    assert f == np.inf
+    with pytest.raises(DegenerateDistributionError, match="apart"):
+        gradient()
+    for i in (0, 2, 3):
+        f, gradient = values[i]
+        f_alone, gradient_alone = optimizer._objective_value(problem, ys[i])
+        assert f == f_alone
+        assert np.array_equal(gradient(), gradient_alone())
 
 
 def test_near_singular_restart_is_dropped_with_its_reason(tmp_path, monkeypatch):
@@ -878,16 +951,16 @@ def test_near_singular_restart_is_dropped_with_its_reason(tmp_path, monkeypatch)
     # ends "error" at its first evaluation, and another restart wins.
     from symnodes.cli import main
 
-    real = optimizer.minimize
+    real = optimizer._minimize_lockstep
     outcomes = []
 
-    def recorded(problem, config, y0):
-        out = real(problem, config, y0)
+    def recorded(problem, config, starts):
+        runs = real(problem, config, starts)
         if problem.collection.kind is ElementKind.QUADRILATERAL:
-            outcomes.append(out)
-        return out
+            outcomes.extend(runs)
+        return runs
 
-    monkeypatch.setattr(optimizer, "minimize", recorded)
+    monkeypatch.setattr(optimizer, "_minimize_lockstep", recorded)
     argv = ["tabulate", "--element", "quad", "--degree-range", "9:9",
             "--seed", "1", "--out", str(tmp_path)]
     assert main(argv) == 0
