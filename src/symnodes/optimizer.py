@@ -29,10 +29,9 @@ start for unisolvency, minimize from it and from a few jittered restarts,
 and keep the run with the lowest objective.  It returns the node set; its
 metrics are left to :func:`~symnodes.metrics.evaluate_metrics`.
 
-The runs of an element go in lockstep: each round evaluates the next point
-of every live run with one basis evaluation at the moving nodes of all of
-them, then the LU and the norms per run (:func:`_objective_values`).  Each
-run ends bit for bit as it does alone (:func:`minimize`).
+The runs of an element go in lockstep (:class:`_Lockstep`): each round
+evaluates the next point of every live run with one basis evaluation
+(:func:`_objective_values`), and each run ends bit for bit as it does alone.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -87,6 +86,9 @@ __all__ = [
 
 # Jittered restarts after the baseline start.
 MULTISTART_COUNT = 3
+# Basis-gradient entries up to which an element's runs share objective calls
+# (``_Lockstep``): the benchmark's need 4 x 12800 at most, tri p=15 4 x 24480.
+_ROUND_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -247,101 +249,89 @@ def assemble_problem(elem, collection, space) -> OptimizationProblem:
     )
 
 
-def _objective_value(problem, y):
-    """:func:`_objective_values` at the one point ``y``; raises where that
-    gives ``inf``."""
-    ((f, gradient),) = _objective_values(problem, np.asarray(y)[None])
-    if f == np.inf:
-        gradient()  # raises why
-    return f, gradient
-
-
-def _undefined(exc):
-    """``inf`` and a gradient callable that raises ``exc``, without its
-    traceback: its frames would keep the evaluation's arrays in a cycle."""
-    exc = exc.with_traceback(None)
-
-    def reason():
-        raise exc
-
-    return np.inf, reason
-
-
-def _objective_values(problem, ys):
-    """Objective ``||V^-1||_F^2`` at each row of free parameters ``ys``, and
-    a zero-argument callable returning its gradient there (``None`` when
-    the gradient is not finite).
+def _objective_value(problem, y, basis=None):
+    """Objective ``||V^-1||_F^2`` at free parameters ``y``, and a
+    zero-argument callable returning its gradient there (``None`` when the
+    gradient is not finite).
 
     Only the moving nodes enter the work: with ``C`` the basis there,
     ``[W M] = C [K Q2]`` and ``G = M^-1``, the objective is
     ``||R^-1||_F^2 + ||G||_F^2 + ||G W||_F^2``, where ``R``, ``K`` and
     ``Q2`` come from the QR of the basis at the fixed nodes (see the module
-    docstring); a fully pinned problem has no moving node and gives
-    ``||R^-1||_F^2``.  One Jacobi table at the moving nodes of all rows
-    gives ``C``; the basis is computed point by point, so each row's value
-    and gradient have the bits they have alone.  The callables reuse the
-    table, ``W`` and ``G`` (:func:`~symnodes.basis.lu_inverse`): the first
-    one called computes the basis gradients of all rows, so the line search
-    of :func:`~symnodes.lincon.minimization` pays for them only in rounds
-    where a point is kept.  A row gets ``inf``, and a callable that raises
-    :class:`DegenerateDistributionError` saying why, on node collisions
-    (among all nodes), on a non-finite basis at the moving nodes, on a
-    non-finite basis or linearly dependent rows at the fixed nodes, and on
-    a non-finite objective, which an exactly singular ``M`` gives.
+    docstring); a fully pinned problem has no moving node and returns
+    ``||R^-1||_F^2``.  ``basis`` is ``C`` and its gradient callable, as
+    :func:`~symnodes.basis.basis_eval_with_grad` gives them, when a batch
+    has them (:func:`_objective_values`).  The callable reuses them, ``W``
+    and ``G`` (:func:`~symnodes.basis.lu_inverse`), so the line search pays
+    for the basis gradients only at the points it keeps.  Raises
+    :class:`DegenerateDistributionError` on node collisions (among all
+    nodes), on a non-finite basis at the moving nodes, on a non-finite
+    basis or linearly dependent rows at the fixed nodes, and on a
+    non-finite objective, which an exactly singular ``M`` gives.
     """
-    Xs = [problem.nodes_at(y) for y in ys]
-    m = int(problem._moving.sum())
-    C, basis_gradients = basis_eval_with_grad(
-        problem.space, np.concatenate([X[problem._moving] for X in Xs])
+    X = problem.nodes_at(y)
+    _require_separated(X)
+    if problem._fixed_error is not None:
+        raise DegenerateDistributionError(problem._fixed_error)
+    if basis is None:
+        basis = basis_eval_with_grad(problem.space, X[problem._moving])
+    C, basis_gradients = basis
+    KQ = problem._fixed_map
+    k = KQ.shape[1] - C.shape[0]  # fixed nodes
+    WM = C @ KQ
+    W, M = WM[:, :k], WM[:, k:]
+    G = lu_inverse(M)
+    GW = G @ W
+    f = problem._fixed_objective + float(
+        np.einsum("ij,ij->", G, G) + np.einsum("ij,ij->", GW, GW)
     )
-    gradients = []  # the basis gradients of all rows, once computed
-
-    def objective(X, block):
-        _require_separated(X)
-        if problem._fixed_error is not None:
-            raise DegenerateDistributionError(problem._fixed_error)
-        KQ = problem._fixed_map
-        k = KQ.shape[1] - m  # fixed nodes
-        WM = C[block] @ KQ
-        W, M = WM[:, :k], WM[:, k:]
-        G = lu_inverse(M)
-        GW = G @ W
-        f = problem._fixed_objective + float(
-            np.einsum("ij,ij->", G, G) + np.einsum("ij,ij->", GW, GW)
+    if not np.isfinite(f):
+        raise DegenerateDistributionError(
+            "objective overflow (nearly singular Vandermonde matrix)"
         )
-        if not np.isfinite(f):
-            raise DegenerateDistributionError(
-                "objective overflow (nearly singular Vandermonde matrix)"
-            )
 
-        def gradient():
-            T = np.hstack([W, -(G.T + W @ GW.T)])  # [W, -S G^T]
-            dfdC = 2.0 * (G.T @ G @ T) @ KQ.T
-            if not gradients:
-                gradients.append(basis_gradients())  # (rows m, n_basis, d)
-            dfdX = np.einsum("rjd,rj->rd", gradients[0][block], dfdC)
-            grad = problem._moving_jacobian.T @ dfdX.ravel()
-            return grad if np.all(np.isfinite(grad)) else None
+    def gradient():
+        T = np.hstack([W, -(G.T + W @ GW.T)])  # [W, -S G^T]
+        dfdC = 2.0 * (G.T @ G @ T) @ KQ.T
+        Bgrad = basis_gradients()  # (m, n_basis, d)
+        dfdX = np.einsum("rjd,rj->rd", Bgrad, dfdC)
+        grad = problem._moving_jacobian.T @ dfdX.ravel()
+        return grad if np.all(np.isfinite(grad)) else None
 
-        return f, gradient
+    return f, gradient
 
+
+def _objective_values(problem, ys):
+    """:func:`_objective_value` at each row of ``ys``, with one basis
+    evaluation at the moving nodes of all rows, which has the bits of each
+    row's own; ``(inf, None)`` where it raises.  The first gradient called
+    computes the basis gradients of all rows."""
+    X = np.concatenate([problem.nodes_at(y)[problem._moving] for y in ys])
+    m = X.shape[0] // len(ys)
+    C, basis_gradients = basis_eval_with_grad(problem.space, X)
+    # A lone row's gradients go after use, as alone: kept, they tripled
+    # tri p=19's minor faults and cost it 8 %.
+    gradients = cache(basis_gradients) if len(ys) > 1 else basis_gradients
     out = []
-    for j, X in enumerate(Xs):
+    for j, y in enumerate(ys):
+        rows = slice(j * m, (j + 1) * m)
         try:
-            out.append(objective(X, slice(j * m, (j + 1) * m)))
-        except DegenerateDistributionError as exc:
-            out.append(_undefined(exc))
+            out.append(_objective_value(
+                problem, y, (C[rows], lambda rows=rows: gradients()[rows])
+            ))
+        except DegenerateDistributionError:
+            out.append((np.inf, None))
     return out
 
 
-def minimize(problem, config, y0) -> MinimizeOutcome:
-    """Minimize the objective over the free parameters from ``y0``: the
-    one-start call of :func:`_minimize_lockstep`.
+def minimize(problem, config, y0, lockstep=None) -> MinimizeOutcome:
+    """Minimize the objective over the free parameters from ``y0``.
 
     ``y0`` must meet the constraints (see
     :func:`~symnodes.lincon.minimize_linearly_constrained`).  The
     outcome's ``parameters`` are the stacked vector, pinned values included.
-    Deterministic for fixed inputs.
+    Deterministic for fixed inputs.  With ``lockstep`` (a :class:`_Lockstep`
+    holding ``y0``), this runs its rounds until ``y0``'s run ends.
 
     A near-singular start ends ``"error"`` at once, with the reason in the
     outcome's ``message``: one whose objective, the solver's first value,
@@ -353,45 +343,57 @@ def minimize(problem, config, y0) -> MinimizeOutcome:
     there stays near singular (quad p=9 at seed 1 ended "kkt-converged" at
     5.2e31 after 16 iterations).
     """
-    return _minimize_lockstep(problem, config, [y0])[0]
+    res, message = (lockstep or _Lockstep(problem, config, [y0])).result(y0)
+    return MinimizeOutcome(problem.stacked(res.x), res.fun, res.status,
+                           res.iterations, res.kkt_residual, message)
 
 
-def _minimize_lockstep(problem, config, starts):
-    """:func:`minimize` from each of ``starts``, bit for bit, with the runs
-    in lockstep: each round evaluates the next point of every live run in
-    one :func:`_objective_values` call.  Returns the outcomes in start
-    order."""
-    cons = problem.constraints
-    limits = config.kkt_tol, config.max_major_iterations
-    runs = [
-        lincon.minimization(y0, cons.matrix, cons.lower, cons.upper, *limits)
-        for y0 in starts
-    ]
-    points = {r: next(run) for r, run in enumerate(runs)}
-    results, messages, first = {}, {}, True
-    while points:
-        ys = np.array(list(points.values()))
-        for r, value in zip(list(points), _objective_values(problem, ys)):
-            if first and _SINGULAR_OBJECTIVE <= value[0] < np.inf:
-                messages[r] = (
-                    f"start objective {value[0]:.3e} is at or above "
-                    f"{_SINGULAR_OBJECTIVE:.0e}: the Vandermonde matrix is "
-                    "near singular"
-                )
-                value = (np.inf, None)
+class _Lockstep:
+    """The runs of :func:`minimize` from ``starts``, in rounds that evaluate
+    the next point of every live run: in one :func:`_objective_values` call
+    when the basis gradients of all runs (moving nodes x basis x dimension
+    each) fit ``_ROUND_BUDGET`` entries, else in one call per run."""
+
+    def __init__(self, problem, config, starts):
+        cons = problem.constraints
+        args = (cons.matrix, cons.lower, cons.upper, config.kkt_tol,
+                config.max_major_iterations)
+        self.problem, self.starts, self.ended = problem, starts, {}
+        self.runs = [lincon.minimization(y0, *args) for y0 in starts]
+        self.points = {r: next(run) for r, run in enumerate(self.runs)}
+        entries = problem._moving_jacobian.shape[0] * problem.space.dim
+        together = len(starts) * entries <= _ROUND_BUDGET
+        self.chunk = len(starts) if together else 1
+        self.first = True  # the round evaluates the starts
+
+    def result(self, y0):
+        """The SolveResult and message of the run from ``y0`` (by identity)."""
+        r = next(r for r, start in enumerate(self.starts) if start is y0)
+        while r not in self.ended:
+            live = list(self.points)
+            for i in range(0, len(live), self.chunk):
+                self._advance(live[i : i + self.chunk])
+            self.first = False
+        return self.ended[r]
+
+    def _advance(self, live):
+        # The last chunk's values go only once these are made, as a run alone
+        # keeps its last evaluation's: freed first, glibc trimmed its heap and
+        # faulted it back in (tri p=19: 30 000 -> 180 000+ minor faults, +9 %).
+        ys = np.array([self.points[r] for r in live])
+        self.values = _objective_values(self.problem, ys)
+        for r, (f, gradient) in zip(live, self.values):
+            message = None
+            if self.first and _SINGULAR_OBJECTIVE <= f < np.inf:
+                message = (f"start objective {f:.3e} is at or above "
+                           f"{_SINGULAR_OBJECTIVE:.0e}: the Vandermonde "
+                           "matrix is near singular")
+                f, gradient = np.inf, None
             try:
-                points[r] = runs[r].send(value)
+                self.points[r] = self.runs[r].send((f, gradient))
             except StopIteration as stop:
-                results[r] = stop.value
-                del points[r]
-        del value  # the round's arrays go before the next round's
-        first = False
-    return [
-        MinimizeOutcome(problem.stacked(res.x), res.fun, res.status,
-                        res.iterations, res.kkt_residual,
-                        messages.get(r, res.message))
-        for r, res in sorted(results.items())
-    ]
+                del self.points[r]
+                self.ended[r] = stop.value, message or stop.value.message
 
 
 # ---------------------------------------------------------------------------
@@ -605,21 +607,20 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
         dist0 = evaluate_collection(coll, problem.stacked(y0))
     if not is_unisolvent(space, dist0):
         raise NoViableCollectionError(f"{where}: the start is not unisolvent")
-    starts = [y0]
-    if problem.free_dimension > 0:
-        span = _jitter_spans(coll)
-        for restart in range(1, MULTISTART_COUNT + 1):
-            try:
-                starts.append(
-                    _jittered_start(problem, y0, span, (config.seed, restart))
-                )
-            except NumericalError:
-                starts.append(None)  # an unconverged projection
+    live = [(0, y0)]  # (restart, start)
+    restarts = range(1, MULTISTART_COUNT + 1) if problem.free_dimension else ()
+    span = _jitter_spans(coll)
+    for restart in restarts:
+        try:
+            start = _jittered_start(problem, y0, span, (config.seed, restart))
+        except NumericalError:
+            continue  # an unconverged projection
+        live.append((restart, start))
+    lockstep = _Lockstep(problem, config, [start for _, start in live])
     cons = problem.constraints
-    live = [restart for restart, start in enumerate(starts) if start is not None]
-    outcomes = _minimize_lockstep(problem, config, [starts[r] for r in live])
     runs = []  # (objective, restart, outcome, distribution)
-    for restart, outcome in zip(live, outcomes):
+    for restart, start in live:
+        outcome = minimize(problem, config, start, lockstep)
         if outcome.status == "error":
             continue
         if cons.violation(outcome.parameters[problem.free_mask]) > 1e-10:
@@ -632,7 +633,7 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
 
     if not runs:
         raise NoViableCollectionError(
-            f"{where}: all {len(starts)} restarts failed"
+            f"{where}: all {1 + len(restarts)} restarts failed"
         )
 
     f_best, _, outcome, dist = min(runs, key=lambda r: r[:2])

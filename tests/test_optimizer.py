@@ -696,17 +696,11 @@ def test_optimize_builds_one_collection(monkeypatch):
     for name, attr in (
         ("build", "build_compatibility_constraints"),
         ("assemble", "assemble_problem"),
+        ("minimize", "minimize"),
     ):
         monkeypatch.setattr(
             optimizer, attr, counted(name, getattr(optimizer, attr))
         )
-    real = optimizer._minimize_lockstep
-
-    def lockstep(problem, config, starts):
-        calls["minimize"] += len(starts)
-        return real(problem, config, starts)
-
-    monkeypatch.setattr(optimizer, "_minimize_lockstep", lockstep)
     config = OptimizerConfig()
     pres = face_prescriptions(ElementKind.QUADRILATERAL, 4, _gll)
     optimize_nodes(ElementKind.QUADRILATERAL, 4, pres, config)
@@ -798,45 +792,38 @@ def test_jitter_intervals_match_stacked_system(kind, p):
     assert off == cons.nvars
 
 
-def _lockstep_runs(monkeypatch, edit=None):
-    """Record the outcomes of every start that ``optimize_nodes`` runs, as
-    the lockstep driver returns them (after ``edit(outcomes)`` when given),
-    one list per driver call."""
-    real = optimizer._minimize_lockstep
-    calls = []
-
-    def recorded(problem, config, starts):
-        outcomes = real(problem, config, starts)
-        if edit is not None:
-            edit(outcomes)
-        calls.append(outcomes)
-        return outcomes
-
-    monkeypatch.setattr(optimizer, "_minimize_lockstep", recorded)
-    return calls
-
-
 def test_fully_pinned_problem_runs_one_minimization(monkeypatch):
-    calls = _lockstep_runs(monkeypatch)
+    calls = []
+    real = optimizer.minimize
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimizer, "minimize", counted)
     kind = ElementKind.TETRAHEDRON
     optimize_nodes(kind, 4, face_prescriptions(kind, 4, _uniform))
-    assert [len(outcomes) for outcomes in calls] == [1]
+    assert len(calls) == 1
 
 
 def test_lowest_objective_wins_whatever_the_status(monkeypatch):
     # Restart 0 reports "iteration-limited" at the lowest objective; the
     # jittered restarts report "kkt-converged" higher.  Restart 0 wins.
-    def edit(outcomes):
-        for restart, out in enumerate(outcomes):
-            if restart == 0:
-                out.status = "iteration-limited"
-                out.objective -= 1.0
-            else:
-                out.status = "kkt-converged"
+    real = optimizer.minimize
+    outcomes = []
 
-    calls = _lockstep_runs(monkeypatch, edit)
+    def fake(problem, config, y0, lockstep):
+        out = real(problem, config, y0, lockstep)
+        if not outcomes:
+            out.status = "iteration-limited"
+            out.objective -= 1.0
+        else:
+            out.status = "kkt-converged"
+        outcomes.append(out)
+        return out
+
+    monkeypatch.setattr(optimizer, "minimize", fake)
     r = optimize_nodes(ElementKind.LINE, 5, [point_prescription(5)])
-    (outcomes,) = calls
     assert len(outcomes) == 4
     assert r.status == "iteration-limited"
     assert r.objective == outcomes[0].objective
@@ -870,11 +857,18 @@ def test_unconverged_projection_drops_only_its_restart(monkeypatch):
         finally:
             monkeypatch.setattr(lincon, "_active_set", real_active_set)
 
+    calls = []
+    real_minimize = optimizer.minimize
+
+    def counted(problem, config, y0, lockstep):
+        calls.append(y0)
+        return real_minimize(problem, config, y0, lockstep)
+
     monkeypatch.setattr(optimizer, "_jittered_start", jitter)
-    calls = _lockstep_runs(monkeypatch)
+    monkeypatch.setattr(optimizer, "minimize", counted)
     r = optimize_nodes(ElementKind.LINE, 5, [point_prescription(5)])
     assert started == [1, 2, 3]
-    assert sum(len(outcomes) for outcomes in calls) == 3
+    assert len(calls) == 3
     assert r.status in ("kkt-converged", "iteration-limited")
 
 
@@ -888,13 +882,19 @@ def _same_outcome(a, b):
     )
 
 
+@pytest.mark.parametrize("budget", [None, 1, 1 << 30])
 @pytest.mark.parametrize("pinned", [False, True])
 @pytest.mark.parametrize("p", [2, 3, 4])
 @pytest.mark.parametrize("kind", list(ElementKind))
-def test_lockstep_runs_equal_each_start_run_alone(kind, p, pinned):
+def test_lockstep_runs_equal_each_start_run_alone(kind, p, pinned, budget,
+                                                  monkeypatch):
     # The baseline start and the jittered starts at seed 1, run together,
-    # end as each ends alone, bit for bit.  On line p=4 without pins a
-    # start with its free pair 2e-8 from the vertices is near singular.
+    # end as each ends alone, bit for bit, whether a round evaluates them
+    # as the default budget has it, each alone (a budget of one entry) or
+    # all in one call.  On line p=4 without pins a start with its free pair
+    # 2e-8 from the vertices is near singular.
+    if budget is not None:
+        monkeypatch.setattr(optimizer, "_ROUND_BUDGET", budget)
     problem, y0, span = _baseline_problem(kind, p, pinned)
     starts = [y0]
     if problem.free_dimension:
@@ -909,8 +909,12 @@ def test_lockstep_runs_equal_each_start_run_alone(kind, p, pinned):
     if singular:
         starts.insert(1, np.array([y0[0], y0[0] + 2e-8]))
     config = OptimizerConfig()
-    together = optimizer._minimize_lockstep(problem, config, starts)
-    assert len(together) == len(starts)
+    lockstep = optimizer._Lockstep(problem, config, starts)
+    if budget == 1:
+        assert lockstep.chunk == 1
+    elif budget is not None:
+        assert lockstep.chunk >= len(starts)
+    together = [minimize(problem, config, start, lockstep) for start in starts]
     for start, outcome in zip(starts, together):
         assert _same_outcome(outcome, minimize(problem, config, start))
     if singular:
@@ -921,9 +925,8 @@ def test_lockstep_runs_equal_each_start_run_alone(kind, p, pinned):
 
 def test_batched_objective_gives_a_collision_inf_and_the_rest_its_bits():
     # A batch of three jittered tri p=4 starts and, second, a point whose
-    # first free orbit lies on its second: that point gets inf and a
-    # callable that raises why, every other point the value and gradient of
-    # its own call.
+    # first free orbit lies on its second: that point gets inf and no
+    # gradient, every other point the value and gradient of its own call.
     problem, y0, span = _baseline_problem(ElementKind.TRIANGLE, 4, False)
     ys = [optimizer._jittered_start(problem, y0, span, (1, r))
           for r in (1, 2, 3)]
@@ -934,10 +937,7 @@ def test_batched_objective_gives_a_collision_inf_and_the_rest_its_bits():
     ys.insert(1, collided)
     values = optimizer._objective_values(problem, np.array(ys))
     assert len(values) == 4
-    f, gradient = values[1]
-    assert f == np.inf
-    with pytest.raises(DegenerateDistributionError, match="apart"):
-        gradient()
+    assert values[1] == (np.inf, None)
     for i in (0, 2, 3):
         f, gradient = values[i]
         f_alone, gradient_alone = optimizer._objective_value(problem, ys[i])
@@ -951,16 +951,16 @@ def test_near_singular_restart_is_dropped_with_its_reason(tmp_path, monkeypatch)
     # ends "error" at its first evaluation, and another restart wins.
     from symnodes.cli import main
 
-    real = optimizer._minimize_lockstep
+    real = optimizer.minimize
     outcomes = []
 
-    def recorded(problem, config, starts):
-        runs = real(problem, config, starts)
+    def recorded(problem, config, y0, lockstep):
+        out = real(problem, config, y0, lockstep)
         if problem.collection.kind is ElementKind.QUADRILATERAL:
-            outcomes.extend(runs)
-        return runs
+            outcomes.append(out)
+        return out
 
-    monkeypatch.setattr(optimizer, "_minimize_lockstep", recorded)
+    monkeypatch.setattr(optimizer, "minimize", recorded)
     argv = ["tabulate", "--element", "quad", "--degree-range", "9:9",
             "--seed", "1", "--out", str(tmp_path)]
     assert main(argv) == 0
