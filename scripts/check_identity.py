@@ -14,37 +14,40 @@ Compares this checkout against the one at the given path (each with its own
   p=5 at the screening lattice, sets that span many of the basis's point
   blocks; plus the unnormalized and normalized Jacobi tables of
   ``basis._sweep`` (value and derivative rows of five (a, b) families)
-  and ``gll_1d`` (``np.array_equal``);
+  and ``gll_1d`` (byte for byte);
 * ``baseline_distribution`` of both families on every kind they cover at
   p = 1..12 and ``quadrature_rule`` points and weights of every kind at
-  q = 0..29 (``np.array_equal``, so the rows and their order);
+  q = 0..29 (byte for byte, so the rows and their order);
 * ``is_symmetric`` at tol 1e-14 and 1e-10 on each of those baselines up
   to p = 6, perturbed by 1e-15 .. 1e-9 and with one node moved by 1e-3;
 * the Lebesgue lattice ``metrics._lattice`` and its fundamental domain
   ``metrics._chamber`` of each kind at the default resolution, at the
-  screening resolution and at r = 7 and 61 (``np.array_equal``, so the
+  screening resolution and at r = 7 and 61 (byte for byte, so the
   points and their order);
 * the output of ``compatibility._orbit_reach`` for every orbit of each
-  kind at every uniform baseline node of p = 1..6 (``np.array_equal``,
+  kind at every uniform baseline node of p = 1..6 (byte for byte,
   ``None`` as a row of NaN);
+* every orbit of each kind: its stacked maps ``point_matrix()`` and
+  ``point_offsets()`` (so its parameter count and multiplicity too), the
+  ``matrix``, ``lower`` and ``upper`` arrays of its bounds, and
+  ``optimizer._orbit_intervals``;
 * the orbit-index lists of ``enumerate_admissible_collections`` at
-  ``cap=64`` for each kind at every degree up to its ``generate`` cap, and
-  ``optimizer._orbit_intervals`` of every orbit (``np.array_equal``);
+  ``cap=64`` for each kind at every degree up to its ``generate`` cap;
 * for each kind at p = 1..6, the matrix, lower and upper arrays of
   ``stacked_constraints()`` of the baseline collection, unpinned and
   pinned to the faces of its own baseline (GLL on line, quad and hex,
   uniform elsewhere); with those pins, the pinned values, the
   baseline start and the jittered restart starts at seed 1, and the value
   and gradient of ``optimizer._objective_value`` at each of these starts
-  (``np.array_equal``), which do not depend on any optimized node file;
+  (byte for byte), which do not depend on any optimized node file;
 * ``LagrangeInterpolator.inverse()`` of the uniform nodes of each kind at
-  p = 1..6 (``np.array_equal``);
+  p = 1..6 (byte for byte);
 * ``lebesgue_constant`` at the default resolution on uniform p=4 of each
   kind with the node nearest the centroid moved by 1e-3, a set no symmetry
   maps onto itself, so its scan covers the whole lattice; and on uniform
   tri p=15, quad p=12, tet p=8, hex p=6, prism p=7 and pyramid p=7, both
   as they are (the chamber scan) and so moved, scans that take several
-  chunks of the flat and the sum-factorized product (``np.array_equal``);
+  chunks of the flat and the sum-factorized product (byte for byte);
 * every file written by ``tabulate --element line,tri,quad --degree-range
   7:9`` and ``tabulate --element tet,hex,prism,pyramid --degree-range 4:4``
   at each seed (node files and manifest, byte for byte), the ``evaluate``
@@ -166,8 +169,13 @@ for kind in ElementKind:
              for j in (*c.indices, -1)]
         )
     for orbit in orbits(kind):
+        key = f"{kind.value}_orbit{orbit.index}"
+        out[key + "_maps_S"] = orbit.point_matrix()
+        out[key + "_maps_sigma"] = orbit.point_offsets()
+        for part in ("matrix", "lower", "upper"):
+            out[f"{key}_bounds_{part}"] = getattr(orbit.bounds, part)
         lo, hi = optimizer._orbit_intervals(orbit)
-        out[f"{kind.value}_orbit{orbit.index}_intervals"] = np.array([lo, hi])
+        out[key + "_intervals"] = np.array([lo, hi])
 tensor = (ElementKind.LINE, ElementKind.QUADRILATERAL, ElementKind.HEXAHEDRON)
 for kind in ElementKind:
     elem = reference_element(kind)
@@ -483,7 +491,8 @@ def main(argv=None):
         a, b = np.load(tmp / "this.npz"), np.load(tmp / "other.npz")
         diff = sorted(set(a.files) ^ set(b.files)) + [
             k for k in sorted(set(a.files) & set(b.files))
-            if not np.array_equal(a[k], b[k], equal_nan=True)
+            if (a[k].dtype, a[k].shape, a[k].tobytes())
+            != (b[k].dtype, b[k].shape, b[k].tobytes())
         ]
         print(f"arrays: {len(a.files) - len(diff)}/{len(a.files)} "
               f"identical {diff[:5]}")

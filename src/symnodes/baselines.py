@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import UnsupportedBaselineError
 from .geometry import (
-    CARTESIAN_DIM,
-    NATURAL_DIM,
+    TENSOR_KINDS,
     ElementKind,
     natural_to_cartesian,
     node_count,
@@ -59,8 +58,9 @@ def _simplex_lattice(p, nbary):
 def _uniform_nodes(kind, p):
     """Equispaced nodes of the simplices, the prism and the pyramid."""
     if kind in (ElementKind.TRIANGLE, ElementKind.TETRAHEDRON):
-        lam = _simplex_lattice(p, NATURAL_DIM[kind])
-        return natural_to_cartesian(reference_element(kind), lam)
+        elem = reference_element(kind)
+        lam = _simplex_lattice(p, elem.natural_dim)
+        return natural_to_cartesian(elem, lam)
     if kind is ElementKind.PRISM:
         tri = _uniform_nodes(ElementKind.TRIANGLE, p)
         z = np.linspace(-1.0, 1.0, p + 1)
@@ -90,11 +90,10 @@ def baseline_distribution(kind, p, which) -> NodalDistribution:
     """Construct a baseline node set for (kind, p)."""
     kind = ElementKind(kind)
     which = BaselineKind(which)
-    if kind in (ElementKind.LINE, ElementKind.QUADRILATERAL,
-                ElementKind.HEXAHEDRON):
+    if kind in TENSOR_KINDS:
         gll = which is BaselineKind.GLL
         axis = gll_1d(p) if gll else np.linspace(-1.0, 1.0, p + 1)
-        nodes = _tensor_grid([axis] * CARTESIAN_DIM[kind])
+        nodes = _tensor_grid([axis] * reference_element(kind).dim)
     elif which is BaselineKind.GLL:
         raise UnsupportedBaselineError(
             f"closed Gauss-Lobatto nodes are only defined for tensor "

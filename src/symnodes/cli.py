@@ -54,17 +54,7 @@ CSV_HEADER = (
 )
 
 _ALIASES = {
-    "line": ElementKind.LINE,
-    "tri": ElementKind.TRIANGLE,
-    "triangle": ElementKind.TRIANGLE,
-    "quad": ElementKind.QUADRILATERAL,
-    "quadrilateral": ElementKind.QUADRILATERAL,
-    "tet": ElementKind.TETRAHEDRON,
-    "tetrahedron": ElementKind.TETRAHEDRON,
-    "hex": ElementKind.HEXAHEDRON,
-    "hexahedron": ElementKind.HEXAHEDRON,
-    "prism": ElementKind.PRISM,
-    "pyramid": ElementKind.PYRAMID,
+    name: kind for kind in ElementKind for name in (kind.value, kind.name.lower())
 }
 
 # Generated ranges supported by default; --force-degree lifts the cap.

@@ -56,27 +56,8 @@ class ElementKind(str, Enum):
     PYRAMID = "pyramid"
 
 
-#: Cartesian dimension of each element kind.
-CARTESIAN_DIM = {
-    ElementKind.LINE: 1,
-    ElementKind.TRIANGLE: 2,
-    ElementKind.QUADRILATERAL: 2,
-    ElementKind.TETRAHEDRON: 3,
-    ElementKind.HEXAHEDRON: 3,
-    ElementKind.PRISM: 3,
-    ElementKind.PYRAMID: 3,
-}
-
-#: Natural-coordinate dimension (barycentric shapes carry one extra).
-NATURAL_DIM = {
-    ElementKind.LINE: 1,
-    ElementKind.TRIANGLE: 3,
-    ElementKind.QUADRILATERAL: 2,
-    ElementKind.TETRAHEDRON: 4,
-    ElementKind.HEXAHEDRON: 3,
-    ElementKind.PRISM: 4,
-    ElementKind.PYRAMID: 3,
-}
+#: Kinds whose natural coordinates are Cartesian: tensor products of the line.
+TENSOR_KINDS = (ElementKind.LINE, ElementKind.QUADRILATERAL, ElementKind.HEXAHEDRON)
 
 #: Measure (length/area/volume) of each bi-unit reference domain.
 MEASURE = {
@@ -132,8 +113,8 @@ class ReferenceElement:
     """Immutable geometric description of one reference element."""
 
     kind: ElementKind
-    dim: int
-    natural_dim: int
+    dim: int  # Cartesian
+    natural_dim: int  # barycentric shapes carry one extra
     n_matrix: np.ndarray  # (dim, natural_dim)
     nu: np.ndarray  # (dim,)
     b_lambda: np.ndarray  # (c, natural_dim)
@@ -184,16 +165,15 @@ def _element(kind, n_matrix, b_lambda, v_lower, v_upper, vertices, faces):
     v_upper = np.asarray(v_upper, dtype=float)
     if np.any(v_lower > v_upper):
         raise NumericalError(f"{kind}: lower bound exceeds upper bound")
-    d = CARTESIAN_DIM[kind]
     solve_matrix, rhs_vals = _solve_setup(
         n_matrix, b_lambda, v_lower, v_upper
     )
     return ReferenceElement(
         kind=kind,
-        dim=d,
-        natural_dim=NATURAL_DIM[kind],
+        dim=n_matrix.shape[0],
+        natural_dim=n_matrix.shape[1],
         n_matrix=_ro(n_matrix),
-        nu=_ro(np.zeros(d)),
+        nu=_ro(np.zeros(n_matrix.shape[0])),
         b_lambda=_ro(b_lambda),
         v_lower=_ro(v_lower),
         v_upper=_ro(v_upper),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodeFileError
-from .geometry import ElementKind, node_count
+from .geometry import ElementKind, node_count, reference_element
 from .symmetry import NodalDistribution
 
 __all__ = [
@@ -103,8 +103,13 @@ def read_node_file(path):
     structural problem; the distribution invariants (count, containment,
     distinctness) are enforced after parsing.
     """
-    with open(path) as fh:
-        raw_lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw_lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        line = data[: e.start].count(b"\n") + 1
+        raise NodeFileError(f"not UTF-8 text: {e.reason}", line=line) from None
     if len(raw_lines) < 6:
         raise NodeFileError("file too short for a header", line=len(raw_lines))
     version = _parse_header_line(raw_lines[0], 1, "format")
@@ -119,7 +124,9 @@ def read_node_file(path):
     try:
         degree = int(degree_raw)
     except ValueError:
-        raise NodeFileError(f"bad degree {degree_raw!r}", line=3) from None
+        degree = 0
+    if degree < 1:
+        raise NodeFileError(f"bad degree {degree_raw!r}", line=3)
     count_raw = _parse_header_line(raw_lines[3], 4, "count")
     try:
         count = int(count_raw)
@@ -140,9 +147,7 @@ def read_node_file(path):
             f"expected for {kind.value} degree {degree}",
             line=4,
         )
-    from .geometry import CARTESIAN_DIM
-
-    d = CARTESIAN_DIM[kind]
+    d = reference_element(kind).dim
     nodes = np.empty((count, d))
     for i, raw in enumerate(body):
         parts = raw.split()

@@ -61,7 +61,7 @@ from .errors import (
     NoViableCollectionError,
     NumericalError,
 )
-from .geometry import ElementKind, natural_solve, reference_element
+from .geometry import TENSOR_KINDS, ElementKind, natural_solve, reference_element
 from .metrics import _MASS_RATIO, is_unisolvent
 from .symmetry import (
     ConstrainedOrbit,
@@ -428,11 +428,7 @@ def _decompose_into_orbits(kind, nodes):
 def _baseline_for(kind, p):
     from .baselines import BaselineKind, baseline_distribution
 
-    if kind in (
-        ElementKind.LINE,
-        ElementKind.QUADRILATERAL,
-        ElementKind.HEXAHEDRON,
-    ):
+    if kind in TENSOR_KINDS:
         return baseline_distribution(kind, p, BaselineKind.GLL)
     return baseline_distribution(kind, p, BaselineKind.UNIFORM)
 

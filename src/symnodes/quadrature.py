@@ -20,7 +20,7 @@ from operator import mul
 import numpy as np
 import scipy.linalg
 
-from .geometry import CARTESIAN_DIM, ElementKind, MEASURE
+from .geometry import MEASURE, TENSOR_KINDS, ElementKind, reference_element
 
 __all__ = ["QuadratureRule", "gauss_legendre_1d", "quadrature_rule"]
 
@@ -161,9 +161,8 @@ def _build_rule(kind, degree):
     """Points and weights: products of 1D rules, the first axis slowest."""
     n = _points_for_exactness(degree)
     xg, wg = gauss_legendre_1d(n)
-    if kind in (ElementKind.LINE, ElementKind.QUADRILATERAL,
-                ElementKind.HEXAHEDRON):
-        d = CARTESIAN_DIM[kind]
+    if kind in TENSOR_KINDS:
+        d = reference_element(kind).dim
         return _tensor_grid([xg] * d), reduce(mul, _tensor_grid([wg] * d).T)
     if kind is ElementKind.TRIANGLE:
         xb, wb = _gauss_jacobi(n, 1, 0)

@@ -11,9 +11,15 @@ generator map under :func:`natural_symmetry_group`, in group order:
 permutations in lexicographic order of the index tuple, varying slower than
 sign patterns, which put ``+1`` before ``-1``.  The group's identity comes
 first, so the first point of every orbit is the generator itself, the map
-the parameter bounds are derived from.  In each orbit table the
-multiplicity does not decrease with the index, so no orbit with fewer
-points reaches a point than the first orbit that does.
+the parameter bounds are derived from.
+
+Each orbit type is a pattern that spells its generator point in natural
+coordinates: a letter is a parameter (same letter, same parameter), ``0``
+is zero and ``*`` an equal share of what the partition of unity leaves, so
+the triangle's ``AA*`` is ``(a, a, 1 - 2a)``.  The letters give the
+parameter count and the distinct images the multiplicity, which must not
+decrease along a kind's table, so no orbit with fewer points reaches a
+point than the first orbit that does.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .errors import (
     NumericalError,
 )
 from .geometry import (
-    NATURAL_DIM,
     ElementKind,
     ReferenceElement,
     natural_to_cartesian,
@@ -336,88 +341,37 @@ class NodalDistribution:
 # Orbit tables
 # ---------------------------------------------------------------------------
 
-# A generator is the affine map ``(S, sigma)`` of one orbit point: one row per
-# natural-coordinate component, built from terms ``(j, c)`` (``c * xi_j``) and
-# constants.  The orbit's maps are its images under the element group;
-# duplicate affine maps collapse, so the tabulated multiplicities emerge from
-# the structure alone.
+# The generator pattern of each orbit type (see the module docstring), in
+# table order.  No rule derives this order from the group: in their one tie,
+# quad, hex and pyramid list the type fixed by a sign flip first, the prism
+# the type fixed by a transposition.
+_ORBIT_PATTERNS = {
+    ElementKind.LINE: "0 A",
+    ElementKind.TRIANGLE: "*** AA* AB*",
+    ElementKind.QUADRILATERAL: "00 A0 AA AB",
+    ElementKind.TETRAHEDRON: "**** AAA* AA** AAB* ABC*",
+    ElementKind.HEXAHEDRON: "000 A00 AAA AA0 AB0 AAB ABC",
+    ElementKind.PRISM: "***0 ***A AA*0 AA*B AB*0 AB*C",
+    ElementKind.PYRAMID: "00A A0B AAB ABC",
+}
 
 
-def _gen(l, *components):
-    S = np.zeros((len(components), l))
-    sigma = np.zeros(len(components))
-    for row, comp in enumerate(components):
-        for term in comp:
-            if isinstance(term, tuple):
-                j, c = term
-                S[row, j] += c
-            else:
-                sigma[row] += term
+def _generator(elem, pattern):
+    """The map ``(S, sigma)`` of the point that ``pattern`` spells: 1 at
+    each letter, and at the ``*`` of a partition-of-unity row of ``elem``
+    (ones, with equal bounds) an equal share of the row's value less the
+    same share of the row's letters."""
+    letters = np.array([ord(c) - ord("A") if c.isalpha() else -1 for c in pattern])
+    S = (letters[:, None] == np.arange(letters.max() + 1)).astype(float)
+    sigma = np.zeros(len(pattern))
+    stars = np.array([c == "*" for c in pattern])
+    unity = elem.v_lower == elem.v_upper
+    for row, value in zip(elem.b_lambda[unity] != 0.0, elem.v_lower[unity]):
+        share = row & stars
+        if share.any():
+            sigma[share] = value / share.sum()
+            S[share] -= S[row].sum(axis=0) / share.sum()
     return S, sigma
-
-
-def _orbit_table(kind):
-    k = ElementKind(kind)
-    third, quarter = 1.0 / 3.0, 0.25
-    A, B, C = (0, 1.0), (1, 1.0), (2, 1.0)  # xi components as coefficients
-
-    if k is ElementKind.LINE:
-        return [
-            (0, 1, _gen(0, [0.0])),
-            (1, 2, _gen(1, [A])),
-        ]
-    if k is ElementKind.TRIANGLE:
-        return [
-            (0, 1, _gen(0, [third], [third], [third])),
-            (1, 3, _gen(1, [A], [A], [(0, -2.0), 1.0])),
-            (2, 6, _gen(2, [A], [B], [(0, -1.0), (1, -1.0), 1.0])),
-        ]
-    if k is ElementKind.QUADRILATERAL:
-        return [
-            (0, 1, _gen(0, [0.0], [0.0])),
-            (1, 4, _gen(1, [A], [0.0])),
-            (1, 4, _gen(1, [A], [A])),
-            (2, 8, _gen(2, [A], [B])),
-        ]
-    if k is ElementKind.TETRAHEDRON:
-        return [
-            (0, 1, _gen(0, [quarter], [quarter], [quarter], [quarter])),
-            (1, 4, _gen(1, [A], [A], [A], [(0, -3.0), 1.0])),
-            (1, 6, _gen(1, [A], [A], [(0, -1.0), 0.5], [(0, -1.0), 0.5])),
-            (2, 12, _gen(2, [A], [A], [B], [(0, -2.0), (1, -1.0), 1.0])),
-            (
-                3,
-                24,
-                _gen(3, [A], [B], [C], [(0, -1.0), (1, -1.0), (2, -1.0), 1.0]),
-            ),
-        ]
-    if k is ElementKind.HEXAHEDRON:
-        return [
-            (0, 1, _gen(0, [0.0], [0.0], [0.0])),
-            (1, 6, _gen(1, [A], [0.0], [0.0])),
-            (1, 8, _gen(1, [A], [A], [A])),
-            (1, 12, _gen(1, [A], [A], [0.0])),
-            (2, 24, _gen(2, [A], [B], [0.0])),
-            (2, 24, _gen(2, [A], [A], [B])),
-            (3, 48, _gen(3, [A], [B], [C])),
-        ]
-    if k is ElementKind.PRISM:
-        return [
-            (0, 1, _gen(0, [third], [third], [third], [0.0])),
-            (1, 2, _gen(1, [third], [third], [third], [A])),
-            (1, 3, _gen(1, [A], [A], [(0, -2.0), 1.0], [0.0])),
-            (2, 6, _gen(2, [A], [A], [(0, -2.0), 1.0], [B])),
-            (2, 6, _gen(2, [A], [B], [(0, -1.0), (1, -1.0), 1.0], [0.0])),
-            (3, 12, _gen(3, [A], [B], [(0, -1.0), (1, -1.0), 1.0], [C])),
-        ]
-    if k is ElementKind.PYRAMID:
-        return [
-            (1, 1, _gen(1, [0.0], [0.0], [A])),
-            (2, 4, _gen(2, [A], [0.0], [B])),
-            (2, 4, _gen(2, [A], [A], [B])),
-            (3, 8, _gen(3, [A], [B], [C])),
-        ]
-    raise ValueError(f"unknown element kind {kind!r}")
 
 
 def _orbit_maps(generator, group):
@@ -470,17 +424,18 @@ def orbits(kind: ElementKind) -> tuple[SymmetryOrbit, ...]:
     elem = reference_element(kind)
     group = natural_symmetry_group(kind)
     out = []
-    for i, (l, m, generator) in enumerate(_orbit_table(kind), start=1):
-        maps = _orbit_maps(generator, group)
-        if len(maps) != m:
+    for i, pattern in enumerate(_ORBIT_PATTERNS[kind].split(), start=1):
+        maps = _orbit_maps(_generator(elem, pattern), group)
+        if out and len(maps) < out[-1].multiplicity:
             raise NumericalError(
-                f"{kind.value} orbit {i}: built {len(maps)} maps, expected {m}"
+                f"{kind.value} orbit {i} has {len(maps)} points, fewer than "
+                f"orbit {i - 1}"
             )
         orbit = SymmetryOrbit(
             kind=kind,
             index=i,
-            param_count=l,
-            multiplicity=m,
+            param_count=maps[0][0].shape[1],
+            multiplicity=len(maps),
             maps=tuple(maps),
         )
         object.__setattr__(orbit, "bounds", orbit_parameter_bounds(elem, orbit))
@@ -610,7 +565,7 @@ def natural_symmetry_group(kind):
     so the identity comes first.
     """
     kind = ElementKind(kind)
-    dprime = NATURAL_DIM[kind]
+    dprime = reference_element(kind).natural_dim
     nperm, flips = _GROUP_ACTION[kind]
     rows = np.arange(dprime)
     mats = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from symnodes.baselines import baseline_distribution
-from symnodes.cli import main
+from symnodes.cli import InputError, _parse_element, main
 from symnodes.compatibility import FacePrescription, verify_face_match
 from symnodes.geometry import ElementKind, reference_element
 from symnodes.nodefile import read_node_file, write_node_file
@@ -274,6 +274,32 @@ def test_generate_rejects_bad_element(tmp_path, capsys):
     assert "unknown element" in err
 
 
+_ELEMENT_NAMES = {
+    "line": ElementKind.LINE,
+    "tri": ElementKind.TRIANGLE,
+    "triangle": ElementKind.TRIANGLE,
+    "quad": ElementKind.QUADRILATERAL,
+    "quadrilateral": ElementKind.QUADRILATERAL,
+    "tet": ElementKind.TETRAHEDRON,
+    "tetrahedron": ElementKind.TETRAHEDRON,
+    "hex": ElementKind.HEXAHEDRON,
+    "hexahedron": ElementKind.HEXAHEDRON,
+    "prism": ElementKind.PRISM,
+    "pyramid": ElementKind.PYRAMID,
+}
+
+
+def test_cli_accepts_exactly_the_element_names():
+    for name, kind in _ELEMENT_NAMES.items():
+        assert _parse_element(name) is kind
+        assert _parse_element(name.upper()) is kind
+    with pytest.raises(InputError) as e:
+        _parse_element("cube")
+    assert str(e.value) == (
+        f"unknown element 'cube' (choose from {', '.join(sorted(_ELEMENT_NAMES))})"
+    )
+
+
 def test_generate_degree_cap(tmp_path, capsys):
     code, _, err = _run(
         capsys,
@@ -318,6 +344,83 @@ def test_evaluate_node_outside(tmp_path, capsys):
     )
     code, _, _ = _run(capsys, "evaluate", str(bad))
     assert code == 2
+
+
+# Node files that fail before their body is read: a degree the space does
+# not have, and bytes that are not UTF-8.
+_UNREADABLE = {
+    "degree0": (
+        b"# format: symnodes-nodes/1\n# element: line\n# degree: 0\n"
+        b"# count: 1\n# source: x\n# config: 0\n0\n",
+        "line 3: bad degree '0'",
+    ),
+    "binary": (b"\xff\xfe\x00garbage\n", "line 1: not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREADABLE))
+def test_evaluate_unreadable_file_exits_2(tmp_path, capsys, name):
+    content, message = _UNREADABLE[name]
+    bad = tmp_path / "bad.nodes"
+    bad.write_bytes(content)
+    code, stdout, err = _run(capsys, "evaluate", str(bad))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("name", sorted(_UNREADABLE))
+def test_compare_directory_keeps_rows_beside_an_unreadable_file(
+    tmp_path, capsys, name
+):
+    files = tmp_path / "files"
+    files.mkdir()
+    write_node_file(
+        files / "line_p1.nodes",
+        baseline_distribution(ElementKind.LINE, 1, "uniform"),
+    )
+    (files / "line_p2.nodes").write_bytes(_UNREADABLE[name][0])
+    out = tmp_path / "cmp.csv"
+    code, _, err = _run(
+        capsys,
+        "compare", "--element", "line", "--degree-range", "1:2",
+        "--dist", f"in={files}", "--out", str(out),
+        "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert code == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 3
+    assert rows[1].startswith("line,1,in,1")
+    assert rows[2] == "line,2,in,,,,"
+    assert f"warning: line p=2 in: {_UNREADABLE[name][1]}" in err
+
+
+@pytest.mark.parametrize("name", sorted(_UNREADABLE))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tabulate", "--element", "line", "--degree-range", "2:2",
+         "--out", "{cache}"),
+        ("compare", "--element", "line", "--degree-range", "2:2",
+         "--dist", "optimized", "--cache-dir", "{cache}",
+         "--out", "{tmp}/cmp.csv"),
+        ("generate", "--element", "tri", "--degree", "2", "--compat", "auto",
+         "--cache-dir", "{cache}", "--out", "{tmp}/tri2.nodes"),
+    ],
+    ids=["tabulate", "compare", "generate"],
+)
+def test_unreadable_cache_file_is_regenerated(tmp_path, capsys, argv, name):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / "line_p2.nodes"
+    stale.write_bytes(_UNREADABLE[name][0])
+    argv = [a.format(cache=cache, tmp=tmp_path) for a in argv]
+    code, _, _ = _run(capsys, *argv)
+    assert code == 0
+    dist, header = read_node_file(stale)
+    assert (dist.kind, dist.degree, header.source) == (
+        ElementKind.LINE, 2, "optimized"
+    )
 
 
 def test_compare_line(tmp_path, capsys):

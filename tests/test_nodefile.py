@@ -94,3 +94,57 @@ def test_failed_write_removes_its_temporary_file(tmp_path):
     with pytest.raises(OSError):
         write_node_file(taken, dist)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+_GOOD_HEADER = [
+    "# format: symnodes-nodes/1",
+    "# element: line",
+    "# degree: 2",
+    "# count: 3",
+    "# source: x",
+    "# config: 0",
+]
+
+
+@pytest.mark.parametrize(
+    "index, replacement, message",
+    [
+        (0, "# format: other/1", "line 1: unsupported format 'other/1'"),
+        (1, "# element: cube", "line 2: unknown element 'cube'"),
+        (2, "# degree: two", "line 3: bad degree 'two'"),
+        (2, "# degree: 0", "line 3: bad degree '0'"),
+        (2, "# degree: -1", "line 3: bad degree '-1'"),
+        (3, "# count: 6.0", "line 4: bad count '6.0'"),
+        (
+            4,
+            "# origin: x",
+            "line 5: expected header 'source', got '# origin: x'",
+        ),
+    ],
+)
+def test_header_errors_name_their_line(tmp_path, index, replacement, message):
+    lines = list(_GOOD_HEADER)
+    lines[index] = replacement
+    path = tmp_path / "h.nodes"
+    path.write_text("\n".join(lines + ["-1", "0", "1"]) + "\n")
+    with pytest.raises(NodeFileError) as e:
+        read_node_file(path)
+    assert str(e.value) == message
+    assert e.value.line == index + 1
+
+
+def test_short_file_reports_its_last_line(tmp_path):
+    path = tmp_path / "short.nodes"
+    path.write_text("\n".join(_GOOD_HEADER[:3]) + "\n")
+    with pytest.raises(NodeFileError) as e:
+        read_node_file(path)
+    assert str(e.value) == "line 3: file too short for a header"
+
+
+def test_undecodable_file_is_a_node_file_error(tmp_path):
+    path = tmp_path / "binary.nodes"
+    path.write_bytes(("\n".join(_GOOD_HEADER) + "\n").encode() + b"\xff\n")
+    with pytest.raises(NodeFileError) as e:
+        read_node_file(path)
+    assert e.value.line == 7
+    assert str(e.value) == "line 7: not UTF-8 text: invalid start byte"

@@ -10,6 +10,7 @@ from symnodes.errors import (
     ConstraintConflictError,
     DegenerateDistributionError,
     InfeasibleParameterError,
+    NumericalError,
 )
 from symnodes.geometry import ElementKind, contains, node_count, reference_element
 from symnodes.symmetry import (
@@ -33,28 +34,21 @@ from symnodes.symmetry import (
     _probe,
     _require_separated,
 )
-from symnodes import lincon
+from symnodes import lincon, symmetry
 
 ALL_KINDS = list(ElementKind)
 
-EXPECTED_MULTIPLICITIES = {
-    ElementKind.LINE: [1, 2],
-    ElementKind.TRIANGLE: [1, 3, 6],
-    ElementKind.QUADRILATERAL: [1, 4, 4, 8],
-    ElementKind.TETRAHEDRON: [1, 4, 6, 12, 24],
-    ElementKind.HEXAHEDRON: [1, 6, 8, 12, 24, 24, 48],
-    ElementKind.PRISM: [1, 2, 3, 6, 6, 12],
-    ElementKind.PYRAMID: [1, 4, 4, 8],
-}
-
-EXPECTED_PARAM_COUNTS = {
-    ElementKind.LINE: [0, 1],
-    ElementKind.TRIANGLE: [0, 1, 2],
-    ElementKind.QUADRILATERAL: [0, 1, 1, 2],
-    ElementKind.TETRAHEDRON: [0, 1, 1, 2, 3],
-    ElementKind.HEXAHEDRON: [0, 1, 1, 1, 2, 2, 3],
-    ElementKind.PRISM: [0, 1, 1, 2, 2, 3],
-    ElementKind.PYRAMID: [1, 2, 2, 3],
+# (param_count, multiplicity) of each orbit, in table order.
+EXPECTED_TABLE = {
+    ElementKind.LINE: [(0, 1), (1, 2)],
+    ElementKind.TRIANGLE: [(0, 1), (1, 3), (2, 6)],
+    ElementKind.QUADRILATERAL: [(0, 1), (1, 4), (1, 4), (2, 8)],
+    ElementKind.TETRAHEDRON: [(0, 1), (1, 4), (1, 6), (2, 12), (3, 24)],
+    ElementKind.HEXAHEDRON: [
+        (0, 1), (1, 6), (1, 8), (1, 12), (2, 24), (2, 24), (3, 48)
+    ],
+    ElementKind.PRISM: [(0, 1), (1, 2), (1, 3), (2, 6), (2, 6), (3, 12)],
+    ElementKind.PYRAMID: [(1, 1), (2, 4), (2, 4), (3, 8)],
 }
 
 
@@ -67,9 +61,33 @@ def _collection(kind, degree, indices):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_orbit_tables(kind):
-    orbs = orbits(kind)
-    assert [o.multiplicity for o in orbs] == EXPECTED_MULTIPLICITIES[kind]
-    assert [o.param_count for o in orbs] == EXPECTED_PARAM_COUNTS[kind]
+    got = [(o.param_count, o.multiplicity) for o in orbits(kind)]
+    assert got == EXPECTED_TABLE[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, pattern, a, point",
+    [
+        (ElementKind.TRIANGLE, "AA*", 0.2, [0.2, 0.2, 0.6]),
+        (ElementKind.TETRAHEDRON, "AA**", 0.1, [0.1, 0.1, 0.4, 0.4]),
+        (ElementKind.PRISM, "***A", 0.5, [1 / 3, 1 / 3, 1 / 3, 0.5]),
+    ],
+)
+def test_orbit_pattern_spells_its_generator(kind, pattern, a, point):
+    # ``*`` shares what the partition of unity leaves after the letters.
+    i = symmetry._ORBIT_PATTERNS[kind].split().index(pattern)
+    S, sigma = orbits(kind)[i].maps[0]
+    np.testing.assert_allclose(S @ [a] + sigma, point, rtol=0, atol=1e-15)
+
+
+def test_orbit_multiplicity_falling_along_the_table_raises(monkeypatch):
+    # Orbit matching takes the first orbit that reaches a point, which is
+    # only right when no later orbit has fewer points.
+    monkeypatch.setitem(
+        symmetry._ORBIT_PATTERNS, ElementKind.TRIANGLE, "*** AB* AA*"
+    )
+    with pytest.raises(NumericalError, match="orbit 3 has 3 points"):
+        orbits.__wrapped__(ElementKind.TRIANGLE)
 
 
 def test_evaluate_orbit_examples():
