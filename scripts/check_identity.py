@@ -42,6 +42,10 @@ Compares this checkout against the one at the given path (each with its own
   (byte for byte), which do not depend on any optimized node file;
 * ``LagrangeInterpolator.inverse()`` of the uniform nodes of each kind at
   p = 1..6 (byte for byte);
+* on uniform sets of each kind at p = 1..5, perturbed by 0.25/p .. 8/p
+  times uniform noise drawn at seeds 0..9: ``is_unisolvent``, and the
+  ``mass_condition`` and Lebesgue constant of ``evaluate_metrics`` at
+  resolution 20, or "refused" whatever the exception (byte for byte);
 * ``lebesgue_constant`` at the default resolution on uniform p=4 of each
   kind with the node nearest the centroid moved by 1e-3, a set no symmetry
   maps onto itself, so its scan covers the whole lattice; and on uniform
@@ -105,12 +109,13 @@ from symnodes.cli import _DEGREE_CAPS
 from symnodes.compatibility import (
     _orbit_reach, build_compatibility_constraints, face_prescriptions,
 )
+from symnodes.errors import SymnodesError
 from symnodes.geometry import (
     ElementKind, contains, natural_solve, reference_element,
 )
 from symnodes.metrics import (
     _SCREEN_RESOLUTION, _chamber, _lattice, default_resolution,
-    lebesgue_constant,
+    evaluate_metrics, is_unisolvent, lebesgue_constant,
 )
 from symnodes.quadrature import quadrature_rule
 from symnodes.symmetry import (
@@ -238,6 +243,25 @@ for kind, p in [("tri", 15), ("quad", 12), ("tet", 8), ("hex", 6),
         out[f"{kind.value}_p{p}_{name}_lebesgue"] = np.array(
             lebesgue_constant(sp, dist)
         )
+# Refusal decisions on perturbed uniform sets: the screen's answer, and the
+# report's mass condition and Lebesgue constant or "refused" (whatever the
+# exception class).
+for kind in ElementKind:
+    for p in range(1, 6):
+        sp = FunctionSpace(kind, p)
+        uni = baseline_distribution(kind, p, BaselineKind.UNIFORM)
+        for seed in range(10):
+            shift = np.random.default_rng(seed).uniform(-1, 1, uni.nodes.shape)
+            for a in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+                dist = NodalDistribution(kind, p, uni.nodes + a / p * shift, "x")
+                key = f"{kind.value}_p{p}_seed{seed}_a{a}"
+                out[key + "_unisolvent"] = np.array(is_unisolvent(sp, dist))
+                try:
+                    r = evaluate_metrics(sp, dist, resolution=20)
+                    report = [r.mass_condition, r.lebesgue_constant]
+                except SymnodesError:
+                    report = "refused"
+                out[key + "_report"] = np.array(report)
 x = np.tile(np.linspace(-1.0, 1.0, 101), (2, 1))
 for a, b in [(0.0, 0.0), (1.0, 1.0), (3.0, 0.0), (2.0, 2.0), (1.3, 0.2)]:
     for normalized in (False, True):

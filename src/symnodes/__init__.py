@@ -8,11 +8,7 @@ adjacent elements agree on shared faces.
 """
 
 from .baselines import BaselineKind, baseline_distribution, gll_1d
-from .basis import (
-    FunctionSpace,
-    VandermondeMatrix,
-    vandermonde,
-)
+from .basis import FunctionSpace
 from .compatibility import (
     FacePrescription,
     build_compatibility_constraints,

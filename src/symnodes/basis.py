@@ -5,7 +5,8 @@ equals the node count of the element, spanned by an orthonormal modal
 basis: tensor Legendre products on line/quad/hex, the collapsed-coordinate
 simplex bases on triangle and tetrahedron, a triangle-times-Legendre
 product on the prism, and the rational polynomial-trace space on the
-pyramid.
+pyramid.  :class:`LagrangeInterpolator` alone refuses node sets too near
+singular.
 
 Basis gradients are implemented analytically for every kind, which is what
 makes the analytic objective gradient of the optimizer possible.  Every
@@ -21,7 +22,7 @@ modes from that one table with index plans cached per degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,21 +30,20 @@ import scipy.linalg
 
 from .errors import DegenerateDistributionError, UnisolvencyError
 from .geometry import ElementKind, node_count
-from .symmetry import NodalDistribution
 
 __all__ = [
     "FunctionSpace",
-    "VandermondeMatrix",
     "basis_eval_many",
     "basis_grad_many",
     "basis_eval_with_grad",
     "lu_inverse",
-    "vandermonde",
     "LagrangeInterpolator",
-    "UNISOLVENCY_CONDITION_LIMIT",
+    "MASS_RATIO",
 ]
 
-UNISOLVENCY_CONDITION_LIMIT = 1e12
+# Eigenvalue ratio of the mass matrix ``V^-T V^-1`` at or below which it is
+# not positive definite: cond(V) >= 1e7 when sigma_min <= 1.
+MASS_RATIO = 1e-14
 _COLLAPSE_EPS = 1e-13
 
 
@@ -570,34 +570,6 @@ def basis_eval_with_grad(space: FunctionSpace, pts):
     return values, lambda: _basis(space, pts, True, tables)
 
 
-@dataclass(eq=False)
-class VandermondeMatrix:
-    """Generalized Vandermonde matrix V[i, j] = phi_j(node_i)."""
-
-    matrix: np.ndarray
-    space: FunctionSpace
-    nodes: np.ndarray
-    _sv: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def singular_values(self):
-        """Singular values, largest first; all NaN when the SVD fails."""
-        if self._sv is None:
-            try:
-                self._sv = np.linalg.svd(self.matrix, compute_uv=False)
-            except np.linalg.LinAlgError:
-                self._sv = np.full(min(self.matrix.shape), np.nan)
-        return self._sv
-
-    @property
-    def condition(self):
-        """Spectral condition number; infinite when ``V`` is singular."""
-        s = self.singular_values
-        with np.errstate(all="ignore"):
-            cond = float(s[0] / s[-1])
-        return np.inf if np.isnan(cond) else cond
-
-
 _GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=float)
 
 
@@ -623,16 +595,6 @@ def lu_inverse(M):
     return _GETRS(lu, piv, _identity(m))[0]
 
 
-def vandermonde(space: FunctionSpace, dist: NodalDistribution) -> VandermondeMatrix:
-    if dist.count != space.dim:
-        raise ValueError(
-            f"distribution has {dist.count} nodes, space dimension is "
-            f"{space.dim}"
-        )
-    V = basis_eval_many(space, dist.nodes)
-    return VandermondeMatrix(V, space, dist.nodes)
-
-
 class LagrangeInterpolator:
     """Lagrange evaluation for one (space, distribution) pair.
 
@@ -641,21 +603,34 @@ class LagrangeInterpolator:
     values there, ``basis_eval_many(space, pts) @ inverse()`` (from
     ``V^T l(x) = phi(x)``).  The metrics form that product on chunks in
     buffers of their own.
+
+    Raises :class:`UnisolvencyError` when ``V`` (kept as ``matrix``) is not
+    finite, its SVD fails, or the mass matrix ``V^-T V^-1`` (condition
+    ``mass_condition``) has an eigenvalue ratio at or below ``MASS_RATIO``.
     """
 
     def __init__(self, space, dist):
+        if dist.count != space.dim:
+            raise ValueError(
+                f"distribution has {dist.count} nodes, space dimension is "
+                f"{space.dim}"
+            )
         self.space = space
         self.dist = dist
-        self.vmatrix = vandermonde(space, dist)
-        V = self.vmatrix.matrix
+        self.matrix = V = basis_eval_many(space, dist.nodes)
         if not np.all(np.isfinite(V)):
             raise UnisolvencyError("non-finite basis values at nodes")
-        cond = self.vmatrix.condition
-        if not np.isfinite(cond) or cond >= UNISOLVENCY_CONDITION_LIMIT:
+        try:
+            s = np.linalg.svd(V, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise UnisolvencyError(f"no singular values of V: {exc}") from exc
+        with np.errstate(all="ignore"):
+            eig_min, eig_max = 1.0 / s[0] ** 2, 1.0 / s[-1] ** 2
+        if eig_min <= MASS_RATIO * max(eig_max, 1.0):
             raise UnisolvencyError(
-                f"Vandermonde condition {cond:.3e} is at or above limit "
-                f"{UNISOLVENCY_CONDITION_LIMIT:.1e}"
+                f"mass matrix is not positive definite (min eig {eig_min:.3e})"
             )
+        self.mass_condition = float(s[0] / s[-1]) ** 2
         self._inverse = lu_inverse(V)
         self._inverse.setflags(write=False)
 

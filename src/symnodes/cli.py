@@ -293,6 +293,11 @@ def cmd_evaluate(args):
 def _external_distribution(directory, kind, degree):
     path = _cache_path(directory, kind, degree)
     dist, _ = read_node_file(path)
+    if (dist.kind, dist.degree) != (kind, degree):
+        raise NodeFileError(
+            f"{path} holds {dist.kind.value} p={dist.degree}, expected "
+            f"{kind.value} p={degree}"
+        )
     return dist
 
 

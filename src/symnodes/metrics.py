@@ -51,9 +51,10 @@
 * Mass matrix: the cardinal Gram matrix ``M = V^-T V^-1``.  Its eigenvalues
   are ``1 / sigma_i^2`` for the singular values ``sigma_i`` of ``V``, so its
   condition number is ``cond(V)^2``.
-* Unisolvency screen (``is_unisolvent``): cheap rejection of node sets
-  whose Vandermonde, mass matrix or coarse Lebesgue estimate blows up.  The optimizer
-  runs it on its start; ``evaluate_metrics`` does not.
+* Every metric first builds the ``LagrangeInterpolator``, so all refuse
+  its refused sets, before any scan.  The screen ``is_unisolvent`` also
+  refuses a coarse Lebesgue estimate that blows up.  The optimizer runs it
+  on its start; ``evaluate_metrics`` does not.
 
 Every metric is computed on the nodes in lexicographic coordinate order, so
 the scalar results are identical floats whatever order the caller's nodes
@@ -69,7 +70,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import FunctionSpace, LagrangeInterpolator, _basis
-from .errors import NumericalError, UnisolvencyError
+from .errors import UnisolvencyError
 from .geometry import ElementKind, contains, natural_solve, reference_element
 from .quadrature import quadrature_rule
 from .symmetry import NodalDistribution, is_symmetric, natural_symmetry_group
@@ -92,9 +93,6 @@ _SCREEN_LIMIT = 1e12
 # (its products then run on two base points at a time); twice it ran as
 # fast and raised the eval-files peak by 2 MB.
 _BUDGET = 1 << 17
-# Eigenvalue ratio of the mass matrix at or below which it is not positive
-# definite: cond(V) >= 1e7 when sigma_min <= 1.
-_MASS_RATIO = 1e-14
 # Node sets symmetric to this Cartesian distance scan one fundamental
 # domain of the lattice; the optimized and uniform sets are symmetric to
 # rounding (at most 4.5e-16).
@@ -316,18 +314,6 @@ def _objective(interp):
     return float(np.einsum("ij,ij->", A, A))
 
 
-def _mass_condition(vmatrix):
-    """Condition number of ``M = V^-T V^-1``, whose eigenvalues are
-    ``1 / sigma_i^2``."""
-    s = vmatrix.singular_values
-    eig_min, eig_max = 1.0 / s[0] ** 2, 1.0 / s[-1] ** 2
-    if eig_min <= _MASS_RATIO * max(eig_max, 1.0):
-        raise NumericalError(
-            f"mass matrix is not positive definite (min eig {eig_min:.3e})"
-        )
-    return vmatrix.condition**2
-
-
 def lebesgue_constant(space, dist, resolution=None):
     """Max over the sample set of the cardinal-function absolute sum."""
     _, interp = _interpolator(space, dist)
@@ -345,22 +331,19 @@ def mass_matrix(space, dist):
     """Cardinal Gram matrix ``V^-T V^-1``, in the caller's node order, and
     its spectral condition number."""
     order, interp = _interpolator(space, dist)
-    cond = _mass_condition(interp.vmatrix)
     A = interp.inverse()
     M = A.T @ A
     M = 0.5 * (M + M.T)
     back = np.argsort(order)
-    return M[np.ix_(back, back)], cond
+    return M[np.ix_(back, back)], interp.mass_condition
 
 
 def is_unisolvent(space, dist):
-    """Fast screen: finite, moderate Vandermonde condition, a positive
-    definite mass matrix and a bounded coarse Lebesgue estimate, so every
-    metric is defined on a set that passes."""
+    """Fast screen: a set the interpolator accepts, with a bounded coarse
+    Lebesgue estimate, so every metric is defined on a set that passes."""
     try:
         _, interp = _interpolator(space, dist)
-        _mass_condition(interp.vmatrix)
-    except (ValueError, UnisolvencyError, NumericalError):
+    except (ValueError, UnisolvencyError):
         return False
     coarse = _lebesgue_max(interp, _SCREEN_RESOLUTION)
     return bool(np.isfinite(coarse) and coarse < _SCREEN_LIMIT)
@@ -378,6 +361,6 @@ def evaluate_metrics(space, dist, resolution=None):
     return MetricReport(
         lebesgue_constant=_lebesgue_max(interp, resolution),
         lebesgue_objective=_objective(interp),
-        mass_condition=_mass_condition(interp.vmatrix),
+        mass_condition=interp.mass_condition,
         resolution=resolution,
     )

@@ -46,7 +46,8 @@ import scipy.linalg
 
 from . import lincon
 from .basis import (
-    FunctionSpace, basis_eval_many, basis_eval_with_grad, lu_inverse,
+    MASS_RATIO, FunctionSpace, basis_eval_many, basis_eval_with_grad,
+    lu_inverse,
 )
 from .compatibility import (
     _MATCH_TOL,
@@ -62,7 +63,7 @@ from .errors import (
     NumericalError,
 )
 from .geometry import TENSOR_KINDS, ElementKind, natural_solve, reference_element
-from .metrics import _MASS_RATIO, is_unisolvent
+from .metrics import is_unisolvent
 from .symmetry import (
     ConstrainedOrbit,
     LinearConstraintSet,
@@ -198,7 +199,7 @@ class MinimizeOutcome:
 
 
 # A start objective at or above this is near singular (see ``minimize``).
-_SINGULAR_OBJECTIVE = 1.0 / _MASS_RATIO
+_SINGULAR_OBJECTIVE = 1.0 / MASS_RATIO
 
 
 @dataclass
@@ -335,7 +336,7 @@ def minimize(problem, config, y0, lockstep=None) -> MinimizeOutcome:
 
     A near-singular start ends ``"error"`` at once, with the reason in the
     outcome's ``message``: one whose objective, the solver's first value,
-    is at or above ``1 / metrics._MASS_RATIO`` (1e14).  The objective lies
+    is at or above ``1 / basis.MASS_RATIO`` (1e14).  The objective lies
     between ``1 / sigma_min^2`` and ``n / sigma_min^2``, and ``sigma_max
     >= 1`` for these bases, so the mass matrix of such a start has an
     eigenvalue ratio ``(sigma_min / sigma_max)^2`` within a factor ``n``

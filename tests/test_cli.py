@@ -395,6 +395,40 @@ def test_compare_directory_keeps_rows_beside_an_unreadable_file(
     assert f"warning: line p=2 in: {_UNREADABLE[name][1]}" in err
 
 
+@pytest.mark.parametrize(
+    "element, kind, held",
+    [
+        # Counts differ: 10 nodes where the space has 6.
+        ("tri", ElementKind.TRIANGLE, (ElementKind.TRIANGLE, 3)),
+        # Counts agree (9 nodes), dimensions do not.
+        ("quad", ElementKind.QUADRILATERAL, (ElementKind.LINE, 8)),
+    ],
+)
+def test_compare_directory_blanks_a_file_holding_another_set(
+    tmp_path, capsys, element, kind, held
+):
+    files = tmp_path / "files"
+    files.mkdir()
+    path = files / f"{kind.value}_p2.nodes"
+    write_node_file(path, baseline_distribution(*held, "uniform"))
+    out = tmp_path / "cmp.csv"
+    code, _, err = _run(
+        capsys,
+        "compare", "--element", element, "--degree-range", "2:2",
+        "--dist", f"in={files}", "--dist", "uniform", "--out", str(out),
+        "--resolution", "20",
+    )
+    assert code == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 3
+    assert rows[1] == f"{kind.value},2,in,,,,"
+    assert rows[2].startswith(f"{kind.value},2,uniform,")
+    assert (
+        f"warning: {kind.value} p=2 in: {path} holds {held[0].value} "
+        f"p={held[1]}, expected {kind.value} p=2"
+    ) in err
+
+
 @pytest.mark.parametrize("name", sorted(_UNREADABLE))
 @pytest.mark.parametrize(
     "argv",

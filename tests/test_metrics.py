@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from symnodes.baselines import baseline_distribution
 from symnodes.basis import FunctionSpace, LagrangeInterpolator, basis_eval_many
-from symnodes.errors import NumericalError
+from symnodes.errors import SymnodesError, UnisolvencyError
 from symnodes.geometry import ElementKind, reference_element
 from symnodes.metrics import (
     _EXTRUDED as EXTRUDED_BASE,
@@ -388,19 +388,112 @@ def test_factorized_scan_carries_nan(kind, poison, monkeypatch):
     assert np.isnan(lebesgue_constant(spp, dist, resolution=20))
 
 
-def test_screen_rejects_sets_without_a_mass_condition():
+def _pinned_pyramid_draw():
     # A pyramid p=5 node pushed near the apex and out of the element gives
-    # cond(V) 2.5e9: below the interpolator's limit, but the mass matrix is
-    # not positive definite, so the screen must not pass the set.
+    # cond(V) 2.5e9, at which the mass matrix is not positive definite.
     kind, p = ElementKind.PYRAMID, 5
     uni = baseline_distribution(kind, p, "uniform")
     shift = np.random.default_rng(361231056).uniform(-1.0, 1.0, uni.nodes.shape)
     dist = NodalDistribution(kind, p, uni.nodes + 0.25 / p * shift, "perturbed")
-    spp = FunctionSpace(kind, p)
-    assert 1e7 < LagrangeInterpolator(spp, dist).vmatrix.condition < 1e12
-    with pytest.raises(NumericalError, match="not positive definite"):
+    return FunctionSpace(kind, p), dist
+
+
+def test_screen_rejects_sets_without_a_mass_condition():
+    # The mass matrix is not positive definite, so no metric is defined
+    # and the screen must not pass the set.
+    spp, dist = _pinned_pyramid_draw()
+    assert 1e7 < np.linalg.cond(basis_eval_many(spp, dist.nodes)) < 1e12
+    with pytest.raises(UnisolvencyError, match="not positive definite"):
+        LagrangeInterpolator(spp, dist)
+    with pytest.raises(UnisolvencyError, match="not positive definite"):
         mass_matrix(spp, dist)
     assert not is_unisolvent(spp, dist)
+
+
+_METRICS = (
+    LagrangeInterpolator,
+    lambda spp, dist: lebesgue_constant(spp, dist, resolution=20),
+    lebesgue_objective,
+    mass_matrix,
+    lambda spp, dist: evaluate_metrics(spp, dist, resolution=20),
+)
+
+
+def _refuses(metric, spp, dist):
+    try:
+        metric(spp, dist)
+    except UnisolvencyError:
+        return True
+    return False
+
+
+def _assert_one_refusal(spp, dist):
+    """Every public metric raises UnisolvencyError and the screen says
+    False, or every metric succeeds and the screen says True."""
+    refused = [_refuses(metric, spp, dist) for metric in _METRICS]
+    assert refused == [refused[0]] * len(_METRICS)
+    assert is_unisolvent(spp, dist) is not refused[0]
+    return refused[0]
+
+
+def test_every_metric_refuses_the_pinned_draw():
+    assert _assert_one_refusal(*_pinned_pyramid_draw())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(list(ElementKind)),
+    p=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    amplitude=st.floats(0.25, 8.0),
+)
+def test_every_metric_refuses_the_same_sets(kind, p, seed, amplitude):
+    uni = baseline_distribution(kind, p, "uniform")
+    shift = np.random.default_rng(seed).uniform(-1.0, 1.0, uni.nodes.shape)
+    nodes = uni.nodes + amplitude / p * shift
+    dist = NodalDistribution(kind, p, nodes, "perturbed")
+    _assert_one_refusal(FunctionSpace(kind, p), dist)
+
+
+def test_refused_set_costs_no_lebesgue_scan(monkeypatch):
+    import symnodes.metrics as metrics
+
+    calls = []
+    real_basis = metrics._basis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_basis(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_basis", counting)
+    spp, dist = _pinned_pyramid_draw()
+    with pytest.raises(SymnodesError, match="not positive definite"):
+        evaluate_metrics(spp, dist)
+    assert not is_unisolvent(spp, dist)
+    assert len(calls) == 0
+
+
+def test_failed_svd_refuses_the_set(monkeypatch, tmp_path, capsys):
+    from symnodes.cli import main
+    from symnodes.nodefile import write_node_file
+
+    kind, p = ElementKind.TRIANGLE, 3
+    spp, dist = FunctionSpace(kind, p), baseline_distribution(kind, p, "uniform")
+    path = tmp_path / "tri_p3.nodes"
+    write_node_file(path, dist)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(UnisolvencyError, match="SVD did not converge"):
+        LagrangeInterpolator(spp, dist)
+    assert not is_unisolvent(spp, dist)
+    capsys.readouterr()
+    assert main(["evaluate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "SVD did not converge" in err
+    assert "Traceback" not in err
 
 
 def test_screen_rejects_non_finite_cardinal_values(monkeypatch):
