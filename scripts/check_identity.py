@@ -15,6 +15,10 @@ Compares this checkout against the one at the given path (each with its own
   blocks; plus the unnormalized and normalized Jacobi tables of
   ``basis._sweep`` (value and derivative rows of five (a, b) families)
   and ``gll_1d`` (byte for byte);
+* each ``reference_element(kind)``: its ``n_matrix``, ``nu``, ``b_lambda``,
+  ``v_lower``, ``v_upper``, ``vertices``, ``measure``, ``_solve_matrix`` and
+  ``_solve_rhs_vals``, and each face's kind, ``matrix`` and ``offset`` (byte
+  for byte);
 * ``baseline_distribution`` of both families on every kind they cover at
   p = 1..12 and ``quadrature_rule`` points and weights of every kind at
   q = 0..29 (byte for byte, so the rows and their order);
@@ -123,6 +127,16 @@ from symnodes.symmetry import (
 )
 
 out = {}
+for kind in ElementKind:
+    elem = reference_element(kind)
+    for name in ("n_matrix", "nu", "b_lambda", "v_lower", "v_upper", "vertices",
+                 "measure", "_solve_matrix", "_solve_rhs_vals"):
+        out[f"{kind.value}_element_{name}"] = np.array(getattr(elem, name))
+    for i, face in enumerate(elem.faces):
+        key = f"{kind.value}_face{i}"
+        out[key + "_kind"] = np.array(getattr(face.face_kind, "value", "none"))
+        out[key + "_matrix"] = face.matrix
+        out[key + "_offset"] = face.offset
 rng = np.random.default_rng(123)
 for kind in ElementKind:
     elem = reference_element(kind)

@@ -7,6 +7,12 @@ carries a linear map ``x = N @ lam + nu`` from natural coordinates ``lam``
 Cartesian coordinates ``x``, together with the linear bounds
 ``v_lower <= B @ lam <= v_upper`` that carve out the reference domain.
 
+Each element comes from one row of ``_TABLES``: its vertices, its faces named
+by their corner vertices, ``N``, ``B`` and the bounds, and its measure.  Three
+rules derive the rows: ``_simplex`` (triangle, tetrahedron), ``_box`` (line,
+quadrilateral) and ``_extrude`` (hexahedron from the quadrilateral, prism from
+the triangle); the pyramid's row is literal data.
+
 Conventions (fixed by this package, documented in the README):
 
 * vertex order -- line: (-1), (1); triangle: (-1,-1), (1,-1), (-1,1);
@@ -14,15 +20,17 @@ Conventions (fixed by this package, documented in the README):
   (1,-1,-1), (-1,1,-1), (-1,-1,1); hexahedron: bottom quad then top quad;
   prism: bottom triangle (z=-1) then top triangle (z=+1); pyramid: base quad
   (z=-1) counterclockwise, then apex (0,0,1).
-* face order -- listed in each ``_make_*`` builder below; faces of mixed
-  3D elements list triangles before quadrilaterals except where the
-  geometric enumeration is more natural (see builders).
-* face maps are affine embeddings of the face's own reference domain; a
-  0-dimensional face (line endpoint) has ``face_kind None``.
+* face order -- the order of the corner tuples in ``_TABLES`` below;
+  hexahedron and prism faces are bottom, top, then one side per base edge in
+  base-edge order.
+* face maps are affine embeddings of the face's own reference domain that
+  send its vertices onto the face's corners; a 0-dimensional face (line
+  endpoint) has ``face_kind None``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -59,21 +67,10 @@ class ElementKind(str, Enum):
 #: Kinds whose natural coordinates are Cartesian: tensor products of the line.
 TENSOR_KINDS = (ElementKind.LINE, ElementKind.QUADRILATERAL, ElementKind.HEXAHEDRON)
 
-#: Measure (length/area/volume) of each bi-unit reference domain.
-MEASURE = {
-    ElementKind.LINE: 2.0,
-    ElementKind.TRIANGLE: 2.0,
-    ElementKind.QUADRILATERAL: 4.0,
-    ElementKind.TETRAHEDRON: 4.0 / 3.0,
-    ElementKind.HEXAHEDRON: 8.0,
-    ElementKind.PRISM: 4.0,
-    ElementKind.PYRAMID: 8.0 / 3.0,
-}
-
 
 def _ro(a):
-    """Return a float array marked read-only."""
-    a = np.asarray(a, dtype=float)
+    """Return a C-contiguous float array marked read-only."""
+    a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -138,257 +135,151 @@ class ReferenceElement:
         return np.max(viol, axis=1)
 
 
-def _solve_setup(n_matrix, b_lambda, v_lower, v_upper):
-    """Build the inverse map for natural coordinates.
+#: Face kind by the number of corners of a face.
+_FACE_KINDS = (None, ElementKind.LINE, ElementKind.TRIANGLE, ElementKind.QUADRILATERAL)
 
-    Stacks the Cartesian map with any equality rows of the bound table (the
-    barycentric partition-of-unity rows) to obtain a square invertible
-    system.
+
+def _face(vertices, corners):
+    """Embedding of the face with these corner vertices ``(a, b, ..., last)``.
+
+    Its axes are ``(b - a)/2`` and ``(last - a)/2`` (one axis on an edge, none
+    on a point), so the face's own reference vertices land on the corners.
     """
-    d, dprime = n_matrix.shape
-    eq = np.isfinite(v_lower) & np.isfinite(v_upper) & (v_upper - v_lower == 0.0)
-    rows = b_lambda[eq]
-    vals = v_lower[eq]
-    full = np.vstack([n_matrix, rows])
-    if full.shape[0] != dprime:
-        raise NumericalError(
-            f"natural-coordinate system is not square: {full.shape}"
-        )
-    inv = np.linalg.inv(full)
-    return _ro(inv), _ro(vals)
+    a, *others = vertices[list(corners)]
+    if len(others) == 3 and not np.allclose(
+        a + others[1], others[0] + others[2], atol=1e-14
+    ):
+        raise NumericalError("quadrilateral face is not a parallelogram")
+    axes = [(v - a) / 2.0 for v in others[:1] + others[1:][-1:]]
+    m = np.stack(axes, axis=1) if axes else np.zeros((len(a), 0))
+    return FaceEmbedding(_FACE_KINDS[len(others)], _ro(m), _ro(a + m.sum(axis=1)))
 
 
-def _element(kind, n_matrix, b_lambda, v_lower, v_upper, vertices, faces):
-    n_matrix = np.asarray(n_matrix, dtype=float)
-    b_lambda = np.asarray(b_lambda, dtype=float)
-    v_lower = np.asarray(v_lower, dtype=float)
-    v_upper = np.asarray(v_upper, dtype=float)
+def _element(kind, vertices, faces, n_matrix, b_lambda, v_lower, v_upper, measure):
+    n_matrix, b_lambda, v_lower, v_upper, vertices = map(
+        _ro, (n_matrix, b_lambda, v_lower, v_upper, vertices)
+    )
     if np.any(v_lower > v_upper):
         raise NumericalError(f"{kind}: lower bound exceeds upper bound")
-    solve_matrix, rhs_vals = _solve_setup(
-        n_matrix, b_lambda, v_lower, v_upper
-    )
+    # The inverse map for natural coordinates: the Cartesian map stacked with
+    # the equality rows of the bounds (the barycentric partition of unity).
+    eq = np.isfinite(v_lower) & (v_lower == v_upper)
+    full = np.vstack([n_matrix, b_lambda[eq]])
+    if full.shape[0] != full.shape[1]:
+        raise NumericalError(f"natural-coordinate system is not square: {full.shape}")
+    d = n_matrix.shape[0]
     return ReferenceElement(
-        kind=kind,
-        dim=n_matrix.shape[0],
-        natural_dim=n_matrix.shape[1],
-        n_matrix=_ro(n_matrix),
-        nu=_ro(np.zeros(n_matrix.shape[0])),
-        b_lambda=_ro(b_lambda),
-        v_lower=_ro(v_lower),
-        v_upper=_ro(v_upper),
-        vertices=_ro(vertices),
-        faces=tuple(faces),
-        measure=MEASURE[kind],
-        _solve_matrix=solve_matrix,
-        _solve_rhs_vals=rhs_vals,
+        kind=kind, dim=d, natural_dim=n_matrix.shape[1], n_matrix=n_matrix,
+        nu=_ro(np.zeros(d)), b_lambda=b_lambda, v_lower=v_lower, v_upper=v_upper,
+        vertices=vertices, faces=tuple(_face(vertices, c) for c in faces),
+        measure=measure,
+        _solve_matrix=_ro(np.linalg.inv(full)),
+        _solve_rhs_vals=_ro(v_lower[eq]),
     )
 
 
-def _point_face(position):
-    return FaceEmbedding(None, _ro(np.zeros((1, 0))), _ro([position]))
+def _simplex(vertices, faces):
+    """Barycentric row: ``N = Vᵀ``, ``0 <= lam_i <= 1`` and ``sum(lam) = 1``."""
+    v = np.array(vertices, dtype=float)
+    k, d = v.shape
+    return dict(vertices=v, faces=faces, n_matrix=v.T,
+                b_lambda=np.vstack([np.eye(k), np.ones(k)]),
+                v_lower=[0.0] * k + [1.0], v_upper=[1.0] * (k + 1),
+                measure=2.0**d / math.factorial(d))
 
 
-def _edge_face(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return FaceEmbedding(
-        ElementKind.LINE, _ro(((b - a) / 2.0).reshape(-1, 1)), _ro((a + b) / 2.0)
+def _box(vertices, faces):
+    """Cartesian row: ``N = B = I`` and ``-1 <= x_i <= 1``."""
+    v = np.array(vertices, dtype=float)
+    d = v.shape[1]
+    return dict(vertices=v, faces=faces, n_matrix=np.eye(d), b_lambda=np.eye(d),
+                v_lower=[-1.0] * d, v_upper=[1.0] * d, measure=2.0**d)
+
+
+def _extrude(base):
+    """The row of ``base`` times ``[-1, 1]`` in a new last coordinate ``z``.
+
+    Vertices at ``z = -1``, then at ``z = +1``; faces bottom, top, then
+    ``(a, b, b+k, a+k)`` for each base edge ``(a, b)``.  ``N`` and ``B`` grow
+    by one unit row and column, the bounds by ``-1 <= z <= 1``.
+    """
+
+    def grow(m):
+        m = np.pad(np.asarray(m, dtype=float), ((0, 1), (0, 1)))
+        m[-1, -1] = 1.0
+        return m
+
+    v = base["vertices"]
+    k = len(v)
+    sides = [(a, b, b + k, a + k) for a, b in base["faces"]]
+    return dict(
+        vertices=np.vstack([np.column_stack([v, np.full(k, z)]) for z in (-1, 1)]),
+        faces=[tuple(range(k)), tuple(range(k, 2 * k)), *sides],
+        n_matrix=grow(base["n_matrix"]), b_lambda=grow(base["b_lambda"]),
+        v_lower=base["v_lower"] + [-1.0], v_upper=base["v_upper"] + [1.0],
+        measure=2.0 * base["measure"],
     )
-
-
-def _tri_face(a, b, c):
-    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
-    m = np.column_stack([(b - a) / 2.0, (c - a) / 2.0])
-    return FaceEmbedding(ElementKind.TRIANGLE, _ro(m), _ro(a + m.sum(axis=1)))
-
-
-def _quad_face(a, b, c, d):
-    a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
-    if not np.allclose(a + c, b + d, atol=1e-14):
-        raise NumericalError("quadrilateral face is not a parallelogram")
-    m = np.column_stack([(b - a) / 2.0, (d - a) / 2.0])
-    return FaceEmbedding(ElementKind.QUADRILATERAL, _ro(m), _ro(a + m.sum(axis=1)))
 
 
 INF = np.inf
 
-
-def _make_line():
-    verts = [[-1.0], [1.0]]
-    faces = [_point_face(-1.0), _point_face(1.0)]
-    return _element(
-        ElementKind.LINE, [[1.0]], [[1.0]], [-1.0], [1.0], verts, faces
-    )
-
-
-def _make_triangle():
-    # x = -l1 + l2 - l3, y = -l1 - l2 + l3; vertices are the unit barycentrics.
-    n = [[-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
-    b = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
-    vl = [0.0, 0.0, 0.0, 1.0]
-    vu = [1.0, 1.0, 1.0, 1.0]
-    v = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-    faces = [
-        _edge_face(v[0], v[1]),  # lam3 = 0
-        _edge_face(v[1], v[2]),  # lam1 = 0 (hypotenuse)
-        _edge_face(v[2], v[0]),  # lam2 = 0
-    ]
-    return _element(ElementKind.TRIANGLE, n, b, vl, vu, v, faces)
-
-
-def _make_quadrilateral():
-    n = np.eye(2)
-    v = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    faces = [
-        _edge_face(v[0], v[1]),
-        _edge_face(v[1], v[2]),
-        _edge_face(v[2], v[3]),
-        _edge_face(v[3], v[0]),
-    ]
-    return _element(
-        ElementKind.QUADRILATERAL, n, np.eye(2), [-1.0, -1.0], [1.0, 1.0], v, faces
-    )
-
-
-def _make_tetrahedron():
-    n = [
-        [-1.0, 1.0, -1.0, -1.0],
-        [-1.0, -1.0, 1.0, -1.0],
-        [-1.0, -1.0, -1.0, 1.0],
-    ]
-    b = np.vstack([np.eye(4), np.ones(4)])
-    vl = [0.0, 0.0, 0.0, 0.0, 1.0]
-    vu = [1.0, 1.0, 1.0, 1.0, 1.0]
-    v = np.array(
+#: One row per kind: vertices, faces as corner-index tuples, the natural map
+#: ``N``, the bound rows ``B`` with their bounds, and the measure.
+_TABLES = {
+    ElementKind.LINE: _box([[-1.0], [1.0]], [(0,), (1,)]),  # x = -1, x = +1
+    ElementKind.TRIANGLE: _simplex(
+        [[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]],
         [
-            [-1.0, -1.0, -1.0],
-            [1.0, -1.0, -1.0],
-            [-1.0, 1.0, -1.0],
-            [-1.0, -1.0, 1.0],
-        ]
-    )
-    faces = [
-        _tri_face(v[0], v[1], v[2]),  # z = -1
-        _tri_face(v[0], v[1], v[3]),  # y = -1
-        _tri_face(v[0], v[2], v[3]),  # x = -1
-        _tri_face(v[1], v[2], v[3]),  # x + y + z = -1
-    ]
-    return _element(ElementKind.TETRAHEDRON, n, b, vl, vu, v, faces)
-
-
-def _make_hexahedron():
-    v = np.array(
+            (0, 1),  # lam3 = 0 (y = -1)
+            (1, 2),  # lam1 = 0 (hypotenuse)
+            (2, 0),  # lam2 = 0 (x = -1)
+        ],
+    ),
+    ElementKind.QUADRILATERAL: _box(
+        [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]],
         [
-            [-1.0, -1.0, -1.0],
-            [1.0, -1.0, -1.0],
-            [1.0, 1.0, -1.0],
-            [-1.0, 1.0, -1.0],
-            [-1.0, -1.0, 1.0],
-            [1.0, -1.0, 1.0],
-            [1.0, 1.0, 1.0],
-            [-1.0, 1.0, 1.0],
-        ]
-    )
-    faces = [
-        _quad_face(v[0], v[1], v[2], v[3]),  # z = -1
-        _quad_face(v[4], v[5], v[6], v[7]),  # z = +1
-        _quad_face(v[0], v[1], v[5], v[4]),  # y = -1
-        _quad_face(v[1], v[2], v[6], v[5]),  # x = +1
-        _quad_face(v[2], v[3], v[7], v[6]),  # y = +1
-        _quad_face(v[3], v[0], v[4], v[7]),  # x = -1
-    ]
-    return _element(
-        ElementKind.HEXAHEDRON,
-        np.eye(3),
-        np.eye(3),
-        [-1.0] * 3,
-        [1.0] * 3,
-        v,
-        faces,
-    )
-
-
-def _make_prism():
-    # Barycentric triple for the triangular cross-section plus Cartesian z.
-    n = [
-        [-1.0, 1.0, -1.0, 0.0],
-        [-1.0, -1.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ]
-    b = [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 1, 0],
-        [1, 1, 1, 0],
-        [0, 0, 0, 1],
-    ]
-    vl = [0.0, 0.0, 0.0, 1.0, -1.0]
-    vu = [1.0, 1.0, 1.0, 1.0, 1.0]
-    v = np.array(
+            (0, 1),  # y = -1
+            (1, 2),  # x = +1
+            (2, 3),  # y = +1
+            (3, 0),  # x = -1
+        ],
+    ),
+    ElementKind.TETRAHEDRON: _simplex(
+        [[-1.0, -1.0, -1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]],
         [
-            [-1.0, -1.0, -1.0],
-            [1.0, -1.0, -1.0],
-            [-1.0, 1.0, -1.0],
-            [-1.0, -1.0, 1.0],
-            [1.0, -1.0, 1.0],
-            [-1.0, 1.0, 1.0],
-        ]
-    )
-    faces = [
-        _tri_face(v[0], v[1], v[2]),  # z = -1
-        _tri_face(v[3], v[4], v[5]),  # z = +1
-        _quad_face(v[0], v[1], v[4], v[3]),  # y = -1
-        _quad_face(v[1], v[2], v[5], v[4]),  # x + y = 0
-        _quad_face(v[2], v[0], v[3], v[5]),  # x = -1
-    ]
-    return _element(ElementKind.PRISM, n, b, vl, vu, v, faces)
-
-
-def _make_pyramid():
-    b = [
-        [2, 0, 1],
-        [2, 0, -1],
-        [0, 2, 1],
-        [0, 2, -1],
-        [0, 0, 1],
-    ]
-    vl = [-INF, -1.0, -INF, -1.0, -1.0]
-    vu = [1.0, INF, 1.0, INF, 1.0]
-    v = np.array(
-        [
-            [-1.0, -1.0, -1.0],
-            [1.0, -1.0, -1.0],
-            [1.0, 1.0, -1.0],
-            [-1.0, 1.0, -1.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    faces = [
-        _quad_face(v[0], v[1], v[2], v[3]),  # base z = -1
-        _tri_face(v[0], v[1], v[4]),
-        _tri_face(v[1], v[2], v[4]),
-        _tri_face(v[2], v[3], v[4]),
-        _tri_face(v[3], v[0], v[4]),
-    ]
-    return _element(ElementKind.PYRAMID, np.eye(3), b, vl, vu, v, faces)
-
-
-_BUILDERS = {
-    ElementKind.LINE: _make_line,
-    ElementKind.TRIANGLE: _make_triangle,
-    ElementKind.QUADRILATERAL: _make_quadrilateral,
-    ElementKind.TETRAHEDRON: _make_tetrahedron,
-    ElementKind.HEXAHEDRON: _make_hexahedron,
-    ElementKind.PRISM: _make_prism,
-    ElementKind.PYRAMID: _make_pyramid,
+            (0, 1, 2),  # z = -1
+            (0, 1, 3),  # y = -1
+            (0, 2, 3),  # x = -1
+            (1, 2, 3),  # x + y + z = -1
+        ],
+    ),
 }
+# z = -1, z = +1, then y = -1, x = +1, y = +1, x = -1.
+_TABLES[ElementKind.HEXAHEDRON] = _extrude(_TABLES[ElementKind.QUADRILATERAL])
+# z = -1, z = +1, then y = -1, x + y = 0, x = -1.
+_TABLES[ElementKind.PRISM] = _extrude(_TABLES[ElementKind.TRIANGLE])
+_TABLES[ElementKind.PYRAMID] = dict(
+    vertices=[[-1, -1, -1], [1, -1, -1], [1, 1, -1], [-1, 1, -1], [0, 0, 1]],
+    faces=[
+        (0, 1, 2, 3),  # z = -1 (base)
+        (0, 1, 4),  # 2y - z = -1
+        (1, 2, 4),  # 2x + z = 1
+        (2, 3, 4),  # 2y + z = 1
+        (3, 0, 4),  # 2x - z = -1
+    ],
+    n_matrix=np.eye(3),
+    b_lambda=[[2, 0, 1], [2, 0, -1], [0, 2, 1], [0, 2, -1], [0, 0, 1]],
+    v_lower=[-INF, -1.0, -INF, -1.0, -1.0],
+    v_upper=[1.0, INF, 1.0, INF, 1.0],
+    measure=8.0 / 3.0,
+)
 
 
 @lru_cache(maxsize=None)
 def reference_element(kind: ElementKind) -> ReferenceElement:
     """Return the immutable reference element table for ``kind``."""
-    return _BUILDERS[ElementKind(kind)]()
+    kind = ElementKind(kind)
+    return _element(kind, **_TABLES[kind])
 
 
 def natural_to_cartesian(elem, lam, tol=DEFAULT_TOL):

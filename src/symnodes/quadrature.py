@@ -20,7 +20,7 @@ from operator import mul
 import numpy as np
 import scipy.linalg
 
-from .geometry import MEASURE, TENSOR_KINDS, ElementKind, reference_element
+from .geometry import TENSOR_KINDS, ElementKind, reference_element
 
 __all__ = ["QuadratureRule", "gauss_legendre_1d", "quadrature_rule"]
 
@@ -207,11 +207,9 @@ def _rule(kind, degree):
     pts, w = _build_rule(kind, degree)
     if np.any(w <= 0.0):
         raise ValueError("quadrature weights must be positive")
-    total = float(np.sum(w))
-    if abs(total - MEASURE[kind]) > 1e-12 * MEASURE[kind] * max(1, len(w)):
-        raise ValueError(
-            f"weights sum to {total}, expected measure {MEASURE[kind]}"
-        )
+    total, measure = float(np.sum(w)), reference_element(kind).measure
+    if abs(total - measure) > 1e-12 * measure * max(1, len(w)):
+        raise ValueError(f"weights sum to {total}, expected measure {measure}")
     pts.setflags(write=False)
     w.setflags(write=False)
     return QuadratureRule(kind, pts, w, degree)

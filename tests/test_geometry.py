@@ -7,6 +7,7 @@ from symnodes.geometry import (
     cartesian_to_natural,
     contains,
     face_node_count,
+    natural_solve,
     natural_to_cartesian,
     node_count,
     reference_element,
@@ -175,3 +176,31 @@ def test_face_counts_and_embeddings(kind):
 def test_vertices_on_boundary(kind):
     elem = reference_element(kind)
     assert np.all(contains(elem, elem.vertices, 1e-12))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_faces_are_facets(kind):
+    # A face lies on the boundary, not across the interior: its corners are
+    # element vertices, one inequality row is tight at all of them, and every
+    # vertex is a corner of at least dim faces.
+    elem = reference_element(kind)
+    rows = np.flatnonzero(elem.v_lower != elem.v_upper)  # not sum(lam) = 1
+    on = np.zeros(len(elem.vertices), dtype=int)
+    for face in elem.faces:
+        if face.face_kind is None:
+            ref = np.zeros((1, 0))
+        else:
+            ref = reference_element(face.face_kind).vertices
+        corners = face.embed(ref)
+        hits = [np.flatnonzero((elem.vertices == x).all(axis=1)) for x in corners]
+        assert all(len(h) == 1 for h in hits), (face.face_kind, corners)
+        on[np.concatenate(hits)] += 1
+        y = np.atleast_2d(natural_solve(elem, corners)) @ elem.b_lambda.T
+        tight = [
+            np.all(np.abs(y[:, i] - bound) <= 1e-14)
+            for i in rows
+            for bound in (elem.v_lower[i], elem.v_upper[i])
+            if np.isfinite(bound)
+        ]
+        assert any(tight), (face.face_kind, corners)
+    assert np.all(on >= elem.dim), on
