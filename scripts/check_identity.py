@@ -223,8 +223,10 @@ for kind in ElementKind:
                 )
         for name, y in starts.items():
             out[f"{key}_{name}"] = y
-            f, gradient = optimizer._objective_value(problem, y)
-            g = gradient()
+            f, derivatives = optimizer._objective_value(problem, y)
+            g = derivatives()
+            if isinstance(g, tuple):  # (gradient, Hessian) where there is one
+                g = g[0]
             out[f"{key}_{name}_objective"] = np.array(f)
             out[f"{key}_{name}_gradient"] = g if g is not None else np.nan
     for p in range(1, 7):

@@ -8,19 +8,22 @@ product on the prism, and the rational polynomial-trace space on the
 pyramid.  :class:`LagrangeInterpolator` alone refuses node sets too near
 singular.
 
-Basis gradients are implemented analytically for every kind, which is what
-makes the analytic objective gradient of the optimizer possible.  Every
-mode is a product of 1D Jacobi factors.  A call works on blocks of points,
-at most ``_BLOCK`` (points x modes) entries each.  For each block it runs
-one three-term-recurrence sweep (:func:`_sweep`) over every (a, b) row it
-needs: all families, all coordinates and, for gradients, the (a + 1, b + 1)
-derivative rows, each stopped at the highest degree its modes use.  Its
-coefficients and norms are cached per row set.  Each kind then gathers its
-modes from that one table with index plans cached per degree.
+Basis gradients and second derivatives are implemented analytically for
+every kind, which is what makes the analytic objective gradient and Hessian
+of the optimizer possible.  Every mode is a product of 1D Jacobi factors.
+A call works on blocks of points, at most ``_BLOCK`` (points x modes)
+entries each.  For each block it runs one three-term-recurrence sweep
+(:func:`_sweep`) over every (a, b) row it needs: all families, all
+coordinates and, for derivatives, the (a + 1, b + 1) and (a + 2, b + 2)
+rows, each stopped at the highest degree its modes use.  Its coefficients
+and norms are cached per row set.  Each kind then gathers its modes from
+that one table with index plans cached per degree; second derivatives
+follow one chain rule for all kinds (:func:`_hessian_plan`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -86,12 +89,14 @@ def _recurrence(n, rows, normalized):
     For each degree m = 0..n: the number of rows whose sweep reaches m
     and, as columns, their coefficients (e0, e1) of degree 1 or (c1, c2,
     c3, c4) of P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1, on the
-    (a + 1, b + 1) pair for derivative rows.  Then c3 and c2 of degrees
-    m = 2..n over all rows, (n - 1, rows, 1), padded with 1 and 0 past each
-    row's depth (so an infinite coordinate there gives no 0 * inf); the
-    factors 0.5 (m + a + b + 1), m = 1..n + 1, that turn
-    the entries into derivatives (1 on value rows, None without derivative
-    rows); and with ``normalized`` the norm of each entry.
+    (a + deriv, b + deriv) pair for derivative rows.  Then c3 and c2 of
+    degrees m = 2..n over all rows, (n - 1, rows, 1), padded with 1 and 0
+    past each row's depth (so an infinite coordinate there gives no
+    0 * inf); the factors 0.5 (m + a + b + 1) of first and
+    0.25 (m + a + b + 2) (m + a + b + 3) of second derivative rows,
+    m = 1..n + 1, that turn the entries into derivatives (1 on value rows,
+    None without derivative rows); and with ``normalized`` the norm of each
+    entry.
     """
     a0, b0, d, depth = np.array(rows, dtype=float).T[:, :, None]
     a, b = a0 + d, b0 + d
@@ -110,7 +115,12 @@ def _recurrence(n, rows, normalized):
     for k, (r, coeffs) in enumerate(steps[2:]):
         c2[k, :r], c3[k, :r] = coeffs[1:3]
     m = np.arange(1, n + 2)[:, None, None]
-    factor = np.where(d == 1.0, 0.5 * (m + a0 + b0 + 1.0), 1.0) if d.any() else None
+    factor = np.select(
+        [d == 1.0, d == 2.0],
+        [0.5 * (m + a0 + b0 + 1.0),
+         0.25 * (m + a0 + b0 + 2.0) * (m + a0 + b0 + 3.0)],
+        1.0,
+    ) if d.any() else None
     norms = None
     if normalized:
         norms = np.array(
@@ -125,10 +135,12 @@ def _sweep(n, rows, normalized, X):
     three-term-recurrence sweep, in place, that stops each row at its depth.
 
     Entry m <= depth of a value row is P_m^{(a,b)}.  Entry m - 1 <= depth
-    of a derivative row is d/dx P_m^{(a,b)} = 0.5 (m + a + b + 1)
-    P_{m-1}^{(a+1,b+1)}.  Entries past the depth are 0; the last one of a
-    derivative row is the derivative of P_0.  With ``normalized`` every
-    entry is divided by the norm of its P_m^{(a,b)}.
+    of a first derivative row is d/dx P_m^{(a,b)} = 0.5 (m + a + b + 1)
+    P_{m-1}^{(a+1,b+1)}, and entry m - 2 <= depth of a second derivative
+    row is d2/dx2 P_m^{(a,b)} = 0.25 (m + a + b + 1) (m + a + b + 2)
+    P_{m-2}^{(a+2,b+2)}.  Entries past the depth are 0; the last ones of a
+    derivative row are the derivatives of P_0 (and P_1).  With
+    ``normalized`` every entry is divided by the norm of its P_m^{(a,b)}.
 
     ``c2 + c3 x`` of every degree comes from one product and one sum before
     the loop; each degree then takes four in-place operations, in the
@@ -162,11 +174,11 @@ def _layout(p, families, grads):
     """The degree-``p`` table rows of a kind whose 1D factors are the
     ``families`` ((coordinate, alphas), ...) with b = 0, where the ``q``-th
     alpha of a family is needed up to degree p - q: every value row and
-    with ``grads`` every derivative row, sorted by depth.
+    the derivative rows of orders 1..``grads``, sorted by depth.
 
-    Returns the rows, the coordinate of each row, and ``val(f, q, m)`` and
-    ``der(f, q, m)``: the row of the flattened (degree x row, P) table
-    holding P_m^{(a_q, 0)} of family ``f``, or its derivative.
+    Returns the rows, the coordinate of each row, and ``entry(d, f, q,
+    m)``: the row of the flattened (degree x row, P) table holding the
+    ``d``-th derivative of P_m^{(a_q, 0)} of family ``f``.
     """
     keys = [
         (p - q - deriv, deriv, f, q)
@@ -180,16 +192,11 @@ def _layout(p, families, grads):
     where = {(d, f, q): r for r, (_, d, f, q) in enumerate(keys)}
     nrows = len(rows)
 
-    def row(d, f, q):
-        return np.vectorize(lambda q: where[d, f, q])(q)
+    def entry(d, f, q, m):
+        row = np.vectorize(lambda q: where[d, f, q])(q)
+        return (m - d) % (p + 1) * nrows + row
 
-    def val(f, q, m):
-        return m * nrows + row(0, f, q)
-
-    def der(f, q, m):
-        return (m - 1) % (p + 1) * nrows + row(1, f, q)
-
-    return rows, coord, val, der
+    return rows, coord, entry
 
 
 def _factors(p, families, grads, coords, normalized=True):
@@ -291,9 +298,9 @@ def _tensor_product(factors, out):
 def _legendre_plan(p, families, c, grads):
     """Where the Legendre values (and derivatives) of degrees 0..p in
     family ``c`` sit in the table of ``families``."""
-    _, _, val, der = _layout(p, families, grads)
+    entry = _layout(p, families, grads)[2]
     m = np.arange(p + 1)
-    return val(c, 0, m), der(c, 0, m) if grads else None
+    return entry(0, c, 0, m), entry(1, c, 0, m) if grads else None
 
 
 def _tensor(p, pts, derivs):
@@ -306,6 +313,8 @@ def _tensor(p, pts, derivs):
     vals = [T.take(vi, axis=0).T for vi, _ in plans]
 
     def modes(out, grads):
+        if grads == 2:
+            return _second(_TENSOR_BY_DIM[dim], p, T, (), out)
         if not grads:
             _tensor_product(vals, out)
             return
@@ -323,10 +332,10 @@ def _triangle_families(p):
 
 @lru_cache(maxsize=None)
 def _triangle_plan(p, families, grads):
-    _, _, val, der = _layout(p, families, grads)
+    entry = _layout(p, families, grads)[2]
     i, j = np.array([(i, j) for i in range(p + 1) for j in range(p + 1 - i)]).T
-    di = (der(0, 0, i), der(1, i, j), i) if grads else None
-    return (val(0, 0, i), val(1, i, j), i + 1), di, i.astype(float)[:, None]
+    di = (entry(1, 0, 0, i), entry(1, 1, i, j), i) if grads else None
+    return (entry(0, 0, 0, i), entry(0, 1, i, j), i + 1), di, i.astype(float)[:, None]
 
 
 def _triangle_modes(p, families, derivs, T, pw, a, val, grad):
@@ -357,6 +366,8 @@ def _triangle(p, pts, derivs):
     pw = _powers(1.0 - b, p)
 
     def modes(out, grads):
+        if grads == 2:
+            return _second(ElementKind.TRIANGLE, p, T, (1.0 - b, 1.0 + a), out)
         val, grad = (None, out.T) if grads else (out.T, None)
         _triangle_modes(p, families, derivs, T, pw, a, val, grad)
     return modes
@@ -370,7 +381,7 @@ def _tetrahedron_plan(p, grads):
         (1, tuple(2.0 * i + 1.0 for i in range(p + 1))),
         (2, tuple(2.0 * s + 2.0 for s in range(p + 1))),
     )
-    _, _, val, der = _layout(p, families, grads)
+    entry = _layout(p, families, grads)[2]
     modes = [
         (i, j, k)
         for i in range(p + 1)
@@ -382,8 +393,10 @@ def _tetrahedron_plan(p, grads):
     return (
         families,
         np.array(amp)[:, None],
-        (val(0, 0, i), val(1, i, j), val(2, i + j, k), i + 1, i + j + 1),
-        (der(0, 0, i), der(1, i, j), der(2, i + j, k), i, i + j) if grads else None,
+        (entry(0, 0, 0, i), entry(0, 1, i, j), entry(0, 2, i + j, k), i + 1,
+         i + j + 1),
+        (entry(1, 0, 0, i), entry(1, 1, i, j), entry(1, 2, i + j, k), i,
+         i + j) if grads else None,
         (0.5 * i)[:, None],
         (0.5 * (i + j))[:, None],
     )
@@ -399,6 +412,9 @@ def _tetrahedron(p, pts, derivs):
     fa, gb, hc, pb_i, pc_ij = (t.take(x, axis=0) for t, x in zip(tables, vi))
 
     def modes(out, grads):
+        if grads == 2:
+            bases = (0.5 * (1.0 - b), 0.5 * (1.0 - c), 1.0 + a, 1.0 + b)
+            return _second(ElementKind.TETRAHEDRON, p, T, bases, out)
         if not grads:
             _chain([amp, fa, gb, hc, pb_i, pc_ij], out=out.T)
             return
@@ -433,6 +449,8 @@ def _prism(p, pts, derivs):
     leg = T.take(vi, axis=0).T
 
     def modes(out, grads):
+        if grads == 2:
+            return _second(ElementKind.PRISM, p, T, (1.0 - b, 1.0 + a), out)
         tri = np.empty((pts.shape[0], (p + 1) * (p + 2) // 2))
         tri_g = np.empty(tri.shape + (2,)) if grads else None
         grad = tri_g.T if grads else None
@@ -464,7 +482,7 @@ def _pyramid_plan(p, grads):
         (1, (0.0,)),
         (2, tuple(2.0 * (c + 1.0) for c in range(p + 1))),
     )
-    _, _, val, der = _layout(p, families, grads)
+    entry = _layout(p, families, grads)[2]
     modes = [
         (i, j, max(i, j), k)
         for i in range(p + 1)
@@ -479,8 +497,9 @@ def _pyramid_plan(p, grads):
     return (
         families,
         np.array(norms)[:, None],
-        (val(0, 0, i), val(1, 0, j), val(2, c, k), c + 1),
-        (der(0, 0, i), der(1, 0, j), der(2, c, k), c) if grads else None,
+        (entry(0, 0, 0, i), entry(0, 1, 0, j), entry(0, 2, c, k), c + 1),
+        (entry(1, 0, 0, i), entry(1, 1, 0, j), entry(1, 2, c, k), c)
+        if grads else None,
         (0.5 * c)[:, None],
     )
 
@@ -495,6 +514,8 @@ def _pyramid(p, pts, derivs):
     fi, fj, hk, w_c = (t.take(x, axis=0) for t, x in zip(tables, vi))
 
     def modes(out, grads):
+        if grads == 2:
+            return _second(ElementKind.PYRAMID, p, T, (w, u, v), out)
         if not grads:
             np.divide(_chain([fi, fj, w_c, hk]), nrm, out=out.T)
             return
@@ -508,6 +529,200 @@ def _pyramid(p, pts, derivs):
         s += _chain([fi, fj, dhk, w_c])
         np.divide(s, nrm, out=g[2])
     return modes
+
+
+# ---------------------------------------------------------------------------
+# Second derivatives
+#
+# Every mode is ``amp * prod J(xi) * prod base^e``: Jacobi factors of the
+# table's coordinates xi (a, b, c on the simplices, u, v, z on the pyramid)
+# times powers of bases affine in one coordinate, whose exponents depend on
+# the mode (1 - b, w) or start at 0 (the atoms 1 + a, 1 + b, u, v).  Each
+# ``d xi / d x_k`` is a monomial in the bases, so the chain rule, applied
+# twice, writes a second derivative as a short sum of such products
+# (:func:`_hessian_plan`).  They gather from one table with value, first and
+# second derivative rows and from the tables of the bases' powers.  A
+# negative power multiplies a zero coefficient on the simplices, where the
+# modes are polynomials, but is the pyramid's rational factor 1 / w for
+# max(i, j) = 1; it reads 0 where its base is 0, as at the apex.
+# ---------------------------------------------------------------------------
+
+
+def _tensor_product_form(p, dim):
+    families = tuple((c, (0.0,)) for c in range(dim))
+    idx = np.array(list(itertools.product(range(p + 1), repeat=dim))).T
+    factors = tuple((c, 0 * idx[c], idx[c]) for c in range(dim))
+    dvar = tuple(
+        tuple((1.0, {}) if k == c else None for k in range(dim))
+        for c in range(dim)
+    )
+    return families, factors, (), dvar, np.ones(idx.shape[1])
+
+
+def _triangle_form(p, prism=False):
+    families = _triangle_families(p) + (((2, (0.0,)),) if prism else ())
+    ij = [(i, j) for i in range(p + 1) for j in range(p + 1 - i)]
+    ijk = [(i, j, k) for i, j in ij for k in range(p + 1 if prism else 1)]
+    i, j, k = np.array(ijk).T
+    factors = ((0, 0 * i, i), (1, i, j)) + (((2, 0 * k, k),) if prism else ())
+    powers = ((1, -1.0, i), (0, 1.0, 0 * i))  # 1 - b, 1 + a
+    z = (None,) if prism else ()
+    dvar = (
+        ((2.0, {0: -1}), (1.0, {1: 1, 0: -1})) + z,  # a
+        (None, (1.0, {})) + z,  # b
+    ) + (((None, None, (1.0, {})),) if prism else ())  # z
+    return families, factors, powers, dvar, np.full(i.size, _SQRT2)
+
+
+def _tetrahedron_form(p):
+    families, amp = _tetrahedron_plan(p, False)[:2]
+    i, j, k = np.array([
+        (i, j, k)
+        for i in range(p + 1)
+        for j in range(p + 1 - i)
+        for k in range(p + 1 - i - j)
+    ]).T
+    factors = ((0, 0 * i, i), (1, i, j), (2, i + j, k))
+    # (1 - b) / 2, (1 - c) / 2, 1 + a, 1 + b
+    powers = ((1, -0.5, i), (2, -0.5, i + j), (0, 1.0, 0 * i), (1, 1.0, 0 * i))
+    da_dyz = (0.5, {2: 1, 0: -1, 1: -1})
+    dvar = (
+        ((1.0, {0: -1, 1: -1}), da_dyz, da_dyz),  # a
+        (None, (1.0, {1: -1}), (0.5, {3: 1, 1: -1})),  # b
+        (None, None, (1.0, {})),  # c
+    )
+    return families, factors, powers, dvar, amp[:, 0]
+
+
+def _pyramid_form(p):
+    families, nrm = _pyramid_plan(p, False)[:2]
+    i, j, c, k = np.array([
+        (i, j, max(i, j), k)
+        for i in range(p + 1)
+        for j in range(p + 1)
+        for k in range(p + 1 - max(i, j))
+    ]).T
+    factors = ((0, 0 * i, i), (1, 0 * j, j), (2, c, k))
+    powers = ((2, -0.5, c), (0, 1.0, 0 * i), (1, 1.0, 0 * i))  # w, u, v
+    dvar = (
+        ((1.0, {0: -1}), None, (0.5, {1: 1, 0: -1})),  # u
+        (None, (1.0, {0: -1}), (0.5, {2: 1, 0: -1})),  # v
+        (None, None, (1.0, {})),  # z
+    )
+    return families, factors, powers, dvar, 1.0 / nrm[:, 0]
+
+
+_TENSOR_BY_DIM = {
+    1: ElementKind.LINE, 2: ElementKind.QUADRILATERAL, 3: ElementKind.HEXAHEDRON
+}
+_FORMS = {
+    ElementKind.LINE: lambda p: _tensor_product_form(p, 1),
+    ElementKind.QUADRILATERAL: lambda p: _tensor_product_form(p, 2),
+    ElementKind.HEXAHEDRON: lambda p: _tensor_product_form(p, 3),
+    ElementKind.TRIANGLE: _triangle_form,
+    ElementKind.PRISM: lambda p: _triangle_form(p, prism=True),
+    ElementKind.TETRAHEDRON: _tetrahedron_form,
+    ElementKind.PYRAMID: _pyramid_form,
+}
+
+
+def _power_table(base, p):
+    """base**e for e = -2..p + 2 in row e + 2; the negative powers are 0
+    where ``|base| <= _COLLAPSE_EPS``."""
+    ok = np.abs(base) > _COLLAPSE_EPS
+    inv = np.where(ok, 1.0 / np.where(ok, base, 1.0), 0.0)
+    out = np.empty((p + 5, base.size))
+    out[0], out[1], out[2] = inv * inv, inv, 1.0
+    for e in range(1, p + 3):
+        np.multiply(out[e + 1], base, out=out[e + 2])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _hessian_plan(kind, p):
+    """The second derivatives of the degree-``p`` modes of ``kind`` as sums
+    of gathered products.
+
+    Returns the gathers (row indices into the kind's table with second
+    derivative rows stacked over the power tables of the bases, (modes,)
+    each) and per component ``(k, l)``, k <= l, its terms ``(coefficient
+    column, gather ids)``.
+    """
+    families, factors, powers, dvar, amp = _FORMS[kind](p)
+    rows, _, entry = _layout(p, families, 2)
+    table_rows = (p + 1) * len(rows)
+    deltas = [
+        [None if m is None else (m[0], np.array(
+            [m[1].get(q, 0) for q in range(len(powers))], dtype=int))
+         for m in by_dir]
+        for by_dir in dvar
+    ]
+
+    def derive(terms, k):
+        out = {}
+
+        def add(orders, offs, coef):
+            if np.any(coef):
+                key = (orders, tuple(offs))
+                out[key] = out[key] + coef if key in out else coef
+
+        for (orders, offs), coef in terms.items():
+            for f, (family, _, _) in enumerate(factors):
+                mono = deltas[families[family][0]][k]
+                if mono is not None:
+                    o = list(orders)
+                    o[f] += 1
+                    add(tuple(o), np.add(offs, mono[1]), mono[0] * coef)
+            for q, (var, slope, e0) in enumerate(powers):
+                mono = deltas[var][k]
+                if mono is not None:
+                    new = np.add(offs, mono[1])
+                    new[q] -= 1
+                    add(orders, new, slope * mono[0] * (e0 + offs[q]) * coef)
+        return out
+
+    dim = len(dvar[0])
+    start = {((0,) * len(factors), (0,) * len(powers)): amp}
+    first = [derive(start, k) for k in range(dim)]
+    gathers, ids = [], {}
+
+    def gather(idx):
+        key = idx.tobytes()
+        if key not in ids:
+            ids[key] = len(gathers)
+            gathers.append(idx)
+        return ids[key]
+
+    components = []
+    for k in range(dim):
+        for l in range(k, dim):
+            terms = []
+            for (orders, offs), coef in derive(first[k], l).items():
+                g = [gather(entry(o, f, q, m))
+                     for o, (f, q, m) in zip(orders, factors)]
+                g += [
+                    gather(table_rows + n * (p + 5) + e0 + off + 2)
+                    for n, ((_, _, e0), off) in enumerate(zip(powers, offs))
+                    if np.any(e0 + off)
+                ]
+                terms.append((coef[:, None], tuple(g)))
+            components.append(((k, l), terms))
+    return gathers, components
+
+
+def _second(kind, p, T, bases, out):
+    """The second derivatives of the modes into ``out``, (points, modes, d,
+    d), from the kind's table ``T`` with second derivative rows and the
+    bases of its powers (see :func:`_hessian_plan`)."""
+    gathers, components = _hessian_plan(kind, p)
+    table = np.concatenate([T] + [_power_table(base, p) for base in bases])
+    factors = [table.take(idx, axis=0) for idx in gathers]
+    for (k, l), terms in components:
+        acc = _chain([terms[0][0]] + [factors[g] for g in terms[0][1]])
+        for coef, ids in terms[1:]:
+            acc += _chain([coef] + [factors[g] for g in ids])
+        out[:, :, k, l] = acc.T
+        out[:, :, l, k] = acc.T
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +752,13 @@ def _tables(space, pts, derivs):
 
 
 def _basis(space, pts, grads, tables=None, out=None):
-    """The basis values (or with ``grads`` gradients) at ``pts``, written
-    into ``out`` when given, which must have the result's shape."""
+    """The basis values (or their derivatives of order ``grads``: gradients
+    at 1, second derivatives at 2) at ``pts``, written into ``out`` when
+    given, which must have the result's shape."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n, dim = pts.shape
     if out is None:
-        out = np.empty((n, space.dim, dim) if grads else (n, space.dim))
+        out = np.empty((n, space.dim) + (dim,) * int(grads))
     if tables is None:
         tables = _tables(space, pts, grads)
     for block, modes in tables:
@@ -562,12 +778,14 @@ def basis_grad_many(space: FunctionSpace, pts):
 
 def basis_eval_with_grad(space: FunctionSpace, pts):
     """:func:`basis_eval_many` at an (n, d) array of points, and a callable
-    that returns :func:`basis_grad_many` there, bit for bit, from the same
-    tables (with derivative rows), computed only when called."""
+    ``derivatives(order=1)`` that returns :func:`basis_grad_many` there,
+    bit for bit, or at order 2 the second derivatives, (n, dim, d, d) and
+    symmetric in the last two axes, from the same tables (with first and
+    second derivative rows), computed only when called."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    tables = list(_tables(space, pts, True))
+    tables = list(_tables(space, pts, 2))
     values = _basis(space, pts, False, tables)
-    return values, lambda: _basis(space, pts, True, tables)
+    return values, lambda order=1: _basis(space, pts, order, tables)
 
 
 _GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=float)

@@ -115,8 +115,14 @@ def _optimizer_config(args):
     )
 
 
+# The method that made a cached node set.  Another solver reaches other
+# nodes from the same options, so its files must not load under this hash.
+_SOLVER = "active-set-newton"
+
+
 def _config_payload(kind, degree, args, compat):
     return {
+        "solver": _SOLVER,
         "format": FORMAT_VERSION,
         "element": kind.value,
         "degree": degree,

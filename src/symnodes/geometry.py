@@ -275,10 +275,14 @@ _TABLES[ElementKind.PYRAMID] = dict(
 )
 
 
-@lru_cache(maxsize=None)
 def reference_element(kind: ElementKind) -> ReferenceElement:
-    """Return the immutable reference element table for ``kind``."""
-    kind = ElementKind(kind)
+    """Return the immutable reference element table for ``kind``, an
+    :class:`ElementKind` or its value: one object per kind."""
+    return _reference_element(ElementKind(kind))
+
+
+@lru_cache(maxsize=None)
+def _reference_element(kind):
     return _element(kind, **_TABLES[kind])
 
 

@@ -1,12 +1,16 @@
 """Utilities for two-sided linear constraint systems ``lo <= B @ x <= hi``.
 
-Smooth minimization over inequality systems uses the active-set quasi-Newton
-method implemented here: rows enter and leave a working set, and the
-Hessian is approximated by BFGS updates.  It starts from a feasible point
-the caller provides, and so does the least-distance projection; neither
-solves a linear program.  The solver is a generator (:func:`minimization`)
-that yields the points it needs evaluated, so a caller can run several in
-rounds and evaluate the points of a round together.  A fixed value is the
+Smooth minimization over inequality systems uses the active-set Newton
+method implemented here: rows enter and leave a working set, and each step
+solves the caller's exact Hessian, reduced to the working set's null space,
+with its eigenvalues taken in absolute value above a floor (Nocedal &
+Wright, *Numerical Optimization*, section 3.4), and backtracks on an
+Armijo test.  It starts from a feasible point the caller provides, and so
+does the least-distance projection, a quadratic program whose Hessian is
+the identity; neither solves a linear program.  The solver is a generator
+(:func:`minimization`) that yields the points it needs evaluated, so a
+caller can run several in rounds and evaluate the points of a round
+together.  A fixed value is the
 caller's to substitute: the minimizer and the projection reject a row with
 ``lo == hi``, and the linear programs treat it as two inequalities.
 
@@ -189,17 +193,22 @@ class SolveResult:
     iterations: int
     kkt_residual: float
     message: str = ""
+    # Smallest eigenvalue of the Hessian reduced to the null space of the
+    # working set at ``x``, before the modification of the step (inf on an
+    # empty null space).  Positive at a KKT point: a strict local minimum.
+    curvature: float = np.nan
 
 
 def minimize_linearly_constrained(fun, x0, B, lo, hi, tol=1e-10, max_iter=50):
     """Minimize a smooth function subject to ``lo <= B @ x <= hi``.
 
-    ``fun(x) -> (f, grad_fn)``, where the zero-argument ``grad_fn()``
-    returns the gradient at ``x``, or ``None`` where it is undefined.  The
-    solver calls ``grad_fn`` once at the start and once per accepted step,
-    never at a line-search trial it rejects on ``f``, and never when ``f``
-    is not finite.  ``f = inf`` rejects a point; so does a gradient that is
-    ``None`` or not finite, and then the step is halved as for ``inf``.
+    ``fun(x) -> (f, derivatives)``, where the zero-argument
+    ``derivatives()`` returns the gradient and the Hessian at ``x``, or
+    ``None`` where they are undefined.  The solver calls ``derivatives``
+    once at the start and once per accepted step, never at a line-search
+    trial it rejects on ``f``, and never when ``f`` is not finite.
+    ``f = inf`` rejects a point; so do derivatives that are ``None`` or not
+    finite, and then the step is halved as for ``inf``.
     ``x0`` must meet the system to ``FEAS_TOL``.  Raises
     :class:`ValueError` on an equality row or an infeasible ``x0``; the
     inequalities are handled by an active-set strategy.  The method is
@@ -210,8 +219,9 @@ def minimize_linearly_constrained(fun, x0, B, lo, hi, tol=1e-10, max_iter=50):
 
 def minimization(x0, B, lo, hi, tol=1e-10, max_iter=50):
     """:func:`minimize_linearly_constrained` as a generator: it yields each
-    point, takes ``(f, grad_fn)`` there by ``send``, calls ``grad_fn`` (if
-    at all) before its next yield, and returns the :class:`SolveResult`."""
+    point, takes ``(f, derivatives)`` there by ``send``, calls
+    ``derivatives`` (if at all) before its next yield, and returns the
+    :class:`SolveResult`."""
     B, lo, hi = _inequalities(B, lo, hi)
     return _active_set(_feasible_start(B, lo, hi, x0), B, lo, hi, tol,
                        max_iter)
@@ -242,9 +252,11 @@ def project_onto(B, lo, hi, target, start):
         return target
     start = _feasible_start(B, lo, hi, start)
 
+    identity = np.eye(target.size)
+
     def qp(x):
         d = x - target
-        return 0.5 * float(d @ d), lambda: d
+        return 0.5 * float(d @ d), lambda: (d, identity)
 
     res = drive(_active_set(start, B, lo, hi, 1e-10, max_iter=200), qp)
     if res.status != "kkt-converged":
@@ -266,28 +278,32 @@ def _feasible_start(B, lo, hi, x0):
 
 
 def _reduced_hessian_dir(H, Zw, g):
-    """Quasi-Newton direction restricted to the working-set null space."""
+    """Newton direction restricted to the working-set null space ``Zw``,
+    the reduced gradient, and the smallest eigenvalue of the reduced
+    Hessian (inf when ``Zw`` has no column).  The step divides by the
+    eigenvalues' absolute values, floored relative to the largest."""
     if Zw.shape[1] == 0:
-        return np.zeros(H.shape[0]), np.zeros(0)
+        return np.zeros(H.shape[0]), np.zeros(0), np.inf
     Hz = Zw.T @ H @ Zw
     Hz = 0.5 * (Hz + Hz.T)
     w, V = np.linalg.eigh(Hz)
     floor = max(1e-12, 1e-10 * float(np.max(np.abs(w), initial=1.0)))
-    w = np.maximum(w, floor)
     gz = Zw.T @ g
-    p = -V @ ((V.T @ gz) / w)
-    return Zw @ p, gz
+    p = -V @ ((V.T @ gz) / np.maximum(np.abs(w), floor))
+    return Zw @ p, gz, float(w[0])
 
 
 def _screened(value, bound):
-    """``f`` and ``grad_fn()`` of ``value = (f, grad_fn)``; the gradient is
-    ``None`` unless ``f`` is finite and at most ``bound`` and it is finite.
-    No ``grad_fn`` stays with the solver to keep its evaluation's arrays."""
-    f, grad_fn = value
+    """``f`` and ``derivatives()`` of ``value = (f, derivatives)``; the
+    derivatives are ``None`` unless ``f`` is finite and at most ``bound``
+    and they are finite.  No ``derivatives`` stays with the solver to keep
+    its evaluation's arrays."""
+    f, derivatives = value
     if not (np.isfinite(f) and f <= bound):
         return f, None
-    g = grad_fn()
-    return f, g if g is not None and np.all(np.isfinite(g)) else None
+    gH = derivatives()
+    finite = gH is not None and all(np.all(np.isfinite(a)) for a in gH)
+    return f, gH if finite else None
 
 
 def _active_set(y0, G, gl, gu, tol, max_iter):
@@ -295,14 +311,14 @@ def _active_set(y0, G, gl, gu, tol, max_iter):
     generator of :func:`minimization`."""
     n = y0.size
     y = np.asarray(y0, dtype=float).copy()
-    f, g = _screened((yield y), np.inf)
-    if g is None:
+    f, gH = _screened((yield y), np.inf)
+    if gH is None:
         return SolveResult(
             y, np.inf, "error", 0, np.inf, "objective undefined at start"
         )
     if n == 0:
-        return SolveResult(y, f, "kkt-converged", 0, 0.0)
-    H = np.eye(n)
+        return SolveResult(y, f, "kkt-converged", 0, 0.0, curvature=np.inf)
+    g, H = gH
     m = G.shape[0]
     act_tol = 1e-11
 
@@ -323,32 +339,40 @@ def _active_set(y0, G, gl, gu, tol, max_iter):
         Zw = scipy.linalg.null_space(A_w)
         return A_w, Zw if Zw.size else np.zeros((n, 0))
 
-    def limited(major, gz_norm):
-        """The best iterate, or ``y`` reported iteration-limited."""
-        resid = max(gz_norm, violation(G, gl, gu, y))
-        out = SolveResult(y, f, "iteration-limited", major, resid)
-        return best if best.fun < f else out
+    def limited(major):
+        """The best iterate, or ``y``, reported iteration-limited, with the
+        reduced gradient and curvature on the rows active there."""
+        x, fx, gx, Hx = best if best[1] < f else (y, f, g, H)
+        _, gz, curvature = _reduced_hessian_dir(
+            Hx, working_set(active_rows(x))[1], gx
+        )
+        gz_norm = float(np.max(np.abs(gz))) if gz.size else 0.0
+        resid = max(gz_norm, violation(G, gl, gu, x))
+        return SolveResult(x, fx, "iteration-limited", major, resid,
+                           curvature=curvature)
 
     # The working set: its rows in the order they entered, mapped to sides.
     work = active_rows(y)
-    best = SolveResult(y.copy(), f, "iteration-limited", 0, np.inf)
+    best = y.copy(), f, g, H
 
     for major in range(1, max_iter + 1):
         A_w, Zw = working_set(work)
-        d, gz = _reduced_hessian_dir(H, Zw, g)
+        d, gz, curvature = _reduced_hessian_dir(H, Zw, g)
         gz_norm = float(np.max(np.abs(gz))) if gz.size else 0.0
 
         if gz_norm <= tol or float(np.linalg.norm(d)) <= 1e-15:
             # Stationary on the working set: check multiplier signs.
             if not work:
-                return SolveResult(y, f, "kkt-converged", major, gz_norm)
+                return SolveResult(y, f, "kkt-converged", major, gz_norm,
+                                   curvature=curvature)
             lam, *_ = np.linalg.lstsq(A_w.T, g, rcond=None)
             bad = lam * np.fromiter(work.values(), float)  # must be <= 0
             worst = int(np.argmax(bad))
             mult_tol = max(tol, 1e-12 * (1.0 + float(np.linalg.norm(g))))
             if bad[worst] <= mult_tol:
                 resid = max(gz_norm, violation(G, gl, gu, y))
-                return SolveResult(y, f, "kkt-converged", major, resid)
+                return SolveResult(y, f, "kkt-converged", major, resid,
+                                   curvature=curvature)
             del work[list(work)[worst]]
             continue
 
@@ -371,40 +395,27 @@ def _active_set(y0, G, gl, gu, tol, max_iter):
         # Backtracking Armijo search from the full (possibly clipped) step.
         # The acceptance test tolerates floating-point noise in f so that
         # progress continues on gradient information near the minimum.  The
-        # gradient is evaluated only at a point that passes the test on f.
+        # derivatives are evaluated only at a point that passes the test on f.
         alpha = min(1.0, alpha_max)
         hit_boundary = alpha == alpha_max
         slope = float(g @ d)
         noise = 8.0 * np.finfo(float).eps * (1.0 + abs(f))
-        accepted = False
         for _ in range(40):
             y_new = y + alpha * d
-            f_new, g_new = _screened(
+            f_new, gH = _screened(
                 (yield y_new), f + 1e-4 * alpha * slope + noise
             )
-            if g_new is not None:
-                accepted = True
+            if gH is not None:
                 break
             alpha *= 0.5
             hit_boundary = False
-        if not accepted:
-            # Could not decrease along d: reset curvature once, else stop.
-            if not np.allclose(H, np.eye(n)):
-                H = np.eye(n)
-                continue
-            return limited(major, gz_norm)
+        else:
+            return limited(major)
 
-        s = y_new - y
-        yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            Hs = H @ s
-            H = H - np.outer(Hs, Hs) / float(s @ Hs) + np.outer(yv, yv) / sy
-        y, f, g = y_new, f_new, g_new
-        if f < best.fun:
-            best = SolveResult(y.copy(), f, "iteration-limited", major, gz_norm)
+        y, f, (g, H) = y_new, f_new, gH
+        if f < best[1]:
+            best = y.copy(), f, g, H
         if hit_boundary and blocker is not None:
             work[blocker] = 1.0 if up[blocker] else -1.0
 
-    gz = working_set(active_rows(y))[1].T @ g
-    return limited(max_iter, float(np.max(np.abs(gz))) if gz.size else 0.0)
+    return limited(max_iter)

@@ -4,8 +4,9 @@ The objective is the sum of squared cardinal-function integrals.  The modal
 basis is orthonormal, so it equals ``tr((V V^T)^-1) = ||V^-1||_F^2`` for the
 Vandermonde matrix ``V`` at the nodes (one row per node), and no quadrature
 is needed.  Entries pinned to face nodes keep their parameter values;
-minimization runs over the parameters of the free entries with an
-active-set quasi-Newton method.
+minimization runs over the parameters of the free entries with the
+active-set Newton method of :mod:`~symnodes.lincon`, on the exact gradient
+and Hessian (:func:`_hessian`).
 
 Nodes split into fixed ones, which no free parameter moves (the nodes of
 pinned entries and fixed points such as the vertices), and moving ones.
@@ -18,9 +19,10 @@ with ``C`` the basis at the moving nodes, ``[W M] = C [K Q2]``,
     ``d f / d C = 2 G^T G (W K^T - S G^T Q2^T)``,  ``S = I + W W^T``.
 
 The QR is computed once per problem; each evaluation builds one Jacobi
-table, only at the moving nodes, for ``C`` and for the basis gradients where
-the gradient is asked for, chained through the affine orbit maps.  ``G``, as
-every Vandermonde inverse, comes from :func:`~symnodes.basis.lu_inverse`.
+table, only at the moving nodes, for ``C`` and for the basis gradients and
+second derivatives where the gradient and Hessian are asked for, chained
+through the affine orbit maps.  ``G``, as every Vandermonde inverse, comes
+from :func:`~symnodes.basis.lu_inverse`.
 
 ``optimize_nodes`` drives the per-element pipeline on one orbit collection,
 the orbit decomposition of the element's baseline nodes: pin its entries to
@@ -196,6 +198,7 @@ class MinimizeOutcome:
     iterations: int
     kkt_residual: float
     message: str = ""  # why a run ended "error"
+    curvature: float = np.nan  # see lincon.SolveResult
 
 
 # A start objective at or above this is near singular (see ``minimize``).
@@ -216,6 +219,7 @@ class OptimizedResult:
     objective: float
     collection: OrbitCollection
     status: str
+    curvature: float = np.nan  # the winning run's (see MinimizeOutcome)
 
 
 def assemble_problem(elem, collection, space) -> OptimizationProblem:
@@ -252,19 +256,19 @@ def assemble_problem(elem, collection, space) -> OptimizationProblem:
 
 def _objective_value(problem, y, basis=None):
     """Objective ``||V^-1||_F^2`` at free parameters ``y``, and a
-    zero-argument callable returning its gradient there (``None`` when the
-    gradient is not finite).
+    zero-argument callable returning its gradient and Hessian there
+    (:func:`_hessian`; ``None`` when they are not finite).
 
     Only the moving nodes enter the work: with ``C`` the basis there,
     ``[W M] = C [K Q2]`` and ``G = M^-1``, the objective is
     ``||R^-1||_F^2 + ||G||_F^2 + ||G W||_F^2``, where ``R``, ``K`` and
     ``Q2`` come from the QR of the basis at the fixed nodes (see the module
     docstring); a fully pinned problem has no moving node and returns
-    ``||R^-1||_F^2``.  ``basis`` is ``C`` and its gradient callable, as
+    ``||R^-1||_F^2``.  ``basis`` is ``C`` and its derivatives callable, as
     :func:`~symnodes.basis.basis_eval_with_grad` gives them, when a batch
     has them (:func:`_objective_values`).  The callable reuses them, ``W``
     and ``G`` (:func:`~symnodes.basis.lu_inverse`), so the line search pays
-    for the basis gradients only at the points it keeps.  Raises
+    for the basis derivatives only at the points it keeps.  Raises
     :class:`DegenerateDistributionError` on node collisions (among all
     nodes), on a non-finite basis at the moving nodes, on a non-finite
     basis or linearly dependent rows at the fixed nodes, and on a
@@ -276,7 +280,7 @@ def _objective_value(problem, y, basis=None):
         raise DegenerateDistributionError(problem._fixed_error)
     if basis is None:
         basis = basis_eval_with_grad(problem.space, X[problem._moving])
-    C, basis_gradients = basis
+    C, basis_derivatives = basis
     KQ = problem._fixed_map
     k = KQ.shape[1] - C.shape[0]  # fixed nodes
     WM = C @ KQ
@@ -291,15 +295,59 @@ def _objective_value(problem, y, basis=None):
             "objective overflow (nearly singular Vandermonde matrix)"
         )
 
-    def gradient():
+    def derivatives():
         T = np.hstack([W, -(G.T + W @ GW.T)])  # [W, -S G^T]
         dfdC = 2.0 * (G.T @ G @ T) @ KQ.T
-        Bgrad = basis_gradients()  # (m, n_basis, d)
+        Bgrad = basis_derivatives()  # (m, n_basis, d)
         dfdX = np.einsum("rjd,rj->rd", Bgrad, dfdC)
         grad = problem._moving_jacobian.T @ dfdX.ravel()
-        return grad if np.all(np.isfinite(grad)) else None
+        hess = _hessian(problem, Bgrad, basis_derivatives(2), W, G)
+        finite = np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+        return (grad, hess) if finite else None
 
-    return f, gradient
+    return f, derivatives
+
+
+def _hessian(problem, Bgrad, second, W, G):
+    """Hessian of the objective in the free parameters, from the basis
+    gradients ``Bgrad`` and second derivatives ``second`` at the moving
+    nodes and the blocks ``W`` and ``G`` of :func:`_objective_value`.
+
+    With ``A = V^-1``, ``u_i = A e_i`` and ``w_ia = A^T d_a phi(x_i)`` for
+    moving nodes ``i`` and directions ``a``, the Hessian in the node
+    coordinates is
+
+        ``H_(ia)(jb) = 2 (u_i . u_j)(w_ia . w_jb) + 2 w_jb[i] (A w_ia) . u_j
+        + 2 w_ia[j] (A w_jb) . u_i - 2 delta_ij d_ab phi(x_i) . (A A^T u_i)``.
+
+    On the block, ``A = [K - Q2 G W, Q2 G]`` (fixed nodes first), so
+    ``U = Q2 G``, ``U^T U = G^T G = P``, ``A^T U = [-W^T P; P]`` and
+    ``A A^T U = [K Q2] [-W^T P; G S P]`` with ``S = I + W W^T``.  The nodes
+    are affine in the parameters, so the Hessian there is ``J^T H J`` with
+    ``J = _moving_jacobian``.
+    """
+    J = problem._moving_jacobian
+    m, N, d = Bgrad.shape
+    if m == 0:
+        return np.zeros((J.shape[1],) * 2)
+    KQ = problem._fixed_map
+    k = N - m
+    DKQ = Bgrad.transpose(0, 2, 1).reshape(m * d, N) @ KQ
+    Z = DKQ[:, k:] @ G  # rows (i, a): w_ia at the moving nodes
+    F = DKQ[:, :k] - Z @ W  # w_ia at the fixed nodes
+    P = G.T @ G
+    Y = (Z - F @ W.T) @ P  # rows (i, a): (A w_ia) . u_j
+    H = (F @ F.T + Z @ Z.T).reshape(m, d, m, d)
+    H *= P[:, None, :, None]
+    T2 = Y.reshape(m, d, m)[:, :, :, None] * Z.reshape(m, d, m).transpose(
+        2, 0, 1
+    )[:, None]
+    H += T2
+    H += T2.transpose(2, 3, 0, 1)
+    AAU = KQ @ np.vstack([-W.T @ P, G @ ((np.eye(m) + W @ W.T) @ P)])
+    H[np.arange(m), :, np.arange(m)] -= np.einsum("inab,ni->iab", second, AAU)
+    half = J.T @ H.reshape(m * d, m * d) @ J
+    return half + half.T  # 2 H, symmetric to the bit
 
 
 def _objective_values(problem, ys):
@@ -309,17 +357,20 @@ def _objective_values(problem, ys):
     computes the basis gradients of all rows."""
     X = np.concatenate([problem.nodes_at(y)[problem._moving] for y in ys])
     m = X.shape[0] // len(ys)
-    C, basis_gradients = basis_eval_with_grad(problem.space, X)
-    # A lone row's gradients go after use, as alone: kept, they tripled
-    # tri p=19's minor faults and cost it 8 %.
-    gradients = cache(basis_gradients) if len(ys) > 1 else basis_gradients
+    C, basis_derivatives = basis_eval_with_grad(problem.space, X)
+    # A lone row's derivatives go after use, as alone: kept, its gradients
+    # tripled tri p=19's minor faults and cost it 8 %.
+    if len(ys) > 1:
+        basis_derivatives = cache(basis_derivatives)
     out = []
     for j, y in enumerate(ys):
         rows = slice(j * m, (j + 1) * m)
+
+        def derivatives(order=1, rows=rows):
+            return basis_derivatives(order)[rows]
+
         try:
-            out.append(_objective_value(
-                problem, y, (C[rows], lambda rows=rows: gradients()[rows])
-            ))
+            out.append(_objective_value(problem, y, (C[rows], derivatives)))
         except DegenerateDistributionError:
             out.append((np.inf, None))
     return out
@@ -346,7 +397,8 @@ def minimize(problem, config, y0, lockstep=None) -> MinimizeOutcome:
     """
     res, message = (lockstep or _Lockstep(problem, config, [y0])).result(y0)
     return MinimizeOutcome(problem.stacked(res.x), res.fun, res.status,
-                           res.iterations, res.kkt_residual, message)
+                           res.iterations, res.kkt_residual, message,
+                           res.curvature)
 
 
 class _Lockstep:
@@ -647,4 +699,5 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
         objective=f_best,
         collection=coll,
         status=outcome.status,
+        curvature=outcome.curvature,
     )

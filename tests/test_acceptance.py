@@ -222,9 +222,10 @@ def test_criterion_7_gradient_correctness():
                 xi = 0.97 * xi + 0.03 * interior
                 try:
                     f_a, gradient = _objective_value(problem, xi)
-                    g_a = gradient()
-                    if g_a is None:
+                    gH = gradient()
+                    if gH is None:
                         continue
+                    g_a = gH[0]
                     g_d = fd_gradient(problem, xi)
                 except Exception:
                     continue

@@ -258,6 +258,34 @@ def test_gradients_match_finite_differences(kind):
         np.testing.assert_allclose(g[:, :, dd], fd, atol=5e-7)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("p", [2, 5, 8])
+def test_second_derivatives_match_differences_of_gradients(kind, p):
+    # At random points and at the vertices moved 1e-3 of the way to the
+    # centroid: near the collapsed vertices of the simplex coordinates and
+    # the pyramid's apex, where its rational modes have second derivatives
+    # of order 1 / (1 - z).
+    sp = FunctionSpace(kind, p)
+    V = reference_element(kind).vertices
+    pts = np.vstack([
+        V + 1e-3 * (V.mean(axis=0) - V), _random_interior(kind, 6, seed=3)
+    ])
+    H = basis_eval_with_grad(sp, pts)[1](2)
+    d = pts.shape[1]
+    assert H.shape == (len(pts), sp.dim, d, d)
+    assert np.array_equal(H, H.transpose(0, 1, 3, 2))
+    h = 1e-7
+    fd = np.empty_like(H)
+    for k in range(d):
+        e = np.zeros(d)
+        e[k] = h
+        fd[..., k] = (
+            basis_grad_many(sp, pts + e) - basis_grad_many(sp, pts - e)
+        ) / (2 * h)
+    scale = np.maximum(1.0, np.abs(fd).max(axis=(1, 2, 3)))
+    assert np.all(np.abs(H - fd).max(axis=(1, 2, 3)) <= 1e-6 * scale)
+
+
 # Every (a, b) family the shapes build table rows for: Legendre (line, quad,
 # hex, triangle/tet a-factor, pyramid u/v), (2i+1, 0) (triangle and tet in
 # b), (2(i+j)+2, 0) (tet in c), (2c+2, 0) (pyramid in z), and (1, 1) (the
@@ -430,6 +458,7 @@ def test_one_table_equals_separate_value_and_gradient_calls(kind, p):
     values, gradients = basis_eval_with_grad(sp, np.zeros((0, elem.dim)))
     assert values.shape == (0, sp.dim)
     assert gradients().shape == (0, sp.dim, elem.dim)
+    assert gradients(2).shape == (0, sp.dim, elem.dim, elem.dim)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -9,7 +9,9 @@ from symnodes.baselines import baseline_distribution
 from symnodes.cli import InputError, _parse_element, main
 from symnodes.compatibility import FacePrescription, verify_face_match
 from symnodes.geometry import ElementKind, reference_element
-from symnodes.nodefile import read_node_file, write_node_file
+from symnodes.nodefile import (
+    FORMAT_VERSION, config_hash, read_node_file, write_node_file,
+)
 from symnodes.symmetry import NodalDistribution
 
 
@@ -455,6 +457,32 @@ def test_unreadable_cache_file_is_regenerated(tmp_path, capsys, argv, name):
     assert (dist.kind, dist.degree, header.source) == (
         ElementKind.LINE, 2, "optimized"
     )
+
+
+def test_cache_file_of_an_earlier_solver_is_regenerated(tmp_path, capsys):
+    # A file cached before the configuration named its solver carries the
+    # hash of the options alone.  Its nodes came from another method, so
+    # they are made again, not loaded as face prescriptions.
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / "line_p2.nodes"
+    earlier = config_hash({
+        "format": FORMAT_VERSION, "element": "line", "degree": 2,
+        "compat": "auto", "seed": 0, "kkt_tol": 1e-10, "max_iters": 50,
+    })
+    write_node_file(
+        stale, baseline_distribution(ElementKind.LINE, 2, "uniform"),
+        config=earlier,
+    )
+    code, _, _ = _run(
+        capsys, "generate", "--element", "tri", "--degree", "2",
+        "--compat", "auto", "--cache-dir", str(cache),
+        "--out", str(tmp_path / "tri2.nodes"),
+    )
+    assert code == 0
+    _, header = read_node_file(stale)
+    assert header.source == "optimized"
+    assert header.config not in ("", earlier)
 
 
 def test_compare_line(tmp_path, capsys):

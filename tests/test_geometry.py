@@ -119,6 +119,12 @@ def test_node_count_formulas():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_reference_element_per_kind(kind):
+    # The kind and its value name one cached table.
+    assert reference_element(kind.value) is reference_element(kind)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_roundtrip_random_feasible(kind):
     rng = np.random.default_rng(7)
     elem = reference_element(kind)
