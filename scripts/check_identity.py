@@ -8,9 +8,10 @@ Usage, from the repository root::
 Compares this checkout against the one at the given path (each with its own
 ``src`` on ``PYTHONPATH``, one BLAS thread):
 
-* ``basis_eval_many`` / ``basis_grad_many`` for all seven kinds at p = 1..9,
-  at the uniform nodes, at perturbed nodes, at random interior points and at
-  the vertices; for tri p=9 at the default Lebesgue lattice and for pyramid
+* ``basis_eval_many`` / ``basis_grad_many`` and the second derivatives of
+  ``basis_eval_with_grad`` for all seven kinds at p = 1..9, at the uniform
+  nodes, at perturbed nodes, at random interior points and at the
+  vertices; for tri p=9 at the default Lebesgue lattice and for pyramid
   p=5 at the screening lattice, sets that span many of the basis's point
   blocks; plus the unnormalized and normalized Jacobi tables of
   ``basis._sweep`` (value and derivative rows of five (a, b) families)
@@ -41,9 +42,9 @@ Compares this checkout against the one at the given path (each with its own
   ``stacked_constraints()`` of the baseline collection, unpinned and
   pinned to the faces of its own baseline (GLL on line, quad and hex,
   uniform elsewhere); with those pins, the pinned values, the
-  baseline start and the jittered restart starts at seed 1, and the value
-  and gradient of ``optimizer._objective_value`` at each of these starts
-  (byte for byte), which do not depend on any optimized node file;
+  baseline start and the jittered restart starts at seed 1, and the value,
+  gradient and Hessian of ``optimizer._objective_value`` at each of these
+  starts (byte for byte), which do not depend on any optimized node file;
 * ``LagrangeInterpolator.inverse()`` of the uniform nodes of each kind at
   p = 1..6 (byte for byte);
 * on uniform sets of each kind at p = 1..5, perturbed by 0.25/p .. 8/p
@@ -105,8 +106,8 @@ import sys
 import numpy as np
 from symnodes.baselines import BaselineKind, baseline_distribution, gll_1d
 from symnodes.basis import (
-    FunctionSpace, LagrangeInterpolator, basis_eval_many, basis_grad_many,
-    _sweep,
+    FunctionSpace, LagrangeInterpolator, basis_eval_many, basis_eval_with_grad,
+    basis_grad_many, _sweep,
 )
 from symnodes import optimizer
 from symnodes.cli import _DEGREE_CAPS
@@ -125,6 +126,15 @@ from symnodes.quadrature import quadrature_rule
 from symnodes.symmetry import (
     NodalDistribution, enumerate_admissible_collections, is_symmetric, orbits,
 )
+
+
+def second_derivatives(sp, pts):
+    # The callable returns (gradients, second derivatives), or in older
+    # checkouts the gradients alone and the second derivatives at order 2.
+    derivatives = basis_eval_with_grad(sp, pts)[1]
+    pair = derivatives()
+    return pair[1] if isinstance(pair, tuple) else derivatives(2)
+
 
 out = {}
 for kind in ElementKind:
@@ -159,11 +169,13 @@ for kind in ElementKind:
             with np.errstate(all="ignore"):
                 out[key + "_V"] = basis_eval_many(sp, pts)
                 out[key + "_G"] = basis_grad_many(sp, pts)
+                out[key + "_H"] = second_derivatives(sp, pts)
 for kind, p, res in [("tri", 9, 300), ("pyramid", 5, 20)]:
     pts = _lattice(ElementKind(kind), res)
     sp = FunctionSpace(ElementKind(kind), p)
     out[f"{kind}_p{p}_lattice{res}_V"] = basis_eval_many(sp, pts)
     out[f"{kind}_p{p}_lattice{res}_G"] = basis_grad_many(sp, pts)
+    out[f"{kind}_p{p}_lattice{res}_H"] = second_derivatives(sp, pts)
 for kind in ElementKind:
     dim = reference_element(kind).dim
     for res in sorted({default_resolution(dim), _SCREEN_RESOLUTION, 7, 61}):
@@ -225,10 +237,12 @@ for kind in ElementKind:
             out[f"{key}_{name}"] = y
             f, derivatives = optimizer._objective_value(problem, y)
             g = derivatives()
-            if isinstance(g, tuple):  # (gradient, Hessian) where there is one
-                g = g[0]
+            # (gradient, Hessian), or the gradient alone in older checkouts
+            g, H = g if isinstance(g, tuple) else (g, None)
             out[f"{key}_{name}_objective"] = np.array(f)
             out[f"{key}_{name}_gradient"] = g if g is not None else np.nan
+            if H is not None:
+                out[f"{key}_{name}_hessian"] = H
     for p in range(1, 7):
         dist = baseline_distribution(kind, p, BaselineKind.UNIFORM)
         out[f"{kind.value}_p{p}_uniform_inverse"] = LagrangeInterpolator(
@@ -538,8 +552,12 @@ def main(argv=None):
               f"identical {diff[:5]}")
         for k in diff:
             if k in a.files and k in b.files and a[k].shape == b[k].shape:
-                print(f"    {k}: max abs difference "
-                      f"{np.max(np.abs(a[k] - b[k].astype(float))):.1e}")
+                size = np.max(np.abs(a[k] - b[k].astype(float)))
+                scale = np.max(np.abs(b[k]), where=np.isfinite(b[k]),
+                               initial=0.0)
+                with np.errstate(all="ignore"):
+                    print(f"    {k}: max abs difference {size:.1e}, "
+                          f"{size / scale:.1e} of the largest entry")
         ok &= not diff
 
         jobs = {

@@ -8,17 +8,17 @@ product on the prism, and the rational polynomial-trace space on the
 pyramid.  :class:`LagrangeInterpolator` alone refuses node sets too near
 singular.
 
-Basis gradients and second derivatives are implemented analytically for
-every kind, which is what makes the analytic objective gradient and Hessian
-of the optimizer possible.  Every mode is a product of 1D Jacobi factors.
-A call works on blocks of points, at most ``_BLOCK`` (points x modes)
-entries each.  For each block it runs one three-term-recurrence sweep
-(:func:`_sweep`) over every (a, b) row it needs: all families, all
-coordinates and, for derivatives, the (a + 1, b + 1) and (a + 2, b + 2)
-rows, each stopped at the highest degree its modes use.  Its coefficients
-and norms are cached per row set.  Each kind then gathers its modes from
-that one table with index plans cached per degree; second derivatives
-follow one chain rule for all kinds (:func:`_hessian_plan`).
+Basis gradients and second derivatives are analytic for every kind, which
+is what makes the analytic objective gradient and Hessian of the optimizer
+possible.  Every mode is a product of 1D Jacobi factors.  A call works on
+blocks of points, at most ``_BLOCK`` (points x modes) entries each.  For
+each block it runs one three-term-recurrence sweep (:func:`_sweep`) over
+every (a, b) row it needs: all families, all coordinates and, for
+derivatives, the (a + 1, b + 1) and (a + 2, b + 2) rows, each stopped at
+the highest degree its modes use.  Its coefficients and norms are cached
+per row set.  Values are computed per kind, which gathers its modes from
+that one table with index plans cached per degree.  Every derivative comes
+from one chain rule for all kinds (:func:`_derivative_plan`).
 """
 
 from __future__ import annotations
@@ -170,11 +170,11 @@ def _sweep(n, rows, normalized, X):
 
 
 @lru_cache(maxsize=None)
-def _layout(p, families, grads):
+def _layout(p, families, order):
     """The degree-``p`` table rows of a kind whose 1D factors are the
     ``families`` ((coordinate, alphas), ...) with b = 0, where the ``q``-th
     alpha of a family is needed up to degree p - q: every value row and
-    the derivative rows of orders 1..``grads``, sorted by depth.
+    the derivative rows of orders 1..``order``, sorted by depth.
 
     Returns the rows, the coordinate of each row, and ``entry(d, f, q,
     m)``: the row of the flattened (degree x row, P) table holding the
@@ -182,7 +182,7 @@ def _layout(p, families, grads):
     """
     keys = [
         (p - q - deriv, deriv, f, q)
-        for deriv in range(1 + grads)
+        for deriv in range(1 + order)
         for f, (_, alphas) in enumerate(families)
         for q in range(len(alphas))
     ]
@@ -199,26 +199,20 @@ def _layout(p, families, grads):
     return rows, coord, entry
 
 
-def _factors(p, families, grads, coords, normalized=True):
+def _factors(p, families, order, coords, normalized=True):
     """The table of :func:`_layout` at ``coords`` ((coordinates, P)),
     flattened to (degree x row, P)."""
-    rows, coord = _layout(p, families, grads)[:2]
+    rows, coord = _layout(p, families, order)[:2]
     t = _sweep(p, rows, normalized, coords.take(coord, axis=0))
     return t.reshape(-1, coords.shape[1])
 
 
 def _powers(base, p):
-    """base**e for e = -1..p in row e + 1, with the negative exponent mapped
-    to 0.
-
-    It only appears multiplied by vanishing coefficients in the gradient
-    formulas below; mapping it to zero avoids inf*0.
-    """
-    out = np.empty((p + 2, base.size))
-    out[0] = 0.0
-    out[1] = 1.0
+    """base**e for e = 0..p in row e, the powers that the values use."""
+    out = np.empty((p + 1, base.size))
+    out[0] = 1.0
     for e in range(1, p + 1):
-        out[e + 1] = base**e
+        out[e] = base**e
     return out
 
 
@@ -248,18 +242,20 @@ def _tet_collapse(x, y, z):
 # Orthogonal modes
 #
 # Each function builds one table of every 1D factor it needs for one block
-# of points (:func:`_factors`), with the derivative rows when ``derivs``.  Its
-# ``modes(out, grads)`` fills ``out`` with the values, (points, modes), or
-# with ``grads`` the gradients, (points, modes, d).  The triangle, tetrahedron
-# and pyramid gather each factor of their modes from the table with index
-# plans cached per degree, as a (modes, points) array, and multiply these
-# in place; the last product goes into the transposed output.  The tensor
-# kinds and the prism, whose modes are outer products, multiply (points,
-# m_k) factor columns instead.  Every mode keeps the floating-point
-# expression of its closed form: the same operands, multiplied in the same
-# order, with per-mode constants as (modes, 1) columns.  So V and its
-# gradient depend neither on how the modes are gathered nor on the other
-# points of the call.
+# of points (:func:`_factors`), with the derivative rows of orders 1..
+# ``order``, and the bases of its powers (see below), both at once, so that
+# neither reads the caller's points later.  It returns them with a callable
+# that fills ``out`` (points, modes) with the values.  The triangle,
+# tetrahedron and pyramid gather each factor of their modes from the table
+# with index plans cached per degree, as a (modes, points) array, and
+# multiply these in place; the last product goes into the transposed
+# output.  The tensor kinds and the prism, whose modes are outer products,
+# multiply (points, m_k) factor columns instead.  Every mode keeps the
+# floating-point expression of its closed form: the same operands,
+# multiplied in the same order, with per-mode constants as (modes, 1)
+# columns.  So V depends neither on how the modes are gathered nor on the
+# other points of the call.  The derivatives of every kind come from one
+# chain rule (:func:`_derivative_plan`).
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
@@ -295,34 +291,23 @@ def _tensor_product(factors, out):
 
 
 @lru_cache(maxsize=None)
-def _legendre_plan(p, families, c, grads):
-    """Where the Legendre values (and derivatives) of degrees 0..p in
-    family ``c`` sit in the table of ``families``."""
-    entry = _layout(p, families, grads)[2]
-    m = np.arange(p + 1)
-    return entry(0, c, 0, m), entry(1, c, 0, m) if grads else None
+def _legendre_plan(p, families, c, order):
+    """Where the Legendre values of degrees 0..p in family ``c`` sit in the
+    table of ``families`` with derivative rows of orders 1..``order``."""
+    return _layout(p, families, order)[2](0, c, 0, np.arange(p + 1))
 
 
-def _tensor(p, pts, derivs):
+def _tensor(p, pts, order):
     """Line, quadrilateral, hexahedron: tensor Legendre products, last
     coordinate fastest."""
     dim = pts.shape[1]
     families = tuple((c, (0.0,)) for c in range(dim))  # Legendre in each
-    T = _factors(p, families, derivs, pts.T)
-    plans = [_legendre_plan(p, families, c, derivs) for c in range(dim)]
-    vals = [T.take(vi, axis=0).T for vi, _ in plans]
+    T = _factors(p, families, order, pts.T)
 
-    def modes(out, grads):
-        if grads == 2:
-            return _second(_TENSOR_BY_DIM[dim], p, T, (), out)
-        if not grads:
-            _tensor_product(vals, out)
-            return
-        ders = [T.take(di, axis=0).T for _, di in plans]
-        for c in range(dim):
-            factors = [ders[k] if k == c else vals[k] for k in range(dim)]
-            _tensor_product(factors, out[:, :, c])
-    return modes
+    def values(out):
+        plans = [_legendre_plan(p, families, c, order) for c in range(dim)]
+        _tensor_product([T.take(vi, axis=0).T for vi in plans], out)
+    return values, T, ()
 
 
 def _triangle_families(p):
@@ -331,57 +316,46 @@ def _triangle_families(p):
 
 
 @lru_cache(maxsize=None)
-def _triangle_plan(p, families, grads):
-    entry = _layout(p, families, grads)[2]
+def _triangle_plan(p, families, order):
+    entry = _layout(p, families, order)[2]
     i, j = np.array([(i, j) for i in range(p + 1) for j in range(p + 1 - i)]).T
-    di = (entry(1, 0, 0, i), entry(1, 1, i, j), i) if grads else None
-    return (entry(0, 0, 0, i), entry(0, 1, i, j), i + 1), di, i.astype(float)[:, None]
+    return entry(0, 0, 0, i), entry(0, 1, i, j), i
 
 
-def _triangle_modes(p, families, derivs, T, pw, a, val, grad):
+def _triangle_values(p, families, order, T, base, out):
     """The orthonormal triangle modes (i, j) from the table ``T`` (with
-    ``derivs``) of ``families`` (Legendre in ``a``, then (2i + 1, 0) in b)
-    and the powers ``pw`` of 1 - b: their values into ``val`` (modes,
-    points), their gradients into ``grad`` (2, modes, points), either one
-    optional."""
-    vi, di, i = _triangle_plan(p, families, derivs)
-    tables = (T, T, pw)
-    fa, gb, pw_i = (t.take(x, axis=0) for t, x in zip(tables, vi))
-    if val is not None:
-        _chain([_SQRT2, fa, gb, pw_i], out=val)
-    if grad is None:
-        return
-    dfa, dgb, pw_im1 = (t.take(x, axis=0) for t, x in zip(tables, di))
-    _chain([_SQRT2 * 2.0, dfa, gb, pw_im1], out=grad[0])
-    g = _chain([dfa, 1.0 + a, gb, pw_im1])
-    g += _chain([fa, dgb, pw_i])
-    g -= _chain([i, fa, gb, pw_im1])
-    np.multiply(_SQRT2, g, out=grad[1])
+    derivative rows of orders 1..``order``) of ``families`` (Legendre in a,
+    then (2i + 1, 0) in b) and ``base``, 1 - b, into ``out`` (modes,
+    points)."""
+    tables = (T, T, _powers(base, p))
+    fa, gb, pw_i = (
+        t.take(x, axis=0)
+        for t, x in zip(tables, _triangle_plan(p, families, order))
+    )
+    _chain([_SQRT2, fa, gb, pw_i], out=out)
 
 
-def _triangle(p, pts, derivs):
+def _triangle(p, pts, order):
     a, b = _tri_collapse(pts[:, 0], pts[:, 1])
     families = _triangle_families(p)
-    T = _factors(p, families, derivs, np.stack((a, b)))
-    pw = _powers(1.0 - b, p)
+    T = _factors(p, families, order, np.stack((a, b)))
+    bases = (1.0 - b, 1.0 + a)
 
-    def modes(out, grads):
-        if grads == 2:
-            return _second(ElementKind.TRIANGLE, p, T, (1.0 - b, 1.0 + a), out)
-        val, grad = (None, out.T) if grads else (out.T, None)
-        _triangle_modes(p, families, derivs, T, pw, a, val, grad)
-    return modes
+    def values(out):
+        _triangle_values(p, families, order, T, bases[0], out.T)
+    return values, T, bases
 
 
 @lru_cache(maxsize=None)
-def _tetrahedron_plan(p, grads):
-    """Legendre in a, (2i + 1, 0) in b, (2(i + j) + 2, 0) in c."""
+def _tetrahedron_plan(p, order):
+    """Legendre in a, (2i + 1, 0) in b, (2(i + j) + 2, 0) in c; the modes'
+    amplitudes, value gathers and indices (i, j, k)."""
     families = (
         (0, (0.0,)),
         (1, tuple(2.0 * i + 1.0 for i in range(p + 1))),
         (2, tuple(2.0 * s + 2.0 for s in range(p + 1))),
     )
-    entry = _layout(p, families, grads)[2]
+    entry = _layout(p, families, order)[2]
     modes = [
         (i, j, k)
         for i in range(p + 1)
@@ -393,75 +367,38 @@ def _tetrahedron_plan(p, grads):
     return (
         families,
         np.array(amp)[:, None],
-        (entry(0, 0, 0, i), entry(0, 1, i, j), entry(0, 2, i + j, k), i + 1,
-         i + j + 1),
-        (entry(1, 0, 0, i), entry(1, 1, i, j), entry(1, 2, i + j, k), i,
-         i + j) if grads else None,
-        (0.5 * i)[:, None],
-        (0.5 * (i + j))[:, None],
+        (entry(0, 0, 0, i), entry(0, 1, i, j), entry(0, 2, i + j, k), i,
+         i + j),
+        (i, j, k),
     )
 
 
-def _tetrahedron(p, pts, derivs):
+def _tetrahedron(p, pts, order):
     a, b, c = _tet_collapse(pts[:, 0], pts[:, 1], pts[:, 2])
-    families, amp, vi, di, half_i, half_ij = _tetrahedron_plan(p, derivs)
-    T = _factors(p, families, derivs, np.stack((a, b, c)))
-    pb = _powers(0.5 * (1.0 - b), p)
-    pc = _powers(0.5 * (1.0 - c), p)
-    tables = (T, T, T, pb, pc)
-    fa, gb, hc, pb_i, pc_ij = (t.take(x, axis=0) for t, x in zip(tables, vi))
+    families, amp, vi, _ = _tetrahedron_plan(p, order)
+    T = _factors(p, families, order, np.stack((a, b, c)))
+    bases = (0.5 * (1.0 - b), 0.5 * (1.0 - c), 1.0 + a, 1.0 + b)
 
-    def modes(out, grads):
-        if grads == 2:
-            bases = (0.5 * (1.0 - b), 0.5 * (1.0 - c), 1.0 + a, 1.0 + b)
-            return _second(ElementKind.TETRAHEDRON, p, T, bases, out)
-        if not grads:
-            _chain([amp, fa, gb, hc, pb_i, pc_ij], out=out.T)
-            return
-        dfa, dgb, dhc, pb_im1, pc_ijm1 = (
-            t.take(x, axis=0) for t, x in zip(tables, di)
-        )
-        g = out.T
-        dx_core = _chain([dfa, gb, hc, pb_im1, pc_ijm1])
-        tmp_b = dgb * pb_i  # d/db of gb * pb^i
-        tmp_b -= _chain([half_i, gb, pb_im1])
-        np.multiply(amp, dx_core, out=g[0])
-        ha_dx = 0.5 * (1.0 + a) * dx_core
-        s = _chain([fa, hc, pc_ijm1, tmp_b])
-        s += ha_dx
-        np.multiply(amp, s, out=g[1])
-        s = _chain([0.5 * (1.0 + b), fa, hc, pc_ijm1, tmp_b])
-        s += ha_dx
-        inner = dhc * pc_ij
-        inner -= _chain([half_ij, hc, pc_ijm1])
-        s += _chain([fa, gb, pb_i, inner])
-        np.multiply(amp, s, out=g[2])
-    return modes
+    def values(out):
+        tables = (T, T, T, _powers(bases[0], p), _powers(bases[1], p))
+        gathered = [t.take(x, axis=0) for t, x in zip(tables, vi)]
+        _chain([amp] + gathered, out=out.T)
+    return values, T, bases
 
 
-def _prism(p, pts, derivs):
+def _prism(p, pts, order):
     """Triangle modes times Legendre in z, z fastest."""
     families = _triangle_families(p) + ((2, (0.0,)),)
     a, b = _tri_collapse(pts[:, 0], pts[:, 1])
-    T = _factors(p, families, derivs, np.stack((a, b, pts[:, 2])))
-    pw = _powers(1.0 - b, p)
-    vi, di = _legendre_plan(p, families, 2, derivs)
-    leg = T.take(vi, axis=0).T
+    T = _factors(p, families, order, np.stack((a, b, pts[:, 2])))
+    bases = (1.0 - b, 1.0 + a)
 
-    def modes(out, grads):
-        if grads == 2:
-            return _second(ElementKind.PRISM, p, T, (1.0 - b, 1.0 + a), out)
-        tri = np.empty((pts.shape[0], (p + 1) * (p + 2) // 2))
-        tri_g = np.empty(tri.shape + (2,)) if grads else None
-        grad = tri_g.T if grads else None
-        _triangle_modes(p, families, derivs, T, pw, a, tri.T, grad)
-        if not grads:
-            _tensor_product([tri, leg], out)
-            return
-        _tensor_product([tri_g[:, :, 0], leg], out[:, :, 0])
-        _tensor_product([tri_g[:, :, 1], leg], out[:, :, 1])
-        _tensor_product([tri, T.take(di, axis=0).T], out[:, :, 2])
-    return modes
+    def values(out):
+        tri = np.empty((a.size, (p + 1) * (p + 2) // 2))
+        _triangle_values(p, families, order, T, bases[0], tri.T)
+        leg = T.take(_legendre_plan(p, families, 2, order), axis=0).T
+        _tensor_product([tri, leg], out)
+    return values, T, bases
 
 
 def _pyramid_uvw(pts):
@@ -474,15 +411,15 @@ def _pyramid_uvw(pts):
 
 
 @lru_cache(maxsize=None)
-def _pyramid_plan(p, grads):
+def _pyramid_plan(p, order):
     """Legendre in u and in v, (2c + 2, 0) in z for c = max(i, j); the
-    modes' norms."""
+    modes' norms, value gathers and indices (i, j, c, k)."""
     families = (
         (0, (0.0,)),
         (1, (0.0,)),
         (2, tuple(2.0 * (c + 1.0) for c in range(p + 1))),
     )
-    entry = _layout(p, families, grads)[2]
+    entry = _layout(p, families, order)[2]
     modes = [
         (i, j, max(i, j), k)
         for i in range(p + 1)
@@ -497,54 +434,39 @@ def _pyramid_plan(p, grads):
     return (
         families,
         np.array(norms)[:, None],
-        (entry(0, 0, 0, i), entry(0, 1, 0, j), entry(0, 2, c, k), c + 1),
-        (entry(1, 0, 0, i), entry(1, 1, 0, j), entry(1, 2, c, k), c)
-        if grads else None,
-        (0.5 * c)[:, None],
+        (entry(0, 0, 0, i), entry(0, 1, 0, j), entry(0, 2, c, k), c),
+        (i, j, c, k),
     )
 
 
-def _pyramid(p, pts, derivs):
+def _pyramid(p, pts, order):
     """Rational pyramid modes from unnormalized Jacobi factors."""
     u, v, w, z = _pyramid_uvw(pts)
-    families, nrm, vi, di, half_c = _pyramid_plan(p, derivs)
-    T = _factors(p, families, derivs, np.stack((u, v, z)), normalized=False)
-    wp = _powers(w, p)
-    tables = (T, T, T, wp)
-    fi, fj, hk, w_c = (t.take(x, axis=0) for t, x in zip(tables, vi))
+    families, nrm, vi, _ = _pyramid_plan(p, order)
+    T = _factors(p, families, order, np.stack((u, v, z)), normalized=False)
 
-    def modes(out, grads):
-        if grads == 2:
-            return _second(ElementKind.PYRAMID, p, T, (w, u, v), out)
-        if not grads:
-            np.divide(_chain([fi, fj, w_c, hk]), nrm, out=out.T)
-            return
-        dfi, dfj, dhk, w_cm1 = (t.take(x, axis=0) for t, x in zip(tables, di))
-        g = out.T
-        np.divide(_chain([dfi, fj, hk, w_cm1]), nrm, out=g[0])
-        np.divide(_chain([fi, dfj, hk, w_cm1]), nrm, out=g[1])
-        s = _chain([0.5, dfi, u, fj, hk, w_cm1])
-        s += _chain([0.5, fi, dfj, v, hk, w_cm1])
-        s -= _chain([half_c, fi, fj, hk, w_cm1])
-        s += _chain([fi, fj, dhk, w_c])
-        np.divide(s, nrm, out=g[2])
-    return modes
+    def values(out):
+        tables = (T, T, T, _powers(w, p))
+        fi, fj, hk, w_c = (t.take(x, axis=0) for t, x in zip(tables, vi))
+        np.divide(_chain([fi, fj, w_c, hk]), nrm, out=out.T)
+    return values, T, (w, u, v)
 
 
 # ---------------------------------------------------------------------------
-# Second derivatives
+# Derivatives
 #
 # Every mode is ``amp * prod J(xi) * prod base^e``: Jacobi factors of the
 # table's coordinates xi (a, b, c on the simplices, u, v, z on the pyramid)
 # times powers of bases affine in one coordinate, whose exponents depend on
 # the mode (1 - b, w) or start at 0 (the atoms 1 + a, 1 + b, u, v).  Each
-# ``d xi / d x_k`` is a monomial in the bases, so the chain rule, applied
-# twice, writes a second derivative as a short sum of such products
-# (:func:`_hessian_plan`).  They gather from one table with value, first and
-# second derivative rows and from the tables of the bases' powers.  A
-# negative power multiplies a zero coefficient on the simplices, where the
-# modes are polynomials, but is the pyramid's rational factor 1 / w for
-# max(i, j) = 1; it reads 0 where its base is 0, as at the apex.
+# ``d xi / d x_k`` is a monomial in the bases, so the chain rule writes a
+# first derivative, and applied again a second, as a short sum of such
+# products (:func:`_derivative_plan`).  Both orders gather from one table
+# with value, first and second derivative rows and from the tables of the
+# bases' powers.  A negative power multiplies a zero coefficient on the
+# simplices, where the modes are polynomials, but is the pyramid's rational
+# factor 1 / w for max(i, j) = 1; it reads 0 where its base is 0, as at the
+# apex.
 # ---------------------------------------------------------------------------
 
 
@@ -575,13 +497,7 @@ def _triangle_form(p, prism=False):
 
 
 def _tetrahedron_form(p):
-    families, amp = _tetrahedron_plan(p, False)[:2]
-    i, j, k = np.array([
-        (i, j, k)
-        for i in range(p + 1)
-        for j in range(p + 1 - i)
-        for k in range(p + 1 - i - j)
-    ]).T
+    families, amp, _, (i, j, k) = _tetrahedron_plan(p, 0)
     factors = ((0, 0 * i, i), (1, i, j), (2, i + j, k))
     # (1 - b) / 2, (1 - c) / 2, 1 + a, 1 + b
     powers = ((1, -0.5, i), (2, -0.5, i + j), (0, 1.0, 0 * i), (1, 1.0, 0 * i))
@@ -595,13 +511,7 @@ def _tetrahedron_form(p):
 
 
 def _pyramid_form(p):
-    families, nrm = _pyramid_plan(p, False)[:2]
-    i, j, c, k = np.array([
-        (i, j, max(i, j), k)
-        for i in range(p + 1)
-        for j in range(p + 1)
-        for k in range(p + 1 - max(i, j))
-    ]).T
+    families, nrm, _, (i, j, c, k) = _pyramid_plan(p, 0)
     factors = ((0, 0 * i, i), (1, 0 * j, j), (2, c, k))
     powers = ((2, -0.5, c), (0, 1.0, 0 * i), (1, 1.0, 0 * i))  # w, u, v
     dvar = (
@@ -612,9 +522,6 @@ def _pyramid_form(p):
     return families, factors, powers, dvar, 1.0 / nrm[:, 0]
 
 
-_TENSOR_BY_DIM = {
-    1: ElementKind.LINE, 2: ElementKind.QUADRILATERAL, 3: ElementKind.HEXAHEDRON
-}
 _FORMS = {
     ElementKind.LINE: lambda p: _tensor_product_form(p, 1),
     ElementKind.QUADRILATERAL: lambda p: _tensor_product_form(p, 2),
@@ -639,17 +546,17 @@ def _power_table(base, p):
 
 
 @lru_cache(maxsize=None)
-def _hessian_plan(kind, p):
-    """The second derivatives of the degree-``p`` modes of ``kind`` as sums
-    of gathered products.
+def _derivative_plan(kind, p, order):
+    """The derivatives of orders 1..``order`` of the degree-``p`` modes of
+    ``kind`` as sums of gathered products.
 
-    Returns the gathers (row indices into the kind's table with second
-    derivative rows stacked over the power tables of the bases, (modes,)
-    each) and per component ``(k, l)``, k <= l, its terms ``(coefficient
-    column, gather ids)``.
+    Returns the gathers (row indices into the kind's table with derivative
+    rows of orders 1..``order`` stacked over the power tables of the bases,
+    (modes,) each) and per order, per component ``(k,)`` or ``(k, l)``,
+    k <= l, its terms ``(coefficient column, gather ids)``.
     """
     families, factors, powers, dvar, amp = _FORMS[kind](p)
-    rows, _, entry = _layout(p, families, 2)
+    rows, _, entry = _layout(p, families, order)
     table_rows = (p + 1) * len(rows)
     deltas = [
         [None if m is None else (m[0], np.array(
@@ -681,9 +588,6 @@ def _hessian_plan(kind, p):
                     add(orders, new, slope * mono[0] * (e0 + offs[q]) * coef)
         return out
 
-    dim = len(dvar[0])
-    start = {((0,) * len(factors), (0,) * len(powers)): amp}
-    first = [derive(start, k) for k in range(dim)]
     gathers, ids = [], {}
 
     def gather(idx):
@@ -693,36 +597,47 @@ def _hessian_plan(kind, p):
             gathers.append(idx)
         return ids[key]
 
-    components = []
-    for k in range(dim):
-        for l in range(k, dim):
-            terms = []
-            for (orders, offs), coef in derive(first[k], l).items():
-                g = [gather(entry(o, f, q, m))
-                     for o, (f, q, m) in zip(orders, factors)]
-                g += [
-                    gather(table_rows + n * (p + 5) + e0 + off + 2)
-                    for n, ((_, _, e0), off) in enumerate(zip(powers, offs))
-                    if np.any(e0 + off)
-                ]
-                terms.append((coef[:, None], tuple(g)))
-            components.append(((k, l), terms))
-    return gathers, components
+    def term(orders, offs, coef):
+        g = [gather(entry(o, f, q, m)) for o, (f, q, m) in zip(orders, factors)]
+        g += [
+            gather(table_rows + n * (p + 5) + e0 + off + 2)
+            for n, ((_, _, e0), off) in enumerate(zip(powers, offs))
+            if np.any(e0 + off)
+        ]
+        return coef[:, None], tuple(g)
+
+    dim = len(dvar[0])
+    level = {(): {((0,) * len(factors), (0,) * len(powers)): amp}}
+    plans = []
+    for _ in range(order):
+        level = {
+            c + (l,): derive(terms, l)
+            for c, terms in level.items()
+            for l in range(c[-1] if c else 0, dim)
+        }
+        plans.append([
+            (c, [term(*key, coef) for key, coef in terms.items()])
+            for c, terms in level.items()
+        ])
+    return gathers, plans
 
 
-def _second(kind, p, T, bases, out):
-    """The second derivatives of the modes into ``out``, (points, modes, d,
-    d), from the kind's table ``T`` with second derivative rows and the
-    bases of its powers (see :func:`_hessian_plan`)."""
-    gathers, components = _hessian_plan(kind, p)
+def _chain_rule(kind, p, T, bases, outs):
+    """The derivatives of orders 1..``len(outs)`` of the modes into
+    ``outs``, (points, modes) + (d,) * order each and symmetric in the
+    derivative axes, from one gather of the kind's table ``T`` with
+    derivative rows of those orders and of the power tables of its
+    ``bases`` (see :func:`_derivative_plan`)."""
+    gathers, plans = _derivative_plan(kind, p, len(outs))
     table = np.concatenate([T] + [_power_table(base, p) for base in bases])
     factors = [table.take(idx, axis=0) for idx in gathers]
-    for (k, l), terms in components:
-        acc = _chain([terms[0][0]] + [factors[g] for g in terms[0][1]])
-        for coef, ids in terms[1:]:
-            acc += _chain([coef] + [factors[g] for g in ids])
-        out[:, :, k, l] = acc.T
-        out[:, :, l, k] = acc.T
+    for out, components in zip(outs, plans):
+        for c, terms in components:
+            acc = _chain([terms[0][0]] + [factors[g] for g in terms[0][1]])
+            for coef, ids in terms[1:]:
+                acc += _chain([coef] + [factors[g] for g in ids])
+            for axes in {c, c[::-1]}:
+                out.T[axes] = acc
 
 
 # ---------------------------------------------------------------------------
@@ -743,49 +658,66 @@ _ORTHOGONAL = {
 _BLOCK = 1 << 15
 
 
-def _tables(space, pts, derivs):
-    """Each block of ``pts`` and the ``modes`` of its table, lazily."""
+def _tables(space, pts, order):
+    """Each block of ``pts`` with what its kind builds there: the values
+    callable, the table with derivative rows of orders 1..``order`` and the
+    bases of its powers, lazily."""
     step = max(1, _BLOCK // space.dim)
     for start in range(0, pts.shape[0], step):
         block = slice(start, start + step)
-        yield block, _ORTHOGONAL[space.kind](space.degree, pts[block], derivs)
+        yield block, *_ORTHOGONAL[space.kind](space.degree, pts[block], order)
 
 
-def _basis(space, pts, grads, tables=None, out=None):
-    """The basis values (or their derivatives of order ``grads``: gradients
-    at 1, second derivatives at 2) at ``pts``, written into ``out`` when
-    given, which must have the result's shape."""
+def _basis(space, pts, order, tables=None, out=None):
+    """The basis values at ``pts`` at ``order`` 0, written into ``out`` when
+    given, which must have the result's shape; else the tuple of their
+    derivatives of orders 1..``order`` (:func:`_derivatives`)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n, dim = pts.shape
-    if out is None:
-        out = np.empty((n, space.dim) + (dim,) * int(grads))
     if tables is None:
-        tables = _tables(space, pts, grads)
-    for block, modes in tables:
-        modes(out[block], grads)
+        tables = _tables(space, pts, order)
+    if order:
+        return _derivatives(space, pts.shape, order, tables)
+    if out is None:
+        out = np.empty((pts.shape[0], space.dim))
+    for block, values, _, _ in tables:
+        values(out[block])
     return out
+
+
+def _derivatives(space, shape, order, tables):
+    """The gradients, (n, dim, d), and at ``order`` 2 the second
+    derivatives, (n, dim, d, d), at the (n, d) points of ``tables``."""
+    n, d = shape
+    outs = tuple(
+        np.empty((n, space.dim) + (d,) * o) for o in range(1, order + 1)
+    )
+    for block, _, T, bases in tables:
+        _chain_rule(space.kind, space.degree, T, bases, [o[block] for o in outs])
+    return outs
 
 
 def basis_eval_many(space: FunctionSpace, pts):
     """Evaluate all basis functions at an (n, d) array of points."""
-    return _basis(space, pts, False)
+    return _basis(space, pts, 0)
 
 
 def basis_grad_many(space: FunctionSpace, pts):
     """Gradients of all basis functions: (n_points, dim, d)."""
-    return _basis(space, pts, True)
+    return _basis(space, pts, 1)[0]
 
 
 def basis_eval_with_grad(space: FunctionSpace, pts):
     """:func:`basis_eval_many` at an (n, d) array of points, and a callable
-    ``derivatives(order=1)`` that returns :func:`basis_grad_many` there,
-    bit for bit, or at order 2 the second derivatives, (n, dim, d, d) and
-    symmetric in the last two axes, from the same tables (with first and
-    second derivative rows), computed only when called."""
+    ``derivatives()`` that returns there the gradients, :func:`basis_grad_many`
+    bit for bit, and the second derivatives, (n, dim, d, d) and symmetric
+    in the last two axes: both from one gather of the same tables (with
+    first and second derivative rows), computed only when called and
+    independent of later changes to the caller's array."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     tables = list(_tables(space, pts, 2))
-    values = _basis(space, pts, False, tables)
-    return values, lambda order=1: _basis(space, pts, order, tables)
+    values = _basis(space, pts, 0, tables)
+    shape = pts.shape
+    return values, lambda: _derivatives(space, shape, 2, tables)
 
 
 _GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=float)

@@ -298,10 +298,10 @@ def _objective_value(problem, y, basis=None):
     def derivatives():
         T = np.hstack([W, -(G.T + W @ GW.T)])  # [W, -S G^T]
         dfdC = 2.0 * (G.T @ G @ T) @ KQ.T
-        Bgrad = basis_derivatives()  # (m, n_basis, d)
+        Bgrad, second = basis_derivatives()  # (m, n_basis, d (, d))
         dfdX = np.einsum("rjd,rj->rd", Bgrad, dfdC)
         grad = problem._moving_jacobian.T @ dfdX.ravel()
-        hess = _hessian(problem, Bgrad, basis_derivatives(2), W, G)
+        hess = _hessian(problem, Bgrad, second, W, G)
         finite = np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
         return (grad, hess) if finite else None
 
@@ -354,7 +354,7 @@ def _objective_values(problem, ys):
     """:func:`_objective_value` at each row of ``ys``, with one basis
     evaluation at the moving nodes of all rows, which has the bits of each
     row's own; ``(inf, None)`` where it raises.  The first gradient called
-    computes the basis gradients of all rows."""
+    computes the basis gradients and second derivatives of all rows."""
     X = np.concatenate([problem.nodes_at(y)[problem._moving] for y in ys])
     m = X.shape[0] // len(ys)
     C, basis_derivatives = basis_eval_with_grad(problem.space, X)
@@ -366,8 +366,8 @@ def _objective_values(problem, ys):
     for j, y in enumerate(ys):
         rows = slice(j * m, (j + 1) * m)
 
-        def derivatives(order=1, rows=rows):
-            return basis_derivatives(order)[rows]
+        def derivatives(rows=rows):
+            return tuple(d[rows] for d in basis_derivatives())
 
         try:
             out.append(_objective_value(problem, y, (C[rows], derivatives)))

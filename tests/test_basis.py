@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.spatial
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,22 +241,42 @@ def test_pyramid_gram_condition():
     assert np.linalg.cond(M) < 1e12
 
 
+def _away_from_boundary(kind, n, margin, seed):
+    """``n`` random points at least ``margin`` from the boundary of the
+    reference element (a convex polytope), by the distances to its facets."""
+    V = reference_element(kind).vertices
+    eq = (np.array([[1.0, -1.0], [-1.0, -1.0]]) if V.shape[1] == 1
+          else scipy.spatial.ConvexHull(V).equations)  # unit normals
+    pts = _random_interior(kind, 20 * n, seed)
+    far = np.all(pts @ eq[:, :-1].T + eq[:, -1] <= -margin, axis=1)
+    assert far.sum() >= n
+    return pts[far][:n]
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_gradients_match_finite_differences(kind):
-    sp = FunctionSpace(kind, 4)
-    pts = _random_interior(kind, 10, seed=5)
-    if kind is ElementKind.PYRAMID:
-        pts = pts[pts[:, 2] < 0.85]
-    g = basis_grad_many(sp, pts)
-    h = 1e-6
-    d = pts.shape[1]
-    for dd in range(d):
-        e = np.zeros(d)
-        e[dd] = h
-        fd = (basis_eval_many(sp, pts + e) - basis_eval_many(sp, pts - e)) / (
-            2 * h
-        )
-        np.testing.assert_allclose(g[:, :, dd], fd, atol=5e-7)
+    # Five-point differences with h = 1e-2 are exact up to rounding for
+    # modes of degree <= 4 along each axis, which all but the pyramid's are;
+    # the points lie 0.05 or more inside, beyond the stencil's 2h.  The
+    # pyramid's modes are rational: central differences with h = 1e-6.
+    for p in range(1, 5):
+        sp = FunctionSpace(kind, p)
+        pts = _away_from_boundary(kind, 10, 0.05, seed=5)
+        g = basis_grad_many(sp, pts)
+        d = pts.shape[1]
+        for dd in range(d):
+            e = np.zeros(d)
+            e[dd] = 1.0
+            if kind is ElementKind.PYRAMID:
+                h = 1e-6
+                fd = (basis_eval_many(sp, pts + h * e)
+                      - basis_eval_many(sp, pts - h * e)) / (2 * h)
+                np.testing.assert_allclose(g[:, :, dd], fd, atol=5e-7)
+                continue
+            h = 1e-2
+            f = [basis_eval_many(sp, pts + s * h * e) for s in (-2, -1, 1, 2)]
+            fd = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+            assert np.abs(g[:, :, dd] - fd).max() <= 1e-12 * np.abs(g).max()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -270,7 +291,7 @@ def test_second_derivatives_match_differences_of_gradients(kind, p):
     pts = np.vstack([
         V + 1e-3 * (V.mean(axis=0) - V), _random_interior(kind, 6, seed=3)
     ])
-    H = basis_eval_with_grad(sp, pts)[1](2)
+    H = basis_eval_with_grad(sp, pts)[1]()[1]
     d = pts.shape[1]
     assert H.shape == (len(pts), sp.dim, d, d)
     assert np.array_equal(H, H.transpose(0, 1, 3, 2))
@@ -440,8 +461,9 @@ def _assert_same_as_separate_calls(sp, pts):
     values, gradients = basis_eval_with_grad(sp, pts)
     ref_v, ref_g = basis_eval_many(sp, pts), basis_grad_many(sp, pts)
     assert values.shape == ref_v.shape and np.array_equal(values, ref_v)
-    g = gradients()
+    g, H = gradients()
     assert g.shape == ref_g.shape and np.array_equal(g, ref_g)
+    assert H.shape == ref_g.shape + ref_g.shape[-1:]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -457,8 +479,9 @@ def test_one_table_equals_separate_value_and_gradient_calls(kind, p):
         _assert_same_as_separate_calls(sp, pts)
     values, gradients = basis_eval_with_grad(sp, np.zeros((0, elem.dim)))
     assert values.shape == (0, sp.dim)
-    assert gradients().shape == (0, sp.dim, elem.dim)
-    assert gradients(2).shape == (0, sp.dim, elem.dim, elem.dim)
+    g, H = gradients()
+    assert g.shape == (0, sp.dim, elem.dim)
+    assert H.shape == (0, sp.dim, elem.dim, elem.dim)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -479,17 +502,20 @@ def test_one_table_equals_separate_calls_at_random_points(kind, p, data):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_deferred_gradients_keep_their_own_points(kind):
     # A callable called after later evaluations, and after its caller reused
-    # the point array, still returns the gradients at its own points.
+    # the point array, still returns the gradients and second derivatives
+    # at its own points.
     sp = FunctionSpace(kind, 5)
     first = _random_interior(kind, 30, seed=1)
-    expected = basis_grad_many(sp, first)
+    expected = basis_eval_with_grad(sp, first.copy())[1]()
+    assert np.array_equal(expected[0], basis_grad_many(sp, first))
     _, gradients = basis_eval_with_grad(sp, first)
     first[...] = _random_interior(kind, 30, seed=2)
     for seed in (3, 4):
         _, later = basis_eval_with_grad(sp, _random_interior(kind, 30, seed))
         later()
-    assert np.array_equal(gradients(), expected)
-    assert np.array_equal(gradients(), expected)
+    for _ in range(2):
+        for got, want in zip(gradients(), expected, strict=True):
+            assert np.array_equal(got, want)
 
 
 def _lu_reference(M):
