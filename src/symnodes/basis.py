@@ -8,17 +8,18 @@ product on the prism, and the rational polynomial-trace space on the
 pyramid.  :class:`LagrangeInterpolator` alone refuses node sets too near
 singular.
 
-Basis gradients and second derivatives are analytic for every kind, which
-is what makes the analytic objective gradient and Hessian of the optimizer
-possible.  Every mode is a product of 1D Jacobi factors.  A call works on
-blocks of points, at most ``_BLOCK`` (points x modes) entries each.  For
-each block it runs one three-term-recurrence sweep (:func:`_sweep`) over
-every (a, b) row it needs: all families, all coordinates and, for
-derivatives, the (a + 1, b + 1) and (a + 2, b + 2) rows, each stopped at
-the highest degree its modes use.  Its coefficients and norms are cached
-per row set.  Values are computed per kind, which gathers its modes from
-that one table with index plans cached per degree.  Every derivative comes
-from one chain rule for all kinds (:func:`_derivative_plan`).
+Each kind has one description of its modes, its form: every mode is an
+amplitude times 1D Jacobi factors of (collapsed) coordinates times powers
+of bases affine in one coordinate.  Values, gradients and second
+derivatives all come from it, the derivatives through one chain rule
+(:func:`_derivative_plan`), analytic for every kind, which is what makes
+the objective gradient and Hessian of the optimizer analytic.  A call
+works on blocks of points, at most ``_BLOCK`` (points x modes) entries
+each.  For each block it runs one three-term-recurrence sweep
+(:func:`_sweep`) over every (a, b) row it needs: all families, all
+coordinates and, for derivatives, the (a + 1, b + 1) and (a + 2, b + 2)
+rows, each stopped at the highest degree its modes use; the modes gather
+their factors from that one table with index plans cached per degree.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -199,7 +201,7 @@ def _layout(p, families, order):
     return rows, coord, entry
 
 
-def _factors(p, families, order, coords, normalized=True):
+def _factors(p, families, order, coords, normalized):
     """The table of :func:`_layout` at ``coords`` ((coordinates, P)),
     flattened to (degree x row, P)."""
     rows, coord = _layout(p, families, order)[:2]
@@ -217,7 +219,7 @@ def _powers(base, p):
 
 
 # ---------------------------------------------------------------------------
-# Collapsed coordinates for the simplex bases
+# Collapsed coordinates
 # ---------------------------------------------------------------------------
 
 
@@ -228,37 +230,179 @@ def _collapse_ratio(num, denom):
     return np.where(ok, num / safe - 1.0, -1.0)
 
 
-def _tri_collapse(x, y):
-    return _collapse_ratio(2.0 * (1.0 + x), 1.0 - y), y
-
-
-def _tet_collapse(x, y, z):
-    a = _collapse_ratio(2.0 * (1.0 + x), -(y + z))
-    b = _collapse_ratio(2.0 * (1.0 + y), 1.0 - z)
-    return a, b, z
+def _coordinates(kind, pts):
+    """The coordinates of the table of ``kind`` at ``pts``, (coordinates,
+    points), and the bases of its powers in the order of its form: x, y, z
+    on line, quadrilateral and hexahedron; a, b (and z on the prism) with
+    1 - b, 1 + a on triangle and prism; a, b, c with (1 - b) / 2,
+    (1 - c) / 2, 1 + a, 1 + b on the tetrahedron; u, v, z with w, u, v on
+    the pyramid.  The bases are new arrays, not views of ``pts``."""
+    x, y, z = (*pts.T, None, None)[:3]
+    if kind in (ElementKind.TRIANGLE, ElementKind.PRISM):
+        a = _collapse_ratio(2.0 * (1.0 + x), 1.0 - y)
+        return np.stack((a, y, *pts.T[2:])), (1.0 - y, 1.0 + a)
+    if kind is ElementKind.TETRAHEDRON:
+        a = _collapse_ratio(2.0 * (1.0 + x), -(y + z))
+        b = _collapse_ratio(2.0 * (1.0 + y), 1.0 - z)
+        bases = (0.5 * (1.0 - b), 0.5 * (1.0 - z), 1.0 + a, 1.0 + b)
+        return np.stack((a, b, z)), bases
+    if kind is ElementKind.PYRAMID:
+        w = 0.5 * (1.0 - z)
+        ok = w > _COLLAPSE_EPS
+        safe = np.where(ok, w, 1.0)
+        u, v = (np.where(ok, t / safe, 0.0) for t in (x, y))
+        return np.stack((u, v, z)), (w, u, v)
+    return pts.T, ()
 
 
 # ---------------------------------------------------------------------------
-# Orthogonal modes
+# Modes
 #
-# Each function builds one table of every 1D factor it needs for one block
-# of points (:func:`_factors`), with the derivative rows of orders 1..
-# ``order``, and the bases of its powers (see below), both at once, so that
-# neither reads the caller's points later.  It returns them with a callable
-# that fills ``out`` (points, modes) with the values.  The triangle,
-# tetrahedron and pyramid gather each factor of their modes from the table
-# with index plans cached per degree, as a (modes, points) array, and
-# multiply these in place; the last product goes into the transposed
-# output.  The tensor kinds and the prism, whose modes are outer products,
-# multiply (points, m_k) factor columns instead.  Every mode keeps the
-# floating-point expression of its closed form: the same operands,
-# multiplied in the same order, with per-mode constants as (modes, 1)
-# columns.  So V depends neither on how the modes are gathered nor on the
-# other points of the call.  The derivatives of every kind come from one
-# chain rule (:func:`_derivative_plan`).
+# Each kind has one form (:class:`_Form`), which lists its modes in order.
+# Every mode is ``amp * prod J(xi) * prod base^e``: Jacobi factors of the
+# table's coordinates xi (a, b, c on the simplices, u, v, z on the pyramid)
+# times powers of bases affine in one coordinate, whose exponents depend on
+# the mode (1 - b, w) or start at 0 (the atoms 1 + a, 1 + b, u, v).  Per
+# block of points, the table of every 1D factor (:func:`_factors`) and the
+# bases are formed at once, so that neither reads the caller's points later.
+#
+# The values (:func:`_values`) gather the operands of each mode in form
+# order as (modes, points) arrays, with per-mode constants as (modes, 1)
+# columns, and multiply them in place; the trailing Legendre axes (every
+# axis of line, quadrilateral and hexahedron, z on the prism) go in as
+# outer products.  So every mode keeps the floating-point expression of its
+# closed form, and V depends neither on how the modes are gathered nor on
+# the other points of the call.  Each ``d xi / d x_k`` is a monomial in the
+# bases, so the chain rule writes a first derivative, and applied again a
+# second, as a short sum of such products (:func:`_derivative_plan`), both
+# orders from one gather.  A negative power multiplies a zero coefficient on
+# the simplices, where the modes are polynomials, but is the pyramid's
+# rational factor 1 / w for max(i, j) = 1; it reads 0 where its base is 0,
+# as at the apex.
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
+
+
+class _Form(NamedTuple):
+    """The degree-p modes of one kind.
+
+    ``families`` ((coordinate, alphas), ...) are the table's Jacobi
+    families, with b = 0.  Per mode, as arrays over the modes: ``factors``
+    (family, alpha index, degree) of each Jacobi factor, ``powers``
+    (coordinate, slope, exponent) of each base, affine in that coordinate,
+    and ``amp``.  ``dvar[c][k]``, ``d xi_c / d x_k``, is a monomial
+    (coefficient, {base: exponent}), or None where it is 0.  The last
+    ``legendre`` factors are Legendre axes that run over degrees 0..p,
+    fastest; ``normalized`` is False where the table holds unnormalized
+    Jacobi polynomials (the pyramid).
+    """
+
+    families: tuple
+    factors: tuple
+    powers: tuple
+    dvar: tuple
+    amp: np.ndarray
+    legendre: int = 0
+    normalized: bool = True
+
+
+def _tensor_product_form(p, dim):
+    """Legendre in each coordinate, the last fastest."""
+    families = tuple((c, (0.0,)) for c in range(dim))
+    idx = np.array(list(itertools.product(range(p + 1), repeat=dim))).T
+    factors = tuple((c, 0 * idx[c], idx[c]) for c in range(dim))
+    dvar = tuple(
+        tuple((1.0, {}) if k == c else None for k in range(dim))
+        for c in range(dim)
+    )
+    return _Form(families, factors, (), dvar, np.ones(idx.shape[1]), dim)
+
+
+def _triangle_form(p, prism=False):
+    """Legendre in a, (2i + 1, 0) in b; on the prism times Legendre in z,
+    z fastest."""
+    families = ((0, (0.0,)), (1, tuple(2.0 * i + 1.0 for i in range(p + 1))))
+    families += ((2, (0.0,)),) if prism else ()
+    ij = [(i, j) for i in range(p + 1) for j in range(p + 1 - i)]
+    ijk = [(i, j, k) for i, j in ij for k in range(p + 1 if prism else 1)]
+    i, j, k = np.array(ijk).T
+    factors = ((0, 0 * i, i), (1, i, j)) + (((2, 0 * k, k),) if prism else ())
+    powers = ((1, -1.0, i), (0, 1.0, 0 * i))  # 1 - b, 1 + a
+    z = (None,) if prism else ()
+    dvar = (
+        ((2.0, {0: -1}), (1.0, {1: 1, 0: -1})) + z,  # a
+        (None, (1.0, {})) + z,  # b
+    ) + (((None, None, (1.0, {})),) if prism else ())  # z
+    amp = np.full(i.size, _SQRT2)
+    return _Form(families, factors, powers, dvar, amp, int(prism))
+
+
+def _tetrahedron_form(p):
+    """Legendre in a, (2i + 1, 0) in b, (2(i + j) + 2, 0) in c."""
+    families = (
+        (0, (0.0,)),
+        (1, tuple(2.0 * i + 1.0 for i in range(p + 1))),
+        (2, tuple(2.0 * s + 2.0 for s in range(p + 1))),
+    )
+    i, j, k = np.array([
+        (i, j, k)
+        for i in range(p + 1)
+        for j in range(p + 1 - i)
+        for k in range(p + 1 - i - j)
+    ]).T
+    factors = ((0, 0 * i, i), (1, i, j), (2, i + j, k))
+    # (1 - b) / 2, (1 - c) / 2, 1 + a, 1 + b
+    powers = ((1, -0.5, i), (2, -0.5, i + j), (0, 1.0, 0 * i), (1, 1.0, 0 * i))
+    da_dyz = (0.5, {2: 1, 0: -1, 1: -1})
+    dvar = (
+        ((1.0, {0: -1, 1: -1}), da_dyz, da_dyz),  # a
+        (None, (1.0, {1: -1}), (0.5, {3: 1, 1: -1})),  # b
+        (None, None, (1.0, {})),  # c
+    )
+    amp = 2.0 * _SQRT2 * 2.0 ** (2 * i + j)
+    return _Form(families, factors, powers, dvar, amp)
+
+
+def _pyramid_form(p):
+    """Legendre in u and in v, (2c + 2, 0) in z for c = max(i, j), all
+    unnormalized, over the norm of the mode."""
+    families = (
+        (0, (0.0,)),
+        (1, (0.0,)),
+        (2, tuple(2.0 * (c + 1.0) for c in range(p + 1))),
+    )
+    i, j, c, k = np.array([
+        (i, j, max(i, j), k)
+        for i in range(p + 1)
+        for j in range(p + 1)
+        for k in range(p + 1 - max(i, j))
+    ]).T
+    factors = ((0, 0 * i, i), (1, 0 * j, j), (2, c, k))
+    powers = ((2, -0.5, c), (0, 1.0, 0 * i), (1, 1.0, 0 * i))  # w, u, v
+    dvar = (
+        ((1.0, {0: -1}), None, (0.5, {1: 1, 0: -1})),  # u
+        (None, (1.0, {0: -1}), (0.5, {2: 1, 0: -1})),  # v
+        (None, None, (1.0, {})),  # z
+    )
+    norms = np.sqrt(8.0 / ((2 * i + 1) * (2 * j + 1) * (2 * k + 2 * c + 3)))
+    return _Form(families, factors, powers, dvar, 1.0 / norms, normalized=False)
+
+
+_FORMS = {
+    ElementKind.LINE: lambda p: _tensor_product_form(p, 1),
+    ElementKind.QUADRILATERAL: lambda p: _tensor_product_form(p, 2),
+    ElementKind.HEXAHEDRON: lambda p: _tensor_product_form(p, 3),
+    ElementKind.TRIANGLE: _triangle_form,
+    ElementKind.PRISM: lambda p: _triangle_form(p, prism=True),
+    ElementKind.TETRAHEDRON: _tetrahedron_form,
+    ElementKind.PYRAMID: _pyramid_form,
+}
+
+
+@lru_cache(maxsize=None)
+def _form(kind, p):
+    return _FORMS[kind](p)
 
 
 def _chain(factors, out=None):
@@ -291,246 +435,40 @@ def _tensor_product(factors, out):
 
 
 @lru_cache(maxsize=None)
-def _legendre_plan(p, families, c, order):
-    """Where the Legendre values of degrees 0..p in family ``c`` sit in the
-    table of ``families`` with derivative rows of orders 1..``order``."""
-    return _layout(p, families, order)[2](0, c, 0, np.arange(p + 1))
-
-
-def _tensor(p, pts, order):
-    """Line, quadrilateral, hexahedron: tensor Legendre products, last
-    coordinate fastest."""
-    dim = pts.shape[1]
-    families = tuple((c, (0.0,)) for c in range(dim))  # Legendre in each
-    T = _factors(p, families, order, pts.T)
-
-    def values(out):
-        plans = [_legendre_plan(p, families, c, order) for c in range(dim)]
-        _tensor_product([T.take(vi, axis=0).T for vi in plans], out)
-    return values, T, ()
-
-
-def _triangle_families(p):
-    """Legendre in a, (2i + 1, 0) in b."""
-    return ((0, (0.0,)), (1, tuple(2.0 * i + 1.0 for i in range(p + 1))))
-
-
-@lru_cache(maxsize=None)
-def _triangle_plan(p, families, order):
-    entry = _layout(p, families, order)[2]
-    i, j = np.array([(i, j) for i in range(p + 1) for j in range(p + 1 - i)]).T
-    return entry(0, 0, 0, i), entry(0, 1, i, j), i
-
-
-def _triangle_values(p, families, order, T, base, out):
-    """The orthonormal triangle modes (i, j) from the table ``T`` (with
-    derivative rows of orders 1..``order``) of ``families`` (Legendre in a,
-    then (2i + 1, 0) in b) and ``base``, 1 - b, into ``out`` (modes,
-    points)."""
-    tables = (T, T, _powers(base, p))
-    fa, gb, pw_i = (
-        t.take(x, axis=0)
-        for t, x in zip(tables, _triangle_plan(p, families, order))
-    )
-    _chain([_SQRT2, fa, gb, pw_i], out=out)
-
-
-def _triangle(p, pts, order):
-    a, b = _tri_collapse(pts[:, 0], pts[:, 1])
-    families = _triangle_families(p)
-    T = _factors(p, families, order, np.stack((a, b)))
-    bases = (1.0 - b, 1.0 + a)
-
-    def values(out):
-        _triangle_values(p, families, order, T, bases[0], out.T)
-    return values, T, bases
-
-
-@lru_cache(maxsize=None)
-def _tetrahedron_plan(p, order):
-    """Legendre in a, (2i + 1, 0) in b, (2(i + j) + 2, 0) in c; the modes'
-    amplitudes, value gathers and indices (i, j, k)."""
-    families = (
-        (0, (0.0,)),
-        (1, tuple(2.0 * i + 1.0 for i in range(p + 1))),
-        (2, tuple(2.0 * s + 2.0 for s in range(p + 1))),
-    )
-    entry = _layout(p, families, order)[2]
-    modes = [
-        (i, j, k)
-        for i in range(p + 1)
-        for j in range(p + 1 - i)
-        for k in range(p + 1 - i - j)
+def _value_plan(kind, p, order):
+    """What :func:`_values` gathers from the table of ``kind`` with
+    derivative rows of orders 1..``order``: the amplitudes of the modes
+    before the trailing Legendre axes, (modes, 1); the table rows of their
+    Jacobi factors and their (base, exponent) powers, (modes,) each; and the
+    table rows of degrees 0..p of each trailing Legendre axis."""
+    form = _form(kind, p)
+    entry = _layout(p, form.families, order)[2]
+    lead = len(form.factors) - form.legendre
+    every = slice(None, None, (p + 1) ** form.legendre)
+    factors = [entry(0, f, q[every], m[every]) for f, q, m in form.factors[:lead]]
+    powers = [
+        (b, e[every]) for b, (_, _, e) in enumerate(form.powers) if e.any()
     ]
-    amp = [2.0 * math.sqrt(2.0) * 2.0 ** (2 * i + j) for i, j, _ in modes]
-    i, j, k = np.array(modes).T
-    return (
-        families,
-        np.array(amp)[:, None],
-        (entry(0, 0, 0, i), entry(0, 1, i, j), entry(0, 2, i + j, k), i,
-         i + j),
-        (i, j, k),
-    )
+    axes = [entry(0, f, 0, np.arange(p + 1)) for f, _, _ in form.factors[lead:]]
+    return form.amp[every, None], factors, powers, axes
 
 
-def _tetrahedron(p, pts, order):
-    a, b, c = _tet_collapse(pts[:, 0], pts[:, 1], pts[:, 2])
-    families, amp, vi, _ = _tetrahedron_plan(p, order)
-    T = _factors(p, families, order, np.stack((a, b, c)))
-    bases = (0.5 * (1.0 - b), 0.5 * (1.0 - c), 1.0 + a, 1.0 + b)
-
-    def values(out):
-        tables = (T, T, T, _powers(bases[0], p), _powers(bases[1], p))
-        gathered = [t.take(x, axis=0) for t, x in zip(tables, vi)]
-        _chain([amp] + gathered, out=out.T)
-    return values, T, bases
-
-
-def _prism(p, pts, order):
-    """Triangle modes times Legendre in z, z fastest."""
-    families = _triangle_families(p) + ((2, (0.0,)),)
-    a, b = _tri_collapse(pts[:, 0], pts[:, 1])
-    T = _factors(p, families, order, np.stack((a, b, pts[:, 2])))
-    bases = (1.0 - b, 1.0 + a)
-
-    def values(out):
-        tri = np.empty((a.size, (p + 1) * (p + 2) // 2))
-        _triangle_values(p, families, order, T, bases[0], tri.T)
-        leg = T.take(_legendre_plan(p, families, 2, order), axis=0).T
-        _tensor_product([tri, leg], out)
-    return values, T, bases
-
-
-def _pyramid_uvw(pts):
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    w = 0.5 * (1.0 - z)
-    safe = np.where(w > _COLLAPSE_EPS, w, 1.0)
-    u = np.where(w > _COLLAPSE_EPS, x / safe, 0.0)
-    v = np.where(w > _COLLAPSE_EPS, y / safe, 0.0)
-    return u, v, w, z
-
-
-@lru_cache(maxsize=None)
-def _pyramid_plan(p, order):
-    """Legendre in u and in v, (2c + 2, 0) in z for c = max(i, j); the
-    modes' norms, value gathers and indices (i, j, c, k)."""
-    families = (
-        (0, (0.0,)),
-        (1, (0.0,)),
-        (2, tuple(2.0 * (c + 1.0) for c in range(p + 1))),
-    )
-    entry = _layout(p, families, order)[2]
-    modes = [
-        (i, j, max(i, j), k)
-        for i in range(p + 1)
-        for j in range(p + 1)
-        for k in range(p + 1 - max(i, j))
-    ]
-    norms = [
-        math.sqrt(8.0 / ((2 * i + 1) * (2 * j + 1) * (2 * k + 2 * c + 3)))
-        for i, j, c, k in modes
-    ]
-    i, j, c, k = np.array(modes).T
-    return (
-        families,
-        np.array(norms)[:, None],
-        (entry(0, 0, 0, i), entry(0, 1, 0, j), entry(0, 2, c, k), c),
-        (i, j, c, k),
-    )
-
-
-def _pyramid(p, pts, order):
-    """Rational pyramid modes from unnormalized Jacobi factors."""
-    u, v, w, z = _pyramid_uvw(pts)
-    families, nrm, vi, _ = _pyramid_plan(p, order)
-    T = _factors(p, families, order, np.stack((u, v, z)), normalized=False)
-
-    def values(out):
-        tables = (T, T, T, _powers(w, p))
-        fi, fj, hk, w_c = (t.take(x, axis=0) for t, x in zip(tables, vi))
-        np.divide(_chain([fi, fj, w_c, hk]), nrm, out=out.T)
-    return values, T, (w, u, v)
-
-
-# ---------------------------------------------------------------------------
-# Derivatives
-#
-# Every mode is ``amp * prod J(xi) * prod base^e``: Jacobi factors of the
-# table's coordinates xi (a, b, c on the simplices, u, v, z on the pyramid)
-# times powers of bases affine in one coordinate, whose exponents depend on
-# the mode (1 - b, w) or start at 0 (the atoms 1 + a, 1 + b, u, v).  Each
-# ``d xi / d x_k`` is a monomial in the bases, so the chain rule writes a
-# first derivative, and applied again a second, as a short sum of such
-# products (:func:`_derivative_plan`).  Both orders gather from one table
-# with value, first and second derivative rows and from the tables of the
-# bases' powers.  A negative power multiplies a zero coefficient on the
-# simplices, where the modes are polynomials, but is the pyramid's rational
-# factor 1 / w for max(i, j) = 1; it reads 0 where its base is 0, as at the
-# apex.
-# ---------------------------------------------------------------------------
-
-
-def _tensor_product_form(p, dim):
-    families = tuple((c, (0.0,)) for c in range(dim))
-    idx = np.array(list(itertools.product(range(p + 1), repeat=dim))).T
-    factors = tuple((c, 0 * idx[c], idx[c]) for c in range(dim))
-    dvar = tuple(
-        tuple((1.0, {}) if k == c else None for k in range(dim))
-        for c in range(dim)
-    )
-    return families, factors, (), dvar, np.ones(idx.shape[1])
-
-
-def _triangle_form(p, prism=False):
-    families = _triangle_families(p) + (((2, (0.0,)),) if prism else ())
-    ij = [(i, j) for i in range(p + 1) for j in range(p + 1 - i)]
-    ijk = [(i, j, k) for i, j in ij for k in range(p + 1 if prism else 1)]
-    i, j, k = np.array(ijk).T
-    factors = ((0, 0 * i, i), (1, i, j)) + (((2, 0 * k, k),) if prism else ())
-    powers = ((1, -1.0, i), (0, 1.0, 0 * i))  # 1 - b, 1 + a
-    z = (None,) if prism else ()
-    dvar = (
-        ((2.0, {0: -1}), (1.0, {1: 1, 0: -1})) + z,  # a
-        (None, (1.0, {})) + z,  # b
-    ) + (((None, None, (1.0, {})),) if prism else ())  # z
-    return families, factors, powers, dvar, np.full(i.size, _SQRT2)
-
-
-def _tetrahedron_form(p):
-    families, amp, _, (i, j, k) = _tetrahedron_plan(p, 0)
-    factors = ((0, 0 * i, i), (1, i, j), (2, i + j, k))
-    # (1 - b) / 2, (1 - c) / 2, 1 + a, 1 + b
-    powers = ((1, -0.5, i), (2, -0.5, i + j), (0, 1.0, 0 * i), (1, 1.0, 0 * i))
-    da_dyz = (0.5, {2: 1, 0: -1, 1: -1})
-    dvar = (
-        ((1.0, {0: -1, 1: -1}), da_dyz, da_dyz),  # a
-        (None, (1.0, {1: -1}), (0.5, {3: 1, 1: -1})),  # b
-        (None, None, (1.0, {})),  # c
-    )
-    return families, factors, powers, dvar, amp[:, 0]
-
-
-def _pyramid_form(p):
-    families, nrm, _, (i, j, c, k) = _pyramid_plan(p, 0)
-    factors = ((0, 0 * i, i), (1, 0 * j, j), (2, c, k))
-    powers = ((2, -0.5, c), (0, 1.0, 0 * i), (1, 1.0, 0 * i))  # w, u, v
-    dvar = (
-        ((1.0, {0: -1}), None, (0.5, {1: 1, 0: -1})),  # u
-        (None, (1.0, {0: -1}), (0.5, {2: 1, 0: -1})),  # v
-        (None, None, (1.0, {})),  # z
-    )
-    return families, factors, powers, dvar, 1.0 / nrm[:, 0]
-
-
-_FORMS = {
-    ElementKind.LINE: lambda p: _tensor_product_form(p, 1),
-    ElementKind.QUADRILATERAL: lambda p: _tensor_product_form(p, 2),
-    ElementKind.HEXAHEDRON: lambda p: _tensor_product_form(p, 3),
-    ElementKind.TRIANGLE: _triangle_form,
-    ElementKind.PRISM: lambda p: _triangle_form(p, prism=True),
-    ElementKind.TETRAHEDRON: _tetrahedron_form,
-    ElementKind.PYRAMID: _pyramid_form,
-}
+def _values(kind, p, order, T, bases, out):
+    """The values of the modes into ``out`` (points, modes) from the table
+    ``T`` with derivative rows of orders 1..``order`` and the ``bases`` of
+    its powers: the amplitude, the Jacobi factors and the powers (from
+    :func:`_powers`), each gathered as (modes, points), multiplied in form
+    order, then times the trailing Legendre axes, last index fastest."""
+    amp, factors, powers, axes = _value_plan(kind, p, order)
+    legendre = [T.take(rows, axis=0).T for rows in axes]
+    if not factors:
+        return _tensor_product(legendre, out)
+    operands = [amp] + [T.take(rows, axis=0) for rows in factors]
+    operands += [_powers(bases[b], p).take(e, axis=0) for b, e in powers]
+    lead = np.empty((out.shape[0], amp.shape[0])) if legendre else out
+    _chain(operands, out=lead.T)
+    if legendre:
+        _tensor_product([lead] + legendre, out)
 
 
 def _power_table(base, p):
@@ -555,7 +493,7 @@ def _derivative_plan(kind, p, order):
     (modes,) each) and per order, per component ``(k,)`` or ``(k, l)``,
     k <= l, its terms ``(coefficient column, gather ids)``.
     """
-    families, factors, powers, dvar, amp = _FORMS[kind](p)
+    families, factors, powers, dvar, amp = _form(kind, p)[:5]
     rows, _, entry = _layout(p, families, order)
     table_rows = (p + 1) * len(rows)
     deltas = [
@@ -644,28 +582,23 @@ def _chain_rule(kind, p, T, bases, outs):
 # Public evaluation API
 # ---------------------------------------------------------------------------
 
-_ORTHOGONAL = {
-    ElementKind.LINE: _tensor,
-    ElementKind.QUADRILATERAL: _tensor,
-    ElementKind.HEXAHEDRON: _tensor,
-    ElementKind.TRIANGLE: _triangle,
-    ElementKind.TETRAHEDRON: _tetrahedron,
-    ElementKind.PRISM: _prism,
-    ElementKind.PYRAMID: _pyramid,
-}
 # Entries (points x modes) per block: no temporary of a call grows with its
 # point count, and a block's temporaries stay in cache.
 _BLOCK = 1 << 15
 
 
 def _tables(space, pts, order):
-    """Each block of ``pts`` with what its kind builds there: the values
-    callable, the table with derivative rows of orders 1..``order`` and the
-    bases of its powers, lazily."""
+    """Each block of ``pts`` with ``order`` and what the kind builds there,
+    lazily: its table with derivative rows of orders 1..``order`` and the
+    bases of its powers (:func:`_coordinates`)."""
+    kind, p = space.kind, space.degree
+    form = _form(kind, p)
     step = max(1, _BLOCK // space.dim)
     for start in range(0, pts.shape[0], step):
         block = slice(start, start + step)
-        yield block, *_ORTHOGONAL[space.kind](space.degree, pts[block], order)
+        coords, bases = _coordinates(kind, pts[block])
+        T = _factors(p, form.families, order, coords, form.normalized)
+        yield block, order, T, bases
 
 
 def _basis(space, pts, order, tables=None, out=None):
@@ -679,8 +612,8 @@ def _basis(space, pts, order, tables=None, out=None):
         return _derivatives(space, pts.shape, order, tables)
     if out is None:
         out = np.empty((pts.shape[0], space.dim))
-    for block, values, _, _ in tables:
-        values(out[block])
+    for block, *table in tables:
+        _values(space.kind, space.degree, *table, out[block])
     return out
 
 

@@ -13,15 +13,19 @@ first (or loaded from the cache directory) and used as face prescriptions.
 
 Exit codes: 0 success, 1 internal failure, 2 input error (including a
 numeric option out of range: ``--seed < 0``, ``--max-iters < 1``,
-``--kkt-tol <= 0`` or ``--resolution < 2``, and an ``--out`` that names a
-directory for ``generate`` and ``compare``, by ending in a path separator
-or by being one, or a file for ``tabulate``; these are checked before any
-work).  The directory of a file ``--out`` is made before any work too.
+``--kkt-tol <= 0`` or ``--resolution < 2``, a ``compare --dist NAME=DIR``
+with an empty ``NAME``, and an ``--out`` that names a directory for
+``generate`` and ``compare``, by ending in a path separator or by being
+one, or a file for ``tabulate``; these are checked before any work).
+CSV fields are quoted only where they hold a comma, a quote or a line
+break.  The directory of a file ``--out`` is made before any work too.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -188,9 +192,14 @@ def _metric_fields(kind, degree, dist, resolution):
     }
 
 
-def _metrics_row(kind, degree, name, fields):
-    values = ",".join(str(v) for v in fields.values())
-    return f"{kind.value},{degree},{name},{values}"
+def _metrics_row(kind, degree, name, values):
+    """One CSV line, ending in a newline, with a field quoted only where it
+    holds a comma, a quote or a line break."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(
+        [kind.value, degree, name, *values]
+    )
+    return line.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +301,8 @@ def cmd_evaluate(args):
     except OSError as exc:
         raise InputError(f"cannot read {args.nodefile}: {exc}") from exc
     fields = _metric_fields(dist.kind, dist.degree, dist, args.resolution)
-    print(_metrics_row(dist.kind, dist.degree, header.source, fields))
+    row = _metrics_row(dist.kind, dist.degree, header.source, fields.values())
+    sys.stdout.write(row)
     return 0
 
 
@@ -312,11 +322,14 @@ def cmd_compare(args):
     degrees = _parse_degree_range(args.degree_range)
     for d in degrees:
         _check_degree(kind, d, args.force_degree)
-    _check_out_file(args.out)
     dists = args.dist or ["optimized", "gll", "uniform"]
+    for spec in dists:
+        if spec.startswith("="):
+            raise InputError(f"--dist {spec!r} has an empty NAME")
+    _check_out_file(args.out)
     ensure = _make_ensure(args, args.cache_dir)
 
-    rows = [CSV_HEADER]
+    rows = [CSV_HEADER + "\n"]
     n_ok = 0
     for degree in degrees:
         for spec in dists:
@@ -342,15 +355,15 @@ def cmd_compare(args):
                 fields = _metric_fields(
                     kind, degree, builder(), args.resolution
                 )
-                rows.append(_metrics_row(kind, degree, name, fields))
+                rows.append(_metrics_row(kind, degree, name, fields.values()))
                 n_ok += 1
             except (SymnodesError, OSError) as exc:
                 print(
                     f"warning: {kind.value} p={degree} {name}: {exc}",
                     file=sys.stderr,
                 )
-                rows.append(f"{kind.value},{degree},{name},,,,")
-    payload = "\n".join(rows) + "\n"
+                rows.append(_metrics_row(kind, degree, name, [""] * 4))
+    payload = "".join(rows)
     if args.out:
         write_atomic(args.out, payload)
     else:

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -11,11 +12,9 @@ from hypothesis import strategies as st
 from symnodes.baselines import baseline_distribution
 from symnodes.basis import (
     _BLOCK,
+    _coordinates,
     _jacobi_norm,
-    _pyramid_uvw,
     _sweep,
-    _tet_collapse,
-    _tri_collapse,
     FunctionSpace,
     LagrangeInterpolator,
     basis_eval_many,
@@ -404,21 +403,36 @@ def test_blocked_call_equals_concatenated_parts(kind, p, seed, data):
 
 
 def _closed_form_modes(kind, p, pts):
-    """The triangle, tetrahedron and pyramid modes one at a time, each from
-    its closed form, with the operands in the order the basis uses."""
+    """The modes of ``kind`` one at a time, each from its closed form, with
+    the operands in the order the basis uses: the amplitude, the Jacobi
+    factors, the powers, then the Legendre axes that vary fastest."""
 
     def ortho(n, a, x):
         return _jacobi(n, a, 0.0, x) / _jacobi_norm(n, a, 0.0)
 
+    def triangle(a, b):
+        return [
+            np.sqrt(2.0) * ortho(i, 0.0, a) * ortho(j, 2.0 * i + 1.0, b)
+            * (1.0 - b) ** i
+            for i in range(p + 1)
+            for j in range(p + 1 - i)
+        ]
+
+    coords = _coordinates(kind, pts)[0]
     cols = []
-    if kind is ElementKind.TRIANGLE:
-        a, b = _tri_collapse(pts[:, 0], pts[:, 1])
-        for i in range(p + 1):
-            for j in range(p + 1 - i):
-                fa, gb = ortho(i, 0.0, a), ortho(j, 2.0 * i + 1.0, b)
-                cols.append(np.sqrt(2.0) * fa * gb * (1.0 - b) ** i)
+    if kind in (ElementKind.LINE, ElementKind.QUADRILATERAL, ElementKind.HEXAHEDRON):
+        for idx in itertools.product(range(p + 1), repeat=pts.shape[1]):
+            col = ortho(idx[0], 0.0, pts[:, 0])
+            for n, x in zip(idx[1:], pts.T[1:]):
+                col = col * ortho(n, 0.0, x)
+            cols.append(col)
+    elif kind is ElementKind.TRIANGLE:
+        cols = triangle(*coords)
+    elif kind is ElementKind.PRISM:
+        for tri in triangle(*coords[:2]):
+            cols += [tri * ortho(k, 0.0, pts[:, 2]) for k in range(p + 1)]
     elif kind is ElementKind.TETRAHEDRON:
-        a, b, c = _tet_collapse(pts[:, 0], pts[:, 1], pts[:, 2])
+        a, b, c = coords
         pb, pc = 0.5 * (1.0 - b), 0.5 * (1.0 - c)
         for i in range(p + 1):
             for j in range(p + 1 - i):
@@ -428,22 +442,21 @@ def _closed_form_modes(kind, p, pts):
                     hc = ortho(k, 2.0 * (i + j) + 2.0, c)
                     cols.append(amp * fa * gb * hc * pb**i * pc ** (i + j))
     else:
-        u, v, w, z = _pyramid_uvw(pts)
+        u, v, z = coords
+        w = 0.5 * (1.0 - z)
         for i in range(p + 1):
             for j in range(p + 1):
                 c = max(i, j)
-                fij = _jacobi(i, 0.0, 0.0, u) * _jacobi(j, 0.0, 0.0, v) * w**c
+                fi, fj = _jacobi(i, 0.0, 0.0, u), _jacobi(j, 0.0, 0.0, v)
                 for k in range(p + 1 - c):
                     den = (2 * i + 1) * (2 * j + 1) * (2 * k + 2 * c + 3)
+                    amp = 1.0 / np.sqrt(8.0 / den)
                     hk = _jacobi(k, 2.0 * (c + 1.0), 0.0, z)
-                    cols.append(fij * hk / np.sqrt(8.0 / den))
+                    cols.append(amp * fi * fj * hk * w**c)
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [ElementKind.TRIANGLE, ElementKind.TETRAHEDRON, ElementKind.PYRAMID],
-)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("p", range(1, 7))
 def test_gathered_modes_equal_closed_forms(kind, p):
     pts = _random_interior(kind, 50, seed=p)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import sys
@@ -501,6 +503,55 @@ def test_compare_line(tmp_path, capsys):
     by = {(r[1], r[2]): float(r[3]) for r in rows}
     for p in ("1", "2", "3"):
         assert by[(p, "optimized")] <= by[(p, "gll")] * (1 + 1e-3)
+
+
+def _csv_rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+def test_compare_quotes_a_name_with_a_comma(tmp_path, capsys):
+    files = tmp_path / "files"
+    files.mkdir()
+    write_node_file(
+        files / "line_p1.nodes",
+        baseline_distribution(ElementKind.LINE, 1, "uniform"),
+    )
+    code, stdout, _ = _run(
+        capsys,
+        "compare", "--element", "line", "--degree-range", "1:2",
+        "--dist", f"my,set={files}", "--resolution", "20",
+    )
+    assert code == 0
+    header, good, blank = _csv_rows(stdout)
+    assert len(good) == len(blank) == len(header) == 7
+    assert good[:3] == ["line", "1", "my,set"] and good[3] != ""
+    assert blank == ["line", "2", "my,set", "", "", "", ""]
+    assert stdout.splitlines()[2] == 'line,2,"my,set",,,,'
+
+
+def test_compare_empty_name_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "sub" / "cmp.csv"
+    code, stdout, err = _run(
+        capsys,
+        "compare", "--element", "line", "--degree-range", "1:1",
+        "--dist", "uniform", "--dist", f"={tmp_path}", "--out", str(out),
+        "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert code == 2
+    assert stdout == "" and "empty NAME" in err
+    assert not (tmp_path / "sub").exists() and not (tmp_path / "cache").exists()
+
+
+def test_evaluate_quotes_the_source_of_the_file(tmp_path, capsys):
+    path = tmp_path / "l1.nodes"
+    dist = baseline_distribution(ElementKind.LINE, 1, "uniform")
+    write_node_file(path, dist, source='uniform, "shifted"')
+    code, stdout, _ = _run(capsys, "evaluate", str(path), "--resolution", "20")
+    assert code == 0
+    (row,) = _csv_rows(stdout)
+    assert len(row) == 7
+    assert row[:3] == ["line", "1", 'uniform, "shifted"']
+    assert stdout.startswith('line,1,"uniform, ""shifted""",')
 
 
 def test_compare_unknown_distribution_warns(tmp_path, capsys):

@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symnodes import basis, lincon, optimizer
@@ -447,9 +447,15 @@ def test_block_objective_matches_dense(kind, pinned, p, seed):
 @pytest.mark.parametrize("kind", list(ElementKind))
 @settings(max_examples=8, deadline=None)
 @given(p=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+# Ill-conditioned tet p=5 starts (f = 1219, 275, 2469 unpinned), where plain
+# central differences miss by up to 1.4e-5.
+@example(p=5, seed=7067)
+@example(p=5, seed=7142)
+@example(p=5, seed=7176)
 def test_hessian_matches_differences_of_the_gradient(kind, pinned, p, seed):
     # At random feasible parameters (a jittered start), the analytic
-    # Hessian equals central differences of the analytic gradient.
+    # Hessian equals the Richardson extrapolation of central differences of
+    # the analytic gradient at steps h and h / 2, whose error falls as h^4.
     problem, y0, span = _baseline_problem(kind, p, pinned)
     if not problem.free_dimension:
         return
@@ -461,13 +467,18 @@ def test_hessian_matches_differences_of_the_gradient(kind, pinned, p, seed):
     assume(f < 1e6)
     _, H = derivatives()
     assert np.array_equal(H, H.T)
-    fd = np.empty_like(H)
-    for k in range(y.size):
+
+    def central(k, h):
         step = np.zeros(y.size)
-        step[k] = 1e-6 * max(1.0, abs(y[k]))
+        step[k] = h
         g_plus = _value_and_gradient(problem, y + step)[1]
         g_minus = _value_and_gradient(problem, y - step)[1]
-        fd[:, k] = (g_plus - g_minus) / (2.0 * step[k])
+        return (g_plus - g_minus) / (2.0 * h)
+
+    fd = np.empty_like(H)
+    for k in range(y.size):
+        h = 1e-6 * max(1.0, abs(y[k]))
+        fd[:, k] = (4.0 * central(k, h / 2.0) - central(k, h)) / 3.0
     assert np.linalg.norm(H - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
