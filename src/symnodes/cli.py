@@ -428,7 +428,7 @@ def cmd_tabulate(args):
 
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--max-iters", type=int, default=50)
+    sub.add_argument("--max-iters", type=int, default=200)
     sub.add_argument("--kkt-tol", type=float, default=1e-10)
     sub.add_argument("--resolution", type=int, default=None)
     sub.add_argument("--cache-dir", default=".symnodes-cache")

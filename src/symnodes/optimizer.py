@@ -97,7 +97,7 @@ _ROUND_BUDGET = 1 << 16
 @dataclass(frozen=True)
 class OptimizerConfig:
     kkt_tol: float = 1e-10
-    max_major_iterations: int = 50
+    max_major_iterations: int = 200
     seed: int = 0
 
     def __post_init__(self):

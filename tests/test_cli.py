@@ -470,7 +470,7 @@ def test_cache_file_of_an_earlier_solver_is_regenerated(tmp_path, capsys):
     stale = cache / "line_p2.nodes"
     earlier = config_hash({
         "format": FORMAT_VERSION, "element": "line", "degree": 2,
-        "compat": "auto", "seed": 0, "kkt_tol": 1e-10, "max_iters": 50,
+        "compat": "auto", "seed": 0, "kkt_tol": 1e-10, "max_iters": 200,
     })
     write_node_file(
         stale, baseline_distribution(ElementKind.LINE, 2, "uniform"),
