@@ -13,9 +13,9 @@ first (or loaded from the cache directory) and used as face prescriptions.
 
 Exit codes: 0 success, 1 internal failure, 2 input error (including a
 numeric option out of range: ``--seed < 0``, ``--max-iters < 1``,
-``--kkt-tol <= 0`` or ``--resolution < 2``, a ``compare --dist NAME=DIR``
-with an empty ``NAME``, and an ``--out`` that names a directory for
-``generate`` and ``compare``, by ending in a path separator or by being
+``--kkt-tol`` not in (0, inf) or ``--resolution < 2``, a ``compare --dist
+NAME=DIR`` with an empty ``NAME``, and an ``--out`` that names a directory
+for ``generate`` and ``compare``, by ending in a path separator or by being
 one, or a file for ``tabulate``; these are checked before any work).
 CSV fields are quoted only where they hold a comma, a quote or a line
 break.  The directory of a file ``--out`` is made before any work too.
@@ -111,14 +111,6 @@ def _check_degree(kind, degree, force):
         )
 
 
-def _optimizer_config(args):
-    return OptimizerConfig(
-        kkt_tol=args.kkt_tol,
-        max_major_iterations=args.max_iters,
-        seed=args.seed,
-    )
-
-
 # The method that made a cached node set.  Another solver reaches other
 # nodes from the same options, so its files must not load under this hash.
 _SOLVER = "active-set-newton"
@@ -168,7 +160,7 @@ def _make_ensure(args, cache_dir, statuses=None):
             return cached
         prescriptions = face_prescriptions(kind, degree, ensure)
         result = optimize_nodes(
-            kind, degree, prescriptions, _optimizer_config(args)
+            kind, degree, prescriptions, args.config
         )
         os.makedirs(cache_dir, exist_ok=True)
         write_node_file(path, result.distribution, config=cfg_hash)
@@ -276,7 +268,7 @@ def cmd_generate(args):
         _check_compat(kind, args.degree, files, prescriptions)
 
     result = optimize_nodes(
-        kind, args.degree, prescriptions, _optimizer_config(args)
+        kind, args.degree, prescriptions, args.config
     )
     m = _metric_fields(
         kind, args.degree, result.distribution, args.resolution
@@ -488,19 +480,26 @@ def build_parser():
     return parser
 
 
+# The option that sets each OptimizerConfig field.
+_CONFIG_OPTIONS = {"seed": "--seed", "max_major_iterations": "--max-iters",
+                   "kkt_tol": "--kkt-tol"}
+
+
 def _check_options(args):
-    """Numeric options out of range are input errors."""
-    for attr, ok, rule in (
-        ("seed", lambda v: v >= 0, ">= 0"),
-        ("max_iters", lambda v: v >= 1, ">= 1"),
-        ("kkt_tol", lambda v: v > 0, "> 0"),
-        ("resolution", lambda v: v >= 2, ">= 2"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None and not ok(value):
-            raise InputError(
-                f"--{attr.replace('_', '-')} must be {rule}, got {value}"
+    """Numeric options out of range are input errors.  The optimizer's are
+    checked by building ``args.config``, whose messages name the field."""
+    if hasattr(args, "seed"):
+        try:
+            args.config = OptimizerConfig(
+                kkt_tol=args.kkt_tol,
+                max_major_iterations=args.max_iters,
+                seed=args.seed,
             )
+        except ValueError as exc:
+            field, _, rule = str(exc).partition(" ")
+            raise InputError(f"{_CONFIG_OPTIONS[field]} {rule}") from None
+    if args.resolution is not None and args.resolution < 2:
+        raise InputError(f"--resolution must be >= 2, got {args.resolution}")
 
 
 def main(argv=None):

@@ -53,8 +53,8 @@
   condition number is ``cond(V)^2``.
 * Every metric first builds the ``LagrangeInterpolator``, so all refuse
   its refused sets, before any scan.  The screen ``is_unisolvent`` also
-  refuses a coarse Lebesgue estimate that blows up.  The optimizer runs it
-  on its start; ``evaluate_metrics`` does not.
+  refuses a coarse Lebesgue estimate that blows up; ``evaluate_metrics``
+  does not run it.
 
 Every metric is computed on the nodes in lexicographic coordinate order, so
 the scalar results are identical floats whatever order the caller's nodes

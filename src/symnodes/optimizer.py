@@ -26,10 +26,11 @@ from :func:`~symnodes.basis.lu_inverse`.
 
 ``optimize_nodes`` drives the per-element pipeline on one orbit collection,
 the orbit decomposition of the element's baseline nodes: pin its entries to
-the face prescriptions, start from the baseline parameters, screen the
-start for unisolvency, minimize from it and from a few jittered restarts,
-and keep the run with the lowest objective.  It returns the node set; its
-metrics are left to :func:`~symnodes.metrics.evaluate_metrics`.
+the face prescriptions, minimize from the baseline parameters and from a
+few jittered restarts (the solver's first evaluation is the only screen of
+a start), and keep the run with the lowest objective.  It returns the
+winner's node set; its metrics are left to
+:func:`~symnodes.metrics.evaluate_metrics`.
 
 The runs of an element go in lockstep (:class:`_Lockstep`): each round
 evaluates the next point of every live run with one basis evaluation
@@ -42,17 +43,18 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
 
 from . import lincon
+from .baselines import BaselineKind, baseline_distribution
 from .basis import (
     MASS_RATIO, FunctionSpace, basis_eval_many, basis_eval_with_grad,
     lu_inverse,
 )
 from .compatibility import (
-    _MATCH_TOL,
     build_compatibility_constraints,
     snap_face_nodes,
     verify_face_match,
@@ -65,7 +67,6 @@ from .errors import (
     NumericalError,
 )
 from .geometry import TENSOR_KINDS, ElementKind, natural_solve, reference_element
-from .metrics import is_unisolvent
 from .symmetry import (
     ConstrainedOrbit,
     LinearConstraintSet,
@@ -73,7 +74,6 @@ from .symmetry import (
     OrbitCollection,
     _require_separated,
     evaluate_collection,
-    is_symmetric,
 )
 
 __all__ = [
@@ -96,15 +96,21 @@ _ROUND_BUDGET = 1 << 16
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Solver options; a :class:`ValueError` here names the field first."""
+
     kkt_tol: float = 1e-10
     max_major_iterations: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if self.kkt_tol <= 0:
-            raise ValueError("kkt_tol must be positive")
-        if self.max_major_iterations < 1:
-            raise ValueError("max_major_iterations must be >= 1")
+        for name, least in (("seed", 0), ("max_major_iterations", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {value}")
+        if not 0 < self.kkt_tol < np.inf:
+            raise ValueError(f"kkt_tol must be finite and > 0, got "
+                             f"{self.kkt_tol}")
 
 
 @dataclass(eq=False)
@@ -116,7 +122,7 @@ class OptimizationProblem:
     keep their values, which ``_node_offset`` already holds.  Nodes whose
     rows of ``_node_jacobian`` are all zero are fixed; construction splits
     them from the moving nodes and factors the basis at them once (see the
-    module docstring).
+    module docstring), or raises as :func:`_fixed_block` does.
     """
 
     element: object
@@ -131,7 +137,6 @@ class OptimizationProblem:
     _moving_jacobian: np.ndarray = field(init=False, repr=False)
     _fixed_map: np.ndarray = field(init=False, repr=False)  # [K Q2]
     _fixed_objective: float = field(init=False, repr=False)  # ||R^-1||_F^2
-    _fixed_error: str | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         d = self.element.dim
@@ -141,12 +146,9 @@ class OptimizationProblem:
         self._moving = moving
         self._moving_jacobian = J[np.repeat(moving, d)]
         fixed_nodes = self._node_offset.reshape(n, d)[~moving]
-        try:
-            self._fixed_map, self._fixed_objective = _fixed_block(
-                self.space, fixed_nodes
-            )
-        except DegenerateDistributionError as exc:
-            self._fixed_error = str(exc)
+        self._fixed_map, self._fixed_objective = _fixed_block(
+            self.space, fixed_nodes
+        )
 
     @property
     def free_dimension(self):
@@ -270,14 +272,11 @@ def _objective_value(problem, y, basis=None):
     and ``G`` (:func:`~symnodes.basis.lu_inverse`), so the line search pays
     for the basis derivatives only at the points it keeps.  Raises
     :class:`DegenerateDistributionError` on node collisions (among all
-    nodes), on a non-finite basis at the moving nodes, on a non-finite
-    basis or linearly dependent rows at the fixed nodes, and on a
-    non-finite objective, which an exactly singular ``M`` gives.
+    nodes), on a non-finite basis at the moving nodes and on a non-finite
+    objective, which an exactly singular ``M`` gives.
     """
     X = problem.nodes_at(y)
     _require_separated(X)
-    if problem._fixed_error is not None:
-        raise DegenerateDistributionError(problem._fixed_error)
     if basis is None:
         basis = basis_eval_with_grad(problem.space, X[problem._moving])
     C, basis_derivatives = basis
@@ -391,9 +390,10 @@ def minimize(problem, config, y0, lockstep=None) -> MinimizeOutcome:
     between ``1 / sigma_min^2`` and ``n / sigma_min^2``, and ``sigma_max
     >= 1`` for these bases, so the mass matrix of such a start has an
     eigenvalue ratio ``(sigma_min / sigma_max)^2`` within a factor ``n``
-    of the one at which the unisolvency screen refuses a set.  A run from
-    there stays near singular (quad p=9 at seed 1 ended "kkt-converged" at
-    5.2e31 after 16 iterations).
+    of the one at which :class:`~symnodes.basis.LagrangeInterpolator`
+    refuses a set.  A run from there stays near singular (quad p=9 at seed
+    1 ended "kkt-converged" at 5.2e31 after 16 iterations).  A start with
+    colliding nodes ends ``"error"`` at once too.
     """
     res, message = (lockstep or _Lockstep(problem, config, [y0])).result(y0)
     return MinimizeOutcome(problem.stacked(res.x), res.fun, res.status,
@@ -459,12 +459,10 @@ def _decompose_into_orbits(kind, nodes):
 
     The nodes are matched in lexicographic order of their natural
     coordinates, so each orbit is found at its smallest point.  Returns
-    ``None`` when the set is not symmetric or is not a union of distinct
-    orbit points (it is then not realizable by this package's orbit
-    tables).
+    ``None`` when some node lies on no orbit or the orbits found hold more
+    points than the set, which is then not symmetric or not realizable by
+    this package's orbit tables.
     """
-    if not is_symmetric(kind, nodes, _MATCH_TOL):
-        return None
     lam = np.atleast_2d(natural_solve(reference_element(kind), nodes))
     lam = lam[np.lexsort(lam.T[::-1])]
     found = []
@@ -478,21 +476,16 @@ def _decompose_into_orbits(kind, nodes):
     return found
 
 
-def _baseline_for(kind, p):
-    from .baselines import BaselineKind, baseline_distribution
-
-    if kind in TENSOR_KINDS:
-        return baseline_distribution(kind, p, BaselineKind.GLL)
-    return baseline_distribution(kind, p, BaselineKind.UNIFORM)
-
-
 def _baseline_collection(kind, p):
-    """The orbit decomposition of ``_baseline_for(kind, p)``.
+    """The orbit decomposition of the baseline: GLL tensor nodes on line,
+    quad and hex, uniform nodes elsewhere.
 
     Returns the collection (orbit indices ascending, nothing pinned) and the
     ``(orbit, parameters)`` entries that seed the start.
     """
-    base_entries = _decompose_into_orbits(kind, _baseline_for(kind, p).nodes)
+    family = BaselineKind.GLL if kind in TENSOR_KINDS else BaselineKind.UNIFORM
+    base = baseline_distribution(kind, p, family)
+    base_entries = _decompose_into_orbits(kind, base.nodes)
     if base_entries is None:
         raise NoViableCollectionError(
             f"{kind.value} degree {p}: the baseline nodes do not decompose "
@@ -600,8 +593,8 @@ def _stage(where, stage, *errors):
 def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     """Optimize the orbit decomposition of the element's baseline nodes.
 
-    The collection is the orbit decomposition of the baseline (GLL tensor
-    nodes on line/quad/hex, uniform nodes elsewhere).  With
+    The collection is the orbit decomposition of the baseline
+    (:func:`_baseline_collection`).  With
     ``prescriptions`` its entries are pinned to the face nodes
     (:func:`~symnodes.compatibility.build_compatibility_constraints`).  The
     minimization starts from the baseline parameters and from
@@ -611,14 +604,16 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     nodes keep their values, and only the free parameters are optimized; a
     fully pinned problem (free dimension 0) runs the baseline start only.
     A jittered start whose projection onto the bounds does not converge
-    drops its restart, as a run that ends in ``"error"`` does; so does a
-    near-singular start (see :func:`minimize`).
-    Among the runs that end feasible with a valid node set, the lowest
-    objective wins whatever the run's status; the lower restart number
-    breaks exact ties.  Every failure before the
-    restarts (at the stages "face pinning" and "start"), and a failure of
-    all restarts, raises :class:`NoViableCollectionError` naming the stage,
-    with the cause chained.
+    drops its restart, as a run that ends in ``"error"`` does, the
+    baseline's included (a near-singular or colliding start, see
+    :func:`minimize`).  Among the runs that end feasible with a valid node
+    set, the lowest objective wins whatever the run's status; the lower
+    restart number breaks exact ties (node sets are built in that order
+    until one is valid).  Every failure before the restarts (at the stages
+    "face pinning" and "start", the latter including the fixed nodes'
+    check of :class:`OptimizationProblem`) raises
+    :class:`NoViableCollectionError` naming the stage, with the cause
+    chained; a failure of all restarts raises it with each one's reason.
 
     The baseline's orbits host every unisolvent symmetric face set of
     degree ``p``: each face symmetry fixes as many nodes of such a set as
@@ -650,42 +645,46 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
             where, "face pinning", IncompatibleCollectionError, ValueError
         ):
             coll = build_compatibility_constraints(elem, coll, prescriptions)
-    problem = assemble_problem(elem, coll, space)
     with _stage(where, "start", ValueError, DegenerateDistributionError):
+        problem = assemble_problem(elem, coll, space)
         y0 = _initial_parameters(problem, base_entries, prescriptions)
-        dist0 = evaluate_collection(coll, problem.stacked(y0))
-    if not is_unisolvent(space, dist0):
-        raise NoViableCollectionError(f"{where}: the start is not unisolvent")
     live = [(0, y0)]  # (restart, start)
+    failed = []  # (restart, reason)
     restarts = range(1, MULTISTART_COUNT + 1) if problem.free_dimension else ()
     span = _jitter_spans(coll)
     for restart in restarts:
         try:
             start = _jittered_start(problem, y0, span, (config.seed, restart))
-        except NumericalError:
-            continue  # an unconverged projection
-        live.append((restart, start))
+        except NumericalError as exc:
+            failed.append((restart, f"unconverged projection: {exc}"))
+        else:
+            live.append((restart, start))
     lockstep = _Lockstep(problem, config, [start for _, start in live])
     cons = problem.constraints
-    runs = []  # (objective, restart, outcome, distribution)
+    runs = []  # (objective, restart, outcome)
     for restart, start in live:
         outcome = minimize(problem, config, start, lockstep)
         if outcome.status == "error":
+            failed.append((restart, outcome.message))
             continue
-        if cons.violation(outcome.parameters[problem.free_mask]) > 1e-10:
+        violation = cons.violation(outcome.parameters[problem.free_mask])
+        if violation > 1e-10:
+            failed.append((restart, f"constraint violation {violation:.1e}"))
             continue
+        runs.append((outcome.objective, restart, outcome))
+
+    for f_best, restart, outcome in sorted(runs, key=lambda r: r[:2]):
         try:
             dist = evaluate_collection(coll, outcome.parameters)
-        except DegenerateDistributionError:
-            continue
-        runs.append((outcome.objective, restart, outcome, dist))
-
-    if not runs:
+            break
+        except DegenerateDistributionError as exc:
+            failed.append((restart, f"degenerate node set: {exc}"))
+    else:
+        reasons = "; ".join(f"restart {r}: {why}" for r, why in sorted(failed))
         raise NoViableCollectionError(
-            f"{where}: all {1 + len(restarts)} restarts failed"
+            f"{where}: all {1 + len(restarts)} restarts failed ({reasons})"
         )
 
-    f_best, _, outcome, dist = min(runs, key=lambda r: r[:2])
     dist.source = "optimized"
     if prescriptions:
         if not verify_face_match(elem, dist, prescriptions, tol=1e-10):

@@ -798,6 +798,10 @@ def test_generate_quad_p14_passes_face_check(tmp_path, capsys):
           "--kkt-tol=-1e-10"), "--kkt-tol"),
         (("tabulate", "--element", "line", "--degree-range", "2",
           "--max-iters", "-3"), "--max-iters"),
+        (("generate", "--element", "tri", "--degree", "3",
+          "--kkt-tol", "inf"), "--kkt-tol"),
+        (("tabulate", "--element", "line", "--degree-range", "2",
+          "--kkt-tol", "nan"), "--kkt-tol"),
     ],
 )
 def test_numeric_option_out_of_range_exits_2(tmp_path, capsys, argv, option):

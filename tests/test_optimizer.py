@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symnodes import basis, lincon, optimizer
@@ -443,28 +443,10 @@ def test_block_objective_matches_dense(kind, pinned, p, seed):
     assert np.linalg.norm(g - g_dense) <= 1e-10 * np.linalg.norm(g_dense)
 
 
-@pytest.mark.parametrize("pinned", [False, True])
-@pytest.mark.parametrize("kind", list(ElementKind))
-@settings(max_examples=8, deadline=None)
-@given(p=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
-# Ill-conditioned tet p=5 starts (f = 1219, 275, 2469 unpinned), where plain
-# central differences miss by up to 1.4e-5.
-@example(p=5, seed=7067)
-@example(p=5, seed=7142)
-@example(p=5, seed=7176)
-def test_hessian_matches_differences_of_the_gradient(kind, pinned, p, seed):
-    # At random feasible parameters (a jittered start), the analytic
-    # Hessian equals the Richardson extrapolation of central differences of
-    # the analytic gradient at steps h and h / 2, whose error falls as h^4.
-    problem, y0, span = _baseline_problem(kind, p, pinned)
-    if not problem.free_dimension:
-        return
-    try:
-        y = optimizer._jittered_start(problem, y0, span, (seed, 1))
-    except NumericalError:
-        assume(False)
-    f, derivatives = optimizer._objective_value(problem, y)
-    assume(f < 1e6)
+def _assert_hessian_matches_differences(problem, y, derivatives):
+    """The analytic Hessian at ``y`` equals the Richardson extrapolation of
+    central differences of the analytic gradient at steps h and h / 2,
+    whose error falls as h^4."""
     _, H = derivatives()
     assert np.array_equal(H, H.T)
 
@@ -480,6 +462,39 @@ def test_hessian_matches_differences_of_the_gradient(kind, pinned, p, seed):
         h = 1e-6 * max(1.0, abs(y[k]))
         fd[:, k] = (4.0 * central(k, h / 2.0) - central(k, h)) / 3.0
     assert np.linalg.norm(H - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("kind", list(ElementKind))
+@settings(max_examples=8, deadline=None)
+@given(p=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_hessian_matches_differences_of_the_gradient(kind, pinned, p, seed):
+    # At random feasible parameters (a jittered start).
+    problem, y0, span = _baseline_problem(kind, p, pinned)
+    if not problem.free_dimension:
+        return
+    try:
+        y = optimizer._jittered_start(problem, y0, span, (seed, 1))
+    except NumericalError:
+        assume(False)
+    f, derivatives = optimizer._objective_value(problem, y)
+    assume(f < 1e6)
+    _assert_hessian_matches_differences(problem, y, derivatives)
+
+
+@pytest.mark.parametrize("seed, objective", [
+    (7067, 1218.9), (7142, 275.25), (7176, 2469.3),
+])
+def test_hessian_matches_differences_at_ill_conditioned_tet_starts(
+    seed, objective
+):
+    # Jittered tet p=5 starts where plain central differences of the
+    # gradient miss the Hessian by up to 1.4e-5.
+    problem, y0, span = _baseline_problem(ElementKind.TETRAHEDRON, 5, False)
+    y = optimizer._jittered_start(problem, y0, span, (seed, 1))
+    f, derivatives = optimizer._objective_value(problem, y)
+    assert f == pytest.approx(objective, rel=1e-3)
+    _assert_hessian_matches_differences(problem, y, derivatives)
 
 
 @pytest.mark.parametrize(
@@ -530,13 +545,11 @@ def _edge_problem(edge_x, moving):
     )
 
 
-def test_dependent_fixed_rows_raise_on_every_call():
+def test_dependent_fixed_rows_raise_when_the_problem_is_built():
     # Four fixed nodes on one edge: P2 restricted to the edge has dimension
     # three, so their Vandermonde rows are linearly dependent.
-    problem = _edge_problem([-1.0, -0.5, 0.5, 1.0], [[-0.5, -0.2], [0.0, 0.2]])
-    for y in (np.zeros(2), np.array([0.1, -0.2])):
-        with pytest.raises(DegenerateDistributionError, match="dependent"):
-            optimizer._objective_value(problem, y)
+    with pytest.raises(DegenerateDistributionError, match="dependent"):
+        _edge_problem([-1.0, -0.5, 0.5, 1.0], [[-0.5, -0.2], [0.0, 0.2]])
     # Three edge nodes are independent, and the objective is the dense one.
     problem = _edge_problem(
         [-1.0, 0.0, 1.0], [[-0.5, -0.2], [0.0, 0.2], [-0.4, 0.4]]
@@ -794,6 +807,76 @@ def test_face_set_off_the_baseline_orbits_is_not_unisolvent():
     with pytest.raises(NoViableCollectionError) as info:
         optimize_nodes(ElementKind.TETRAHEDRON, 5, pres)
     assert str(info.value).startswith("tet degree 5: face pinning failed:")
+
+
+def _tri4_faces():
+    return face_prescriptions(ElementKind.TRIANGLE, 4, _gll)
+
+
+def test_optimize_builds_only_the_winners_node_set(monkeypatch):
+    # No screen judges the start before the solver: tri p=4 with faces
+    # builds no interpolator and one node set, the winner's.
+    built, evaluated = [], []
+    real_init = basis.LagrangeInterpolator.__init__
+    real_evaluate = optimizer.evaluate_collection
+
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    def counted(*args):
+        evaluated.append(args)
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(basis.LagrangeInterpolator, "__init__", init)
+    monkeypatch.setattr(optimizer, "evaluate_collection", counted)
+    r = optimize_nodes(ElementKind.TRIANGLE, 4, _tri4_faces())
+    assert built == []
+    assert len(evaluated) == 1
+    assert np.array_equal(evaluated[0][1], r.parameters)
+
+
+def test_all_restarts_failed_names_each_reason(monkeypatch):
+    # With the near-singular limit at 1, every start of tri p=4 is refused
+    # at its first evaluation, and the error says so for each restart.
+    monkeypatch.setattr(optimizer, "_SINGULAR_OBJECTIVE", 1.0)
+    with pytest.raises(NoViableCollectionError) as info:
+        optimize_nodes(ElementKind.TRIANGLE, 4, _tri4_faces())
+    message = str(info.value)
+    assert message.startswith("tri degree 4: all 4 restarts failed (")
+    for restart in range(4):
+        assert f"restart {restart}: start objective " in message
+    assert message.count("is at or above 1e+00") == 4
+
+
+def test_fixed_block_failure_fails_the_start_stage(monkeypatch):
+    # A basis that is not finite at the fixed nodes fails the problem's
+    # construction, before any restart runs.
+    def nan_basis(space, x):
+        return np.full((len(x), space.dim), np.nan)
+
+    monkeypatch.setattr(optimizer, "basis_eval_many", nan_basis)
+    with pytest.raises(NoViableCollectionError) as info:
+        optimize_nodes(ElementKind.TRIANGLE, 4, _tri4_faces())
+    assert str(info.value) == (
+        "tri degree 4: start failed: the basis is not finite at the fixed "
+        "nodes"
+    )
+    assert isinstance(info.value.__cause__, DegenerateDistributionError)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": -1},
+    {"seed": 1.5},
+    {"max_major_iterations": 0},
+    {"kkt_tol": 0.0},
+    {"kkt_tol": float("nan")},
+    {"kkt_tol": float("inf")},
+])
+def test_config_out_of_range_raises_at_construction(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        OptimizerConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
