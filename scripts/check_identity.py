@@ -32,6 +32,11 @@ Compares this checkout against the one at the given path (each with its own
 * the output of ``compatibility._orbit_reach`` for every orbit of each
   kind at every uniform baseline node of p = 1..6 (byte for byte,
   ``None`` as a row of NaN);
+* the face checks of tet, hex, prism and pyramid at p = 1..4 against
+  uniform face prescriptions: ``verify_face_match`` on the uniform nodes
+  with every node moved by 0.5 tol and with one face node moved by 2 tol
+  further (tol 1e-10), and ``snap_face_nodes`` of each set it passes
+  (byte for byte);
 * every orbit of each kind: its stacked maps ``point_matrix()`` and
   ``point_offsets()`` (so its parameter count and multiplicity too), the
   ``matrix``, ``lower`` and ``upper`` arrays of its bounds, and
@@ -113,6 +118,7 @@ from symnodes import optimizer
 from symnodes.cli import _DEGREE_CAPS
 from symnodes.compatibility import (
     _orbit_reach, build_compatibility_constraints, face_prescriptions,
+    snap_face_nodes, verify_face_match,
 )
 from symnodes.errors import SymnodesError
 from symnodes.geometry import (
@@ -192,6 +198,30 @@ for kind in ElementKind:
             out[f"{kind.value}_p{p}_orbit{orbit.index}_reach"] = np.array(
                 [none if xi is None else xi for xi in reach]
             )
+# Face checks against uniform prescriptions: every node moved by 0.5 tol,
+# then one face node moved by 2 tol further; the snapped nodes where the
+# check passes.
+moves = np.random.default_rng(11)
+for kind in ("tet", "hex", "prism", "pyramid"):
+    kind = ElementKind(kind)
+    elem = reference_element(kind)
+    for p in range(1, 5):
+        key = f"{kind.value}_p{p}_face_check"
+        pres = face_prescriptions(
+            kind, p, lambda fk, q: baseline_distribution(fk, q, "uniform")
+        )
+        uni = baseline_distribution(kind, p, BaselineKind.UNIFORM)
+        step = moves.standard_normal(uni.nodes.shape)
+        step *= 0.5e-10 / np.linalg.norm(step, axis=1, keepdims=True)
+        near = uni.nodes + step
+        far = near.copy()
+        face = np.flatnonzero(elem.faces[0].pullback(near)[1] <= 1e-10)
+        far[moves.choice(face)] += 2e-10 * np.eye(elem.dim)[0]
+        for name, nodes in (("near", near), ("far", far)):
+            ok = verify_face_match(elem, NodalDistribution(kind, p, nodes), pres)
+            out[f"{key}_{name}"] = np.array(ok)
+            if ok:
+                out[f"{key}_{name}_snapped"] = snap_face_nodes(elem, nodes, pres)
 for kind in ElementKind:
     for p in range(1, _DEGREE_CAPS[kind] + 1):
         # Each collection's orbit indices, closed by -1.

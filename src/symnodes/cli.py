@@ -11,14 +11,18 @@ Cross-element compatibility is handled bottom-up: with ``--compat auto``
 (the default) the lower-dimensional optimized distributions are generated
 first (or loaded from the cache directory) and used as face prescriptions.
 
-Exit codes: 0 success, 1 internal failure, 2 input error (including a
+Exit codes: 0 success, 1 internal failure (an ``OSError`` included, such
+as a ``--cache-dir`` that cannot be made), 2 input error (including a
 numeric option out of range: ``--seed < 0``, ``--max-iters < 1``,
 ``--kkt-tol`` not in (0, inf) or ``--resolution < 2``, a ``compare --dist
 NAME=DIR`` with an empty ``NAME``, and an ``--out`` that names a directory
 for ``generate`` and ``compare``, by ending in a path separator or by being
-one, or a file for ``tabulate``; these are checked before any work).
+one, or for ``tabulate`` a file or a directory that cannot be made; these
+are checked before any work).  Each error is one ``error:`` line.
 CSV fields are quoted only where they hold a comma, a quote or a line
 break.  The directory of a file ``--out`` is made before any work too.
+``tabulate`` caches in its ``--out``; ``generate`` and ``compare`` cache
+in ``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -373,7 +377,10 @@ def cmd_tabulate(args):
     out_dir = args.out
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise InputError(f"--out {out_dir} is not a directory")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make --out {out_dir}: {exc}") from None
     statuses = {}
     ensure = _make_ensure(args, out_dir, statuses)
 
@@ -423,7 +430,6 @@ def _add_common(sub):
     sub.add_argument("--max-iters", type=int, default=200)
     sub.add_argument("--kkt-tol", type=float, default=1e-10)
     sub.add_argument("--resolution", type=int, default=None)
-    sub.add_argument("--cache-dir", default=".symnodes-cache")
     sub.add_argument(
         "--force-degree",
         action="store_true",
@@ -450,6 +456,7 @@ def build_parser():
         help="auto (default), off, or comma-separated prescription files",
     )
     g.add_argument("--out", default=None)
+    g.add_argument("--cache-dir", default=".symnodes-cache")
     _add_common(g)
     g.set_defaults(func=cmd_generate)
 
@@ -467,6 +474,7 @@ def build_parser():
         help="optimized | gll | uniform | NAME=DIR (repeatable)",
     )
     c.add_argument("--out", default=None)
+    c.add_argument("--cache-dir", default=".symnodes-cache")
     _add_common(c)
     c.set_defaults(func=cmd_compare)
 
@@ -511,7 +519,7 @@ def main(argv=None):
     except (InputError, NodeFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SymnodesError as exc:
+    except (SymnodesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

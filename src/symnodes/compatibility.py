@@ -1,16 +1,15 @@
 """Cross-element compatibility: pinning orbits to prescribed face nodes.
 
-One matcher, :func:`_orbit_entries`, answers which orbit, at which
-parameters, holds a point given in natural coordinates: the first orbit of
-the element's table that :func:`_orbit_reach` places there.  Every orbit
-point map has full column rank, so those parameters are unique.  The
-optimizer decomposes baseline node sets with it, and face pinning below
-runs it over the prescribed face nodes (mapped onto one fixed face per
-face kind): each orbit through them that no pinned entry holds pins the
-first free collection entry on that orbit.  Because orbits are symmetric,
-pinning one face's worth of nodes fixes matching nodes on every face, so
-adjacent elements sharing the same prescriptions have coincident face
-nodes.
+:func:`_orbit_entries` answers which orbit, at which parameters, holds a
+point given in natural coordinates: the first orbit of the element's table
+that :func:`_orbit_reach` places there.  Every orbit point map has full
+column rank, so those parameters are unique.  The optimizer decomposes
+baseline node sets with it, and face pinning runs it over the prescribed
+face nodes (mapped onto one face per face kind): each orbit through them
+that no pinned entry holds pins the first free entry on that orbit.
+Orbits are symmetric, so adjacent elements sharing the prescriptions have
+coincident face nodes.  Every match within ``_MATCH_TOL`` here, of orbit
+points and of face nodes, is :func:`symnodes.symmetry._nearest`'s.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .symmetry import (
     ConstrainedOrbit,
     NodalDistribution,
     OrbitCollection,
+    _nearest,
     evaluate_orbit,
     is_symmetric,
     orbits,
@@ -137,12 +137,6 @@ def _orbit_reach(orbit, lam_hat):
     return None
 
 
-def _held(lam, pts):
-    """Rows of ``lam`` within ``_MATCH_TOL`` of a row of ``pts``."""
-    d = np.linalg.norm(lam[:, None, :] - pts[None, :, :], axis=2)
-    return np.min(d, axis=1, initial=np.inf) <= _MATCH_TOL
-
-
 def _orbit_entries(kind, lam):
     """Orbits through the natural-coordinate points ``lam``.
 
@@ -159,7 +153,7 @@ def _orbit_entries(kind, lam):
         for orbit in orbits(kind):
             xi = _orbit_reach(orbit, lam[i])
             if xi is not None:
-                held |= _held(lam, evaluate_orbit(orbit, xi))
+                held |= _nearest(evaluate_orbit(orbit, xi), lam, _MATCH_TOL) >= 0
                 yield orbit, xi, i
                 break
         else:
@@ -210,7 +204,7 @@ def build_compatibility_constraints(
         lam = np.array(lam)
         for e in entries:
             if e.pinned is not None:
-                lam = lam[~_held(lam, evaluate_orbit(e, e.pinned))]
+                lam = lam[_nearest(evaluate_orbit(e, e.pinned), lam, _MATCH_TOL) < 0]
         for orbit, xi, i in _orbit_entries(elem.kind, lam):
             free = [j for j, e in enumerate(entries) if e.pinned is None
                     and orbit is not None and e.orbit.index == orbit.index]
@@ -224,25 +218,31 @@ def build_compatibility_constraints(
     return OrbitCollection(collection.kind, collection.degree, tuple(entries))
 
 
+def _face_walk(elem, nodes, prescriptions, tol):
+    """Per face of ``elem``: the face, the rows of ``nodes`` within ``tol``
+    of its affine hull and the embedded prescription of its kind."""
+    by_kind = {p.face_kind: p.dist.nodes for p in prescriptions}
+    for face in elem.faces:
+        rows = np.flatnonzero(face.pullback(nodes)[1] <= tol)
+        yield face, rows, face.embed(by_kind[face.face_kind])
+
+
 def snap_face_nodes(elem, nodes, prescriptions, tol=_MATCH_TOL):
     """Copy of ``nodes`` with every face node set to its exact prescription.
 
-    A node within ``tol`` of a face takes the coordinate of the nearest
-    point of that face's embedded prescription.  A node on several faces is
-    set by the first of them in ``elem.faces`` order, so the result does not
-    depend on the rounding of the other embeddings.  Call only on node sets
-    that pass :func:`verify_face_match` at ``tol``.
+    A node within ``tol`` of a face takes the coordinates of the nearest
+    point of that face's embedded prescription within ``tol``.  A node on
+    several faces is set by the first of them in ``elem.faces`` order, so
+    the result does not depend on the rounding of the other embeddings.
+    Call only on node sets that pass :func:`verify_face_match` at ``tol``.
     """
-    by_kind = {p.face_kind: p for p in prescriptions}
-    snapped = np.array(nodes, dtype=float)
-    done = np.zeros(snapped.shape[0], dtype=bool)
-    for face in elem.faces:
-        _, resid = face.pullback(nodes)
-        expected = face.embed(by_kind[face.face_kind].dist.nodes)
-        for i in np.flatnonzero((resid <= tol) & ~done):
-            d = np.linalg.norm(expected - snapped[i], axis=1)
-            snapped[i] = expected[np.argmin(d)]
-            done[i] = True
+    nodes = np.asarray(nodes, dtype=float)
+    snapped, done = nodes.copy(), np.zeros(len(nodes), dtype=bool)
+    for _, rows, expected in _face_walk(elem, nodes, prescriptions, tol):
+        rows = rows[~done[rows]]
+        nearest = _nearest(expected, nodes[rows], tol)
+        snapped[rows[nearest >= 0]] = expected[nearest[nearest >= 0]]
+        done[rows] = True
     return snapped
 
 
@@ -253,16 +253,12 @@ def verify_face_match(elem, dist: NodalDistribution, prescriptions, tol=_MATCH_T
     at most ``tol``; the per-face node subsets are compared against the
     embedded prescriptions as sets under ``tol``.
     """
-    by_kind = {p.face_kind: p for p in prescriptions}
-    for face in elem.faces:
-        pres = by_kind.get(face.face_kind)
-        if pres is None:
-            return False
-        _, resid = face.pullback(dist.nodes)
-        on_face = dist.nodes[resid <= tol]
-        expected = face.embed(pres.dist.nodes)
-        if on_face.shape[0] != face_node_count(face.face_kind, dist.degree):
-            return False
-        if not same_point_set(on_face, expected, tol):
-            return False
-    return True
+    if {f.face_kind for f in elem.faces} - {p.face_kind for p in prescriptions}:
+        return False
+    return all(
+        rows.size == face_node_count(face.face_kind, dist.degree)
+        and same_point_set(dist.nodes[rows], expected, tol)
+        for face, rows, expected in _face_walk(
+            elem, dist.nodes, prescriptions, tol
+        )
+    )

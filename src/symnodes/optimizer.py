@@ -352,8 +352,10 @@ def _hessian(problem, Bgrad, second, W, G):
 def _objective_values(problem, ys):
     """:func:`_objective_value` at each row of ``ys``, with one basis
     evaluation at the moving nodes of all rows, which has the bits of each
-    row's own; ``(inf, None)`` where it raises.  The first gradient called
-    computes the basis gradients and second derivatives of all rows."""
+    row's own; ``(inf, error)`` where it raises the
+    :class:`DegenerateDistributionError` ``error``.  The first gradient
+    called computes the basis gradients and second derivatives of all
+    rows."""
     X = np.concatenate([problem.nodes_at(y)[problem._moving] for y in ys])
     m = X.shape[0] // len(ys)
     C, basis_derivatives = basis_eval_with_grad(problem.space, X)
@@ -370,8 +372,8 @@ def _objective_values(problem, ys):
 
         try:
             out.append(_objective_value(problem, y, (C[rows], derivatives)))
-        except DegenerateDistributionError:
-            out.append((np.inf, None))
+        except DegenerateDistributionError as exc:
+            out.append((np.inf, exc))
     return out
 
 
@@ -393,7 +395,7 @@ def minimize(problem, config, y0, lockstep=None) -> MinimizeOutcome:
     of the one at which :class:`~symnodes.basis.LagrangeInterpolator`
     refuses a set.  A run from there stays near singular (quad p=9 at seed
     1 ended "kkt-converged" at 5.2e31 after 16 iterations).  A start with
-    colliding nodes ends ``"error"`` at once too.
+    colliding nodes ends ``"error"`` at once too, its message naming them.
     """
     res, message = (lockstep or _Lockstep(problem, config, [y0])).result(y0)
     return MinimizeOutcome(problem.stacked(res.x), res.fun, res.status,
@@ -437,6 +439,10 @@ class _Lockstep:
         self.values = _objective_values(self.problem, ys)
         for r, (f, gradient) in zip(live, self.values):
             message = None
+            if isinstance(gradient, DegenerateDistributionError):
+                if self.first:
+                    message = f"start objective undefined: {gradient}"
+                gradient = None
             if self.first and _SINGULAR_OBJECTIVE <= f < np.inf:
                 message = (f"start objective {f:.3e} is at or above "
                            f"{_SINGULAR_OBJECTIVE:.0e}: the Vandermonde "

@@ -1,4 +1,4 @@
-"""Symmetry orbits of the reference elements.
+"""Symmetry orbits of the reference elements, and the point matcher.
 
 An orbit maps a small parameter vector ``xi`` through a fixed family of
 affine maps ``S_i @ xi + sigma_i`` into natural coordinates, producing a
@@ -20,6 +20,9 @@ the triangle's ``AA*`` is ``(a, a, 1 - 2a)``.  The letters give the
 parameter count and the distinct images the multiplicity, which must not
 decrease along a kind's table, so no orbit with fewer points reaches a
 point than the first orbit that does.
+
+:func:`_nearest` matches points within a tolerance; :func:`is_symmetric`
+runs it on the images of a node set under each reflection of the group.
 """
 
 from __future__ import annotations
@@ -603,49 +606,29 @@ def cartesian_symmetry_group(kind):
 
 
 @lru_cache(maxsize=None)
-def _generator_maps(kind):
-    """Cartesian maps ``(A, b)`` of a generating set of the element group,
-    stacked as (g, d, d) and (g, d).
-
-    The generators follow from :data:`_GROUP_ACTION`: the cycle of the
-    permuted components with the sign flip of the last flipped component,
-    and the transposition of the last two permuted components, or the sign
-    flip alone where that transposition is the cycle (two or fewer
-    permuted components).  Each sits at the index that the enumeration
-    order of :func:`natural_symmetry_group` gives it; its map is the one at
-    that index of :func:`cartesian_symmetry_group`.  Two maps for every
-    kind but the line.  Near ``tol`` the answer of :func:`is_symmetric`
-    depends on which maps it checks, and the Lebesgue scan of the metrics
-    on that answer, so another generating set is an output change.
-    """
-    nperm, flips = _GROUP_ACTION[kind]
-    perms = list(itertools.permutations(range(nperm)))
-    same, nsigns = perms[0], 2 ** len(flips)
-    flip = 1 if flips else 0  # -1 on the last flipped component only
-    cycle = perms.index(same[1:] + same[:1]) * nsigns + flip
-    swap = flip
-    if nperm > 2:
-        swap = perms.index(same[:-2] + same[:-3:-1]) * nsigns
-    chosen = sorted({cycle, swap} - {0})  # without the identity
-    maps = cartesian_symmetry_group(kind)
-    A, b = (np.stack(m) for m in zip(*(maps[i] for i in chosen)))
+def _reflections(kind):
+    """Cartesian maps ``(A, b)`` of the reflections of the element group,
+    stacked as (r, d, d) and (r, d): the maps ``P`` of
+    :func:`natural_symmetry_group` with ``P @ P = I`` and trace
+    ``natural_dim - 2``.  Every element group is a finite reflection group,
+    which its reflections generate (Humphreys 1990)."""
+    group = natural_symmetry_group(kind)
+    eye = np.eye(group[0].shape[0])
+    A, b = (np.stack(m) for m in zip(*(
+        g for P, g in zip(group, cartesian_symmetry_group(kind))
+        if np.array_equal(P @ P, eye) and np.trace(P) == len(eye) - 2
+    )))
     A.setflags(write=False)
     b.setflags(write=False)
     return A, b
 
 
-def _one_to_one(points, images, tol):
-    """Whether each (n, d) slice of ``images`` matches the n rows of
-    ``points`` one to one within ``tol``.
-
-    Each image is paired with its nearest point, so a match is found when
-    the points are more than ``2 tol`` apart, as separated node sets are.
-    Only the points whose projections lie within ``tol`` of the image's
-    can be within ``tol`` of it; they are found by bisecting the sorted
-    projections, and distances are taken as :func:`closest_pair` takes them.
-    """
+def _nearest(points, queries, tol):
+    """Per row of ``queries``, the index of its nearest row of ``points``
+    within ``tol``, or -1.  Only the points whose projections lie within
+    ``tol`` of the query's are tried, found by bisecting the sorted
+    projections; distances are taken as :func:`closest_pair` takes them."""
     n, d = points.shape
-    queries = images.reshape(-1, d)
     proj, qproj = points @ _probe(d), queries @ _probe(d)
     reach = tol + _slack(points, queries)
     order = np.argsort(proj, kind="stable")
@@ -659,10 +642,16 @@ def _one_to_one(points, images, tol):
         closer = (first + k < stop) & (dist <= tol) & (dist < best)
         nearest[closer] = cand[closer]
         best[closer] = dist[closer]
-    return bool(
-        np.all(nearest >= 0)
-        and np.all(np.sort(nearest.reshape(-1, n), axis=1) == np.arange(n))
-    )
+    return nearest
+
+
+def _one_to_one(points, images, tol):
+    """Whether each (n, d) slice of ``images`` matches the n rows of
+    ``points`` one to one within ``tol``, each image taking its nearest
+    point, as it does when the points are more than ``2 tol`` apart."""
+    n, d = points.shape
+    nearest = _nearest(points, images.reshape(-1, d), tol).reshape(-1, n)
+    return bool(np.all(np.sort(nearest, axis=1) == np.arange(n)))
 
 
 def same_point_set(a, b, tol):
@@ -673,14 +662,10 @@ def same_point_set(a, b, tol):
 
 
 def is_symmetric(kind, nodes, tol):
-    """Whether the symmetry group of ``kind`` maps ``nodes`` onto themselves.
-
-    Each map of the generating set of :func:`_generator_maps` (a cycle and
-    a transposition or sign flip that :data:`_GROUP_ACTION` names) must
-    match the nodes to their images one to one within ``tol``; the other
-    maps, products of these, then match them within a small multiple of
-    ``tol``.
-    """
+    """Whether each reflection of the group of ``kind`` (:func:`_reflections`)
+    matches ``nodes`` to their images one to one within ``tol``; the other
+    maps, products of reflections, then match them within a small multiple
+    of ``tol``."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    A, b = _generator_maps(ElementKind(kind))
+    A, b = _reflections(ElementKind(kind))
     return _one_to_one(nodes, nodes @ A.transpose(0, 2, 1) + b[:, None], tol)

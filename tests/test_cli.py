@@ -268,6 +268,59 @@ def test_tabulate_out_file_is_an_input_error(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_tabulate_out_under_a_file_is_an_input_error(
+    tmp_path, capsys, monkeypatch
+):
+    # A directory that cannot be made is checked before any element is
+    # built: one error line, exit 2, no traceback.
+    import symnodes.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("optimized before checking --out")
+
+    monkeypatch.setattr(cli, "optimize_nodes", never)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    code, stdout, stderr = _run(
+        capsys,
+        "tabulate", "--element", "line", "--degree-range", "2",
+        "--out", str(taken / "sub"),
+    )
+    assert code == 2 and stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith(f"error: cannot make --out {taken / 'sub'}: ")
+    assert taken.read_text() == "keep\n"
+
+
+def test_cache_dir_under_a_file_is_one_error_line(tmp_path, capsys):
+    # The cache directory is made only once the face distributions are
+    # built, so this is not an input error, but it is still one line.
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    code, stdout, stderr = _run(
+        capsys,
+        "generate", "--element", "tri", "--degree", "2",
+        "--cache-dir", str(taken / "cache"),
+        "--out", str(tmp_path / "tri2.nodes"),
+    )
+    assert code == 1 and stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("error: ") and str(taken / "cache") in stderr
+    assert taken.read_text() == "keep\n"
+    assert not (tmp_path / "tri2.nodes").exists()
+
+
+def test_tabulate_takes_no_cache_dir(tmp_path, capsys):
+    # tabulate caches in its --out, so it has no --cache-dir to ignore.
+    with pytest.raises(SystemExit) as exit_:
+        main(["tabulate", "--element", "line", "--degree-range", "1",
+              "--out", str(tmp_path / "out"),
+              "--cache-dir", str(tmp_path / "cache")])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_generate_rejects_bad_element(tmp_path, capsys):
     code, _, err = _run(
         capsys,
@@ -612,7 +665,7 @@ def test_tabulate_deterministic_and_idempotent(tmp_path, capsys):
 def test_failed_renames_leave_no_temporary_file(tmp_path, capsys, monkeypatch):
     # Every output file goes through a temporary file and a rename; when
     # the rename fails, the temporary file is removed and no partial
-    # output file is left.
+    # output file is left, and the failure is one error line (exit 1).
     replace = os.replace
 
     def refusing(src, dst):
@@ -622,13 +675,14 @@ def test_failed_renames_leave_no_temporary_file(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refusing)
     out = tmp_path / "tab"
-    with pytest.raises(OSError, match="rename refused"):
-        main(["tabulate", "--element", "line", "--degree-range", "1:2",
-              "--out", str(out)])
+    code, _, err = _run(capsys, "tabulate", "--element", "line",
+                        "--degree-range", "1:2", "--out", str(out))
+    assert (code, err) == (1, "error: rename refused\n")
     assert sorted(os.listdir(out)) == ["line_p1.nodes", "line_p2.nodes"]
-    with pytest.raises(OSError, match="rename refused"):
-        main(["compare", "--element", "line", "--degree-range", "1:1",
-              "--dist", "uniform", "--out", str(out / "cmp.csv")])
+    code, _, err = _run(capsys, "compare", "--element", "line",
+                        "--degree-range", "1:1", "--dist", "uniform",
+                        "--out", str(out / "cmp.csv"))
+    assert (code, err) == (1, "error: rename refused\n")
     assert sorted(os.listdir(out)) == ["line_p1.nodes", "line_p2.nodes"]
     assert not list(out.glob("*.tmp*"))
 

@@ -1061,8 +1061,9 @@ def test_lockstep_runs_equal_each_start_run_alone(kind, p, pinned, budget,
 
 def test_batched_objective_gives_a_collision_inf_and_the_rest_its_bits():
     # A batch of three jittered tri p=4 starts and, second, a point whose
-    # first free orbit lies on its second: that point gets inf and no
-    # gradient, every other point the value and gradient of its own call.
+    # first free orbit lies on its second: that point gets inf and, in
+    # place of a gradient, the collision error; every other point the value
+    # and gradient of its own call.
     problem, y0, span = _baseline_problem(ElementKind.TRIANGLE, 4, False)
     ys = [optimizer._jittered_start(problem, y0, span, (1, r))
           for r in (1, 2, 3)]
@@ -1073,13 +1074,30 @@ def test_batched_objective_gives_a_collision_inf_and_the_rest_its_bits():
     ys.insert(1, collided)
     values = optimizer._objective_values(problem, np.array(ys))
     assert len(values) == 4
-    assert values[1] == (np.inf, None)
+    f, error = values[1]
+    assert f == np.inf
+    assert isinstance(error, DegenerateDistributionError)
+    assert "apart" in str(error)
     for i in (0, 2, 3):
         f, gradient = values[i]
         f_alone, gradient_alone = optimizer._objective_value(problem, ys[i])
         assert f == f_alone
         for a, a_alone in zip(gradient(), gradient_alone()):
             assert np.array_equal(a, a_alone)
+
+
+def test_colliding_start_ends_with_the_collision_as_its_reason():
+    # The unpinned tri p=4 baseline start with its first free orbit moved
+    # onto its second: the run ends "error" at its first evaluation, and its
+    # message says which nodes collide, not only that the objective is
+    # undefined.
+    problem, y0, _ = _baseline_problem(ElementKind.TRIANGLE, 4, False)
+    collided = y0.copy()
+    collided[:2] = y0[2:4]
+    outcome = minimize(problem, OptimizerConfig(), collided)
+    assert outcome.status == "error"
+    assert outcome.iterations == 0
+    assert "apart" in outcome.message
 
 
 def test_near_singular_restart_is_dropped_with_its_reason(tmp_path, monkeypatch):

@@ -30,8 +30,9 @@ from symnodes.symmetry import (
 )
 from symnodes.symmetry import (
     MIN_NODE_SEPARATION,
-    _generator_maps,
+    _nearest,
     _probe,
+    _reflections,
     _require_separated,
 )
 from symnodes import lincon, symmetry
@@ -528,9 +529,28 @@ def _key(H):
     return (np.round(H, 12) + 0.0).tobytes()
 
 
+# The reflections that is_symmetric checks, per kind.
+REFLECTION_COUNTS = {
+    ElementKind.LINE: 1,
+    ElementKind.TRIANGLE: 3,
+    ElementKind.QUADRILATERAL: 4,
+    ElementKind.TETRAHEDRON: 6,
+    ElementKind.HEXAHEDRON: 9,
+    ElementKind.PRISM: 4,
+    ElementKind.PYRAMID: 4,
+}
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_generator_maps_generate_the_group(kind):
-    A, b = _generator_maps(kind)
+    # The reflections of each element group, the maps is_symmetric checks,
+    # generate the group: every element group is a reflection group.
+    A, b = _reflections(kind)
+    assert len(A) == REFLECTION_COUNTS[kind]
+    for a, t in zip(A, b):  # involutions that fix a hyperplane
+        assert np.allclose(a @ a, np.eye(len(a)), atol=1e-14)
+        assert np.allclose(a @ t + t, 0.0, atol=1e-14)
+        assert np.isclose(np.trace(a), len(a) - 2)
     gens = [_homogeneous(a, t) for a, t in zip(A, b)]
     group = {_key(_homogeneous(a, t)) for a, t in cartesian_symmetry_group(kind)}
     one = np.eye(A.shape[1] + 1)
@@ -649,6 +669,50 @@ def test_matching_agrees_with_kdtree(case):
         )
 
 
+def _axis_distances(points, queries):
+    """Reference: the distance of each query to each point, its squared
+    coordinate differences summed over the axes in order."""
+    d2 = np.zeros((len(queries), len(points)))
+    for c in range(points.shape[1]):
+        d2 += (queries[:, None, c] - points[None, :, c]) ** 2
+    return np.sqrt(d2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matching_cases())
+def test_nearest_agrees_with_an_exhaustive_search(case):
+    x, images, tol = case
+    queries = images.reshape(-1, x.shape[1])
+    dist = _axis_distances(x, queries)
+    d = np.sort(dist, axis=1)
+    # With two points exactly as near, either may be the nearest.
+    if x.shape[0] > 1:
+        assume(not np.any((d[:, 0] <= tol) & (d[:, 0] == d[:, 1])))
+    want = np.where(d[:, 0] <= tol, np.argmin(dist, axis=1), -1)
+    assert np.array_equal(_nearest(x, queries, tol), want)
+
+
+def test_is_symmetric_near_tol_checks_every_reflection():
+    # Uniform tri p=1 moved by up to tol/2 per coordinate (tol 1e-10): the
+    # rotations and the reflection that swaps the last two barycentric
+    # coordinates match the nodes within tol, the other two reflections do
+    # not.  A test on a cycle and that transposition says symmetric; the
+    # AND over the reflections says not, as the check over every map does.
+    nodes = np.array([[float.fromhex(v) for v in row] for row in [
+        ["-0x1.ffffffffe1e1cp-1", "0x1.ffffffffcd602p-1"],
+        ["0x1.ffffffff9b0f2p-1", "-0x1.0000000035289p+0"],
+        ["-0x1.ffffffffbb1c7p-1", "-0x1.ffffffffa53bfp-1"],
+    ]])
+    kind, tol = ElementKind.TRIANGLE, 1e-10
+    each = [_loop_set_match(nodes @ a.T + t, nodes, tol)
+            for a, t in zip(*_reflections(kind))]
+    assert sorted(each) == [False, False, True]
+    every = [_loop_set_match(nodes @ a.T + t, nodes, tol)
+             for a, t in cartesian_symmetry_group(kind)]
+    assert every.count(False) == 2
+    assert is_symmetric(kind, nodes, tol) is False
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(ALL_KINDS),
@@ -664,7 +728,7 @@ def test_is_symmetric_agrees_with_kdtree(kind, p, tol, data):
         r = data.draw(st.sampled_from(_MOVES + [2.0]))
         nodes[i] += r * tol * _direction(data.draw, dim)
     nodes = nodes[data.draw(st.permutations(range(n)))]
-    A, b = _generator_maps(kind)
+    A, b = _reflections(kind)
     want = _kdtree_one_to_one(
         nodes, nodes @ A.transpose(0, 2, 1) + b[:, None], tol
     )
