@@ -78,7 +78,12 @@ Compares this checkout against the one at the given path (each with its own
   p=6 and prism p=3 with ``--compat off`` (the start with free boundary
   orbits), and for tet p=4 with ``--compat`` naming the ``tri_p4.nodes``
   that the 3d ``tabulate`` wrote on the same side (a user face file);
-* the ``compare`` CSVs of the benchmark's eval-files workload at each seed.
+* the ``compare`` CSVs of the benchmark's eval-files workload at each seed;
+* one ``compare`` per kind over p = 1..9 (1..5 in 3D) with ``--dist
+  uniform``, ``--dist gll`` and a set no symmetry maps onto itself at each
+  degree (``--dist moved=DIR``, files written once by this checkout), so
+  that rows of several degrees and distributions share a scan: the CSVs
+  and the warning lines (byte for byte).
 
 Prints one line per comparison and exits 1 if anything differs.  Where a
 file differs it also prints how far apart the two are: the node-set
@@ -435,6 +440,48 @@ for args in cli_calls("eval-files", seed, out, str(Path(out) / "in")):
     assert main(args) == 0
 """
 
+# Node files for ``compare --dist moved=DIR`` in ``argv[1]``: each uniform
+# node moved toward a point off every mirror by a random fraction, at most
+# 0.1 / p, of the way there, so that the set stays inside and no symmetry
+# maps it onto itself.
+MOVED = r"""
+import sys
+from pathlib import Path
+import numpy as np
+from symnodes.baselines import baseline_distribution
+from symnodes.geometry import ElementKind, reference_element
+from symnodes.nodefile import write_node_file
+from symnodes.symmetry import NodalDistribution
+for n, kind in enumerate(ElementKind):
+    elem = reference_element(kind)
+    off = elem.vertices.mean(axis=0) + np.array([0.1, 0.03, 0.007])[: elem.dim]
+    for p in range(1, 10 if elem.dim < 3 else 6):
+        uni = baseline_distribution(kind, p, "uniform")
+        t = np.random.default_rng([n, p]).uniform(0.0, 0.1 / p, (uni.count, 1))
+        write_node_file(
+            Path(sys.argv[1]) / f"{kind.value}_p{p}.nodes",
+            NodalDistribution(kind, p, uni.nodes + t * (off - uni.nodes), "moved"),
+        )
+"""
+
+# One ``compare`` per kind into ``argv[1]/<kind>.csv``, its warnings into
+# ``<kind>.err``, with the moved sets of the directory ``argv[2]``.
+COMPARE = r"""
+import contextlib
+import sys
+from symnodes.cli import main
+from symnodes.geometry import ElementKind, reference_element
+for kind in ElementKind:
+    top = 9 if reference_element(kind).dim < 3 else 5
+    out = f"{sys.argv[1]}/{kind.value}"
+    with open(out + ".err", "w") as err, contextlib.redirect_stderr(err):
+        assert main([
+            "compare", "--element", kind.value, "--degree-range", f"1:{top}",
+            "--dist", "uniform", "--dist", "gll",
+            "--dist", f"moved={sys.argv[2]}", "--out", out + ".csv",
+        ]) == 0
+"""
+
 
 def _run(checkout, argv):
     """Run Python on ``checkout``'s ``src`` with ``argv``; return stdout."""
@@ -669,6 +716,20 @@ def main(argv=None):
             print(f"eval-files CSVs seed {seed}: "
                   f"{'identical' if same else 'DIFFERENT'}", *lines, sep="\n")
             ok &= same
+        moved = tmp / "moved"
+        moved.mkdir()
+        _run(ROOT, ["-c", MOVED, str(moved)])
+        for side, checkout in sides.items():
+            (tmp / f"{side}-compare").mkdir()
+            _run(checkout, ["-c", COMPARE, str(tmp / f"{side}-compare"),
+                            str(moved)])
+        this, other = tmp / "this-compare", tmp / "other-compare"
+        same, lines = _compare_files(
+            this, other, sorted(os.listdir(this)), sorted(os.listdir(other))
+        )
+        print(f"compare CSVs: {'identical' if same else 'DIFFERENT'}", *lines,
+              sep="\n")
+        ok &= same
     return 0 if ok else 1
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "basis_eval_many",
     "basis_grad_many",
     "basis_eval_with_grad",
+    "degree_columns",
     "lu_inverse",
     "LagrangeInterpolator",
     "MASS_RATIO",
@@ -405,6 +406,36 @@ def _form(kind, p):
     return _FORMS[kind](p)
 
 
+# The degree of each mode from the degrees of its Jacobi factors, in form
+# order: the lowest p whose space holds the mode.
+_MODE_DEGREE = {
+    ElementKind.LINE: lambda i: i,
+    ElementKind.QUADRILATERAL: np.maximum,
+    ElementKind.HEXAHEDRON: lambda i, j, k: np.maximum(np.maximum(i, j), k),
+    ElementKind.TRIANGLE: lambda i, j: i + j,
+    ElementKind.TETRAHEDRON: lambda i, j, k: i + j + k,
+    ElementKind.PRISM: lambda i, j, k: np.maximum(i + j, k),
+    ElementKind.PYRAMID: lambda i, j, k: np.maximum(i, j) + k,
+}
+
+
+@lru_cache(maxsize=None)
+def degree_columns(kind, top, p):
+    """The columns of the degree-``top`` basis of ``kind`` that are the
+    degree-``p`` basis, ``p <= top``, in its mode order.
+
+    The modes are hierarchical: each is one closed form whatever the
+    degree of its space, with the same operands in the same order, so the
+    degree-``top`` values at these columns are the degree-``p`` values bit
+    for bit.
+    """
+    form = _form(kind, top)
+    degrees = _MODE_DEGREE[kind](*(m for _, _, m in form.factors))
+    cols = np.flatnonzero(degrees <= p)
+    cols.setflags(write=False)
+    return cols
+
+
 def _chain(factors, out=None):
     """``((f0 * f1) * f2) * ...``, left to right: one new array, then in
     place, the last product into ``out`` when given."""
@@ -690,9 +721,12 @@ class LagrangeInterpolator:
     Raises :class:`UnisolvencyError` when ``V`` (kept as ``matrix``) is not
     finite, its SVD fails, or the mass matrix ``V^-T V^-1`` (condition
     ``mass_condition``) has an eigenvalue ratio at or below ``MASS_RATIO``.
+    A caller that holds the basis of a higher degree at the nodes passes
+    ``V`` as ``matrix``, its :func:`degree_columns`; else it is
+    ``basis_eval_many(space, dist.nodes)``.
     """
 
-    def __init__(self, space, dist):
+    def __init__(self, space, dist, matrix=None):
         if dist.count != space.dim:
             raise ValueError(
                 f"distribution has {dist.count} nodes, space dimension is "
@@ -700,7 +734,9 @@ class LagrangeInterpolator:
             )
         self.space = space
         self.dist = dist
-        self.matrix = V = basis_eval_many(space, dist.nodes)
+        if matrix is None:
+            matrix = basis_eval_many(space, dist.nodes)
+        self.matrix = V = matrix
         if not np.all(np.isfinite(V)):
             raise UnisolvencyError("non-finite basis values at nodes")
         try:

@@ -14,13 +14,15 @@ first (or loaded from the cache directory) and used as face prescriptions.
 Exit codes: 0 success, 1 internal failure (an ``OSError`` included, such
 as a ``--cache-dir`` that cannot be made), 2 input error (including a
 numeric option out of range: ``--seed < 0``, ``--max-iters < 1``,
-``--kkt-tol`` not in (0, inf) or ``--resolution < 2``, a ``compare --dist
-NAME=DIR`` with an empty ``NAME``, and an ``--out`` that names a directory
-for ``generate`` and ``compare``, by ending in a path separator or by being
-one, or for ``tabulate`` a file or a directory that cannot be made; these
-are checked before any work).  Each error is one ``error:`` line.
-CSV fields are quoted only where they hold a comma, a quote or a line
-break.  The directory of a file ``--out`` is made before any work too.
+``--kkt-tol`` not in (0, inf), ``--resolution < 2`` or a ``--resolution``
+whose lattice on the element holds more than ``_MAX_LATTICE`` (2^22)
+points, a ``compare --dist NAME=DIR`` with an empty ``NAME``, and an
+``--out`` that names a directory for ``generate`` and ``compare``, by
+ending in a path separator or by being one, or for ``tabulate`` a file or
+a directory that cannot be made; these are checked before any work).
+Each error is one ``error:`` line.  CSV fields are quoted only where they
+hold a comma, a quote or a line break.  The directory of a file ``--out``
+is made before any work too.
 ``tabulate`` caches in its ``--out``; ``generate`` and ``compare`` cache
 in ``--cache-dir``.
 """
@@ -43,7 +45,7 @@ from .compatibility import (
 )
 from .errors import NodeFileError, SymnodesError
 from .geometry import ElementKind, reference_element
-from .metrics import evaluate_metrics
+from .metrics import evaluate_metrics, evaluate_rows
 from .nodefile import (
     FORMAT_VERSION,
     config_hash,
@@ -75,6 +77,13 @@ _DEGREE_CAPS = {
     ElementKind.PRISM: 9,
     ElementKind.PYRAMID: 9,
 }
+
+# Lattice points (resolution ** dim) that --resolution may ask for; the
+# defaults ask for 1000, 90,000 and 216,000.  At the limit, compare on
+# uniform p=1 peaks at 221 MB resident on the line (r = 2^22), 134 MB on
+# the triangle (r = 2048) and 115 MB on the pyramid (r = 161).
+_MAX_LATTICE = 1 << 22
+
 
 class InputError(Exception):
     """User-facing errors mapped to exit code 2."""
@@ -175,11 +184,8 @@ def _make_ensure(args, cache_dir, statuses=None):
     return ensure
 
 
-def _metric_fields(kind, degree, dist, resolution):
+def _metric_fields(report):
     """The metrics of one printed row, formatted, in CSV column order."""
-    report = evaluate_metrics(
-        FunctionSpace(kind, degree), dist, resolution=resolution
-    )
     return {
         "lebesgue_constant": format_float(report.lebesgue_constant),
         "lebesgue_objective": format_float(report.lebesgue_objective),
@@ -201,6 +207,20 @@ def _metrics_row(kind, degree, name, values):
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
+
+
+def _check_resolution(resolution, kinds):
+    """A ``--resolution`` whose lattice on one of ``kinds`` holds more than
+    ``_MAX_LATTICE`` points is an input error."""
+    if resolution is None:
+        return
+    for kind in kinds:
+        dim = reference_element(kind).dim
+        if resolution**dim > _MAX_LATTICE:
+            raise InputError(
+                f"--resolution {resolution} is too large for {kind.value}: "
+                f"{resolution}^{dim} lattice points exceed {_MAX_LATTICE}"
+            )
 
 
 def _check_compat(kind, degree, files, prescriptions):
@@ -244,6 +264,7 @@ def _check_out_file(path):
 def cmd_generate(args):
     kind = _parse_element(args.element)
     _check_degree(kind, args.degree, args.force_degree)
+    _check_resolution(args.resolution, [kind])
     cache_dir = args.cache_dir
     out = args.out or _cache_path(cache_dir, kind, args.degree)
     _check_out_file(out)
@@ -274,9 +295,9 @@ def cmd_generate(args):
     result = optimize_nodes(
         kind, args.degree, prescriptions, args.config
     )
-    m = _metric_fields(
-        kind, args.degree, result.distribution, args.resolution
-    )
+    m = _metric_fields(evaluate_metrics(
+        FunctionSpace(kind, args.degree), result.distribution, args.resolution
+    ))
     cfg_hash = config_hash(
         _config_payload(kind, args.degree, args, compat)
     )
@@ -296,7 +317,10 @@ def cmd_evaluate(args):
         dist, header = read_node_file(args.nodefile)
     except OSError as exc:
         raise InputError(f"cannot read {args.nodefile}: {exc}") from exc
-    fields = _metric_fields(dist.kind, dist.degree, dist, args.resolution)
+    _check_resolution(args.resolution, [dist.kind])
+    fields = _metric_fields(evaluate_metrics(
+        FunctionSpace(dist.kind, dist.degree), dist, args.resolution
+    ))
     row = _metrics_row(dist.kind, dist.degree, header.source, fields.values())
     sys.stdout.write(row)
     return 0
@@ -318,6 +342,7 @@ def cmd_compare(args):
     degrees = _parse_degree_range(args.degree_range)
     for d in degrees:
         _check_degree(kind, d, args.force_degree)
+    _check_resolution(args.resolution, [kind])
     dists = args.dist or ["optimized", "gll", "uniform"]
     for spec in dists:
         if spec.startswith("="):
@@ -325,40 +350,55 @@ def cmd_compare(args):
     _check_out_file(args.out)
     ensure = _make_ensure(args, args.cache_dir)
 
-    rows = [CSV_HEADER + "\n"]
-    n_ok = 0
+    # Every row's distribution (or the error that stopped it) first, in
+    # (degree, --dist) order, then one evaluation of them all.  An unknown
+    # spec takes no row and keeps its warning in that order.
+    entries = []
     for degree in degrees:
         for spec in dists:
-            name, builder = spec, None
+            name = spec
             try:
                 if spec == "optimized":
-                    builder = lambda: ensure(kind, degree)
+                    dist = ensure(kind, degree)
                 elif spec in ("gll", "uniform"):
-                    builder = lambda: baseline_distribution(
+                    dist = baseline_distribution(
                         kind, degree, BaselineKind(spec)
                     )
                 elif "=" in spec:
                     name, directory = spec.split("=", 1)
-                    builder = lambda: _external_distribution(
-                        directory, kind, degree
-                    )
+                    dist = _external_distribution(directory, kind, degree)
                 else:
-                    print(
-                        f"warning: unknown distribution {spec!r}, skipped",
-                        file=sys.stderr,
-                    )
-                    continue
-                fields = _metric_fields(
-                    kind, degree, builder(), args.resolution
-                )
-                rows.append(_metrics_row(kind, degree, name, fields.values()))
-                n_ok += 1
+                    name, dist = None, spec
             except (SymnodesError, OSError) as exc:
-                print(
-                    f"warning: {kind.value} p={degree} {name}: {exc}",
-                    file=sys.stderr,
-                )
-                rows.append(_metrics_row(kind, degree, name, [""] * 4))
+                dist = exc
+            entries.append((degree, name, dist))
+    built = [
+        (FunctionSpace(kind, degree), dist)
+        for degree, name, dist in entries
+        if name is not None and not isinstance(dist, Exception)
+    ]
+    reports = iter(evaluate_rows(built, args.resolution) if built else ())
+
+    rows = [CSV_HEADER + "\n"]
+    n_ok = 0
+    for degree, name, dist in entries:
+        if name is None:
+            print(
+                f"warning: unknown distribution {dist!r}, skipped",
+                file=sys.stderr,
+            )
+            continue
+        report = dist if isinstance(dist, Exception) else next(reports)
+        if isinstance(report, Exception):
+            print(
+                f"warning: {kind.value} p={degree} {name}: {report}",
+                file=sys.stderr,
+            )
+            rows.append(_metrics_row(kind, degree, name, [""] * 4))
+        else:
+            values = _metric_fields(report).values()
+            rows.append(_metrics_row(kind, degree, name, values))
+            n_ok += 1
     payload = "".join(rows)
     if args.out:
         write_atomic(args.out, payload)
@@ -374,6 +414,7 @@ def cmd_tabulate(args):
     for kind in kinds:
         for degree in degrees:
             _check_degree(kind, degree, args.force_degree)
+    _check_resolution(args.resolution, kinds)
     out_dir = args.out
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise InputError(f"--out {out_dir} is not a directory")
@@ -404,7 +445,9 @@ def cmd_tabulate(args):
                     # The winning restart's status; None when loaded from disk.
                     optimizer_status=statuses.get((kind, degree)),
                     count=dist.count,
-                    **_metric_fields(kind, degree, dist, args.resolution),
+                    **_metric_fields(evaluate_metrics(
+                        FunctionSpace(kind, degree), dist, args.resolution
+                    )),
                 )
             except SymnodesError as exc:
                 record.update(status="failed", error=str(exc))

@@ -8,13 +8,13 @@
   ``resolution`` r to 2r - 1, whose lattice contains the one at r, but it
   is not monotone in r (uniform quad p=6: 20.26 at r=20, 19.13 at r=23).
   The cardinal values are ``phi(x)^T V^-1``.  Line, triangle, tetrahedron
-  and pyramid take that product on chunks of the whole sample.  Quad, hex
-  and prism are extruded kinds: their lattice is the base kind's lattice
-  times the axis and each mode is a base mode times a Legendre polynomial
-  in the last coordinate, so their lattice is scanned by sum
-  factorization, one axis at a time, and only the extra points take the
-  flat product.  Sum factorization adds in another order than the flat
-  product, with which it agrees only to rounding.
+  and pyramid take that product on chunks of the lattice, and every kind
+  on chunks of its extra points.  Quad, hex and prism are extruded kinds:
+  their lattice is the base kind's lattice times the axis and each mode is
+  a base mode times a Legendre polynomial in the last coordinate, so their
+  lattice is scanned by sum factorization, one axis at a time.  Sum
+  factorization adds in another order than the flat product, with which
+  it agrees only to rounding.
   When the element group maps the node set onto itself within
   ``_SYMMETRY_TOL`` (the optimized and uniform sets are symmetric to
   rounding), the Lebesgue function is symmetric too, and the lattice
@@ -29,22 +29,38 @@
   domain's walls leave it, plus one on each side, and the exact tests
   then run on these (``_sample``).  So the sample is the box lattice
   restricted to the domain, bit for bit and in lattice order.
-  Both scans work on chunks of points sized so that no buffer holds more
-  than ``_BUDGET`` entries (points x modes): the basis table, ``T`` and
-  the cardinal values ``L``, at least one (base) point each.  The buffers
-  are allocated once per scan and filled in place on every chunk, the
-  basis table through ``basis._basis(..., out=...)``.  So a scan's memory
-  does not grow with the sample or the degree: its buffers take at most
-  3 MiB, and one base point of an extruded scan needs more only when the
-  axis times the modes exceeds the budget (on a quad set that is not
-  symmetric, p >= 20 at resolution 300).
+  ``evaluate_rows`` evaluates many sets of one kind, at any degrees, and
+  ``evaluate_metrics`` is its one-row case.  The modal bases are
+  hierarchical: the degree-p basis is a column mask of the basis at any
+  higher degree, bit for bit (``basis.degree_columns``).  So the rows
+  that share a lattice sample (the symmetric sets on the chamber, the
+  others on the whole lattice) are scanned in passes, and a pass
+  evaluates the basis at the highest degree among its rows only, once per
+  chunk for all of them: each row's ``V`` is columns of it at the row's
+  nodes, and each row takes its columns of the chunk's table into its
+  ``L``.  A pass holds the inverses of at most ``_BUDGET`` entries
+  together, or of one row that holds more alone, and no ``V``; an
+  extruded kind scans each row alone.  The extra points stay per row.
+  Every scan works on chunks of points sized so that no buffer holds more
+  than ``_BUDGET`` entries (points x modes), at least one (base) point
+  each.  The flat scan of a pass sizes its chunks by the pass's top
+  degree and fills three buffers: the basis table, the columns of a row
+  below that degree, and the cardinal values ``L``.  The extruded scan
+  fills the base table, ``T`` and ``L``.  The buffers are allocated once
+  per scan and filled in place on every chunk, the basis table through
+  ``basis._basis(..., out=...)``.  So a scan's memory does not grow with
+  the sample or the degree: its buffers take at most 3 MiB, and one base
+  point of an extruded scan needs more only when the axis times the modes
+  exceeds the budget (on a quad set that is not symmetric, p >= 20 at
+  resolution 300).
   The basis values at a point do not depend on the chunk, and the row
   sums do not either.  The BLAS products can, in the last bits: BLAS
   picks its kernel by the shape of the product (a matrix-vector product
   for one row, others for a few rows or a chunk's last rows).  From
-  ``_BUDGET`` up to one chunk for the whole sample the constant keeps its
-  bits on every case of the tests and of ``scripts/check_identity.py``;
-  at one point per chunk it moves by up to 3e-16 relative.
+  ``_BUDGET`` up to one chunk for the whole sample, and in a pass with
+  rows of higher degree, the constant keeps its bits on every case of the
+  tests and of ``scripts/check_identity.py``; at one point per chunk it
+  moves by up to 3e-16 relative.
 * Lebesgue objective: the smooth surrogate sum_i integral(l_i^2).  The
   modal basis is orthonormal, so it equals ``||V^-1||_F^2`` for the
   Vandermonde matrix ``V`` at the nodes.
@@ -69,7 +85,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import FunctionSpace, LagrangeInterpolator, _basis
+from .basis import (
+    FunctionSpace,
+    LagrangeInterpolator,
+    _basis,
+    basis_eval_many,
+    degree_columns,
+)
 from .errors import UnisolvencyError
 from .geometry import ElementKind, contains, natural_solve, reference_element
 from .quadrature import quadrature_rule
@@ -83,12 +105,14 @@ __all__ = [
     "mass_matrix",
     "is_unisolvent",
     "evaluate_metrics",
+    "evaluate_rows",
 ]
 
 _DEFAULT_RESOLUTION = {1: 1000, 2: 300, 3: 60}
 _SCREEN_RESOLUTION = 20
 _SCREEN_LIMIT = 1e12
-# Entries (points x modes) of each buffer of a Lebesgue scan, 1 MiB.  Half
+# Entries (points x modes) of each buffer of a Lebesgue scan, 1 MiB, and
+# of the inverses that one pass of ``evaluate_rows`` holds together.  Half
 # of it slowed eval-files' compare calls by 12-17 % and hex p=9 by 10-22 %
 # (its products then run on two base points at a time); twice it ran as
 # fast and raised the eval-files peak by 2 MB.
@@ -195,14 +219,32 @@ def _chamber(kind, resolution):
     return _sample(kind, resolution, walls)
 
 
+def _canonical(dist):
+    """Permutation sorting the nodes lexicographically by coordinate, and
+    the distribution with its nodes in that order."""
+    order = np.lexsort(dist.nodes.T[::-1])
+    return order, NodalDistribution(
+        dist.kind, dist.degree, dist.nodes[order], dist.source
+    )
+
+
 def _interpolator(space, dist):
     """Permutation sorting the nodes lexicographically by coordinate, and
     the interpolator on the nodes in that order."""
-    order = np.lexsort(dist.nodes.T[::-1])
-    dist = NodalDistribution(
-        dist.kind, dist.degree, dist.nodes[order], dist.source
-    )
+    order, dist = _canonical(dist)
     return order, LagrangeInterpolator(space, dist)
+
+
+def _factor(space, dist, top):
+    """``V^-1`` of ``dist``, its mass condition and the objective, ``V``
+    taken as the columns of the degree-``top`` basis at the nodes that are
+    the basis of ``space`` (:func:`basis.degree_columns`); ``V`` is dropped
+    here."""
+    V = basis_eval_many(FunctionSpace(space.kind, top), dist.nodes)
+    if space.degree < top:
+        V = V[:, degree_columns(space.kind, top, space.degree)]
+    interp = LagrangeInterpolator(space, dist, V)
+    return interp.inverse(), interp.mass_condition, _objective(interp)
 
 
 def _buffers(*shapes):
@@ -222,30 +264,44 @@ def _buffers(*shapes):
     ]
 
 
-def _flat_max(interp, pts):
-    """The maximum of sum_i |l_i| over ``pts``, on chunks of at most
-    ``_BUDGET`` entries: the basis table and ``L = table @ V^-1`` are
-    filled in place in two buffers."""
-    A = interp.inverse()
-    n = A.shape[0]
+def _flat_maxima(space, rows, pts):
+    """The maximum of sum_i |l_i| over ``pts`` for each row, ``(columns,
+    V^-1)`` of a degree at most that of ``space``, on chunks of at most
+    ``_BUDGET`` entries per buffer.  Each chunk fills the basis table of
+    ``space`` once; each row gathers its columns from it into a second
+    buffer, sized for the largest row below the top degree (the table
+    itself at the top degree), and takes ``L = table @ V^-1`` into a
+    third."""
+    n = space.dim
     step = max(1, _BUDGET // n)
     size = min(step, pts.shape[0])
-    table, L, sums = _buffers((size, n), (size, n), (size,))
-    best = 0.0
+    below = max((len(cols) for cols, _ in rows if len(cols) < n), default=0)
+    table, gathered, L, sums = _buffers(
+        (size, n), (size * below,), (size * n,), (size,)
+    )
+    best = np.zeros(len(rows))
     for start in range(0, pts.shape[0], step):
         chunk = pts[start : start + step]
         k = len(chunk)
-        _basis(interp.space, chunk, False, out=table[:k])
-        Lk = np.matmul(table[:k], A, out=L[:k])
-        np.sum(np.abs(Lk, out=Lk), axis=1, out=sums[:k])
-        # np.maximum, unlike max(), carries a NaN through to the caller.
-        best = np.maximum(best, np.max(sums[:k]))
+        _basis(space, chunk, False, out=table[:k])
+        for r, (cols, A) in enumerate(rows):
+            m = len(cols)
+            Tk = table[:k]
+            if m < n:
+                Tk = np.take(
+                    Tk, cols, axis=1, mode="clip",
+                    out=gathered[: k * m].reshape(k, m),
+                )
+            Lk = np.matmul(Tk, A, out=L[: k * m].reshape(k, m))
+            np.sum(np.abs(Lk, out=Lk), axis=1, out=sums[:k])
+            # np.maximum, unlike max(), carries a NaN through to the caller.
+            best[r] = np.maximum(best[r], np.max(sums[:k]))
     return best
 
 
-def _extruded_max(interp, base_pts, axis):
+def _extruded_max(space, A, base_pts, axis):
     """The maximum over ``base_pts`` times ``axis`` on an extruded kind, by
-    sum factorization.
+    sum factorization, for ``V^-1 = A`` of the basis of ``space``.
 
     Mode ``(m, k)`` is base mode ``m`` times the ``k``-th Legendre
     polynomial in the last coordinate, ``k`` fastest.  So the cardinal
@@ -254,10 +310,9 @@ def _extruded_max(interp, base_pts, axis):
     ``k``.  Per base point, ``T`` takes (p + 1) n entries and ``L`` na n,
     the table fewer; a chunk keeps the larger within ``_BUDGET``.
     """
-    p = interp.space.degree
-    base_space = FunctionSpace(_EXTRUDED[interp.space.kind], p)
+    p = space.degree
+    base_space = FunctionSpace(_EXTRUDED[space.kind], p)
     line = _basis(FunctionSpace(ElementKind.LINE, p), axis[:, None], False)
-    A = interp.inverse()
     n, na = A.shape[1], axis.size
     coeffs = A.reshape(base_space.dim, (p + 1) * n)
     step = max(1, _BUDGET // (n * max(na, p + 1)))
@@ -284,29 +339,39 @@ def _axis(resolution, symmetric):
     return axis[resolution // 2 :] if symmetric else axis
 
 
-def _lebesgue_max(interp, resolution):
-    """Max of sum_i |l_i| over the lattice at ``resolution`` and the extra
-    points: the element vertices and the degree-2p quadrature points.
+def _lebesgue_maxima(space, rows, symmetric, resolution):
+    """Max of sum_i |l_i| for each row, ``(p, V^-1)`` of one kind with
+    ``p`` at most the degree of ``space``, over the lattice at
+    ``resolution`` and the row's extra points: the element vertices and
+    the degree-2p quadrature points.
 
-    On a node set that the element group maps onto itself, so is the
-    Lebesgue function, and the lattice part covers one fundamental domain:
-    ``_chamber`` of the kind, or on an extruded kind that of the base kind
-    times the half axis ``z >= 0``.
+    The rows are all ``symmetric`` or none is.  The element group maps a
+    symmetric node set onto itself, so its Lebesgue function too, and the
+    lattice part covers one fundamental domain: ``_chamber`` of the kind,
+    or on an extruded kind that of the base kind times the half axis
+    ``z >= 0``.  Line, triangle, tetrahedron and pyramid scan the lattice
+    for every row in one pass of the basis of ``space``; an extruded kind
+    scans it per row.  The extra points are scanned per row.
     """
-    kind, p = interp.space.kind, interp.space.degree
+    kind = space.kind
     elem = reference_element(kind)
-    extra = np.vstack([elem.vertices, quadrature_rule(kind, 2 * p).points])
-    symmetric = is_symmetric(kind, interp.dist.nodes, _SYMMETRY_TOL)
+    masked = [(degree_columns(kind, space.degree, p), A) for p, A in rows]
     base = _EXTRUDED.get(kind)
     pts = (_chamber if symmetric else _lattice)(base or kind, resolution)
     if base is None:
-        best = _flat_max(interp, np.vstack([pts, extra]))
+        lattice = _flat_maxima(space, masked, pts)
     else:
         axis = _axis(resolution, symmetric)
-        best = np.maximum(
-            _extruded_max(interp, pts, axis), _flat_max(interp, extra)
-        )
-    return float(best)
+        lattice = [
+            _extruded_max(FunctionSpace(kind, p), A, pts, axis)
+            for p, A in rows
+        ]
+    best = []
+    for (p, _), row, most in zip(rows, masked, lattice):
+        extra = np.vstack([elem.vertices, quadrature_rule(kind, 2 * p).points])
+        most = np.maximum(most, _flat_maxima(space, [row], extra)[0])
+        best.append(float(most))
+    return best
 
 
 def _objective(interp):
@@ -314,12 +379,96 @@ def _objective(interp):
     return float(np.einsum("ij,ij->", A, A))
 
 
+def _passes(kind, members):
+    """``members``, (index, space, distribution) of rows that share a
+    lattice sample, split into the passes scanned together: on an extruded
+    kind one row each; else, by descending degree, as many rows as hold at
+    most ``_BUDGET`` entries of ``V^-1`` together, or one row that holds
+    more alone."""
+    if kind in _EXTRUDED:
+        return [[member] for member in members]
+    passes, held = [], _BUDGET
+    for member in sorted(members, key=lambda member: -member[1].degree):
+        size = member[1].dim ** 2
+        if held + size > _BUDGET:
+            passes.append([])
+            held = 0
+        passes[-1].append(member)
+        held += size
+    return passes
+
+
+def _scan_pass(members, symmetric, resolution):
+    """(index, report or refusal) of each row of one pass: ``V`` of each
+    row is columns of the basis at the pass's top degree, and the
+    inverses of the rows that the interpolator accepts are scanned
+    together by :func:`_lebesgue_maxima` at that degree."""
+    kind = members[0][1].kind
+    top = max(space.degree for _, space, _ in members)
+    held, out = [], []
+    for i, space, dist in members:
+        try:
+            held.append((i, space.degree, *_factor(space, dist, top)))
+        except (ValueError, UnisolvencyError) as exc:
+            out.append((i, exc))
+    if held:
+        maxima = _lebesgue_maxima(
+            FunctionSpace(kind, top), [(p, A) for _, p, A, _, _ in held],
+            symmetric, resolution,
+        )
+        out += [
+            (i, MetricReport(best, objective, condition, resolution))
+            for (i, _, _, condition, objective), best in zip(held, maxima)
+        ]
+    return out
+
+
+def evaluate_rows(rows, resolution=None):
+    """Metric reports of ``rows``, (space, distribution) pairs of one
+    element kind at any degrees, in order: each a :class:`MetricReport`,
+    or the ``ValueError`` or :class:`UnisolvencyError` with which the
+    interpolator refused the set.
+
+    The rows that share a lattice sample (the symmetric sets, or the
+    others) are scanned in passes (:func:`_passes`).  A pass evaluates the
+    basis at the highest degree among its rows only: each ``V`` is
+    columns of it at the row's nodes (:func:`basis.degree_columns`), and
+    each chunk of the sample takes it once for every row of the pass.
+    Only the inverses of one pass are held, and each ``V`` is dropped
+    after its LU.
+    """
+    kind = rows[0][0].kind
+    if resolution is None:
+        resolution = default_resolution(reference_element(kind).dim)
+    groups = {}
+    for i, (space, dist) in enumerate(rows):
+        dist = _canonical(dist)[1]
+        symmetric = is_symmetric(kind, dist.nodes, _SYMMETRY_TOL)
+        groups.setdefault(symmetric, []).append((i, space, dist))
+    reports = [None] * len(rows)
+    for symmetric, members in groups.items():
+        for batch in _passes(kind, members):
+            for i, report in _scan_pass(batch, symmetric, resolution):
+                reports[i] = report
+    return reports
+
+
+def evaluate_metrics(space, dist, resolution=None):
+    """Full metric report for a distribution: the one-row case of
+    :func:`evaluate_rows`, which raises the error that refused the set.
+
+    One interpolator, on the nodes in canonical order, serves every metric;
+    the values equal those of the per-metric functions.
+    """
+    (report,) = evaluate_rows([(space, dist)], resolution)
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
 def lebesgue_constant(space, dist, resolution=None):
     """Max over the sample set of the cardinal-function absolute sum."""
-    _, interp = _interpolator(space, dist)
-    if resolution is None:
-        resolution = default_resolution(reference_element(space.kind).dim)
-    return _lebesgue_max(interp, resolution)
+    return evaluate_metrics(space, dist, resolution).lebesgue_constant
 
 
 def lebesgue_objective(space, dist):
@@ -341,26 +490,8 @@ def mass_matrix(space, dist):
 def is_unisolvent(space, dist):
     """Fast screen: a set the interpolator accepts, with a bounded coarse
     Lebesgue estimate, so every metric is defined on a set that passes."""
-    try:
-        _, interp = _interpolator(space, dist)
-    except (ValueError, UnisolvencyError):
+    (report,) = evaluate_rows([(space, dist)], _SCREEN_RESOLUTION)
+    if isinstance(report, Exception):
         return False
-    coarse = _lebesgue_max(interp, _SCREEN_RESOLUTION)
+    coarse = report.lebesgue_constant
     return bool(np.isfinite(coarse) and coarse < _SCREEN_LIMIT)
-
-
-def evaluate_metrics(space, dist, resolution=None):
-    """Full metric report for a distribution.
-
-    One interpolator, on the nodes in canonical order, serves every metric;
-    the values equal those of the per-metric functions.
-    """
-    if resolution is None:
-        resolution = default_resolution(reference_element(space.kind).dim)
-    _, interp = _interpolator(space, dist)
-    return MetricReport(
-        lebesgue_constant=_lebesgue_max(interp, resolution),
-        lebesgue_objective=_objective(interp),
-        mass_condition=interp.mass_condition,
-        resolution=resolution,
-    )

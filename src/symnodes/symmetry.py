@@ -623,12 +623,24 @@ def _reflections(kind):
     return A, b
 
 
+# Query-point pairs up to which one table of every distance answers faster
+# than the sorted projections: about 2300 pairs in 2D and 3D, where each
+# takes 24-32 us; face pinning asks 3-60 pairs, 13 us against 27 us.
+_DENSE_PAIRS = 2048
+
+
 def _nearest(points, queries, tol):
     """Per row of ``queries``, the index of its nearest row of ``points``
-    within ``tol``, or -1.  Only the points whose projections lie within
+    within ``tol``, or -1.  Up to ``_DENSE_PAIRS`` query-point pairs every
+    distance is taken; else only the points whose projections lie within
     ``tol`` of the query's are tried, found by bisecting the sorted
-    projections; distances are taken as :func:`closest_pair` takes them."""
+    projections.  Distances are taken as :func:`closest_pair` takes them."""
     n, d = points.shape
+    m = queries.shape[0]
+    if 0 < n * m <= _DENSE_PAIRS:
+        dist = _distances(queries, np.arange(m)[:, None], points, np.arange(n))
+        k = np.argmin(dist, axis=1)
+        return np.where(dist[np.arange(m), k] <= tol, k, -1)
     proj, qproj = points @ _probe(d), queries @ _probe(d)
     reach = tol + _slack(points, queries)
     order = np.argsort(proj, kind="stable")

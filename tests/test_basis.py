@@ -20,6 +20,7 @@ from symnodes.basis import (
     basis_eval_many,
     basis_eval_with_grad,
     basis_grad_many,
+    degree_columns,
     lu_inverse,
 )
 from symnodes.errors import DegenerateDistributionError, UnisolvencyError
@@ -359,6 +360,41 @@ def _points_in(kind, weights):
     verts = reference_element(kind).vertices
     w = np.asarray(weights, dtype=float).reshape(-1, verts.shape[0]) + 1e-3
     return (w / w.sum(axis=1, keepdims=True)) @ verts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ALL_KINDS),
+    st.integers(2, 9),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_lower_degree_basis_is_a_column_mask_of_a_higher(kind, top, seed, data):
+    # The metrics take every row's V and Lebesgue scan from the basis at
+    # the highest degree among the rows, so each mode must keep its bits
+    # whatever the degree of its space, at the collapsed coordinates'
+    # singular points too: the vertices (the pyramid's apex, the top of the
+    # triangle and tetrahedron) and points on the edges, where the
+    # tetrahedron's y + z = 0 or z = 1 and the triangle's y = 1.
+    elem = reference_element(kind)
+    top = min(top, 9 if elem.dim < 3 else 7)
+    p = data.draw(st.integers(1, top - 1))
+    rng = np.random.default_rng(seed)
+    nv = elem.vertices.shape[0]
+    ends = np.array(list(itertools.combinations(range(nv), 2)))
+    t = rng.uniform(0.0, 1.0, (len(ends), 1))
+    edges = (1 - t) * elem.vertices[ends[:, 0]] + t * elem.vertices[ends[:, 1]]
+    pts = np.vstack([
+        elem.vertices,
+        edges,
+        rng.dirichlet(np.ones(nv), 20) @ elem.vertices,
+        _random_interior(kind, 20, seed),
+    ])
+    whole = basis_eval_many(FunctionSpace(kind, top), pts)
+    cols = degree_columns(kind, top, p)
+    assert len(cols) == node_count(kind, p)
+    own = basis_eval_many(FunctionSpace(kind, p), pts)
+    assert np.array_equal(whole[:, cols], own)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -10,7 +10,7 @@ import pytest
 from symnodes.baselines import baseline_distribution
 from symnodes.cli import InputError, _parse_element, main
 from symnodes.compatibility import FacePrescription, verify_face_match
-from symnodes.geometry import ElementKind, reference_element
+from symnodes.geometry import ElementKind, contains, reference_element
 from symnodes.nodefile import (
     FORMAT_VERSION, config_hash, read_node_file, write_node_file,
 )
@@ -793,21 +793,127 @@ def test_tabulate_evaluates_only_reported_rows(tmp_path, capsys, monkeypatch):
 def test_compare_evaluates_each_optimized_row_once(
     tmp_path, capsys, monkeypatch
 ):
-    calls = _count_metric_calls(monkeypatch)
+    # compare hands every row to one per-kind evaluation, each row once.
+    import symnodes.cli as cli
+
+    real = cli.evaluate_rows
+    calls = []
+
+    def counting(rows, resolution=None):
+        calls.append([(s.kind.value, s.degree) for s, _ in rows])
+        return real(rows, resolution)
+
+    monkeypatch.setattr(cli, "evaluate_rows", counting)
     out = tmp_path / "compare.csv"
     args = [
-        "compare", "--element", "line", "--degree-range", "2:2",
+        "compare", "--element", "line", "--degree-range", "2:3",
         "--dist", "optimized", "--cache-dir", str(tmp_path / "cache"),
         "--out", str(out),
     ]
     assert _run(capsys, *args)[0] == 0
-    assert calls == [("line", 2)]
+    assert calls == [[("line", 2), ("line", 3)]]
     fresh = out.read_bytes()
     # A rerun loads the element from the cache and evaluates it.
     calls.clear()
     assert _run(capsys, *args)[0] == 0
-    assert calls == [("line", 2)]
+    assert calls == [[("line", 2), ("line", 3)]]
     assert out.read_bytes() == fresh
+
+
+def _write_compare_inputs(directory, kind):
+    """Four node files of ``kind`` in ``directory``: p=1 a set that no
+    symmetry maps onto itself, p=2 a set that is not unisolvent (on a
+    hyperplane x = c, or on the line two nodes 1.5e-8 apart), p=3 a file
+    that does not parse and p=4 a file of another element.  p=5 has none."""
+    elem = reference_element(kind)
+    rng = np.random.default_rng(5)
+    uni = baseline_distribution(kind, 1, "uniform")
+    centre = elem.vertices.mean(axis=0)
+    moved = uni.nodes + rng.uniform(0.0, 0.1, (uni.count, 1)) * (
+        centre + 0.05 - uni.nodes
+    )
+    write_node_file(
+        directory / f"{kind.value}_p1.nodes",
+        NodalDistribution(kind, 1, moved, "moved"),
+    )
+    if kind is ElementKind.LINE:
+        flat = np.array([[-1.0], [0.0], [1.5e-8]])
+    else:
+        flat = []
+        while len(flat) < baseline_distribution(kind, 2, "uniform").count:
+            x = np.concatenate([centre[:1], rng.uniform(-1, 1, elem.dim - 1)])
+            if contains(elem, x, 0.0):
+                flat.append(x)
+    write_node_file(
+        directory / f"{kind.value}_p2.nodes",
+        NodalDistribution(kind, 2, np.array(flat), "flat"),
+    )
+    (directory / f"{kind.value}_p3.nodes").write_text("not a node file\n")
+    other = ElementKind.TRIANGLE if kind is ElementKind.LINE else ElementKind.LINE
+    write_node_file(
+        directory / f"{kind.value}_p4.nodes",
+        baseline_distribution(other, 4, "uniform"),
+    )
+
+
+def _compare_one_row_at_a_time(kind, degrees, specs):
+    """The CSV and the warning lines of ``compare`` with every row built
+    and evaluated on its own through ``evaluate_metrics``, in row order."""
+    from symnodes.cli import (
+        CSV_HEADER, _external_distribution, _metric_fields, _metrics_row,
+    )
+    from symnodes.basis import FunctionSpace
+    from symnodes.errors import SymnodesError
+    from symnodes.metrics import evaluate_metrics
+
+    rows, warnings = [CSV_HEADER + "\n"], []
+    for p in degrees:
+        for spec in specs:
+            name, _, directory = spec.partition("=")
+            if not directory and spec not in ("uniform", "gll"):
+                warnings.append(
+                    f"warning: unknown distribution {spec!r}, skipped"
+                )
+                continue
+            try:
+                if directory:
+                    dist = _external_distribution(directory, kind, p)
+                else:
+                    dist = baseline_distribution(kind, p, spec)
+                report = evaluate_metrics(FunctionSpace(kind, p), dist)
+                fields = _metric_fields(report).values()
+            except (SymnodesError, OSError) as exc:
+                warnings.append(f"warning: {kind.value} p={p} {name}: {exc}")
+                fields = [""] * 4
+            rows.append(_metrics_row(kind, p, name, fields))
+    return "".join(rows), warnings
+
+
+@pytest.mark.parametrize(
+    "kind", ["line", "tri", "quad", "tet", "prism", "pyramid"]
+)
+def test_compare_rows_equal_rows_evaluated_one_at_a_time(
+    tmp_path, capsys, kind
+):
+    # Every failure a row can meet rides along: an unknown spec, gll where
+    # it is not defined, a missing, an unparsable and a foreign file, and a
+    # set the interpolator refuses.  The moved set scans the whole lattice
+    # alone, the symmetric ones share the chamber's pass.
+    kind = ElementKind(kind)
+    _write_compare_inputs(tmp_path, kind)
+    specs = ["uniform", "gll", "bogus", f"in={tmp_path}"]
+    out = tmp_path / "compare.csv"
+    code, _, err = _run(
+        capsys,
+        "compare", "--element", kind.value, "--degree-range", "1:5",
+        *(arg for spec in specs for arg in ("--dist", spec)),
+        "--out", str(out), "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert code == 0
+    csv_text, warnings = _compare_one_row_at_a_time(kind, range(1, 6), specs)
+    assert out.read_text() == csv_text
+    assert err.splitlines() == warnings
+    assert sum(line.endswith(",,,,") for line in csv_text.splitlines()) >= 4
 
 
 def test_tabulate_checks_every_cap_before_work(tmp_path, capsys):
@@ -867,6 +973,67 @@ def test_numeric_option_out_of_range_exits_2(tmp_path, capsys, argv, option):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith(f"error: {option} ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, kind, dim",
+    [
+        (("compare", "--element", "tri", "--degree-range", "2:2",
+          "--dist", "uniform"), "tri", 2),
+        (("generate", "--element", "tet", "--degree", "2"), "tet", 3),
+        (("tabulate", "--element", "line,pyramid", "--degree-range", "2"),
+         "pyramid", 3),
+        (("evaluate",), "tri", 2),
+    ],
+)
+def test_resolution_too_large_is_an_input_error(
+    tmp_path, capsys, monkeypatch, argv, kind, dim
+):
+    # compare --element tri --resolution 100000 asked for 12.4 GiB of
+    # lattice candidates; it is refused before any lattice or optimization.
+    import symnodes.cli as cli
+    import symnodes.metrics as metrics
+
+    def never(*args, **kwargs):
+        raise AssertionError("worked before checking --resolution")
+
+    monkeypatch.setattr(metrics, "_sample", never)
+    monkeypatch.setattr(cli, "optimize_nodes", never)
+    out = tmp_path / "out"
+    if argv[0] == "evaluate":
+        path = tmp_path / "tri_p2.nodes"
+        write_node_file(
+            path, baseline_distribution(ElementKind.TRIANGLE, 2, "uniform")
+        )
+        target = [str(path)]
+    elif argv[0] == "tabulate":
+        target = ["--out", str(out)]
+    else:
+        target = ["--cache-dir", str(out)]
+    code, stdout, err = _run(
+        capsys, *argv, *target, "--resolution", "100000"
+    )
+    assert code == 2 and stdout == ""
+    assert err.splitlines() == [
+        f"error: --resolution 100000 is too large for {kind}: "
+        f"100000^{dim} lattice points exceed {1 << 22}"
+    ]
+    assert not out.exists()
+
+
+def test_default_and_tested_resolutions_are_within_the_lattice_limit():
+    from symnodes.cli import _check_resolution
+    from symnodes.metrics import default_resolution
+
+    for kind in ElementKind:
+        dim = reference_element(kind).dim
+        _check_resolution(default_resolution(dim), [kind])
+        # The largest resolution each dimension takes: 2^22, 2048, 161,
+        # above every resolution of the tests (1000, 300 and 60).
+        top = {1: 1 << 22, 2: 2048, 3: 161}[dim]
+        _check_resolution(top, [kind])
+        with pytest.raises(InputError, match="too large"):
+            _check_resolution(top + 1, [kind])
 
 
 @pytest.mark.parametrize("resolution", ["0", "1"])

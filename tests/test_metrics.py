@@ -18,7 +18,7 @@ from symnodes.metrics import (
     _axis,
     _chamber,
     _extruded_max,
-    _flat_max,
+    _flat_maxima,
     _interpolator,
     _lattice,
     evaluate_metrics,
@@ -532,14 +532,14 @@ def test_evaluate_metrics_builds_one_interpolator(kind, p, monkeypatch):
         return real(*args, **kwargs)
 
     scans = []
-    real_max = metrics._lebesgue_max
+    real_max = metrics._lebesgue_maxima
 
-    def counting_scan(interp, resolution):
+    def counting_scan(space, rows, symmetric, resolution):
         scans.append(resolution)
-        return real_max(interp, resolution)
+        return real_max(space, rows, symmetric, resolution)
 
     monkeypatch.setattr(metrics, "LagrangeInterpolator", counting)
-    monkeypatch.setattr(metrics, "_lebesgue_max", counting_scan)
+    monkeypatch.setattr(metrics, "_lebesgue_maxima", counting_scan)
     report = evaluate_metrics(spp, dist, resolution=20)
     assert len(built) == 1
     # One lattice scan: no unisolvency screen rides along.
@@ -654,16 +654,19 @@ def test_asymmetric_set_scans_full_lattice(kind):
     dist = _interior_moved(baseline_distribution(kind, p, "uniform"))
     assert not is_symmetric(kind, dist.nodes, _SYMMETRY_TOL)
     r = _SCAN_RESOLUTION[reference_element(kind).dim]
-    interp = _interpolator(spp, dist)[1]
+    every = [(np.arange(spp.dim), _interpolator(spp, dist)[1].inverse())]
     elem = reference_element(kind)
     extra = np.vstack([elem.vertices, quadrature_rule(kind, 2 * p).points])
     base = EXTRUDED_BASE.get(kind)
     if base is None:
-        oracle = _flat_max(interp, np.vstack([_lattice(kind, r), extra]))
+        (oracle,) = _flat_maxima(
+            spp, every, np.vstack([_lattice(kind, r), extra])
+        )
     else:
         oracle = np.maximum(
-            _extruded_max(interp, _lattice(base, r), np.linspace(-1, 1, r)),
-            _flat_max(interp, extra),
+            _extruded_max(spp, every[0][1], _lattice(base, r),
+                          np.linspace(-1, 1, r)),
+            _flat_maxima(spp, every, extra)[0],
         )
     got = lebesgue_constant(spp, dist, resolution=r)
     assert got == float(oracle)

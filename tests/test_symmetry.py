@@ -30,6 +30,7 @@ from symnodes.symmetry import (
 )
 from symnodes.symmetry import (
     MIN_NODE_SEPARATION,
+    _DENSE_PAIRS,
     _nearest,
     _probe,
     _reflections,
@@ -629,13 +630,14 @@ _MOVES = [0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5]
 
 
 @st.composite
-def _matching_cases(draw):
+def _matching_cases(draw, sizes=st.integers(1, 16)):
     """Points, ``tol`` and one or two slices of images of the points: each
     slice a permutation of them with every image moved by a multiple of
     ``tol``.  Some pairs of points lie about ``2 tol`` apart, so that an
-    image can be nearly as far from two points (a near tie)."""
+    image can be nearly as far from two points (a near tie).  ``sizes``
+    draws the number of points."""
     d = draw(st.sampled_from([1, 2, 3]))
-    n = draw(st.integers(1, 16))
+    n = draw(sizes)
     tol = draw(st.sampled_from([1e-14, 1e-10, 1e-6, 1e-3]))
     coords = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
     x = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d)))
@@ -679,10 +681,14 @@ def _axis_distances(points, queries):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_matching_cases())
-def test_nearest_agrees_with_an_exhaustive_search(case):
-    x, images, tol = case
+@given(st.booleans(), st.data())
+def test_nearest_agrees_with_an_exhaustive_search(dense, data):
+    # Up to 16 points take the table of every distance (at most 512
+    # pairs), 46 or more the sorted projections (at least 2116 pairs).
+    sizes = st.integers(1, 16) if dense else st.integers(46, 64)
+    x, images, tol = data.draw(_matching_cases(sizes))
     queries = images.reshape(-1, x.shape[1])
+    assert (len(x) * len(queries) <= _DENSE_PAIRS) == dense
     dist = _axis_distances(x, queries)
     d = np.sort(dist, axis=1)
     # With two points exactly as near, either may be the nearest.
