@@ -10,12 +10,12 @@ singular.
 
 Each kind has one description of its modes, its form: every mode is an
 amplitude times 1D Jacobi factors of (collapsed) coordinates times powers
-of bases affine in one coordinate.  Values, gradients and second
-derivatives all come from it, the derivatives through one chain rule
-(:func:`_derivative_plan`), analytic for every kind, which is what makes
-the objective gradient and Hessian of the optimizer analytic.  A call
-works on blocks of points, at most ``_BLOCK`` (points x modes) entries
-each.  For each block it runs one three-term-recurrence sweep
+of bases affine in one coordinate.  One chain-rule plan (:func:`_plan`)
+gives values, gradients and second derivatives from it, the values as
+its order-0 term; the derivatives are analytic for every kind, which is
+what makes the objective gradient and Hessian of the optimizer analytic.
+A call works on blocks of points, at most ``_BLOCK`` (points x modes)
+entries each.  For each block it runs one three-term-recurrence sweep
 (:func:`_sweep`) over every (a, b) row it needs: all families, all
 coordinates and, for derivatives, the (a + 1, b + 1) and (a + 2, b + 2)
 rows, each stopped at the highest degree its modes use; the modes gather
@@ -210,15 +210,6 @@ def _factors(p, families, order, coords, normalized):
     return t.reshape(-1, coords.shape[1])
 
 
-def _powers(base, p):
-    """base**e for e = 0..p in row e, the powers that the values use."""
-    out = np.empty((p + 1, base.size))
-    out[0] = 1.0
-    for e in range(1, p + 1):
-        out[e] = base**e
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Collapsed coordinates
 # ---------------------------------------------------------------------------
@@ -267,19 +258,24 @@ def _coordinates(kind, pts):
 # block of points, the table of every 1D factor (:func:`_factors`) and the
 # bases are formed at once, so that neither reads the caller's points later.
 #
-# The values (:func:`_values`) gather the operands of each mode in form
-# order as (modes, points) arrays, with per-mode constants as (modes, 1)
-# columns, and multiply them in place; the trailing Legendre axes (every
-# axis of line, quadrilateral and hexahedron, z on the prism) go in as
-# outer products.  So every mode keeps the floating-point expression of its
-# closed form, and V depends neither on how the modes are gathered nor on
-# the other points of the call.  Each ``d xi / d x_k`` is a monomial in the
-# bases, so the chain rule writes a first derivative, and applied again a
-# second, as a short sum of such products (:func:`_derivative_plan`), both
-# orders from one gather.  A negative power multiplies a zero coefficient on
-# the simplices, where the modes are polynomials, but is the pyramid's
-# rational factor 1 / w for max(i, j) = 1; it reads 0 where its base is 0,
-# as at the apex.
+# Each ``d xi / d x_k`` is a monomial in the bases, so the chain rule
+# writes a derivative of any order as a short sum of products of the same
+# kind (:func:`_plan`); the values are its order-0 term, the one product
+# per mode.  Every order comes from one gather of the table and of a power
+# table per base (:func:`_chain_rule`), operands as (modes, points) arrays
+# and per-mode constants as (modes, 1) columns.  Two rules keep each value
+# the floating-point expression of its closed form, so that V depends
+# neither on how the modes are gathered, nor on the other points of the
+# call, nor on the derivative rows of the table:
+#
+# * a power table holds ``base**e`` for e >= 0, not repeated products;
+# * every term multiplies left to right in one order: the amplitude, the
+#   leading Jacobi factors, the powers, then the trailing Legendre factors
+#   (every axis of line, quadrilateral and hexahedron, z on the prism).
+#
+# A negative power multiplies a zero coefficient on the simplices, where
+# the modes are polynomials, but is the pyramid's rational factor 1 / w for
+# max(i, j) = 1; it reads 0 where its base is 0, as at the apex.
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
@@ -448,85 +444,38 @@ def _chain(factors, out=None):
     return np.multiply(acc, rest[-1], out=acc if out is None else out)
 
 
-def _tensor_product(factors, out):
-    """``out[:, (i, j, ...)] = (f0[:, i] * f1[:, j]) * ...`` for a list of
-    (points, m_k) factors, last index fastest, without a temporary of
-    ``out``'s size."""
-    n = out.shape[0]
-    acc = factors[0]
-    for f in factors[1:-1]:
-        acc = acc[:, :, None] * f[:, None, :]
-        acc = acc.reshape(n, acc.shape[1] * acc.shape[2])
-    if len(factors) == 1:
-        out[...] = acc
-        return
-    last = factors[-1][:, None, :]
-    view = out.reshape((n, acc.shape[1], last.shape[2]), copy=False)
-    np.multiply(acc[:, :, None], last, out=view)
-
-
-@lru_cache(maxsize=None)
-def _value_plan(kind, p, order):
-    """What :func:`_values` gathers from the table of ``kind`` with
-    derivative rows of orders 1..``order``: the amplitudes of the modes
-    before the trailing Legendre axes, (modes, 1); the table rows of their
-    Jacobi factors and their (base, exponent) powers, (modes,) each; and the
-    table rows of degrees 0..p of each trailing Legendre axis."""
-    form = _form(kind, p)
-    entry = _layout(p, form.families, order)[2]
-    lead = len(form.factors) - form.legendre
-    every = slice(None, None, (p + 1) ** form.legendre)
-    factors = [entry(0, f, q[every], m[every]) for f, q, m in form.factors[:lead]]
-    powers = [
-        (b, e[every]) for b, (_, _, e) in enumerate(form.powers) if e.any()
-    ]
-    axes = [entry(0, f, 0, np.arange(p + 1)) for f, _, _ in form.factors[lead:]]
-    return form.amp[every, None], factors, powers, axes
-
-
-def _values(kind, p, order, T, bases, out):
-    """The values of the modes into ``out`` (points, modes) from the table
-    ``T`` with derivative rows of orders 1..``order`` and the ``bases`` of
-    its powers: the amplitude, the Jacobi factors and the powers (from
-    :func:`_powers`), each gathered as (modes, points), multiplied in form
-    order, then times the trailing Legendre axes, last index fastest."""
-    amp, factors, powers, axes = _value_plan(kind, p, order)
-    legendre = [T.take(rows, axis=0).T for rows in axes]
-    if not factors:
-        return _tensor_product(legendre, out)
-    operands = [amp] + [T.take(rows, axis=0) for rows in factors]
-    operands += [_powers(bases[b], p).take(e, axis=0) for b, e in powers]
-    lead = np.empty((out.shape[0], amp.shape[0])) if legendre else out
-    _chain(operands, out=lead.T)
-    if legendre:
-        _tensor_product([lead] + legendre, out)
-
-
-def _power_table(base, p):
-    """base**e for e = -2..p + 2 in row e + 2; the negative powers are 0
-    where ``|base| <= _COLLAPSE_EPS``."""
-    ok = np.abs(base) > _COLLAPSE_EPS
-    inv = np.where(ok, 1.0 / np.where(ok, base, 1.0), 0.0)
-    out = np.empty((p + 5, base.size))
-    out[0], out[1], out[2] = inv * inv, inv, 1.0
-    for e in range(1, p + 3):
-        np.multiply(out[e + 1], base, out=out[e + 2])
+def _power_table(base, lo, hi):
+    """base**e for e = lo..hi, lo >= -2, in row e + 2 (the rows below are
+    not set): ``base**e`` for e >= 0, the rule of the closed forms, and
+    powers of 1 / base below, 0 where ``|base| <= _COLLAPSE_EPS``."""
+    out = np.empty((hi + 3, base.size))
+    if lo < 0:
+        ok = np.abs(base) > _COLLAPSE_EPS
+        inv = np.where(ok, 1.0 / np.where(ok, base, 1.0), 0.0)
+    for e in range(lo, hi + 1):
+        out[e + 2] = base**e if e >= 0 else inv**-e
     return out
 
 
 @lru_cache(maxsize=None)
-def _derivative_plan(kind, p, order):
-    """The derivatives of orders 1..``order`` of the degree-``p`` modes of
-    ``kind`` as sums of gathered products.
+def _plan(kind, p, order, orders):
+    """The derivatives of ``orders`` (0 the values) of the degree-``p``
+    modes of ``kind`` as sums of gathered products, from the kind's table
+    with derivative rows of orders 1..``order``.
 
-    Returns the gathers (row indices into the kind's table with derivative
-    rows of orders 1..``order`` stacked over the power tables of the bases,
-    (modes,) each) and per order, per component ``(k,)`` or ``(k, l)``,
-    k <= l, its terms ``(coefficient column, gather ids)``.
+    Returns the gathers that these orders use, (source, rows) with rows
+    (modes,) into the kind's table (source 0) or into the power table of
+    base ``source - 1`` (row e + 2 holds exponent e); per base the
+    (lowest, highest) exponent taken from its power table, None where no
+    term takes one; and per order, per component ``()``, ``(k,)`` or
+    ``(k, l)``, k <= l, its terms ``(coefficient column, gather ids)``,
+    the ids in the order of the values: the leading Jacobi factors, the
+    powers, then the trailing Legendre axes.
     """
-    families, factors, powers, dvar, amp = _form(kind, p)[:5]
-    rows, _, entry = _layout(p, families, order)
-    table_rows = (p + 1) * len(rows)
+    form = _form(kind, p)
+    families, factors, powers, dvar, amp = form[:5]
+    entry = _layout(p, families, order)[2]
+    lead = len(factors) - form.legendre
     deltas = [
         [None if m is None else (m[0], np.array(
             [m[1].get(q, 0) for q in range(len(powers))], dtype=int))
@@ -558,55 +507,66 @@ def _derivative_plan(kind, p, order):
         return out
 
     gathers, ids = [], {}
+    spans = [None] * len(powers)
 
-    def gather(idx):
-        key = idx.tobytes()
+    def gather(source, rows):
+        key = (source, rows.tobytes())
         if key not in ids:
             ids[key] = len(gathers)
-            gathers.append(idx)
+            gathers.append((source, rows))
         return ids[key]
 
     def term(orders, offs, coef):
-        g = [gather(entry(o, f, q, m)) for o, (f, q, m) in zip(orders, factors)]
-        g += [
-            gather(table_rows + n * (p + 5) + e0 + off + 2)
-            for n, ((_, _, e0), off) in enumerate(zip(powers, offs))
-            if np.any(e0 + off)
-        ]
-        return coef[:, None], tuple(g)
+        g = [gather(0, entry(o, f, q, m)) for o, (f, q, m) in zip(orders, factors)]
+        by_base = []
+        for n, ((_, _, e0), off) in enumerate(zip(powers, offs)):
+            e = e0 + off
+            if np.any(e):
+                lo, hi = spans[n] or (0, 0)
+                spans[n] = (min(lo, int(e.min())), max(hi, int(e.max())))
+                by_base.append(gather(n + 1, e + 2))
+        return coef[:, None], tuple(g[:lead] + by_base + g[lead:])
 
     dim = len(dvar[0])
     level = {(): {((0,) * len(factors), (0,) * len(powers)): amp}}
     plans = []
-    for _ in range(order):
-        level = {
-            c + (l,): derive(terms, l)
-            for c, terms in level.items()
-            for l in range(c[-1] if c else 0, dim)
-        }
-        plans.append([
-            (c, [term(*key, coef) for key, coef in terms.items()])
-            for c, terms in level.items()
-        ])
-    return gathers, plans
+    for o in range(max(orders) + 1):
+        if o:
+            level = {
+                c + (l,): derive(terms, l)
+                for c, terms in level.items()
+                for l in range(c[-1] if c else 0, dim)
+            }
+        if o in orders:
+            plans.append([
+                (c, [term(*key, coef) for key, coef in terms.items()])
+                for c, terms in level.items()
+            ])
+    return gathers, spans, plans
 
 
-def _chain_rule(kind, p, T, bases, outs):
-    """The derivatives of orders 1..``len(outs)`` of the modes into
+def _chain_rule(kind, p, order, orders, T, bases, outs):
+    """The derivatives of ``orders`` (0 the values) of the modes into
     ``outs``, (points, modes) + (d,) * order each and symmetric in the
-    derivative axes, from one gather of the kind's table ``T`` with
-    derivative rows of those orders and of the power tables of its
-    ``bases`` (see :func:`_derivative_plan`)."""
-    gathers, plans = _derivative_plan(kind, p, len(outs))
-    table = np.concatenate([T] + [_power_table(base, p) for base in bases])
-    factors = [table.take(idx, axis=0) for idx in gathers]
+    derivative axes, from the kind's table ``T`` with derivative rows of
+    orders 1..``order`` and the ``bases`` of its powers (see
+    :func:`_plan`): one gather of the factors these orders use, from ``T``
+    and from a power table of each base they use.  A component of one
+    term, as the values are, is written straight into ``outs``."""
+    gathers, spans, plans = _plan(kind, p, order, orders)
+    tables = [T] + [s and _power_table(b, *s) for b, s in zip(bases, spans)]
+    factors = [tables[s].take(rows, axis=0) for s, rows in gathers]
     for out, components in zip(outs, plans):
         for c, terms in components:
-            acc = _chain([terms[0][0]] + [factors[g] for g in terms[0][1]])
-            for coef, ids in terms[1:]:
-                acc += _chain([coef] + [factors[g] for g in ids])
-            for axes in {c, c[::-1]}:
-                out.T[axes] = acc
+            first, *rest = ([coef] + [factors[g] for g in ids]
+                            for coef, ids in terms)
+            acc = _chain(first, out=None if rest else out.T[c])
+            for operands in rest:
+                acc += _chain(operands)
+            if rest:
+                out.T[c] = acc
+            if c != c[::-1]:
+                out.T[c[::-1]] = acc
 
 
 # ---------------------------------------------------------------------------
@@ -633,31 +593,23 @@ def _tables(space, pts, order):
 
 
 def _basis(space, pts, order, tables=None, out=None):
-    """The basis values at ``pts`` at ``order`` 0, written into ``out`` when
-    given, which must have the result's shape; else the tuple of their
-    derivatives of orders 1..``order`` (:func:`_derivatives`)."""
+    """The basis at the (n, d) ``pts``: at ``order`` 0 its values, (n,
+    dim), written into ``out`` when given, which must have their shape;
+    else the tuple of its derivatives of orders 1..``order``, (n, dim) +
+    (d,) * order each.  ``tables`` (:func:`_tables`) may hold derivative
+    rows of higher orders than those asked."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if tables is None:
         tables = _tables(space, pts, order)
-    if order:
-        return _derivatives(space, pts.shape, order, tables)
-    if out is None:
-        out = np.empty((pts.shape[0], space.dim))
-    for block, *table in tables:
-        _values(space.kind, space.degree, *table, out[block])
-    return out
-
-
-def _derivatives(space, shape, order, tables):
-    """The gradients, (n, dim, d), and at ``order`` 2 the second
-    derivatives, (n, dim, d, d), at the (n, d) points of ``tables``."""
-    n, d = shape
-    outs = tuple(
-        np.empty((n, space.dim) + (d,) * o) for o in range(1, order + 1)
-    )
-    for block, _, T, bases in tables:
-        _chain_rule(space.kind, space.degree, T, bases, [o[block] for o in outs])
-    return outs
+    orders = tuple(range(1, order + 1)) or (0,)
+    n, d = pts.shape
+    outs = [out] if out is not None else [
+        np.empty((n, space.dim) + (d,) * o) for o in orders
+    ]
+    for block, table_order, T, bases in tables:
+        _chain_rule(space.kind, space.degree, table_order, orders, T, bases,
+                    [o[block] for o in outs])
+    return tuple(outs) if order else outs[0]
 
 
 def basis_eval_many(space: FunctionSpace, pts):
@@ -681,17 +633,11 @@ def basis_eval_with_grad(space: FunctionSpace, pts):
     tables = list(_tables(space, pts, 2))
     values = _basis(space, pts, 0, tables)
     shape = pts.shape
-    return values, lambda: _derivatives(space, shape, 2, tables)
+    # Given tables, _basis reads only the shape of its points.
+    return values, lambda: _basis(space, np.empty(shape), 2, tables)
 
 
 _GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=float)
-
-
-@lru_cache(maxsize=8)
-def _identity(m):
-    eye = np.eye(m)
-    eye.setflags(write=False)
-    return eye
 
 
 def lu_inverse(M):
@@ -706,7 +652,8 @@ def lu_inverse(M):
     if not np.isfinite(M).all():
         raise DegenerateDistributionError("the matrix is not finite")
     lu, piv, _ = _GETRF(M)
-    return _GETRS(lu, piv, _identity(m))[0]
+    # Solved in place into a fresh identity: no copy of it, none kept.
+    return _GETRS(lu, piv, np.eye(m, order="F"), overwrite_b=True)[0]
 
 
 class LagrangeInterpolator:

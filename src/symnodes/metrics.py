@@ -47,8 +47,9 @@
   degree and fills three buffers: the basis table, the columns of a row
   below that degree, and the cardinal values ``L``.  The extruded scan
   fills the base table, ``T`` and ``L``.  The buffers are allocated once
-  per scan and filled in place on every chunk, the basis table through
-  ``basis._basis(..., out=...)``.  So a scan's memory does not grow with
+  per scan and filled in place on every chunk, the basis table by
+  ``basis._basis(..., out=...)``, which writes each mode's product
+  straight into it.  So a scan's memory does not grow with
   the sample or the degree: its buffers take at most 3 MiB, and one base
   point of an extruded scan needs more only when the axis times the modes
   exceeds the budget (on a quad set that is not symmetric, p >= 20 at

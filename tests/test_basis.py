@@ -492,13 +492,41 @@ def _closed_form_modes(kind, p, pts):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("p", range(1, 7))
+def _collapse_points(kind):
+    """Points where a collapsed coordinate meets its singular limit: the
+    top edge of the prism, the tet edge x = -1, y + z = 0 and the pyramid
+    apex, with points near it."""
+    t = np.linspace(-1.0, 1.0, 5)[:, None]
+    if kind is ElementKind.PRISM:
+        return np.hstack([np.full_like(t, -1.0), np.ones_like(t), t])
+    if kind is ElementKind.TETRAHEDRON:
+        return np.hstack([np.full_like(t, -1.0), t, -t])
+    if kind is ElementKind.PYRAMID:
+        return np.array([[0.0, 0.0, 1.0], [1e-14, -1e-14, 1.0 - 2e-14],
+                         [0.1, 0.05, 0.8]])
+    return np.empty((0, reference_element(kind).dim))
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [pytest.param(kind, p, id=f"{p}-{kind.value}") for kind in ALL_KINDS
+     for p in range(1, 10 if reference_element(kind).dim < 3 else 8)],
+)
 def test_gathered_modes_equal_closed_forms(kind, p):
-    pts = _random_interior(kind, 50, seed=p)
+    # The values keep the bits of the closed forms, powers as base**e and
+    # the operands in form order, at interior points, at the vertices and
+    # at the collapse points, also when taken from a table with derivative
+    # rows (basis_eval_with_grad).
+    pts = np.vstack([
+        _random_interior(kind, 50, seed=p),
+        reference_element(kind).vertices,
+        _collapse_points(kind),
+    ])
     sp = FunctionSpace(kind, p)
     ref = _closed_form_modes(kind, p, pts)
+    assert np.isfinite(ref).all()
     assert np.array_equal(basis_eval_many(sp, pts), ref)
+    assert np.array_equal(basis_eval_with_grad(sp, pts)[0], ref)
 
 
 # ---------------------------------------------------------------------------
