@@ -10,8 +10,8 @@ BLAS thread) runs ``symnodes tabulate`` over the sweep grid, one call per
 kind in the order of ``GRID`` into one output directory, so that every
 kind finds the faces that the kinds before it wrote (``--compat auto``,
 the bottom-up pipeline).  The two sides run at the same time.  Each call's
-``manifest.jsonl`` is read before the next one replaces it; no trace is
-needed.
+``manifest.jsonl`` is moved aside before the next call; a call that writes
+none fails its kind.  No trace is needed.
 
 Prints one CSV row per (kind, p, seed): the objective ``||V^-1||_F^2`` on
 this side and the other and its relative rise, the Lebesgue constant on
@@ -30,7 +30,6 @@ import argparse
 import filecmp
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -53,26 +52,39 @@ CLI = "import sys; from symnodes.cli import main; sys.exit(main(sys.argv[1:]))"
 
 def _sweep(checkout, out, seed):
     """One checkout's sweep at one seed: one ``tabulate`` per kind into
-    ``out``, each manifest copied to ``manifest-<kind>.jsonl``.  Returns
-    whether every call exited 0."""
+    ``out``, each manifest moved to ``manifest-<kind>.jsonl``.  Returns
+    whether every call exited 0 and wrote its manifest; a call that dies
+    before writing one leaves no manifest of its kind."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    manifest = out / "manifest.jsonl"
     ok = True
     for kind, top in GRID.items():
+        manifest.unlink(missing_ok=True)
         ok &= subprocess.run(
             [sys.executable, "-c", CLI, "tabulate", "--element", kind,
              "--degree-range", f"1:{top}", "--seed", str(seed),
              "--out", str(out)],
             env=env, stdout=subprocess.DEVNULL,
         ).returncode == 0
-        shutil.copyfile(out / "manifest.jsonl", out / f"manifest-{kind}.jsonl")
+        if manifest.exists():
+            manifest.replace(out / f"manifest-{kind}.jsonl")
+        else:
+            print(f"# {checkout}: tabulate {kind} wrote no manifest",
+                  file=sys.stderr)
+            ok = False
     return ok
 
 
 def _rows(out):
+    """The manifest rows of ``out`` by (kind, degree); a kind without a
+    manifest has none, so its degrees read as failed."""
     rows = {}
     for kind in GRID:
-        with open(out / f"manifest-{kind}.jsonl") as fh:
+        path = out / f"manifest-{kind}.jsonl"
+        if not path.exists():
+            continue
+        with open(path) as fh:
             for line in fh:
                 r = json.loads(line)
                 rows[r["element"], r["degree"]] = r

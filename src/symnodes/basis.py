@@ -592,17 +592,14 @@ def _tables(space, pts, order):
         yield block, order, T, bases
 
 
-def _basis(space, pts, order, tables=None, out=None):
-    """The basis at the (n, d) ``pts``: at ``order`` 0 its values, (n,
-    dim), written into ``out`` when given, which must have their shape;
-    else the tuple of its derivatives of orders 1..``order``, (n, dim) +
-    (d,) * order each.  ``tables`` (:func:`_tables`) may hold derivative
-    rows of higher orders than those asked."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if tables is None:
-        tables = _tables(space, pts, order)
+def _basis(space, shape, order, tables, out=None):
+    """The basis at points of (n, d) ``shape`` from their ``tables``
+    (:func:`_tables`, which may hold derivative rows of higher orders than
+    those asked): at ``order`` 0 its values, (n, dim), written into
+    ``out`` when given, which must have their shape; else the tuple of its
+    derivatives of orders 1..``order``, (n, dim) + (d,) * order each."""
     orders = tuple(range(1, order + 1)) or (0,)
-    n, d = pts.shape
+    n, d = shape
     outs = [out] if out is not None else [
         np.empty((n, space.dim) + (d,) * o) for o in orders
     ]
@@ -614,12 +611,14 @@ def _basis(space, pts, order, tables=None, out=None):
 
 def basis_eval_many(space: FunctionSpace, pts):
     """Evaluate all basis functions at an (n, d) array of points."""
-    return _basis(space, pts, 0)
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return _basis(space, pts.shape, 0, _tables(space, pts, 0))
 
 
 def basis_grad_many(space: FunctionSpace, pts):
     """Gradients of all basis functions: (n_points, dim, d)."""
-    return _basis(space, pts, 1)[0]
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return _basis(space, pts.shape, 1, _tables(space, pts, 1))[0]
 
 
 def basis_eval_with_grad(space: FunctionSpace, pts):
@@ -630,11 +629,8 @@ def basis_eval_with_grad(space: FunctionSpace, pts):
     first and second derivative rows), computed only when called and
     independent of later changes to the caller's array."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    tables = list(_tables(space, pts, 2))
-    values = _basis(space, pts, 0, tables)
-    shape = pts.shape
-    # Given tables, _basis reads only the shape of its points.
-    return values, lambda: _basis(space, np.empty(shape), 2, tables)
+    shape, tables = pts.shape, list(_tables(space, pts, 2))
+    return _basis(space, shape, 0, tables), lambda: _basis(space, shape, 2, tables)
 
 
 _GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=float)

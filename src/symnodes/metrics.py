@@ -48,7 +48,7 @@
   below that degree, and the cardinal values ``L``.  The extruded scan
   fills the base table, ``T`` and ``L``.  The buffers are allocated once
   per scan and filled in place on every chunk, the basis table by
-  ``basis._basis(..., out=...)``, which writes each mode's product
+  ``basis._basis(..., out)``, which writes each mode's product
   straight into it.  So a scan's memory does not grow with
   the sample or the degree: its buffers take at most 3 MiB, and one base
   point of an extruded scan needs more only when the axis times the modes
@@ -90,6 +90,7 @@ from .basis import (
     FunctionSpace,
     LagrangeInterpolator,
     _basis,
+    _tables,
     basis_eval_many,
     degree_columns,
 )
@@ -284,7 +285,7 @@ def _flat_maxima(space, rows, pts):
     for start in range(0, pts.shape[0], step):
         chunk = pts[start : start + step]
         k = len(chunk)
-        _basis(space, chunk, False, out=table[:k])
+        _basis(space, chunk.shape, 0, _tables(space, chunk, 0), table[:k])
         for r, (cols, A) in enumerate(rows):
             m = len(cols)
             Tk = table[:k]
@@ -313,7 +314,8 @@ def _extruded_max(space, A, base_pts, axis):
     """
     p = space.degree
     base_space = FunctionSpace(_EXTRUDED[space.kind], p)
-    line = _basis(FunctionSpace(ElementKind.LINE, p), axis[:, None], False)
+    line_space, line_pts = FunctionSpace(ElementKind.LINE, p), axis[:, None]
+    line = _basis(line_space, line_pts.shape, 0, _tables(line_space, line_pts, 0))
     n, na = A.shape[1], axis.size
     coeffs = A.reshape(base_space.dim, (p + 1) * n)
     step = max(1, _BUDGET // (n * max(na, p + 1)))
@@ -325,7 +327,7 @@ def _extruded_max(space, A, base_pts, axis):
     for start in range(0, base_pts.shape[0], step):
         chunk = base_pts[start : start + step]
         k = len(chunk)
-        _basis(base_space, chunk, False, out=table[:k])
+        _basis(base_space, chunk.shape, 0, _tables(base_space, chunk, 0), table[:k])
         np.matmul(table[:k], coeffs, out=T[:k])
         Lk = np.matmul(line, T[:k].reshape(k, p + 1, n), out=L[:k])
         np.sum(np.abs(Lk, out=Lk), axis=2, out=sums[:k])

@@ -377,8 +377,8 @@ def test_factorized_scan_carries_nan(kind, poison, monkeypatch):
     else:
         real_basis = metrics._basis
 
-        def poisoned(space, pts, grads, tables=None, out=None):
-            table = real_basis(space, pts, grads, tables, out)
+        def poisoned(space, shape, order, tables, out=None):
+            table = real_basis(space, shape, order, tables, out)
             if space.kind is ElementKind.QUADRILATERAL:
                 table[-1, 0] = np.nan
             return table
@@ -506,8 +506,8 @@ def test_screen_rejects_non_finite_cardinal_values(monkeypatch):
     assert is_unisolvent(spp, dist)
     real_basis = metrics._basis
 
-    def poisoned(space, pts, grads, tables=None, out=None):
-        table = real_basis(space, pts, grads, tables, out)
+    def poisoned(space, shape, order, tables, out=None):
+        table = real_basis(space, shape, order, tables, out)
         table[-1, 0] = np.nan
         return table
 
@@ -570,9 +570,16 @@ def test_vandermonde_identities_match_quadrature(kind, p, seed, amplitude):
     assume(is_unisolvent(spp, dist))
     rule = quadrature_rule(kind, 2 * p)
     order, interp = _interpolator(spp, dist)
-    L = (basis_eval_many(spp, rule.points) @ interp.inverse())[
-        :, np.argsort(order)
-    ]
+    inverse = interp.inverse()[:, np.argsort(order)]
+    # That V^-1, mapped back, inverts V at the caller's nodes, V built here:
+    # a residual of the backward-stable solve, n eps |V| |V^-1| at most.
+    V = basis_eval_many(spp, dist.nodes)
+    residual = np.linalg.norm(V @ inverse - np.eye(len(V)))
+    eps = np.finfo(float).eps
+    assert residual <= len(V) * eps * np.linalg.norm(V) * np.linalg.norm(
+        inverse
+    )
+    L = basis_eval_many(spp, rule.points) @ inverse
     oracle_obj = float(np.einsum("q,qi,qi->", rule.weights, L, L))
     oracle_M = L.T @ (rule.weights[:, None] * L)
     eigs = np.linalg.eigvalsh(0.5 * (oracle_M + oracle_M.T))
