@@ -16,10 +16,10 @@ Compares this checkout against the one at the given path (each with its own
   blocks; plus the unnormalized and normalized Jacobi tables of
   ``basis._sweep`` (value and derivative rows of five (a, b) families)
   and ``gll_1d`` (byte for byte);
-* each ``reference_element(kind)``: its ``n_matrix``, ``nu``, ``b_lambda``,
+* each ``reference_element(kind)``: its ``n_matrix``, ``b_lambda``,
   ``v_lower``, ``v_upper``, ``vertices``, ``measure``, ``_solve_matrix`` and
-  ``_solve_rhs_vals``, and each face's kind, ``matrix`` and ``offset`` (byte
-  for byte);
+  ``_solve_rhs_vals``, its offset ``nu`` (zeros where the element has none),
+  and each face's kind, ``matrix`` and ``offset`` (byte for byte);
 * ``baseline_distribution`` of both families on every kind they cover at
   p = 1..12 and ``quadrature_rule`` points and weights of every kind at
   q = 0..29 (byte for byte, so the rows and their order);
@@ -37,8 +37,9 @@ Compares this checkout against the one at the given path (each with its own
   with every node moved by 0.5 tol and with one face node moved by 2 tol
   further (tol 1e-10), and ``snap_face_nodes`` of each set it passes
   (byte for byte);
-* every orbit of each kind: its stacked maps ``point_matrix()`` and
-  ``point_offsets()`` (so its parameter count and multiplicity too), the
+* every orbit of each kind: its stacked maps ``S`` and ``sigma`` (or
+  ``point_matrix()`` and ``point_offsets()``, where the orbit keeps its
+  maps as pairs; so its parameter count and multiplicity too), the
   ``matrix``, ``lower`` and ``upper`` arrays of its bounds, and
   ``optimizer._orbit_intervals``;
 * the orbit-index lists of ``enumerate_admissible_collections`` at
@@ -69,10 +70,12 @@ Compares this checkout against the one at the given path (each with its own
   pinned parameter values of every element those runs optimize
   (``optimizer._jittered_start`` and ``OptimizationProblem.pinned_values``,
   byte for byte), and the outcome of every restart those runs minimize
-  (the ``parameters``, ``objective``, ``status``, ``iterations``,
-  ``kkt_residual`` and ``message`` of each ``optimizer.MinimizeOutcome``,
-  byte for byte), so that a last-bit change of a start, a pin or a losing
-  restart shows even when the winning node file is unchanged;
+  (the stacked parameters, objective, ``status``, ``iterations``,
+  ``kkt_residual`` and ``message`` of each result of ``optimizer.minimize``,
+  a ``lincon.SolveResult`` or, where ``minimize`` has its own record, a
+  ``MinimizeOutcome``, byte for byte), so that a last-bit change of a
+  start, a pin or a losing restart shows even when the winning node file
+  is unchanged;
 * at each seed, the stdout line (without its ``wrote PATH`` tail) and the
   node file of ``generate`` for tet p=3 with ``--compat auto``, for tri
   p=6 and prism p=3 with ``--compat off`` (the start with free boundary
@@ -150,9 +153,10 @@ def second_derivatives(sp, pts):
 out = {}
 for kind in ElementKind:
     elem = reference_element(kind)
-    for name in ("n_matrix", "nu", "b_lambda", "v_lower", "v_upper", "vertices",
+    for name in ("n_matrix", "b_lambda", "v_lower", "v_upper", "vertices",
                  "measure", "_solve_matrix", "_solve_rhs_vals"):
         out[f"{kind.value}_element_{name}"] = np.array(getattr(elem, name))
+    out[f"{kind.value}_element_nu"] = getattr(elem, "nu", np.zeros(elem.dim))
     for i, face in enumerate(elem.faces):
         key = f"{kind.value}_face{i}"
         out[key + "_kind"] = np.array(getattr(face.face_kind, "value", "none"))
@@ -236,8 +240,12 @@ for kind in ElementKind:
         )
     for orbit in orbits(kind):
         key = f"{kind.value}_orbit{orbit.index}"
-        out[key + "_maps_S"] = orbit.point_matrix()
-        out[key + "_maps_sigma"] = orbit.point_offsets()
+        if hasattr(orbit, "S"):
+            out[key + "_maps_S"] = orbit.S
+            out[key + "_maps_sigma"] = orbit.sigma
+        else:
+            out[key + "_maps_S"] = orbit.point_matrix()
+            out[key + "_maps_sigma"] = orbit.point_offsets()
         for part in ("matrix", "lower", "upper"):
             out[f"{key}_bounds_{part}"] = getattr(orbit.bounds, part)
         lo, hi = optimizer._orbit_intervals(orbit)
@@ -373,10 +381,11 @@ import numpy as np
 from symnodes import optimizer
 from symnodes.cli import main
 starts, jitter = {}, optimizer._jittered_start
-assemble, outcome = optimizer.assemble_problem, optimizer.MinimizeOutcome
+assemble, minimize = optimizer.assemble_problem, optimizer.minimize
 runs = []  # [element key, runs recorded]
-FIELDS = ("parameters", "objective", "status", "iterations", "kkt_residual",
-          "message")
+# Each field by its name in a MinimizeOutcome, then in a SolveResult.
+FIELDS = (("parameters", "x"), ("objective", "fun"), ("status",),
+          ("iterations",), ("kkt_residual",), ("message",))
 
 def recording(problem, y0, span, seed_key):
     start = jitter(problem, y0, span, seed_key)
@@ -391,17 +400,18 @@ def pins(elem, coll, space):
     runs[:] = [key, 0]
     return problem
 
-def outcomes(*args, **fields):
-    fields.update(zip(FIELDS, args))  # the dataclass's field order
+def outcomes(*args):
+    res = minimize(*args)
     key, run = runs
     runs[1] += 1
-    for name in FIELDS:
-        starts[f"{key}_run{run}_{name}"] = np.array(fields[name])
-    return outcome(**fields)
+    for names in FIELDS:
+        value = next(getattr(res, n) for n in names if hasattr(res, n))
+        starts[f"{key}_run{run}_{names[0]}"] = np.array(value)
+    return res
 
 optimizer._jittered_start = recording
 optimizer.assemble_problem = pins
-optimizer.MinimizeOutcome = outcomes
+optimizer.minimize = outcomes
 code = main(sys.argv[2:])
 np.savez(sys.argv[1], **starts)
 sys.exit(code)
@@ -501,8 +511,15 @@ def _differing(a, b, names):
 def _node_set_distance(a, b):
     """Largest distance from a node of either file to its nearest node in
     the other; infinite when the counts differ."""
-    x = np.loadtxt(a, comments="#", ndmin=2)
-    y = np.loadtxt(b, comments="#", ndmin=2)
+    return _point_set_distance(_nodes(a), _nodes(b))
+
+
+def _nodes(path):
+    return np.loadtxt(path, comments="#", ndmin=2)
+
+
+def _point_set_distance(x, y):
+    """:func:`_node_set_distance` of two arrays of nodes."""
     if x.shape != y.shape:
         return np.inf
     d = np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2))

@@ -105,10 +105,9 @@ def face_prescriptions(kind, degree, dist_for):
 def _complements(orbit):
     """Per point map, the projector onto the orthogonal complement of the
     column space of ``S``, stacked: (multiplicity, natural_dim,
-    natural_dim), with the offsets ``sigma`` stacked alongside."""
-    S = orbit.point_matrix()
-    P = np.eye(S.shape[1]) - S @ np.linalg.pinv(S)
-    return P, orbit.point_offsets()
+    natural_dim)."""
+    S = orbit.S
+    return np.eye(S.shape[1]) - S @ np.linalg.pinv(S)
 
 
 def _orbit_reach(orbit, lam_hat):
@@ -123,11 +122,11 @@ def _orbit_reach(orbit, lam_hat):
     residual far less than ``_RESIDUAL_TOL``, so the screen never skips a
     map whose solve would pass.
     """
-    P, sigma = _complements(orbit)
-    rhs = lam_hat - sigma
-    res = np.linalg.norm(np.einsum("mij,mj->mi", P, rhs), axis=1)
+    rhs = lam_hat - orbit.sigma
+    res = np.linalg.norm(np.einsum("mij,mj->mi", _complements(orbit), rhs),
+                         axis=1)
     for i in np.flatnonzero(res <= 2 * _RESIDUAL_TOL):
-        S = orbit.maps[i][0]
+        S = orbit.S[i]
         xi, *_ = np.linalg.lstsq(S, rhs[i], rcond=None)
         if (
             np.linalg.norm(S @ xi - rhs[i]) <= _RESIDUAL_TOL

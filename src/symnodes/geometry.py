@@ -2,7 +2,7 @@
 
 Seven element shapes are supported: line, triangle, quadrilateral,
 tetrahedron, hexahedron, triangular prism, and square pyramid.  Each element
-carries a linear map ``x = N @ lam + nu`` from natural coordinates ``lam``
+carries a linear map ``x = N @ lam`` from natural coordinates ``lam``
 (barycentric for simplex-like shapes, Cartesian for tensor shapes) to
 Cartesian coordinates ``x``, together with the linear bounds
 ``v_lower <= B @ lam <= v_upper`` that carve out the reference domain.
@@ -113,7 +113,6 @@ class ReferenceElement:
     dim: int  # Cartesian
     natural_dim: int  # barycentric shapes carry one extra
     n_matrix: np.ndarray  # (dim, natural_dim)
-    nu: np.ndarray  # (dim,)
     b_lambda: np.ndarray  # (c, natural_dim)
     v_lower: np.ndarray  # (c,), -inf allowed
     v_upper: np.ndarray  # (c,), +inf allowed
@@ -167,10 +166,9 @@ def _element(kind, vertices, faces, n_matrix, b_lambda, v_lower, v_upper, measur
     full = np.vstack([n_matrix, b_lambda[eq]])
     if full.shape[0] != full.shape[1]:
         raise NumericalError(f"natural-coordinate system is not square: {full.shape}")
-    d = n_matrix.shape[0]
     return ReferenceElement(
-        kind=kind, dim=d, natural_dim=n_matrix.shape[1], n_matrix=n_matrix,
-        nu=_ro(np.zeros(d)), b_lambda=b_lambda, v_lower=v_lower, v_upper=v_upper,
+        kind=kind, dim=n_matrix.shape[0], natural_dim=n_matrix.shape[1],
+        n_matrix=n_matrix, b_lambda=b_lambda, v_lower=v_lower, v_upper=v_upper,
         vertices=vertices, faces=tuple(_face(vertices, c) for c in faces),
         measure=measure,
         _solve_matrix=_ro(np.linalg.inv(full)),
@@ -301,7 +299,7 @@ def natural_to_cartesian(elem, lam, tol=DEFAULT_TOL):
             f"natural coordinates violate {elem.kind.value} bounds by "
             f"{viol.max():.3e}"
         )
-    x = lam2 @ elem.n_matrix.T + elem.nu
+    x = lam2 @ elem.n_matrix.T
     return x[0] if single else x
 
 
@@ -311,7 +309,7 @@ def natural_solve(elem, x):
     single = x.ndim == 1
     x2 = np.atleast_2d(x)
     e = elem._solve_rhs_vals
-    rhs = np.hstack([x2 - elem.nu, np.broadcast_to(e, (x2.shape[0], e.size))])
+    rhs = np.hstack([x2, np.broadcast_to(e, (x2.shape[0], e.size))])
     lam = rhs @ elem._solve_matrix.T
     return lam[0] if single else lam
 
@@ -332,7 +330,7 @@ def cartesian_to_natural(elem, x, tol=DEFAULT_TOL):
         )
     # Consistency of the inverse: the forward map must reproduce x.
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    back = np.atleast_2d(lam) @ elem.n_matrix.T + elem.nu
+    back = np.atleast_2d(lam) @ elem.n_matrix.T
     if not np.allclose(back, x2, atol=1e-12, rtol=0.0):
         raise NumericalError("inconsistent natural-coordinate solve")
     return lam

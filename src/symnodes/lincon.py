@@ -192,7 +192,7 @@ class SolveResult:
     status: str  # "kkt-converged" | "iteration-limited" | "error"
     iterations: int
     kkt_residual: float
-    message: str = ""
+    message: str = ""  # why a run ended "error"
     # Smallest eigenvalue of the Hessian reduced to the null space of the
     # working set at ``x``, before the modification of the step (inf on an
     # empty null space).  Positive at a KKT point: a strict local minimum.

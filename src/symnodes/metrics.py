@@ -68,10 +68,10 @@
 * Mass matrix: the cardinal Gram matrix ``M = V^-T V^-1``.  Its eigenvalues
   are ``1 / sigma_i^2`` for the singular values ``sigma_i`` of ``V``, so its
   condition number is ``cond(V)^2``.
-* Every metric first builds the ``LagrangeInterpolator``, so all refuse
-  its refused sets, before any scan.  The screen ``is_unisolvent`` also
-  refuses a coarse Lebesgue estimate that blows up; ``evaluate_metrics``
-  does not run it.
+* Every metric first factors ``V`` in ``_factor``, which builds the
+  ``LagrangeInterpolator``, so all refuse its refused sets, before any
+  scan.  The screen ``is_unisolvent`` also refuses a coarse Lebesgue
+  estimate that blows up; ``evaluate_metrics`` does not run it.
 
 Every metric is computed on the nodes in lexicographic coordinate order, so
 the scalar results are identical floats whatever order the caller's nodes
@@ -230,13 +230,6 @@ def _canonical(dist):
     )
 
 
-def _interpolator(space, dist):
-    """Permutation sorting the nodes lexicographically by coordinate, and
-    the interpolator on the nodes in that order."""
-    order, dist = _canonical(dist)
-    return order, LagrangeInterpolator(space, dist)
-
-
 def _factor(space, dist, top):
     """``V^-1`` of ``dist``, its mass condition and the objective, ``V``
     taken as the columns of the degree-``top`` basis at the nodes that are
@@ -246,7 +239,8 @@ def _factor(space, dist, top):
     if space.degree < top:
         V = V[:, degree_columns(space.kind, top, space.degree)]
     interp = LagrangeInterpolator(space, dist, V)
-    return interp.inverse(), interp.mass_condition, _objective(interp)
+    A = interp.inverse()
+    return A, interp.mass_condition, float(np.einsum("ij,ij->", A, A))
 
 
 def _buffers(*shapes):
@@ -377,11 +371,6 @@ def _lebesgue_maxima(space, rows, symmetric, resolution):
     return best
 
 
-def _objective(interp):
-    A = interp.inverse()
-    return float(np.einsum("ij,ij->", A, A))
-
-
 def _passes(kind, members):
     """``members``, (index, space, distribution) of rows that share a
     lattice sample, split into the passes scanned together: on an extruded
@@ -476,18 +465,18 @@ def lebesgue_constant(space, dist, resolution=None):
 
 def lebesgue_objective(space, dist):
     """Sum of integrals of squared cardinal functions, ``||V^-1||_F^2``."""
-    return _objective(_interpolator(space, dist)[1])
+    return _factor(space, _canonical(dist)[1], space.degree)[2]
 
 
 def mass_matrix(space, dist):
     """Cardinal Gram matrix ``V^-T V^-1``, in the caller's node order, and
     its spectral condition number."""
-    order, interp = _interpolator(space, dist)
-    A = interp.inverse()
+    order, canonical = _canonical(dist)
+    A, condition, _ = _factor(space, canonical, space.degree)
     M = A.T @ A
     M = 0.5 * (M + M.T)
     back = np.argsort(order)
-    return M[np.ix_(back, back)], interp.mass_condition
+    return M[np.ix_(back, back)], condition
 
 
 def is_unisolvent(space, dist):

@@ -28,8 +28,10 @@ from :func:`~symnodes.basis.lu_inverse`.
 the orbit decomposition of the element's baseline nodes: pin its entries to
 the face prescriptions, minimize from the baseline parameters and from a
 few jittered restarts (the solver's first evaluation is the only screen of
-a start), and keep the run with the lowest objective.  It returns the
-winner's node set; its metrics are left to
+a start, and of the fixed nodes' QR, whose ``||R^-1||_F^2`` every
+objective holds), and keep the run with the lowest objective.  Each run's
+record is the solver's :class:`~symnodes.lincon.SolveResult`.  It returns
+the winner's node set; its metrics are left to
 :func:`~symnodes.metrics.evaluate_metrics`.
 
 The runs of an element go in lockstep (:class:`_Lockstep`): each round
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
 from numbers import Integral
 
@@ -80,7 +82,6 @@ __all__ = [
     "OptimizerConfig",
     "OptimizationProblem",
     "OptimizedResult",
-    "MinimizeOutcome",
     "assemble_problem",
     "minimize",
     "optimize_nodes",
@@ -122,7 +123,8 @@ class OptimizationProblem:
     keep their values, which ``_node_offset`` already holds.  Nodes whose
     rows of ``_node_jacobian`` are all zero are fixed; construction splits
     them from the moving nodes and factors the basis at them once (see the
-    module docstring), or raises as :func:`_fixed_block` does.
+    module docstring); the starts' objective judges that factor
+    (:func:`_fixed_block`).
     """
 
     element: object
@@ -171,36 +173,18 @@ def _fixed_block(space, fixed_nodes):
     from the complete QR ``B^T = [Q1 Q2] [R; 0]`` with ``K = Q1 R^-T``
     (``Q1`` has orthonormal columns, so ``||K||_F = ||R^-1||_F``).
 
-    Raises :class:`DegenerateDistributionError` when ``B`` is not finite or
-    its rows are linearly dependent (numerical rank below the node count,
-    at ``numpy.linalg.matrix_rank``'s default tolerance).
+    A degenerate ``B`` is judged with every start, whose objective holds
+    ``||R^-1||_F^2`` (see :func:`minimize`): dependent rows put it at or
+    above ``1 / MASS_RATIO``, a non-finite ``B`` leaves it undefined, and
+    an exactly zero pivot of ``R`` raises :class:`numpy.linalg.LinAlgError`
+    here, a :class:`ValueError`.
     """
     B = basis_eval_many(space, fixed_nodes)
-    if not np.all(np.isfinite(B)):
-        raise DegenerateDistributionError(
-            "the basis is not finite at the fixed nodes"
-        )
     k = B.shape[0]
     Q, R = scipy.linalg.qr(B.T, check_finite=False)
-    R = R[:k]
-    if np.linalg.matrix_rank(R) < k:
-        raise DegenerateDistributionError(
-            "the Vandermonde rows of the fixed nodes are linearly dependent"
-        )
-    K = scipy.linalg.solve_triangular(R, Q[:, :k].T, check_finite=False).T
+    K = scipy.linalg.solve_triangular(R[:k], Q[:, :k].T, check_finite=False).T
     Q[:, :k] = K
     return Q, float(np.einsum("ij,ij->", K, K))
-
-
-@dataclass
-class MinimizeOutcome:
-    parameters: np.ndarray
-    objective: float
-    status: str  # "kkt-converged" | "iteration-limited" | "error"
-    iterations: int
-    kkt_residual: float
-    message: str = ""  # why a run ended "error"
-    curvature: float = np.nan  # see lincon.SolveResult
 
 
 # A start objective at or above this is near singular (see ``minimize``).
@@ -221,7 +205,7 @@ class OptimizedResult:
     objective: float
     collection: OrbitCollection
     status: str
-    curvature: float = np.nan  # the winning run's (see MinimizeOutcome)
+    curvature: float = np.nan  # the winning run's (see lincon.SolveResult)
 
 
 def assemble_problem(elem, collection, space) -> OptimizationProblem:
@@ -240,9 +224,9 @@ def assemble_problem(elem, collection, space) -> OptimizationProblem:
         if entry.pinned is not None:
             free[sl] = False
             pinned[sl] = entry.pinned
-        for S, sigma in entry.orbit.maps:
+        for S, sigma in zip(entry.orbit.S, entry.orbit.sigma):
             J[row : row + d, sl] = elem.n_matrix @ S
-            x0[row : row + d] = elem.n_matrix @ sigma + elem.nu
+            x0[row : row + d] = elem.n_matrix @ sigma
             row += d
     return OptimizationProblem(
         element=elem,
@@ -377,17 +361,18 @@ def _objective_values(problem, ys):
     return out
 
 
-def minimize(problem, config, y0, lockstep=None) -> MinimizeOutcome:
+def minimize(problem, config, y0, lockstep=None) -> lincon.SolveResult:
     """Minimize the objective over the free parameters from ``y0``.
 
     ``y0`` must meet the constraints (see
-    :func:`~symnodes.lincon.minimize_linearly_constrained`).  The
-    outcome's ``parameters`` are the stacked vector, pinned values included.
-    Deterministic for fixed inputs.  With ``lockstep`` (a :class:`_Lockstep`
-    holding ``y0``), this runs its rounds until ``y0``'s run ends.
+    :func:`~symnodes.lincon.minimize_linearly_constrained`).  Returns the
+    solver's :class:`~symnodes.lincon.SolveResult` with ``x`` the stacked
+    vector, pinned values included.  Deterministic for fixed inputs.  With
+    ``lockstep`` (a :class:`_Lockstep` holding ``y0``), this runs its
+    rounds until ``y0``'s run ends.
 
     A near-singular start ends ``"error"`` at once, with the reason in the
-    outcome's ``message``: one whose objective, the solver's first value,
+    result's ``message``: one whose objective, the solver's first value,
     is at or above ``1 / basis.MASS_RATIO`` (1e14).  The objective lies
     between ``1 / sigma_min^2`` and ``n / sigma_min^2``, and ``sigma_max
     >= 1`` for these bases, so the mass matrix of such a start has an
@@ -396,11 +381,11 @@ def minimize(problem, config, y0, lockstep=None) -> MinimizeOutcome:
     refuses a set.  A run from there stays near singular (quad p=9 at seed
     1 ended "kkt-converged" at 5.2e31 after 16 iterations).  A start with
     colliding nodes ends ``"error"`` at once too, its message naming them.
+    The objective holds ``||R^-1||_F^2`` of the fixed nodes, so fixed
+    nodes with (near-)dependent rows end every start so.
     """
-    res, message = (lockstep or _Lockstep(problem, config, [y0])).result(y0)
-    return MinimizeOutcome(problem.stacked(res.x), res.fun, res.status,
-                           res.iterations, res.kkt_residual, message,
-                           res.curvature)
+    res = (lockstep or _Lockstep(problem, config, [y0])).result(y0)
+    return replace(res, x=problem.stacked(res.x))
 
 
 class _Lockstep:
@@ -422,7 +407,7 @@ class _Lockstep:
         self.first = True  # the round evaluates the starts
 
     def result(self, y0):
-        """The SolveResult and message of the run from ``y0`` (by identity)."""
+        """The SolveResult of the run from ``y0`` (by identity)."""
         r = next(r for r, start in enumerate(self.starts) if start is y0)
         while r not in self.ended:
             live = list(self.points)
@@ -452,7 +437,9 @@ class _Lockstep:
                 self.points[r] = self.runs[r].send((f, gradient))
             except StopIteration as stop:
                 del self.points[r]
-                self.ended[r] = stop.value, message or stop.value.message
+                self.ended[r] = replace(
+                    stop.value, message=message or stop.value.message
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +603,10 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     set, the lowest objective wins whatever the run's status; the lower
     restart number breaks exact ties (node sets are built in that order
     until one is valid).  Every failure before the restarts (at the stages
-    "face pinning" and "start", the latter including the fixed nodes'
-    check of :class:`OptimizationProblem`) raises
-    :class:`NoViableCollectionError` naming the stage, with the cause
-    chained; a failure of all restarts raises it with each one's reason.
+    "face pinning" and "start") raises :class:`NoViableCollectionError`
+    naming the stage, with the cause chained; a failure of all restarts
+    raises it with each one's reason, which for fixed nodes with dependent
+    or non-finite basis rows is every start's.
 
     The baseline's orbits host every unisolvent symmetric face set of
     degree ``p``: each face symmetry fixes as many nodes of such a set as
@@ -651,7 +638,7 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
             where, "face pinning", IncompatibleCollectionError, ValueError
         ):
             coll = build_compatibility_constraints(elem, coll, prescriptions)
-    with _stage(where, "start", ValueError, DegenerateDistributionError):
+    with _stage(where, "start", ValueError):
         problem = assemble_problem(elem, coll, space)
         y0 = _initial_parameters(problem, base_entries, prescriptions)
     live = [(0, y0)]  # (restart, start)
@@ -667,21 +654,21 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
             live.append((restart, start))
     lockstep = _Lockstep(problem, config, [start for _, start in live])
     cons = problem.constraints
-    runs = []  # (objective, restart, outcome)
+    runs = []  # (objective, restart, result)
     for restart, start in live:
-        outcome = minimize(problem, config, start, lockstep)
-        if outcome.status == "error":
-            failed.append((restart, outcome.message))
+        res = minimize(problem, config, start, lockstep)
+        if res.status == "error":
+            failed.append((restart, res.message))
             continue
-        violation = cons.violation(outcome.parameters[problem.free_mask])
+        violation = cons.violation(res.x[problem.free_mask])
         if violation > 1e-10:
             failed.append((restart, f"constraint violation {violation:.1e}"))
             continue
-        runs.append((outcome.objective, restart, outcome))
+        runs.append((res.fun, restart, res))
 
-    for f_best, restart, outcome in sorted(runs, key=lambda r: r[:2]):
+    for f_best, restart, res in sorted(runs, key=lambda r: r[:2]):
         try:
-            dist = evaluate_collection(coll, outcome.parameters)
+            dist = evaluate_collection(coll, res.x)
             break
         except DegenerateDistributionError as exc:
             failed.append((restart, f"degenerate node set: {exc}"))
@@ -700,9 +687,9 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
         dist.nodes = snap_face_nodes(elem, dist.nodes, prescriptions)
     return OptimizedResult(
         distribution=dist,
-        parameters=outcome.parameters,
+        parameters=res.x,
         objective=f_best,
         collection=coll,
-        status=outcome.status,
-        curvature=outcome.curvature,
+        status=res.status,
+        curvature=res.curvature,
     )

@@ -6,12 +6,13 @@ point set closed under the element's symmetry group.  Distributions are
 unions of orbits gathered in an :class:`OrbitCollection`, whose stacked
 parameter vector is the optimization variable elsewhere in the package.
 
-An orbit's maps are the distinct images ``(P S_1, P sigma_1)`` of its
-generator map under :func:`natural_symmetry_group`, in group order:
-permutations in lexicographic order of the index tuple, varying slower than
-sign patterns, which put ``+1`` before ``-1``.  The group's identity comes
-first, so the first point of every orbit is the generator itself, the map
-the parameter bounds are derived from.
+An orbit's maps, kept stacked as ``SymmetryOrbit.S`` and ``sigma``, are
+the distinct images ``(P S_1, P sigma_1)`` of its generator map under
+:func:`natural_symmetry_group`, in group order: permutations in
+lexicographic order of the index tuple, varying slower than sign patterns,
+which put ``+1`` before ``-1``.  The group's identity comes first, so the
+first point of every orbit is the generator itself, the map the parameter
+bounds are derived from.
 
 Each orbit type is a pattern that spells its generator point in natural
 coordinates: a letter is a parameter (same letter, same parameter), ``0``
@@ -179,24 +180,26 @@ class LinearConstraintSet:
 class SymmetryOrbit:
     """One symmetry orbit of one element kind.
 
-    ``maps`` holds the ``multiplicity`` affine point maps ``(S_i, sigma_i)``
-    acting on the ``param_count`` orbit parameters; ``bounds`` are the
-    parameter constraints derived from the first point map.
+    Point ``i`` at the orbit parameters ``xi`` is ``S[i] @ xi + sigma[i]``:
+    ``S`` stacks the affine point maps, (multiplicity, natural_dim,
+    param_count), and ``sigma`` their offsets, (multiplicity, natural_dim),
+    both read-only.  ``bounds`` are the parameter constraints derived from
+    the first point map.
     """
 
     kind: ElementKind
     index: int  # 1-based, as tabulated
-    param_count: int
-    multiplicity: int
-    maps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    S: np.ndarray
+    sigma: np.ndarray
     bounds: LinearConstraintSet = field(repr=False, default=None)
 
-    def point_matrix(self):
-        """All maps stacked: (multiplicity, natural_dim, param_count)."""
-        return np.stack([s for s, _ in self.maps])
+    @property
+    def multiplicity(self):
+        return self.S.shape[0]
 
-    def point_offsets(self):
-        return np.stack([t for _, t in self.maps])
+    @property
+    def param_count(self):
+        return self.S.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,17 +382,18 @@ def _generator(elem, pattern):
 
 def _orbit_maps(generator, group):
     """The distinct images ``(P S, P sigma)`` of the generator map
-    ``(S, sigma)`` under ``group``, in group order."""
+    ``(S, sigma)`` under ``group``, in group order, stacked read-only."""
     S0, s0 = generator
     maps = {}
     for P in group:
         # Adding 0.0 turns -0.0 into 0.0, so duplicate maps match bytewise.
         S = P @ S0 + 0.0
         sigma = P @ s0 + 0.0
-        S.setflags(write=False)
-        sigma.setflags(write=False)
         maps.setdefault((S.tobytes(), sigma.tobytes()), (S, sigma))
-    return list(maps.values())
+    S, sigma = (np.stack(part) for part in zip(*maps.values()))
+    S.setflags(write=False)
+    sigma.setflags(write=False)
+    return S, sigma
 
 
 def orbit_parameter_bounds(elem: ReferenceElement, orbit) -> LinearConstraintSet:
@@ -399,9 +403,8 @@ def orbit_parameter_bounds(elem: ReferenceElement, orbit) -> LinearConstraintSet
     ``B_lambda @ sigma_1``; identically-zero rows whose constant bounds hold
     are dropped, as are exact duplicate rows.
     """
-    S1, s1 = orbit.maps[0]
-    B = elem.b_lambda @ S1
-    shift = elem.b_lambda @ s1
+    B = elem.b_lambda @ orbit.S[0]
+    shift = elem.b_lambda @ orbit.sigma[0]
     lo = elem.v_lower - shift
     hi = elem.v_upper - shift
     keep, seen = [], set()
@@ -428,19 +431,13 @@ def orbits(kind: ElementKind) -> tuple[SymmetryOrbit, ...]:
     group = natural_symmetry_group(kind)
     out = []
     for i, pattern in enumerate(_ORBIT_PATTERNS[kind].split(), start=1):
-        maps = _orbit_maps(_generator(elem, pattern), group)
-        if out and len(maps) < out[-1].multiplicity:
+        S, sigma = _orbit_maps(_generator(elem, pattern), group)
+        orbit = SymmetryOrbit(kind, i, S, sigma)
+        if out and orbit.multiplicity < out[-1].multiplicity:
             raise NumericalError(
-                f"{kind.value} orbit {i} has {len(maps)} points, fewer than "
-                f"orbit {i - 1}"
+                f"{kind.value} orbit {i} has {orbit.multiplicity} points, "
+                f"fewer than orbit {i - 1}"
             )
-        orbit = SymmetryOrbit(
-            kind=kind,
-            index=i,
-            param_count=maps[0][0].shape[1],
-            multiplicity=len(maps),
-            maps=tuple(maps),
-        )
         object.__setattr__(orbit, "bounds", orbit_parameter_bounds(elem, orbit))
         out.append(orbit)
     return tuple(out)
@@ -468,7 +465,7 @@ def evaluate_orbit(orbit, xi, tol=1e-9):
         raise InfeasibleParameterError(
             f"orbit {orbit.index} parameters infeasible (violation {v:.3e})"
         )
-    return orbit.point_matrix() @ xi + orbit.point_offsets()
+    return orbit.S @ xi + orbit.sigma
 
 
 def enumerate_admissible_collections(kind, p, cap=64):
@@ -598,7 +595,7 @@ def cartesian_symmetry_group(kind):
     out = []
     for P in natural_symmetry_group(kind):
         A = elem.n_matrix @ P @ G
-        b = elem.n_matrix @ P @ g_const + elem.nu
+        b = elem.n_matrix @ P @ g_const
         A.setflags(write=False)
         b.setflags(write=False)
         out.append((A, b))

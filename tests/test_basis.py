@@ -25,7 +25,7 @@ from symnodes.basis import (
 )
 from symnodes.errors import DegenerateDistributionError, UnisolvencyError
 from symnodes.geometry import ElementKind, contains, node_count, reference_element
-from symnodes.metrics import _objective
+from symnodes.metrics import _factor
 from symnodes.quadrature import quadrature_rule
 from symnodes.symmetry import NodalDistribution
 
@@ -214,9 +214,11 @@ def test_inverse_product_matches_transposed_lu_solve(kind, p):
     ref = scipy.linalg.lu_solve(lu, basis_eval_many(sp, pts).T, trans=1).T
     tol = np.linalg.cond(interp.matrix) * 1e-14 * max(1.0, np.abs(ref).max())
     np.testing.assert_allclose(_cardinal(interp, pts), ref, rtol=0, atol=tol)
-    # The objective is the same expression on the same factorization.
+    # The metrics' objective is the same expression on the same
+    # factorization.
     A = scipy.linalg.lu_solve(lu, np.eye(sp.dim))
-    assert _objective(interp) == float(np.einsum("ij,ij->", A, A))
+    objective = _factor(sp, interp.dist, p)[2]
+    assert objective == float(np.einsum("ij,ij->", A, A))
     assert not interp.inverse().flags.writeable
 
 

@@ -249,7 +249,7 @@ def test_orbit_reach_recovers_parameters(kind, data):
     # Every point map has full column rank, so the parameters that put an
     # orbit point at a location are unique, and _orbit_reach finds them.
     orbit = data.draw(st.sampled_from(orbits(kind)))
-    for S, _ in orbit.maps:
+    for S in orbit.S:
         assert np.linalg.matrix_rank(S) == orbit.param_count
     b = orbit.bounds
     lo, hi = lincon.coordinate_intervals(b.matrix, b.lower, b.upper)
@@ -267,7 +267,7 @@ def test_orbit_reach_recovers_parameters(kind, data):
 def _orbit_reach_lstsq(orbit, lam_hat):
     """The unscreened matcher: one least-squares solve per point map, in
     orbit point order.  The oracle for :func:`_orbit_reach`."""
-    for S, sigma in orbit.maps:
+    for S, sigma in zip(orbit.S, orbit.sigma):
         rhs = lam_hat - sigma
         xi, *_ = np.linalg.lstsq(S, rhs, rcond=None)
         if (

@@ -16,10 +16,11 @@ from symnodes.metrics import (
     _EXTRUDED as EXTRUDED_BASE,
     _SYMMETRY_TOL,
     _axis,
+    _canonical,
     _chamber,
     _extruded_max,
+    _factor,
     _flat_maxima,
-    _interpolator,
     _lattice,
     evaluate_metrics,
     is_unisolvent,
@@ -569,8 +570,8 @@ def test_vandermonde_identities_match_quadrature(kind, p, seed, amplitude):
     spp = FunctionSpace(kind, p)
     assume(is_unisolvent(spp, dist))
     rule = quadrature_rule(kind, 2 * p)
-    order, interp = _interpolator(spp, dist)
-    inverse = interp.inverse()[:, np.argsort(order)]
+    order, canonical = _canonical(dist)
+    inverse = _factor(spp, canonical, p)[0][:, np.argsort(order)]
     # That V^-1, mapped back, inverts V at the caller's nodes, V built here:
     # a residual of the backward-stable solve, n eps |V| |V^-1| at most.
     V = basis_eval_many(spp, dist.nodes)
@@ -666,7 +667,7 @@ def test_asymmetric_set_scans_full_lattice(kind):
     dist = _interior_moved(baseline_distribution(kind, p, "uniform"))
     assert not is_symmetric(kind, dist.nodes, _SYMMETRY_TOL)
     r = _SCAN_RESOLUTION[reference_element(kind).dim]
-    every = [(np.arange(spp.dim), _interpolator(spp, dist)[1].inverse())]
+    every = [(np.arange(spp.dim), _factor(spp, _canonical(dist)[1], p)[0])]
     elem = reference_element(kind)
     extra = np.vstack([elem.vertices, quadrature_rule(kind, 2 * p).points])
     base = EXTRUDED_BASE.get(kind)

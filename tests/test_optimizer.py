@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from symnodes import basis, lincon, optimizer
 from symnodes.baselines import BaselineKind, baseline_distribution, gll_1d
-from symnodes.basis import FunctionSpace, basis_eval_many, basis_grad_many
+from symnodes.basis import (
+    MASS_RATIO, FunctionSpace, basis_eval_many, basis_grad_many,
+)
 from symnodes.compatibility import (
     FacePrescription,
     build_compatibility_constraints,
@@ -28,6 +30,7 @@ from symnodes.geometry import (
     reference_element,
 )
 from symnodes.metrics import (
+    _EXTRUDED as EXTRUDED_BASE,
     is_unisolvent,
     lebesgue_constant,
     lebesgue_objective,
@@ -46,6 +49,7 @@ from symnodes.symmetry import (
     enumerate_admissible_collections,
     evaluate_collection,
     orbits,
+    same_point_set,
 )
 
 
@@ -545,11 +549,23 @@ def _edge_problem(edge_x, moving):
     )
 
 
-def test_dependent_fixed_rows_raise_when_the_problem_is_built():
+def test_dependent_fixed_rows_put_every_point_at_the_singular_limit():
     # Four fixed nodes on one edge: P2 restricted to the edge has dimension
-    # three, so their Vandermonde rows are linearly dependent.
-    with pytest.raises(DegenerateDistributionError, match="dependent"):
-        _edge_problem([-1.0, -0.5, 0.5, 1.0], [[-0.5, -0.2], [0.0, 0.2]])
+    # three, so their Vandermonde rows are linearly dependent.  The problem
+    # builds, but ||R^-1||_F^2, a term of the objective at every point, is
+    # at or above the near-singular limit, so the start's run ends "error"
+    # at its first evaluation.
+    problem = _edge_problem(
+        [-1.0, -0.5, 0.5, 1.0], [[-0.5, -0.2], [0.0, 0.2]]
+    )
+    assert problem._fixed_objective >= 1.0 / MASS_RATIO
+    for y in ([0.1, -0.2], [0.0, 0.0], [-0.4, 0.7]):
+        f, _ = optimizer._objective_value(problem, np.array(y))
+        assert f >= 1.0 / MASS_RATIO
+    y0 = np.array([0.1, -0.2])
+    res = optimizer._Lockstep(problem, OptimizerConfig(), [y0]).result(y0)
+    assert (res.status, res.iterations) == ("error", 0)
+    assert "is at or above 1e+14" in res.message
     # Three edge nodes are independent, and the objective is the dense one.
     problem = _edge_problem(
         [-1.0, 0.0, 1.0], [[-0.5, -0.2], [0.0, 0.2], [-0.4, 0.4]]
@@ -675,7 +691,7 @@ def test_line_p4_objective_shape():
         ElementKind.LINE, 4, (1, 2, 2), [point_prescription(4)]
     )
     res = minimize(problem, OptimizerConfig(), np.array([0.5]))
-    y_star = res.parameters[problem.free_mask]
+    y_star = res.x[problem.free_mask]
     f_star, g_star = _value_and_gradient(problem, y_star)
     assert np.max(np.abs(g_star)) < 1e-8
     for t in (1e-3, -1e-3):
@@ -699,9 +715,9 @@ def test_minimize_line_p4_near_gll():
     # The pinned endpoint pair keeps its value bit for bit.
     pinned = ~problem.free_mask
     assert np.array_equal(
-        res.parameters[pinned], problem.pinned_values[pinned]
+        res.x[pinned], problem.pinned_values[pinned]
     )
-    alpha = abs(res.parameters[problem.free_mask][0])
+    alpha = abs(res.x[problem.free_mask][0])
     assert abs(alpha - 0.65) <= 0.05
 
 
@@ -849,20 +865,20 @@ def test_all_restarts_failed_names_each_reason(monkeypatch):
     assert message.count("is at or above 1e+00") == 4
 
 
-def test_fixed_block_failure_fails_the_start_stage(monkeypatch):
-    # A basis that is not finite at the fixed nodes fails the problem's
-    # construction, before any restart runs.
+def test_non_finite_fixed_basis_leaves_every_start_undefined(monkeypatch):
+    # A basis that is not finite at the fixed nodes leaves the objective
+    # undefined at every start, which holds their QR: each restart ends at
+    # its first evaluation, and the error gives that reason for each.
     def nan_basis(space, x):
         return np.full((len(x), space.dim), np.nan)
 
     monkeypatch.setattr(optimizer, "basis_eval_many", nan_basis)
     with pytest.raises(NoViableCollectionError) as info:
         optimize_nodes(ElementKind.TRIANGLE, 4, _tri4_faces())
-    assert str(info.value) == (
-        "tri degree 4: start failed: the basis is not finite at the fixed "
-        "nodes"
-    )
-    assert isinstance(info.value.__cause__, DegenerateDistributionError)
+    message = str(info.value)
+    assert message.startswith("tri degree 4: all 4 restarts failed (")
+    for restart in range(4):
+        assert f"restart {restart}: start objective undefined: " in message
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -952,7 +968,7 @@ def test_lowest_objective_wins_whatever_the_status(monkeypatch):
         out = real(problem, config, y0, lockstep)
         if not outcomes:
             out.status = "iteration-limited"
-            out.objective -= 1.0
+            out.fun -= 1.0
         else:
             out.status = "kkt-converged"
         outcomes.append(out)
@@ -962,8 +978,8 @@ def test_lowest_objective_wins_whatever_the_status(monkeypatch):
     r = optimize_nodes(ElementKind.LINE, 5, [point_prescription(5)])
     assert len(outcomes) == 4
     assert r.status == "iteration-limited"
-    assert r.objective == outcomes[0].objective
-    assert np.array_equal(r.parameters, outcomes[0].parameters)
+    assert r.objective == outcomes[0].fun
+    assert np.array_equal(r.parameters, outcomes[0].x)
 
 
 def test_unconverged_projection_drops_only_its_restart(monkeypatch):
@@ -1010,8 +1026,8 @@ def test_unconverged_projection_drops_only_its_restart(monkeypatch):
 
 def _same_outcome(a, b):
     return (
-        np.array_equal(a.parameters, b.parameters)
-        and a.objective == b.objective
+        np.array_equal(a.x, b.x)
+        and a.fun == b.fun
         and (a.status, a.iterations, a.message)
         == (b.status, b.iterations, b.message)
         and a.kkt_residual == b.kkt_residual
@@ -1126,7 +1142,7 @@ def test_near_singular_restart_is_dropped_with_its_reason(tmp_path, monkeypatch)
     dropped = outcomes[1]
     assert dropped.iterations == 0
     assert "2.687e+35 is at or above 1e+14" in dropped.message
-    assert all(o.objective < 4.0 for o in outcomes if o.status != "error")
+    assert all(o.fun < 4.0 for o in outcomes if o.status != "error")
 
 
 def test_gen_2d_winners_are_strict_local_minima(tmp_path, monkeypatch):
@@ -1166,3 +1182,26 @@ def test_tri_p9_ends_in_one_minimum_at_every_seed(tmp_path, capsys, seed):
     assert fields[4] == "kkt-converged"
     objective = float(fields[2].removeprefix("objective "))
     assert abs(objective - 2.25037228661348) <= 1e-12 * objective
+
+
+@pytest.mark.parametrize("kind, p", [
+    *((ElementKind.QUADRILATERAL, p) for p in range(2, 7)),
+    *((kind, p) for kind in (ElementKind.HEXAHEDRON, ElementKind.PRISM)
+      for p in range(2, 5)),
+])
+def test_extruded_optimum_is_the_product_of_its_factors(opt_cache, kind, p):
+    # With faces from the same bottom-up cache, the optimum of an extruded
+    # kind is the product of its base kind's and the line's optima.  At a
+    # product set the cardinal functions and the mass matrix factor, so the
+    # gradient for a node along one axis is the factor's gradient times a
+    # positive (diagonal) mass entry of the other factor: a product of KKT
+    # points is a KKT point.  The objective is the product of the factors'.
+    base = opt_cache.result(EXTRUDED_BASE[kind], p)
+    line = opt_cache.result(ElementKind.LINE, p)
+    a, b = base.distribution.nodes, line.distribution.nodes
+    product = np.column_stack([np.repeat(a, len(b), axis=0),
+                               np.tile(b, (len(a), 1))])
+    r = opt_cache.result(kind, p)
+    assert same_point_set(r.distribution.nodes, product, 1e-9)
+    assert r.objective == pytest.approx(base.objective * line.objective,
+                                        rel=1e-12)

@@ -78,8 +78,10 @@ def test_orbit_tables(kind):
 def test_orbit_pattern_spells_its_generator(kind, pattern, a, point):
     # ``*`` shares what the partition of unity leaves after the letters.
     i = symmetry._ORBIT_PATTERNS[kind].split().index(pattern)
-    S, sigma = orbits(kind)[i].maps[0]
-    np.testing.assert_allclose(S @ [a] + sigma, point, rtol=0, atol=1e-15)
+    orbit = orbits(kind)[i]
+    np.testing.assert_allclose(
+        orbit.S[0] @ [a] + orbit.sigma[0], point, rtol=0, atol=1e-15
+    )
 
 
 def test_orbit_multiplicity_falling_along_the_table_raises(monkeypatch):
@@ -118,12 +120,10 @@ def test_evaluate_orbit_first_point_is_generator():
     # The first map must be the generator itself; bound derivation and
     # constraint anchoring rely on it.
     tri = orbits(ElementKind.TRIANGLE)
-    S, sigma = tri[1].maps[0]
-    np.testing.assert_allclose(S.ravel(), [1.0, 1.0, -2.0])
-    np.testing.assert_allclose(sigma, [0.0, 0.0, 1.0])
-    S3, sigma3 = tri[2].maps[0]
-    np.testing.assert_allclose(S3, [[1, 0], [0, 1], [-1, -1]])
-    np.testing.assert_allclose(sigma3, [0, 0, 1])
+    np.testing.assert_allclose(tri[1].S[0].ravel(), [1.0, 1.0, -2.0])
+    np.testing.assert_allclose(tri[1].sigma[0], [0.0, 0.0, 1.0])
+    np.testing.assert_allclose(tri[2].S[0], [[1, 0], [0, 1], [-1, -1]])
+    np.testing.assert_allclose(tri[2].sigma[0], [0, 0, 1])
 
 
 def test_evaluate_orbit_infeasible_raises():

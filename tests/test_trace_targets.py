@@ -6,7 +6,8 @@ run.  These tests load the module from its file (without editing or
 installing it), resolve each target, and run the counting hooks on real
 results, so that what the hooks read at run time (``metrics._lattice``,
 ``metrics.default_resolution`` and the ``iterations`` and ``status`` of
-``optimizer.MinimizeOutcome``) is checked as well.
+the ``lincon.SolveResult`` that ``optimizer.minimize`` returns) is checked
+as well.
 """
 
 import importlib
