@@ -17,12 +17,8 @@ Prints one CSV row per (kind, p, seed): the objective ``||V^-1||_F^2`` on
 this side and the other and its relative rise, the Lebesgue constant on
 both sides, each side's optimizer status, and the distance between the two
 node sets (nearest-neighbour matching, as ``check_identity.py`` measures
-it; 0 where the files are the same bytes).  On quad, hex and prism rows a
-last column gives the distance, on this side, from the node set to the
-product of the same run's base-kind set (line, quad, tri) and line set,
-both of degree p: an extruded kind's optimum is that product wherever the
-runs end there.  A summary line per seed counts the node files that differ
-and the largest distance among them.
+it; 0 where the files are the same bytes).  A summary line per seed counts
+the node files that differ and the largest distance among them.
 
 Exits 1 if an element fails on either side, or if an objective of this
 checkout is above the other's by more than ``RISE`` relative.
@@ -40,9 +36,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from check_identity import _node_set_distance, _nodes, _point_set_distance
+from check_identity import _node_set_distance
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,9 +46,6 @@ GRID = {
 }
 
 RISE = 1e-12
-
-# Each extruded kind is its base kind times the line, on the last axis.
-EXTRUDED = {"quad": "line", "hex": "quad", "prism": "tri"}
 
 CLI = "import sys; from symnodes.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -104,21 +95,6 @@ def _number(row, key):
     return float(row[key]) if row.get("status") == "ok" else float("nan")
 
 
-def _product_distance(out, rows, kind, p):
-    """Distance from the node set of ``(kind, p)`` in ``out`` to the
-    product of the base kind's and the line's sets of degree ``p``: empty
-    for a kind that is not extruded, NaN where one of the three failed."""
-    if kind not in EXTRUDED:
-        return ""
-    keys = [(kind, p), (EXTRUDED[kind], p), ("line", p)]
-    if any(rows.get(key, {}).get("status") != "ok" for key in keys):
-        return "nan"
-    x, base, line = (_nodes(out / rows[key]["file"]) for key in keys)
-    product = np.column_stack([np.repeat(base, len(line), axis=0),
-                               np.tile(line, (len(base), 1))])
-    return f"{_point_set_distance(x, product):.2e}"
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("other", help="root of the checkout to compare against")
@@ -127,8 +103,7 @@ def main(argv=None):
     sides = {"this": ROOT, "other": Path(args.other).resolve()}
     ok = True
     print("kind,p,seed,objective,objective_other,objective_rise,lebesgue,"
-          "lebesgue_other,status,status_other,node_distance,"
-          "product_distance")
+          "lebesgue_other,status,status_other,node_distance")
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             outs = {side: Path(tmp) / f"{side}-{seed}" for side in sides}
@@ -157,8 +132,7 @@ def main(argv=None):
                       f"{rise:.1e},{_number(a, 'lebesgue_constant'):.6g},"
                       f"{_number(b, 'lebesgue_constant'):.6g},"
                       f"{a.get('optimizer_status')},"
-                      f"{b.get('optimizer_status')},{dist:.2e},"
-                      f"{_product_distance(outs['this'], this, *key)}")
+                      f"{b.get('optimizer_status')},{dist:.2e}")
             print(f"# seed {seed}: {moved} of {len(this)} node files differ, "
                   f"by at most {largest:.2e}")
     return 0 if ok else 1

@@ -10,6 +10,14 @@ Subcommands:
 Cross-element compatibility is handled bottom-up: with ``--compat auto``
 (the default) the lower-dimensional optimized distributions are generated
 first (or loaded from the cache directory) and used as face prescriptions.
+Under ``auto`` the extruded kinds (quad, hex and prism, ``EXTRUDED``) are
+not optimized: each is the product of its base kind's and the line's node
+sets of its degree, which is the optimum of its own problem, checked
+against and snapped to its faces.  Its status is ``kkt-converged`` when
+both factors' are, else the first factor's that is not (base kind first),
+and unknown when a factor was loaded from disk.  ``--compat off`` and
+``--compat FILE`` run the optimizer on every kind: a product of face sets
+that are not optima of their own problems need not be one.
 
 Exit codes: 0 success, 1 internal failure (an ``OSError`` included, such
 as a ``--cache-dir`` that cannot be made), 2 input error (including a
@@ -36,15 +44,19 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .baselines import BaselineKind, baseline_distribution
 from .basis import FunctionSpace
 from .compatibility import (
     FacePrescription,
     face_prescriptions,
     point_prescription,
+    snap_face_nodes,
+    verify_face_match,
 )
-from .errors import NodeFileError, SymnodesError
-from .geometry import ElementKind, reference_element
+from .errors import NodeFileError, NumericalError, SymnodesError
+from .geometry import EXTRUDED, ElementKind, reference_element
 from .metrics import evaluate_metrics, evaluate_rows
 from .nodefile import (
     FORMAT_VERSION,
@@ -55,6 +67,7 @@ from .nodefile import (
     write_node_file,
 )
 from .optimizer import OptimizerConfig, optimize_nodes
+from .symmetry import NodalDistribution
 
 __all__ = ["main"]
 
@@ -124,14 +137,18 @@ def _check_degree(kind, degree, force):
         )
 
 
-# The method that made a cached node set.  Another solver reaches other
-# nodes from the same options, so its files must not load under this hash.
+# The method that made a cached node set.  Another method reaches other
+# nodes from the same options (or the same nodes in other rows and last
+# bits), so its files must not load under this hash.  Under --compat auto
+# the extruded kinds are products of their factors.
 _SOLVER = "active-set-newton"
+_PRODUCT = "product-of-factors"
 
 
 def _config_payload(kind, degree, args, compat):
+    product = compat == "auto" and kind in EXTRUDED
     return {
-        "solver": _SOLVER,
+        "solver": _PRODUCT if product else _SOLVER,
         "format": FORMAT_VERSION,
         "element": kind.value,
         "degree": degree,
@@ -158,30 +175,89 @@ def _load_cached(path, expect_hash):
     return dist
 
 
-def _make_ensure(args, cache_dir, statuses=None):
-    """Recursive generate-or-load over the cache directory.
+def _product(kind, degree, base, line, prescriptions):
+    """The node set of the extruded ``kind``: the product of its base
+    kind's set ``base`` and the line set ``line``, rows base-major, with
+    every face node set to its exact prescription.
 
-    With a ``statuses`` dict, the optimizer status of every distribution
-    optimized here is stored under ``(kind, degree)``.
+    Raises :class:`NumericalError` when a face of the product does not
+    carry its prescribed nodes, as :func:`optimize_nodes` does.
+    """
+    a, b = base.nodes, line.nodes
+    nodes = np.column_stack(
+        [np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))]
+    )
+    dist = NodalDistribution(kind, degree, nodes, source="optimized")
+    elem = reference_element(kind)
+    if not verify_face_match(elem, dist, prescriptions, tol=1e-10):
+        raise NumericalError(
+            "product distribution violates the face prescriptions"
+        )
+    dist.nodes = snap_face_nodes(elem, dist.nodes, prescriptions)
+    return dist
+
+
+def _product_status(statuses):
+    """Status of a product from its factors' statuses, base kind first:
+    ``kkt-converged`` when every factor's is, else the first that is not;
+    ``None`` when a factor has none (it was loaded from disk)."""
+    if None in statuses:
+        return None
+    return next((s for s in statuses if s != "kkt-converged"), "kkt-converged")
+
+
+class _BottomUp:
+    """Generate-or-load over the cache directory: the ``--compat auto``
+    pipeline.
+
+    ``statuses`` holds, under ``(kind, degree)``, the status of every node
+    set made here: the winning restart's, or a product's
+    (:func:`_product_status`); a node set loaded from disk has none.
     """
 
-    def ensure(kind, degree):
-        cfg_hash = config_hash(_config_payload(kind, degree, args, "auto"))
-        path = _cache_path(cache_dir, kind, degree)
+    def __init__(self, args, cache_dir):
+        self.args = args
+        self.cache_dir = cache_dir
+        self.statuses = {}
+
+    def ensure(self, kind, degree):
+        """The node set of ``kind`` from the cache directory, or made by
+        :meth:`make` and written there."""
+        cfg_hash = config_hash(
+            _config_payload(kind, degree, self.args, "auto")
+        )
+        path = _cache_path(self.cache_dir, kind, degree)
         cached = _load_cached(path, cfg_hash)
         if cached is not None:
             return cached
-        prescriptions = face_prescriptions(kind, degree, ensure)
-        result = optimize_nodes(
-            kind, degree, prescriptions, args.config
-        )
-        os.makedirs(cache_dir, exist_ok=True)
-        write_node_file(path, result.distribution, config=cfg_hash)
-        if statuses is not None:
-            statuses[(kind, degree)] = result.status
-        return result.distribution
+        dist, status = self.make(kind, degree)
+        os.makedirs(self.cache_dir, exist_ok=True)
+        write_node_file(path, dist, config=cfg_hash)
+        self.statuses[(kind, degree)] = status
+        return dist
 
-    return ensure
+    def make(self, kind, degree):
+        """``(distribution, status)`` of ``kind``, with the face kinds below
+        it ensured first.  An extruded kind is the :func:`_product` of its
+        base kind's and the line's node sets (their optima make a KKT point
+        of its own problem), with :func:`_product_status`; any other kind is
+        optimized with its faces pinned."""
+        prescriptions = face_prescriptions(kind, degree, self.ensure)
+        base = EXTRUDED.get(kind)
+        if base is None:
+            result = optimize_nodes(
+                kind, degree, prescriptions, self.args.config
+            )
+            return result.distribution, result.status
+        faces = {pres.face_kind: pres.dist for pres in prescriptions}
+        factors = (base, ElementKind.LINE)
+        dist = _product(kind, degree, *(
+            faces[k] if k in faces else self.ensure(k, degree)
+            for k in factors
+        ), prescriptions)
+        return dist, _product_status(
+            [self.statuses.get((k, degree)) for k in factors]
+        )
 
 
 def _metric_fields(report):
@@ -261,6 +337,26 @@ def _check_out_file(path):
         raise InputError(f"cannot make the directory of --out {path}: {exc}")
 
 
+def _compat_files(kind, degree, compat):
+    """The prescriptions read from the comma-separated ``--compat`` files."""
+    prescriptions, files = [], []
+    for path in compat.split(","):
+        path = path.strip()
+        try:
+            dist, _ = read_node_file(path)
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
+        try:
+            prescriptions.append(FacePrescription(dist.kind, dist))
+        except ValueError as exc:
+            raise InputError(f"bad prescription {path}: {exc}") from exc
+        files.append((path, dist))
+    if kind is ElementKind.LINE and not prescriptions:
+        prescriptions = [point_prescription(degree)]
+    _check_compat(kind, degree, files, prescriptions)
+    return prescriptions
+
+
 def cmd_generate(args):
     kind = _parse_element(args.element)
     _check_degree(kind, args.degree, args.force_degree)
@@ -271,43 +367,28 @@ def cmd_generate(args):
     compat = args.compat
 
     if compat == "auto":
-        ensure = _make_ensure(args, cache_dir)
-        prescriptions = face_prescriptions(kind, args.degree, ensure)
-    elif compat == "off":
-        prescriptions = []
+        dist, status = _BottomUp(args, cache_dir).make(kind, args.degree)
     else:
-        prescriptions, files = [], []
-        for path in compat.split(","):
-            path = path.strip()
-            try:
-                dist, _ = read_node_file(path)
-            except OSError as exc:
-                raise InputError(f"cannot read {path}: {exc}") from exc
-            try:
-                prescriptions.append(FacePrescription(dist.kind, dist))
-            except ValueError as exc:
-                raise InputError(f"bad prescription {path}: {exc}") from exc
-            files.append((path, dist))
-        if kind is ElementKind.LINE and not prescriptions:
-            prescriptions = [point_prescription(args.degree)]
-        _check_compat(kind, args.degree, files, prescriptions)
-
-    result = optimize_nodes(
-        kind, args.degree, prescriptions, args.config
-    )
+        prescriptions = []
+        if compat != "off":
+            prescriptions = _compat_files(kind, args.degree, compat)
+        result = optimize_nodes(
+            kind, args.degree, prescriptions, args.config
+        )
+        dist, status = result.distribution, result.status
     m = _metric_fields(evaluate_metrics(
-        FunctionSpace(kind, args.degree), result.distribution, args.resolution
+        FunctionSpace(kind, args.degree), dist, args.resolution
     ))
     cfg_hash = config_hash(
         _config_payload(kind, args.degree, args, compat)
     )
-    write_node_file(out, result.distribution, config=cfg_hash)
+    write_node_file(out, dist, config=cfg_hash)
     print(
-        f"{kind.value} p={args.degree}: {result.distribution.count} nodes, "
+        f"{kind.value} p={args.degree}: {dist.count} nodes, "
         f"lebesgue {m['lebesgue_constant']}, "
         f"objective {m['lebesgue_objective']}, "
         f"mass condition {m['mass_condition']}, "
-        f"{result.status}, wrote {out}"
+        f"{status or 'status unknown'}, wrote {out}"
     )
     return 0
 
@@ -348,7 +429,7 @@ def cmd_compare(args):
         if spec.startswith("="):
             raise InputError(f"--dist {spec!r} has an empty NAME")
     _check_out_file(args.out)
-    ensure = _make_ensure(args, args.cache_dir)
+    ensure = _BottomUp(args, args.cache_dir).ensure
 
     # Every row's distribution (or the error that stopped it) first, in
     # (degree, --dist) order, then one evaluation of them all.  An unknown
@@ -422,8 +503,7 @@ def cmd_tabulate(args):
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot make --out {out_dir}: {exc}") from None
-    statuses = {}
-    ensure = _make_ensure(args, out_dir, statuses)
+    bottom_up = _BottomUp(args, out_dir)
 
     records = []
     for kind in kinds:
@@ -439,11 +519,12 @@ def cmd_tabulate(args):
                 "config": cfg_hash,
             }
             try:
-                dist = ensure(kind, degree)
+                dist = bottom_up.ensure(kind, degree)
                 record.update(
                     status="ok",
-                    # The winning restart's status; None when loaded from disk.
-                    optimizer_status=statuses.get((kind, degree)),
+                    # The winning restart's status, or the product's; None
+                    # when loaded from disk.
+                    optimizer_status=bottom_up.statuses.get((kind, degree)),
                     count=dist.count,
                     **_metric_fields(evaluate_metrics(
                         FunctionSpace(kind, degree), dist, args.resolution

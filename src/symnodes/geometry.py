@@ -41,6 +41,7 @@ from .errors import NumericalError, OutsideDomainError
 
 __all__ = [
     "ElementKind",
+    "EXTRUDED",
     "FaceEmbedding",
     "ReferenceElement",
     "reference_element",
@@ -66,6 +67,13 @@ class ElementKind(str, Enum):
 
 #: Kinds whose natural coordinates are Cartesian: tensor products of the line.
 TENSOR_KINDS = (ElementKind.LINE, ElementKind.QUADRILATERAL, ElementKind.HEXAHEDRON)
+
+#: Each extruded kind is its base kind times [-1, 1] in a last coordinate.
+EXTRUDED = {
+    ElementKind.QUADRILATERAL: ElementKind.LINE,
+    ElementKind.HEXAHEDRON: ElementKind.QUADRILATERAL,
+    ElementKind.PRISM: ElementKind.TRIANGLE,
+}
 
 
 def _ro(a):

@@ -95,7 +95,9 @@ from .basis import (
     degree_columns,
 )
 from .errors import UnisolvencyError
-from .geometry import ElementKind, contains, natural_solve, reference_element
+from .geometry import (
+    EXTRUDED, ElementKind, contains, natural_solve, reference_element,
+)
 from .quadrature import quadrature_rule
 from .symmetry import NodalDistribution, is_symmetric, natural_symmetry_group
 
@@ -130,12 +132,6 @@ _CHAMBER_TOL = 1e-12
 _LOOSE = 1e-9
 # Offset from the vertex centroid to a point no group map fixes.
 _GENERIC = np.array([0.1, 0.03, 0.007])
-# Each extruded kind is its base times [-1, 1].
-_EXTRUDED = {
-    ElementKind.QUADRILATERAL: ElementKind.LINE,
-    ElementKind.HEXAHEDRON: ElementKind.QUADRILATERAL,
-    ElementKind.PRISM: ElementKind.TRIANGLE,
-}
 
 
 @dataclass
@@ -307,7 +303,7 @@ def _extruded_max(space, A, base_pts, axis):
     the table fewer; a chunk keeps the larger within ``_BUDGET``.
     """
     p = space.degree
-    base_space = FunctionSpace(_EXTRUDED[space.kind], p)
+    base_space = FunctionSpace(EXTRUDED[space.kind], p)
     line_space, line_pts = FunctionSpace(ElementKind.LINE, p), axis[:, None]
     line = _basis(line_space, line_pts.shape, 0, _tables(line_space, line_pts, 0))
     n, na = A.shape[1], axis.size
@@ -353,7 +349,7 @@ def _lebesgue_maxima(space, rows, symmetric, resolution):
     kind = space.kind
     elem = reference_element(kind)
     masked = [(degree_columns(kind, space.degree, p), A) for p, A in rows]
-    base = _EXTRUDED.get(kind)
+    base = EXTRUDED.get(kind)
     pts = (_chamber if symmetric else _lattice)(base or kind, resolution)
     if base is None:
         lattice = _flat_maxima(space, masked, pts)
@@ -377,7 +373,7 @@ def _passes(kind, members):
     kind one row each; else, by descending degree, as many rows as hold at
     most ``_BUDGET`` entries of ``V^-1`` together, or one row that holds
     more alone."""
-    if kind in _EXTRUDED:
+    if kind in EXTRUDED:
         return [[member] for member in members]
     passes, held = [], _BUDGET
     for member in sorted(members, key=lambda member: -member[1].degree):

@@ -622,6 +622,10 @@ def optimize_nodes(kind, p, prescriptions=(), config=None) -> OptimizedResult:
     :func:`~symnodes.compatibility.snap_face_nodes`), so face nodes agree
     bit for bit with the prescriptions on that face.  The returned
     ``parameters`` reproduce these nodes only to round-off.
+
+    The CLI's bottom-up path (``--compat auto``) does not call this for the
+    extruded kinds: it builds quad, hex and prism as products of their
+    factors' node sets (see :mod:`symnodes.cli`).
     """
     kind = ElementKind(kind)
     if p < 1:

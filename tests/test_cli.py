@@ -9,12 +9,16 @@ import pytest
 
 from symnodes.baselines import baseline_distribution
 from symnodes.cli import InputError, _parse_element, main
-from symnodes.compatibility import FacePrescription, verify_face_match
-from symnodes.geometry import ElementKind, contains, reference_element
+from symnodes.compatibility import (
+    FacePrescription, face_prescriptions, snap_face_nodes, verify_face_match,
+)
+from symnodes.geometry import (
+    EXTRUDED, ElementKind, contains, reference_element,
+)
 from symnodes.nodefile import (
     FORMAT_VERSION, config_hash, read_node_file, write_node_file,
 )
-from symnodes.symmetry import NodalDistribution
+from symnodes.symmetry import NodalDistribution, same_point_set
 
 
 def _run(capsys, *argv):
@@ -716,6 +720,109 @@ def test_tabulate_records_optimizer_status(tmp_path, capsys):
     assert set(statuses().values()) == {None}
 
 
+def _count_optimizer_calls(monkeypatch):
+    """Record the kind of every ``optimize_nodes`` call the CLI makes."""
+    import symnodes.cli as cli
+
+    real = cli.optimize_nodes
+    kinds = []
+
+    def wrapper(kind, *args, **kwargs):
+        kinds.append(ElementKind(kind))
+        return real(kind, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "optimize_nodes", wrapper)
+    return kinds
+
+
+def _product_of_files(directory, kind, p):
+    """The product of the base-kind and line files of degree ``p`` in
+    ``directory``, rows base-major, snapped to the faces read there."""
+    def dist(k, degree):
+        return read_node_file(directory / f"{k.value}_p{degree}.nodes")[0]
+
+    a, b = dist(EXTRUDED[kind], p).nodes, dist(ElementKind.LINE, p).nodes
+    nodes = np.column_stack([np.repeat(a, len(b), axis=0),
+                             np.tile(b, (len(a), 1))])
+    return snap_face_nodes(reference_element(kind), nodes,
+                           face_prescriptions(kind, p, dist))
+
+
+def test_tabulate_builds_extruded_kinds_as_products(
+    tmp_path, capsys, monkeypatch, opt_cache
+):
+    # Under --compat auto an extruded kind is the product of the same
+    # run's factor files, face nodes snapped, and no optimizer runs for it.
+    # It is the optimizer's own optimum (the oracle of ``opt_cache``).
+    kinds = _count_optimizer_calls(monkeypatch)
+    code, _, _ = _run(capsys, "tabulate", "--element", "quad,hex,prism",
+                      "--degree-range", "2:4", "--out", str(tmp_path))
+    assert code == 0
+    assert kinds and not set(kinds) & set(EXTRUDED)
+    for kind in EXTRUDED:
+        for p in range(2, 5):
+            path = tmp_path / f"{kind.value}_p{p}.nodes"
+            dist, header = read_node_file(path)
+            assert header.source == "optimized"
+            assert np.array_equal(dist.nodes,
+                                  _product_of_files(tmp_path, kind, p))
+            assert same_point_set(
+                dist.nodes, opt_cache.dist(kind, p).nodes, 1e-9
+            )
+
+
+def test_generate_auto_writes_the_bytes_of_tabulate(tmp_path, capsys):
+    out = tmp_path / "quad3.nodes"
+    assert _run(capsys, "generate", "--element", "quad", "--degree", "3",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(out))[0] == 0
+    assert _run(capsys, "tabulate", "--element", "quad", "--degree-range",
+                "3:3", "--out", str(tmp_path / "tab"))[0] == 0
+    tabulated = tmp_path / "tab" / "quad_p3.nodes"
+    assert out.read_bytes() == tabulated.read_bytes()
+
+
+def test_quad_cached_by_the_optimizer_is_made_again(tmp_path, capsys):
+    # A quad file made by the optimizer (the hash of an earlier method)
+    # is not loaded: the product replaces it, and the row says it was made.
+    stale = tmp_path / "quad_p3.nodes"
+    earlier = config_hash({
+        "solver": "active-set-newton", "format": FORMAT_VERSION,
+        "element": "quad", "degree": 3, "compat": "auto", "seed": 0,
+        "kkt_tol": 1e-10, "max_iters": 200,
+    })
+    write_node_file(
+        stale, baseline_distribution(ElementKind.QUADRILATERAL, 3, "uniform"),
+        config=earlier,
+    )
+    assert _run(capsys, "tabulate", "--element", "quad", "--degree-range",
+                "3:3", "--out", str(tmp_path))[0] == 0
+    dist, header = read_node_file(stale)
+    assert header.config not in ("", earlier)
+    assert np.array_equal(
+        dist.nodes, _product_of_files(tmp_path, ElementKind.QUADRILATERAL, 3)
+    )
+    (row,) = map(json.loads,
+                 (tmp_path / "manifest.jsonl").read_text().splitlines())
+    assert row["optimizer_status"] == "kkt-converged"
+
+
+def test_generate_compat_file_on_quad_runs_the_optimizer(
+    tmp_path, capsys, monkeypatch
+):
+    # A face file need not be a KKT point of its own problem, so its
+    # product need not be one of the quad's: the optimizer runs.
+    line = tmp_path / "line3.nodes"
+    assert _run(capsys, "generate", "--element", "line", "--degree", "3",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(line))[0] == 0
+    kinds = _count_optimizer_calls(monkeypatch)
+    assert _run(capsys, "generate", "--element", "quad", "--degree", "3",
+                "--compat", str(line), "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(tmp_path / "quad3.nodes"))[0] == 0
+    assert kinds == [ElementKind.QUADRILATERAL]
+
+
 def _count_metric_calls(monkeypatch):
     """Record ``(kind, degree)`` of every ``evaluate_metrics`` call, from
     whichever ``symnodes`` module makes it."""
@@ -928,13 +1035,21 @@ def test_tabulate_checks_every_cap_before_work(tmp_path, capsys):
 
 
 def test_generate_quad_p14_passes_face_check(tmp_path, capsys):
-    # Restart 0 ends iteration-limited at the lowest objective; jittered
-    # restarts converge far higher with nodes on the edges.  Ranking by
-    # objective keeps restart 0, whose nodes match the face prescriptions.
+    # Under --compat auto quad p=14 is the product of the line set with
+    # itself; a face file keeps it on the optimizer's restart ranking.
+    # Ranking by objective keeps the lowest run, which at seed 0 ends
+    # kkt-converged with nodes that match the face prescriptions.
+    line = tmp_path / "line14.nodes"
+    code, _, err = _run(
+        capsys,
+        "generate", "--element", "line", "--degree", "14", "--seed", "0",
+        "--cache-dir", str(tmp_path / "cache"), "--out", str(line),
+    )
+    assert code == 0, err
     code, _, err = _run(
         capsys,
         "generate", "--element", "quad", "--degree", "14", "--seed", "0",
-        "--compat", "auto", "--cache-dir", str(tmp_path / "cache"),
+        "--compat", str(line), "--cache-dir", str(tmp_path / "cache"),
     )
     assert code == 0, err
 

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from symnodes.baselines import baseline_distribution
 from symnodes.basis import FunctionSpace, LagrangeInterpolator, basis_eval_many
 from symnodes.errors import SymnodesError, UnisolvencyError
-from symnodes.geometry import ElementKind, reference_element
+from symnodes.geometry import EXTRUDED, ElementKind, reference_element
 from symnodes.metrics import (
-    _EXTRUDED as EXTRUDED_BASE,
     _SYMMETRY_TOL,
     _axis,
     _canonical,
@@ -269,16 +268,9 @@ def test_evaluate_metrics_bundle():
     assert report.resolution == 1000
 
 
-_EXTRUDED = [
-    (ElementKind.QUADRILATERAL, ElementKind.LINE),
-    (ElementKind.HEXAHEDRON, ElementKind.QUADRILATERAL),
-    (ElementKind.PRISM, ElementKind.TRIANGLE),
-]
-
-
 @pytest.mark.parametrize(
     "kind,base,r",
-    [(k, b, r) for k, b in _EXTRUDED for r in (2, 3, 7, 20, 60)]
+    [(k, b, r) for k, b in EXTRUDED.items() for r in (2, 3, 7, 20, 60)]
     + [(ElementKind.QUADRILATERAL, ElementKind.LINE, 300)],
 )
 def test_extruded_lattice_is_base_times_axis(kind, base, r):
@@ -294,7 +286,7 @@ def test_extruded_lattice_is_base_times_axis(kind, base, r):
 
 @pytest.mark.parametrize(
     "kind,base,p",
-    [(k, b, p) for k, b in _EXTRUDED
+    [(k, b, p) for k, b in EXTRUDED.items()
      for p in range(1, 10 if k is ElementKind.QUADRILATERAL else 6)],
 )
 def test_extruded_basis_is_rowwise_kronecker(kind, base, p):
@@ -327,7 +319,7 @@ def _flat_lebesgue(spp, dist, r):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from([k for k, _ in _EXTRUDED]),
+    kind=st.sampled_from(list(EXTRUDED)),
     p=st.integers(1, 9),
     r=st.integers(2, 25),
     seed=st.integers(0, 2**32 - 1),
@@ -601,7 +593,7 @@ def test_vandermonde_identities_match_quadrature(kind, p, seed, amplitude):
 def _reduced_lattice(kind, r):
     """The lattice points the scan of a symmetric set covers: the kind's
     chamber, or on an extruded kind the base chamber times ``z >= 0``."""
-    base = EXTRUDED_BASE.get(kind)
+    base = EXTRUDED.get(kind)
     if base is None:
         return _chamber(kind, r), len(natural_symmetry_group(kind))
     base_pts = _chamber(base, r)
@@ -670,7 +662,7 @@ def test_asymmetric_set_scans_full_lattice(kind):
     every = [(np.arange(spp.dim), _factor(spp, _canonical(dist)[1], p)[0])]
     elem = reference_element(kind)
     extra = np.vstack([elem.vertices, quadrature_rule(kind, 2 * p).points])
-    base = EXTRUDED_BASE.get(kind)
+    base = EXTRUDED.get(kind)
     if base is None:
         (oracle,) = _flat_maxima(
             spp, every, np.vstack([_lattice(kind, r), extra])

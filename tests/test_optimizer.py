@@ -25,12 +25,12 @@ from symnodes.errors import (
     NumericalError,
 )
 from symnodes.geometry import (
+    EXTRUDED,
     ElementKind,
     natural_to_cartesian,
     reference_element,
 )
 from symnodes.metrics import (
-    _EXTRUDED as EXTRUDED_BASE,
     is_unisolvent,
     lebesgue_constant,
     lebesgue_objective,
@@ -1117,10 +1117,12 @@ def test_colliding_start_ends_with_the_collision_as_its_reason():
 
 
 def test_near_singular_restart_is_dropped_with_its_reason(tmp_path, monkeypatch):
-    # tabulate quad p=9 at seed 1: restart 1 starts at objective 2.7e35
-    # (a round-off-level value that follows the last bits of line p=9) and
-    # used to end "kkt-converged" near 5.2e31 after 16 iterations.  It now
-    # ends "error" at its first evaluation, and another restart wins.
+    # quad p=9 at seed 1 on the faces of tabulate's line p=9: restart 1
+    # starts at objective 2.7e35 (a round-off-level value that follows the
+    # last bits of line p=9) and used to end "kkt-converged" near 5.2e31
+    # after 16 iterations.  It now ends "error" at its first evaluation,
+    # and another restart wins.  tabulate builds quad as the product of its
+    # factors, so the line file reaches the optimizer through --compat.
     from symnodes.cli import main
 
     real = optimizer.minimize
@@ -1133,8 +1135,12 @@ def test_near_singular_restart_is_dropped_with_its_reason(tmp_path, monkeypatch)
         return out
 
     monkeypatch.setattr(optimizer, "minimize", recorded)
-    argv = ["tabulate", "--element", "quad", "--degree-range", "9:9",
+    argv = ["tabulate", "--element", "line", "--degree-range", "9:9",
             "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    argv = ["generate", "--element", "quad", "--degree", "9", "--seed", "1",
+            "--compat", str(tmp_path / "line_p9.nodes"),
+            "--out", str(tmp_path / "quad9.nodes")]
     assert main(argv) == 0
     assert [o.status for o in outcomes] == [
         "kkt-converged", "error", "kkt-converged", "kkt-converged"
@@ -1148,7 +1154,9 @@ def test_near_singular_restart_is_dropped_with_its_reason(tmp_path, monkeypatch)
 def test_gen_2d_winners_are_strict_local_minima(tmp_path, monkeypatch):
     # tabulate line, tri and quad p=7-9 at seed 1: every element's winning
     # run ends KKT-converged with a positive smallest eigenvalue of its
-    # reduced Hessian, which certifies a strict local minimum.
+    # reduced Hessian, which certifies a strict local minimum.  tabulate
+    # builds quad as the product of its factors, so quad is optimized on
+    # the same line files through --compat.
     import symnodes.cli as cli
 
     results = {}
@@ -1161,6 +1169,11 @@ def test_gen_2d_winners_are_strict_local_minima(tmp_path, monkeypatch):
     argv = ["tabulate", "--element", "line,tri,quad", "--degree-range", "7:9",
             "--seed", "1", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
+    for p in range(7, 10):
+        argv = ["generate", "--element", "quad", "--degree", str(p),
+                "--seed", "1", "--compat", str(tmp_path / f"line_p{p}.nodes"),
+                "--out", str(tmp_path / f"quad{p}.nodes")]
+        assert cli.main(argv) == 0
     assert len(results) == 9
     for r in results.values():
         assert r.status == "kkt-converged"
@@ -1196,7 +1209,7 @@ def test_extruded_optimum_is_the_product_of_its_factors(opt_cache, kind, p):
     # gradient for a node along one axis is the factor's gradient times a
     # positive (diagonal) mass entry of the other factor: a product of KKT
     # points is a KKT point.  The objective is the product of the factors'.
-    base = opt_cache.result(EXTRUDED_BASE[kind], p)
+    base = opt_cache.result(EXTRUDED[kind], p)
     line = opt_cache.result(ElementKind.LINE, p)
     a, b = base.distribution.nodes, line.distribution.nodes
     product = np.column_stack([np.repeat(a, len(b), axis=0),
