@@ -45,6 +45,7 @@ __all__ = [
     "lu_inverse",
     "LagrangeInterpolator",
     "MASS_RATIO",
+    "mass_condition",
 ]
 
 # Eigenvalue ratio of the mass matrix ``V^-T V^-1`` at or below which it is
@@ -652,6 +653,19 @@ def lu_inverse(M):
     return _GETRS(lu, piv, np.eye(m, order="F"), overwrite_b=True)[0]
 
 
+def mass_condition(s_max, s_min):
+    """Condition of the mass matrix ``V^-T V^-1`` for the largest and
+    smallest singular values of ``V``; raises :class:`UnisolvencyError`
+    when its eigenvalue ratio is at or below ``MASS_RATIO``."""
+    with np.errstate(all="ignore"):
+        eig_min, eig_max = 1.0 / s_max ** 2, 1.0 / s_min ** 2
+    if eig_min <= MASS_RATIO * max(eig_max, 1.0):
+        raise UnisolvencyError(
+            f"mass matrix is not positive definite (min eig {eig_min:.3e})"
+        )
+    return float(s_max / s_min) ** 2
+
+
 class LagrangeInterpolator:
     """Lagrange evaluation for one (space, distribution) pair.
 
@@ -662,8 +676,8 @@ class LagrangeInterpolator:
     buffers of their own.
 
     Raises :class:`UnisolvencyError` when ``V`` (kept as ``matrix``) is not
-    finite, its SVD fails, or the mass matrix ``V^-T V^-1`` (condition
-    ``mass_condition``) has an eigenvalue ratio at or below ``MASS_RATIO``.
+    finite, its SVD fails, or :func:`mass_condition` refuses its extreme
+    singular values (kept as ``singular``).
     A caller that holds the basis of a higher degree at the nodes passes
     ``V`` as ``matrix``, its :func:`degree_columns`; else it is
     ``basis_eval_many(space, dist.nodes)``.
@@ -686,13 +700,8 @@ class LagrangeInterpolator:
             s = np.linalg.svd(V, compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise UnisolvencyError(f"no singular values of V: {exc}") from exc
-        with np.errstate(all="ignore"):
-            eig_min, eig_max = 1.0 / s[0] ** 2, 1.0 / s[-1] ** 2
-        if eig_min <= MASS_RATIO * max(eig_max, 1.0):
-            raise UnisolvencyError(
-                f"mass matrix is not positive definite (min eig {eig_min:.3e})"
-            )
-        self.mass_condition = float(s[0] / s[-1]) ** 2
+        self.singular = s[0], s[-1]
+        self.mass_condition = mass_condition(*self.singular)
         self._inverse = lu_inverse(V)
         self._inverse.setflags(write=False)
 

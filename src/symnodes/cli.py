@@ -213,27 +213,32 @@ class _BottomUp:
     ``statuses`` holds, under ``(kind, degree)``, the status of every node
     set made here: the winning restart's, or a product's
     (:func:`_product_status`); a node set loaded from disk has none.
+    ``sets`` holds every node set made or loaded here: none is read back.
     """
 
     def __init__(self, args, cache_dir):
         self.args = args
         self.cache_dir = cache_dir
         self.statuses = {}
+        self.sets = {}
 
     def ensure(self, kind, degree):
-        """The node set of ``kind`` from the cache directory, or made by
-        :meth:`make` and written there."""
+        """The node set of ``kind`` from ``sets``, the cache directory, or
+        :meth:`make`, then written there."""
+        key = (kind, degree)
+        if key in self.sets:
+            return self.sets[key]
         cfg_hash = config_hash(
             _config_payload(kind, degree, self.args, "auto")
         )
         path = _cache_path(self.cache_dir, kind, degree)
-        cached = _load_cached(path, cfg_hash)
-        if cached is not None:
-            return cached
-        dist, status = self.make(kind, degree)
-        os.makedirs(self.cache_dir, exist_ok=True)
-        write_node_file(path, dist, config=cfg_hash)
-        self.statuses[(kind, degree)] = status
+        dist = _load_cached(path, cfg_hash)
+        if dist is None:
+            dist, status = self.make(kind, degree)
+            os.makedirs(self.cache_dir, exist_ok=True)
+            write_node_file(path, dist, config=cfg_hash)
+            self.statuses[key] = status
+        self.sets[key] = dist
         return dist
 
     def make(self, kind, degree):
@@ -249,11 +254,9 @@ class _BottomUp:
                 kind, degree, prescriptions, self.args.config
             )
             return result.distribution, result.status
-        faces = {pres.face_kind: pres.dist for pres in prescriptions}
         factors = (base, ElementKind.LINE)
         dist = _product(kind, degree, *(
-            faces[k] if k in faces else self.ensure(k, degree)
-            for k in factors
+            self.ensure(k, degree) for k in factors
         ), prescriptions)
         return dist, _product_status(
             [self.statuses.get((k, degree)) for k in factors]

@@ -68,6 +68,11 @@
 * Mass matrix: the cardinal Gram matrix ``M = V^-T V^-1``.  Its eigenvalues
   are ``1 / sigma_i^2`` for the singular values ``sigma_i`` of ``V``, so its
   condition number is ``cond(V)^2``.
+* Product sets.  A quad, hex or prism set that is, bit for bit, its
+  leading-coordinate set times its last-coordinate set has ``V = V_base
+  (x) V_line``, and its report is made of its factors' (``_records``):
+  the constant is ``max_k Lambda_base,k * Lambda_line,k`` over the three
+  product blocks of the sample (lattice, vertices, quadrature points).
 * Every metric first factors ``V`` in ``_factor``, which builds the
   ``LagrangeInterpolator``, so all refuse its refused sets, before any
   scan.  The screen ``is_unisolvent`` also refuses a coarse Lebesgue
@@ -81,6 +86,7 @@ come in; ``mass_matrix`` returns its matrix in the caller's node order.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,6 +99,7 @@ from .basis import (
     _tables,
     basis_eval_many,
     degree_columns,
+    mass_condition,
 )
 from .errors import UnisolvencyError
 from .geometry import (
@@ -140,6 +147,11 @@ class MetricReport:
     lebesgue_objective: float
     mass_condition: float
     resolution: int
+
+
+# A row's Lebesgue maxima per block of the sample, objective and the extreme
+# singular values of V; a product's are its factors' multiplied.
+_Record = namedtuple("_Record", "maxima objective singular")
 
 
 def default_resolution(dim):
@@ -227,16 +239,16 @@ def _canonical(dist):
 
 
 def _factor(space, dist, top):
-    """``V^-1`` of ``dist``, its mass condition and the objective, ``V``
-    taken as the columns of the degree-``top`` basis at the nodes that are
-    the basis of ``space`` (:func:`basis.degree_columns`); ``V`` is dropped
-    here."""
+    """``V^-1`` of ``dist``, the largest and smallest singular values of
+    ``V`` and the objective, ``V`` taken as the columns of the
+    degree-``top`` basis at the nodes that are the basis of ``space``
+    (:func:`basis.degree_columns`); ``V`` is dropped here."""
     V = basis_eval_many(FunctionSpace(space.kind, top), dist.nodes)
     if space.degree < top:
         V = V[:, degree_columns(space.kind, top, space.degree)]
     interp = LagrangeInterpolator(space, dist, V)
     A = interp.inverse()
-    return A, interp.mass_condition, float(np.einsum("ij,ij->", A, A))
+    return A, interp.singular, float(np.einsum("ij,ij->", A, A))
 
 
 def _buffers(*shapes):
@@ -256,14 +268,16 @@ def _buffers(*shapes):
     ]
 
 
-def _flat_maxima(space, rows, pts):
+def _flat_maxima(space, rows, pts, ends=None):
     """The maximum of sum_i |l_i| over ``pts`` for each row, ``(columns,
     V^-1)`` of a degree at most that of ``space``, on chunks of at most
-    ``_BUDGET`` entries per buffer.  Each chunk fills the basis table of
+    ``_BUDGET`` entries per buffer; with ``ends``, one maximum per block of
+    ``pts`` that ends there.  Each chunk fills the basis table of
     ``space`` once; each row gathers its columns from it into a second
     buffer, sized for the largest row below the top degree (the table
     itself at the top degree), and takes ``L = table @ V^-1`` into a
     third."""
+    blocks = [pts.shape[0]] if ends is None else ends
     n = space.dim
     step = max(1, _BUDGET // n)
     size = min(step, pts.shape[0])
@@ -271,7 +285,7 @@ def _flat_maxima(space, rows, pts):
     table, gathered, L, sums = _buffers(
         (size, n), (size * below,), (size * n,), (size,)
     )
-    best = np.zeros(len(rows))
+    best = np.zeros((len(rows), len(blocks)))
     for start in range(0, pts.shape[0], step):
         chunk = pts[start : start + step]
         k = len(chunk)
@@ -286,9 +300,11 @@ def _flat_maxima(space, rows, pts):
                 )
             Lk = np.matmul(Tk, A, out=L[: k * m].reshape(k, m))
             np.sum(np.abs(Lk, out=Lk), axis=1, out=sums[:k])
-            # np.maximum, unlike max(), carries a NaN through to the caller.
-            best[r] = np.maximum(best[r], np.max(sums[:k]))
-    return best
+            for b, (lo, hi) in enumerate(zip([0, *blocks], blocks)):
+                part = sums[:k][max(lo - start, 0) : max(hi - start, 0)]
+                # np.maximum, unlike max(), carries a NaN through.
+                best[r, b] = np.maximum(best[r, b], np.max(part, initial=0.0))
+    return best[:, 0] if ends is None else best
 
 
 def _extruded_max(space, A, base_pts, axis):
@@ -334,9 +350,9 @@ def _axis(resolution, symmetric):
 
 def _lebesgue_maxima(space, rows, symmetric, resolution):
     """Max of sum_i |l_i| for each row, ``(p, V^-1)`` of one kind with
-    ``p`` at most the degree of ``space``, over the lattice at
-    ``resolution`` and the row's extra points: the element vertices and
-    the degree-2p quadrature points.
+    ``p`` at most the degree of ``space``, over each block of the sample:
+    the lattice at ``resolution``, the element vertices and the degree-2p
+    quadrature points.
 
     The rows are all ``symmetric`` or none is.  The element group maps a
     symmetric node set onto itself, so its Lebesgue function too, and the
@@ -362,8 +378,9 @@ def _lebesgue_maxima(space, rows, symmetric, resolution):
     best = []
     for (p, _), row, most in zip(rows, masked, lattice):
         extra = np.vstack([elem.vertices, quadrature_rule(kind, 2 * p).points])
-        most = np.maximum(most, _flat_maxima(space, [row], extra)[0])
-        best.append(float(most))
+        ends = (len(elem.vertices), len(extra))
+        (blocks,) = _flat_maxima(space, [row], extra, ends)
+        best.append(np.array([most, *blocks]))
     return best
 
 
@@ -387,8 +404,8 @@ def _passes(kind, members):
 
 
 def _scan_pass(members, symmetric, resolution):
-    """(index, report or refusal) of each row of one pass: ``V`` of each
-    row is columns of the basis at the pass's top degree, and the
+    """(index, :class:`_Record` or refusal) of each row of one pass: ``V``
+    of each row is columns of the basis at the pass's top degree, and the
     inverses of the rows that the interpolator accepts are scanned
     together by :func:`_lebesgue_maxima` at that degree."""
     kind = members[0][1].kind
@@ -405,10 +422,64 @@ def _scan_pass(members, symmetric, resolution):
             symmetric, resolution,
         )
         out += [
-            (i, MetricReport(best, objective, condition, resolution))
-            for (i, _, _, condition, objective), best in zip(held, maxima)
+            (i, _Record(most, objective, singular))
+            for (i, _, _, singular, objective), most in zip(held, maxima)
         ]
     return out
+
+
+def _split(kind, dist):
+    """The (space, distribution) rows of the base kind and the line whose
+    product, rows base-major, is ``dist`` of the extruded ``kind`` in
+    canonical order, bit for bit; else ``None``."""
+    base = np.unique(dist.nodes[:, :-1], axis=0)
+    line = np.unique(dist.nodes[:, -1:], axis=0)
+    if len(base) * len(line) != dist.count or not np.array_equal(
+        np.column_stack([np.repeat(base, len(line), axis=0),
+                         np.tile(line, (len(base), 1))]), dist.nodes
+    ):
+        return None
+    p = dist.degree
+    return [
+        (FunctionSpace(k, p), NodalDistribution(k, p, nodes, dist.source))
+        for k, nodes in ((EXTRUDED[kind], base), (ElementKind.LINE, line))
+    ]
+
+
+def _records(kind, rows, resolution):
+    """The :class:`_Record` of each row, (space, canonical distribution) of
+    ``kind``, or the error that refused it.  A product set (:func:`_split`)
+    multiplies its factors' records, block by block, unless a factor or
+    :func:`basis.mass_condition` on the product refuses; all rows' factors
+    of a kind go together.  Other rows are scanned in :func:`_passes`."""
+    records = [None] * len(rows)
+    products = {
+        i: factors for i, (_, dist) in enumerate(rows)
+        if kind in EXTRUDED and (factors := _split(kind, dist))
+    }
+    per_kind = [
+        _records(factor[0][0].kind, list(factor), resolution)
+        for factor in zip(*products.values())
+    ]
+    for i, base, line in zip(products, *per_kind):
+        if isinstance(base, Exception) or isinstance(line, Exception):
+            continue
+        record = _Record(*map(np.multiply, base, line))
+        try:
+            mass_condition(*record.singular)
+        except UnisolvencyError:
+            continue
+        records[i] = record
+    groups = {}
+    for i, (space, dist) in enumerate(rows):
+        if records[i] is None:
+            symmetric = is_symmetric(kind, dist.nodes, _SYMMETRY_TOL)
+            groups.setdefault(symmetric, []).append((i, space, dist))
+    for symmetric, members in groups.items():
+        for batch in _passes(kind, members):
+            for i, record in _scan_pass(batch, symmetric, resolution):
+                records[i] = record
+    return records
 
 
 def evaluate_rows(rows, resolution=None):
@@ -417,28 +488,25 @@ def evaluate_rows(rows, resolution=None):
     or the ``ValueError`` or :class:`UnisolvencyError` with which the
     interpolator refused the set.
 
-    The rows that share a lattice sample (the symmetric sets, or the
-    others) are scanned in passes (:func:`_passes`).  A pass evaluates the
-    basis at the highest degree among its rows only: each ``V`` is
-    columns of it at the row's nodes (:func:`basis.degree_columns`), and
-    each chunk of the sample takes it once for every row of the pass.
-    Only the inverses of one pass are held, and each ``V`` is dropped
-    after its LU.
+    A product set takes its factors' reports (:func:`_records`); the other
+    rows that share a lattice sample are scanned in passes
+    (:func:`_passes`).  A pass evaluates the basis at the highest degree
+    among its rows only: each ``V`` is columns of it at the row's nodes
+    (:func:`basis.degree_columns`), and each chunk of the sample takes it
+    once for every row of the pass.  Only the inverses of one pass are
+    held, and each ``V`` is dropped after its LU.
     """
     kind = rows[0][0].kind
     if resolution is None:
         resolution = default_resolution(reference_element(kind).dim)
-    groups = {}
-    for i, (space, dist) in enumerate(rows):
-        dist = _canonical(dist)[1]
-        symmetric = is_symmetric(kind, dist.nodes, _SYMMETRY_TOL)
-        groups.setdefault(symmetric, []).append((i, space, dist))
-    reports = [None] * len(rows)
-    for symmetric, members in groups.items():
-        for batch in _passes(kind, members):
-            for i, report in _scan_pass(batch, symmetric, resolution):
-                reports[i] = report
-    return reports
+    canonical = [(space, _canonical(dist)[1]) for space, dist in rows]
+    return [
+        record if isinstance(record, Exception) else MetricReport(
+            float(np.max(record.maxima)), float(record.objective),
+            mass_condition(*record.singular), resolution,
+        )
+        for record in _records(kind, canonical, resolution)
+    ]
 
 
 def evaluate_metrics(space, dist, resolution=None):
@@ -468,11 +536,11 @@ def mass_matrix(space, dist):
     """Cardinal Gram matrix ``V^-T V^-1``, in the caller's node order, and
     its spectral condition number."""
     order, canonical = _canonical(dist)
-    A, condition, _ = _factor(space, canonical, space.degree)
+    A, singular, _ = _factor(space, canonical, space.degree)
     M = A.T @ A
     M = 0.5 * (M + M.T)
     back = np.argsort(order)
-    return M[np.ix_(back, back)], condition
+    return M[np.ix_(back, back)], mass_condition(*singular)
 
 
 def is_unisolvent(space, dist):

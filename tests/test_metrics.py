@@ -8,8 +8,11 @@ from scipy.spatial import KDTree
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symnodes.baselines import baseline_distribution
-from symnodes.basis import FunctionSpace, LagrangeInterpolator, basis_eval_many
+from symnodes.baselines import baseline_distribution, gll_1d
+from symnodes.basis import (
+    FunctionSpace, LagrangeInterpolator, basis_eval_many, mass_condition,
+)
+from symnodes.cli import _DEGREE_CAPS
 from symnodes.errors import SymnodesError, UnisolvencyError
 from symnodes.geometry import EXTRUDED, ElementKind, reference_element
 from symnodes.metrics import (
@@ -21,6 +24,7 @@ from symnodes.metrics import (
     _factor,
     _flat_maxima,
     _lattice,
+    _split,
     evaluate_metrics,
     is_unisolvent,
     lebesgue_constant,
@@ -317,6 +321,161 @@ def _flat_lebesgue(spp, dist, r):
     return float(np.max(np.sum(np.abs(L), axis=1)))
 
 
+def _product(base, line):
+    """The node set ``base`` times ``line``, rows base-major."""
+    kind = next(k for k, b in EXTRUDED.items() if b is base.kind)
+    a, b = base.nodes, line.nodes
+    nodes = np.column_stack(
+        [np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))]
+    )
+    return NodalDistribution(kind, base.degree, nodes, "product")
+
+
+def _rows_sorted(pts):
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [(k, p) for k in EXTRUDED for p in range(1, _DEGREE_CAPS[k] + 1)],
+)
+def test_extruded_sample_is_base_times_line(kind, p):
+    # The product path takes the extra points of an extruded kind's sample
+    # as the base kind's times the line's, block by block, so they must be
+    # those products exactly, as sets.
+    base, line = EXTRUDED[kind], ElementKind.LINE
+
+    def product(a, b):
+        return _rows_sorted(np.column_stack(
+            [np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))]
+        ))
+
+    got = quadrature_rule(kind, 2 * p).points
+    want = product(
+        quadrature_rule(base, 2 * p).points, quadrature_rule(line, 2 * p).points
+    )
+    assert np.array_equal(_rows_sorted(got), want)
+    vertices = reference_element(kind).vertices
+    want = product(reference_element(base).vertices, np.array([[-1.0], [1.0]]))
+    assert np.array_equal(_rows_sorted(vertices), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(list(EXTRUDED)),
+    p=st.integers(1, 9),
+    r=st.integers(2, 25),
+    seed=st.integers(0, 2**32 - 1),
+    amplitude=st.floats(0.0, 0.2),
+    symmetric=st.booleans(),
+)
+def test_product_report_matches_the_element(
+    kind, p, r, seed, amplitude, symmetric
+):
+    # A random line set times a random base set, built as an exact product:
+    # its report comes from its factors' and must match the flat scan and
+    # the factorization of the whole V.  A symmetric draw moves the line
+    # nodes in mirrored pairs and keeps the uniform base.
+    if reference_element(kind).dim == 3:
+        p = 1 + p % 5
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-1.0, 1.0, p + 1)
+    if symmetric:
+        shift = 0.5 * (shift - shift[::-1])
+    line = _line_dist(gll_1d(p) + amplitude / p * shift, p)
+    base = baseline_distribution(EXTRUDED[kind], p, "uniform")
+    if not symmetric:
+        move = rng.uniform(-1.0, 1.0, base.nodes.shape)
+        base = NodalDistribution(
+            base.kind, p, base.nodes + amplitude / p * move, "perturbed"
+        )
+    _assert_product_matches_the_element(_product(base, line), r, rng)
+
+
+@pytest.mark.parametrize("kind", list(EXTRUDED))
+def test_optimized_product_report_matches_the_element(kind, opt_cache):
+    p = 4
+    base = opt_cache.dist(EXTRUDED[kind], p)
+    line = opt_cache.dist(ElementKind.LINE, p)
+    r = _SCAN_RESOLUTION[reference_element(kind).dim]
+    _assert_product_matches_the_element(
+        _product(base, line), r, np.random.default_rng(p)
+    )
+
+
+def _assert_product_matches_the_element(dist, r, rng):
+    """The report of the product set ``dist``, made from its factors', is
+    the flat scan's and the whole ``V``'s within 1e-12, whatever the node
+    order."""
+    kind, p = dist.kind, dist.degree
+    spp = FunctionSpace(kind, p)
+    canonical = _canonical(dist)[1]
+    assert _split(kind, canonical) is not None
+    report = evaluate_metrics(spp, dist, resolution=r)
+    _, singular, objective = _factor(spp, canonical, p)
+    assert report.lebesgue_constant == pytest.approx(
+        _flat_lebesgue(spp, dist, r), rel=1e-12
+    )
+    assert report.lebesgue_objective == pytest.approx(objective, rel=1e-12)
+    assert report.mass_condition == pytest.approx(
+        mass_condition(*singular), rel=1e-12
+    )
+    perm = rng.permutation(dist.count)
+    shuffled = NodalDistribution(kind, p, dist.nodes[perm], "shuffled")
+    assert evaluate_metrics(spp, shuffled, resolution=r) == report
+
+
+@pytest.mark.parametrize("kind", list(EXTRUDED))
+@pytest.mark.parametrize("moved", [False, True])
+def test_only_sets_that_are_not_products_are_scanned(kind, moved, monkeypatch):
+    # The uniform set is a product and takes its factors' reports; with one
+    # node moved it is not, and the sum-factorized scan runs once.
+    import symnodes.metrics as metrics
+
+    dist = baseline_distribution(kind, 3, "uniform")
+    if moved:
+        dist = _interior_moved(dist)
+    calls = []
+    real_max = metrics._extruded_max
+
+    def counting(*args):
+        calls.append(args)
+        return real_max(*args)
+
+    monkeypatch.setattr(metrics, "_extruded_max", counting)
+    evaluate_metrics(FunctionSpace(kind, 3), dist, resolution=11)
+    assert len(calls) == moved
+
+
+@pytest.mark.parametrize(
+    "kind,gap,line_refused",
+    [
+        # The line factor itself fails the MASS_RATIO rule.
+        (ElementKind.QUADRILATERAL, 1e-9, True),
+        (ElementKind.PRISM, 1e-9, True),
+        # Every factor passes; the product's singular values fail it.
+        (ElementKind.QUADRILATERAL, 1e-5, False),
+        (ElementKind.HEXAHEDRON, 1e-3, False),
+        (ElementKind.PRISM, 3e-7, False),
+    ],
+)
+def test_refused_product_refuses_as_the_element(kind, gap, line_refused):
+    p = 3
+    line = _line_dist([-1.0, 0.0, gap, 1.0], p)
+    assert _refuses(LagrangeInterpolator, FunctionSpace(line.kind, p), line) \
+        is line_refused
+    base_kind = EXTRUDED[kind]
+    if base_kind is ElementKind.LINE:
+        base = line
+    elif base_kind is ElementKind.QUADRILATERAL:
+        base = _product(line, line)
+        assert not _refuses(LagrangeInterpolator, FunctionSpace(base_kind, p),
+                            base)
+    else:
+        base = baseline_distribution(base_kind, p, "uniform")
+    assert _assert_one_refusal(FunctionSpace(kind, p), _product(base, line))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(list(EXTRUDED)),
@@ -352,11 +511,13 @@ def test_factorized_scan_matches_flat_product(kind, p, r, seed, amplitude):
 )
 def test_factorized_scan_carries_nan(kind, poison, monkeypatch):
     # One NaN in V^-1 or in the base table reaches only the lattice part
-    # of the scan; the extra points stay finite.
+    # of the scan; the extra points stay finite.  The moved node keeps the
+    # set off the product path, so the sum-factorized scan runs.
     import symnodes.metrics as metrics
 
     spp = FunctionSpace(kind, 2)
-    dist = baseline_distribution(kind, 2, "uniform")
+    dist = _interior_moved(baseline_distribution(kind, 2, "uniform"))
+    assert _split(kind, _canonical(dist)[1]) is None
     assert is_unisolvent(spp, dist)
     if poison == "inverse":
         real_inverse = LagrangeInterpolator.inverse
@@ -379,6 +540,33 @@ def test_factorized_scan_carries_nan(kind, poison, monkeypatch):
         monkeypatch.setattr(metrics, "_basis", poisoned)
     assert not is_unisolvent(spp, dist)
     assert np.isnan(lebesgue_constant(spp, dist, resolution=20))
+
+
+@pytest.mark.parametrize("kind", list(EXTRUDED))
+def test_product_path_carries_nan(kind, monkeypatch):
+    # A NaN in the line factor's basis table at its last lattice point
+    # reaches the product's Lebesgue constant; no sum-factorized scan runs.
+    import symnodes.metrics as metrics
+
+    spp = FunctionSpace(kind, 2)
+    dist = baseline_distribution(kind, 2, "uniform")
+    assert is_unisolvent(spp, dist)
+    real_basis = metrics._basis
+
+    def poisoned(space, shape, order, tables, out=None):
+        table = real_basis(space, shape, order, tables, out)
+        if space.kind is ElementKind.LINE:
+            table[-1, 0] = np.nan
+        return table
+
+    scans = []
+    monkeypatch.setattr(metrics, "_basis", poisoned)
+    monkeypatch.setattr(
+        metrics, "_extruded_max", lambda *args: scans.append(args)
+    )
+    assert not is_unisolvent(spp, dist)
+    assert np.isnan(lebesgue_constant(spp, dist, resolution=20))
+    assert scans == []
 
 
 def _pinned_pyramid_draw():
